@@ -1,4 +1,4 @@
-// bench_micro — engine-cost microbenchmarks: the event queue, union-find,
+// bench_micro — engine-cost microbenchmarks: the slot calendar, union-find,
 // reference MSTs, PRC evaluation, oscillator updates, a radio slot flush
 // and one end-to-end trial per registered protocol backend (the registry
 // sweep is assembled at startup, so a newly registered protocol shows up
@@ -28,7 +28,6 @@
 #include "pco/prc.hpp"
 #include "phy/channel.hpp"
 #include "proto/registry.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/slot_calendar.hpp"
 #include "util/rng.hpp"
@@ -36,20 +35,6 @@
 namespace {
 
 using namespace firefly;
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(1);
-  std::vector<std::int64_t> times(n);
-  for (auto& t : times) t = static_cast<std::int64_t>(rng.uniform_index(1'000'000));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    for (const auto t : times) q.schedule(sim::SimTime::microseconds(t), [] {});
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384);
 
 void BM_SlotCalendarScheduleAndPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -67,13 +52,12 @@ BENCHMARK(BM_SlotCalendarScheduleAndPop)->Arg(1024)->Arg(16384);
 
 // The engine's dominant scheduling pattern: N pending fire events, each pop
 // reschedules one period (100 slots) ahead, with periodic cancel+reschedule
-// standing in for pulse-coupling absorption.  Run against both schedulers.
-template <typename Queue>
-void period_reschedule_pattern(benchmark::State& state) {
+// standing in for pulse-coupling absorption.
+void BM_SlotCalendarPeriodReschedule(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::int64_t kPeriodMs = 100;
   for (auto _ : state) {
-    Queue q;
+    sim::SlotCalendar q;
     std::vector<sim::EventId> ids(n);
     for (std::size_t i = 0; i < n; ++i) {
       ids[i] = q.schedule(sim::SimTime::milliseconds(static_cast<std::int64_t>(i % 100)),
@@ -95,16 +79,7 @@ void period_reschedule_pattern(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 20000);
 }
-
-void BM_WheelPeriodReschedule(benchmark::State& state) {
-  period_reschedule_pattern<sim::SlotCalendar>(state);
-}
-BENCHMARK(BM_WheelPeriodReschedule)->Arg(256)->Arg(2048);
-
-void BM_HeapPeriodReschedule(benchmark::State& state) {
-  period_reschedule_pattern<sim::EventQueue>(state);
-}
-BENCHMARK(BM_HeapPeriodReschedule)->Arg(256)->Arg(2048);
+BENCHMARK(BM_SlotCalendarPeriodReschedule)->Arg(256)->Arg(2048);
 
 void BM_SimulatorPeriodicTimers(benchmark::State& state) {
   const auto timers = static_cast<std::size_t>(state.range(0));
@@ -246,28 +221,6 @@ void BM_RadioBatchedDeliverySweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
 }
 BENCHMARK(BM_RadioBatchedDeliverySweep)->Arg(32)->Arg(256);
-
-// The callback sweep head-to-head: one full trial per device core.  kStruct
-// keeps the PR-5-faithful reference leg (per-record type-erased dispatch over
-// the fat Device structs); kSoa sweeps the same batches over DeviceHot's flat
-// arrays with in-sweep neighbour-table prefetch.  The ratio between the two
-// is the microbenchmark view of BENCH_PR9.json's callback_sweep records.
-void BM_CallbackSweep(benchmark::State& state, core::DeviceCore device_core) {
-  for (auto _ : state) {
-    core::ScenarioConfig config;
-    config.n = 200;
-    config.seed = 21;
-    config.area_policy = core::AreaPolicy::kFixed;
-    config.protocol.max_periods = 60;
-    config.protocol.stop_on_convergence = false;
-    config.protocol.device_core = device_core;
-    std::unique_ptr<core::EngineBase> engine = proto::Registry::instance().make(
-        "fst", core::deploy(config), config.protocol, config.radio, config.seed);
-    benchmark::DoNotOptimize(engine->run());
-  }
-}
-BENCHMARK_CAPTURE(BM_CallbackSweep, struct_core, core::DeviceCore::kStruct);
-BENCHMARK_CAPTURE(BM_CallbackSweep, soa_core, core::DeviceCore::kSoa);
 
 // One full small-network trial through the registry — the cost of a
 // protocol end to end (build, run to its own completion criterion or the

@@ -1,35 +1,25 @@
-// bench_scale — scaling benchmark: spatial index × scheduler at large N.
+// bench_scale — scaling benchmark: spatial index at large N.
 //
 // Runs the protocol axis (default ST, the production protocol; override
 // with FIREFLY_BENCH_PROTOCOLS) at N ∈ {1000, 2000, 5000} (density-scaled
-// area, so the network stays multi-hop) once per trial under three
+// area, so the network stays multi-hop) once per trial under two
 // configurations:
 //
-//   dense+heap  — exhaustive O(N²) candidate enumeration, binary-heap
-//                 scheduler: the reference everything is measured against.
-//   grid+heap   — spatial-index fast path, heap scheduler: isolates the
-//                 candidate-enumeration speedup (grid_vs_dense).
-//   grid+wheel  — spatial index plus the slot-calendar scheduler: the
-//                 production path; wheel_vs_heap isolates the scheduler win.
-//   grid+wheel+struct — production index/scheduler but the reference struct
-//                 device core (per-record type-erased callback dispatch over
-//                 the fat Device structs, as before the batched SoA engine);
-//                 struct_vs_soa isolates the batched-callback/SoA win and is
-//                 emitted as the "callback_sweep" series.
+//   dense — exhaustive O(N²) candidate enumeration: the reference.
+//   grid  — the spatial-index fast path (production); grid_vs_dense is the
+//           candidate-enumeration speedup.
 //
-// All four must produce bit-identical RunMetrics (asserted per trial and
-// reported in the JSON as `metrics_identical`), so any speedup is a pure
-// optimisation.
+// Both must produce bit-identical RunMetrics (asserted per trial, reported
+// in the JSON as `metrics_identical`, and the exit status is non-zero when
+// they diverge), so the speedup is a pure optimisation.
 //
 //   bench_scale [--trials K] [--json scale.json]
 //   FIREFLY_BENCH_MAX_N=2000 bench_scale      # trim the sweep
 //
 // JSONL output (firefly-bench-v1): one "scale" record per (n, mode, trial)
-// with the measured wall_ms, then one "speedup" and one "callback_sweep"
-// record per n.  Wall-clock
-// fields make this file machine-speed dependent — regression checks should
-// compare the *ratios* (see tools/check_bench_json --baseline), not the
-// absolute timings.
+// with the measured wall_ms, then one "speedup" record per n.  Wall-clock
+// fields make this file machine-speed dependent; the repo's performance
+// gate is the perfbench benchmark, not this file.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -41,7 +31,6 @@
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
-#include "sim/scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -51,23 +40,11 @@ using namespace firefly;
 struct Mode {
   const char* name;
   phy::SpatialIndex index;
-  sim::SchedulerKind scheduler;
-  core::DeviceCore device_core;
 };
 
 constexpr Mode kModes[] = {
-    {"dense", phy::SpatialIndex::kDense, sim::SchedulerKind::kHeap,
-     core::DeviceCore::kSoa},
-    {"grid", phy::SpatialIndex::kGrid, sim::SchedulerKind::kHeap,
-     core::DeviceCore::kSoa},
-    {"grid+wheel", phy::SpatialIndex::kGrid, sim::SchedulerKind::kWheel,
-     core::DeviceCore::kSoa},
-    // The callback-sweep reference: same spatial index and scheduler as the
-    // production mode, but hot device state in the fat structs with
-    // per-record type-erased dispatch (the pre-batching engine).  The
-    // soa/struct wall-clock ratio is the "callback_sweep" series.
-    {"grid+wheel+struct", phy::SpatialIndex::kGrid, sim::SchedulerKind::kWheel,
-     core::DeviceCore::kStruct},
+    {"dense", phy::SpatialIndex::kDense},
+    {"grid", phy::SpatialIndex::kGrid},
 };
 constexpr std::size_t kModeCount = sizeof(kModes) / sizeof(kModes[0]);
 
@@ -84,8 +61,6 @@ TrialResult run_one(core::Protocol protocol, std::size_t n, std::size_t trial,
   config.seed = util::derive_seed(2015, "bench_scale",
                                   (static_cast<std::uint64_t>(n) << 20) | trial);
   config.radio.spatial_index = mode.index;
-  config.protocol.scheduler = mode.scheduler;
-  config.protocol.device_core = mode.device_core;
 
   TrialResult result;
   const auto start = std::chrono::steady_clock::now();
@@ -130,10 +105,8 @@ int main(int argc, char** argv) {
       bench::bench_protocols({core::Protocol::kSt});
   json.write_meta(protocols);
 
-  util::Table table(
-      "bench_scale — wall-clock: dense+heap vs grid+heap vs grid+wheel vs struct core");
-  table.set_headers({"protocol", "N", "trials", "dense ms", "grid ms", "wheel ms",
-                     "struct ms", "grid/dense", "wheel/heap", "struct/soa",
+  util::Table table("bench_scale — wall-clock: dense vs grid spatial index");
+  table.set_headers({"protocol", "N", "trials", "dense ms", "grid ms", "grid/dense",
                      "identical"});
 
   bool all_identical = true;
@@ -155,7 +128,6 @@ int main(int argc, char** argv) {
             w.field("series", "scale");
             w.field("protocol", protocol_id);
             w.field("mode", mode.name);
-            w.field("scheduler", sim::to_string(mode.scheduler));
             w.field("n", static_cast<std::uint64_t>(n));
             w.field("trial", static_cast<std::uint64_t>(trial));
             w.field("wall_ms", result.wall_ms);
@@ -163,7 +135,7 @@ int main(int argc, char** argv) {
             w.field("total_messages", result.metrics.total_messages());
             w.field("deliveries", result.metrics.deliveries);
           });
-          // Every mode must reproduce the dense+heap reference bit for bit.
+          // The grid must reproduce the dense reference bit for bit.
           if (m == 0) {
             reference_json = result.metrics_json;
           } else if (result.metrics_json != reference_json) {
@@ -173,13 +145,8 @@ int main(int argc, char** argv) {
       }
       for (double& ms : mode_ms) ms /= static_cast<double>(trials);
       const double dense_ms = mode_ms[0];
-      const double heap_ms = mode_ms[1];    // grid + heap
-      const double wheel_ms = mode_ms[2];   // grid + wheel (SoA core)
-      const double struct_ms = mode_ms[3];  // grid + wheel, struct core
-      const double grid_vs_dense = heap_ms > 0.0 ? dense_ms / heap_ms : 0.0;
-      const double wheel_vs_heap = wheel_ms > 0.0 ? heap_ms / wheel_ms : 0.0;
-      const double speedup = wheel_ms > 0.0 ? dense_ms / wheel_ms : 0.0;
-      const double struct_vs_soa = wheel_ms > 0.0 ? struct_ms / wheel_ms : 0.0;
+      const double grid_ms = mode_ms[1];
+      const double grid_vs_dense = grid_ms > 0.0 ? dense_ms / grid_ms : 0.0;
       all_identical = all_identical && identical;
 
       json.write_object([&](obs::JsonWriter& w) {
@@ -188,38 +155,20 @@ int main(int argc, char** argv) {
         w.field("n", static_cast<std::uint64_t>(n));
         w.field("trials", static_cast<std::uint64_t>(trials));
         w.field("dense_ms", dense_ms);
-        w.field("heap_ms", heap_ms);
-        w.field("wheel_ms", wheel_ms);
+        w.field("grid_ms", grid_ms);
         w.field("grid_vs_dense", grid_vs_dense);
-        w.field("wheel_vs_heap", wheel_vs_heap);
-        w.field("speedup", speedup);
-        w.field("metrics_identical", identical);
-      });
-      // In-run device-core head-to-head: same binary, same machine, same
-      // slot stream — the struct/soa wall-clock ratio is machine-speed
-      // independent, which is what the CI baseline gate compares.
-      json.write_object([&](obs::JsonWriter& w) {
-        w.field("series", "callback_sweep");
-        w.field("protocol", protocol_id);
-        w.field("n", static_cast<std::uint64_t>(n));
-        w.field("trials", static_cast<std::uint64_t>(trials));
-        w.field("struct_ms", struct_ms);
-        w.field("soa_ms", wheel_ms);
-        w.field("struct_vs_soa", struct_vs_soa);
         w.field("metrics_identical", identical);
       });
       table.add_row({protocol_id, util::Table::num(n), util::Table::num(trials),
-                     util::Table::num(dense_ms), util::Table::num(heap_ms),
-                     util::Table::num(wheel_ms), util::Table::num(struct_ms),
-                     util::Table::num(grid_vs_dense), util::Table::num(wheel_vs_heap),
-                     util::Table::num(struct_vs_soa), identical ? "yes" : "NO"});
+                     util::Table::num(dense_ms), util::Table::num(grid_ms),
+                     util::Table::num(grid_vs_dense), identical ? "yes" : "NO"});
     }
   }
 
   table.print(std::cout);
   if (json) std::cout << "\nJSON written to " << json.path() << '\n';
   if (!all_identical) {
-    std::cerr << "bench_scale: metrics DIVERGED from the dense+heap reference\n";
+    std::cerr << "bench_scale: grid metrics DIVERGED from the dense reference\n";
     return 1;
   }
   return 0;

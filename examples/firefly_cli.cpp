@@ -21,7 +21,6 @@
 #include "obs/span.hpp"
 #include "proto/registry.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/soak.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
@@ -57,8 +56,6 @@ constexpr FlagSpec kFlagSpecs[] = {
     {"period", "SLOTS", "firing period in 1 ms slots [100]", 0},
     {"periods", "MAX", "horizon in firing periods [400]", 0},
     {"mobility", "MPS", "random-waypoint speed, 0 = static [0]", 0},
-    {"scheduler", "wheel|heap", "event scheduler; identical results [wheel]", 0},
-    {"device-core", "soa|struct", "hot device state layout; identical results [soa]", 0},
     {"csv", "PATH", "append the result table as CSV rows", 0},
     {"churn", "PER_MIN", "crash rate [0]", 1},
     {"churn-rate", "PER_MIN", "alias for --churn (service-mode docs)", 1},
@@ -144,22 +141,6 @@ int main(int argc, char** argv) {
   base.protocol.max_periods =
       static_cast<std::uint32_t>(flags.get("periods", std::int64_t{400}));
   base.protocol.mobility_speed_mps = flags.get("mobility", 0.0);
-  const std::string scheduler_arg = flags.get("scheduler", std::string("wheel"));
-  if (const auto kind = sim::scheduler_from_name(scheduler_arg); kind.has_value()) {
-    base.protocol.scheduler = *kind;
-  } else {
-    std::cerr << "unknown --scheduler '" << scheduler_arg << "' (expected: wheel, heap)\n";
-    return 2;
-  }
-  const std::string core_arg = flags.get("device-core", std::string("soa"));
-  if (core_arg == "soa") {
-    base.protocol.device_core = core::DeviceCore::kSoa;
-  } else if (core_arg == "struct") {
-    base.protocol.device_core = core::DeviceCore::kStruct;
-  } else {
-    std::cerr << "unknown --device-core '" << core_arg << "' (expected: soa, struct)\n";
-    return 2;
-  }
   fault::FaultPlan& faults = base.protocol.faults;
   faults.churn_rate_per_min = flags.get("churn", flags.get("churn-rate", 0.0));
   faults.mean_downtime_ms = flags.get("downtime", faults.mean_downtime_ms);

@@ -57,10 +57,10 @@ class MobileObserver final : public proto::StEngine {
     double fresh_sum = 0.0;
     std::size_t edges = 0;
     for (const auto& d : devices()) {
-      fragments.insert(d.fragment);
-      if (d.last_fire_slot >= 0) mods.push_back(d.last_fire_slot % params().period_slots);
+      fragments.insert(fragment(d.id));
+      if (last_fire_slot(d.id) >= 0) mods.push_back(last_fire_slot(d.id) % params().period_slots);
       std::size_t fresh = 0;
-      for (const auto& [id, info] : d.neighbors) {
+      for (const auto& [id, info] : neighbors(d.id)) {
         if (slot - info.last_heard_slot <= fresh_horizon) ++fresh;
       }
       fresh_sum += static_cast<double>(fresh);

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   for (const auto& device : engine.devices()) {
     ++population[device.service];
     std::size_t same = 0;
-    for (const auto& [id, info] : device.neighbors) {
+    for (const auto& [id, info] : engine.neighbors(device.id)) {
       if (info.service == device.service) ++same;
     }
     peers_found[device.service] += static_cast<double>(same);
@@ -73,12 +73,12 @@ int main(int argc, char** argv) {
              std::string(kServiceNames[device.service % 4]) + ")");
   view.set_headers({"peer", "PS strength (dBm)", "est. distance (m)", "true distance (m)"});
   std::vector<std::pair<double, std::uint32_t>> ranked;
-  for (const auto& [id, info] : device.neighbors) {
+  for (const auto& [id, info] : engine.neighbors(device.id)) {
     if (info.service == device.service) ranked.emplace_back(info.weight_dbm, id);
   }
   std::sort(ranked.rbegin(), ranked.rend());
   for (std::size_t i = 0; i < std::min<std::size_t>(ranked.size(), 8); ++i) {
-    const auto& info = device.neighbors.at(ranked[i].second);
+    const auto& info = engine.neighbors(device.id).at(ranked[i].second);
     const double est_distance_m =
         engine.ranging().estimate_distance(firefly::util::Dbm{info.weight_dbm});
     view.add_row({"UE" + std::to_string(ranked[i].second),

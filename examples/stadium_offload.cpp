@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     }
     std::size_t candidate_donors = 0;
     double best_weight = -1e300;
-    for (const auto& [id, info] : device.neighbors) {
+    for (const auto& [id, info] : engine.neighbors(device.id)) {
       if (!has_content[id]) continue;
       ++candidate_donors;
       best_weight = std::max(best_weight, info.weight_dbm);

@@ -1,29 +1,19 @@
-// device.hpp — per-UE protocol state.
+// device.hpp — per-UE cold protocol state.
 //
 // A `Device` is passive data; the protocol engines (fst.cpp / st.cpp) drive
 // all transitions so the state machine logic is in one readable place per
-// protocol.  The oscillator is event-driven: instead of ticking a counter
-// every slot, the device stores the absolute slot of its next natural
-// firing, derives the counter on demand, and the engine reschedules the
-// firing event whenever a PRC jump moves it.
-//
-// Under the default SoA device core (ProtocolParams::device_core), the HOT
-// subset of these fields — oscillator slots, fire_event, down, drift,
-// fragment/fragment_size/is_head, the desync_* phase memory and the
-// neighbour table — lives in core::DeviceHot's flat arrays during a run and
-// the copies here are stale until EngineBase::devices() syncs them back.
-// Everything else (identity, position, ST tree/merge bookkeeping) is COLD
-// and this struct is its only storage in both modes.  Engines reach hot
-// fields exclusively through EngineBase's accessors.
+// protocol.  It holds the COLD state only: identity, position, service
+// interest and the ST tree/merge bookkeeping.  The hot state the per-slot
+// sweeps touch — oscillator slots and fire event, fault flags, drift, the ST
+// fragment label, DESYNC phase memory and the neighbour table — lives in
+// core::DeviceHot's flat arrays (device_soa.hpp), indexed by `id`.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/neighbor_table.hpp"
 #include "core/wire.hpp"
 #include "geo/point.hpp"
-#include "sim/event_queue.hpp"
 #include "util/flat_set.hpp"
 
 namespace firefly::core {
@@ -33,24 +23,7 @@ struct Device {
   geo::Vec2 position{};
   std::uint16_t service{0};
 
-  // --- oscillator (event-driven counter formulation) ---
-  std::int64_t next_fire_slot{0};
-  sim::EventId fire_event{0};
-  std::int64_t last_fire_slot{-1};
-  std::int64_t refractory_until_slot{-1};
-
-  // --- discovery ---
-  NeighborTable neighbors;  ///< see neighbor_table.hpp (flat, insertion-ordered)
-
-  // --- fault-injection state ---
-  bool down{false};             ///< crashed: radio silent, timers parked
-  double drift_ppm{0.0};        ///< oscillator skew of this device's crystal
-  double drift_residual{0.0};   ///< accumulated fractional skew, in slots
-
-  // --- ST fragment state ---
-  std::uint16_t fragment{kInvalidId};   ///< fragment label (head id at creation)
-  std::uint16_t fragment_size{1};
-  bool is_head{false};
+  // --- ST fragment state (the label, size and headship are hot) ---
   std::vector<std::uint32_t> tree_neighbors;
   util::FlatU32Set announces_seen;    ///< merge_key dedup
   util::FlatU32Set sync_floods_seen;  ///< (fragment, cycle) dedup
@@ -60,24 +33,6 @@ struct Device {
   std::uint32_t connect_attempts{0};    ///< timed-out H_Connects this head stint
   std::int64_t last_fragment_activity_slot{0};  ///< stall detection for headless fragments
   std::int64_t head_heard_slot{0};      ///< lease: last proof a live head serves my fragment
-
-  // --- DESYNC phase-neighbour memory (proto/desync.*; idle for other protocols) ---
-  std::int64_t desync_last_heard_slot{-1};  ///< latest pulse heard (sent slot)
-  std::int64_t desync_prev_slot{-1};    ///< last pulse heard before my own firing
-  std::int32_t desync_residual{-1};     ///< |midpoint imbalance| after last jump (-1: unmeasured)
-  bool desync_adjusted{false};          ///< midpoint jump already spent this cycle
-
-  /// Oscillator counter at `slot` given the scheduled natural firing.
-  [[nodiscard]] std::uint32_t counter_at(std::int64_t slot, std::uint32_t period) const {
-    const std::int64_t remaining = next_fire_slot - slot;
-    if (remaining <= 0) return period;
-    if (remaining >= static_cast<std::int64_t>(period)) return 0;
-    return period - static_cast<std::uint32_t>(remaining);
-  }
-
-  [[nodiscard]] bool refractory_at(std::int64_t slot) const {
-    return slot <= refractory_until_slot;
-  }
 
   [[nodiscard]] bool has_tree_neighbor(std::uint32_t other) const;
   void add_tree_neighbor(std::uint32_t other);

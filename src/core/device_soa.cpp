@@ -1,11 +1,10 @@
 #include "core/device_soa.hpp"
 
-#include "core/device.hpp"
+#include <algorithm>
 
 namespace firefly::core {
 
 void DeviceHot::build(std::size_t n) {
-  count_ = n;
   // Carve widest-first so inter-array padding never exceeds one element.
   // Per device: 5×8 (slots) + 8 (event) + 2×8 (drift) + 4 + 2×2 + 3×1 ≈ 75 B.
   arena_.reset(80 * n + 64);
@@ -24,48 +23,14 @@ void DeviceHot::build(std::size_t n) {
   is_head = arena_.carve<bool>(n);
   desync_adjusted = arena_.carve<bool>(n);
   neighbors.resize(n);
-}
 
-void DeviceHot::load_from(const std::vector<Device>& devices) {
-  for (std::size_t i = 0; i < count_; ++i) {
-    const Device& d = devices[i];
-    next_fire_slot[i] = d.next_fire_slot;
-    last_fire_slot[i] = d.last_fire_slot;
-    refractory_until_slot[i] = d.refractory_until_slot;
-    desync_last_heard_slot[i] = d.desync_last_heard_slot;
-    desync_prev_slot[i] = d.desync_prev_slot;
-    fire_event[i] = d.fire_event;
-    drift_ppm[i] = d.drift_ppm;
-    drift_residual[i] = d.drift_residual;
-    desync_residual[i] = d.desync_residual;
-    fragment[i] = d.fragment;
-    fragment_size[i] = d.fragment_size;
-    down[i] = d.down;
-    is_head[i] = d.is_head;
-    desync_adjusted[i] = d.desync_adjusted;
-    neighbors[i] = d.neighbors;
-  }
-}
-
-void DeviceHot::store_to(std::vector<Device>& devices) const {
-  for (std::size_t i = 0; i < count_; ++i) {
-    Device& d = devices[i];
-    d.next_fire_slot = next_fire_slot[i];
-    d.last_fire_slot = last_fire_slot[i];
-    d.refractory_until_slot = refractory_until_slot[i];
-    d.desync_last_heard_slot = desync_last_heard_slot[i];
-    d.desync_prev_slot = desync_prev_slot[i];
-    d.fire_event = fire_event[i];
-    d.drift_ppm = drift_ppm[i];
-    d.drift_residual = drift_residual[i];
-    d.desync_residual = desync_residual[i];
-    d.fragment = fragment[i];
-    d.fragment_size = fragment_size[i];
-    d.down = down[i];
-    d.is_head = is_head[i];
-    d.desync_adjusted = desync_adjusted[i];
-    d.neighbors = neighbors[i];
-  }
+  std::fill_n(last_fire_slot, n, -1);
+  std::fill_n(refractory_until_slot, n, -1);
+  std::fill_n(desync_last_heard_slot, n, -1);
+  std::fill_n(desync_prev_slot, n, -1);
+  std::fill_n(desync_residual, n, -1);
+  std::fill_n(fragment_size, n, 1);
+  for (std::size_t i = 0; i < n; ++i) fragment[i] = static_cast<std::uint16_t>(i);
 }
 
 }  // namespace firefly::core

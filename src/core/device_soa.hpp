@@ -1,11 +1,9 @@
-// device_soa.hpp — hot/cold split of the per-device protocol state.
+// device_soa.hpp — the per-device hot protocol state, as flat arrays.
 //
-// `core::Device` keeps every field a protocol might touch; profiling (DESIGN
-// §9/§12) shows the per-slot sweeps only read a small hot subset — oscillator
-// slots, fault flags, drift, ST fragment label, DESYNC phase memory — while
-// dragging the whole ~300-byte struct through the cache.  `DeviceHot` carves
-// that hot subset into flat arrays, index-aligned with the radio's dense
-// device order, out of ONE `util::RegionArena` block per trial:
+// The per-slot sweeps read only a small hot subset of a device's state —
+// oscillator slots, fault flags, drift, ST fragment label, DESYNC phase
+// memory — so that subset lives here, index-aligned with the radio's dense
+// device order, carved out of ONE `util::RegionArena` block per trial:
 //
 //   * a receiver sweep walks contiguous memory instead of striding structs,
 //   * snapshot/restore of all hot scalars is a single memcpy of the region,
@@ -13,9 +11,8 @@
 //
 // Neighbor tables are hot too but own heap storage, so they sit beside the
 // region in an index-aligned vector (restored element-wise, capacity-reusing).
-// Cold fields — identity, position, ST tree bookkeeping, dedup sets — stay in
-// the `Device` struct, which remains the single storage under
-// `DeviceCore::kStruct` (the bit-identical reference leg).
+// Cold fields — identity, position, ST tree bookkeeping, dedup sets — live
+// in `core::Device`.  Each field has exactly one home.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +24,6 @@
 #include "util/arena.hpp"
 
 namespace firefly::core {
-
-struct Device;
 
 struct DeviceHot {
   // --- oscillator ---
@@ -56,24 +51,19 @@ struct DeviceHot {
   /// Index-aligned discovery tables (hot, but heap-owning — see header note).
   std::vector<NeighborTable> neighbors;
 
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] bool built() const { return count_ != 0; }
-
   /// One region snapshot = these bytes, verbatim.
   [[nodiscard]] const std::byte* block() const { return arena_.data(); }
   [[nodiscard]] std::byte* block() { return arena_.data(); }
   [[nodiscard]] std::size_t block_bytes() const { return arena_.used(); }
 
-  /// Allocate the region and carve every array for `n` devices (zero-filled).
+  /// Allocate the region and carve every array for `n` devices, holding
+  /// power-on values: no firing or refractory window yet (-1), unmeasured
+  /// DESYNC memory (-1), every device a singleton fragment labelled with its
+  /// own index; everything else zero.  Drift is the engine's to set.
   void build(std::size_t n);
-  /// Copy hot fields (and neighbor tables) struct → arrays.
-  void load_from(const std::vector<Device>& devices);
-  /// Copy hot fields (and neighbor tables) arrays → struct.
-  void store_to(std::vector<Device>& devices) const;
 
  private:
   util::RegionArena arena_;
-  std::size_t count_ = 0;
 };
 
 }  // namespace firefly::core

@@ -18,8 +18,7 @@ EngineBase::~EngineBase() = default;
 
 EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
                        phy::RadioParams radio_params, std::uint64_t seed)
-    : sim_(params.scheduler),
-      channel_(phy::make_paper_channel(seed, radio_params)),
+    : channel_(phy::make_paper_channel(seed, radio_params)),
       radio_(&sim_, channel_.get(), radio_params.capture_margin_db),
       params_(params),
       detector_(positions.size(), params.period_slots, params.tolerance_slots),
@@ -29,7 +28,6 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
       ranging_(&channel_->pathloss(), radio_params.tx_power),
       energy_(positions.size()),
       mobility_rng_(rng_factory_.make("core.mobility")) {
-  soa_ = params_.device_core == DeviceCore::kSoa;
   radio_.set_energy_meter(&energy_);
   devices_.reserve(positions.size());
   for (std::uint32_t id = 0; id < positions.size(); ++id) {
@@ -37,9 +35,9 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
     d.id = id;
     d.position = positions[id];
     d.service = static_cast<std::uint16_t>(control_rng_.uniform_index(params_.service_count));
-    d.fragment = static_cast<std::uint16_t>(id);
     devices_.push_back(std::move(d));
   }
+  hot_.build(devices_.size());
   for (Device& d : devices_) {
     mac::RadioMedium::ListenFn listening = nullptr;
     if (params_.duty_cycled()) {
@@ -58,14 +56,16 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
   // One call per slot hands the protocol every decoded reception at once;
   // deliver_batched sweeps them in the radio's dispatch order.  Engine ids
   // are dense indices (d.id == its devices_ slot), so rx_index indexes
-  // devices_ and the hot arrays directly.
+  // devices_ and hot_ directly.
   radio_.set_delivery_sink([this](const mac::RxBatch& batch) { deliver_batched(batch); });
 
   if (params_.faults.enabled()) {
     injector_ = std::make_unique<fault::FaultInjector>(
         params_.faults, static_cast<std::uint32_t>(devices_.size()),
         params_.max_slots(), seed);
-    for (Device& d : devices_) d.drift_ppm = injector_->drift_ppm(d.id);
+    for (std::uint32_t i = 0; i < devices_.size(); ++i) {
+      hot_.drift_ppm[i] = injector_->drift_ppm(i);
+    }
     install_fault_hook();
     // A faulted run observes behaviour *through* the faults, so it never
     // stops at the first convergence instant.
@@ -88,14 +88,6 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
       reliable_links_.emplace_back(u, v);
     }
   });
-
-  // Hot/cold split: carve the flat arrays and seed them from the structs,
-  // picking up every constructor-time write above (fragment labels, drift).
-  // From here on all hot reads and writes go through the accessors.
-  if (soa_) {
-    hot_.build(devices_.size());
-    hot_.load_from(devices_);
-  }
 }
 
 std::int64_t EngineBase::current_slot() const {
@@ -110,34 +102,34 @@ void EngineBase::set_telemetry(obs::Telemetry* telemetry) {
 }
 
 void EngineBase::schedule_fire(std::uint32_t i) {
-  if (down(i)) return;
-  if (fire_event(i) != 0) sim_.cancel(fire_event(i));
-  const sim::SimTime at = sim::SimTime{next_fire_slot(i) * sim::kLteSlot.us};
-  fire_event(i) = sim_.schedule_at(std::max(at, sim_.now()), [this, i] {
-    fire_event(i) = 0;
+  if (hot_.down[i]) return;
+  if (hot_.fire_event[i] != 0) sim_.cancel(hot_.fire_event[i]);
+  const sim::SimTime at = sim::SimTime{hot_.next_fire_slot[i] * sim::kLteSlot.us};
+  hot_.fire_event[i] = sim_.schedule_at(std::max(at, sim_.now()), [this, i] {
+    hot_.fire_event[i] = 0;
     fire(i);
   });
 }
 
 void EngineBase::fire(std::uint32_t i, std::uint32_t post_counter) {
-  if (down(i)) return;
+  if (hot_.down[i]) return;
   const std::int64_t slot = current_slot();
-  last_fire_slot(i) = slot;
-  refractory_until_slot(i) = slot + params_.refractory_slots;
+  hot_.last_fire_slot[i] = slot;
+  hot_.refractory_until_slot[i] = slot + params_.refractory_slots;
   // A reachback-aligned absorption restarts the counter at the absorber's
   // clock offset so the next cycle fires simultaneously with it.
-  next_fire_slot(i) =
+  hot_.next_fire_slot[i] =
       slot + params_.period_slots - static_cast<std::int64_t>(post_counter);
-  if (drift_ppm(i) != 0.0) {
+  if (hot_.drift_ppm[i] != 0.0) {
     // Clock drift: a fast crystal (+ppm) completes its cycle early.  The
     // sub-slot skew accumulates in a residual and is applied one whole slot
     // at a time, so the drift the PRC must fight is exact over any horizon.
-    drift_residual(i) +=
-        static_cast<double>(params_.period_slots) * drift_ppm(i) * 1e-6;
-    const double whole = std::floor(drift_residual(i));
+    hot_.drift_residual[i] +=
+        static_cast<double>(params_.period_slots) * hot_.drift_ppm[i] * 1e-6;
+    const double whole = std::floor(hot_.drift_residual[i]);
     if (whole != 0.0) {
-      next_fire_slot(i) -= static_cast<std::int64_t>(whole);
-      drift_residual(i) -= whole;
+      hot_.next_fire_slot[i] -= static_cast<std::int64_t>(whole);
+      hot_.drift_residual[i] -= whole;
     }
   }
   emit_fire_broadcast(devices_[i]);
@@ -180,30 +172,30 @@ void EngineBase::apply_pulse_coupling(const mac::RxRecord& record) {
     // to the absorbing sender's clock (reachback compensation — without it
     // a slotted radio accumulates one slot of skew per hop and global
     // alignment is unreachable for any pulse-coupled scheme).
-    if (fire_event(i) != 0) {
-      sim_.cancel(fire_event(i));
-      fire_event(i) = 0;
+    if (hot_.fire_event[i] != 0) {
+      sim_.cancel(hot_.fire_event[i]);
+      hot_.fire_event[i] = 0;
     }
     const Fields f = unpack(record.payload);
     const std::uint32_t aligned = (f.c + elapsed) % params_.period_slots;
     fire(i, aligned);
     return;
   }
-  next_fire_slot(i) = slot + (params_.period_slots - new_counter);
+  hot_.next_fire_slot[i] = slot + (params_.period_slots - new_counter);
   schedule_fire(i);
 }
 
 void EngineBase::adopt_counter(std::uint32_t i, std::uint32_t counter) {
-  if (down(i)) return;
+  if (hot_.down[i]) return;
   const std::int64_t slot = current_slot();
   if (counter >= params_.period_slots) counter %= params_.period_slots;
-  next_fire_slot(i) = slot + (params_.period_slots - counter);
+  hot_.next_fire_slot[i] = slot + (params_.period_slots - counter);
   trace(TraceKind::kAdopt, i, counter);
   schedule_fire(i);
 }
 
 void EngineBase::update_neighbor(const mac::RxRecord& record) {
-  NeighborInfo& info = neighbors(record.rx_index)[record.sender];
+  NeighborInfo& info = hot_.neighbors[record.rx_index][record.sender];
   const double rx = record.rx_power.value;
   if (info.heard_count == 0) {
     info.weight_dbm = rx;
@@ -230,9 +222,9 @@ bool EngineBase::discovery_complete() const {
   for (const auto& [u, v] : reliable_links_) {
     // A link with a crashed endpoint is waived: the survivor cannot be
     // expected to (re)discover a silent radio.
-    if (down(u) || down(v)) continue;
-    if (!neighbors(u).contains(v)) return false;
-    if (!neighbors(v).contains(u)) return false;
+    if (hot_.down[u] || hot_.down[v]) continue;
+    if (!hot_.neighbors[u].contains(v)) return false;
+    if (!hot_.neighbors[v].contains(u)) return false;
   }
   return true;
 }
@@ -333,7 +325,7 @@ RunMetrics EngineBase::run() {
 void EngineBase::start_run() {
   // Random initial phases (paper: devices start unsynchronised).
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-    next_fire_slot(i) = static_cast<std::int64_t>(
+    hot_.next_fire_slot[i] = static_cast<std::int64_t>(
         control_rng_.uniform_index(params_.period_slots)) + 1;
     schedule_fire(i);
   }
@@ -391,11 +383,11 @@ void EngineBase::schedule_fault_events() {
 }
 
 void EngineBase::crash_device(std::uint32_t id) {
-  if (down(id)) return;
-  down(id) = true;
-  if (fire_event(id) != 0) {
-    sim_.cancel(fire_event(id));
-    fire_event(id) = 0;
+  if (hot_.down[id]) return;
+  hot_.down[id] = true;
+  if (hot_.fire_event[id] != 0) {
+    sim_.cancel(hot_.fire_event[id]);
+    hot_.fire_event[id] = 0;
   }
   radio_.set_down(id, true);
   detector_.set_active(id, false);
@@ -405,20 +397,20 @@ void EngineBase::crash_device(std::uint32_t id) {
 }
 
 void EngineBase::recover_device(std::uint32_t id) {
-  if (!down(id)) return;
-  down(id) = false;
+  if (!hot_.down[id]) return;
+  hot_.down[id] = false;
   radio_.set_down(id, false);
   detector_.set_active(id, true);
   local_detector_.set_active(id, true);
   // Cold boot: volatile state is gone.  The crystal (and its drift) is the
   // same physical part, so drift_ppm survives.
-  neighbors(id).clear();
-  last_fire_slot(id) = -1;
-  refractory_until_slot(id) = -1;
-  drift_residual(id) = 0.0;
-  next_fire_slot(id) = current_slot() + 1 +
-                       static_cast<std::int64_t>(
-                           control_rng_.uniform_index(params_.period_slots));
+  hot_.neighbors[id].clear();
+  hot_.last_fire_slot[id] = -1;
+  hot_.refractory_until_slot[id] = -1;
+  hot_.drift_residual[id] = 0.0;
+  hot_.next_fire_slot[id] = current_slot() + 1 +
+                           static_cast<std::int64_t>(
+                               control_rng_.uniform_index(params_.period_slots));
   schedule_fire(id);
   on_recover(devices_[id]);
   ++recoveries_;
@@ -494,7 +486,7 @@ void EngineBase::finalize_metrics(RunMetrics& metrics) const {
       repair_base_set_ ? traffic.rach2_tx - repair_rach2_base_ : 0;
   std::uint32_t alive = 0;
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-    if (!down(i)) ++alive;
+    if (!hot_.down[i]) ++alive;
   }
   metrics.alive_at_end = alive;
   // Partition diagnosis: connect the reliable links whose endpoints are both
@@ -502,12 +494,12 @@ void EngineBase::finalize_metrics(RunMetrics& metrics) const {
   // can merge them into a single synchronised fragment.
   graph::UnionFind components(devices_.size());
   for (const auto& [u, v] : reliable_links_) {
-    if (!down(u) && !down(v)) components.unite(u, v);
+    if (!hot_.down[u] && !hot_.down[v]) components.unite(u, v);
   }
   std::int64_t root = -1;
   bool split = false;
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-    if (down(i)) continue;
+    if (hot_.down[i]) continue;
     const std::uint32_t r = components.find(i);
     if (root < 0) {
       root = r;
@@ -523,7 +515,7 @@ void EngineBase::finalize_metrics(RunMetrics& metrics) const {
   util::Sample rel_errors;
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
     const Device& d = devices_[i];
-    const NeighborTable& table = neighbors(i);
+    const NeighborTable& table = hot_.neighbors[i];
     neighbor_counts.add(static_cast<double>(table.size()));
     std::size_t peers = 0;
     for (const auto& [other_id, info] : table) {

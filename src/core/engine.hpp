@@ -10,16 +10,12 @@
 // ranging, periodic convergence checks and the final metrics sweep.
 // Backends are resolved by name or enum through `proto::Registry`.
 //
-// Hot state lives in one of two layouts selected by ProtocolParams::
-// device_core: the fat `Device` struct (reference) or the flat index-aligned
-// `DeviceHot` arrays (default, one RegionArena block per trial).  Every hot
-// field is reached through the accessors below, whose layout branch is
-// constant for the engine's lifetime — both cores execute the same logic in
-// the same order, so results are bit-identical by construction
-// (test_layout_equivalence enforces it byte-for-byte).
+// Per-device state is split in two: the hot fields the per-slot sweeps touch
+// live in `hot_` (core::DeviceHot — flat index-aligned arrays, one
+// RegionArena block per trial), the cold rest in `devices_` (core::Device).
+// Backends index both by the dense device id.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -77,12 +73,14 @@ class EngineBase : public proto::DiscoveryProtocol {
   ServiceReport run_service(const ServiceConfig& cfg, sim::SoakRecorder* recorder = nullptr);
 
   /// In-process rollback checkpoint of the complete mutable world: the
-  /// scheduler (wheel/arena state, callbacks cloned), devices, detectors,
+  /// scheduler (slot calendar and its arena, callbacks cloned), devices, detectors,
   /// radio traffic state, every RNG stream and the fault-schedule streams.
-  /// Static scenarios only (mobility rebuilds position-derived caches a
-  /// checkpoint does not carry).  restore() rewinds THIS engine; it is not
-  /// a serialised file.  test_service_mode proves a restored run reproduces
-  /// byte-identical RunMetrics.
+  /// Static scenarios only: snapshot() throws std::invalid_argument on a
+  /// mobile one (mobility rebuilds position-derived caches a checkpoint does
+  /// not carry).  restore() rewinds THIS engine; it is not a serialised
+  /// file, and it throws std::invalid_argument on a snapshot whose device
+  /// count or hot-region size differs.  test_service_mode proves a restored
+  /// run reproduces byte-identical RunMetrics.
   [[nodiscard]] std::unique_ptr<EngineSnapshot> snapshot();
   void restore(const EngineSnapshot& snap);
   /// Latest snapshot taken by run_service's snapshot_every cadence (null
@@ -91,13 +89,22 @@ class EngineBase : public proto::DiscoveryProtocol {
     return service_snapshot_.get();
   }
 
-  /// Post-run inspection view.  Under the SoA core the structs are synced
-  /// from the hot arrays first, so readers always see current state; the
-  /// sync is a flat copy, cheap at inspection cadence (never in-loop).
-  [[nodiscard]] const std::vector<Device>& devices() const {
-    if (soa_) hot_.store_to(const_cast<EngineBase*>(this)->devices_);
-    return devices_;
+  /// Cold per-device state (identity, position, ST tree bookkeeping).
+  [[nodiscard]] const std::vector<Device>& devices() const { return devices_; }
+  /// Read-only views of device `i`'s hot state, for inspection between
+  /// steps and after a run.
+  [[nodiscard]] const NeighborTable& neighbors(std::uint32_t i) const {
+    return hot_.neighbors[i];
   }
+  [[nodiscard]] std::int64_t last_fire_slot(std::uint32_t i) const {
+    return hot_.last_fire_slot[i];
+  }
+  [[nodiscard]] bool down(std::uint32_t i) const { return hot_.down[i]; }
+  [[nodiscard]] std::uint16_t fragment(std::uint32_t i) const { return hot_.fragment[i]; }
+  [[nodiscard]] std::uint16_t fragment_size(std::uint32_t i) const {
+    return hot_.fragment_size[i];
+  }
+  [[nodiscard]] bool is_head(std::uint32_t i) const { return hot_.is_head[i]; }
   [[nodiscard]] const ProtocolParams& params() const { return params_; }
   /// RSSI ranging against this run's path-loss model; distance estimates
   /// are derived from NeighborInfo::weight_dbm on demand.
@@ -117,84 +124,35 @@ class EngineBase : public proto::DiscoveryProtocol {
   // requires_sync, on_recover, protocol_snapshot_word/restore_word) are
   // inherited from proto::DiscoveryProtocol; backends override them there.
 
-  // --- hot-state accessors (dual device core; see header note) ---
-  // One accessor per hot field; `i` is the dense device index (== Device::id).
-  // The soa_ branch is engine-constant, so it predicts perfectly and keeps a
-  // single copy of every protocol rule valid for both layouts.
-  [[nodiscard]] std::int64_t& next_fire_slot(std::uint32_t i) { return soa_ ? hot_.next_fire_slot[i] : devices_[i].next_fire_slot; }
-  [[nodiscard]] std::int64_t next_fire_slot(std::uint32_t i) const { return soa_ ? hot_.next_fire_slot[i] : devices_[i].next_fire_slot; }
-  [[nodiscard]] std::int64_t& last_fire_slot(std::uint32_t i) { return soa_ ? hot_.last_fire_slot[i] : devices_[i].last_fire_slot; }
-  [[nodiscard]] std::int64_t last_fire_slot(std::uint32_t i) const { return soa_ ? hot_.last_fire_slot[i] : devices_[i].last_fire_slot; }
-  [[nodiscard]] std::int64_t& refractory_until_slot(std::uint32_t i) { return soa_ ? hot_.refractory_until_slot[i] : devices_[i].refractory_until_slot; }
-  [[nodiscard]] std::int64_t refractory_until_slot(std::uint32_t i) const { return soa_ ? hot_.refractory_until_slot[i] : devices_[i].refractory_until_slot; }
-  [[nodiscard]] sim::EventId& fire_event(std::uint32_t i) { return soa_ ? hot_.fire_event[i] : devices_[i].fire_event; }
-  [[nodiscard]] double& drift_ppm(std::uint32_t i) { return soa_ ? hot_.drift_ppm[i] : devices_[i].drift_ppm; }
-  [[nodiscard]] double& drift_residual(std::uint32_t i) { return soa_ ? hot_.drift_residual[i] : devices_[i].drift_residual; }
-  [[nodiscard]] bool& down(std::uint32_t i) { return soa_ ? hot_.down[i] : devices_[i].down; }
-  [[nodiscard]] bool down(std::uint32_t i) const { return soa_ ? hot_.down[i] : devices_[i].down; }
-  [[nodiscard]] std::uint16_t& fragment(std::uint32_t i) { return soa_ ? hot_.fragment[i] : devices_[i].fragment; }
-  [[nodiscard]] std::uint16_t fragment(std::uint32_t i) const { return soa_ ? hot_.fragment[i] : devices_[i].fragment; }
-  [[nodiscard]] std::uint16_t& fragment_size(std::uint32_t i) { return soa_ ? hot_.fragment_size[i] : devices_[i].fragment_size; }
-  [[nodiscard]] std::uint16_t fragment_size(std::uint32_t i) const { return soa_ ? hot_.fragment_size[i] : devices_[i].fragment_size; }
-  [[nodiscard]] bool& is_head(std::uint32_t i) { return soa_ ? hot_.is_head[i] : devices_[i].is_head; }
-  [[nodiscard]] bool is_head(std::uint32_t i) const { return soa_ ? hot_.is_head[i] : devices_[i].is_head; }
-  [[nodiscard]] std::int64_t& desync_last_heard_slot(std::uint32_t i) { return soa_ ? hot_.desync_last_heard_slot[i] : devices_[i].desync_last_heard_slot; }
-  [[nodiscard]] std::int64_t desync_last_heard_slot(std::uint32_t i) const { return soa_ ? hot_.desync_last_heard_slot[i] : devices_[i].desync_last_heard_slot; }
-  [[nodiscard]] std::int64_t& desync_prev_slot(std::uint32_t i) { return soa_ ? hot_.desync_prev_slot[i] : devices_[i].desync_prev_slot; }
-  [[nodiscard]] std::int32_t& desync_residual(std::uint32_t i) { return soa_ ? hot_.desync_residual[i] : devices_[i].desync_residual; }
-  [[nodiscard]] std::int32_t desync_residual(std::uint32_t i) const { return soa_ ? hot_.desync_residual[i] : devices_[i].desync_residual; }
-  [[nodiscard]] bool& desync_adjusted(std::uint32_t i) { return soa_ ? hot_.desync_adjusted[i] : devices_[i].desync_adjusted; }
-  [[nodiscard]] NeighborTable& neighbors(std::uint32_t i) { return soa_ ? hot_.neighbors[i] : devices_[i].neighbors; }
-  [[nodiscard]] const NeighborTable& neighbors(std::uint32_t i) const { return soa_ ? hot_.neighbors[i] : devices_[i].neighbors; }
-
-  /// Oscillator counter of device `i` at `slot` (Device::counter_at over
-  /// whichever layout holds next_fire_slot).
+  /// Oscillator counter of device `i` at `slot`, derived from its scheduled
+  /// natural firing (the event-driven counter formulation).
   [[nodiscard]] std::uint32_t counter_at(std::uint32_t i, std::int64_t slot) const {
-    const std::int64_t remaining = next_fire_slot(i) - slot;
+    const std::int64_t remaining = hot_.next_fire_slot[i] - slot;
     if (remaining <= 0) return params_.period_slots;
     if (remaining >= static_cast<std::int64_t>(params_.period_slots)) return 0;
     return params_.period_slots - static_cast<std::uint32_t>(remaining);
   }
   [[nodiscard]] bool refractory_at(std::uint32_t i, std::int64_t slot) const {
-    return slot <= refractory_until_slot(i);
+    return slot <= hot_.refractory_until_slot[i];
   }
 
   /// One pass over a slot's decoded batch: per record, in radio dispatch
   /// order — skip crashed receivers, refresh the neighbour table, run the
-  /// protocol reaction `fn(record)`.  The SoA leg walks the flat arrays
-  /// directly and prefetches the neighbour slot kAhead records ahead; the
-  /// struct leg runs the identical sequence through a type-erased callable
-  /// (the per-pair API's dispatch cost, kept for an honest reference leg).
-  /// The two cores differ in layout and call overhead only, never in order.
+  /// protocol reaction `fn(record)`.  Walks the flat arrays directly and
+  /// prefetches the neighbour slot kAhead records ahead.
   template <typename Fn>
   void sweep_batch(const mac::RxBatch& batch, Fn&& fn) {
     constexpr std::size_t kAhead = 8;
     const mac::RxRecord* rec = batch.records;
-    if (soa_) {
-      for (std::size_t k = 0; k < batch.count; ++k) {
-        if (k + kAhead < batch.count) {
-          const mac::RxRecord& p = rec[k + kAhead];
-          hot_.neighbors[p.rx_index].prefetch(p.sender);
-        }
-        const mac::RxRecord& r = rec[k];
-        if (hot_.down[r.rx_index]) continue;
-        update_neighbor(r);
-        fn(r);
+    for (std::size_t k = 0; k < batch.count; ++k) {
+      if (k + kAhead < batch.count) {
+        const mac::RxRecord& p = rec[k + kAhead];
+        hot_.neighbors[p.rx_index].prefetch(p.sender);
       }
-    } else {
-      const std::function<void(const mac::RxRecord&)> dispatch =
-          [this, &fn](const mac::RxRecord& r) {
-            if (devices_[r.rx_index].down) return;
-            update_neighbor(r);
-            fn(r);
-          };
-      for (std::size_t k = 0; k < batch.count; ++k) {
-        if (k + kAhead < batch.count) {
-          const mac::RxRecord& p = rec[k + kAhead];
-          devices_[p.rx_index].neighbors.prefetch(p.sender);
-        }
-        dispatch(rec[k]);
-      }
+      const mac::RxRecord& r = rec[k];
+      if (hot_.down[r.rx_index]) continue;
+      update_neighbor(r);
+      fn(r);
     }
   }
 
@@ -258,9 +216,8 @@ class EngineBase : public proto::DiscoveryProtocol {
   std::unique_ptr<phy::Channel> channel_;
   mac::RadioMedium radio_;
   ProtocolParams params_;
-  std::vector<Device> devices_;
-  DeviceHot hot_;     ///< flat hot arrays (built only under DeviceCore::kSoa)
-  bool soa_ = true;   ///< params_.device_core == kSoa, fixed at construction
+  std::vector<Device> devices_;  ///< cold per-device state
+  DeviceHot hot_;                ///< hot per-device state (flat arrays)
   pco::ConvergenceDetector detector_;       ///< Fig. 3 criterion: global alignment
   pco::LocalSyncDetector local_detector_;   ///< diagnostic: per-link alignment
   util::RngFactory rng_factory_;

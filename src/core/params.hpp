@@ -13,26 +13,10 @@
 
 #include "fault/fault_plan.hpp"
 #include "pco/prc.hpp"
-#include "sim/scheduler.hpp"
 
 namespace firefly::core {
 
-/// Where the per-device hot protocol state lives during a trial.  Results
-/// are bit-identical for both (enforced by test_layout_equivalence); the
-/// SoA core is faster.
-enum class DeviceCore : std::uint8_t {
-  kStruct,  ///< reference: hot fields stay in the fat core::Device struct
-  kSoa,     ///< hot fields in flat arrays carved from one RegionArena
-};
-
 struct ProtocolParams {
-  // --- simulator ---
-  /// Pending-event-set implementation.  Results are bit-identical for both
-  /// (enforced by test_scheduler_equivalence); the wheel is faster.
-  sim::SchedulerKind scheduler{sim::SchedulerKind::kWheel};
-  /// Device hot-state layout (see DeviceCore above).
-  DeviceCore device_core{DeviceCore::kSoa};
-
   // --- oscillator ---
   std::uint32_t period_slots{100};      ///< T: firing period (slots of 1 ms)
   pco::PrcParams prc{3.0, 0.05};        ///< eq. 5 coupling (a, ε): α≈1.16, β≈0.008

@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "proto/registry.hpp"
@@ -20,19 +21,18 @@ std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
   // Mobility rebuilds position-derived caches (delivery lists, shadowing
   // memo) every step; a checkpoint does not carry them.  run_service
   // rejects mobile scenarios up front, so this only trips on misuse.
-  assert(params_.mobility_speed_mps == 0.0 &&
-         "snapshot() supports static scenarios only");
+  if (params_.mobility_speed_mps != 0.0) {
+    throw std::invalid_argument("snapshot() supports static scenarios only");
+  }
 
   auto snap = std::make_unique<EngineSnapshot>();
   snap->sim = sim_.snapshot();
   snap->devices = devices_;
-  if (soa_) {
-    // The whole hot scalar state is one contiguous region: snapshot it as a
-    // flat byte copy.  Neighbour tables own heap storage, so they ride
-    // separately (element-wise copies, capacity-reusing on restore).
-    snap->hot_block.assign(hot_.block(), hot_.block() + hot_.block_bytes());
-    snap->hot_neighbors = hot_.neighbors;
-  }
+  // The whole hot scalar state is one contiguous region: snapshot it as a
+  // flat byte copy.  Neighbour tables own heap storage, so they ride
+  // separately (element-wise copies, capacity-reusing on restore).
+  snap->hot_block.assign(hot_.block(), hot_.block() + hot_.block_bytes());
+  snap->hot_neighbors = hot_.neighbors;
   snap->detector = detector_;
   snap->local_detector = local_detector_;
   snap->control_rng = control_rng_;
@@ -70,23 +70,25 @@ std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
 }
 
 void EngineBase::restore(const EngineSnapshot& snap) {
-  assert(snap.devices.size() == devices_.size() &&
-         "a snapshot only restores into the engine that produced it");
+  // Checked before anything is touched: a mismatched snapshot would
+  // overrun the hot-region memcpy below.
+  if (snap.devices.size() != devices_.size() ||
+      snap.hot_block.size() != hot_.block_bytes()) {
+    throw std::invalid_argument(
+        "restore(): the snapshot's device count or hot-region size differs from "
+        "this engine's; a snapshot only restores into the engine that produced it");
+  }
 
   sim_.restore(snap.sim);
   // Element-wise: pending callbacks hold `&devices_[i]`, so the vector's
   // storage must not move.
   for (std::size_t i = 0; i < devices_.size(); ++i) devices_[i] = snap.devices[i];
-  if (soa_) {
-    assert(snap.hot_block.size() == hot_.block_bytes() &&
-           "hot-region layout must match the engine that took the snapshot");
-    std::memcpy(hot_.block(), snap.hot_block.data(), snap.hot_block.size());
-    // Element-wise for the same reason as devices_: assignment reuses each
-    // table's existing slot array, so a steady-state restore is
-    // allocation-free and the arrays never move.
-    for (std::size_t i = 0; i < hot_.neighbors.size(); ++i) {
-      hot_.neighbors[i] = snap.hot_neighbors[i];
-    }
+  std::memcpy(hot_.block(), snap.hot_block.data(), snap.hot_block.size());
+  // Element-wise for the same reason as devices_: assignment reuses each
+  // table's existing slot array, so a steady-state restore is
+  // allocation-free and the arrays never move.
+  for (std::size_t i = 0; i < hot_.neighbors.size(); ++i) {
+    hot_.neighbors[i] = snap.hot_neighbors[i];
   }
   detector_ = *snap.detector;
   local_detector_ = *snap.local_detector;
@@ -236,7 +238,7 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
     // fires or relays at most a couple of PSs per slot — 2·n covers the
     // worst storm the relabel cap admits).
     for (Device& d : devices_) {
-      neighbors(d.id).reserve(n > 0 ? n - 1 : 0);
+      hot_.neighbors[d.id].reserve(n > 0 ? n - 1 : 0);
       d.tree_neighbors.reserve(n > 0 ? n - 1 : 0);
     }
     radio_.reserve_delivery(static_cast<std::size_t>(2) * n);
@@ -283,7 +285,7 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
     w.end_slot = window_end;
     std::uint32_t live = 0;
     for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-      if (!down(i)) ++live;
+      if (!hot_.down[i]) ++live;
     }
     w.live_devices = live;
     w.crashes = now.crashes - prev.crashes;

@@ -79,8 +79,8 @@ struct ServiceReport {
 struct EngineSnapshot {
   sim::Simulator::Snapshot sim;
   std::vector<Device> devices;
-  /// SoA core only: the hot region's bytes, verbatim (one memcpy each way),
-  /// and the index-aligned neighbour tables (restored element-wise so their
+  /// The hot region's bytes, verbatim (one memcpy each way), and the
+  /// index-aligned neighbour tables (restored element-wise so their
   /// capacity is reused — a restore allocates nothing at steady state).
   std::vector<std::byte> hot_block;
   std::vector<NeighborTable> hot_neighbors;

@@ -15,7 +15,7 @@ void BirthdayEngine::on_start() {
 void BirthdayEngine::emit_fire_broadcast(Device& device) {
   radio_.broadcast(device.id, random_preamble(mac::RachCodec::kRach1),
                    mac::PsType::kDiscovery,
-                   pack(Fields{fragment(device.id), device.service, 0, 0}));
+                   pack(Fields{hot_.fragment[device.id], device.service, 0, 0}));
 }
 
 void BirthdayEngine::deliver_batched(const mac::RxBatch& batch) {

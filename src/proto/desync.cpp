@@ -22,12 +22,12 @@ void DesyncEngine::emit_fire_broadcast(Device& device) {
   // before this instant becomes the "previous" phase neighbour, and the
   // first pulse heard from now on will be the "next" one.
   const std::uint32_t i = device.id;
-  desync_prev_slot(i) = desync_last_heard_slot(i);
-  desync_adjusted(i) = false;
+  hot_.desync_prev_slot[i] = hot_.desync_last_heard_slot[i];
+  hot_.desync_adjusted[i] = false;
   radio_.broadcast(device.id,
                    random_preamble(mac::RachCodec::kRach1),
                    mac::PsType::kSyncPulse,
-                   pack(Fields{fragment(i), device.service, counter_field(i), 0}));
+                   pack(Fields{hot_.fragment[i], device.service, counter_field(i), 0}));
 }
 
 void DesyncEngine::deliver_batched(const mac::RxBatch& batch) {
@@ -36,10 +36,10 @@ void DesyncEngine::deliver_batched(const mac::RxBatch& batch) {
     const std::uint32_t i = r.rx_index;
     const std::int64_t sent =
         current_slot() - static_cast<std::int64_t>(elapsed_slots(r));
-    desync_last_heard_slot(i) = sent;
-    if (last_fire_slot(i) < 0) return;             // not fired yet: no cycle open
-    if (sent <= last_fire_slot(i)) return;         // pre-fire pulse: "previous" side
-    if (!desync_adjusted(i)) midpoint_jump(i, sent);
+    hot_.desync_last_heard_slot[i] = sent;
+    if (hot_.last_fire_slot[i] < 0) return;      // not fired yet: no cycle open
+    if (sent <= hot_.last_fire_slot[i]) return;  // pre-fire pulse: "previous" side
+    if (!hot_.desync_adjusted[i]) midpoint_jump(i, sent);
   });
 }
 
@@ -47,11 +47,11 @@ void DesyncEngine::midpoint_jump(std::uint32_t i, std::int64_t next_pulse_slot) 
   // One jump per own firing, triggered by the first post-fire pulse — the
   // discrete DESYNC step.  Mark the cycle spent even when the measurement
   // is unusable, so a stale late pulse cannot trigger it instead.
-  desync_adjusted(i) = true;
+  hot_.desync_adjusted[i] = true;
   const auto period = static_cast<std::int64_t>(params_.period_slots);
-  if (desync_prev_slot(i) < 0) return;  // no "previous" neighbour yet
-  const std::int64_t prev_gap = last_fire_slot(i) - desync_prev_slot(i);
-  const std::int64_t next_gap = next_pulse_slot - last_fire_slot(i);
+  if (hot_.desync_prev_slot[i] < 0) return;  // no "previous" neighbour yet
+  const std::int64_t prev_gap = hot_.last_fire_slot[i] - hot_.desync_prev_slot[i];
+  const std::int64_t next_gap = next_pulse_slot - hot_.last_fire_slot[i];
   // Gaps outside (0, T) mean the memory is stale (silence for over a
   // period: crashed neighbours, deep fades) — skip, keep the cycle open
   // for fresh measurements next firing.
@@ -68,20 +68,20 @@ void DesyncEngine::midpoint_jump(std::uint32_t i, std::int64_t next_pulse_slot) 
                             (control_rng_.bernoulli(target - whole) ? 1 : 0);
   if (jump != 0) {
     const std::int64_t slot = current_slot();
-    next_fire_slot(i) = std::max(slot + 1, next_fire_slot(i) + jump);
+    hot_.next_fire_slot[i] = std::max(slot + 1, hot_.next_fire_slot[i] + jump);
     schedule_fire(i);
   }
   // Residual imbalance after the jump: moving the firing by `jump` shrinks
   // next_gap and grows prev_gap by the same amount next cycle.
-  desync_residual(i) = static_cast<std::int32_t>(std::llabs(raw - 2 * jump));
+  hot_.desync_residual[i] = static_cast<std::int32_t>(std::llabs(raw - 2 * jump));
 }
 
 double DesyncEngine::mean_error_slots() const {
   double sum = 0.0;
   std::uint32_t measured = 0;
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-    if (down(i) || desync_residual(i) < 0) continue;
-    sum += static_cast<double>(desync_residual(i));
+    if (hot_.down[i] || hot_.desync_residual[i] < 0) continue;
+    sum += static_cast<double>(hot_.desync_residual[i]);
     ++measured;
   }
   return measured > 0 ? sum / static_cast<double>(measured) : 0.0;
@@ -92,7 +92,7 @@ double DesyncEngine::spread_slots() const {
   std::vector<std::int64_t> phases;
   phases.reserve(devices_.size());
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-    if (!down(i)) phases.push_back(((next_fire_slot(i) % period) + period) % period);
+    if (!hot_.down[i]) phases.push_back(((hot_.next_fire_slot[i] % period) + period) % period);
   }
   if (phases.size() < 2) return 0.0;
   std::sort(phases.begin(), phases.end());
@@ -118,9 +118,9 @@ bool DesyncEngine::protocol_complete() const {
   const auto tolerance = static_cast<std::int32_t>(params_.desync_tolerance_slots);
   std::uint32_t measured = 0;
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-    if (down(i)) continue;
-    if (desync_last_heard_slot(i) < 0) continue;  // hears nobody: nothing to balance
-    if (desync_residual(i) < 0 || desync_residual(i) > tolerance) {
+    if (hot_.down[i]) continue;
+    if (hot_.desync_last_heard_slot[i] < 0) continue;  // hears nobody: nothing to balance
+    if (hot_.desync_residual[i] < 0 || hot_.desync_residual[i] > tolerance) {
       stable_checks_ = 0;
       return false;
     }
@@ -149,10 +149,10 @@ void DesyncEngine::on_recover(Device& device) {
   // Cold boot: whatever the radio had learned about its phase neighbours
   // died with it.
   const std::uint32_t i = device.id;
-  desync_last_heard_slot(i) = -1;
-  desync_prev_slot(i) = -1;
-  desync_residual(i) = -1;
-  desync_adjusted(i) = false;
+  hot_.desync_last_heard_slot[i] = -1;
+  hot_.desync_prev_slot[i] = -1;
+  hot_.desync_residual[i] = -1;
+  hot_.desync_adjusted[i] = false;
 }
 
 }  // namespace firefly::proto

@@ -14,7 +14,7 @@ void FstEngine::emit_fire_broadcast(Device& device) {
   radio_.broadcast(device.id,
                    random_preamble(mac::RachCodec::kRach1),
                    mac::PsType::kSyncPulse,
-                   pack(Fields{fragment(device.id), device.service,
+                   pack(Fields{hot_.fragment[device.id], device.service,
                                counter_field(device.id), 0}));
 }
 

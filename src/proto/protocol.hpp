@@ -19,7 +19,8 @@
 //   * on_recover — cold-boot protocol state after a fault-injected crash;
 //   * protocol_snapshot_word / protocol_restore_word — engine-level scalar
 //     state for the in-process rollback checkpoint (per-device state rides
-//     along with the Device records and needs nothing here).
+//     along with the cold Device records and the hot block, and needs
+//     nothing here).
 //
 // Backends live in src/proto/ (st, fst, birthday, desync) and are resolved
 // by stable string id through proto::Registry (registry.hpp); run_trial,

@@ -19,18 +19,18 @@ void StEngine::on_start() {
   const std::int64_t base = 1;
   for (Device& d : devices_) {
     const std::uint32_t i = d.id;
-    is_head(i) = true;  // every device heads its own singleton fragment
-    fragment(i) = static_cast<std::uint16_t>(i);
-    fragment_size(i) = 1;
+    hot_.is_head[i] = true;  // every device heads its own singleton fragment
+    hot_.fragment[i] = static_cast<std::uint16_t>(i);
+    hot_.fragment_size[i] = 1;
     // Discovery beacons at random slots inside the window.
     for (std::uint32_t b = 0; b < params_.discovery_beacons; ++b) {
       const std::int64_t slot =
           base + static_cast<std::int64_t>(control_rng_.uniform_index(params_.discovery_slots));
       sim_.schedule_at(sim::SimTime::milliseconds(slot), [this, &d, i] {
-        if (down(i)) return;
+        if (hot_.down[i]) return;
         radio_.broadcast(d.id, random_preamble(mac::RachCodec::kRach1),
                          mac::PsType::kDiscovery,
-                         pack(Fields{fragment(i), d.service, 0, 0}));
+                         pack(Fields{hot_.fragment[i], d.service, 0, 0}));
       });
     }
     // Head round timer, staggered by id so RACH2 attempts de-collide.
@@ -46,7 +46,7 @@ void StEngine::on_start() {
                                      static_cast<std::int64_t>(d.id % params_.period_slots);
     sim_.schedule_periodic(sim::SimTime::milliseconds(first_flood),
                            sim::SimTime::milliseconds(params_.period_slots), [this, &d, i] {
-                             if (!down(i) && is_head(i)) emit_sync_flood(d);
+                             if (!hot_.down[i] && hot_.is_head[i]) emit_sync_flood(d);
                            });
     // Keep-alive discovery: one beacon per period at a *random* slot.  This
     // is ST's structural answer to the baseline's pathology — FST beacons
@@ -55,14 +55,14 @@ void StEngine::on_start() {
     sim_.schedule_periodic(
         sim::SimTime::milliseconds(base + static_cast<std::int64_t>(d.id % params_.period_slots)),
         sim::SimTime::milliseconds(params_.period_slots), [this, &d, i] {
-          if (down(i)) return;
+          if (hot_.down[i]) return;
           const auto offset = static_cast<std::int64_t>(
               control_rng_.uniform_index(params_.period_slots - 1));
           sim_.schedule_in(sim::SimTime::milliseconds(offset), [this, &d, i] {
-            if (down(i)) return;
+            if (hot_.down[i]) return;
             radio_.broadcast(d.id, random_preamble(mac::RachCodec::kRach1),
                              mac::PsType::kDiscovery,
-                             pack(Fields{fragment(i), d.service, 0, 0}));
+                             pack(Fields{hot_.fragment[i], d.service, 0, 0}));
           });
         });
   }
@@ -73,10 +73,10 @@ void StEngine::emit_sync_flood(Device& device) {
   const std::uint32_t i = device.id;
   const auto cycle = static_cast<std::uint16_t>(
       (current_slot() / params_.period_slots) & 0xFFFF);
-  device.sync_floods_seen.insert(merge_key(fragment(i), cycle));
+  device.sync_floods_seen.insert(merge_key(hot_.fragment[i], cycle));
   radio_.broadcast(device.id, random_preamble(mac::RachCodec::kRach2),
                    mac::PsType::kSyncFlood,
-                   pack(Fields{fragment(i), cycle, counter_field(i), 0}));
+                   pack(Fields{hot_.fragment[i], cycle, counter_field(i), 0}));
 }
 
 void StEngine::emit_fire_broadcast(Device& device) {
@@ -84,7 +84,7 @@ void StEngine::emit_fire_broadcast(Device& device) {
   radio_.broadcast(device.id,
                    random_preamble(mac::RachCodec::kRach1),
                    mac::PsType::kSyncPulse,
-                   pack(Fields{fragment(i), device.service, counter_field(i), 0}));
+                   pack(Fields{hot_.fragment[i], device.service, counter_field(i), 0}));
 }
 
 bool StEngine::left_wins(std::uint16_t left_frag, std::uint16_t left_size,
@@ -104,16 +104,16 @@ void StEngine::prune_stale_tree_edges(Device& device) {
   const std::int64_t slot = current_slot();
   const std::int64_t stale =
       static_cast<std::int64_t>(params_.tree_stale_periods) * params_.period_slots;
-  const auto& table = neighbors(i);
+  const auto& table = hot_.neighbors[i];
   std::erase_if(device.tree_neighbors, [&](std::uint32_t other) {
     const auto it = table.find(other);
     return it == table.end() || slot - it->second.last_heard_slot > stale;
   });
   if (device.tree_neighbors.empty() &&
-      fragment(i) != static_cast<std::uint16_t>(device.id)) {
-    fragment(i) = static_cast<std::uint16_t>(device.id);
-    fragment_size(i) = 1;
-    is_head(i) = true;
+      hot_.fragment[i] != static_cast<std::uint16_t>(device.id)) {
+    hot_.fragment[i] = static_cast<std::uint16_t>(device.id);
+    hot_.fragment_size[i] = 1;
+    hot_.is_head[i] = true;
     device.pending_target = kInvalidId;
     device.connect_attempts = 0;
     device.last_fragment_activity_slot = slot;
@@ -147,29 +147,29 @@ void StEngine::maybe_reclaim_headless_fragment(Device& device) {
   // the same period; the cap spreads their announce floods over several
   // periods.  Suppressed claimants simply retry next round.
   if (!relabel_permitted()) return;
-  const std::uint16_t old_label = fragment(i);
-  is_head(i) = true;
-  fragment(i) = fresh_label();
-  fragment_size(i) = 1;
+  const std::uint16_t old_label = hot_.fragment[i];
+  hot_.is_head[i] = true;
+  hot_.fragment[i] = fresh_label();
+  hot_.fragment_size[i] = 1;
   device.pending_target = kInvalidId;
   device.connect_attempts = 0;
   device.head_heard_slot = slot;
   device.last_fragment_activity_slot = slot;
-  trace(TraceKind::kRelabel, device.id, fragment(i), old_label);
+  trace(TraceKind::kRelabel, device.id, hot_.fragment[i], old_label);
   // Flood the re-label through the remnant: members still carrying the old
   // label adopt the fresh one (and this device's phase) via the normal
   // merge-announce relay, then the renamed fragment re-joins through
   // H_Connect.
-  device.announces_seen.insert(merge_key(fragment(i), old_label));
-  emit_announce(device, fragment(i), old_label, 1);
+  device.announces_seen.insert(merge_key(hot_.fragment[i], old_label));
+  emit_announce(device, hot_.fragment[i], old_label, 1);
 }
 
 void StEngine::round_action(Device& device) {
   const std::uint32_t i = device.id;
-  if (down(i)) return;
+  if (hot_.down[i]) return;
   const std::int64_t slot = current_slot();
   prune_stale_tree_edges(device);
-  if (!is_head(i)) {
+  if (!hot_.is_head[i]) {
     // Stall rule: a fragment whose head token was lost mid-merge would
     // otherwise freeze.  After long RACH2 silence, a member that can still
     // see an outgoing edge self-promotes with low probability, keeping the
@@ -178,7 +178,7 @@ void StEngine::round_action(Device& device) {
     const std::int64_t stall = 6 * static_cast<std::int64_t>(params_.round_slots);
     if (slot - device.last_fragment_activity_slot > stall && has_outgoing(device) &&
         control_rng_.bernoulli(0.25)) {
-      is_head(i) = true;
+      hot_.is_head[i] = true;
     } else {
       // Lease check: the stall rule cannot cover a fragment with no
       // outgoing edge (a spanning fragment whose head crashed, or a
@@ -223,8 +223,8 @@ const std::uint32_t* StEngine::best_outgoing(const Device& device) const {
   const std::int64_t freshness = 3 * static_cast<std::int64_t>(params_.period_slots);
   const std::uint32_t* best = nullptr;
   double best_weight = -1e300;
-  for (const auto& [other_id, info] : neighbors(i)) {
-    if (info.fragment == fragment(i)) continue;
+  for (const auto& [other_id, info] : hot_.neighbors[i]) {
+    if (info.fragment == hot_.fragment[i]) continue;
     if (info.last_heard_slot >= 0 && slot - info.last_heard_slot > freshness) continue;
     double weight = info.weight_dbm;
     if (info.service == device.service) weight += params_.service_bias_db;
@@ -256,8 +256,8 @@ void StEngine::attempt_connect(Device& device) {
   const auto counter = static_cast<std::uint16_t>(counter_at(i, slot));
   radio_.broadcast(device.id, random_preamble(mac::RachCodec::kRach2),
                    mac::PsType::kConnectRequest,
-                   pack(Fields{static_cast<std::uint16_t>(*best), fragment(i),
-                               fragment_size(i), counter}));
+                   pack(Fields{static_cast<std::uint16_t>(*best), hot_.fragment[i],
+                               hot_.fragment_size[i], counter}));
 }
 
 bool StEngine::change_head(Device& device) {
@@ -273,12 +273,13 @@ bool StEngine::change_head(Device& device) {
   const std::uint32_t target =
       device.tree_neighbors[device.head_rotation % device.tree_neighbors.size()];
   ++device.head_rotation;
-  is_head(device.id) = false;
+  hot_.is_head[device.id] = false;
   device.last_fragment_activity_slot = current_slot();
   device.head_heard_slot = current_slot();  // start the lease on the successor
   radio_.broadcast(device.id, random_preamble(mac::RachCodec::kRach2),
                    mac::PsType::kHeadToken,
-                   pack(Fields{static_cast<std::uint16_t>(target), fragment(device.id), 0, 0}));
+                   pack(Fields{static_cast<std::uint16_t>(target),
+                               hot_.fragment[device.id], 0, 0}));
   return true;
 }
 
@@ -289,10 +290,10 @@ void StEngine::local_merge(Device& device, std::uint16_t peer_frag, std::uint16_
   if (telemetry_ != nullptr) telemetry_->count("st.merges");
   const std::uint32_t i = device.id;
   const auto new_size = static_cast<std::uint16_t>(
-      std::min<std::uint32_t>(0xFFFF, fragment_size(i) + peer_size));
-  const bool we_win = left_wins(fragment(i), fragment_size(i), peer_frag, peer_size);
-  const std::uint16_t winner = we_win ? fragment(i) : peer_frag;
-  const std::uint16_t loser = we_win ? peer_frag : fragment(i);
+      std::min<std::uint32_t>(0xFFFF, hot_.fragment_size[i] + peer_size));
+  const bool we_win = left_wins(hot_.fragment[i], hot_.fragment_size[i], peer_frag, peer_size);
+  const std::uint16_t winner = we_win ? hot_.fragment[i] : peer_frag;
+  const std::uint16_t loser = we_win ? peer_frag : hot_.fragment[i];
 
   device.add_tree_neighbor(peer_device);
   device.last_fragment_activity_slot = current_slot();
@@ -304,12 +305,12 @@ void StEngine::local_merge(Device& device, std::uint16_t peer_frag, std::uint16_
   if (!we_win) {
     // Losing side: adopt the winner's label and phase (Algorithm 1's
     // inter-subtree synchronisation over RACH2).
-    fragment(i) = winner;
-    is_head(i) = false;
+    hot_.fragment[i] = winner;
+    hot_.is_head[i] = false;
     device.pending_target = kInvalidId;
     adopt_counter(i, adopted_counter % params_.period_slots);
   }
-  fragment_size(i) = new_size;
+  hot_.fragment_size[i] = new_size;
   emit_announce(device, winner, loser, new_size);
 }
 
@@ -329,21 +330,21 @@ void StEngine::handle_announce(Device& device, const mac::RxRecord& record) {
   device.announces_seen.insert(key);
 
   const std::uint32_t i = device.id;
-  if (fragment(i) == f.b) {
+  if (hot_.fragment[i] == f.b) {
     // My fragment lost this merge: adopt label, size and phase, and relay
     // once so the flood crosses the whole (former) fragment.
-    fragment(i) = f.a;
-    fragment_size(i) = f.d;
-    is_head(i) = false;
+    hot_.fragment[i] = f.a;
+    hot_.fragment_size[i] = f.d;
+    hot_.is_head[i] = false;
     device.pending_target = kInvalidId;
     device.connect_attempts = 0;
     device.last_fragment_activity_slot = current_slot();
     device.head_heard_slot = current_slot();
     adopt_counter(i, (f.c + elapsed_slots(record)) % params_.period_slots);
     emit_announce(device, f.a, f.b, f.d);
-  } else if (fragment(i) == f.a) {
+  } else if (hot_.fragment[i] == f.a) {
     // My fragment won: refresh the size estimate.
-    fragment_size(i) = std::max(fragment_size(i), f.d);
+    hot_.fragment_size[i] = std::max(hot_.fragment_size[i], f.d);
     device.last_fragment_activity_slot = current_slot();
   }
 }
@@ -370,7 +371,7 @@ void StEngine::on_record(const mac::RxRecord& record) {
 
     case mac::PsType::kConnectRequest: {
       if (f.a != device.id) break;          // addressed to someone else
-      if (f.b == fragment(i)) break;        // stale: already same fragment
+      if (f.b == hot_.fragment[i]) break;        // stale: already same fragment
       device.last_fragment_activity_slot = current_slot();
       // Algorithm 2: answer over RACH2, then both endpoints merge.
       const auto my_counter = static_cast<std::uint16_t>(
@@ -379,7 +380,7 @@ void StEngine::on_record(const mac::RxRecord& record) {
                        random_preamble(mac::RachCodec::kRach2),
                        mac::PsType::kConnectAccept,
                        pack(Fields{static_cast<std::uint16_t>(record.sender),
-                                   fragment(i), fragment_size(i), my_counter}));
+                                   hot_.fragment[i], hot_.fragment_size[i], my_counter}));
       const std::uint32_t adopted = (f.d + elapsed_slots(record)) % params_.period_slots;
       local_merge(device, f.b, f.c, record.sender, adopted);
       break;
@@ -387,7 +388,7 @@ void StEngine::on_record(const mac::RxRecord& record) {
 
     case mac::PsType::kConnectAccept: {
       if (f.a != device.id) break;
-      if (f.b == fragment(i)) break;  // duplicate / already merged
+      if (f.b == hot_.fragment[i]) break;  // duplicate / already merged
       device.pending_target = kInvalidId;
       device.connect_attempts = 0;
       device.last_fragment_activity_slot = current_slot();
@@ -403,17 +404,17 @@ void StEngine::on_record(const mac::RxRecord& record) {
     case mac::PsType::kHeadToken:
       // Any member overhearing a token for its fragment learns a live head
       // existed a moment ago — that renews the lease.
-      if (f.b == fragment(i)) device.head_heard_slot = current_slot();
-      if (f.a == device.id && f.b == fragment(i)) {
-        is_head(i) = true;
+      if (f.b == hot_.fragment[i]) device.head_heard_slot = current_slot();
+      if (f.a == device.id && f.b == hot_.fragment[i]) {
+        hot_.is_head[i] = true;
         device.connect_attempts = 0;
         device.last_fragment_activity_slot = current_slot();
-        trace(TraceKind::kHeadChange, device.id, fragment(i));
+        trace(TraceKind::kHeadChange, device.id, hot_.fragment[i]);
       }
       break;
 
     case mac::PsType::kSyncFlood: {
-      if (f.a != fragment(i)) break;  // another fragment's keep-alive
+      if (f.a != hot_.fragment[i]) break;  // another fragment's keep-alive
       device.head_heard_slot = current_slot();  // lease renewed (even if duplicate)
       const std::uint32_t key = merge_key(f.a, f.b);
       if (device.sync_floods_seen.contains(key)) break;
@@ -436,9 +437,9 @@ void StEngine::on_recover(Device& device) {
   // live fragment spanning its neighbours, and reusing it would make the
   // rejoin edge invisible to best_outgoing (same label = no outgoing edge).
   const std::int64_t slot = current_slot();
-  fragment(device.id) = fresh_label();
-  fragment_size(device.id) = 1;
-  is_head(device.id) = true;
+  hot_.fragment[device.id] = fresh_label();
+  hot_.fragment_size[device.id] = 1;
+  hot_.is_head[device.id] = true;
   device.tree_neighbors.clear();
   device.announces_seen.clear();
   device.sync_floods_seen.clear();
@@ -456,11 +457,11 @@ bool StEngine::protocol_complete() const {
   std::uint16_t label = 0;
   bool found = false;
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-    if (down(i)) continue;
+    if (hot_.down[i]) continue;
     if (!found) {
-      label = fragment(i);
+      label = hot_.fragment[i];
       found = true;
-    } else if (fragment(i) != label) {
+    } else if (hot_.fragment[i] != label) {
       return false;
     }
   }
@@ -472,7 +473,7 @@ void StEngine::fill_protocol_metrics(RunMetrics& metrics) const {
   std::vector<std::uint16_t> labels;
   labels.reserve(devices_.size());
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-    if (!down(i)) labels.push_back(fragment(i));
+    if (!hot_.down[i]) labels.push_back(hot_.fragment[i]);
   }
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
@@ -484,17 +485,17 @@ void StEngine::fill_protocol_metrics(RunMetrics& metrics) const {
   std::uint32_t same_service_edges = 0;
   double weight_sum = 0.0;
   for (const Device& d : devices_) {
-    if (down(d.id)) continue;
+    if (hot_.down[d.id]) continue;
     for (const std::uint32_t other : d.tree_neighbors) {
-      if (down(other)) continue;  // edge to a crashed radio is gone
+      if (hot_.down[other]) continue;  // edge to a crashed radio is gone
       if (other < d.id && devices_[other].has_tree_neighbor(d.id)) continue;  // counted once
       ++edges;
       if (devices_[other].service == d.service) ++same_service_edges;
       double w = -200.0;
-      const auto& table = neighbors(d.id);
+      const auto& table = hot_.neighbors[d.id];
       const auto it = table.find(other);
       if (it != table.end()) w = it->second.weight_dbm;
-      const auto& other_table = neighbors(other);
+      const auto& other_table = hot_.neighbors[other];
       const auto it2 = other_table.find(d.id);
       if (it2 != other_table.end()) w = std::max(w, it2->second.weight_dbm);
       weight_sum += w;

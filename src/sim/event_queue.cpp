@@ -41,7 +41,7 @@ SimTime EventQueue::next_time() const {
   return heap_.front().time;
 }
 
-EventQueue::Fired EventQueue::pop() {
+FiredEvent EventQueue::pop() {
   skip_cancelled();
   assert(!heap_.empty());
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -49,19 +49,7 @@ EventQueue::Fired EventQueue::pop() {
   heap_.pop_back();
   pending_.erase(e.id);
   --live_count_;
-  return Fired{e.time, e.id, std::move(e.fn)};
-}
-
-void EventQueue::clone_into(EventQueue& dst) const {
-  dst.heap_.clear();
-  dst.heap_.reserve(heap_.size());
-  for (const Entry& e : heap_)
-    dst.heap_.push_back(Entry{e.time, e.seq, e.id, e.fn.clone()});
-  dst.pending_ = pending_;
-  dst.cancelled_ = cancelled_;
-  dst.next_seq_ = next_seq_;
-  dst.next_id_ = next_id_;
-  dst.live_count_ = live_count_;
+  return FiredEvent{e.time, e.id, std::move(e.fn)};
 }
 
 }  // namespace firefly::sim

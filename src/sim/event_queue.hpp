@@ -1,15 +1,14 @@
-// event_queue.hpp — deterministic pending-event set (heap reference).
+// event_queue.hpp — event ids, callbacks, and the binary-heap test oracle.
 //
-// A binary min-heap keyed on (time, sequence number).  The monotone sequence
-// number gives FIFO semantics for simultaneous events, which is what makes
-// two identically seeded runs process events in the same order.  Events can
-// be cancelled in O(1) by id (lazy deletion at pop).
-//
-// This is the reference implementation behind `SchedulerKind::kHeap`; the
-// production scheduler is the slot calendar (slot_calendar.hpp), which
-// processes events in exactly the same (time, seq) total order.  Callbacks
-// are stored inline (`util::InplaceFunction`) so neither scheduler touches
-// the heap per schedule().
+// `EventId`, `EventFn` and `FiredEvent` are the scheduling vocabulary the
+// simulator's slot calendar (slot_calendar.hpp) is built on.  `EventQueue`
+// is a plain binary min-heap keyed on (time, sequence number): the monotone
+// sequence number gives FIFO semantics for simultaneous events, and events
+// cancel in O(1) by id (lazy deletion at pop).  The simulator does not use
+// it — it is the obviously-correct reference that test_slot_calendar,
+// test_arena_churn and test_event_queue fuzz the calendar against.  It
+// inserts a hash-set node per schedule(), so it could not meet the
+// zero-heap-growth soak gate as a production scheduler.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,7 @@ using EventId = std::uint64_t;
 /// compile rather than silently allocating.
 using EventFn = util::InplaceFunction<void(), 48>;
 
-/// A popped event, common to both scheduler implementations.
+/// A popped event.
 struct FiredEvent {
   SimTime time;
   EventId id;
@@ -49,19 +48,7 @@ class EventQueue {
   [[nodiscard]] SimTime next_time() const;
 
   /// Pop the earliest live event.  Precondition: !empty().
-  struct Fired {
-    SimTime time;
-    EventId id;
-    EventFn fn;
-  };
-  Fired pop();
-
-  /// Deep-copy this queue's complete state (entries, cancellation sets, id
-  /// and sequence counters) into `dst`, cloning every stored callback.
-  /// Ids minted by this queue stay valid against the copy, and the copy
-  /// pops in exactly the same (time, seq) order — the scheduler half of the
-  /// simulator's snapshot/restore checkpoint.
-  void clone_into(EventQueue& dst) const;
+  FiredEvent pop();
 
  private:
   struct Entry {

@@ -26,8 +26,7 @@ struct Simulator::PeriodicHandle::State {
 
 EventId Simulator::schedule_at(SimTime at, EventFn fn) {
   assert(at >= now_);
-  return kind_ == SchedulerKind::kWheel ? wheel_.schedule(at, std::move(fn))
-                                        : heap_.schedule(at, std::move(fn));
+  return calendar_.schedule(at, std::move(fn));
 }
 
 EventId Simulator::schedule_in(SimTime delay, EventFn fn) {
@@ -56,30 +55,17 @@ Simulator::PeriodicHandle Simulator::schedule_periodic(SimTime phase, SimTime pe
 
 SimTime Simulator::run_until(SimTime deadline) {
   stop_requested_ = false;
-  if (kind_ == SchedulerKind::kWheel) {
-    while (!wheel_.empty() && !stop_requested_) {
-      if (wheel_.next_time() > deadline) {
-        now_ = deadline;
-        return now_;
-      }
-      auto fired = wheel_.pop();
-      now_ = fired.time;
-      ++events_processed_;
-      fired.fn();
+  while (!calendar_.empty() && !stop_requested_) {
+    if (calendar_.next_time() > deadline) {
+      now_ = deadline;
+      return now_;
     }
-  } else {
-    while (!heap_.empty() && !stop_requested_) {
-      if (heap_.next_time() > deadline) {
-        now_ = deadline;
-        return now_;
-      }
-      auto fired = heap_.pop();
-      now_ = fired.time;
-      ++events_processed_;
-      fired.fn();
-    }
+    auto fired = calendar_.pop();
+    now_ = fired.time;
+    ++events_processed_;
+    fired.fn();
   }
-  if (queue_empty() && now_ < deadline && deadline != SimTime::max()) now_ = deadline;
+  if (calendar_.empty() && now_ < deadline && deadline != SimTime::max()) now_ = deadline;
   return now_;
 }
 
@@ -87,12 +73,7 @@ SimTime Simulator::run() { return run_until(SimTime::max()); }
 
 Simulator::Snapshot Simulator::snapshot() const {
   Snapshot snap;
-  snap.kind = kind_;
-  if (kind_ == SchedulerKind::kWheel) {
-    wheel_.clone_into(snap.wheel);
-  } else {
-    heap_.clone_into(snap.heap);
-  }
+  calendar_.clone_into(snap.calendar);
   snap.now = now_;
   snap.events_processed = events_processed_;
   snap.periodic.reserve(periodic_states_.size());
@@ -102,13 +83,8 @@ Simulator::Snapshot Simulator::snapshot() const {
 }
 
 void Simulator::restore(const Snapshot& snap) {
-  assert(snap.kind == kind_ && "snapshot came from a different scheduler kind");
   assert(snap.periodic.size() <= periodic_states_.size());
-  if (kind_ == SchedulerKind::kWheel) {
-    snap.wheel.clone_into(wheel_);
-  } else {
-    snap.heap.clone_into(heap_);
-  }
+  snap.calendar.clone_into(calendar_);
   now_ = snap.now;
   events_processed_ = snap.events_processed;
   stop_requested_ = false;
@@ -126,15 +102,8 @@ void Simulator::restore(const Snapshot& snap) {
 }
 
 Simulator::SchedulerStats Simulator::scheduler_stats() const {
-  SchedulerStats stats;
-  if (kind_ == SchedulerKind::kWheel) {
-    stats.live_events = wheel_.size();
-    stats.arena_capacity = wheel_.arena_capacity();
-    stats.arena_high_water = wheel_.arena_high_water();
-  } else {
-    stats.live_events = heap_.size();
-  }
-  return stats;
+  return SchedulerStats{calendar_.size(), calendar_.arena_capacity(),
+                        calendar_.arena_high_water()};
 }
 
 Simulator::~Simulator() {

@@ -7,18 +7,14 @@
 // early.  One Simulator per Monte-Carlo trial; trials parallelise across a
 // thread pool with no shared state.
 //
-// Two interchangeable pending-event sets back the loop (sim/scheduler.hpp):
-// the slot calendar (`kWheel`, default, allocation-free hot path) and the
-// binary-heap reference (`kHeap`).  Both process events in the identical
-// (time, sequence) total order, so a trial's results are bit-identical
-// either way — `test_scheduler_equivalence` enforces this.
+// The pending-event set is the slot calendar (sim/slot_calendar.hpp):
+// allocation-free after warm-up, events processed in (time, sequence)
+// total order.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/slot_calendar.hpp"
 #include "sim/time.hpp"
 
@@ -26,9 +22,6 @@ namespace firefly::sim {
 
 class Simulator {
  public:
-  explicit Simulator(SchedulerKind kind = SchedulerKind::kWheel) : kind_(kind) {}
-
-  [[nodiscard]] SchedulerKind scheduler() const { return kind_; }
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
 
@@ -37,9 +30,7 @@ class Simulator {
   /// Schedule `delay` after now().
   EventId schedule_in(SimTime delay, EventFn fn);
   /// Cancel a pending event; false if already fired/cancelled.
-  bool cancel(EventId id) {
-    return kind_ == SchedulerKind::kWheel ? wheel_.cancel(id) : heap_.cancel(id);
-  }
+  bool cancel(EventId id) { return calendar_.cancel(id); }
 
   /// Install a periodic timer with the given period, first firing at
   /// now() + phase.  Returns the id of the *current* pending occurrence via
@@ -74,9 +65,7 @@ class Simulator {
   /// are only meaningful inside the owning process, so a snapshot is a
   /// rewind point, not a serialised file.
   struct Snapshot {
-    SchedulerKind kind = SchedulerKind::kWheel;
-    SlotCalendar wheel;
-    EventQueue heap;
+    SlotCalendar calendar;
     SimTime now = SimTime::zero();
     std::uint64_t events_processed = 0;
     // Per periodic timer, in installation order: (pending occurrence id,
@@ -88,8 +77,7 @@ class Simulator {
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap);
 
-  /// Pending-set footprint, for the bounded-memory probe.  The arena fields
-  /// are zero under kHeap (the reference heap has no arena).
+  /// Pending-set footprint, for the bounded-memory probe.
   struct SchedulerStats {
     std::size_t live_events = 0;
     std::size_t arena_capacity = 0;
@@ -100,16 +88,7 @@ class Simulator {
   ~Simulator();
 
  private:
-  [[nodiscard]] bool queue_empty() const {
-    return kind_ == SchedulerKind::kWheel ? wheel_.empty() : heap_.empty();
-  }
-  [[nodiscard]] SimTime queue_next_time() const {
-    return kind_ == SchedulerKind::kWheel ? wheel_.next_time() : heap_.next_time();
-  }
-
-  SchedulerKind kind_ = SchedulerKind::kWheel;
-  SlotCalendar wheel_;
-  EventQueue heap_;
+  SlotCalendar calendar_;
   SimTime now_ = SimTime::zero();
   std::uint64_t events_processed_ = 0;
   bool stop_requested_ = false;

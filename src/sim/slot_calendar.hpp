@@ -2,8 +2,9 @@
 //
 // The simulator's pending-event set is dominated by one pattern: cancel the
 // previous fire event and schedule the next one exactly one period ahead.
-// A binary heap pays O(log n) moves plus a hash-set insert (a heap
-// allocation) for every such reschedule.  The slot calendar makes both O(1):
+// A binary heap pays O(log n) moves (and, in the EventQueue reference, a
+// hash-set insert — a heap allocation) for every such reschedule.  The slot
+// calendar makes both O(1):
 //
 //   * Event records are fixed-layout structs in a `util::SlabArena` —
 //     schedule() pops a freelist slot, cancel() flips a flag.  After warm-up
@@ -21,8 +22,9 @@
 //     bucket flag and spilled into a small (time, seq) min-heap before
 //     draining, so the total order is ALWAYS identical to EventQueue's.
 //
-// Determinism is the hard requirement: `test_scheduler_equivalence` asserts
-// bit-identical RunMetrics between this scheduler and the heap reference.
+// Determinism is the hard requirement: test_slot_calendar and
+// test_arena_churn fuzz this calendar against the EventQueue oracle, and
+// test_golden_digests pins whole-trial results.
 #pragma once
 
 #include <cstdint>

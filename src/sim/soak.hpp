@@ -53,7 +53,7 @@ struct SoakWindow {
   // zero for protocols without the observable).
   double desync_error = 0.0;       // DESYNC: mean midpoint residual (slots)
 
-  // Scheduler footprint (bounded-memory probe; arena fields zero under kHeap).
+  // Scheduler footprint (bounded-memory probe).
   std::uint64_t events_live = 0;
   std::uint64_t arena_capacity = 0;
   std::uint64_t arena_high_water = 0;

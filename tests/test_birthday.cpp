@@ -37,8 +37,8 @@ TEST(Birthday, NeverAligns) {
   const auto m = engine.run();
   EXPECT_TRUE(m.converged);
   std::vector<double> phases;
-  for (const auto& d : engine.devices()) {
-    phases.push_back(static_cast<double>(d.last_fire_slot % 100) / 100.0);
+  for (std::uint32_t i = 0; i < engine.devices().size(); ++i) {
+    phases.push_back(static_cast<double>(engine.last_fire_slot(i) % 100) / 100.0);
   }
   // i.i.d. uniform phases: spread close to 1, far from aligned.
   EXPECT_GT(pco::circular_spread(phases), 0.5);

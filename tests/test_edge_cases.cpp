@@ -33,8 +33,8 @@ TEST(EdgeCases, TwoDevicesInRange) {
   const auto m = engine.run();
   EXPECT_TRUE(m.converged);
   EXPECT_EQ(m.final_fragments, 1U);
-  EXPECT_EQ(engine.devices()[0].neighbors.count(1), 1U);
-  EXPECT_EQ(engine.devices()[1].neighbors.count(0), 1U);
+  EXPECT_EQ(engine.neighbors(0).count(1), 1U);
+  EXPECT_EQ(engine.neighbors(1).count(0), 1U);
 }
 
 TEST(EdgeCases, DisconnectedIslandsReportFailureNotHang) {

@@ -216,38 +216,34 @@ class SteppableSt : public proto::StEngine {
   using proto::StEngine::recover_device;
   using proto::StEngine::start_run;
   sim::Simulator& sim() { return sim_; }
-  const core::Device& device(std::uint32_t id) const { return devices_[id]; }
 };
 
 TEST(EngineFaults, CrashParksAndRecoverColdBoots) {
   const std::vector<geo::Vec2> positions{{0.0, 0.0}, {15.0, 0.0}, {0.0, 15.0}};
   core::ProtocolParams params;
-  // This test reads Device struct fields between steps; the reference
-  // struct core keeps them live (the SoA core syncs only on devices()).
-  params.device_core = core::DeviceCore::kStruct;
   params.max_periods = 100;
   params.stop_on_convergence = false;
   SteppableSt engine(positions, params, phy::RadioParams{}, 21);
   engine.start_run();
   engine.sim().run_until(sim::SimTime::milliseconds(1'000));
-  ASSERT_FALSE(engine.device(1).neighbors.empty());
+  ASSERT_FALSE(engine.neighbors(1).empty());
 
   engine.crash_device(1);
-  EXPECT_TRUE(engine.device(1).down);
+  EXPECT_TRUE(engine.down(1));
   engine.sim().run_until(sim::SimTime::milliseconds(2'000));
-  const std::int64_t fire_while_down = engine.device(1).last_fire_slot;
+  const std::int64_t fire_while_down = engine.last_fire_slot(1);
   engine.sim().run_until(sim::SimTime::milliseconds(3'000));
-  EXPECT_EQ(engine.device(1).last_fire_slot, fire_while_down)
+  EXPECT_EQ(engine.last_fire_slot(1), fire_while_down)
       << "a crashed oscillator must not fire";
 
   engine.recover_device(1);
-  EXPECT_FALSE(engine.device(1).down);
-  EXPECT_TRUE(engine.device(1).neighbors.empty()) << "cold boot clears the table";
-  EXPECT_TRUE(engine.device(1).is_head) << "ST restarts as a singleton head";
-  EXPECT_EQ(engine.device(1).fragment_size, 1U);
+  EXPECT_FALSE(engine.down(1));
+  EXPECT_TRUE(engine.neighbors(1).empty()) << "cold boot clears the table";
+  EXPECT_TRUE(engine.is_head(1)) << "ST restarts as a singleton head";
+  EXPECT_EQ(engine.fragment_size(1), 1U);
   engine.sim().run_until(sim::SimTime::milliseconds(5'000));
-  EXPECT_GT(engine.device(1).last_fire_slot, fire_while_down) << "oscillator restarted";
-  EXPECT_FALSE(engine.device(1).neighbors.empty()) << "rediscovers the neighbourhood";
+  EXPECT_GT(engine.last_fire_slot(1), fire_while_down) << "oscillator restarted";
+  EXPECT_FALSE(engine.neighbors(1).empty()) << "rediscovers the neighbourhood";
 
   const core::RunMetrics m = engine.collect_metrics();
   EXPECT_EQ(m.crashes, 1U);

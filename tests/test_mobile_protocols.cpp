@@ -32,13 +32,13 @@ class ObservableSt final : public proto::StEngine {
   }
   [[nodiscard]] std::size_t fragment_count() const {
     std::set<std::uint16_t> labels;
-    for (const auto& d : devices()) labels.insert(d.fragment);
+    for (std::uint32_t i = 0; i < devices().size(); ++i) labels.insert(fragment(i));
     return labels.size();
   }
   [[nodiscard]] std::int64_t firing_spread_slots() const {
     std::vector<std::int64_t> mods;
-    for (const auto& d : devices()) {
-      if (d.last_fire_slot >= 0) mods.push_back(d.last_fire_slot % params().period_slots);
+    for (std::uint32_t i = 0; i < devices().size(); ++i) {
+      if (last_fire_slot(i) >= 0) mods.push_back(last_fire_slot(i) % params().period_slots);
     }
     if (mods.size() < devices().size()) return params().period_slots;
     std::sort(mods.begin(), mods.end());

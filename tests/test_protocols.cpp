@@ -137,9 +137,9 @@ TEST(Protocols, EngineExposesDeviceStates) {
   ASSERT_TRUE(m.converged);
   // All devices in one fragment, each with a reasonable neighbour table.
   std::set<std::uint16_t> labels;
-  for (const auto& d : engine.devices()) {
-    labels.insert(d.fragment);
-    EXPECT_FALSE(d.neighbors.empty());
+  for (std::uint32_t i = 0; i < engine.devices().size(); ++i) {
+    labels.insert(engine.fragment(i));
+    EXPECT_FALSE(engine.neighbors(i).empty());
   }
   EXPECT_EQ(labels.size(), 1U);
 }

@@ -1,10 +1,13 @@
 // Tests for the long-lived service mode (core/service_mode): windowed soak
 // telemetry, the snapshot/restore rollback checkpoint (byte-identical
-// RunMetrics after a mid-soak restore), scheduler-backend equivalence, the
-// recorder's backpressure accounting and the config-validation paths.
+// RunMetrics after a mid-soak restore), the misuse errors of snapshot and
+// restore, the recorder's backpressure accounting and the config-validation
+// paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/report.hpp"
@@ -69,7 +72,7 @@ TEST(ServiceMode, EmitsOneWindowPerSlice) {
   EXPECT_EQ(crashes, report.metrics.crashes);
   EXPECT_EQ(messages, report.metrics.total_messages());
   EXPECT_GT(crashes, 0u) << "soak saw no churn";
-  // The memory probe is populated (wheel scheduler has an arena).
+  // The memory probe is populated (the slot calendar's arena).
   EXPECT_GT(report.arena_capacity, 0u);
   EXPECT_GT(report.arena_high_water, 0u);
   EXPECT_LE(report.arena_high_water, report.arena_capacity);
@@ -136,24 +139,24 @@ TEST(ServiceMode, RestoreRewindsAndReplaysWindows) {
   }
 }
 
-TEST(ServiceMode, WheelAndHeapSchedulersAgree) {
-  core::ScenarioConfig config = soak_scenario(3);
-  config.n = 16;
-  core::ServiceConfig service = short_soak();
-  service.duration_slots = 12'000;
+TEST(ServiceMode, RestoreRejectsSnapshotOfAnotherEngineSize) {
+  // The check must hold in Release builds too: restoring an N=24 hot block
+  // into an N=16 engine would overrun the restore's memcpy.
+  const core::ScenarioConfig big = soak_scenario(5);
+  ASSERT_EQ(big.n, 24u);
+  core::ScenarioConfig small = big;
+  small.n = 16;
+  ServiceSt source(core::deploy(big), big.protocol, big.radio, big.seed);
+  ServiceSt target(core::deploy(small), small.protocol, small.radio, small.seed);
+  const std::unique_ptr<core::EngineSnapshot> snap = source.snapshot();
+  EXPECT_THROW(target.restore(*snap), std::invalid_argument);
+}
 
-  config.protocol.scheduler = sim::SchedulerKind::kWheel;
-  const core::ServiceReport wheel =
-      core::run_service_trial(core::Protocol::kSt, config, service);
-  config.protocol.scheduler = sim::SchedulerKind::kHeap;
-  const core::ServiceReport heap =
-      core::run_service_trial(core::Protocol::kSt, config, service);
-  ASSERT_TRUE(wheel.ok() && heap.ok());
-  EXPECT_TRUE(wheel.metrics == heap.metrics)
-      << "service runs must be scheduler-backend independent";
-  // Only the arena probe may differ: the reference heap has no arena.
-  EXPECT_GT(wheel.arena_capacity, 0u);
-  EXPECT_EQ(heap.arena_capacity, 0u);
+TEST(ServiceMode, SnapshotRejectsMobileScenario) {
+  core::ScenarioConfig config = soak_scenario();
+  config.protocol.mobility_speed_mps = 1.5;
+  ServiceSt engine(core::deploy(config), config.protocol, config.radio, config.seed);
+  EXPECT_THROW((void)engine.snapshot(), std::invalid_argument);
 }
 
 TEST(ServiceMode, RejectsPlansEndingBeforeHorizon) {

@@ -36,6 +36,17 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms (std::stable_sort's temporary buffer) must come through
+// the counting header too: under ASan the runtime's own nothrow new would
+// otherwise hand the counting delete below a header-less block.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 void operator delete(void* p) noexcept {
   if (p == nullptr) return;
   void* raw = static_cast<char*>(p) - kHeader;
@@ -62,12 +73,9 @@ TEST(SoakMemory, MillionSlotChurnSoakHasZeroSteadyStateHeapGrowth) {
   core::ScenarioConfig config;
   config.n = 32;
   config.seed = 17;
-  // Pin the production SoA device core explicitly (it is also the default):
-  // the DeviceHot region is carved from one arena at engine construction and
-  // crash/recover cold-boots rewrite it in place, so the zero-growth
-  // assertion below covers the flat hot arrays too, not just the struct
-  // path this test predates.
-  config.protocol.device_core = core::DeviceCore::kSoa;
+  // The DeviceHot region is carved from one arena at engine construction
+  // and crash/recover cold-boots rewrite it in place, so the zero-growth
+  // assertion below covers the flat hot arrays too.
   // Churn plus the allocation-free channel faults.  (Deep fades are excluded
   // on purpose: the active-fade bookkeeping uses a node-based container, so
   // a fade soak's steady state is bounded but not allocation-free.)

@@ -23,22 +23,12 @@ class SteppableSt : public proto::StEngine {
   using proto::StEngine::start_run;
   sim::Simulator& sim() { return sim_; }
   mac::RadioMedium& radio() { return radio_; }
-  core::Device& device(std::uint32_t id) { return devices_[id]; }
   std::int64_t slot() const { return current_slot(); }
   /// Inject one synthetic decoded PS as a batch of one.
   void inject(const mac::RxRecord& record) {
     deliver_batched(mac::RxBatch{&record, 1});
   }
 };
-
-/// Direct-injection tests read `Device` struct fields between steps, so they
-/// pin the reference struct core (the SoA core keeps hot fields in flat
-/// arrays until devices() syncs them back).
-core::ProtocolParams struct_core_params() {
-  core::ProtocolParams params;
-  params.device_core = core::DeviceCore::kStruct;
-  return params;
-}
 
 mac::RxRecord make_announce(std::uint32_t sender, std::uint32_t rx_index,
                             std::uint16_t winner, std::uint16_t loser,
@@ -54,14 +44,14 @@ mac::RxRecord make_announce(std::uint32_t sender, std::uint32_t rx_index,
 
 TEST(StFaults, AnnounceDedupByWinnerLoserPair) {
   const std::vector<geo::Vec2> positions{{0.0, 0.0}, {15.0, 0.0}};
-  SteppableSt engine(positions, struct_core_params(), phy::RadioParams{}, 3);
+  SteppableSt engine(positions, core::ProtocolParams{}, phy::RadioParams{}, 3);
 
   // Device 0 starts as fragment 0; an announce (winner=7, loser=0) makes it
   // adopt the winner and relay exactly once.
   const std::uint64_t rach2_before = engine.radio().counters().rach2_tx;
   engine.inject(make_announce(1, 0, 7, 0, 2));
-  EXPECT_EQ(engine.device(0).fragment, 7U);
-  EXPECT_FALSE(engine.device(0).is_head);
+  EXPECT_EQ(engine.fragment(0), 7U);
+  EXPECT_FALSE(engine.is_head(0));
   EXPECT_EQ(engine.radio().counters().rach2_tx, rach2_before + 1) << "one relay";
 
   // The identical (winner, loser) announce again: deduplicated, no relay.
@@ -70,7 +60,7 @@ TEST(StFaults, AnnounceDedupByWinnerLoserPair) {
 
   // A *different* merge involving the new fragment still propagates.
   engine.inject(make_announce(1, 0, 9, 7, 4));
-  EXPECT_EQ(engine.device(0).fragment, 9U);
+  EXPECT_EQ(engine.fragment(0), 9U);
   EXPECT_EQ(engine.radio().counters().rach2_tx, rach2_before + 2);
 }
 
@@ -82,7 +72,7 @@ TEST(StFaults, ConnectRetriesAreCappedAndHeadshipMovesOn) {
   // into the same cap, and so on — observable as head-token traffic after
   // the veto instant.
   const std::vector<geo::Vec2> positions{{0.0, 0.0}, {12.0, 0.0}, {30.0, 0.0}};
-  core::ProtocolParams params = struct_core_params();
+  core::ProtocolParams params;
   params.max_periods = 100;
   params.stop_on_convergence = false;
   SteppableSt engine(positions, params, phy::RadioParams{}, 17);
@@ -101,7 +91,7 @@ TEST(StFaults, ConnectRetriesAreCappedAndHeadshipMovesOn) {
 
   engine.start_run();
   engine.sim().run_until(sim::SimTime::milliseconds(600));
-  ASSERT_EQ(engine.device(0).fragment, engine.device(1).fragment)
+  ASSERT_EQ(engine.fragment(0), engine.fragment(1))
       << "0 and 1 must have merged despite the quarantined third device";
 
   const std::size_t head_changes_before = sink.count(core::TraceKind::kHeadChange);
@@ -110,12 +100,12 @@ TEST(StFaults, ConnectRetriesAreCappedAndHeadshipMovesOn) {
   // Headship bounced at least once after the unreachable-peer cap.
   EXPECT_GT(sink.count(core::TraceKind::kHeadChange), head_changes_before);
   // The {0, 1} fragment survived the unreachable neighbour intact.
-  EXPECT_EQ(engine.device(0).fragment, engine.device(1).fragment);
-  EXPECT_NE(engine.device(0).fragment, engine.device(2).fragment);
+  EXPECT_EQ(engine.fragment(0), engine.fragment(1));
+  EXPECT_NE(engine.fragment(0), engine.fragment(2));
   // Retries are bounded: with backoff the probe rate decays geometrically,
   // so device state shows a bounded attempt counter, not hundreds.
-  EXPECT_LE(engine.device(0).connect_attempts, 16U);
-  EXPECT_LE(engine.device(1).connect_attempts, 16U);
+  EXPECT_LE(engine.devices()[0].connect_attempts, 16U);
+  EXPECT_LE(engine.devices()[1].connect_attempts, 16U);
 }
 
 TEST(StFaults, HeadCrashTriggersLeaseReclaimAndReMerge) {
@@ -125,7 +115,7 @@ TEST(StFaults, HeadCrashTriggersLeaseReclaimAndReMerge) {
   // head — re-converging to one fragment spanning the survivors.
   const std::vector<geo::Vec2> positions{
       {0.0, 0.0}, {14.0, 0.0}, {0.0, 14.0}, {14.0, 14.0}};
-  core::ProtocolParams params = struct_core_params();
+  core::ProtocolParams params;
   params.max_periods = 250;
   params.stop_on_convergence = false;
   SteppableSt engine(positions, params, phy::RadioParams{}, 29);
@@ -137,11 +127,11 @@ TEST(StFaults, HeadCrashTriggersLeaseReclaimAndReMerge) {
   std::uint32_t head = 0;
   int heads = 0;
   for (std::uint32_t id = 0; id < 4; ++id) {
-    if (engine.device(id).is_head) {
+    if (engine.is_head(id)) {
       head = id;
       ++heads;
     }
-    EXPECT_EQ(engine.device(id).fragment, engine.device(0).fragment);
+    EXPECT_EQ(engine.fragment(id), engine.fragment(0));
   }
   ASSERT_EQ(heads, 1) << "one spanning fragment with exactly one head";
 
@@ -152,7 +142,7 @@ TEST(StFaults, HeadCrashTriggersLeaseReclaimAndReMerge) {
       << "lease expiry must re-label the orphaned remnant";
   for (std::uint32_t id = 1; id < 4; ++id) {
     if (id == head) continue;
-    EXPECT_EQ(engine.device(id).fragment, engine.device(head == 0 ? 1 : 0).fragment)
+    EXPECT_EQ(engine.fragment(id), engine.fragment(head == 0 ? 1 : 0))
         << "survivors re-merge into one fragment";
   }
   // A complete fragment rotates headship perpetually, so at any single
@@ -161,7 +151,7 @@ TEST(StFaults, HeadCrashTriggersLeaseReclaimAndReMerge) {
   for (int step = 0; step < 300 && !saw_live_head; ++step) {
     engine.sim().run_until(sim::SimTime::milliseconds(25'001 + step));
     for (std::uint32_t id = 0; id < 4; ++id) {
-      if (id != head && engine.device(id).is_head) saw_live_head = true;
+      if (id != head && engine.is_head(id)) saw_live_head = true;
     }
   }
   EXPECT_TRUE(saw_live_head) << "the remnant elected a live head";

@@ -2,7 +2,6 @@
 // firefly-soak-v1 JSONL files.
 //
 //   check_bench_json <file.json> [--require-series]
-//                    [--baseline <baseline.json>] [--max-regress <pct>]
 //
 // The schema is auto-detected from line 1.  A firefly-soak-v1 file (written
 // by `firefly_cli --service --soak-out`) is validated structurally instead:
@@ -11,7 +10,7 @@
 //   * every further line is a "window" record or the single trailing
 //     "summary" record, and nothing follows the summary,
 //   * at least one window was emitted.
-// --require-series and --baseline apply only to bench files.
+// --require-series applies only to bench files.
 //
 // Used by CI (and by hand) to gate the machine-readable bench output
 // without pulling in python or a JSON library: a small recursive-descent
@@ -25,23 +24,13 @@
 //     member of it (the sweep axis and the records must agree),
 //   * with --require-series, at least one line has "protocol" and "n"
 //     (a sweep-series record, as fig3/fig4 emit).
-//
-// With --baseline, the file's "speedup" and "callback_sweep" records are
-// additionally compared against a committed baseline (e.g. BENCH_PR9.json):
-// for each matching (protocol, n), the wheel_ms/heap_ms ratio (speedup
-// records) and the soa_ms/struct_ms ratio (callback_sweep records — the
-// batched SoA device core against the in-run struct-core reference) must not
-// exceed the baseline's ratio by more than --max-regress percent (default
-// 25).  Comparing *ratios* rather than absolute wall-clock makes the gate
-// machine-speed independent; baselines predating a record kind simply have
-// nothing of that kind to compare.
+// Performance is gated by the perfbench benchmark, not here.
 // Exit 0 on success, 1 on any violation (first violation is reported).
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -270,17 +259,9 @@ int fail(const std::string& path, std::size_t line_no, const std::string& why) {
   return 1;
 }
 
-/// Ratio key of one speedup record: which protocol's sweep, at which n.
-/// Baselines predating the protocol axis carry "ST" implicitly.
-using SpeedupKey = std::pair<std::string, long>;
-
-/// Validate `path` line by line; on success also return the wheel_ms/heap_ms
-/// ratio of every "speedup" record and the soa_ms/struct_ms ratio of every
-/// "callback_sweep" record, keyed by (protocol, n).  Returns false after
-/// printing the first violation.
+/// Validate `path` line by line.  Returns false after printing the first
+/// violation.
 bool validate_file(const std::string& path, bool require_series,
-                   std::map<SpeedupKey, double>* wheel_heap_ratio,
-                   std::map<SpeedupKey, double>* soa_struct_ratio,
                    std::size_t* records_out, std::size_t* series_out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -340,33 +321,6 @@ bool validate_file(const std::string& path, bool require_series,
       }
     }
     if (parser.has_key("protocol") && parser.has_key("n")) ++series_records;
-    if (wheel_heap_ratio != nullptr && parser.string_value("series") == "speedup") {
-      double n = 0.0, wheel = 0.0, heap = 0.0;
-      if (!parser.number_value("n", &n) || !parser.number_value("wheel_ms", &wheel) ||
-          !parser.number_value("heap_ms", &heap)) {
-        fail(path, line_no, "speedup record missing numeric n/wheel_ms/heap_ms");
-        return false;
-      }
-      if (heap <= 0.0) { fail(path, line_no, "speedup record has heap_ms <= 0"); return false; }
-      std::string id = parser.string_value("protocol");
-      if (id.empty()) id = "ST";  // pre-axis baselines are ST-only
-      (*wheel_heap_ratio)[SpeedupKey{std::move(id), static_cast<long>(n)}] = wheel / heap;
-    }
-    if (soa_struct_ratio != nullptr && parser.string_value("series") == "callback_sweep") {
-      double n = 0.0, soa = 0.0, strct = 0.0;
-      if (!parser.number_value("n", &n) || !parser.number_value("soa_ms", &soa) ||
-          !parser.number_value("struct_ms", &strct)) {
-        fail(path, line_no, "callback_sweep record missing numeric n/soa_ms/struct_ms");
-        return false;
-      }
-      if (strct <= 0.0) {
-        fail(path, line_no, "callback_sweep record has struct_ms <= 0");
-        return false;
-      }
-      std::string id = parser.string_value("protocol");
-      if (id.empty()) { fail(path, line_no, "callback_sweep record missing protocol"); return false; }
-      (*soa_struct_ratio)[SpeedupKey{std::move(id), static_cast<long>(n)}] = soa / strct;
-    }
   }
   if (line_no == 0) { fail(path, 1, "file is empty"); return false; }
   if (require_series && series_records == 0) {
@@ -451,8 +405,7 @@ std::string peek_schema(const std::string& path) {
 }
 
 int usage() {
-  std::cerr << "usage: check_bench_json <file.json> [--require-series]\n"
-            << "                        [--baseline <baseline.json>] [--max-regress <pct>]\n";
+  std::cerr << "usage: check_bench_json <file.json> [--require-series]\n";
   return 2;
 }
 
@@ -460,21 +413,11 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string path;
-  std::string baseline_path;
-  double max_regress_pct = 25.0;
   bool require_series = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--require-series") {
       require_series = true;
-    } else if (arg == "--baseline") {
-      if (++i >= argc) return usage();
-      baseline_path = argv[i];
-    } else if (arg == "--max-regress") {
-      if (++i >= argc) return usage();
-      char* end = nullptr;
-      max_regress_pct = std::strtod(argv[i], &end);
-      if (end == argv[i] || *end != '\0' || max_regress_pct < 0.0) return usage();
     } else if (path.empty()) {
       path = arg;
     } else {
@@ -484,56 +427,16 @@ int main(int argc, char** argv) {
   if (path.empty()) return usage();
 
   if (peek_schema(path) == "firefly-soak-v1") {
-    if (require_series || !baseline_path.empty()) {
-      std::cerr << path << ": --require-series/--baseline do not apply to "
+    if (require_series) {
+      std::cerr << path << ": --require-series does not apply to "
                 << "firefly-soak-v1 files\n";
       return 2;
     }
     return validate_soak_file(path) ? 0 : 1;
   }
 
-  std::map<SpeedupKey, double> ratios;
-  std::map<SpeedupKey, double> sweep_ratios;
   std::size_t records = 0, series = 0;
-  if (!validate_file(path, require_series, &ratios, &sweep_ratios, &records, &series))
-    return 1;
-
-  if (!baseline_path.empty()) {
-    std::map<SpeedupKey, double> base_ratios;
-    std::map<SpeedupKey, double> base_sweep_ratios;
-    if (!validate_file(baseline_path, false, &base_ratios, &base_sweep_ratios, nullptr,
-                       nullptr))
-      return 1;
-    std::size_t compared = 0;
-    const auto compare_kind = [&](const std::map<SpeedupKey, double>& base_map,
-                                  const std::map<SpeedupKey, double>& current,
-                                  const char* what) {
-      for (const auto& [key, base] : base_map) {
-        const auto it = current.find(key);
-        if (it == current.end()) continue;  // trimmed CI runs cover a prefix of n
-        ++compared;
-        const double allowed = base * (1.0 + max_regress_pct / 100.0);
-        if (it->second > allowed) {
-          std::cerr << path << ": " << what << " ratio regressed for " << key.first
-                    << " at n=" << key.second << ": " << it->second << " > " << base
-                    << " +" << max_regress_pct << "% (allowed " << allowed
-                    << ", baseline " << baseline_path << ")\n";
-          return false;
-        }
-      }
-      return true;
-    };
-    if (!compare_kind(base_ratios, ratios, "wheel/heap")) return 1;
-    if (!compare_kind(base_sweep_ratios, sweep_ratios, "soa/struct")) return 1;
-    if (compared == 0) {
-      std::cerr << path << ": no speedup/callback_sweep records overlap baseline "
-                << baseline_path << "\n";
-      return 1;
-    }
-    std::cout << path << ": wheel/heap and soa/struct ratios within " << max_regress_pct
-              << "% of " << baseline_path << " (" << compared << " comparisons)\n";
-  }
-
+  if (!validate_file(path, require_series, &records, &series)) return 1;
   std::cout << path << ": OK (" << records << " records, " << series << " series)\n";
   return 0;
 }
