@@ -20,6 +20,7 @@
 
 #include "core/engine.hpp"
 #include "core/scenario.hpp"
+#include "fault/fault_injector.hpp"
 #include "graph/boruvka.hpp"
 #include "graph/mst.hpp"
 #include "graph/union_find.hpp"
@@ -191,6 +192,43 @@ void BM_RadioSlotFlush(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
 }
 BENCHMARK(BM_RadioSlotFlush)->Arg(1)->Arg(16)->Arg(128);
+
+void BM_RadioSlotFlushFaulted(benchmark::State& state) {
+  // BM_RadioSlotFlush with every delivery gate live: one crashed receiver,
+  // i.i.d. drops (2 %), one active deep fade, and 10 % of the broadcasts on
+  // RACH2 (H_Connect traffic, a separate collision resource).
+  const auto txs = static_cast<std::size_t>(state.range(0));
+  sim::Simulator sim;
+  auto channel = phy::make_paper_channel(4);
+  mac::RadioMedium radio(&sim, channel.get());
+  util::Rng rng(5);
+  const std::uint32_t n = 200;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    radio.add_device(id, {rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)});
+  }
+  radio.rebuild();
+  fault::FaultPlan plan;
+  plan.drop_probability = 0.02;
+  fault::FaultInjector injector(plan, n, 1, 8);
+  injector.fade_started(fault::FadeEpisode{0, 1, 0, 1});
+  radio.set_channel_faults(&injector);
+  radio.set_down(n - 1, true);
+  std::uint64_t slot = 1;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < txs; ++i) {
+      const mac::RachCodec codec = i % 10 == 9 ? mac::RachCodec::kRach2 : mac::RachCodec::kRach1;
+      radio.broadcast(static_cast<std::uint32_t>(i % n),
+                      {codec, static_cast<std::uint32_t>(rng.uniform_index(64))},
+                      codec == mac::RachCodec::kRach2 ? mac::PsType::kConnectRequest
+                                                      : mac::PsType::kSyncPulse,
+                      0);
+    }
+    sim.run_until(sim::SimTime::milliseconds(static_cast<std::int64_t>(slot)));
+    ++slot;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
+}
+BENCHMARK(BM_RadioSlotFlushFaulted)->Arg(16)->Arg(128);
 
 void BM_RadioBatchedDeliverySweep(benchmark::State& state) {
   // The batched SoA delivery path at scale: a 1000-device network, `txs`

@@ -66,7 +66,7 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
     for (std::uint32_t i = 0; i < devices_.size(); ++i) {
       hot_.drift_ppm[i] = injector_->drift_ppm(i);
     }
-    install_fault_hook();
+    install_channel_faults();
     // A faulted run observes behaviour *through* the faults, so it never
     // stops at the first convergence instant.
     params_.stop_on_convergence = false;
@@ -338,27 +338,17 @@ void EngineBase::start_run() {
   if (injector_ != nullptr) schedule_fault_events();
 }
 
-void EngineBase::install_fault_hook() {
-  if (!params_.faults.channel_enabled()) return;
-  radio_.set_fault_hook(
-      [this](std::uint32_t sender, std::uint32_t receiver, mac::PsType /*type*/,
-             util::Dbm power) -> std::optional<util::Dbm> {
-        if (injector_->drop_reception()) return std::nullopt;
-        const double attenuation_db = injector_->link_attenuation_db(sender, receiver);
-        if (attenuation_db > 0.0) {
-          power = power - util::Db{attenuation_db};
-          // A faded-below-threshold reception is a fault drop, not an
-          // ordinary out-of-range miss.
-          if (!channel_->detectable(power)) return std::nullopt;
-        }
-        return power;
-      });
+void EngineBase::install_channel_faults() {
+  // The injector answers the radio's drop and fade queries directly; a
+  // faded-below-threshold reception is a fault drop, not an ordinary
+  // out-of-range miss.
+  if (params_.faults.channel_enabled()) radio_.set_channel_faults(injector_.get());
 }
 
 void EngineBase::schedule_fault_events() {
   // A service run has no fixed horizon: churn and fades come from the
   // regenerating streams, one telemetry window at a time
-  // (schedule_service_faults).  Drift and the drop/fade delivery hook were
+  // (schedule_service_faults).  Drift and the radio's drop/fade queries were
   // installed in the constructor and stay live either way.
   if (service_mode_) return;
   for (const fault::ChurnEvent& e : injector_->churn_schedule()) {

@@ -233,7 +233,7 @@ class EngineBase : public proto::DiscoveryProtocol {
   void finalize_metrics(RunMetrics& metrics) const;
   /// Adapt the fault plan into the radio (iid drops + fade attenuation) and
   /// schedule every pre-generated churn and fade event.
-  void install_fault_hook();
+  void install_channel_faults();
   void schedule_fault_events();
   /// Accumulate sync-uptime and desync/resync episodes (sampled at the
   /// convergence-check cadence once the network has synchronised once).

@@ -35,6 +35,7 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint32_t device_count,
       drop_rng_(util::derive_seed(master_seed, "fault.drop")) {
   const util::RngFactory factory(master_seed);
   drift_ppm_.assign(device_count, 0.0);
+  fades_at_.assign(device_count, 0);
   if (plan_.drift_max_ppm > 0.0) {
     util::Rng rng = factory.make("fault.drift");
     for (double& ppm : drift_ppm_) {
@@ -99,12 +100,18 @@ std::uint64_t FaultInjector::link_key(std::uint32_t a, std::uint32_t b) {
 }
 
 void FaultInjector::fade_started(const FadeEpisode& episode) {
+  assert(episode.u < fades_at_.size() && episode.v < fades_at_.size());
   active_fades_.insert(link_key(episode.u, episode.v));
+  ++fades_at_[episode.u];
+  ++fades_at_[episode.v];
 }
 
 void FaultInjector::fade_ended(const FadeEpisode& episode) {
   const auto it = active_fades_.find(link_key(episode.u, episode.v));
-  if (it != active_fades_.end()) active_fades_.erase(it);
+  if (it == active_fades_.end()) return;
+  active_fades_.erase(it);
+  --fades_at_[episode.u];
+  --fades_at_[episode.v];
 }
 
 double FaultInjector::link_attenuation_db(std::uint32_t a, std::uint32_t b) const {
@@ -112,9 +119,22 @@ double FaultInjector::link_attenuation_db(std::uint32_t a, std::uint32_t b) cons
   return active_fades_.contains(link_key(a, b)) ? plan_.fade_depth_db : 0.0;
 }
 
-bool FaultInjector::drop_reception() {
+bool FaultInjector::fill_drops(std::uint8_t* dropped, std::size_t n) {
   if (plan_.drop_probability <= 0.0) return false;
-  return drop_rng_.bernoulli(plan_.drop_probability);
+  for (std::size_t i = 0; i < n; ++i) {
+    dropped[i] = static_cast<std::uint8_t>(drop_rng_.bernoulli(plan_.drop_probability));
+  }
+  return true;
+}
+
+bool FaultInjector::fill_attenuation(std::uint32_t sender, mac::PsType /*type*/,
+                                     const std::uint32_t* rx_index, std::size_t n,
+                                     double* attenuation_db) {
+  if (sender >= fades_at_.size() || fades_at_[sender] == 0) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    attenuation_db[i] = link_attenuation_db(sender, rx_index[i]);
+  }
+  return true;
 }
 
 }  // namespace firefly::fault

@@ -8,9 +8,10 @@
 // be inspected, logged or asserted on.  The engine owns the simulator, so
 // it — not the injector — schedules the events; the injector only keeps the
 // *active-fade* set current (via `fade_started`/`fade_ended` callbacks the
-// engine invokes at episode boundaries) and draws the i.i.d. drop stream in
-// radio delivery order, which the single-threaded event loop makes
-// deterministic.
+// engine invokes at episode boundaries) and answers the radio's batched
+// channel-fault queries (`mac::ChannelFaults`): the i.i.d. drop stream,
+// drawn in radio delivery order, which the single-threaded event loop makes
+// deterministic, and the attenuation of currently faded links.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +20,12 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "mac/radio.hpp"
 #include "util/rng.hpp"
 
 namespace firefly::fault {
 
-class FaultInjector {
+class FaultInjector final : public mac::ChannelFaults {
  public:
   /// Expands `plan` for `device_count` devices over `horizon_slots` slots of
   /// simulated time (1 slot = 1 ms).  Pure function of its arguments.
@@ -44,9 +46,17 @@ class FaultInjector {
   /// Extra attenuation currently on link (a, b), in dB (0 when clear).
   [[nodiscard]] double link_attenuation_db(std::uint32_t a, std::uint32_t b) const;
 
-  /// One i.i.d. drop draw (delivery order = draw order).  False when the
+  // --- mac::ChannelFaults: the radio's per-transmission queries.  Engine
+  // device ids are their registration indices, so receivers index links
+  // directly. ---
+  /// `n` i.i.d. drop draws (delivery order = draw order).  False when the
   /// plan has no drop knob, without consuming randomness.
-  [[nodiscard]] bool drop_reception();
+  bool fill_drops(std::uint8_t* dropped, std::size_t n) override;
+  /// `link_attenuation_db(sender, rx_index[i])` for each receiver; false
+  /// without looking when no active fade touches the sender.
+  bool fill_attenuation(std::uint32_t sender, mac::PsType type,
+                        const std::uint32_t* rx_index, std::size_t n,
+                        double* attenuation_db) override;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
@@ -64,6 +74,7 @@ class FaultInjector {
   // A link can be covered by overlapping episodes; count them so an episode
   // ending early does not clear a fade another episode still holds.
   std::unordered_multiset<std::uint64_t> active_fades_;
+  std::vector<std::uint32_t> fades_at_;  // active fades per device (either end)
   util::Rng drop_rng_;
 };
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "obs/timer.hpp"
 #include "util/log.hpp"
@@ -24,6 +25,7 @@ void RadioMedium::add_device(std::uint32_t id, geo::Vec2 position, ListenFn list
   devices_.push_back(DeviceEntry{id, position, std::move(listening)});
   if (devices_.back().listening) any_listening_ = true;
   down_.push_back(0);
+  awake_tag_.push_back(0);
   invalidate();
   grid_ready_ = false;  // population changed: next rebuild re-seeds the grid
 }
@@ -125,10 +127,9 @@ void RadioMedium::rebuild(double fading_margin_db) {
   const std::size_t n = devices_.size();
   pair_scratch_.clear();
   const util::Dbm cutoff = channel_->params().detection_threshold - util::Db{fading_margin_db};
-  grid_delivery_ = channel_->params().spatial_index == phy::SpatialIndex::kGrid;
   uniform_skip_ = channel_->fading().supports_uniform_skip();
 
-  if (grid_delivery_) {
+  if (channel_->params().spatial_index == phy::SpatialIndex::kGrid) {
     // Grid-indexed enumeration.  The range bound holds because candidate
     // admission needs mean >= cutoff, i.e. PL(d) <= tx − threshold +
     // margin + max shadowing gain — exactly max_detectable_range(margin).
@@ -156,7 +157,7 @@ void RadioMedium::rebuild(double fading_margin_db) {
       }
     } else {
       // Unbounded shadowing or degenerate world: no spatial pruning, but
-      // the memoised fast path still applies.
+      // the memoised delivery sweep still applies.
       for (std::size_t u = 0; u < n; ++u) {
         for (std::size_t v = u + 1; v < n; ++v) {
           const util::Dbm mean = channel_->mean_received_power_uncached(
@@ -166,8 +167,8 @@ void RadioMedium::rebuild(double fading_margin_db) {
       }
     }
   } else {
-    // Dense reference: the memo-backed channel query keeps the legacy
-    // per-link cache as the delivery path's working set.
+    // Dense reference: the memo-backed channel query, same means (the
+    // channel's mean is bit-identical cached or not).
     for (std::size_t u = 0; u < n; ++u) {
       for (std::size_t v = u + 1; v < n; ++v) {
         const util::Dbm mean = channel_->mean_received_power(
@@ -182,6 +183,10 @@ void RadioMedium::rebuild(double fading_margin_db) {
 
 void RadioMedium::broadcast(std::uint32_t sender, Preamble preamble, PsType type,
                             std::uint64_t payload) {
+  if (preamble.index >= kPreamblePoolSize ||
+      (preamble.codec != RachCodec::kRach1 && preamble.codec != RachCodec::kRach2)) {
+    throw std::invalid_argument("RadioMedium::broadcast: preamble outside the RACH pool");
+  }
   if (down_[index_of(sender)] != 0) return;  // crashed: PA is off
   const std::int64_t slot = slot_index(sim_->now());
   const sim::SimTime slot_start = sim::SimTime{slot * sim::kLteSlot.us};
@@ -203,100 +208,130 @@ void RadioMedium::ensure_flush_scheduled() {
   sim_->schedule_at(boundary, [this] { flush_slot(); });
 }
 
-void RadioMedium::add_audible(std::size_t rx_index, const PendingTx& tx) {
-  const DeviceEntry& rx = devices_[rx_index];
-  if (tx.sender == rx.id) return;  // half-duplex: no self-reception
-  if (down_[rx_index] != 0) return;  // crashed receiver hears nothing
-  if (rx.listening && !rx.listening()) return;  // duty-cycled receiver asleep
-  const geo::Vec2 tx_pos = devices_[index_of(tx.sender)].position;
-  util::Dbm power = channel_->received_power(tx.sender, tx_pos, rx.id, rx.position);
-  if (fault_) {
-    const std::optional<util::Dbm> adjusted = fault_(tx.sender, rx.id, tx.type, power);
-    if (!adjusted.has_value()) {
-      ++counters_.fault_drops;
-      return;
-    }
-    power = *adjusted;
+bool RadioMedium::receiver_open(std::size_t rx_index) {
+  if (down_[rx_index] != 0) return false;  // crashed receiver hears nothing
+  if (!any_listening_) return true;
+  // Duty-cycle predicates depend on the slot only: evaluate each at most
+  // once per flush.
+  std::uint64_t& tag = awake_tag_[rx_index];
+  if ((tag >> 1) != flush_epoch_) {
+    const ListenFn& listening = devices_[rx_index].listening;
+    tag = (flush_epoch_ << 1) | static_cast<std::uint64_t>(!listening || listening());
   }
-  if (!channel_->detectable(power)) return;
+  return (tag & 1) != 0;
+}
+
+void RadioMedium::push_audible(std::size_t rx_index, const PendingTx& tx, util::Dbm power) {
   if (buckets_[rx_index].empty()) touched_.push_back(rx_index);
   buckets_[rx_index].push_back(Audible{&tx, power});
 }
 
-void RadioMedium::deliver_fused() {
-  // All delivery gates are static this slot (no faults, no duty cycling, no
-  // crashed devices), so every candidate draws exactly one fade: one batched
-  // RNG fill per sender, then a branch-free compare sweep over the skip
-  // bounds.  The uniform sequence and the survivor set match the scalar
-  // path draw for draw — deliver_memoised_scalar() is the reference.
+void RadioMedium::add_audible(std::size_t rx_index, const PendingTx& tx) {
+  // Uncached per-pair form of deliver_cached's gates and draws.
+  const DeviceEntry& rx = devices_[rx_index];
+  if (tx.sender == rx.id) return;  // half-duplex: no self-reception
+  if (!receiver_open(rx_index)) return;
+  const geo::Vec2 tx_pos = devices_[index_of(tx.sender)].position;
+  util::Dbm power = channel_->received_power(tx.sender, tx_pos, rx.id, rx.position);
+  if (faults_ != nullptr) {
+    std::uint8_t dropped = 0;
+    double attenuation_db = 0.0;
+    const auto rx32 = static_cast<std::uint32_t>(rx_index);
+    if (faults_->fill_drops(&dropped, 1) && dropped != 0) {
+      ++counters_.fault_drops;
+      return;
+    }
+    if (faults_->fill_attenuation(tx.sender, tx.type, &rx32, 1, &attenuation_db) &&
+        attenuation_db > 0.0) {
+      power = power - util::Db{attenuation_db};
+      if (!channel_->detectable(power)) {
+        ++counters_.fault_drops;  // faded below threshold
+        return;
+      }
+    }
+  }
+  if (channel_->detectable(power)) push_audible(rx_index, tx, power);
+}
+
+void RadioMedium::deliver_cached() {
+  // The one batched sweep, for every gate.  Per sender: compact the
+  // candidates through the receiver gate, then draw exactly one fade per
+  // gated candidate in one block (and, with channel faults, one drop draw
+  // per gated candidate from the fault stream) — the draws a per-candidate
+  // loop would make, in the same order.  A fade that provably leaves the
+  // reception sub-threshold (u-space bound, or gain-domain for models
+  // without one) is rejected on one compare; only survivors pay the gain
+  // transform and the exact dBm compare.  A rejected fade cannot become
+  // audible under attenuation, but a fired drop or an attenuated link on it
+  // still counts as a fault drop.
+  const bool gated = down_count_ != 0 || any_listening_;
   for (const PendingTx& tx : flushing_) {
     const std::size_t s = index_of(tx.sender);
     const std::size_t begin = cand_offsets_[s];
     const std::size_t m = cand_offsets_[s + 1] - begin;
     if (m == 0) continue;
-    if (fade_u_.size() < m) {
-      fade_u_.resize(m);
+    if (draw_.size() < m) {
+      for (std::size_t k = iota_.size(); k < m; ++k) iota_.push_back(static_cast<std::uint32_t>(k));
+      gate_pos_.resize(m);
+      gate_rx_.resize(m);
+      draw_.resize(m);
+      drop_.resize(m);
+      atten_db_.resize(m);
       survivors_.resize(m);
     }
-    channel_->fill_fading_uniforms(fade_u_.data(), m);
+    const std::uint32_t* pos = iota_.data();
+    const std::uint32_t* rx = cand_rx_.data() + begin;
+    std::size_t n = m;
+    if (gated) {
+      n = 0;
+      for (std::size_t k = 0; k < m; ++k) {
+        if (!receiver_open(rx[k])) continue;
+        gate_pos_[n] = static_cast<std::uint32_t>(k);
+        gate_rx_[n++] = rx[k];
+      }
+      pos = gate_pos_.data();
+      rx = gate_rx_.data();
+    }
+    if (uniform_skip_) {
+      channel_->fill_fading_uniforms(draw_.data(), n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) draw_[i] = channel_->sample_fading_gain();
+    }
+    const bool drops = faults_ != nullptr && faults_->fill_drops(drop_.data(), n);
+    const bool faded = faults_ != nullptr &&
+                       faults_->fill_attenuation(tx.sender, tx.type, rx, n, atten_db_.data());
     const double* skip_u = cand_skip_u_.data() + begin;
+    const double* skip_gain = cand_skip_gain_.data() + begin;
     std::size_t count = 0;
-    for (std::size_t k = 0; k < m; ++k) {
-      survivors_[count] = static_cast<std::uint32_t>(k);
-      count += static_cast<std::size_t>(fade_u_[k] < skip_u[k]);
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t k = survivors_[i];
-      const double gain = channel_->fading().gain_from_uniform(fade_u_[k]);
-      const util::Dbm power =
-          util::Dbm{cand_mean_[begin + k]} - phy::FadingModel::loss_from_gain(gain);
-      if (!channel_->detectable(power)) continue;  // borderline fade: exact compare
-      const std::uint32_t rxi = cand_rx_[begin + k];
-      if (buckets_[rxi].empty()) touched_.push_back(rxi);
-      buckets_[rxi].push_back(Audible{&tx, power});
-    }
-  }
-}
-
-void RadioMedium::deliver_memoised_scalar() {
-  // Memoised fast path: the candidate's mean power replaces the per-pair
-  // path-loss + shadowing recomputation, and most sub-threshold fades are
-  // rejected on the raw uniform (or linear gain) alone.  Gate order and the
-  // fading-stream consumption mirror add_audible exactly, so the delivered
-  // receptions are bit-identical to the dense path's.
-  for (const PendingTx& tx : flushing_) {
-    const std::size_t s = index_of(tx.sender);
-    for (std::size_t k = cand_offsets_[s]; k < cand_offsets_[s + 1]; ++k) {
-      const std::uint32_t rxi = cand_rx_[k];
-      if (down_[rxi] != 0) continue;  // crashed receiver hears nothing
-      if (any_listening_) {  // avoid the DeviceEntry load when no gates exist
-        const DeviceEntry& rx = devices_[rxi];
-        if (rx.listening && !rx.listening()) continue;  // duty-cycled, asleep
+    if (!drops && !faded && uniform_skip_) {
+      for (std::size_t i = 0; i < n; ++i) {
+        survivors_[count] = static_cast<std::uint32_t>(i);
+        count += static_cast<std::size_t>(draw_[i] < skip_u[pos[i]]);
       }
-      double gain;
-      if (uniform_skip_) {
-        // Raw-uniform shortcut: same single generator step, but the
-        // provably sub-threshold draws never pay the gain transform.
-        const double u = channel_->sample_fading_uniform();
-        if (!fault_ && u >= cand_skip_u_[k]) continue;
-        gain = channel_->fading().gain_from_uniform(u);
-      } else {
-        gain = channel_->sample_fading_gain();
-        if (!fault_ && gain < cand_skip_gain_[k]) continue;  // provably sub-threshold
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool sub = uniform_skip_ ? draw_[i] >= skip_u[pos[i]] : draw_[i] < skip_gain[pos[i]];
+        const bool lost = (drops && drop_[i] != 0) || (faded && sub && atten_db_[i] > 0.0);
+        counters_.fault_drops += static_cast<std::uint64_t>(lost);
+        survivors_[count] = static_cast<std::uint32_t>(i);
+        count += static_cast<std::size_t>(!sub && !lost);
       }
-      util::Dbm power = util::Dbm{cand_mean_[k]} - phy::FadingModel::loss_from_gain(gain);
-      if (fault_) {
-        const std::optional<util::Dbm> adjusted =
-            fault_(tx.sender, devices_[rxi].id, tx.type, power);
-        if (!adjusted.has_value()) {
-          ++counters_.fault_drops;
+    }
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::size_t i = survivors_[j];
+      const double gain =
+          uniform_skip_ ? channel_->fading().gain_from_uniform(draw_[i]) : draw_[i];
+      util::Dbm power =
+          util::Dbm{cand_mean_[begin + pos[i]]} - phy::FadingModel::loss_from_gain(gain);
+      if (faded && atten_db_[i] > 0.0) {
+        power = power - util::Db{atten_db_[i]};
+        if (!channel_->detectable(power)) {
+          ++counters_.fault_drops;  // faded below threshold
           continue;
         }
-        power = *adjusted;
       }
-      if (!channel_->detectable(power)) continue;
-      if (buckets_[rxi].empty()) touched_.push_back(rxi);
-      buckets_[rxi].push_back(Audible{&tx, power});
+      if (!channel_->detectable(power)) continue;  // borderline fade: exact compare
+      push_audible(rx[i], tx, power);
     }
   }
 }
@@ -314,80 +349,47 @@ void RadioMedium::resolve_receivers() {
     auto& audible = buckets_[rx_index];
     const DeviceEntry& rx = devices_[rx_index];
     const std::size_t k = audible.size();
-    bool grouped = false;
     if (k > 1) {
       // Contention prepass: chain the bucket's entries per RACH resource in
       // one O(k) epoch-marked pass (no clearing between buckets), and
       // convert contended entries to milliwatts exactly once.  The
       // interference sum then walks only an entry's own chain — in entry
-      // order, so it adds the same doubles in the same order as the naive
-      // all-pairs scan, which re-evaluated pow(10, dBm/10) per (a, b) pair.
-      grouped = true;
+      // order, so it adds the same doubles in the same order as an
+      // all-pairs scan that re-evaluated pow(10, dBm/10) per (a, b) pair.
+      // broadcast() admits only in-pool preambles, so every key fits.
+      ++group_epoch_;
       res_key_.resize(k);
+      group_next_.resize(k);
+      aud_mw_.resize(k);
       for (std::size_t i = 0; i < k; ++i) {
         const Preamble p = audible[i].tx->preamble;
-        if (p.index >= kPreamblePoolSize ||
-            static_cast<std::uint32_t>(p.codec) >= kResourceCodecs) {
-          grouped = false;  // out-of-pool resource (tests): generic fallback
-          break;
+        const std::uint32_t key =
+            (static_cast<std::uint32_t>(p.codec) - 1) * kPreamblePoolSize + p.index;
+        res_key_[i] = key;
+        group_next_[i] = kGroupNil;
+        if (group_seen_[key] != group_epoch_) {
+          group_seen_[key] = group_epoch_;
+          group_head_[key] = static_cast<std::uint32_t>(i);
+          group_count_[key] = 1;
+        } else {
+          group_next_[group_tail_[key]] = static_cast<std::uint32_t>(i);
+          ++group_count_[key];
         }
-        res_key_[i] = static_cast<std::uint32_t>(p.codec) * kPreamblePoolSize + p.index;
+        group_tail_[key] = static_cast<std::uint32_t>(i);
       }
-      if (grouped) {
-        ++group_epoch_;
-        group_next_.resize(k);
-        aud_mw_.resize(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          const std::uint32_t key = res_key_[i];
-          group_next_[i] = kGroupNil;
-          if (group_seen_[key] != group_epoch_) {
-            group_seen_[key] = group_epoch_;
-            group_head_[key] = static_cast<std::uint32_t>(i);
-            group_count_[key] = 1;
-          } else {
-            group_next_[group_tail_[key]] = static_cast<std::uint32_t>(i);
-            ++group_count_[key];
-          }
-          group_tail_[key] = static_cast<std::uint32_t>(i);
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-          aud_mw_[i] =
-              group_count_[res_key_[i]] > 1 ? audible[i].power.milliwatts() : 0.0;
-        }
-      } else {
-        res_key_.resize(k);
-        aud_mw_.resize(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          const Preamble p = audible[i].tx->preamble;
-          res_key_[i] = (static_cast<std::uint64_t>(p.codec) << 32) | p.index;
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-          bool contended = false;
-          for (std::size_t j = 0; j < k; ++j) {
-            contended = contended || (j != i && res_key_[j] == res_key_[i]);
-          }
-          aud_mw_[i] = contended ? audible[i].power.milliwatts() : 0.0;
-        }
+      for (std::size_t i = 0; i < k; ++i) {
+        aud_mw_[i] = group_count_[res_key_[i]] > 1 ? audible[i].power.milliwatts() : 0.0;
       }
     }
     for (std::size_t i = 0; i < k; ++i) {
       const Audible& a = audible[i];
       double interference_mw = 0.0;
-      if (k > 1) {
-        if (grouped) {
-          if (group_count_[res_key_[i]] > 1) {
-            for (std::uint32_t j = group_head_[res_key_[i]]; j != kGroupNil;
-                 j = group_next_[j]) {
-              if (j != i) interference_mw += aud_mw_[j];
-            }
-          }
-        } else {
-          for (std::size_t j = 0; j < k; ++j) {
-            if (j != i && res_key_[j] == res_key_[i]) interference_mw += aud_mw_[j];
-          }
+      if (k > 1 && group_count_[res_key_[i]] > 1) {
+        for (std::uint32_t j = group_head_[res_key_[i]]; j != kGroupNil; j = group_next_[j]) {
+          if (j != i) interference_mw += aud_mw_[j];
         }
       }
-      bool decoded = true;
+    bool decoded = true;
       if (interference_mw > 0.0) {
         // SINR capture: signal over summed interference *plus noise*.
         const util::Dbm denominator =
@@ -422,24 +424,12 @@ void RadioMedium::flush_slot() {
 
   if (buckets_.size() < devices_.size()) buckets_.resize(devices_.size());
   touched_.clear();
+  ++flush_epoch_;  // expires last flush's awake memo
 
-  // Pick the cheapest delivery sweep whose gates hold.  The batched sweep
-  // requires every per-candidate gate to be statically off; any crashed
-  // device, duty-cycle gate or fault hook falls back to the scalar sweep,
-  // which evaluates the gates per candidate in the original order.
-  const bool fused = cache_valid_ && grid_delivery_ && uniform_skip_ &&
-                     !fault_ && !any_listening_ && down_count_ == 0;
-  if (fused) {
-    deliver_fused();
-  } else if (cache_valid_ && grid_delivery_) {
-    deliver_memoised_scalar();
-  } else if (cache_valid_) {
-    for (const PendingTx& tx : flushing_) {
-      const std::size_t s = index_of(tx.sender);
-      for (std::size_t k = cand_offsets_[s]; k < cand_offsets_[s + 1]; ++k) {
-        add_audible(cand_rx_[k], tx);
-      }
-    }
+  // Two sweeps: the batched one over the candidate cache (grid or dense),
+  // or a per-pair scan of every device while the cache is stale.
+  if (cache_valid_) {
+    deliver_cached();
   } else {
     for (const PendingTx& tx : flushing_) {
       for (std::size_t rx_index = 0; rx_index < devices_.size(); ++rx_index) {

@@ -9,6 +9,19 @@
 // every transmission is counted here by codec class, so FST and ST message
 // counts are measured identically.
 //
+// A slot flush has exactly two delivery sweeps.  With a valid candidate
+// cache (grid or dense, see `rebuild`) one batched sweep serves every gate:
+// per sender it compacts the candidates through the receiver gate (crashed
+// devices, duty-cycled receivers asleep this slot), block-draws one fade per
+// gated candidate, block-draws the channel-fault drops over the same run,
+// and rejects provably sub-threshold fades on one compare before paying the
+// gain transform.  Without a valid cache, a per-pair scan over every device
+// evaluates the same gates and draws in the same order.
+//
+// Collision resolution groups each receiver's receptions by RACH resource
+// (codec, preamble) in O(k); a preamble outside the pool is rejected by
+// `broadcast` with `std::invalid_argument`.
+//
 // Delivery is batched: decoding appends one `RxRecord` per successful
 // reception to a flat per-slot buffer (in receiver-bucket order — the same
 // order the old per-pair callbacks fired in), and the slot's whole batch is
@@ -21,7 +34,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "geo/grid.hpp"
@@ -63,9 +75,41 @@ struct TrafficCounters {
   std::uint64_t rach2_tx = 0;
   std::uint64_t collisions = 0;   ///< receiver-side collision events
   std::uint64_t deliveries = 0;   ///< successful receptions
-  std::uint64_t fault_drops = 0;  ///< receptions vetoed by the fault hook
+  std::uint64_t fault_drops = 0;  ///< receptions lost to channel faults
 
   [[nodiscard]] std::uint64_t total_tx() const { return rach1_tx + rach2_tx; }
+};
+
+/// Channel faults (fault-injection runs), answered in bulk: the delivery
+/// sweep asks once per transmission for the drop draws and link
+/// attenuations of its gated candidates — the receivers that are up and
+/// awake, in ascending receiver index.  A fired drop, or an attenuation that
+/// leaves the reception below threshold, is one fault drop
+/// (`TrafficCounters::fault_drops`) — also when the reception would have
+/// been sub-threshold anyway.  An infinite attenuation vetoes a reception
+/// outright.  Faults are per receiver: the transmission still reaches the
+/// other receivers normally.
+class ChannelFaults {
+ public:
+  virtual ~ChannelFaults() = default;
+  /// Writes one i.i.d. drop draw per gated candidate to `dropped[0..n)`
+  /// (1 = lost), in candidate order.  Returns false, consuming no
+  /// randomness and writing nothing, when there is no drop process.
+  virtual bool fill_drops(std::uint8_t* dropped, std::size_t n) = 0;
+  /// Writes the extra attenuation in dB (0 = clear) on `sender`'s
+  /// transmission of `type` at each receiver `rx_index[0..n)` (registration
+  /// indices, as `RxRecord::rx_index`) to `attenuation_db[0..n)`.  Returns
+  /// false, writing nothing, when every one of those links is clear.
+  virtual bool fill_attenuation(std::uint32_t sender, PsType type,
+                                const std::uint32_t* rx_index, std::size_t n,
+                                double* attenuation_db) = 0;
+
+ protected:
+  ChannelFaults() = default;
+  ChannelFaults(const ChannelFaults&) = default;
+  ChannelFaults(ChannelFaults&&) = default;
+  ChannelFaults& operator=(const ChannelFaults&) = default;
+  ChannelFaults& operator=(ChannelFaults&&) = default;
 };
 
 class RadioMedium {
@@ -74,18 +118,10 @@ class RadioMedium {
   /// slot's whole decoded batch.  There is one sink for the medium (not one
   /// callback per device); receivers are identified by RxRecord::rx_index.
   using DeliverFn = std::function<void(const RxBatch&)>;
-  /// Receiver-side duty cycling: evaluated at delivery time; a device whose
-  /// predicate returns false is asleep and decodes nothing that slot.
+  /// Receiver-side duty cycling: a device whose predicate returns false is
+  /// asleep and decodes nothing that slot.  Evaluated at delivery time, at
+  /// most once per receiver per flush, so it must depend on the slot only.
   using ListenFn = std::function<bool()>;
-  /// Channel-fault hook (fault-injection runs): called once per audible
-  /// (tx, rx) pair before the detectability check.  Returns the possibly
-  /// attenuated power — which then flows through the normal threshold and
-  /// collision rules — or nullopt to veto the reception at this receiver
-  /// outright (counted in `TrafficCounters::fault_drops`).  A veto is a
-  /// per-receiver decode failure; the transmission still reaches other
-  /// receivers normally.
-  using FaultFn = std::function<std::optional<util::Dbm>(
-      std::uint32_t sender, std::uint32_t receiver, PsType type, util::Dbm power)>;
 
   /// `capture_margin_db`: a same-resource reception is decoded anyway when
   /// its power exceeds the *sum* of the interferers by this margin.
@@ -106,15 +142,18 @@ class RadioMedium {
   void set_down(std::uint32_t id, bool down);
   [[nodiscard]] bool is_down(std::uint32_t id) const;
 
-  /// Install the channel-fault hook (null = fault-free delivery).
-  void set_fault_hook(FaultFn fn) { fault_ = std::move(fn); }
+  /// Install the channel-fault model (null = fault-free delivery).  Not
+  /// owned.
+  void set_channel_faults(ChannelFaults* faults) { faults_ = faults; }
 
   /// Install the per-slot delivery sink (null = decoded PSs are metered but
   /// discarded, which is what the radio-only unit tests want).
   void set_delivery_sink(DeliverFn fn) { sink_ = std::move(fn); }
 
   /// Queue a broadcast for the slot containing now(); it is delivered to
-  /// every in-range receiver at the next slot boundary.
+  /// every in-range receiver at the next slot boundary.  Throws
+  /// `std::invalid_argument` on a preamble outside the RACH pool (codec
+  /// other than RACH1/RACH2, or index >= kPreamblePoolSize).
   void broadcast(std::uint32_t sender, Preamble preamble, PsType type, std::uint64_t payload);
 
   /// Rebuild the candidate cache: for every device, the receivers whose
@@ -125,7 +164,8 @@ class RadioMedium {
   /// `RadioParams::spatial_index`; both produce identical caches.  The cache
   /// is stored structure-of-arrays (one flat `ids`/`mean`/`skip` array per
   /// field, prefix-offset indexed per sender) so a slot flush sweeps
-  /// contiguous memory.  Call after registering devices and after
+  /// contiguous memory.  Both indexes are served by the same batched
+  /// delivery sweep.  Call after registering devices and after
   /// `invalidate`.
   void rebuild(double fading_margin_db = phy::RadioParams::kCandidateFadingMarginDb);
   /// Mark the candidate cache stale.  Delivery falls back to a dense
@@ -228,8 +268,9 @@ class RadioMedium {
   [[nodiscard]] std::size_t index_of(std::uint32_t id) const;
   void admit_candidate(std::size_t u, std::size_t v, util::Dbm mean, util::Dbm cutoff);
   void scatter_candidates();
-  void deliver_fused();
-  void deliver_memoised_scalar();
+  [[nodiscard]] bool receiver_open(std::size_t rx_index);
+  void push_audible(std::size_t rx_index, const PendingTx& tx, util::Dbm power);
+  void deliver_cached();
   void add_audible(std::size_t rx_index, const PendingTx& tx);
   void resolve_receivers();
 
@@ -239,9 +280,13 @@ class RadioMedium {
   std::vector<DeviceEntry> devices_;
   std::vector<std::size_t> id_to_index_;  // device id -> devices_ slot
   std::vector<std::uint8_t> down_;        // by device index; 1 = crashed
-  std::size_t down_count_ = 0;            // crashed devices (gates the batched path)
-  FaultFn fault_;
-  bool any_listening_ = false;  // duty-cycle gates exist: fast path must probe them
+  std::size_t down_count_ = 0;            // crashed devices (receiver gate active)
+  ChannelFaults* faults_ = nullptr;
+  bool any_listening_ = false;  // duty-cycle gates exist: the sweep must probe them
+  // Per-flush awake memo: (flush epoch << 1) | awake, by device index, so
+  // each listen predicate runs at most once per flush.
+  std::vector<std::uint64_t> awake_tag_;
+  std::uint64_t flush_epoch_ = 0;
   std::vector<PendingTx> pending_;
   std::vector<PendingTx> flushing_;  // double buffer: swap per flush, no allocation
   bool flush_scheduled_ = false;
@@ -260,17 +305,24 @@ class RadioMedium {
   std::vector<double> cand_skip_u_;         // uniforms at/above this are sub-threshold
   std::vector<PairRec> pair_scratch_;       // rebuild staging (reused)
   std::vector<std::size_t> cand_cursor_;    // rebuild scatter cursors (reused)
-  std::vector<double> fade_u_;              // per-flush batched uniform draws
-  std::vector<std::uint32_t> survivors_;    // per-flush skip-test survivors
+  // Per-sender sweep scratch, indexed by gated-candidate position.
+  std::vector<std::uint32_t> iota_;         // 0, 1, 2, ... (ungated positions)
+  std::vector<std::uint32_t> gate_pos_;     // gated candidate -> slice position
+  std::vector<std::uint32_t> gate_rx_;      // gated candidate -> receiver index
+  std::vector<double> draw_;                // fading uniforms (or gains)
+  std::vector<std::uint8_t> drop_;          // fault drop draws
+  std::vector<double> atten_db_;            // fault link attenuations
+  std::vector<std::uint32_t> survivors_;    // skip-test survivors
   std::vector<std::vector<Audible>> buckets_;  // per-receiver audible sets
   std::vector<std::size_t> touched_;           // receivers with non-empty buckets
   DeliverFn sink_;                             // per-slot batch consumer
   std::vector<RxRecord> rx_records_;           // this slot's decoded batch
-  std::vector<std::uint64_t> res_key_;         // per-bucket packed resource keys
+  std::vector<std::uint32_t> res_key_;         // per-bucket resource keys
   std::vector<double> aud_mw_;                 // per-bucket memoised milliwatts
   // Epoch-marked per-resource chains for the collision prepass: one slot per
-  // (codec, preamble) pool entry, valid only while its epoch tag matches —
-  // no clearing between buckets.
+  // (codec, preamble) pool entry, keyed (codec − 1)·kPreamblePoolSize +
+  // index, valid only while its epoch tag matches — no clearing between
+  // buckets.
   static constexpr std::uint32_t kResourceCodecs = 2;
   static constexpr std::uint32_t kGroupNil = 0xFFFFFFFFU;
   static constexpr std::size_t kResourceSlots =
@@ -285,7 +337,6 @@ class RadioMedium {
   bool uniform_skip_ = false;  // fading model offers the u-space skip test
   geo::SpatialGrid grid_;
   bool grid_ready_ = false;     // cell membership current (maintained by move_device)
-  bool grid_delivery_ = false;  // cache built for the memoised fast path
 };
 
 }  // namespace firefly::mac

@@ -1,9 +1,10 @@
 // Tests for the fault-injection subsystem: FaultInjector schedule
-// expansion (src/fault/), the radio's down/fault-hook plumbing and the
-// engine's crash/recover lifecycle.
+// expansion (src/fault/), its batched channel-fault answers, the radio's
+// down/channel-fault plumbing and the engine's crash/recover lifecycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -113,19 +114,25 @@ TEST(FaultInjector, DriftWithinBoundsAndZeroWhenDisabled) {
 }
 
 TEST(FaultInjector, DropStreamMatchesProbabilityAndReplays) {
+  // One block of draws equals the same draws taken one at a time.
   FaultPlan plan;
   plan.drop_probability = 0.3;
   FaultInjector a(plan, 2, 1'000, 77);
   FaultInjector b(plan, 2, 1'000, 77);
+  std::vector<std::uint8_t> block(10'000);
+  ASSERT_TRUE(a.fill_drops(block.data(), block.size()));
   int drops = 0;
-  for (int i = 0; i < 10'000; ++i) {
-    const bool d = a.drop_reception();
-    EXPECT_EQ(d, b.drop_reception()) << "drop stream must replay";
-    if (d) ++drops;
+  for (const std::uint8_t d : block) {
+    std::uint8_t single = 2;
+    ASSERT_TRUE(b.fill_drops(&single, 1));
+    EXPECT_EQ(d, single) << "drop stream must replay";
+    if (d != 0) ++drops;
   }
   EXPECT_NEAR(drops / 10'000.0, 0.3, 0.03);
   FaultInjector off(FaultPlan{}, 2, 1'000, 77);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(off.drop_reception());
+  std::uint8_t untouched = 2;
+  EXPECT_FALSE(off.fill_drops(&untouched, 1)) << "no drop knob: nothing drawn";
+  EXPECT_EQ(untouched, 2);
 }
 
 TEST(FaultInjector, OverlappingFadesKeepTheLinkFaded) {
@@ -175,36 +182,77 @@ TEST(RadioFaults, DownDeviceNeitherSendsNorReceives) {
 }
 
 TEST(RadioFaults, HookVetoIsCountedAndAttenuationFlowsThrough) {
+  // A veto is an infinite attenuation: the reception is lost and counted as
+  // one fault drop.  A finite attenuation flows through to the delivered
+  // power.
+  struct Veto final : mac::ChannelFaults {
+    double attenuation_db = std::numeric_limits<double>::infinity();
+    bool fill_drops(std::uint8_t*, std::size_t) override { return false; }
+    bool fill_attenuation(std::uint32_t, mac::PsType, const std::uint32_t*, std::size_t n,
+                          double* out) override {
+      for (std::size_t i = 0; i < n; ++i) out[i] = attenuation_db;
+      return true;
+    }
+  };
   sim::Simulator sim;
   auto channel = phy::make_paper_channel(1);
   mac::RadioMedium radio(&sim, channel.get());
-  int heard = 0;
+  std::vector<util::Dbm> heard;
   radio.add_device(0, {0.0, 0.0});
   radio.add_device(1, {10.0, 0.0});
   radio.set_delivery_sink([&](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
-      if (batch.records[k].rx_index == 1) ++heard;
+      if (batch.records[k].rx_index == 1) heard.push_back(batch.records[k].rx_power);
     }
   });
-  bool veto = true;
-  radio.set_fault_hook([&](std::uint32_t, std::uint32_t, mac::PsType, util::Dbm power)
-                           -> std::optional<util::Dbm> {
-    if (veto) return std::nullopt;
-    return power;  // pass through unchanged
-  });
-  sim.schedule_at(sim::SimTime::zero(), [&] {
-    radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
-  });
-  sim.run_until(sim::SimTime::milliseconds(2));
-  EXPECT_EQ(heard, 0);
+  Veto veto;
+  radio.set_channel_faults(&veto);
+  const auto send = [&] {
+    sim.schedule_at(sim.now(), [&] {
+      radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
+    });
+    sim.run();
+  };
+  send();
+  EXPECT_TRUE(heard.empty());
   EXPECT_EQ(radio.counters().fault_drops, 1U);
-  veto = false;
-  sim.schedule_at(sim.now(), [&] {
-    radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
-  });
-  sim.run();
-  EXPECT_EQ(heard, 1);
+  veto.attenuation_db = 0.0;  // clear link: pass through unchanged
+  send();
+  ASSERT_EQ(heard.size(), 1U);
   EXPECT_EQ(radio.counters().fault_drops, 1U);
+
+  // Same fading draw, with and without 3 dB of attenuation.
+  const util::Rng fading = channel->fading_rng();
+  send();
+  channel->fading_rng() = fading;
+  veto.attenuation_db = 3.0;
+  send();
+  ASSERT_EQ(heard.size(), 3U);
+  EXPECT_DOUBLE_EQ(heard[2].value, heard[1].value - 3.0);
+  EXPECT_EQ(radio.counters().fault_drops, 1U);
+}
+
+TEST(FaultInjector, AttenuatesOnlyLinksUnderAnActiveFade) {
+  FaultPlan plan;
+  plan.fade_depth_db = 40.0;
+  FaultInjector inj(plan, 8, 10'000, 5);
+  const std::uint32_t rx[] = {0, 2, 3};
+  double att[3] = {-1.0, -1.0, -1.0};
+  EXPECT_FALSE(inj.fill_attenuation(2, mac::PsType::kSyncPulse, rx, 3, att))
+      << "no active fade: answered without looking";
+  EXPECT_EQ(att[0], -1.0);
+  const FadeEpisode episode{0, 100, 2, 3};
+  inj.fade_started(episode);
+  EXPECT_FALSE(inj.fill_attenuation(1, mac::PsType::kSyncPulse, rx, 3, att))
+      << "the fade does not touch sender 1";
+  ASSERT_TRUE(inj.fill_attenuation(2, mac::PsType::kSyncPulse, rx, 3, att));
+  EXPECT_EQ(att[0], 0.0);
+  EXPECT_EQ(att[1], 0.0);
+  EXPECT_EQ(att[2], 40.0);
+  ASSERT_TRUE(inj.fill_attenuation(3, mac::PsType::kSyncPulse, rx, 3, att));
+  EXPECT_EQ(att[1], 40.0) << "symmetric";
+  inj.fade_ended(episode);
+  EXPECT_FALSE(inj.fill_attenuation(2, mac::PsType::kSyncPulse, rx, 3, att));
 }
 
 // Exposes the protected stepping interface for lifecycle tests.

@@ -3,7 +3,9 @@
 // backend and hashes the serialised RunMetrics (core::write_run_metrics_json,
 // shortest-round-trip doubles, so one ULP of drift changes the digest) with
 // FNV-1a-64.  The matrix is every backend × {static, mobility, faults,
-// service snapshot → restore → tail} × two seeds.
+// service snapshot → restore → tail} × two seeds, plus ST rows for the
+// radio's delivery gates the matrix leaves out: duty cycling (static and
+// under the fault plan) and the dense spatial index under the fault plan.
 //
 // The table was recorded while the simulator still carried its reference
 // legs — a binary-heap scheduler next to the slot calendar and a fat-struct
@@ -32,7 +34,7 @@ namespace {
 
 using namespace firefly;
 
-enum class Kind { kStatic, kMobility, kFaults, kService };
+enum class Kind { kStatic, kMobility, kFaults, kService, kDuty, kDutyFaults, kDenseFaults };
 
 const char* to_string(Kind kind) {
   switch (kind) {
@@ -40,6 +42,9 @@ const char* to_string(Kind kind) {
     case Kind::kMobility: return "mobility";
     case Kind::kFaults: return "faults";
     case Kind::kService: return "service";
+    case Kind::kDuty: return "duty";
+    case Kind::kDutyFaults: return "duty_faults";
+    case Kind::kDenseFaults: return "dense_faults";
   }
   return "?";
 }
@@ -74,10 +79,31 @@ std::string metrics_json(const core::RunMetrics& metrics) {
   return oss.str();
 }
 
+/// The kFaults plan: churn, i.i.d. drops, deep fades and clock drift.
+void add_fault_plan(core::ScenarioConfig& config) {
+  config.n = 40;
+  config.area_policy = core::AreaPolicy::kFixed;
+  config.protocol.max_periods = 30;
+  config.protocol.faults.churn_rate_per_min = 120.0;
+  config.protocol.faults.mean_downtime_ms = 600.0;
+  config.protocol.faults.drop_probability = 0.05;
+  config.protocol.faults.fade_rate_per_min = 60.0;
+  config.protocol.faults.drift_max_ppm = 50.0;
+}
+
+/// Receivers listen 70 of every 100 slots, at per-device offsets.
+void add_duty_cycle(core::ScenarioConfig& config) {
+  config.protocol.duty_awake_slots = 70;
+  config.protocol.duty_period_slots = 100;
+}
+
 core::ScenarioConfig scenario(const GoldenRow& row) {
   core::ScenarioConfig config;
   config.seed = row.seed;
   switch (row.kind) {
+    case Kind::kDuty:
+      add_duty_cycle(config);
+      [[fallthrough]];
     case Kind::kStatic:
       // Density-scaled area: multi-hop, so ST has fragments to merge.
       config.n = 100;
@@ -94,14 +120,17 @@ core::ScenarioConfig scenario(const GoldenRow& row) {
     case Kind::kFaults:
       // Churn (crash/cold-boot), i.i.d. drops, deep fades and clock drift:
       // far-ahead events and cancel/reschedule under recovery.
-      config.n = 40;
-      config.area_policy = core::AreaPolicy::kFixed;
-      config.protocol.max_periods = 30;
-      config.protocol.faults.churn_rate_per_min = 120.0;
-      config.protocol.faults.mean_downtime_ms = 600.0;
-      config.protocol.faults.drop_probability = 0.05;
-      config.protocol.faults.fade_rate_per_min = 60.0;
-      config.protocol.faults.drift_max_ppm = 50.0;
+      add_fault_plan(config);
+      break;
+    case Kind::kDutyFaults:
+      // Every radio gate at once: crashed and asleep receivers, drops, fades.
+      add_fault_plan(config);
+      add_duty_cycle(config);
+      break;
+    case Kind::kDenseFaults:
+      // The dense candidate cache must gate exactly as the grid one does.
+      add_fault_plan(config);
+      config.radio.spatial_index = phy::SpatialIndex::kDense;
       break;
     case Kind::kService:
       config.n = 24;
@@ -176,6 +205,16 @@ constexpr GoldenRow kGolden[] = {
     {"desync", Kind::kFaults, 7004, 0xd818f7bf78186631ULL},
     {"desync", Kind::kService, 8105, 0xf693b8c3f9698868ULL},
     {"desync", Kind::kService, 3, 0xc3c6d3ee7097480fULL},
+    // Gate mixes, recorded while the radio still had a separate scalar
+    // delivery sweep for gated slots, after checking that the grid and dense
+    // spatial indexes agreed on every row.  The dense fault rows equal the
+    // grid fault rows of the same seed above.
+    {"st", Kind::kDuty, 8101, 0xb99c5000f3d8f499ULL},
+    {"st", Kind::kDuty, 31337, 0xfcc04e9fcee1382fULL},
+    {"st", Kind::kDutyFaults, 8103, 0x4879b240857b6b0eULL},
+    {"st", Kind::kDutyFaults, 7004, 0xb8844f4958f46f65ULL},
+    {"st", Kind::kDenseFaults, 8103, 0x3e30a386ca524e53ULL},
+    {"st", Kind::kDenseFaults, 7004, 0x391bc331c6a7c8d4ULL},
 };
 
 class GoldenDigests : public ::testing::TestWithParam<GoldenRow> {};
@@ -198,7 +237,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GoldenDigests, ::testing::ValuesIn(kGolden
 TEST(GoldenDigests, TableCoversEveryBackend) {
   for (const std::string& name : proto::Registry::instance().names()) {
     int rows = 0;
-    for (const GoldenRow& row : kGolden) rows += name == row.protocol ? 1 : 0;
+    for (const GoldenRow& row : kGolden) {
+      rows += name == row.protocol && row.kind <= Kind::kService ? 1 : 0;
+    }
     EXPECT_EQ(rows, 8) << name << ": 4 scenario kinds x 2 seeds";
   }
 }

@@ -1,11 +1,13 @@
 // Tests for the broadcast radio medium (src/mac/radio.hpp): slot-boundary
-// delivery, threshold filtering, collisions, capture, counters and the
-// candidate cache.
+// delivery, threshold filtering, collisions, capture, counters, the
+// candidate cache, and the delivery gates (crashed and asleep receivers,
+// channel faults) with the exact random-draw accounting they rely on.
 #include "mac/radio.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "phy/channel.hpp"
@@ -201,6 +203,308 @@ TEST(Radio, MoveDeviceChangesConnectivity) {
   });
   w.sim.run();
   EXPECT_EQ(w.inbox[1].size(), 1U);
+}
+
+TEST(Radio, Rach2SameResourceCollidesBesideOrthogonalRach1) {
+  // One receiver bucket holds two same-preamble RACH2 receptions and a RACH1
+  // reception on the same preamble index.  The RACH2 pair contends; the
+  // RACH1 one is on another codec and is delivered regardless.
+  World w;
+  w.add(0, {0.0, 0.0});
+  w.add(1, {20.0, 0.0});
+  w.add(2, {10.0, 0.0});  // equidistant from 0 and 1: no capture
+  w.add(3, {10.0, 5.0});  // equidistant from 0 and 1 as well
+  w.radio->rebuild();
+  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+    w.radio->broadcast(0, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 100);
+    w.radio->broadcast(1, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 101);
+    w.radio->broadcast(3, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 103);
+  });
+  w.sim.run();
+  ASSERT_EQ(w.inbox[2].size(), 1U);
+  EXPECT_EQ(w.inbox[2][0].payload, 103U);
+  EXPECT_TRUE(w.inbox[3].empty()) << "the RACH2 pair collides at 3 too";
+  EXPECT_EQ(w.inbox[0].size(), 2U) << "one RACH2 and one RACH1: no contention";
+  EXPECT_EQ(w.inbox[1].size(), 2U);
+  EXPECT_EQ(w.radio->counters().collisions, 4U);
+  EXPECT_EQ(w.radio->counters().deliveries, 5U);
+}
+
+TEST(Radio, Rach2CaptureBesideOrthogonalRach1) {
+  World w(3.0);
+  w.add(0, {9.0, 0.0});    // 1 m from the receiver: captures
+  w.add(1, {60.0, 10.0});  // weak same-resource interferer
+  w.add(2, {10.0, 0.0});
+  w.add(3, {10.0, 5.0});
+  w.radio->rebuild();
+  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+    w.radio->broadcast(0, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 100);
+    w.radio->broadcast(1, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 101);
+    w.radio->broadcast(3, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 103);
+  });
+  w.sim.run();
+  ASSERT_EQ(w.inbox[2].size(), 2U);
+  EXPECT_EQ(w.inbox[2][0].payload, 100U);
+  EXPECT_EQ(w.inbox[2][1].payload, 103U);
+}
+
+TEST(Radio, OutOfPoolPreambleIsRejected) {
+  World w;
+  w.add(0, {0.0, 0.0});
+  w.add(1, {10.0, 0.0});
+  EXPECT_THROW(w.radio->broadcast(0, {RachCodec::kRach1, mac::kPreamblePoolSize},
+                                  PsType::kSyncPulse, 0),
+               std::invalid_argument);
+  EXPECT_THROW(w.radio->broadcast(0, {static_cast<RachCodec>(0), 0}, PsType::kSyncPulse, 0),
+               std::invalid_argument);
+  EXPECT_THROW(w.radio->broadcast(0, {static_cast<RachCodec>(3), 0}, PsType::kSyncPulse, 0),
+               std::invalid_argument);
+  EXPECT_EQ(w.radio->counters().total_tx(), 0U) << "a rejected broadcast is not metered";
+  w.radio->broadcast(0, {RachCodec::kRach2, mac::kPreamblePoolSize - 1},
+                     PsType::kConnectRequest, 0);
+  w.sim.run();
+  EXPECT_EQ(w.inbox[1].size(), 1U);
+}
+
+// Channel faults as the engine injects them: one i.i.d. drop draw per
+// candidate that passes the crash and sleep gates, then extra attenuation on
+// one faded link; a faded reception that falls below threshold is a fault
+// drop.
+struct LinkFaults final : mac::ChannelFaults {
+  util::Rng drop_rng{77};
+  double drop_p = 0.0;
+  std::uint32_t a = 0, b = 0;  // the faded link (a == b: none)
+  double depth_db = 0.0;
+
+  bool fill_drops(std::uint8_t* dropped, std::size_t n) override {
+    if (drop_p <= 0.0) return false;
+    for (std::size_t i = 0; i < n; ++i) dropped[i] = drop_rng.bernoulli(drop_p) ? 1 : 0;
+    return true;
+  }
+  bool fill_attenuation(std::uint32_t sender, PsType, const std::uint32_t* rx, std::size_t n,
+                        double* attenuation_db) override {
+    if (a == b) return false;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool faded = (sender == a && rx[i] == b) || (sender == b && rx[i] == a);
+      attenuation_db[i] = faded ? depth_db : 0.0;
+    }
+    return true;
+  }
+};
+
+std::unique_ptr<phy::Channel> gate_channel(std::unique_ptr<phy::FadingModel> fading,
+                                           phy::SpatialIndex index, std::uint64_t seed) {
+  phy::RadioParams params;
+  params.spatial_index = index;
+  return std::make_unique<phy::Channel>(params, std::make_unique<phy::PaperDualSlope>(),
+                                        std::make_unique<phy::PerLinkShadowing>(6.0, seed),
+                                        std::move(fading), util::Rng(seed));
+}
+
+std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+template <typename T>
+std::uint64_t mix(std::uint64_t h, T value) {
+  return fnv1a64(h, &value, sizeof value);
+}
+
+/// 30 slots of mixed RACH1/RACH2 traffic on 4 preambles through every gate:
+/// a crashed receiver, an always-asleep one, one asleep on odd slots, i.i.d.
+/// drops and one deeply faded link.  Hashes every delivered record, then the
+/// counters.
+std::uint64_t gated_run_digest(std::unique_ptr<phy::FadingModel> fading,
+                               phy::SpatialIndex index) {
+  sim::Simulator sim;
+  auto channel = gate_channel(std::move(fading), index, 4242);
+  RadioMedium radio(&sim, channel.get());
+  util::Rng place(9);
+  constexpr std::uint32_t n = 24;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    RadioMedium::ListenFn listening = nullptr;
+    if (id == 5) listening = [] { return false; };
+    if (id == 7) listening = [&sim] { return RadioMedium::slot_index(sim.now()) % 2 == 0; };
+    radio.add_device(id, {place.uniform(0.0, 120.0), place.uniform(0.0, 120.0)}, listening);
+  }
+  radio.rebuild();
+  radio.set_down(3, true);
+  LinkFaults faults;
+  faults.drop_p = 0.1;
+  faults.a = 0;
+  faults.b = 1;
+  faults.depth_db = 25.0;
+  radio.set_channel_faults(&faults);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  radio.set_delivery_sink([&h](const mac::RxBatch& batch) {
+    for (std::size_t k = 0; k < batch.count; ++k) {
+      const RxRecord& r = batch.records[k];
+      h = mix(h, r.sender);
+      h = mix(h, r.rx_index);
+      h = mix(h, static_cast<std::uint32_t>(r.preamble.codec));
+      h = mix(h, r.preamble.index);
+      h = mix(h, static_cast<std::uint32_t>(r.type));
+      h = mix(h, r.payload);
+      h = mix(h, r.rx_power.value);
+      h = mix(h, r.slot_start.us);
+    }
+  });
+  for (std::int64_t slot = 0; slot < 30; ++slot) {
+    sim.schedule_at(sim::SimTime::milliseconds(slot), [&radio, slot] {
+      for (std::uint32_t id = 0; id < n; ++id) {
+        if ((id + static_cast<std::uint32_t>(slot)) % 3 != 0) continue;
+        const RachCodec codec = id % 5 == 0 ? RachCodec::kRach2 : RachCodec::kRach1;
+        radio.broadcast(id, {codec, (id * 7 + static_cast<std::uint32_t>(slot)) % 4},
+                        codec == RachCodec::kRach2 ? PsType::kConnectRequest
+                                                   : PsType::kSyncPulse,
+                        id * 1000 + static_cast<std::uint64_t>(slot));
+      }
+    });
+  }
+  sim.run();
+  const mac::TrafficCounters& c = radio.counters();
+  for (const std::uint64_t v :
+       {c.rach1_tx, c.rach2_tx, c.collisions, c.deliveries, c.fault_drops}) {
+    h = mix(h, v);
+  }
+  EXPECT_GT(c.deliveries, 0U);
+  EXPECT_GT(c.collisions, 0U);
+  EXPECT_GT(c.fault_drops, 0U);
+  return h;
+}
+
+TEST(RadioGates, NonRayleighGatedRunsReproduceRecordedDigest) {
+  // Non-Rayleigh fading has no u-space skip, so delivery takes the
+  // gain-domain skip; only radio-level code reaches it.  Recorded before
+  // the scalar delivery sweep was folded into the batched one; grid and
+  // dense candidate caches must agree with it.
+  struct Case {
+    const char* name;
+    std::unique_ptr<phy::FadingModel> (*make)();
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"nakagami", []() -> std::unique_ptr<phy::FadingModel> {
+         return std::make_unique<phy::NakagamiFading>(2.0);
+       },
+       0xe710114553df58d4ULL},
+      {"none", []() -> std::unique_ptr<phy::FadingModel> {
+         return std::make_unique<phy::NoFading>();
+       },
+       0x22699265ff91090fULL},
+  };
+  for (const Case& c : cases) {
+    for (const phy::SpatialIndex index : {phy::SpatialIndex::kGrid, phy::SpatialIndex::kDense}) {
+      const std::uint64_t digest = gated_run_digest(c.make(), index);
+      EXPECT_EQ(digest, c.digest) << c.name << " grid=" << (index == phy::SpatialIndex::kGrid)
+                                  << " digest=0x" << std::hex << digest;
+    }
+  }
+}
+
+TEST(RadioGates, FaultDropsCountSubThresholdCandidates) {
+  // Device 2 is a delivery candidate (inside the fading margin) but its
+  // slot-averaged power sits below threshold.  A fired drop draw, and an
+  // attenuation on its link, still count as fault drops there.
+  const auto make_fading = [](bool rayleigh) -> std::unique_ptr<phy::FadingModel> {
+    if (rayleigh) return std::make_unique<phy::RayleighFading>();
+    return std::make_unique<phy::NoFading>();
+  };
+  for (const bool rayleigh : {false, true}) {
+    sim::Simulator sim;
+    auto channel = std::make_unique<phy::Channel>(
+        phy::RadioParams{}, std::make_unique<phy::PaperDualSlope>(),
+        std::make_unique<phy::NoShadowing>(), make_fading(rayleigh), util::Rng(3));
+    RadioMedium radio(&sim, channel.get());
+    radio.add_device(0, {0.0, 0.0});
+    radio.add_device(1, {10.0, 0.0});   // audible
+    radio.add_device(2, {180.0, 0.0});  // candidate, ~12 dB below threshold
+    radio.rebuild();
+    bool candidate = false;
+    radio.for_each_candidate_pair([&](std::uint32_t u, std::uint32_t v, util::Dbm mean) {
+      if (u != 0 || v != 2) return;
+      candidate = true;
+      EXPECT_LT(mean, channel->params().detection_threshold);
+    });
+    ASSERT_TRUE(candidate) << "device 2 must be a delivery candidate of device 0";
+    std::vector<RxRecord> heard;
+    radio.set_delivery_sink([&](const mac::RxBatch& batch) {
+      heard.insert(heard.end(), batch.records, batch.records + batch.count);
+    });
+    LinkFaults faults;
+    radio.set_channel_faults(&faults);
+    const auto send = [&] {
+      heard.clear();
+      sim.schedule_at(sim.now(), [&] {
+        radio.broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+      });
+      sim.run();
+    };
+
+    faults.drop_p = 1.0;  // every draw fires
+    send();
+    EXPECT_TRUE(heard.empty());
+    EXPECT_EQ(radio.counters().fault_drops, 2U) << "rayleigh=" << rayleigh;
+
+    faults.drop_p = 0.0;
+    faults.a = 0;
+    faults.b = 2;
+    faults.depth_db = 30.0;
+    send();
+    ASSERT_EQ(heard.size(), 1U);
+    EXPECT_EQ(heard[0].rx_index, 1U);
+    EXPECT_EQ(radio.counters().fault_drops, 3U) << "the faded sub-threshold link counts";
+
+    faults.b = 1;
+    faults.depth_db = 1.0;  // shallow: 1 stays audible, 2 is not faded
+    send();
+    ASSERT_EQ(heard.size(), 1U);
+    EXPECT_EQ(radio.counters().fault_drops, 3U);
+  }
+}
+
+TEST(RadioGates, GatedReceiversConsumeNoDraws) {
+  // Receivers 2 (crashed) and 4 (asleep) are candidates of sender 0, but
+  // neither may consume a fading or a drop draw: after one flush both
+  // streams must sit exactly 4 draws (the un-gated candidates) ahead.
+  for (const phy::SpatialIndex index : {phy::SpatialIndex::kGrid, phy::SpatialIndex::kDense}) {
+    sim::Simulator sim;
+    phy::RadioParams params;
+    params.spatial_index = index;
+    auto channel = std::make_unique<phy::Channel>(
+        params, std::make_unique<phy::PaperDualSlope>(), std::make_unique<phy::NoShadowing>(),
+        std::make_unique<phy::RayleighFading>(), util::Rng(11));
+    RadioMedium radio(&sim, channel.get());
+    radio.add_device(0, {0.0, 0.0});
+    for (std::uint32_t id = 1; id <= 6; ++id) {
+      RadioMedium::ListenFn listening = nullptr;
+      if (id == 4) listening = [] { return false; };
+      radio.add_device(id, {5.0 * id, 3.0}, listening);
+    }
+    radio.rebuild();
+    radio.set_down(2, true);
+    LinkFaults faults;
+    faults.drop_p = 0.3;
+    radio.set_channel_faults(&faults);
+    sim.schedule_at(sim::SimTime::zero(), [&] {
+      radio.broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+    });
+    sim.run();
+
+    util::Rng fading_ref(11);
+    util::Rng drop_ref(77);
+    for (int k = 0; k < 4; ++k) {
+      static_cast<void>(fading_ref.unit_open());
+      static_cast<void>(drop_ref.bernoulli(0.3));
+    }
+    EXPECT_EQ(channel->fading_rng().bits(), fading_ref.bits());
+    EXPECT_EQ(faults.drop_rng.bits(), drop_ref.bits());
+  }
 }
 
 TEST(Radio, SlotIndexHelper) {

@@ -83,9 +83,9 @@ TEST(SpatialEquivalence, StMobilityRunIsBitIdentical) {
 }
 
 TEST(SpatialEquivalence, StFaultInjectionRunIsBitIdentical) {
-  // Faults hit the delivery fast path's bail-out (the fault hook must see
-  // every reception, so the fading skip is disabled) plus churn-driven
-  // cache invalidation.  Faulted runs go to max_periods; keep it short.
+  // Faults exercise the delivery sweep's gates (crashed receivers, batched
+  // drop draws, fade attenuation) plus churn-driven cache invalidation.
+  // Faulted runs go to max_periods; keep it short.
   core::ScenarioConfig config;
   config.n = 60;
   config.seed = 7004;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -79,15 +80,24 @@ TEST(StFaults, ConnectRetriesAreCappedAndHeadshipMovesOn) {
   core::TraceSink sink;
   engine.set_trace(&sink);
 
-  engine.radio().set_fault_hook(
-      [](std::uint32_t sender, std::uint32_t receiver, mac::PsType type,
-         util::Dbm power) -> std::optional<util::Dbm> {
-        const bool fragment_control = type == mac::PsType::kConnectRequest ||
-                                      type == mac::PsType::kConnectAccept ||
-                                      type == mac::PsType::kMergeAnnounce;
-        if (fragment_control && (sender == 2 || receiver == 2)) return std::nullopt;
-        return power;
-      });
+  // Fragment control to or from device 2 is vetoed: an infinite
+  // attenuation, which the radio counts as a fault drop.
+  struct Quarantine final : mac::ChannelFaults {
+    bool fill_drops(std::uint8_t*, std::size_t) override { return false; }
+    bool fill_attenuation(std::uint32_t sender, mac::PsType type, const std::uint32_t* rx,
+                          std::size_t n, double* attenuation_db) override {
+      const bool fragment_control = type == mac::PsType::kConnectRequest ||
+                                    type == mac::PsType::kConnectAccept ||
+                                    type == mac::PsType::kMergeAnnounce;
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool veto = fragment_control && (sender == 2 || rx[i] == 2);
+        attenuation_db[i] = veto ? std::numeric_limits<double>::infinity() : 0.0;
+      }
+      return true;
+    }
+  };
+  Quarantine quarantine;
+  engine.radio().set_channel_faults(&quarantine);
 
   engine.start_run();
   engine.sim().run_until(sim::SimTime::milliseconds(600));
