@@ -230,6 +230,34 @@ void BM_RadioSlotFlushFaulted(benchmark::State& state) {
 }
 BENCHMARK(BM_RadioSlotFlushFaulted)->Arg(16)->Arg(128);
 
+void BM_RadioSlotFlushContended(benchmark::State& state) {
+  // The FST regime: a full mesh (every device hears every other), all
+  // traffic on RACH1 over 4 preambles, so nearly every audible reception is
+  // contended and collision resolution dominates the flush.
+  const auto txs = static_cast<std::size_t>(state.range(0));
+  sim::Simulator sim;
+  auto channel = phy::make_paper_channel(8);
+  mac::RadioMedium radio(&sim, channel.get());
+  util::Rng rng(9);
+  const std::size_t n = 200;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    radio.add_device(id, {rng.uniform(0.0, 30.0), rng.uniform(0.0, 30.0)});
+  }
+  radio.rebuild();
+  std::uint64_t slot = 1;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < txs; ++i) {
+      radio.broadcast(static_cast<std::uint32_t>((i * 37) % n),
+                      {mac::RachCodec::kRach1, static_cast<std::uint32_t>(rng.uniform_index(4))},
+                      mac::PsType::kSyncPulse, 0);
+    }
+    sim.run_until(sim::SimTime::milliseconds(static_cast<std::int64_t>(slot)));
+    ++slot;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
+}
+BENCHMARK(BM_RadioSlotFlushContended)->Arg(16)->Arg(128);
+
 void BM_RadioBatchedDeliverySweep(benchmark::State& state) {
   // The batched SoA delivery path at scale: a 1000-device network, `txs`
   // broadcasts per slot, no faults/duty/downs so the one-fill-per-sender

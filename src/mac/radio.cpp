@@ -11,21 +11,40 @@
 
 namespace firefly::mac {
 
+namespace {
+
+constexpr std::size_t kUnregistered = std::numeric_limits<std::size_t>::max();
+
+double noise_floor_mw(const phy::Channel* channel) {
+  if (channel == nullptr) throw std::invalid_argument("RadioMedium: null channel");
+  return channel->params().noise_floor.milliwatts();
+}
+
+}  // namespace
+
+CaptureRule::CaptureRule(double margin_db, double noise_mw)
+    : margin_db_(margin_db), margin_lin_(std::pow(10.0, margin_db / 10.0)), noise_mw_(noise_mw) {}
+
+bool CaptureRule::exact(util::Dbm power, double interference_mw) const {
+  return (power - util::dbm_from_milliwatts(interference_mw + noise_mw_)).value >= margin_db_;
+}
+
 RadioMedium::RadioMedium(sim::Simulator* sim, phy::Channel* channel, double capture_margin_db)
-    : sim_(sim), channel_(channel), capture_margin_db_(capture_margin_db) {
-  assert(sim_ != nullptr && channel_ != nullptr);
+    : sim_(sim), channel_(channel), capture_(capture_margin_db, noise_floor_mw(channel)) {
+  if (sim_ == nullptr) throw std::invalid_argument("RadioMedium: null simulator");
 }
 
 void RadioMedium::add_device(std::uint32_t id, geo::Vec2 position, ListenFn listening) {
-  if (id >= id_to_index_.size()) {
-    id_to_index_.resize(id + 1, std::numeric_limits<std::size_t>::max());
+  if (id >= id_to_index_.size()) id_to_index_.resize(id + std::size_t{1}, kUnregistered);
+  if (id_to_index_[id] != kUnregistered) {
+    throw std::invalid_argument("RadioMedium::add_device: duplicate device id");
   }
-  assert(id_to_index_[id] == std::numeric_limits<std::size_t>::max() && "duplicate device id");
   id_to_index_[id] = devices_.size();
   devices_.push_back(DeviceEntry{id, position, std::move(listening)});
   if (devices_.back().listening) any_listening_ = true;
   down_.push_back(0);
   awake_tag_.push_back(0);
+  rx_end_.push_back(0);
   invalidate();
   grid_ready_ = false;  // population changed: next rebuild re-seeds the grid
 }
@@ -48,10 +67,10 @@ bool RadioMedium::is_down(std::uint32_t id) const {
 }
 
 std::size_t RadioMedium::index_of(std::uint32_t id) const {
-  assert(id < id_to_index_.size());
-  const std::size_t idx = id_to_index_[id];
-  assert(idx != std::numeric_limits<std::size_t>::max());
-  return idx;
+  if (id >= id_to_index_.size() || id_to_index_[id] == kUnregistered) {
+    throw std::out_of_range("RadioMedium: unregistered device id");
+  }
+  return id_to_index_[id];
 }
 
 void RadioMedium::move_device(std::uint32_t id, geo::Vec2 position) {
@@ -82,13 +101,12 @@ void RadioMedium::admit_candidate(std::size_t u, std::size_t v, util::Dbm mean,
   if (headroom_db < max_loss_db) {
     skip_gain = std::pow(10.0, -(headroom_db + 1e-9) / 10.0);
   }
-  // u-space form of the same bound (2.0 = never skip when the fading model
-  // offers no uniform shortcut; skip_gain 0 maps to skip_u > 1 likewise).
-  const double skip_u =
-      uniform_skip_ ? channel_->fading().skip_u(skip_gain) : 2.0;
+  // The sweep tests a model's draws in one space only: u-space when it
+  // offers the uniform shortcut (skip_gain 0 maps to skip_u > 1, never
+  // skipping), gain space otherwise.
+  const double skip = uniform_skip_ ? channel_->fading().skip_u(skip_gain) : skip_gain;
   pair_scratch_.push_back(PairRec{static_cast<std::uint32_t>(u),
-                                  static_cast<std::uint32_t>(v), mean.value,
-                                  skip_gain, skip_u});
+                                  static_cast<std::uint32_t>(v), mean.value, skip});
 }
 
 void RadioMedium::scatter_candidates() {
@@ -102,25 +120,29 @@ void RadioMedium::scatter_candidates() {
   const std::size_t total = cand_offsets_[n];
   cand_rx_.resize(total);
   cand_mean_.resize(total);
-  cand_skip_gain_.resize(total);
-  cand_skip_u_.resize(total);
+  cand_mean_mw_.resize(total);
+  cand_skip_.resize(total);
   cand_cursor_.assign(cand_offsets_.begin(), cand_offsets_.end() - 1);
   // Scatter in admission order.  Pairs are admitted with u ascending and v
   // ascending within u, so each sender's slice fills in ascending receiver
   // index — the same per-sender order the per-sender push_backs used to
   // produce, which is what pins the fading-draw order at delivery.
   for (const PairRec& p : pair_scratch_) {
+    const double mean_mw = util::Dbm{p.mean_dbm}.milliwatts();
     const std::size_t ku = cand_cursor_[p.u]++;
     cand_rx_[ku] = p.v;
     cand_mean_[ku] = p.mean_dbm;
-    cand_skip_gain_[ku] = p.skip_gain;
-    cand_skip_u_[ku] = p.skip_u;
+    cand_mean_mw_[ku] = mean_mw;
+    cand_skip_[ku] = p.skip;
     const std::size_t kv = cand_cursor_[p.v]++;
     cand_rx_[kv] = p.u;
     cand_mean_[kv] = p.mean_dbm;
-    cand_skip_gain_[kv] = p.skip_gain;
-    cand_skip_u_[kv] = p.skip_u;
+    cand_mean_mw_[kv] = mean_mw;
+    cand_skip_[kv] = p.skip;
   }
+  // The staging is as large as the cache itself; keeping it for the next
+  // rebuild would hold that memory for the medium's lifetime.
+  std::vector<PairRec>().swap(pair_scratch_);
 }
 
 void RadioMedium::rebuild(double fading_margin_db) {
@@ -221,13 +243,16 @@ bool RadioMedium::receiver_open(std::size_t rx_index) {
   return (tag & 1) != 0;
 }
 
-void RadioMedium::push_audible(std::size_t rx_index, const PendingTx& tx, util::Dbm power) {
-  if (buckets_[rx_index].empty()) touched_.push_back(rx_index);
-  buckets_[rx_index].push_back(Audible{&tx, power});
+void RadioMedium::push_audible(std::size_t rx_index, std::size_t tx_index, util::Dbm power,
+                               double mw) {
+  staged_.push_back(Reception{static_cast<std::uint32_t>(rx_index),
+                              static_cast<std::uint32_t>(tx_index), power.value, mw});
+  if (rx_end_[rx_index]++ == 0) touched_.push_back(static_cast<std::uint32_t>(rx_index));
 }
 
-void RadioMedium::add_audible(std::size_t rx_index, const PendingTx& tx) {
+void RadioMedium::add_audible(std::size_t rx_index, std::size_t tx_index) {
   // Uncached per-pair form of deliver_cached's gates and draws.
+  const PendingTx& tx = flushing_[tx_index];
   const DeviceEntry& rx = devices_[rx_index];
   if (tx.sender == rx.id) return;  // half-duplex: no self-reception
   if (!receiver_open(rx_index)) return;
@@ -250,7 +275,7 @@ void RadioMedium::add_audible(std::size_t rx_index, const PendingTx& tx) {
       }
     }
   }
-  if (channel_->detectable(power)) push_audible(rx_index, tx, power);
+  if (channel_->detectable(power)) push_audible(rx_index, tx_index, power, power.milliwatts());
 }
 
 void RadioMedium::deliver_cached() {
@@ -263,9 +288,11 @@ void RadioMedium::deliver_cached() {
   // without one) is rejected on one compare; only survivors pay the gain
   // transform and the exact dBm compare.  A rejected fade cannot become
   // audible under attenuation, but a fired drop or an attenuated link on it
-  // still counts as a fault drop.
+  // still counts as a fault drop.  A survivor's milliwatts are the cached
+  // mean's times the floored gain; an attenuated one pays `pow` instead.
   const bool gated = down_count_ != 0 || any_listening_;
-  for (const PendingTx& tx : flushing_) {
+  for (std::size_t t = 0; t < flushing_.size(); ++t) {
+    const PendingTx& tx = flushing_[t];
     const std::size_t s = index_of(tx.sender);
     const std::size_t begin = cand_offsets_[s];
     const std::size_t m = cand_offsets_[s + 1] - begin;
@@ -300,17 +327,16 @@ void RadioMedium::deliver_cached() {
     const bool drops = faults_ != nullptr && faults_->fill_drops(drop_.data(), n);
     const bool faded = faults_ != nullptr &&
                        faults_->fill_attenuation(tx.sender, tx.type, rx, n, atten_db_.data());
-    const double* skip_u = cand_skip_u_.data() + begin;
-    const double* skip_gain = cand_skip_gain_.data() + begin;
+    const double* skip = cand_skip_.data() + begin;
     std::size_t count = 0;
     if (!drops && !faded && uniform_skip_) {
       for (std::size_t i = 0; i < n; ++i) {
         survivors_[count] = static_cast<std::uint32_t>(i);
-        count += static_cast<std::size_t>(draw_[i] < skip_u[pos[i]]);
+        count += static_cast<std::size_t>(draw_[i] < skip[pos[i]]);
       }
     } else {
       for (std::size_t i = 0; i < n; ++i) {
-        const bool sub = uniform_skip_ ? draw_[i] >= skip_u[pos[i]] : draw_[i] < skip_gain[pos[i]];
+        const bool sub = uniform_skip_ ? draw_[i] >= skip[pos[i]] : draw_[i] < skip[pos[i]];
         const bool lost = (drops && drop_[i] != 0) || (faded && sub && atten_db_[i] > 0.0);
         counters_.fault_drops += static_cast<std::uint64_t>(lost);
         survivors_[count] = static_cast<std::uint32_t>(i);
@@ -319,92 +345,95 @@ void RadioMedium::deliver_cached() {
     }
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t i = survivors_[j];
+      const std::size_t c = begin + pos[i];
       const double gain =
           uniform_skip_ ? channel_->fading().gain_from_uniform(draw_[i]) : draw_[i];
-      util::Dbm power =
-          util::Dbm{cand_mean_[begin + pos[i]]} - phy::FadingModel::loss_from_gain(gain);
+      util::Dbm power = util::Dbm{cand_mean_[c]} - phy::FadingModel::loss_from_gain(gain);
       if (faded && atten_db_[i] > 0.0) {
         power = power - util::Db{atten_db_[i]};
         if (!channel_->detectable(power)) {
           ++counters_.fault_drops;  // faded below threshold
           continue;
         }
+        push_audible(rx[i], t, power, power.milliwatts());
+        continue;
       }
       if (!channel_->detectable(power)) continue;  // borderline fade: exact compare
-      push_audible(rx[i], tx, power);
+      push_audible(rx[i], t, power,
+                   cand_mean_mw_[c] * std::max(gain, phy::FadingModel::kGainFloor));
     }
   }
+}
+
+void RadioMedium::group_by_receiver() {
+  // Stable counting sort of staged_ into grouped_, receivers in first-touch
+  // order.  rx_end_ holds each touched receiver's count on entry and its
+  // range end on exit.
+  std::uint32_t start = 0;
+  for (const std::uint32_t rx : touched_) {
+    const std::uint32_t count = rx_end_[rx];
+    rx_end_[rx] = start;
+    start += count;
+  }
+  if (grouped_.size() < staged_.size()) grouped_.resize(staged_.size());
+  for (const Reception& r : staged_) grouped_[rx_end_[r.rx]++] = r;
 }
 
 void RadioMedium::resolve_receivers() {
   // Resolve same-resource collisions per receiver with the capture rule.
   // Decoded receptions are appended to the slot's flat RxRecord batch in
-  // bucket order — exactly the order the old per-pair callbacks fired in —
-  // and the owner's sink consumes the whole batch after this returns.
-  const double noise_mw = channel_->params().noise_floor.milliwatts();
-  const std::size_t nbuckets = touched_.size();
+  // grouped order — receivers in first-touch order, transmissions in sweep
+  // order — and the owner's sink consumes the whole batch after this
+  // returns.
+  const Reception* rec = grouped_.data();
   rx_records_.clear();
-  for (std::size_t t = 0; t < nbuckets; ++t) {
-    const std::size_t rx_index = touched_[t];
-    auto& audible = buckets_[rx_index];
-    const DeviceEntry& rx = devices_[rx_index];
-    const std::size_t k = audible.size();
-    if (k > 1) {
-      // Contention prepass: chain the bucket's entries per RACH resource in
-      // one O(k) epoch-marked pass (no clearing between buckets), and
-      // convert contended entries to milliwatts exactly once.  The
-      // interference sum then walks only an entry's own chain — in entry
-      // order, so it adds the same doubles in the same order as an
-      // all-pairs scan that re-evaluated pow(10, dBm/10) per (a, b) pair.
+  std::uint32_t begin = 0;
+  for (const std::uint32_t rx_index : touched_) {
+    const std::uint32_t end = rx_end_[rx_index];
+    rx_end_[rx_index] = 0;
+    const bool shared = end - begin > 1;
+    if (shared) {
+      // Contention prepass: one milliwatt sum and count per RACH resource
+      // in one O(k) epoch-marked pass (no clearing between receivers).
       // broadcast() admits only in-pool preambles, so every key fits.
       ++group_epoch_;
-      res_key_.resize(k);
-      group_next_.resize(k);
-      aud_mw_.resize(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        const Preamble p = audible[i].tx->preamble;
-        const std::uint32_t key =
-            (static_cast<std::uint32_t>(p.codec) - 1) * kPreamblePoolSize + p.index;
-        res_key_[i] = key;
-        group_next_[i] = kGroupNil;
+      for (std::uint32_t i = begin; i < end; ++i) {
+        const std::uint32_t key = tx_key_[rec[i].tx];
         if (group_seen_[key] != group_epoch_) {
           group_seen_[key] = group_epoch_;
-          group_head_[key] = static_cast<std::uint32_t>(i);
           group_count_[key] = 1;
+          group_mw_[key] = rec[i].mw;
         } else {
-          group_next_[group_tail_[key]] = static_cast<std::uint32_t>(i);
           ++group_count_[key];
+          group_mw_[key] += rec[i].mw;
         }
-        group_tail_[key] = static_cast<std::uint32_t>(i);
-      }
-      for (std::size_t i = 0; i < k; ++i) {
-        aud_mw_[i] = group_count_[res_key_[i]] > 1 ? audible[i].power.milliwatts() : 0.0;
       }
     }
-    for (std::size_t i = 0; i < k; ++i) {
-      const Audible& a = audible[i];
-      double interference_mw = 0.0;
-      if (k > 1 && group_count_[res_key_[i]] > 1) {
-        for (std::uint32_t j = group_head_[res_key_[i]]; j != kGroupNil; j = group_next_[j]) {
-          if (j != i) interference_mw += aud_mw_[j];
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const Reception& r = rec[i];
+      const std::uint32_t key = tx_key_[r.tx];
+      if (shared && group_count_[key] > 1) {
+        // Guard band only: the dB reference's interference, pow per
+        // same-resource entry summed in entry order.
+        const auto interference_mw = [&] {
+          double sum = 0.0;
+          for (std::uint32_t j = begin; j < end; ++j) {
+            if (j != i && tx_key_[rec[j].tx] == key) sum += util::Dbm{rec[j].dbm}.milliwatts();
+          }
+          return sum;
+        };
+        if (!capture_.decodes(r.mw, util::Dbm{r.dbm}, group_mw_[key], interference_mw)) {
+          ++counters_.collisions;
+          continue;
         }
       }
-    bool decoded = true;
-      if (interference_mw > 0.0) {
-        // SINR capture: signal over summed interference *plus noise*.
-        const util::Dbm denominator =
-            util::dbm_from_milliwatts(interference_mw + noise_mw);
-        decoded = (a.power - denominator).value >= capture_margin_db_;
-        if (!decoded) ++counters_.collisions;
-      }
-      if (!decoded) continue;
       ++counters_.deliveries;
-      if (energy_ != nullptr) energy_->record_rx(rx.id);
-      rx_records_.push_back(RxRecord{a.tx->sender, static_cast<std::uint32_t>(rx_index),
-                                     a.tx->preamble, a.tx->type, a.tx->payload, a.power,
-                                     a.tx->slot_start});
+      if (energy_ != nullptr) energy_->record_rx(devices_[rx_index].id);
+      const PendingTx& tx = flushing_[r.tx];
+      rx_records_.push_back(RxRecord{tx.sender, rx_index, tx.preamble, tx.type, tx.payload,
+                                     util::Dbm{r.dbm}, tx.slot_start});
     }
-    audible.clear();
+    begin = end;
   }
 }
 
@@ -422,22 +451,28 @@ void RadioMedium::flush_slot() {
                         static_cast<double>(flushing_.size()));
   }
 
-  if (buckets_.size() < devices_.size()) buckets_.resize(devices_.size());
+  staged_.clear();
   touched_.clear();
   ++flush_epoch_;  // expires last flush's awake memo
+  tx_key_.resize(flushing_.size());
+  for (std::size_t t = 0; t < flushing_.size(); ++t) {
+    const Preamble p = flushing_[t].preamble;
+    tx_key_[t] = (static_cast<std::uint32_t>(p.codec) - 1) * kPreamblePoolSize + p.index;
+  }
 
   // Two sweeps: the batched one over the candidate cache (grid or dense),
   // or a per-pair scan of every device while the cache is stale.
   if (cache_valid_) {
     deliver_cached();
   } else {
-    for (const PendingTx& tx : flushing_) {
+    for (std::size_t t = 0; t < flushing_.size(); ++t) {
       for (std::size_t rx_index = 0; rx_index < devices_.size(); ++rx_index) {
-        add_audible(rx_index, tx);
+        add_audible(rx_index, t);
       }
     }
   }
 
+  group_by_receiver();
   resolve_receivers();
   // Hand the slot's whole decoded batch to the owner in one call.  Protocol
   // reactions run here, sequentially in record order; broadcasts they issue
@@ -449,15 +484,17 @@ void RadioMedium::flush_slot() {
 void RadioMedium::reserve_delivery(std::size_t max_tx_per_slot) {
   pending_.reserve(max_tx_per_slot);
   flushing_.reserve(max_tx_per_slot);
-  if (buckets_.size() < devices_.size()) buckets_.resize(devices_.size());
+  tx_key_.reserve(max_tx_per_slot);
   touched_.reserve(devices_.size());
-  for (std::vector<Audible>& bucket : buckets_) bucket.reserve(max_tx_per_slot);
-  // Worst case one decoded record per (transmission, receiver) pair; the
-  // soak heap gate needs this buffer to hit its lifetime-record size during
-  // warm-up, so reserve for the storm, not the steady state.
-  rx_records_.reserve(std::min<std::size_t>(max_tx_per_slot * devices_.size(), 1u << 20));
-  res_key_.reserve(max_tx_per_slot);
-  aud_mw_.reserve(max_tx_per_slot);
+  // Worst case one reception, and one decoded record, per (transmission,
+  // receiver) pair; the soak heap gate needs these buffers to hit their
+  // lifetime-record size during warm-up, so reserve for the storm, not the
+  // steady state.  Reserving maps no pages: only slots actually filled
+  // count against the resident set.
+  const std::size_t storm = std::min<std::size_t>(max_tx_per_slot * devices_.size(), 1U << 20);
+  staged_.reserve(storm);
+  grouped_.reserve(storm);
+  rx_records_.reserve(storm);
 }
 
 RadioMedium::StateSnapshot RadioMedium::save_state() const {

@@ -18,17 +18,32 @@
 // gain transform.  Without a valid cache, a per-pair scan over every device
 // evaluates the same gates and draws in the same order.
 //
-// Collision resolution groups each receiver's receptions by RACH resource
-// (codec, preamble) in O(k); a preamble outside the pool is rejected by
+// Collision resolution decides capture in linear space.  The sweep stages
+// every audible reception in one flat array in sweep order (receiver,
+// transmission, dBm, mW — the mW is the candidate's cached mean in mW times
+// the fade gain, so the common path never calls `pow`), and a stable
+// counting sort copies it into a second flat array grouped by receiver in
+// first-touch order.  Per receiver, an O(k) prepass sums the milliwatts of
+// each RACH resource (codec, preamble); a reception alone on its resource
+// decodes, and a contended one of power P in a group summing to S decodes
+// when P ≥ m·(S − P + N) (m the linear capture margin, N the noise floor).
+// Only a reception within a relative 1e-9 guard band of that equality takes
+// the dB reference — `pow` per same-resource entry summed in entry order,
+// then the dBm compare — so every decision is bit-identical to the dB rule
+// (see `CaptureRule`).  A preamble outside the pool is rejected by
 // `broadcast` with `std::invalid_argument`.
 //
 // Delivery is batched: decoding appends one `RxRecord` per successful
-// reception to a flat per-slot buffer (in receiver-bucket order — the same
-// order the old per-pair callbacks fired in), and the slot's whole batch is
-// handed to the owner's delivery sink in one call.  Protocol reactions run
-// sequentially inside the sink in record order, so any state they mutate is
-// visible to later records of the same slot exactly as it was under
-// per-pair dispatch.
+// reception to a flat per-slot buffer (receivers in first-touch order,
+// transmissions in sweep order within a receiver — the order per-pair
+// callbacks used to fire in), and the slot's whole batch is handed to the
+// owner's delivery sink in one call.  Protocol reactions run sequentially
+// inside the sink in record order, so any state they mutate is visible to
+// later records of the same slot exactly as it was under per-pair dispatch.
+//
+// Misuse is an error in every build: registering an id twice throws
+// `std::invalid_argument`, and naming an unregistered id throws
+// `std::out_of_range`.
 #pragma once
 
 #include <cassert>
@@ -63,7 +78,8 @@ struct RxRecord {
 };
 
 /// The contiguous span of every successful reception of one slot flush, in
-/// decode order (receiver-bucket order, in-bucket transmission order).
+/// decode order (receivers in first-touch order, transmissions in sweep
+/// order within a receiver).
 struct RxBatch {
   const RxRecord* records;
   std::size_t count;
@@ -78,6 +94,50 @@ struct TrafficCounters {
   std::uint64_t fault_drops = 0;  ///< receptions lost to channel faults
 
   [[nodiscard]] std::uint64_t total_tx() const { return rach1_tx + rach2_tx; }
+};
+
+/// The capture rule for a contended reception: it decodes when its power
+/// exceeds the summed same-resource interference plus noise by the capture
+/// margin.  The reference is stated in dB (`exact`); `linear` decides the
+/// same compare in milliwatts and returns `kGuard` when the two sides lie
+/// within a relative `kGuardRel` of each other, far wider than the rounding
+/// gap between the domains, so a decisive linear verdict always agrees with
+/// the reference and only guard-band entries need it.
+class CaptureRule {
+ public:
+  enum class Verdict : std::uint8_t { kCollided, kDecoded, kGuard };
+  static constexpr double kGuardRel = 1e-9;
+
+  CaptureRule(double margin_db, double noise_mw);
+
+  /// Verdict for a reception of `p_mw` in a resource group whose
+  /// receptions sum to `group_mw` (`p_mw` included).
+  [[nodiscard]] Verdict linear(double p_mw, double group_mw) const {
+    const double rhs = margin_lin_ * (group_mw - p_mw + noise_mw_);
+    const double slack = kGuardRel * (p_mw + margin_lin_ * (group_mw + noise_mw_));
+    if (p_mw - rhs > slack) return Verdict::kDecoded;
+    if (rhs - p_mw > slack) return Verdict::kCollided;
+    return Verdict::kGuard;
+  }
+  /// The dB reference: `power` − dBm(`interference_mw` + noise) ≥ margin.
+  [[nodiscard]] bool exact(util::Dbm power, double interference_mw) const;
+  /// The full decision: the linear verdict, or `exact` on the interference
+  /// `exact_interference_mw()` returns when the verdict is `kGuard`.
+  template <typename InterferenceFn>
+  [[nodiscard]] bool decodes(double p_mw, util::Dbm power, double group_mw,
+                             InterferenceFn&& exact_interference_mw) const {
+    switch (linear(p_mw, group_mw)) {
+      case Verdict::kDecoded: return true;
+      case Verdict::kCollided: return false;
+      case Verdict::kGuard: break;
+    }
+    return exact(power, exact_interference_mw());
+  }
+
+ private:
+  double margin_db_;
+  double margin_lin_;  // 10^(margin_db / 10)
+  double noise_mw_;
 };
 
 /// Channel faults (fault-injection runs), answered in bulk: the delivery
@@ -130,7 +190,9 @@ class RadioMedium {
   /// Register a device.  Devices must be registered before the first slot
   /// boundary they use, in the index order the owner's delivery sink
   /// expects (RxRecord::rx_index is the registration slot).  `listening`
-  /// may be null (always awake).
+  /// may be null (always awake).  Throws `std::invalid_argument` if `id` is
+  /// already registered.  Every other call naming a device id throws
+  /// `std::out_of_range` when that id is not registered.
   void add_device(std::uint32_t id, geo::Vec2 position, ListenFn listening = nullptr);
   /// Update a device position (mobility support).
   void move_device(std::uint32_t id, geo::Vec2 position);
@@ -162,9 +224,9 @@ class RadioMedium {
   /// shadowing.  Enumeration is grid-indexed (O(N·k) cell queries keyed by
   /// the channel's max detectable range) or dense O(N²) per
   /// `RadioParams::spatial_index`; both produce identical caches.  The cache
-  /// is stored structure-of-arrays (one flat `ids`/`mean`/`skip` array per
-  /// field, prefix-offset indexed per sender) so a slot flush sweeps
-  /// contiguous memory.  Both indexes are served by the same batched
+  /// is stored structure-of-arrays (one flat receiver/mean dBm/mean mW/skip
+  /// array per field, prefix-offset indexed per sender) so a slot flush
+  /// sweeps contiguous memory.  Both indexes are served by the same batched
   /// delivery sweep.  Call after registering devices and after
   /// `invalidate`.
   void rebuild(double fading_margin_db = phy::RadioParams::kCandidateFadingMarginDb);
@@ -239,7 +301,7 @@ class RadioMedium {
   void restore_state(const StateSnapshot& snap);
 
   /// Pre-size the per-slot delivery scratch (the pending/flushing double
-  /// buffer, the per-receiver audible buckets and their side arrays) for a
+  /// buffer, the flat reception arrays and the decoded batch) for a
   /// worst case of `max_tx_per_slot` simultaneous transmissions.  These
   /// vectors never shrink, so they only allocate when a slot sets a new
   /// lifetime-record load; reserving past the workload's record up front
@@ -249,18 +311,20 @@ class RadioMedium {
   void reserve_delivery(std::size_t max_tx_per_slot);
 
  private:
-  /// A transmission audible at one receiver, pre-collision-resolution.
-  struct Audible {
-    const PendingTx* tx;
-    util::Dbm power;
+  /// A transmission audible at one receiver, pre-collision-resolution
+  /// (24 B: the flat reception arrays are the slot's largest scratch).
+  struct Reception {
+    std::uint32_t rx;  ///< receiver device index
+    std::uint32_t tx;  ///< index into flushing_
+    double dbm;        ///< received power
+    double mw;         ///< the same power in milliwatts (see deliver_cached)
   };
   /// One admitted candidate pair, staged during rebuild before the scatter
   /// into the flat per-sender arrays.
   struct PairRec {
     std::uint32_t u, v;
     double mean_dbm;
-    double skip_gain;
-    double skip_u;
+    double skip;  ///< cand_skip_ entry
   };
 
   void ensure_flush_scheduled();
@@ -269,14 +333,15 @@ class RadioMedium {
   void admit_candidate(std::size_t u, std::size_t v, util::Dbm mean, util::Dbm cutoff);
   void scatter_candidates();
   [[nodiscard]] bool receiver_open(std::size_t rx_index);
-  void push_audible(std::size_t rx_index, const PendingTx& tx, util::Dbm power);
+  void push_audible(std::size_t rx_index, std::size_t tx_index, util::Dbm power, double mw);
   void deliver_cached();
-  void add_audible(std::size_t rx_index, const PendingTx& tx);
+  void add_audible(std::size_t rx_index, std::size_t tx_index);
+  void group_by_receiver();
   void resolve_receivers();
 
   sim::Simulator* sim_;
   phy::Channel* channel_;
-  double capture_margin_db_;
+  CaptureRule capture_;
   std::vector<DeviceEntry> devices_;
   std::vector<std::size_t> id_to_index_;  // device id -> devices_ slot
   std::vector<std::uint8_t> down_;        // by device index; 1 = crashed
@@ -301,9 +366,11 @@ class RadioMedium {
   std::vector<std::size_t> cand_offsets_;   // n+1 prefix offsets
   std::vector<std::uint32_t> cand_rx_;      // receiver device index
   std::vector<double> cand_mean_;           // memoised mean received power, dBm
-  std::vector<double> cand_skip_gain_;      // fades below this are sub-threshold
-  std::vector<double> cand_skip_u_;         // uniforms at/above this are sub-threshold
-  std::vector<PairRec> pair_scratch_;       // rebuild staging (reused)
+  std::vector<double> cand_mean_mw_;        // the same mean in mW
+  // Sub-threshold bound of the link, in the fading model's draw space:
+  // uniforms at/above it (u-space skip) or gains below it are sub-threshold.
+  std::vector<double> cand_skip_;
+  std::vector<PairRec> pair_scratch_;       // rebuild staging, released after the scatter
   std::vector<std::size_t> cand_cursor_;    // rebuild scatter cursors (reused)
   // Per-sender sweep scratch, indexed by gated-candidate position.
   std::vector<std::uint32_t> iota_;         // 0, 1, 2, ... (ungated positions)
@@ -313,26 +380,27 @@ class RadioMedium {
   std::vector<std::uint8_t> drop_;          // fault drop draws
   std::vector<double> atten_db_;            // fault link attenuations
   std::vector<std::uint32_t> survivors_;    // skip-test survivors
-  std::vector<std::vector<Audible>> buckets_;  // per-receiver audible sets
-  std::vector<std::size_t> touched_;           // receivers with non-empty buckets
+  // The slot's audible receptions: staged_ in sweep order, grouped_ the
+  // same entries regrouped by receiver in first-touch order (touched_), each
+  // receiver's range ending at rx_end_[receiver] (0 = untouched).
+  std::vector<Reception> staged_;
+  std::vector<Reception> grouped_;
+  std::vector<std::uint32_t> rx_end_;          // by device index
+  std::vector<std::uint32_t> touched_;         // receivers with receptions
+  std::vector<std::uint32_t> tx_key_;          // resource key per flushing_ entry
   DeliverFn sink_;                             // per-slot batch consumer
   std::vector<RxRecord> rx_records_;           // this slot's decoded batch
-  std::vector<std::uint32_t> res_key_;         // per-bucket resource keys
-  std::vector<double> aud_mw_;                 // per-bucket memoised milliwatts
-  // Epoch-marked per-resource chains for the collision prepass: one slot per
-  // (codec, preamble) pool entry, keyed (codec − 1)·kPreamblePoolSize +
-  // index, valid only while its epoch tag matches — no clearing between
-  // buckets.
+  // Epoch-marked per-resource milliwatt sums for the collision prepass: one
+  // slot per (codec, preamble) pool entry, keyed (codec − 1)·kPreamblePoolSize
+  // + index, valid only while its epoch tag matches — no clearing between
+  // receivers.
   static constexpr std::uint32_t kResourceCodecs = 2;
-  static constexpr std::uint32_t kGroupNil = 0xFFFFFFFFU;
   static constexpr std::size_t kResourceSlots =
       static_cast<std::size_t>(kResourceCodecs) * kPreamblePoolSize;
   std::uint64_t group_epoch_ = 0;
   std::uint64_t group_seen_[kResourceSlots] = {};
-  std::uint32_t group_head_[kResourceSlots] = {};
-  std::uint32_t group_tail_[kResourceSlots] = {};
   std::uint32_t group_count_[kResourceSlots] = {};
-  std::vector<std::uint32_t> group_next_;      // per-bucket chain links
+  double group_mw_[kResourceSlots] = {};
   bool cache_valid_ = false;
   bool uniform_skip_ = false;  // fading model offers the u-space skip test
   geo::SpatialGrid grid_;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -264,6 +265,112 @@ TEST(Radio, OutOfPoolPreambleIsRejected) {
                      PsType::kConnectRequest, 0);
   w.sim.run();
   EXPECT_EQ(w.inbox[1].size(), 1U);
+}
+
+TEST(Radio, BatchKeepsFirstTouchReceiverOrderAndSweepOrderWithinReceiver) {
+  // Two clusters 1 km apart.  The first broadcast reaches only high-index
+  // receivers (cluster A), the second only low-index ones (cluster B), so
+  // receivers are first touched out of index order.  In cluster A, RACH1
+  // and RACH2 transmissions on the same preamble index share receivers.
+  // The expected batch comes from a per-pair reference: receivers in
+  // first-touch order, transmissions in broadcast order, the capture rule
+  // in dB with interference summed in that order.
+  const std::vector<geo::Vec2> pos = {
+      {1000.0, 0.0}, {1000.0, 10.0}, {1010.0, 5.0},                // cluster B
+      {0.0, 0.0},    {0.0, 60.0},    {50.0, 0.0},   {1.0, 0.0},   // cluster A
+      {25.0, 0.0},   {30.0, 40.0}};
+  struct Sent {
+    std::uint32_t sender;
+    mac::Preamble preamble;
+  };
+  const std::vector<Sent> sent = {{3, {RachCodec::kRach1, 7}},
+                                  {2, {RachCodec::kRach1, 3}},
+                                  {4, {RachCodec::kRach2, 7}},
+                                  {5, {RachCodec::kRach1, 7}},
+                                  {8, {RachCodec::kRach2, 7}}};
+  constexpr double kMarginDb = 3.0;
+  for (const bool use_cache : {false, true}) {
+    World w(kMarginDb);
+    for (std::uint32_t id = 0; id < pos.size(); ++id) w.add(id, pos[id]);
+    if (use_cache) w.radio->rebuild();
+
+    // Reference.
+    const double noise_mw = w.channel->params().noise_floor.milliwatts();
+    std::vector<std::uint32_t> touch;
+    std::vector<std::vector<std::pair<std::size_t, util::Dbm>>> bucket(pos.size());
+    for (std::size_t t = 0; t < sent.size(); ++t) {
+      const std::uint32_t s = sent[t].sender;
+      for (std::uint32_t rx = 0; rx < pos.size(); ++rx) {
+        if (rx == s) continue;
+        const util::Dbm p = w.channel->mean_received_power(s, pos[s], rx, pos[rx]);
+        if (!w.channel->detectable(p)) continue;
+        if (bucket[rx].empty()) touch.push_back(rx);
+        bucket[rx].emplace_back(t, p);
+      }
+    }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> expected;  // (rx, sender)
+    std::uint64_t expected_collisions = 0;
+    bool mixed_codecs = false;
+    for (const std::uint32_t rx : touch) {
+      const auto& b = bucket[rx];
+      bool rach1 = false, rach2 = false;
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        const mac::Preamble pi = sent[b[i].first].preamble;
+        (pi.codec == RachCodec::kRach1 ? rach1 : rach2) = true;
+        double interference = 0.0;
+        bool contended = false;
+        for (std::size_t j = 0; j < b.size(); ++j) {
+          if (j == i || !(sent[b[j].first].preamble == pi)) continue;
+          contended = true;
+          interference += b[j].second.milliwatts();
+        }
+        if (contended &&
+            (b[i].second - util::dbm_from_milliwatts(interference + noise_mw)).value < kMarginDb) {
+          ++expected_collisions;
+          continue;
+        }
+        expected.emplace_back(rx, sent[b[i].first].sender);
+      }
+      mixed_codecs = mixed_codecs || (rach1 && rach2);
+    }
+    ASSERT_FALSE(std::is_sorted(touch.begin(), touch.end())) << "receivers touched in index order";
+    ASSERT_TRUE(mixed_codecs) << "no receiver hears both codecs";
+    ASSERT_GT(expected_collisions, 0U);
+
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> actual;
+    w.radio->set_delivery_sink([&actual](const mac::RxBatch& batch) {
+      for (std::size_t k = 0; k < batch.count; ++k) {
+        actual.emplace_back(batch.records[k].rx_index, batch.records[k].sender);
+      }
+    });
+    w.sim.schedule_at(sim::SimTime::zero(), [&] {
+      for (const Sent& s : sent) w.radio->broadcast(s.sender, s.preamble, PsType::kSyncPulse, 0);
+    });
+    w.sim.run();
+    EXPECT_EQ(actual, expected) << "cache=" << use_cache;
+    EXPECT_EQ(w.radio->counters().collisions, expected_collisions) << "cache=" << use_cache;
+  }
+}
+
+TEST(Radio, MisuseThrowsInEveryBuild) {
+  World w;
+  w.add(0, {0.0, 0.0});
+  w.add(5, {10.0, 0.0});
+  EXPECT_THROW(w.radio->add_device(5, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_EQ(w.radio->device_count(), 2U) << "a rejected registration changes nothing";
+  // Id 3 lies inside the id table but was never registered; 9 lies past it.
+  for (const std::uint32_t id : {3U, 9U}) {
+    EXPECT_THROW(w.radio->set_down(id, true), std::out_of_range) << id;
+    EXPECT_THROW(static_cast<void>(w.radio->is_down(id)), std::out_of_range) << id;
+    EXPECT_THROW(w.radio->move_device(id, {1.0, 1.0}), std::out_of_range) << id;
+    EXPECT_THROW(static_cast<void>(w.radio->device_position(id)), std::out_of_range) << id;
+    EXPECT_THROW(w.radio->broadcast(id, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0),
+                 std::out_of_range)
+        << id;
+  }
+  EXPECT_EQ(w.radio->counters().total_tx(), 0U);
+  EXPECT_THROW(RadioMedium(&w.sim, nullptr), std::invalid_argument);
+  EXPECT_THROW(RadioMedium(nullptr, w.channel.get()), std::invalid_argument);
 }
 
 // Channel faults as the engine injects them: one i.i.d. drop draw per
