@@ -1,8 +1,8 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/service_mode.hpp"
 #include "fault/schedule_stream.hpp"
@@ -28,6 +28,13 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
       ranging_(&channel_->pathloss(), radio_params.tx_power),
       energy_(positions.size()),
       mobility_rng_(rng_factory_.make("core.mobility")) {
+  // Reliable links are read from the radio's candidate cache (below), which
+  // holds only links within the fading margin of the threshold; a looser
+  // reliable margin would silently lose links.
+  if (radio_params.reliable_link_margin_db < -phy::RadioParams::kCandidateFadingMarginDb) {
+    throw std::invalid_argument(
+        "EngineBase: reliable_link_margin_db below -kCandidateFadingMarginDb");
+  }
   radio_.set_energy_meter(&energy_);
   devices_.reserve(positions.size());
   for (std::uint32_t id = 0; id < positions.size(); ++id) {
@@ -76,10 +83,8 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
   // whose slot-averaged power clears the threshold with a margin (links
   // right at the threshold decode too rarely to owe either).  The radio's
   // candidate cache (threshold − fading margin, symmetric means) is a
-  // superset of this set, so its memoised pairs replace a second O(N²)
-  // channel sweep.
-  assert(radio_params.reliable_link_margin_db >=
-         -phy::RadioParams::kCandidateFadingMarginDb);
+  // superset of this set (the margin is checked on entry), so its memoised
+  // pairs replace a second O(N²) channel sweep.
   const util::Dbm reliable =
       radio_params.detection_threshold + util::Db{radio_params.reliable_link_margin_db};
   radio_.for_each_candidate_pair([&](std::uint32_t u, std::uint32_t v, util::Dbm mean) {
@@ -96,8 +101,7 @@ std::int64_t EngineBase::current_slot() const {
 
 void EngineBase::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
-  fires_counter_ =
-      telemetry != nullptr ? &telemetry->registry().counter("engine.fires") : nullptr;
+  fires_counter_ = telemetry != nullptr ? &telemetry->counter("engine.fires") : nullptr;
   radio_.set_telemetry(telemetry);
 }
 

@@ -25,13 +25,16 @@
 
 namespace firefly::core {
 
-/// What a device knows about a neighbour, learnt entirely from PSs.
+/// What a device knows about a neighbour, learnt entirely from PSs.  Fields
+/// run widest first so the struct packs into 24 B with no padding, and a
+/// table slot (4 B key, 4 B pad, this) is 32 B: two slots per cache line,
+/// never one straddling two.
 struct NeighborInfo {
   double weight_dbm{-200.0};        ///< EWMA of received PS power (the edge weight)
-  std::uint16_t fragment{kInvalidId};
-  std::uint16_t service{0};
   std::int64_t last_heard_slot{-1};
   std::uint32_t heard_count{0};
+  std::uint16_t fragment{kInvalidId};
+  std::uint16_t service{0};
 };
 
 class NeighborTable {

@@ -103,8 +103,10 @@ void RadioMedium::admit_candidate(std::size_t u, std::size_t v, util::Dbm mean,
   }
   // The sweep tests a model's draws in one space only: u-space when it
   // offers the uniform shortcut (skip_gain 0 maps to skip_u > 1, never
-  // skipping), gain space otherwise.
-  const double skip = uniform_skip_ ? channel_->fading().skip_u(skip_gain) : skip_gain;
+  // skipping), gain space otherwise.  Either is stored as a float rounded
+  // the loose way.
+  const float skip = uniform_skip_ ? round_skip_u(channel_->fading().skip_u(skip_gain))
+                                   : round_skip_gain(skip_gain);
   pair_scratch_.push_back(PairRec{static_cast<std::uint32_t>(u),
                                   static_cast<std::uint32_t>(v), mean.value, skip});
 }
@@ -288,8 +290,11 @@ void RadioMedium::deliver_cached() {
   // without one) is rejected on one compare; only survivors pay the gain
   // transform and the exact dBm compare.  A rejected fade cannot become
   // audible under attenuation, but a fired drop or an attenuated link on it
-  // still counts as a fault drop.  A survivor's milliwatts are the cached
-  // mean's times the floored gain; an attenuated one pays `pow` instead.
+  // still counts as a fault drop.  The float bounds are loose, so a
+  // survivor may still be provably sub-threshold: the exact compare rejects
+  // it and counts it as the skip would have (see round_skip_u).  A
+  // survivor's milliwatts are the cached mean's times the floored gain; an
+  // attenuated one pays `pow` instead.
   const bool gated = down_count_ != 0 || any_listening_;
   for (std::size_t t = 0; t < flushing_.size(); ++t) {
     const PendingTx& tx = flushing_[t];
@@ -327,7 +332,7 @@ void RadioMedium::deliver_cached() {
     const bool drops = faults_ != nullptr && faults_->fill_drops(drop_.data(), n);
     const bool faded = faults_ != nullptr &&
                        faults_->fill_attenuation(tx.sender, tx.type, rx, n, atten_db_.data());
-    const double* skip = cand_skip_.data() + begin;
+    const float* skip = cand_skip_.data() + begin;
     std::size_t count = 0;
     if (!drops && !faded && uniform_skip_) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -366,17 +371,18 @@ void RadioMedium::deliver_cached() {
 }
 
 void RadioMedium::group_by_receiver() {
-  // Stable counting sort of staged_ into grouped_, receivers in first-touch
-  // order.  rx_end_ holds each touched receiver's count on entry and its
-  // range end on exit.
+  // Stable counting sort of staged_ indices into order_, receivers in
+  // first-touch order.  rx_end_ holds each touched receiver's count on entry
+  // and its range end on exit.
   std::uint32_t start = 0;
   for (const std::uint32_t rx : touched_) {
     const std::uint32_t count = rx_end_[rx];
     rx_end_[rx] = start;
     start += count;
   }
-  if (grouped_.size() < staged_.size()) grouped_.resize(staged_.size());
-  for (const Reception& r : staged_) grouped_[rx_end_[r.rx]++] = r;
+  if (order_.size() < staged_.size()) order_.resize(staged_.size());
+  const auto staged = static_cast<std::uint32_t>(staged_.size());
+  for (std::uint32_t i = 0; i < staged; ++i) order_[rx_end_[staged_[i].rx]++] = i;
 }
 
 void RadioMedium::resolve_receivers() {
@@ -384,8 +390,9 @@ void RadioMedium::resolve_receivers() {
   // Decoded receptions are appended to the slot's flat RxRecord batch in
   // grouped order — receivers in first-touch order, transmissions in sweep
   // order — and the owner's sink consumes the whole batch after this
-  // returns.
-  const Reception* rec = grouped_.data();
+  // returns.  Position i of a receiver's range is staged_[order_[i]].
+  const Reception* staged = staged_.data();
+  const std::uint32_t* order = order_.data();
   rx_records_.clear();
   std::uint32_t begin = 0;
   for (const std::uint32_t rx_index : touched_) {
@@ -398,19 +405,20 @@ void RadioMedium::resolve_receivers() {
       // broadcast() admits only in-pool preambles, so every key fits.
       ++group_epoch_;
       for (std::uint32_t i = begin; i < end; ++i) {
-        const std::uint32_t key = tx_key_[rec[i].tx];
+        const Reception& r = staged[order[i]];
+        const std::uint32_t key = tx_key_[r.tx];
         if (group_seen_[key] != group_epoch_) {
           group_seen_[key] = group_epoch_;
           group_count_[key] = 1;
-          group_mw_[key] = rec[i].mw;
+          group_mw_[key] = r.mw;
         } else {
           ++group_count_[key];
-          group_mw_[key] += rec[i].mw;
+          group_mw_[key] += r.mw;
         }
       }
     }
     for (std::uint32_t i = begin; i < end; ++i) {
-      const Reception& r = rec[i];
+      const Reception& r = staged[order[i]];
       const std::uint32_t key = tx_key_[r.tx];
       if (shared && group_count_[key] > 1) {
         // Guard band only: the dB reference's interference, pow per
@@ -418,7 +426,8 @@ void RadioMedium::resolve_receivers() {
         const auto interference_mw = [&] {
           double sum = 0.0;
           for (std::uint32_t j = begin; j < end; ++j) {
-            if (j != i && tx_key_[rec[j].tx] == key) sum += util::Dbm{rec[j].dbm}.milliwatts();
+            const Reception& e = staged[order[j]];
+            if (j != i && tx_key_[e.tx] == key) sum += util::Dbm{e.dbm}.milliwatts();
           }
           return sum;
         };
@@ -493,7 +502,7 @@ void RadioMedium::reserve_delivery(std::size_t max_tx_per_slot) {
   // count against the resident set.
   const std::size_t storm = std::min<std::size_t>(max_tx_per_slot * devices_.size(), 1U << 20);
   staged_.reserve(storm);
-  grouped_.reserve(storm);
+  order_.reserve(storm);
   rx_records_.reserve(storm);
 }
 

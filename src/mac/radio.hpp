@@ -22,11 +22,13 @@
 // every audible reception in one flat array in sweep order (receiver,
 // transmission, dBm, mW — the mW is the candidate's cached mean in mW times
 // the fade gain, so the common path never calls `pow`), and a stable
-// counting sort copies it into a second flat array grouped by receiver in
-// first-touch order.  Per receiver, an O(k) prepass sums the milliwatts of
-// each RACH resource (codec, preamble); a reception alone on its resource
-// decodes, and a contended one of power P in a group summing to S decodes
-// when P ≥ m·(S − P + N) (m the linear capture margin, N the noise floor).
+// counting sort of their 4 B indices groups them by receiver in first-touch
+// order; resolution reads each 24 B entry in place through that index, so
+// the entries are never copied.  Per receiver, an O(k) prepass sums the
+// milliwatts of each RACH resource (codec, preamble); a reception alone on
+// its resource decodes, and a contended one of power P in a group summing to
+// S decodes when P ≥ m·(S − P + N) (m the linear capture margin, N the noise
+// floor).
 // Only a reception within a relative 1e-9 guard band of that equality takes
 // the dB reference — `pow` per same-resource entry summed in entry order,
 // then the dBm compare — so every decision is bit-identical to the dB rule
@@ -46,9 +48,10 @@
 // `std::out_of_range`.
 #pragma once
 
-#include <cassert>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "geo/grid.hpp"
@@ -139,6 +142,30 @@ class CaptureRule {
   double margin_lin_;  // 10^(margin_db / 10)
   double noise_mw_;
 };
+
+/// Skip bounds are stored as floats (4 B a candidate instead of 8), rounded
+/// so they are only ever looser than the double bound: `round_skip_u` rounds
+/// up (a uniform survives while u < skip), `round_skip_gain` rounds down (a
+/// gain is skipped while gain < skip).  A looser bound draws the same
+/// randomness and only lets more provably sub-threshold draws through to the
+/// exact dBm compare, which rejects them, so no decision changes.
+/// `fault_drops` stays exact too: a fired drop counts once either way; a
+/// let-through draw without attenuation fails the exact compare uncounted,
+/// as a skipped one is; with attenuation it ends below threshold and the
+/// attenuated-survivor branch counts it once, as the skip branch's
+/// `sub && atten` term counts a skipped one.  Bounds are finite and
+/// non-negative, so the next float up or down is the next or previous bit
+/// pattern (adding the compare keeps the rounding branch-free).
+[[nodiscard]] inline float round_skip_u(double skip_u) {
+  const auto f = static_cast<float>(skip_u);
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) +
+                              static_cast<std::uint32_t>(static_cast<double>(f) < skip_u));
+}
+[[nodiscard]] inline float round_skip_gain(double skip_gain) {
+  const auto f = static_cast<float>(skip_gain);
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) -
+                              static_cast<std::uint32_t>(static_cast<double>(f) > skip_gain));
+}
 
 /// Channel faults (fault-injection runs), answered in bulk: the delivery
 /// sweep asks once per transmission for the drop draws and link
@@ -238,11 +265,14 @@ class RadioMedium {
 
   /// Visit every cached candidate pair once as fn(id_u, id_v, mean_dbm)
   /// with index(id_u) < index(id_v), in deterministic index-lexicographic
-  /// order.  Requires a valid cache.  The engine derives reliable links
-  /// from this instead of a second O(N²) channel sweep.
+  /// order.  Throws `std::logic_error` on a stale cache.  The engine
+  /// derives reliable links from this instead of a second O(N²) channel
+  /// sweep.
   template <typename Fn>
   void for_each_candidate_pair(Fn&& fn) const {
-    assert(cache_valid_);
+    if (!cache_valid_) {
+      throw std::logic_error("RadioMedium::for_each_candidate_pair: stale candidate cache");
+    }
     for (std::size_t u = 0; u + 1 < cand_offsets_.size(); ++u) {
       for (std::size_t k = cand_offsets_[u]; k < cand_offsets_[u + 1]; ++k) {
         if (cand_rx_[k] <= u) continue;
@@ -312,7 +342,7 @@ class RadioMedium {
 
  private:
   /// A transmission audible at one receiver, pre-collision-resolution
-  /// (24 B: the flat reception arrays are the slot's largest scratch).
+  /// (24 B: the flat reception array is the slot's largest scratch).
   struct Reception {
     std::uint32_t rx;  ///< receiver device index
     std::uint32_t tx;  ///< index into flushing_
@@ -324,7 +354,7 @@ class RadioMedium {
   struct PairRec {
     std::uint32_t u, v;
     double mean_dbm;
-    double skip;  ///< cand_skip_ entry
+    float skip;  ///< cand_skip_ entry
   };
 
   void ensure_flush_scheduled();
@@ -369,7 +399,8 @@ class RadioMedium {
   std::vector<double> cand_mean_mw_;        // the same mean in mW
   // Sub-threshold bound of the link, in the fading model's draw space:
   // uniforms at/above it (u-space skip) or gains below it are sub-threshold.
-  std::vector<double> cand_skip_;
+  // Rounded to float, loosely (see round_skip_u).
+  std::vector<float> cand_skip_;
   std::vector<PairRec> pair_scratch_;       // rebuild staging, released after the scatter
   std::vector<std::size_t> cand_cursor_;    // rebuild scatter cursors (reused)
   // Per-sender sweep scratch, indexed by gated-candidate position.
@@ -380,11 +411,12 @@ class RadioMedium {
   std::vector<std::uint8_t> drop_;          // fault drop draws
   std::vector<double> atten_db_;            // fault link attenuations
   std::vector<std::uint32_t> survivors_;    // skip-test survivors
-  // The slot's audible receptions: staged_ in sweep order, grouped_ the
-  // same entries regrouped by receiver in first-touch order (touched_), each
-  // receiver's range ending at rx_end_[receiver] (0 = untouched).
+  // The slot's audible receptions: staged_ in sweep order; order_ holds
+  // their staged_ indices grouped by receiver in first-touch order
+  // (touched_), each receiver's range ending at rx_end_[receiver]
+  // (0 = untouched).
   std::vector<Reception> staged_;
-  std::vector<Reception> grouped_;
+  std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> rx_end_;          // by device index
   std::vector<std::uint32_t> touched_;         // receivers with receptions
   std::vector<std::uint32_t> tx_key_;          // resource key per flushing_ entry

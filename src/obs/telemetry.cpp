@@ -43,12 +43,21 @@ void Telemetry::record_span(SpanId id, std::chrono::steady_clock::time_point sta
 }
 
 void Telemetry::count(const std::string& name, std::uint64_t n) {
-  Counter* counter;
+  counter(name).inc(n);
+}
+
+Counter& Telemetry::counter(const std::string& name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return registry_.counter(name);
+}
+
+void Telemetry::set_gauge(const std::string& name, double value) {
+  Gauge* gauge;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    counter = &registry_.counter(name);
+    gauge = &registry_.gauge(name);
   }
-  counter->inc(n);
+  gauge->set(value);
 }
 
 void Telemetry::observe(const std::string& name, std::vector<double> upper_bounds,

@@ -8,10 +8,12 @@
 // reduces to one pointer test, the simulation consumes no extra randomness
 // and `RunMetrics` is bit-identical to an uninstrumented run.
 //
-// Thread model: `record_span` and `observe` serialise through an internal
-// mutex, so one context may be shared by all trials of a pooled sweep;
-// contention is negligible because spans are recorded at slot/handshake
-// granularity, not per arithmetic op.
+// Thread model: `record_span`, `count`, `counter`, `set_gauge` and
+// `observe` serialise through an internal mutex, so one context may be
+// shared by all trials of a pooled sweep; contention is negligible because
+// spans are recorded at slot/handshake granularity, not per arithmetic op.
+// `registry()` itself is unlocked: engines reach metrics only through the
+// locked accessors, and readers dump the registry after the trials end.
 #pragma once
 
 #include <array>
@@ -45,6 +47,11 @@ class Telemetry {
 
   /// Thread-safe find-or-create + increment for cold-path event counts.
   void count(const std::string& name, std::uint64_t n = 1);
+  /// Thread-safe find-or-create of a counter handle; the handle itself is
+  /// an atomic, so holders bump it without the lock.
+  [[nodiscard]] Counter& counter(const std::string& name);
+  /// Thread-safe find-or-create + store for a gauge (last writer wins).
+  void set_gauge(const std::string& name, double value);
   /// Thread-safe observation into a find-or-create histogram.
   void observe(const std::string& name, std::vector<double> upper_bounds, double x);
 

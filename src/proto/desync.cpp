@@ -113,7 +113,7 @@ bool DesyncEngine::protocol_complete() const {
   // check interval until the protocol goal latches.  Surface the current
   // error through the metric registry on every evaluation.
   if (telemetry_ != nullptr) {
-    telemetry_->registry().gauge("proto.desync.error").set(mean_error_slots());
+    telemetry_->set_gauge("proto.desync.error", mean_error_slots());
   }
   const auto tolerance = static_cast<std::int32_t>(params_.desync_tolerance_slots);
   std::uint32_t measured = 0;

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/trace.hpp"
@@ -20,6 +21,7 @@
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timer.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -358,6 +360,40 @@ TEST(ObsDeterminism, SweepWithTelemetryMatchesSweepWithout) {
   EXPECT_DOUBLE_EQ(bare[0].total_messages.mean(), observed[0].total_messages.mean());
   EXPECT_EQ(progress.done(), 2U);
   EXPECT_EQ(telemetry.registry().counter("span.trial.calls").value(), 2U);
+}
+
+TEST(ObsThreadSafety, PooledSweepsShareOneFreshTelemetry) {
+  // Every trial of a pooled sweep resolves its metrics on one shared,
+  // initially empty context: ST trials create "engine.fires" while their
+  // siblings look it up, and DESYNC trials create and set the
+  // "proto.desync.error" gauge concurrently.  Run under ThreadSanitizer
+  // this is the race check; in any build the shared context must not
+  // perturb the results.
+  core::SweepConfig sweep_config;
+  sweep_config.ns = {20, 24};
+  sweep_config.trials = 4;
+  sweep_config.base.area_policy = core::AreaPolicy::kFixed;
+  const auto bare_st = core::sweep(core::Protocol::kSt, sweep_config);
+  const auto bare_desync = core::sweep(core::Protocol::kDesync, sweep_config);
+
+  obs::Telemetry telemetry;
+  util::ThreadPool pool(4);
+  sweep_config.hooks.telemetry = &telemetry;
+  const auto st = core::sweep(core::Protocol::kSt, sweep_config, &pool);
+  const auto desync = core::sweep(core::Protocol::kDesync, sweep_config, &pool);
+
+  ASSERT_EQ(st.size(), bare_st.size());
+  ASSERT_EQ(desync.size(), bare_desync.size());
+  for (std::size_t i = 0; i < st.size(); ++i) {
+    EXPECT_DOUBLE_EQ(st[i].convergence_ms.mean(), bare_st[i].convergence_ms.mean());
+    EXPECT_DOUBLE_EQ(st[i].total_messages.mean(), bare_st[i].total_messages.mean());
+    EXPECT_DOUBLE_EQ(desync[i].total_messages.mean(), bare_desync[i].total_messages.mean());
+  }
+  const obs::Registry& registry = telemetry.registry();
+  EXPECT_EQ(registry.counters().at("span.trial.calls").value(),
+            2 * sweep_config.total_trials());
+  EXPECT_GT(registry.counters().at("engine.fires").value(), 0U);
+  EXPECT_EQ(registry.gauges().count("proto.desync.error"), 1U);
 }
 
 TEST(ObsReport, EmptySampleJsonIsZeroSafe) {

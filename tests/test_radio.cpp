@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -371,6 +373,65 @@ TEST(Radio, MisuseThrowsInEveryBuild) {
   EXPECT_EQ(w.radio->counters().total_tx(), 0U);
   EXPECT_THROW(RadioMedium(&w.sim, nullptr), std::invalid_argument);
   EXPECT_THROW(RadioMedium(nullptr, w.channel.get()), std::invalid_argument);
+}
+
+TEST(Radio, CandidatePairsOnAStaleCacheThrow) {
+  World w;
+  w.add(0, {0.0, 0.0});
+  w.add(1, {10.0, 0.0});
+  std::size_t pairs = 0;
+  const auto count = [&](std::uint32_t, std::uint32_t, util::Dbm) { ++pairs; };
+  EXPECT_THROW(w.radio->for_each_candidate_pair(count), std::logic_error) << "never built";
+  w.radio->rebuild();
+  w.radio->for_each_candidate_pair(count);
+  EXPECT_EQ(pairs, 1U);
+  w.radio->move_device(1, {20.0, 0.0});  // invalidates the cache
+  EXPECT_THROW(w.radio->for_each_candidate_pair(count), std::logic_error) << "moved";
+  EXPECT_EQ(pairs, 1U);
+}
+
+TEST(Radio, FloatSkipBoundsAreNeverTighterThanTheDoubleBound) {
+  // The cache stores skip bounds as floats.  In u-space a uniform survives
+  // while u < skip, so the float must be >= the double; in gain space a
+  // gain is skipped while gain < skip, so the float must be <= the double.
+  // Either way the float is the nearest float on the loose side.
+  std::vector<double> bounds = {0.0,
+                                2.0,
+                                1.0,
+                                0.5,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                static_cast<double>(std::numeric_limits<float>::denorm_min()),
+                                static_cast<double>(std::numeric_limits<float>::min()),
+                                std::nextafter(1.0, 0.0),
+                                std::nextafter(1.0, 2.0),
+                                std::exp(-1e-6) * (1.0 + 1e-12),
+                                1000.0};
+  util::Rng rng(5);
+  for (int i = 0; i < 20000; ++i) bounds.push_back(rng.uniform(0.0, 2.0));
+  for (int i = 0; i < 20000; ++i) bounds.push_back(std::pow(10.0, rng.uniform(-40.0, 3.0)));
+  for (const double b : bounds) {
+    const float up = mac::round_skip_u(b);
+    const float down = mac::round_skip_gain(b);
+    EXPECT_GE(static_cast<double>(up), b) << b;
+    EXPECT_LE(static_cast<double>(down), b) << b;
+    if (up > 0.0F) {
+      EXPECT_LT(static_cast<double>(std::nextafter(up, 0.0F)), b) << b;
+    }
+    EXPECT_GT(static_cast<double>(
+                  std::nextafter(down, std::numeric_limits<float>::infinity())),
+              b)
+        << b;
+  }
+  // Exactly representable bounds are kept as they are: 0 never skips a
+  // gain and 2.0 never skips a uniform.
+  EXPECT_EQ(mac::round_skip_gain(0.0), 0.0F);
+  EXPECT_EQ(mac::round_skip_u(0.0), 0.0F);
+  EXPECT_EQ(mac::round_skip_u(2.0), 2.0F);
+  EXPECT_EQ(mac::round_skip_gain(2.0), 2.0F);
+  EXPECT_EQ(mac::round_skip_gain(std::numeric_limits<double>::denorm_min()), 0.0F);
+  EXPECT_EQ(mac::round_skip_u(std::numeric_limits<double>::denorm_min()),
+            std::numeric_limits<float>::denorm_min());
 }
 
 // Channel faults as the engine injects them: one i.i.d. drop draw per

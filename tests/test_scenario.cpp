@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/mst.hpp"
 #include "phy/channel.hpp"
 
@@ -91,6 +93,22 @@ TEST(Scenario, ProximityGraphSupportsMaxSpanningTree) {
   const auto light = graph::kruskal(g, graph::Orientation::kMin);
   EXPECT_TRUE(heavy.spanning);
   EXPECT_GT(heavy.total_weight, light.total_weight);
+}
+
+TEST(Scenario, ReliableMarginBeyondTheCandidateCacheIsRejected) {
+  // Reliable links are read from the radio's candidate cache, which stops
+  // kCandidateFadingMarginDb below threshold: a looser margin is an error in
+  // every build, not a silent loss of links.
+  ScenarioConfig config;
+  config.n = 10;
+  config.area_policy = AreaPolicy::kFixed;
+  config.radio.reliable_link_margin_db = -phy::RadioParams::kCandidateFadingMarginDb;
+  EXPECT_NO_THROW(static_cast<void>(core::run_trial(core::Protocol::kSt, config)));
+  config.radio.reliable_link_margin_db = -phy::RadioParams::kCandidateFadingMarginDb - 0.5;
+  for (const core::Protocol protocol : {core::Protocol::kSt, core::Protocol::kFst}) {
+    EXPECT_THROW(static_cast<void>(core::run_trial(protocol, config)), std::invalid_argument)
+        << core::to_string(protocol);
+  }
 }
 
 TEST(Scenario, ProtocolNames) {
