@@ -1,10 +1,10 @@
 // bench_micro — engine-cost microbenchmarks: the slot calendar, union-find,
-// reference MSTs, PRC evaluation, oscillator updates, a radio slot flush
-// and one end-to-end trial per registered protocol backend (the registry
-// sweep is assembled at startup, so a newly registered protocol shows up
-// here without editing this file).  These pin the constants behind the
-// protocol-level numbers and catch performance regressions in the
-// substrates.
+// reference MSTs, PRC evaluation, oscillator updates, a radio slot flush,
+// the candidate-cache rebuild and one end-to-end trial per registered
+// protocol backend (the registry sweep is assembled at startup, so a newly
+// registered protocol shows up here without editing this file).  These pin
+// the constants behind the protocol-level numbers and catch performance
+// regressions in the substrates.
 //
 // Machine-readable output: this bench is pure google-benchmark, so it keeps
 // the native reporter (`--benchmark_format=json --benchmark_out=...`) rather
@@ -287,6 +287,29 @@ void BM_RadioBatchedDeliverySweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
 }
 BENCHMARK(BM_RadioBatchedDeliverySweep)->Arg(32)->Arg(256);
+
+void BM_RadioRebuild(benchmark::State& state) {
+  // The candidate-cache rebuild an engine pays at construction and after
+  // every mobility step: the paper channel over a density-scaled
+  // deployment, where the range disc covers the world and the reject bound
+  // decides most pairs before any libm call.
+  core::ScenarioConfig config;
+  config.n = static_cast<std::size_t>(state.range(0));
+  config.seed = 3;
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+  sim::Simulator sim;
+  auto channel = phy::make_paper_channel(config.seed);
+  mac::RadioMedium radio(&sim, channel.get(), channel->params().capture_margin_db);
+  for (std::uint32_t id = 0; id < positions.size(); ++id) radio.add_device(id, positions[id]);
+  for (auto _ : state) {
+    radio.rebuild();
+    benchmark::DoNotOptimize(radio.candidates().rx.data());
+    benchmark::ClobberMemory();
+  }
+  const auto pairs = positions.size() * (positions.size() - 1) / 2;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * pairs));
+}
+BENCHMARK(BM_RadioRebuild)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 // One full small-network trial through the registry — the cost of a
 // protocol end to end (build, run to its own completion criterion or the

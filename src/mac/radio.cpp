@@ -88,17 +88,16 @@ geo::Vec2 RadioMedium::device_position(std::uint32_t id) const {
 }
 
 void RadioMedium::admit_candidate(std::size_t u, std::size_t v, util::Dbm mean,
-                                  util::Dbm cutoff) {
-  if (mean < cutoff) return;
+                                  const Admission& admission) {
+  if (mean < admission.cutoff) return;
   // Fading headroom of the link.  Gains strictly below skip_gain provably
   // leave the reception sub-threshold (1e-9 dB of slack absorbs pow/log
   // rounding); borderline gains fall through to the exact dBm comparison,
   // so the fast path decides bit-identically with the dense one.  When the
   // headroom exceeds the fade-loss cap the link is audible in any fade.
-  const double headroom_db = (mean - channel_->params().detection_threshold).value;
-  const double max_loss_db = -10.0 * std::log10(phy::FadingModel::kGainFloor);
+  const double headroom_db = (mean - admission.threshold).value;
   double skip_gain = 0.0;
-  if (headroom_db < max_loss_db) {
+  if (headroom_db < admission.max_loss_db) {
     skip_gain = std::pow(10.0, -(headroom_db + 1e-9) / 10.0);
   }
   // The sweep tests a model's draws in one space only: u-space when it
@@ -147,49 +146,34 @@ void RadioMedium::scatter_candidates() {
   std::vector<PairRec>().swap(pair_scratch_);
 }
 
+bool PathLossFloor::build(const phy::PathLossModel& model, double max_d2) {
+  const double width = max_d2 / static_cast<double>(kBuckets);
+  inv_width_ = static_cast<double>(kBuckets) / max_d2;
+  floor_db_.resize(kBuckets);
+  if (!(std::isfinite(max_d2) && width > 0.0 && std::isfinite(inv_width_))) {
+    // Every d², NaN included, then reads an entry that rejects nothing.
+    inv_width_ = 0.0;
+    std::fill(floor_db_.begin(), floor_db_.end(), -std::numeric_limits<double>::infinity());
+    return false;
+  }
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const double edge_m = std::sqrt(static_cast<double>(b) * width) * (1.0 - kEdgeShrink);
+    floor_db_[b] = model.loss(edge_m).value - kSlackDb;
+  }
+  return true;
+}
+
 void RadioMedium::rebuild(double fading_margin_db) {
   const std::size_t n = devices_.size();
   pair_scratch_.clear();
-  const util::Dbm cutoff = channel_->params().detection_threshold - util::Db{fading_margin_db};
+  const phy::RadioParams& params = channel_->params();
+  const Admission admission{params.detection_threshold - util::Db{fading_margin_db},
+                            params.detection_threshold,
+                            -10.0 * std::log10(phy::FadingModel::kGainFloor)};
   uniform_skip_ = channel_->fading().supports_uniform_skip();
 
-  if (channel_->params().spatial_index == phy::SpatialIndex::kGrid) {
-    // Grid-indexed enumeration.  The range bound holds because candidate
-    // admission needs mean >= cutoff, i.e. PL(d) <= tx − threshold +
-    // margin + max shadowing gain — exactly max_detectable_range(margin).
-    // Gathered cells are a superset of that disc; the cutoff test (same
-    // compare, same mean value) is the only filter, as in the dense scan.
-    const double range = channel_->max_detectable_range(fading_margin_db);
-    if (std::isfinite(range) && range > 0.0 && n > 1) {
-      if (!grid_ready_) {
-        std::vector<geo::Vec2> positions(n);
-        for (std::size_t i = 0; i < n; ++i) positions[i] = devices_[i].position;
-        grid_.build(positions, range);
-        grid_ready_ = true;
-      }
-      std::vector<std::uint32_t> near;
-      for (std::size_t u = 0; u < n; ++u) {
-        near.clear();
-        grid_.gather(devices_[u].position, range, near);
-        std::sort(near.begin(), near.end());
-        for (const std::uint32_t v : near) {
-          if (v <= u) continue;
-          const util::Dbm mean = channel_->mean_received_power_uncached(
-              devices_[u].id, devices_[u].position, devices_[v].id, devices_[v].position);
-          admit_candidate(u, v, mean, cutoff);
-        }
-      }
-    } else {
-      // Unbounded shadowing or degenerate world: no spatial pruning, but
-      // the memoised delivery sweep still applies.
-      for (std::size_t u = 0; u < n; ++u) {
-        for (std::size_t v = u + 1; v < n; ++v) {
-          const util::Dbm mean = channel_->mean_received_power_uncached(
-              devices_[u].id, devices_[u].position, devices_[v].id, devices_[v].position);
-          admit_candidate(u, v, mean, cutoff);
-        }
-      }
-    }
+  if (params.spatial_index == phy::SpatialIndex::kGrid) {
+    rebuild_bounded(fading_margin_db, admission);
   } else {
     // Dense reference: the memo-backed channel query, same means (the
     // channel's mean is bit-identical cached or not).
@@ -197,12 +181,111 @@ void RadioMedium::rebuild(double fading_margin_db) {
       for (std::size_t v = u + 1; v < n; ++v) {
         const util::Dbm mean = channel_->mean_received_power(
             devices_[u].id, devices_[u].position, devices_[v].id, devices_[v].position);
-        admit_candidate(u, v, mean, cutoff);
+        admit_candidate(u, v, mean, admission);
       }
     }
   }
   scatter_candidates();
   cache_valid_ = true;
+}
+
+void RadioMedium::rebuild_bounded(double fading_margin_db, const Admission& admission) {
+  const std::size_t n = devices_.size();
+  if (n < 2) return;
+  std::vector<std::uint32_t> ids(n);
+  std::vector<std::uint32_t> index(n);
+  std::vector<geo::Vec2> pos(n);
+  geo::Vec2 lo = devices_[0].position;
+  geo::Vec2 hi = lo;
+  bool finite = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::Vec2 p = devices_[i].position;
+    ids[i] = devices_[i].id;
+    index[i] = static_cast<std::uint32_t>(i);
+    pos[i] = p;
+    finite = finite && std::isfinite(p.x) && std::isfinite(p.y);
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
+  }
+  const double max_d2 = geo::distance_squared(lo, hi);
+
+  // Rows of pairs u < v, v ascending.  When the range disc does not cover
+  // the world the row is grid-gathered: candidate admission needs mean >=
+  // cutoff, i.e. PL(d) <= tx − threshold + margin + max shadowing gain —
+  // exactly max_detectable_range(margin) — and the gathered cells are a
+  // superset of that disc.  Otherwise (the paper's density, unbounded
+  // shadowing, a degenerate world) the row is every v > u, the same pairs
+  // in the same order a gather-and-sort would visit, and the grid is not
+  // built until some rebuild needs it.
+  const double range = channel_->max_detectable_range(fading_margin_db);
+  const bool gather = std::isfinite(range) && range > 0.0 && range * range < max_d2;
+  if (gather && !grid_ready_) {
+    grid_.build(pos, range);
+    grid_ready_ = true;
+  }
+
+  // The reject test.  A pair is dropped before any libm call when
+  //   floor(PL at its d² bucket) + lower bound on its shadowing loss
+  //     > (tx − cutoff) + kRejectGuardDb.
+  // Both tables are rounded outward, so the left side is at most PL + S;
+  // the guard is many orders above the rounding of the computed mean
+  // (tx − PL) − S, which is two operations on values of a few hundred dB
+  // (≈1e-13), and of the bound's own sum.  So a rejected pair has
+  // computed mean < cutoff − guard/2 and would fail the exact
+  // `mean < cutoff` admission too: the admitted set, every mean and the
+  // order are exactly the unbounded scan's.  Non-finite positions get no
+  // path-loss table, so their pairs always take the exact path.
+  constexpr double kRejectGuardDb = 1e-6;
+  loss_floor_.build(channel_->pathloss(), finite ? max_d2 : 0.0);
+  const double reject_above = (channel_->params().tx_power - admission.cutoff).value +
+                              kRejectGuardDb;
+
+  phy::ShadowingModel& shadowing = channel_->shadowing();
+  std::vector<std::uint32_t> near;
+  std::vector<std::uint32_t> near_ids;
+  std::vector<double> shadow_lo(n);
+  std::vector<std::uint32_t> surv(n);
+  std::vector<std::uint32_t> surv_ids(n);
+  std::vector<geo::Vec2> surv_pos(n);
+  std::vector<double> mean(n);
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    const std::uint32_t* row = index.data() + u + 1;
+    const std::uint32_t* row_ids = ids.data() + u + 1;
+    std::size_t m = n - u - 1;
+    if (gather) {
+      near.clear();
+      grid_.gather(pos[u], range, near);
+      std::sort(near.begin(), near.end());
+      const auto first = std::upper_bound(near.begin(), near.end(), static_cast<std::uint32_t>(u));
+      row = near.data() + (first - near.begin());
+      m = static_cast<std::size_t>(near.end() - first);
+      near_ids.resize(m);
+      for (std::size_t k = 0; k < m; ++k) near_ids[k] = ids[row[k]];
+      row_ids = near_ids.data();
+    }
+    const geo::Vec2 pu = pos[u];
+    shadowing.loss_lower_bounds_uncached(ids[u], row_ids, m, shadow_lo.data());
+    // Branch-free compaction: every pair is written, survivors advance.
+    std::size_t s = 0;
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::uint32_t v = row[k];
+      const double dx = pu.x - pos[v].x;
+      const double dy = pu.y - pos[v].y;
+      surv[s] = v;
+      surv_ids[s] = row_ids[k];
+      surv_pos[s] = pos[v];
+      s += static_cast<std::size_t>(
+          !(loss_floor_.lower_bound(dx * dx + dy * dy) + shadow_lo[k] > reject_above));
+    }
+    channel_->mean_received_powers_uncached(ids[u], pu, surv_ids.data(), surv_pos.data(), s,
+                                            mean.data());
+    for (std::size_t j = 0; j < s; ++j) admit_candidate(u, surv[j], util::Dbm{mean[j]}, admission);
+  }
+}
+
+RadioMedium::CandidateView RadioMedium::candidates() const {
+  if (!cache_valid_) throw std::logic_error("RadioMedium::candidates: stale candidate cache");
+  return CandidateView{cand_offsets_, cand_rx_, cand_mean_, cand_mean_mw_, cand_skip_};
 }
 
 void RadioMedium::broadcast(std::uint32_t sender, Preamble preamble, PsType type,

@@ -51,6 +51,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -167,6 +168,37 @@ class CaptureRule {
                               static_cast<std::uint32_t>(static_cast<double>(f) > skip_gain));
 }
 
+/// A lower bound on a path-loss model's loss as a function of squared
+/// distance, tabulated over `kBuckets` equal buckets of d² ∈ [0, max_d2].
+/// Each entry is the loss at its bucket's lower edge, rounded outward: the
+/// edge distance shrinks by a relative `kEdgeShrink` and the loss drops by
+/// `kSlackDb`.  Both dwarf the few-ulp gap between a pair's dx²+dy² (which
+/// picks the bucket) and its hypot (which the exact loss uses), so for a
+/// model honouring `PathLossModel::loss`'s monotone contract the entry is
+/// at most the exact loss of every pair in the bucket.  A d² past max_d2
+/// reads the last bucket, which is still a lower bound.
+class PathLossFloor {
+ public:
+  static constexpr std::size_t kBuckets = 1024;
+  static constexpr double kEdgeShrink = 1e-9;
+  static constexpr double kSlackDb = 1e-9;
+
+  /// Tabulate `model` up to `max_d2`.  When max_d2 is not positive and
+  /// finite, or its bucket width is not representable, every entry is −inf
+  /// (the floor bounds nothing) and build returns false.
+  bool build(const phy::PathLossModel& model, double max_d2);
+  /// The floor for a pair at squared distance `d2` ≥ 0 (after `build`).
+  [[nodiscard]] double lower_bound(double d2) const {
+    const double t = d2 * inv_width_;
+    return floor_db_[t < static_cast<double>(kBuckets - 1) ? static_cast<std::size_t>(t)
+                                                           : kBuckets - 1];
+  }
+
+ private:
+  std::vector<double> floor_db_;
+  double inv_width_ = 0.0;
+};
+
 /// Channel faults (fault-injection runs), answered in bulk: the delivery
 /// sweep asks once per transmission for the drop draws and link
 /// attenuations of its gated candidates — the receivers that are up and
@@ -248,8 +280,10 @@ class RadioMedium {
   /// Rebuild the candidate cache: for every device, the receivers whose
   /// slot-averaged power is within `fading_margin_db` of being detectable,
   /// with that mean memoised so delivery never recomputes path loss or
-  /// shadowing.  Enumeration is grid-indexed (O(N·k) cell queries keyed by
-  /// the channel's max detectable range) or dense O(N²) per
+  /// shadowing.  Enumeration is bounded (rows of pairs, grid-gathered when
+  /// the channel's max detectable range does not cover the world, each pair
+  /// first tested against a table-driven lower bound on its loss so only
+  /// survivors pay the exact libm path) or dense O(N²) per
   /// `RadioParams::spatial_index`; both produce identical caches.  The cache
   /// is stored structure-of-arrays (one flat receiver/mean dBm/mean mW/skip
   /// array per field, prefix-offset indexed per sender) so a slot flush
@@ -280,6 +314,18 @@ class RadioMedium {
       }
     }
   }
+
+  /// The candidate cache's flat arrays, read-only (sender u's candidates
+  /// occupy [offsets[u], offsets[u+1])).  Throws `std::logic_error` on a
+  /// stale cache; valid until the next `rebuild`.
+  struct CandidateView {
+    std::span<const std::size_t> offsets;
+    std::span<const std::uint32_t> rx;
+    std::span<const double> mean_dbm;
+    std::span<const double> mean_mw;
+    std::span<const float> skip;
+  };
+  [[nodiscard]] CandidateView candidates() const;
 
   [[nodiscard]] const TrafficCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
@@ -360,7 +406,14 @@ class RadioMedium {
   void ensure_flush_scheduled();
   void flush_slot();
   [[nodiscard]] std::size_t index_of(std::uint32_t id) const;
-  void admit_candidate(std::size_t u, std::size_t v, util::Dbm mean, util::Dbm cutoff);
+  /// Admission constants, read once per rebuild.
+  struct Admission {
+    util::Dbm cutoff;     ///< detection threshold less the fading margin
+    util::Dbm threshold;  ///< detection threshold
+    double max_loss_db;   ///< the fade-loss cap, −10·log10(kGainFloor)
+  };
+  void rebuild_bounded(double fading_margin_db, const Admission& admission);
+  void admit_candidate(std::size_t u, std::size_t v, util::Dbm mean, const Admission& admission);
   void scatter_candidates();
   [[nodiscard]] bool receiver_open(std::size_t rx_index);
   void push_audible(std::size_t rx_index, std::size_t tx_index, util::Dbm power, double mw);
@@ -435,6 +488,7 @@ class RadioMedium {
   double group_mw_[kResourceSlots] = {};
   bool cache_valid_ = false;
   bool uniform_skip_ = false;  // fading model offers the u-space skip test
+  PathLossFloor loss_floor_;    // rebuild's per-world path-loss bound table
   geo::SpatialGrid grid_;
   bool grid_ready_ = false;     // cell membership current (maintained by move_device)
 };

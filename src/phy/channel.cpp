@@ -38,6 +38,16 @@ util::Dbm Channel::mean_received_power_uncached(std::uint32_t tx_id, geo::Vec2 t
   return params_.tx_power - pathloss_->loss(d) - shadowing_->sample_uncached(tx_id, rx_id);
 }
 
+void Channel::mean_received_powers_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
+                                            const std::uint32_t* rx_ids, const geo::Vec2* rx_pos,
+                                            std::size_t n, double* out_dbm) {
+  shadowing_->samples_uncached(tx_id, rx_ids, n, out_dbm);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double d = geo::distance(tx_pos, rx_pos[k]);
+    out_dbm[k] = (params_.tx_power - pathloss_->loss(d) - util::Db{out_dbm[k]}).value;
+  }
+}
+
 double Channel::median_range() const {
   const util::Db budget = params_.tx_power - params_.detection_threshold;
   return pathloss_->distance_for_loss(budget);

@@ -10,6 +10,7 @@
 // for propagation, which keeps PHY randomness in one auditable stream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -79,6 +80,12 @@ class Channel {
   /// it so scanning millions of pairs does not grow the per-link memo.
   [[nodiscard]] util::Dbm mean_received_power_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
                                                        std::uint32_t rx_id, geo::Vec2 rx_pos);
+  /// Batched `mean_received_power_uncached` for one transmitter:
+  /// out_dbm[k] is its value for receiver rx_ids[k] at rx_pos[k], bit for
+  /// bit, with one batched shadowing call for the whole row.
+  void mean_received_powers_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
+                                     const std::uint32_t* rx_ids, const geo::Vec2* rx_pos,
+                                     std::size_t n, double* out_dbm);
 
   /// One fast-fading power gain from the shared per-delivery stream;
   /// consumes exactly the randomness `received_power` would.  The radio's

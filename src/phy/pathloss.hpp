@@ -28,6 +28,10 @@ class PathLossModel {
   virtual ~PathLossModel() = default;
 
   /// Loss at distance d metres (d clamped to >= min_distance()).
+  /// Contract: non-decreasing in d (a regime jump may only go up, as
+  /// `PaperDualSlope`'s breakpoint does).  The radio's candidate rebuild
+  /// tabulates the loss at bucket edges of d² as a lower bound for every
+  /// pair in the bucket, which is sound only for a monotone model.
   [[nodiscard]] virtual util::Db loss(double distance_m) const = 0;
   /// Inverse: the distance that would produce this loss.
   [[nodiscard]] virtual double distance_for_loss(util::Db loss) const = 0;

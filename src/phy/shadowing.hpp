@@ -9,6 +9,7 @@
 // a distance-correlated (Gudmundson) mode for the mobility extension.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -31,6 +32,26 @@ class ShadowingModel {
   /// order-dependent (or stateless) simply forward to `sample`.
   [[nodiscard]] virtual util::Db sample_uncached(std::uint32_t a, std::uint32_t b) {
     return sample(a, b);
+  }
+  /// Batched `sample_uncached`: out_db[k] = sample_uncached(a, b[k]) for
+  /// k < n, bit for bit, in one virtual call (the candidate rebuild's
+  /// per-row exact means).
+  virtual void samples_uncached(std::uint32_t a, const std::uint32_t* b, std::size_t n,
+                                double* out_db) {
+    for (std::size_t k = 0; k < n; ++k) out_db[k] = sample_uncached(a, b[k]).value;
+  }
+  /// A lower bound in dB on `sample_uncached(a, b)`, cheap enough to reject
+  /// a candidate pair before any transcendental call.  The default,
+  /// −`max_gain_db()`, holds for every model: −inf for unbounded ones (the
+  /// bound never rejects) and exact for `NoShadowing`.
+  [[nodiscard]] virtual double loss_lower_bound_uncached(std::uint32_t /*a*/,
+                                                         std::uint32_t /*b*/) const {
+    return -max_gain_db();
+  }
+  /// Batched `loss_lower_bound_uncached`, one virtual call per row.
+  virtual void loss_lower_bounds_uncached(std::uint32_t a, const std::uint32_t* b, std::size_t n,
+                                          double* out_db) const {
+    for (std::size_t k = 0; k < n; ++k) out_db[k] = loss_lower_bound_uncached(a, b[k]);
   }
   [[nodiscard]] virtual double sigma_db() const = 0;
   /// Upper bound on the shadowing *gain* (−sample) in dB, used to bound
@@ -80,10 +101,22 @@ class IidShadowing final : public ShadowingModel {
 /// variance by < 0.5% (truncation probability ≈ 2.7e-3 per link).
 /// `sample` memoises into a per-link cache (the dense scan's working set);
 /// `sample_uncached` recomputes the identical value without touching it.
+///
+/// Because a draw is a pure function of its two hash words, it can also be
+/// *bounded* from those words alone (`loss_lower_bound_uncached`): the top
+/// 10 bits of each word pick a bucket of u1 and of u2, and static 1,024-entry
+/// tables give r = √(−2 ln u1) ∈ [r_lo, r_hi] and cos(2πu2) ≥ c_lo over the
+/// bucket, rounded outward by `kBoundSlack`.  The normal is then at least
+/// min(r_lo·c_lo, r_hi·c_lo): two loads and two multiplies, no libm call.
 class PerLinkShadowing final : public ShadowingModel {
  public:
   /// Truncation point for link draws, in standard deviations.
   static constexpr double kClampSigmas = 3.0;
+  /// Bucket bits per hash word for the bound tables (1,024 buckets).
+  static constexpr int kBoundBits = 10;
+  /// Outward rounding of every bound-table entry, far above the few-ulp
+  /// error of evaluating r and cos at any point of a bucket.
+  static constexpr double kBoundSlack = 1e-9;
 
   PerLinkShadowing(double sigma_db, std::uint64_t seed) : sigma_(sigma_db), seed_(seed) {}
   /// Compatibility constructor: derives the hash seed from the stream.
@@ -93,8 +126,19 @@ class PerLinkShadowing final : public ShadowingModel {
   [[nodiscard]] util::Db sample_uncached(std::uint32_t a, std::uint32_t b) override {
     return util::Db{draw(a, b)};
   }
+  void samples_uncached(std::uint32_t a, const std::uint32_t* b, std::size_t n,
+                        double* out_db) override;
+  [[nodiscard]] double loss_lower_bound_uncached(std::uint32_t a, std::uint32_t b) const override;
+  void loss_lower_bounds_uncached(std::uint32_t a, const std::uint32_t* b, std::size_t n,
+                                  double* out_db) const override;
   [[nodiscard]] double sigma_db() const override { return sigma_; }
   [[nodiscard]] double max_gain_db() const override { return kClampSigmas * sigma_; }
+  /// The unclamped unit normal of a draw, from its two hash words
+  /// (Box–Muller).
+  [[nodiscard]] static double unit_normal(std::uint64_t w1, std::uint64_t w2);
+  /// A lower bound on `unit_normal(w1, w2)` by table lookup on the words'
+  /// top `kBoundBits` bits.
+  [[nodiscard]] static double unit_normal_lower_bound(std::uint64_t w1, std::uint64_t w2);
   /// Decorrelate every link (epoch bump) and drop the memoised draws.
   void reset() {
     ++epoch_;
@@ -103,6 +147,11 @@ class PerLinkShadowing final : public ShadowingModel {
   void invalidate() override { reset(); }
 
  private:
+  struct Words {
+    std::uint64_t w1, w2;
+  };
+  /// The link's two hash words under the current seed and epoch.
+  [[nodiscard]] Words words(std::uint32_t a, std::uint32_t b) const;
   [[nodiscard]] double draw(std::uint32_t a, std::uint32_t b) const;
 
   double sigma_;

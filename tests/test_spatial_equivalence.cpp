@@ -7,9 +7,13 @@
 // grid-accelerated proximity_graph builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/report.hpp"
@@ -18,6 +22,7 @@
 #include "mac/radio.hpp"
 #include "obs/json.hpp"
 #include "phy/channel.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -140,6 +145,97 @@ TEST(SpatialEquivalence, MemoisedCandidateMeansMatchDirectChannelQueries) {
     ++pairs;
   });
   EXPECT_GT(pairs, 0U);
+}
+
+/// Grid and dense caches must agree field by field: offsets, receivers and
+/// the bits of every mean, mean in mW and skip bound — and pair by pair
+/// through `for_each_candidate_pair`.  Returns the number of pairs.
+std::size_t expect_same_cache(const mac::RadioMedium& grid, const mac::RadioMedium& dense) {
+  const mac::RadioMedium::CandidateView g = grid.candidates();
+  const mac::RadioMedium::CandidateView d = dense.candidates();
+  EXPECT_TRUE(std::ranges::equal(g.offsets, d.offsets));
+  EXPECT_TRUE(std::ranges::equal(g.rx, d.rx));
+  const auto bits = [](auto values) {
+    std::vector<std::uint64_t> out;
+    for (const auto x : values) {
+      if constexpr (sizeof(x) == 8) {
+        out.push_back(std::bit_cast<std::uint64_t>(x));
+      } else {
+        out.push_back(std::bit_cast<std::uint32_t>(x));
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(bits(g.mean_dbm), bits(d.mean_dbm));
+  EXPECT_EQ(bits(g.mean_mw), bits(d.mean_mw));
+  EXPECT_EQ(bits(g.skip), bits(d.skip));
+  using Pair = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
+  const auto pairs = [](const mac::RadioMedium& radio) {
+    std::vector<Pair> out;
+    radio.for_each_candidate_pair([&](std::uint32_t u, std::uint32_t v, util::Dbm mean) {
+      out.emplace_back(u, v, std::bit_cast<std::uint64_t>(mean.value));
+    });
+    return out;
+  };
+  const std::vector<Pair> grid_pairs = pairs(grid);
+  EXPECT_EQ(grid_pairs, pairs(dense));
+  return grid_pairs.size();
+}
+
+/// Builds a grid and a dense radio over `positions`, compares their caches,
+/// then takes one mobility step (every device moves up to `step_m` and the
+/// shadowing decorrelates, bumping its epoch) and compares again.
+void expect_grid_cache_matches_dense(const std::vector<geo::Vec2>& positions,
+                                     std::uint64_t seed, double step_m,
+                                     double max_admitted_frac) {
+  phy::RadioParams dense_params;
+  dense_params.spatial_index = phy::SpatialIndex::kDense;
+  auto grid_channel = phy::make_paper_channel(seed);
+  auto dense_channel = phy::make_paper_channel(seed, dense_params);
+  sim::Simulator sim;
+  mac::RadioMedium grid(&sim, grid_channel.get(), grid_channel->params().capture_margin_db);
+  mac::RadioMedium dense(&sim, dense_channel.get(), dense_channel->params().capture_margin_db);
+  for (std::uint32_t id = 0; id < positions.size(); ++id) {
+    grid.add_device(id, positions[id]);
+    dense.add_device(id, positions[id]);
+  }
+  const double all_pairs = 0.5 * static_cast<double>(positions.size() * (positions.size() - 1));
+  grid.rebuild();
+  dense.rebuild();
+  const std::size_t admitted = expect_same_cache(grid, dense);
+  // Not vacuous: a large share of the pairs is sub-cutoff, so the rebuild's
+  // reject bound has work to do, and some pairs are admitted.
+  EXPECT_GT(admitted, 0U);
+  EXPECT_LT(static_cast<double>(admitted), max_admitted_frac * all_pairs);
+
+  util::Rng rng(seed + 1);
+  for (std::uint32_t id = 0; id < positions.size(); ++id) {
+    const geo::Vec2 to = positions[id] + geo::Vec2{rng.uniform(-step_m, step_m),
+                                                   rng.uniform(-step_m, step_m)};
+    grid.move_device(id, to);
+    dense.move_device(id, to);
+  }
+  grid_channel->shadowing().invalidate();
+  dense_channel->shadowing().invalidate();
+  grid.rebuild();
+  dense.rebuild();
+  EXPECT_GT(expect_same_cache(grid, dense), 0U);
+}
+
+TEST(SpatialEquivalence, CandidateCacheMatchesDenseAtPaperDensity) {
+  // N = 1000 at the paper's density: the range disc covers the world, the
+  // rows run every v > u, and the bound rejects about half the pairs.
+  const core::ScenarioConfig config{.n = 1000, .seed = 9003};
+  expect_grid_cache_matches_dense(core::deploy(config), config.seed, 5.0, 0.6);
+}
+
+TEST(SpatialEquivalence, CandidateCacheMatchesDenseInASparseWorld) {
+  // A 5 km square: the range disc does not cover it, so rows are
+  // grid-gathered (and the grid follows the mobility step's moves).
+  util::Rng rng(9004);
+  std::vector<geo::Vec2> positions(300);
+  for (geo::Vec2& p : positions) p = {rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0)};
+  expect_grid_cache_matches_dense(positions, 9004, 50.0, 0.3);
 }
 
 TEST(SpatialEquivalence, ProximityGraphMatchesDenseReference) {
