@@ -1,10 +1,11 @@
 // bench_micro — engine-cost microbenchmarks: the slot calendar, union-find,
-// reference MSTs, PRC evaluation, oscillator updates, a radio slot flush,
-// the candidate-cache rebuild and one end-to-end trial per registered
-// protocol backend (the registry sweep is assembled at startup, so a newly
-// registered protocol shows up here without editing this file).  These pin
-// the constants behind the protocol-level numbers and catch performance
-// regressions in the substrates.
+// reference MSTs, PRC evaluation, oscillator updates, the fading-uniform
+// block fill, a radio slot flush, the candidate-cache rebuild and one
+// end-to-end trial per registered protocol backend (the registry sweep is
+// assembled at startup, so a newly registered protocol shows up here
+// without editing this file).  These pin the constants behind the
+// protocol-level numbers and catch performance regressions in the
+// substrates.
 //
 // Machine-readable output: this bench is pure google-benchmark, so it keeps
 // the native reporter (`--benchmark_format=json --benchmark_out=...`) rather
@@ -164,6 +165,20 @@ void BM_SlotOscillatorCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlotOscillatorCycle);
+
+void BM_RngFillUnitOpen(benchmark::State& state) {
+  // The radio sweep's per-sender fading block: one uniform per candidate.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> out(n);
+  util::Rng rng(1);
+  for (auto _ : state) {
+    rng.fill_unit_open(out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RngFillUnitOpen)->Arg(64)->Arg(1024);
 
 void BM_RadioSlotFlush(benchmark::State& state) {
   // One slot with `txs` simultaneous broadcasts into a 200-device network:

@@ -121,9 +121,7 @@ double FaultInjector::link_attenuation_db(std::uint32_t a, std::uint32_t b) cons
 
 bool FaultInjector::fill_drops(std::uint8_t* dropped, std::size_t n) {
   if (plan_.drop_probability <= 0.0) return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    dropped[i] = static_cast<std::uint8_t>(drop_rng_.bernoulli(plan_.drop_probability));
-  }
+  drop_rng_.fill_bernoulli(dropped, n, plan_.drop_probability);
   return true;
 }
 

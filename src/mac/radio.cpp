@@ -328,8 +328,8 @@ bool RadioMedium::receiver_open(std::size_t rx_index) {
   return (tag & 1) != 0;
 }
 
-void RadioMedium::push_audible(std::size_t rx_index, std::size_t tx_index, util::Dbm power,
-                               double mw) {
+inline void RadioMedium::push_audible(std::size_t rx_index, std::size_t tx_index,
+                                      util::Dbm power, double mw) {
   staged_.push_back(Reception{static_cast<std::uint32_t>(rx_index),
                               static_cast<std::uint32_t>(tx_index), power.value, mw});
   if (rx_end_[rx_index]++ == 0) touched_.push_back(static_cast<std::uint32_t>(rx_index));
@@ -371,13 +371,14 @@ void RadioMedium::deliver_cached() {
   // loop would make, in the same order.  A fade that provably leaves the
   // reception sub-threshold (u-space bound, or gain-domain for models
   // without one) is rejected on one compare; only survivors pay the gain
-  // transform and the exact dBm compare.  A rejected fade cannot become
-  // audible under attenuation, but a fired drop or an attenuated link on it
-  // still counts as a fault drop.  The float bounds are loose, so a
-  // survivor may still be provably sub-threshold: the exact compare rejects
-  // it and counts it as the skip would have (see round_skip_u).  A
-  // survivor's milliwatts are the cached mean's times the floored gain; an
-  // attenuated one pays `pow` instead.
+  // transform — one batched `gains_from_uniforms` call per sender — and
+  // the exact dBm compare.  A rejected fade cannot become audible under
+  // attenuation, but a fired drop or an attenuated link on it still counts
+  // as a fault drop.  The float bounds are loose, so a survivor may still
+  // be provably sub-threshold: the exact compare rejects it and counts it
+  // as the skip would have (see round_skip_u).  A survivor's milliwatts are
+  // the cached mean's times the floored gain; an attenuated one pays `pow`
+  // instead.
   const bool gated = down_count_ != 0 || any_listening_;
   for (std::size_t t = 0; t < flushing_.size(); ++t) {
     const PendingTx& tx = flushing_[t];
@@ -390,6 +391,7 @@ void RadioMedium::deliver_cached() {
       gate_pos_.resize(m);
       gate_rx_.resize(m);
       draw_.resize(m);
+      gain_.resize(m);
       drop_.resize(m);
       atten_db_.resize(m);
       survivors_.resize(m);
@@ -431,11 +433,14 @@ void RadioMedium::deliver_cached() {
         count += static_cast<std::size_t>(!sub && !lost);
       }
     }
+    if (uniform_skip_) {
+      channel_->fading().gains_from_uniforms(draw_.data(), survivors_.data(), count,
+                                             gain_.data());
+    }
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t i = survivors_[j];
       const std::size_t c = begin + pos[i];
-      const double gain =
-          uniform_skip_ ? channel_->fading().gain_from_uniform(draw_[i]) : draw_[i];
+      const double gain = uniform_skip_ ? gain_[j] : draw_[i];
       util::Dbm power = util::Dbm{cand_mean_[c]} - phy::FadingModel::loss_from_gain(gain);
       if (faded && atten_db_[i] > 0.0) {
         power = power - util::Db{atten_db_[i]};
@@ -484,26 +489,22 @@ void RadioMedium::resolve_receivers() {
     const bool shared = end - begin > 1;
     if (shared) {
       // Contention prepass: one milliwatt sum and count per RACH resource
-      // in one O(k) epoch-marked pass (no clearing between receivers).
-      // broadcast() admits only in-pool preambles, so every key fits.
-      ++group_epoch_;
+      // in one branch-free O(k) pass over zeroed slots (0.0 + mW is the mW
+      // itself, so each sum is bit-identical to one seeded by its first
+      // entry).  broadcast() admits only in-pool preambles, so every key
+      // fits.  A receiver with one reception skips it: the reception's
+      // slot stays at count 0 and it decodes.
       for (std::uint32_t i = begin; i < end; ++i) {
         const Reception& r = staged[order[i]];
         const std::uint32_t key = tx_key_[r.tx];
-        if (group_seen_[key] != group_epoch_) {
-          group_seen_[key] = group_epoch_;
-          group_count_[key] = 1;
-          group_mw_[key] = r.mw;
-        } else {
-          ++group_count_[key];
-          group_mw_[key] += r.mw;
-        }
+        ++group_count_[key];
+        group_mw_[key] += r.mw;
       }
     }
     for (std::uint32_t i = begin; i < end; ++i) {
       const Reception& r = staged[order[i]];
       const std::uint32_t key = tx_key_[r.tx];
-      if (shared && group_count_[key] > 1) {
+      if (group_count_[key] > 1) {
         // Guard band only: the dB reference's interference, pow per
         // same-resource entry summed in entry order.
         const auto interference_mw = [&] {
@@ -524,6 +525,14 @@ void RadioMedium::resolve_receivers() {
       const PendingTx& tx = flushing_[r.tx];
       rx_records_.push_back(RxRecord{tx.sender, rx_index, tx.preamble, tx.type, tx.payload,
                                      util::Dbm{r.dbm}, tx.slot_start});
+    }
+    if (shared) {
+      // Restore the all-zero invariant for the next receiver.
+      for (std::uint32_t i = begin; i < end; ++i) {
+        const std::uint32_t key = tx_key_[staged[order[i]].tx];
+        group_count_[key] = 0;
+        group_mw_[key] = 0.0;
+      }
     }
     begin = end;
   }
@@ -607,11 +616,6 @@ void RadioMedium::restore_state(const StateSnapshot& snap) {
   flush_scheduled_ = snap.flush_scheduled;
   down_ = snap.down;
   down_count_ = snap.down_count;
-  // The collision prepass tags per-resource slots with the current epoch and
-  // pre-increments before each bucket, so rewinding the epoch to zero (no
-  // slot carries tag 0 after a fill) is equivalent to clearing the table.
-  group_epoch_ = 0;
-  std::fill(std::begin(group_seen_), std::end(group_seen_), std::uint64_t{0});
 }
 
 }  // namespace firefly::mac

@@ -364,7 +364,7 @@ class RadioMedium {
   /// — they are position-derived and snapshots are restricted to static
   /// scenarios — so only traffic state is: the counters, the two slot
   /// buffers, the flush-armed flag and the down set.  The per-resource
-  /// collision scratch is epoch-tagged and rewound wholesale on restore.
+  /// collision scratch is all zero between flushes, so it needs no rewind.
   struct StateSnapshot {
     TrafficCounters counters;
     std::vector<PendingTx> pending;
@@ -461,6 +461,7 @@ class RadioMedium {
   std::vector<std::uint32_t> gate_pos_;     // gated candidate -> slice position
   std::vector<std::uint32_t> gate_rx_;      // gated candidate -> receiver index
   std::vector<double> draw_;                // fading uniforms (or gains)
+  std::vector<double> gain_;                // survivor j's gain (u-space skip)
   std::vector<std::uint8_t> drop_;          // fault drop draws
   std::vector<double> atten_db_;            // fault link attenuations
   std::vector<std::uint32_t> survivors_;    // skip-test survivors
@@ -475,15 +476,13 @@ class RadioMedium {
   std::vector<std::uint32_t> tx_key_;          // resource key per flushing_ entry
   DeliverFn sink_;                             // per-slot batch consumer
   std::vector<RxRecord> rx_records_;           // this slot's decoded batch
-  // Epoch-marked per-resource milliwatt sums for the collision prepass: one
-  // slot per (codec, preamble) pool entry, keyed (codec − 1)·kPreamblePoolSize
-  // + index, valid only while its epoch tag matches — no clearing between
-  // receivers.
+  // Per-resource reception counts and milliwatt sums for the collision
+  // prepass: one slot per (codec, preamble) pool entry, keyed
+  // (codec − 1)·kPreamblePoolSize + index.  All zero outside a receiver's
+  // resolution: it accumulates into them, then zeroes the keys it touched.
   static constexpr std::uint32_t kResourceCodecs = 2;
   static constexpr std::size_t kResourceSlots =
       static_cast<std::size_t>(kResourceCodecs) * kPreamblePoolSize;
-  std::uint64_t group_epoch_ = 0;
-  std::uint64_t group_seen_[kResourceSlots] = {};
   std::uint32_t group_count_[kResourceSlots] = {};
   double group_mw_[kResourceSlots] = {};
   bool cache_valid_ = false;

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -45,6 +47,14 @@ class FadingModel {
   /// The gain transform for one uniform draw (only when supported); must
   /// be bit-identical to what `sample_gain` computes from the same step.
   [[nodiscard]] virtual double gain_from_uniform(double /*u*/) const { return 0.0; }
+  /// Batched `gain_from_uniform`: out[j] = gain_from_uniform(u[idx[j]]) for
+  /// j < n, bit for bit.  The radio calls it once per sender for that
+  /// sender's skip-test survivors, so a model overriding it pays one
+  /// virtual call per sender instead of one per survivor.
+  virtual void gains_from_uniforms(const double* u, const std::uint32_t* idx, std::size_t n,
+                                   double* out) const {
+    for (std::size_t j = 0; j < n; ++j) out[j] = gain_from_uniform(u[idx[j]]);
+  }
   /// Conservative uniform bound: u ≥ skip_u(g) guarantees the sampled
   /// gain is below g.  Default 2.0 (> any uniform) never skips.
   [[nodiscard]] virtual double skip_u(double /*min_gain*/) const { return 2.0; }
@@ -75,6 +85,12 @@ class RayleighFading final : public FadingModel {
   // borderline draws fall through to the exact dBm comparison.
   [[nodiscard]] bool supports_uniform_skip() const override { return true; }
   [[nodiscard]] double gain_from_uniform(double u) const override { return -std::log(u); }
+  // The default loop with the transform bound statically, so the survivor
+  // loop runs without an indirect call per element.
+  void gains_from_uniforms(const double* u, const std::uint32_t* idx, std::size_t n,
+                           double* out) const override {
+    for (std::size_t j = 0; j < n; ++j) out[j] = RayleighFading::gain_from_uniform(u[idx[j]]);
+  }
   [[nodiscard]] double skip_u(double min_gain) const override {
     return std::exp(-min_gain) * (1.0 + 1e-12);
   }

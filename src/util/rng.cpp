@@ -7,8 +7,6 @@ namespace firefly::util {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586476925286766559;
-
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Xoshiro256ss::Xoshiro256ss(std::uint64_t seed) {
@@ -16,22 +14,7 @@ Xoshiro256ss::Xoshiro256ss(std::uint64_t seed) {
   for (auto& s : s_) s = sm.next();
 }
 
-std::uint64_t Xoshiro256ss::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> double in [0, 1).
-  return static_cast<double>(engine_.next() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return uniform_from(engine_.next()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
@@ -52,7 +35,7 @@ double Rng::normal() {
     return cached_normal_;
   }
   // Box–Muller; u1 shifted away from zero to keep log() finite.
-  const double u1 = (static_cast<double>(engine_.next() >> 11) + 0.5) * 0x1.0p-53;
+  const double u1 = unit_open();
   const double u2 = uniform();
   const double radius = std::sqrt(-2.0 * std::log(u1));
   cached_normal_ = radius * std::sin(kTwoPi * u2);
@@ -65,7 +48,7 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 double Rng::rayleigh(double sigma) {
-  const double u = (static_cast<double>(engine_.next() >> 11) + 0.5) * 0x1.0p-53;
+  const double u = unit_open();
   return sigma * std::sqrt(-2.0 * std::log(u));
 }
 
@@ -73,7 +56,7 @@ double Rng::gamma(double shape, double scale) {
   assert(shape > 0.0 && scale > 0.0);
   if (shape < 1.0) {
     // Boost to shape+1 and correct with u^(1/shape) (Marsaglia–Tsang trick).
-    const double u = (static_cast<double>(engine_.next() >> 11) + 0.5) * 0x1.0p-53;
+    const double u = unit_open();
     return gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
   }
   const double d = shape - 1.0 / 3.0;
@@ -86,7 +69,7 @@ double Rng::gamma(double shape, double scale) {
       v = 1.0 + c * x;
     } while (v <= 0.0);
     v = v * v * v;
-    const double u = (static_cast<double>(engine_.next() >> 11) + 0.5) * 0x1.0p-53;
+    const double u = unit_open();
     if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
     if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v * scale;
   }

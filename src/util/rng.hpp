@@ -8,6 +8,7 @@
 // (master_seed, stream_name, trial_index).
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -42,7 +43,20 @@ class Xoshiro256ss {
 
   explicit Xoshiro256ss(std::uint64_t seed);
 
-  std::uint64_t next();
+  std::uint64_t next() { return step(s_[0], s_[1], s_[2], s_[3]); }
+
+  /// Calls emit(i, bits) for i in [0, n) with the n outputs `next()` would
+  /// return, the state held in locals for the whole block rather than
+  /// loaded and stored through memory per draw.
+  template <typename Emit>
+  void generate(std::size_t n, Emit&& emit) {
+    std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+    for (std::size_t i = 0; i < n; ++i) emit(i, step(s0, s1, s2, s3));
+    s_[0] = s0;
+    s_[1] = s1;
+    s_[2] = s2;
+    s_[3] = s3;
+  }
 
   // UniformRandomBitGenerator interface so <random> distributions also work.
   static constexpr result_type min() { return 0; }
@@ -50,6 +64,19 @@ class Xoshiro256ss {
   result_type operator()() { return next(); }
 
  private:
+  static std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1, std::uint64_t& s2,
+                            std::uint64_t& s3) {
+    const std::uint64_t result = std::rotl(s1 * 5, 7) * 9;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = std::rotl(s3, 45);
+    return result;
+  }
+
   std::uint64_t s_[4];
 };
 
@@ -74,17 +101,13 @@ class Rng {
   /// underlying `exponential` (and the Rayleigh power-gain draw).  Exposed
   /// so the radio's delivery fast path can test the raw uniform against a
   /// precomputed bound and only pay the log for survivors.
-  double unit_open() {
-    return (static_cast<double>(engine_.next() >> 11) + 0.5) * 0x1.0p-53;
-  }
+  double unit_open() { return unit_open_from(engine_.next()); }
   /// Fill `out[0..n)` with the exact sequence n successive `unit_open()`
   /// calls would produce.  The radio's batched delivery path uses this to
   /// draw one fade per candidate in a single tight loop; keeping it
   /// bit-equal to the scalar draw is what pins cross-path determinism.
   void fill_unit_open(double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = (static_cast<double>(engine_.next() >> 11) + 0.5) * 0x1.0p-53;
-    }
+    engine_.generate(n, [out](std::size_t i, std::uint64_t bits) { out[i] = unit_open_from(bits); });
   }
   /// Exponential with the given rate λ (> 0).  Inline: it is the Rayleigh
   /// power-gain draw, which delivery evaluation performs once per
@@ -95,6 +118,13 @@ class Rng {
   }
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
+  /// Fill `out[0..n)` with the exact results (1 = success) of n successive
+  /// `bernoulli(p)` calls, in one block.
+  void fill_bernoulli(std::uint8_t* out, std::size_t n, double p) {
+    engine_.generate(n, [out, p](std::size_t i, std::uint64_t bits) {
+      out[i] = static_cast<std::uint8_t>(uniform_from(bits) < p);
+    });
+  }
   /// Rayleigh-distributed amplitude with scale σ.
   double rayleigh(double sigma);
   /// Gamma(shape k, scale θ) via Marsaglia–Tsang.  Used for Nakagami fading.
@@ -117,6 +147,14 @@ class Rng {
   }
 
  private:
+  /// The [0, 1) and (0, 1) maps of one 64-bit output (53 mantissa bits).
+  static double uniform_from(std::uint64_t bits) {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
+  }
+  static double unit_open_from(std::uint64_t bits) {
+    return (static_cast<double>(bits >> 11) + 0.5) * 0x1.0p-53;
+  }
+
   Xoshiro256ss engine_;
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;

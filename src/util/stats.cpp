@@ -78,16 +78,40 @@ double Sample::stddev() const {
   return std::sqrt(s / static_cast<double>(n - 1));
 }
 
+namespace {
+/// Percentile p of n ≥ 2 sorted values interpolates order statistics lo and
+/// lo + 1 (clamped to n − 1) with weight frac on the upper one.
+struct Rank {
+  std::size_t lo;
+  double frac;
+};
+Rank rank_of(double p, std::size_t n) {
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  return {lo, rank - static_cast<double>(lo)};
+}
+}  // namespace
+
 double Sample::percentile(double p) const {
   assert(p >= 0.0 && p <= 100.0);
   if (values_.empty()) return 0.0;
   ensure_sorted();
   if (values_.size() == 1) return values_[0];
-  const double rank = p / 100.0 * static_cast<double>(values_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values_[lo] * (1.0 - frac) + values_[hi] * frac;
+  const Rank r = rank_of(p, values_.size());
+  const std::size_t hi = std::min(r.lo + 1, values_.size() - 1);
+  return values_[r.lo] * (1.0 - r.frac) + values_[hi] * r.frac;
+}
+
+double Sample::percentile_select(double p) {
+  assert(p >= 0.0 && p <= 100.0);
+  if (sorted_ || values_.size() < 2) return percentile(p);
+  const Rank r = rank_of(p, values_.size());
+  const auto lo = values_.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(values_.begin(), lo, values_.end());
+  // After the partition every value past lo is ≥ *lo, so the next order
+  // statistic is their minimum.
+  const double hi = lo + 1 != values_.end() ? *std::min_element(lo + 1, values_.end()) : *lo;
+  return *lo * (1.0 - r.frac) + hi * r.frac;
 }
 
 double Sample::ci95_halfwidth() const {

@@ -46,6 +46,10 @@ class Sample {
   [[nodiscard]] double stddev() const;
   /// Linear-interpolated percentile, p in [0, 100].
   [[nodiscard]] double percentile(double p) const;
+  /// The value `percentile(p)` returns, found by selection (O(n)) rather
+  /// than a full sort.  Reorders the stored values, so read order-sensitive
+  /// statistics (`mean` sums in insertion order) first.
+  [[nodiscard]] double percentile_select(double p);
   [[nodiscard]] double median() const { return percentile(50.0); }
   /// Half-width of the t-distribution-free normal-approximation 95% CI.
   [[nodiscard]] double ci95_halfwidth() const;

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -94,6 +97,52 @@ TEST(Nakagami, MEqualsOneMatchesRayleighDistribution) {
     if (ray.sample(rng_r).value > 10.0) ++ray_deep;
   }
   EXPECT_NEAR(nak_deep / static_cast<double>(n), ray_deep / static_cast<double>(n), 0.01);
+}
+
+// The radio's batched gain transform must be bit-equal to the scalar one.
+// Also catches a compiler substituting a vector libm log in the loop.
+void expect_batched_gains_bitwise_equal(const FadingModel& model) {
+  std::vector<double> u(1'000'000);
+  Rng rng(2024);
+  rng.fill_unit_open(u.data(), u.size());
+  u.push_back(0x1.0p-54);
+  u.push_back(0.5);
+  u.push_back(1.0 - 0x1.0p-53);
+  // Survivor indices: every position, then a gathered (strided) subset.
+  std::vector<std::uint32_t> idx(u.size());
+  for (std::uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::vector<std::uint32_t> strided;
+  for (std::uint32_t i = 0; i < u.size(); i += 3) strided.push_back(i);
+  strided.push_back(static_cast<std::uint32_t>(u.size() - 1));
+  for (const auto* sel : {&idx, &strided}) {
+    std::vector<double> out(sel->size());
+    model.gains_from_uniforms(u.data(), sel->data(), sel->size(), out.data());
+    for (std::size_t j = 0; j < sel->size(); ++j) {
+      const double want = model.gain_from_uniform(u[(*sel)[j]]);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(out[j]), std::bit_cast<std::uint64_t>(want))
+          << "u=" << u[(*sel)[j]];
+    }
+  }
+}
+
+TEST(Rayleigh, BatchedGainsEqualScalarBitwise) {
+  expect_batched_gains_bitwise_equal(RayleighFading{});
+}
+
+TEST(FadingModel, DefaultBatchedGainsEqualScalarBitwise) {
+  // Overrides only the scalar transform, so the batch takes the default loop.
+  class ScalarOnly final : public FadingModel {
+   public:
+    [[nodiscard]] double sample_gain(Rng& rng) const override {
+      return gain_from_uniform(rng.unit_open());
+    }
+    [[nodiscard]] double mean_power_gain() const override { return 1.0; }
+    [[nodiscard]] bool supports_uniform_skip() const override { return true; }
+    [[nodiscard]] double gain_from_uniform(double u) const override {
+      return std::sqrt(-std::log(u)) * 1.5;
+    }
+  };
+  expect_batched_gains_bitwise_equal(ScalarOnly{});
 }
 
 }  // namespace

@@ -251,6 +251,82 @@ TEST(Radio, Rach2CaptureBesideOrthogonalRach1) {
   EXPECT_EQ(w.inbox[2][1].payload, 103U);
 }
 
+TEST(Radio, BackToBackContendedFlushesDecideAsFreshMedia) {
+  // The collision prepass keeps per-resource sums that must be all zero
+  // again after each receiver.  Flush A contends on the same resources
+  // flush B uses, so any residue would change B's verdicts.  B must decide
+  // exactly as on a fresh medium: right after A, and after a
+  // save_state/restore_state between A and B (a snapshot taken before A,
+  // and one taken after it).
+  const std::vector<geo::Vec2> pos = {{0.0, 0.0},  {20.0, 0.0}, {10.0, 0.0},
+                                      {9.0, 0.0},  {40.0, 0.0}, {10.0, 5.0}};
+  struct Sent {
+    std::uint32_t sender;
+    mac::Preamble preamble;
+  };
+  const std::vector<Sent> flush_a = {{0, {RachCodec::kRach1, 7}},
+                                     {1, {RachCodec::kRach1, 7}},
+                                     {4, {RachCodec::kRach2, 3}},
+                                     {5, {RachCodec::kRach2, 3}}};
+  const std::vector<Sent> flush_b = {{3, {RachCodec::kRach1, 7}},
+                                     {4, {RachCodec::kRach1, 7}},
+                                     {5, {RachCodec::kRach2, 3}},
+                                     {0, {RachCodec::kRach2, 3}},
+                                     {1, {RachCodec::kRach1, 2}}};
+  using Decoded = std::vector<std::pair<std::uint32_t, std::uint32_t>>;  // (rx, sender)
+  struct Outcome {
+    Decoded decoded;
+    std::uint64_t collisions;
+  };
+  const auto run = [](World& w, const std::vector<Sent>& sent) {
+    Decoded decoded;
+    w.radio->set_delivery_sink([&decoded](const mac::RxBatch& batch) {
+      for (std::size_t k = 0; k < batch.count; ++k) {
+        decoded.emplace_back(batch.records[k].rx_index, batch.records[k].sender);
+      }
+    });
+    const std::uint64_t before = w.radio->counters().collisions;
+    w.sim.schedule_at(w.sim.now(), [&] {
+      for (const Sent& s : sent) w.radio->broadcast(s.sender, s.preamble, PsType::kSyncPulse, 0);
+    });
+    w.sim.run();
+    return Outcome{decoded, w.radio->counters().collisions - before};
+  };
+  for (const bool use_cache : {false, true}) {
+    const auto make = [&](World& w) {
+      for (std::uint32_t id = 0; id < pos.size(); ++id) w.add(id, pos[id]);
+      if (use_cache) w.radio->rebuild();
+    };
+    World fresh;
+    make(fresh);
+    const Outcome want = run(fresh, flush_b);
+    ASSERT_GT(want.collisions, 0U) << "flush B must contend";
+    ASSERT_FALSE(want.decoded.empty());
+
+    World back_to_back;
+    make(back_to_back);
+    ASSERT_GT(run(back_to_back, flush_a).collisions, 0U) << "flush A must contend";
+    const Outcome after_a = run(back_to_back, flush_b);
+    EXPECT_EQ(after_a.decoded, want.decoded) << "cache=" << use_cache;
+    EXPECT_EQ(after_a.collisions, want.collisions) << "cache=" << use_cache;
+
+    for (const bool snapshot_before_a : {true, false}) {
+      World restored;
+      make(restored);
+      RadioMedium::StateSnapshot snap;
+      if (snapshot_before_a) snap = restored.radio->save_state();
+      run(restored, flush_a);
+      if (!snapshot_before_a) snap = restored.radio->save_state();
+      restored.radio->restore_state(snap);
+      const Outcome got = run(restored, flush_b);
+      EXPECT_EQ(got.decoded, want.decoded)
+          << "cache=" << use_cache << " before_a=" << snapshot_before_a;
+      EXPECT_EQ(got.collisions, want.collisions)
+          << "cache=" << use_cache << " before_a=" << snapshot_before_a;
+    }
+  }
+}
+
 TEST(Radio, OutOfPoolPreambleIsRejected) {
   World w;
   w.add(0, {0.0, 0.0});

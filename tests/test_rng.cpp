@@ -157,6 +157,29 @@ TEST(Rng, BernoulliProbability) {
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.01);
 }
 
+TEST(Rng, BlockFillsEqualScalarSequences) {
+  // fill_unit_open / fill_bernoulli hold the engine state in locals for the
+  // block; each must write exactly what n scalar calls return and leave the
+  // stream where they would, so scalar draws interleave seamlessly.
+  Rng block(77);
+  Rng scalar(77);
+  for (const std::size_t n : {0, 1, 2, 3, 7, 1000}) {
+    std::vector<double> u(n);
+    block.fill_unit_open(u.data(), n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(u[i], scalar.unit_open()) << "n=" << n;
+    ASSERT_EQ(block.bits(), scalar.bits()) << "n=" << n;
+
+    for (const double p : {0.0, 0.05, 0.5, 1.0}) {
+      std::vector<std::uint8_t> b(n, 2);
+      block.fill_bernoulli(b.data(), n, p);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(b[i], scalar.bernoulli(p) ? 1 : 0) << "n=" << n << " p=" << p;
+      }
+      ASSERT_EQ(block.uniform(), scalar.uniform()) << "n=" << n << " p=" << p;
+    }
+  }
+}
+
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(43);
   std::vector<int> v(100);

@@ -94,6 +94,32 @@ TEST(Sample, AddAfterQueryResorts) {
   EXPECT_DOUBLE_EQ(s.percentile(0.0), 0.5);
 }
 
+TEST(Sample, PercentileSelectEqualsSortedPercentile) {
+  // Random samples and heavily tied ones, every size class the rank
+  // arithmetic distinguishes (1, 2, lo + 1 == n, large).
+  firefly::util::Rng rng(9);
+  for (const std::size_t n : {1, 2, 3, 10, 11, 1001}) {
+    for (const bool tied : {false, true}) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        v = tied ? static_cast<double>(rng.uniform_index(4)) * 0.25 : rng.uniform();
+      }
+      for (const double p : {0.0, 37.5, 50.0, 90.0, 99.0, 100.0}) {
+        Sample sorted;
+        Sample selected;
+        for (const double v : values) {
+          sorted.add(v);
+          selected.add(v);
+        }
+        EXPECT_EQ(selected.percentile_select(p), sorted.percentile(p))
+            << "n=" << n << " tied=" << tied << " p=" << p;
+      }
+    }
+  }
+  Sample empty;
+  EXPECT_EQ(empty.percentile_select(90.0), 0.0);
+}
+
 TEST(Sample, Ci95ShrinksWithN) {
   firefly::util::Rng rng(9);
   Sample small, large;
