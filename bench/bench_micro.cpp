@@ -326,6 +326,38 @@ void BM_RadioRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RadioRebuild)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
+void BM_RadioRebuildAfterMove(benchmark::State& state) {
+  // The mobility cadence: every device takes one step (a few metres, as a
+  // random-waypoint update does), the shadowing decorrelates, and the cache
+  // is rebuilt once.  Devices alternate between two position sets, so each
+  // iteration moves all of them and reuses the cache's allocation.
+  core::ScenarioConfig config;
+  config.n = static_cast<std::size_t>(state.range(0));
+  config.seed = 3;
+  const std::vector<geo::Vec2> home = core::deploy(config);
+  std::vector<geo::Vec2> away = home;
+  util::Rng rng(4);
+  for (geo::Vec2& p : away) p = p + geo::Vec2{rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)};
+  sim::Simulator sim;
+  auto channel = phy::make_paper_channel(config.seed);
+  mac::RadioMedium radio(&sim, channel.get(), channel->params().capture_margin_db);
+  for (std::uint32_t id = 0; id < home.size(); ++id) radio.add_device(id, home[id]);
+  radio.rebuild();
+  bool at_home = true;
+  for (auto _ : state) {
+    at_home = !at_home;
+    const std::vector<geo::Vec2>& to = at_home ? home : away;
+    for (std::uint32_t id = 0; id < to.size(); ++id) radio.move_device(id, to[id]);
+    channel->shadowing().invalidate();
+    radio.rebuild();
+    benchmark::DoNotOptimize(radio.candidates().rx.data());
+    benchmark::ClobberMemory();
+  }
+  const auto pairs = home.size() * (home.size() - 1) / 2;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * pairs));
+}
+BENCHMARK(BM_RadioRebuildAfterMove)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
 // One full small-network trial through the registry — the cost of a
 // protocol end to end (build, run to its own completion criterion or the
 // horizon), per registered backend.  Registered dynamically in main() from

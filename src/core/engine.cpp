@@ -222,8 +222,9 @@ mac::Preamble EngineBase::random_preamble(mac::RachCodec codec) {
       codec, static_cast<std::uint32_t>(control_rng_.uniform_index(mac::kPreamblePoolSize))};
 }
 
-bool EngineBase::discovery_complete() const {
-  for (const auto& [u, v] : reliable_links_) {
+bool EngineBase::discovery_complete() {
+  for (; discovery_resume_ < reliable_links_.size(); ++discovery_resume_) {
+    const auto [u, v] = reliable_links_[discovery_resume_];
     // A link with a crashed endpoint is waived: the survivor cannot be
     // expected to (re)discover a silent radio.
     if (hot_.down[u] || hot_.down[v]) continue;
@@ -386,6 +387,7 @@ void EngineBase::crash_device(std::uint32_t id) {
   radio_.set_down(id, true);
   detector_.set_active(id, false);
   local_detector_.set_active(id, false);
+  discovery_resume_ = 0;
   ++crashes_;
   trace(TraceKind::kCrash, id);
 }
@@ -399,6 +401,7 @@ void EngineBase::recover_device(std::uint32_t id) {
   // Cold boot: volatile state is gone.  The crystal (and its drift) is the
   // same physical part, so drift_ppm survives.
   hot_.neighbors[id].clear();
+  discovery_resume_ = 0;
   hot_.last_fire_slot[id] = -1;
   hot_.refractory_until_slot[id] = -1;
   hot_.drift_residual[id] = 0.0;

@@ -211,6 +211,11 @@ class EngineBase : public proto::DiscoveryProtocol {
   // --- discovery (shared) ---
   /// Update the receiver's neighbour table from a decoded PS (any type).
   void update_neighbor(const mac::RxRecord& record);
+  /// Whether every reliable link with both endpoints up is known both ways.
+  /// Resumes at the first link the last call found undiscovered (tables only
+  /// grow between lifecycle events); a crash, recover or restore() resets it.
+  [[nodiscard]] bool discovery_complete();
+  [[nodiscard]] const auto& reliable_links() const { return reliable_links_; }
 
   sim::Simulator sim_;
   std::unique_ptr<phy::Channel> channel_;
@@ -229,7 +234,6 @@ class EngineBase : public proto::DiscoveryProtocol {
 
  private:
   void check_convergence();
-  [[nodiscard]] bool discovery_complete() const;
   void finalize_metrics(RunMetrics& metrics) const;
   /// Adapt the fault plan into the radio (iid drops + fade attenuation) and
   /// schedule every pre-generated churn and fade event.
@@ -251,6 +255,7 @@ class EngineBase : public proto::DiscoveryProtocol {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> reliable_links_;
   std::int64_t sync_slot_ = -1;
   std::int64_t discovery_slot_ = -1;
+  std::size_t discovery_resume_ = 0;  // first link not known discovered
   std::int64_t protocol_slot_ = -1;
   std::int64_t local_converged_slot_ = -1;
   geo::Area mobility_area_{};

@@ -116,6 +116,7 @@ void EngineBase::restore(const EngineSnapshot& snap) {
 
   sync_slot_ = snap.sync_slot;
   discovery_slot_ = snap.discovery_slot;
+  discovery_resume_ = 0;
   protocol_slot_ = snap.protocol_slot;
   local_converged_slot_ = snap.local_converged_slot;
   crashes_ = snap.crashes;

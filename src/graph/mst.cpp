@@ -85,6 +85,4 @@ MstResult prim(const Graph& g, Orientation orientation) {
   return result;
 }
 
-double forest_weight(const MstResult& r) { return r.total_weight; }
-
 }  // namespace firefly::graph

@@ -28,8 +28,4 @@ struct MstResult {
 /// Prim with a binary heap.  O(E log V).  Starts from vertex 0.
 [[nodiscard]] MstResult prim(const Graph& g, Orientation orientation = Orientation::kMin);
 
-/// Weight of the spanning forest (sum over components) — lets tests compare
-/// algorithms on disconnected graphs too.
-[[nodiscard]] double forest_weight(const MstResult& r);
-
 }  // namespace firefly::graph

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/timer.hpp"
-#include "util/log.hpp"
 
 namespace firefly::mac {
 
@@ -45,7 +44,7 @@ void RadioMedium::add_device(std::uint32_t id, geo::Vec2 position, ListenFn list
   down_.push_back(0);
   awake_tag_.push_back(0);
   rx_end_.push_back(0);
-  invalidate();
+  cache_valid_ = false;
   grid_ready_ = false;  // population changed: next rebuild re-seeds the grid
 }
 
@@ -80,70 +79,11 @@ void RadioMedium::move_device(std::uint32_t id, geo::Vec2 position) {
   // stale until the caller rebuilds (mobility steps move every device,
   // then rebuild once).
   if (grid_ready_) grid_.move(idx, position);
-  invalidate();
+  cache_valid_ = false;
 }
 
 geo::Vec2 RadioMedium::device_position(std::uint32_t id) const {
   return devices_[index_of(id)].position;
-}
-
-void RadioMedium::admit_candidate(std::size_t u, std::size_t v, util::Dbm mean,
-                                  const Admission& admission) {
-  if (mean < admission.cutoff) return;
-  // Fading headroom of the link.  Gains strictly below skip_gain provably
-  // leave the reception sub-threshold (1e-9 dB of slack absorbs pow/log
-  // rounding); borderline gains fall through to the exact dBm comparison,
-  // so the fast path decides bit-identically with the dense one.  When the
-  // headroom exceeds the fade-loss cap the link is audible in any fade.
-  const double headroom_db = (mean - admission.threshold).value;
-  double skip_gain = 0.0;
-  if (headroom_db < admission.max_loss_db) {
-    skip_gain = std::pow(10.0, -(headroom_db + 1e-9) / 10.0);
-  }
-  // The sweep tests a model's draws in one space only: u-space when it
-  // offers the uniform shortcut (skip_gain 0 maps to skip_u > 1, never
-  // skipping), gain space otherwise.  Either is stored as a float rounded
-  // the loose way.
-  const float skip = uniform_skip_ ? round_skip_u(channel_->fading().skip_u(skip_gain))
-                                   : round_skip_gain(skip_gain);
-  pair_scratch_.push_back(PairRec{static_cast<std::uint32_t>(u),
-                                  static_cast<std::uint32_t>(v), mean.value, skip});
-}
-
-void RadioMedium::scatter_candidates() {
-  const std::size_t n = devices_.size();
-  cand_offsets_.assign(n + 1, 0);
-  for (const PairRec& p : pair_scratch_) {
-    ++cand_offsets_[p.u + 1];
-    ++cand_offsets_[p.v + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) cand_offsets_[i + 1] += cand_offsets_[i];
-  const std::size_t total = cand_offsets_[n];
-  cand_rx_.resize(total);
-  cand_mean_.resize(total);
-  cand_mean_mw_.resize(total);
-  cand_skip_.resize(total);
-  cand_cursor_.assign(cand_offsets_.begin(), cand_offsets_.end() - 1);
-  // Scatter in admission order.  Pairs are admitted with u ascending and v
-  // ascending within u, so each sender's slice fills in ascending receiver
-  // index — the same per-sender order the per-sender push_backs used to
-  // produce, which is what pins the fading-draw order at delivery.
-  for (const PairRec& p : pair_scratch_) {
-    const double mean_mw = util::Dbm{p.mean_dbm}.milliwatts();
-    const std::size_t ku = cand_cursor_[p.u]++;
-    cand_rx_[ku] = p.v;
-    cand_mean_[ku] = p.mean_dbm;
-    cand_mean_mw_[ku] = mean_mw;
-    cand_skip_[ku] = p.skip;
-    const std::size_t kv = cand_cursor_[p.v]++;
-    cand_rx_[kv] = p.u;
-    cand_mean_[kv] = p.mean_dbm;
-    cand_mean_mw_[kv] = mean_mw;
-    cand_skip_[kv] = p.skip;
-  }
-  // The staging is as large as the cache itself; keeping it for the next
-  // rebuild would hold that memory for the medium's lifetime.
-  std::vector<PairRec>().swap(pair_scratch_);
 }
 
 bool PathLossFloor::build(const phy::PathLossModel& model, double max_d2) {
@@ -163,35 +103,116 @@ bool PathLossFloor::build(const phy::PathLossModel& model, double max_d2) {
   return true;
 }
 
-void RadioMedium::rebuild(double fading_margin_db) {
-  const std::size_t n = devices_.size();
-  pair_scratch_.clear();
-  const phy::RadioParams& params = channel_->params();
-  const Admission admission{params.detection_threshold - util::Db{fading_margin_db},
-                            params.detection_threshold,
-                            -10.0 * std::log10(phy::FadingModel::kGainFloor)};
-  uniform_skip_ = channel_->fading().supports_uniform_skip();
+float SkipTable::exact(const phy::FadingModel& fading, double headroom_db) {
+  // Gains below skip_gain provably leave the reception sub-threshold (1e-9
+  // dB absorbs pow/log rounding).  At the cap the link is audible in any
+  // fade: skip_gain 0 maps to skip_u > 1, never skipping.
+  const double skip_gain =
+      headroom_db < kMaxLossDb ? std::pow(10.0, -(headroom_db + 1e-9) / 10.0) : 0.0;
+  return fading.supports_uniform_skip() ? round_skip_u(fading.skip_u(skip_gain))
+                                        : round_skip_gain(skip_gain);
+}
 
-  if (params.spatial_index == phy::SpatialIndex::kGrid) {
-    rebuild_bounded(fading_margin_db, admission);
+void SkipTable::build(const phy::FadingModel& fading, double margin_db) {
+  lo_db_ = -margin_db;
+  const double width = (kMaxLossDb - lo_db_) / static_cast<double>(kBuckets);
+  inv_width_ = width > 0.0 ? 1.0 / width : 0.0;
+  bound_.resize(kBuckets + 1);
+  for (std::size_t b = 0; b <= kBuckets; ++b) {
+    const double edge = lo_db_ + static_cast<double>(b + 1) * width + kEdgeSlackDb;
+    bound_[b] = exact(fading, b < kBuckets && width > 0.0 ? edge : kMaxLossDb);
+  }
+}
+
+void RadioMedium::rebuild(double fading_margin_db) {
+  if (!std::isfinite(fading_margin_db)) {
+    throw std::invalid_argument("RadioMedium::rebuild: non-finite fading margin");
+  }
+  cache_valid_ = false;
+  const phy::RadioParams& params = channel_->params();
+  const util::Dbm cutoff = params.detection_threshold - util::Db{fading_margin_db};
+  uniform_skip_ = channel_->fading().supports_uniform_skip();
+  skip_table_.build(channel_->fading(), fading_margin_db);
+  const std::size_t n = devices_.size();
+  cand_offsets_.assign(n + 1, 0);
+  if (params.spatial_index == phy::SpatialIndex::kGrid && n >= 2) {
+    rebuild_bounded(fading_margin_db, cutoff);
   } else {
-    // Dense reference: the memo-backed channel query, same means (the
-    // channel's mean is bit-identical cached or not).
+    // Dense reference (and any world without pairs): every v > u survives;
+    // the memo-backed query gives the same means, cached or not.
+    for (std::size_t u = 0; u < n; ++u) cand_offsets_[u + 1] = n - 1;
+    allocate_candidates();
     for (std::size_t u = 0; u < n; ++u) {
       for (std::size_t v = u + 1; v < n; ++v) {
         const util::Dbm mean = channel_->mean_received_power(
             devices_[u].id, devices_[u].position, devices_[v].id, devices_[v].position);
-        admit_candidate(u, v, mean, admission);
+        admit_candidate(u, v, mean.value, cutoff);
       }
     }
   }
-  scatter_candidates();
+  compact_candidates();
   cache_valid_ = true;
 }
 
-void RadioMedium::rebuild_bounded(double fading_margin_db, const Admission& admission) {
+void RadioMedium::allocate_candidates() {
+  // cand_offsets_[u + 1] holds u's survivor count on either side of a pair,
+  // so the prefix sums give every sender a slice with room for all of them.
   const std::size_t n = devices_.size();
-  if (n < 2) return;
+  for (std::size_t i = 0; i < n; ++i) cand_offsets_[i + 1] += cand_offsets_[i];
+  const std::size_t total = cand_offsets_[n];
+  if (total > cand_capacity_) {
+    cand_rx_ = std::make_unique_for_overwrite<std::uint32_t[]>(total);
+    cand_mean_ = std::make_unique_for_overwrite<double[]>(total);
+    cand_mean_mw_ = std::make_unique_for_overwrite<double[]>(total);
+    cand_skip_ = std::make_unique_for_overwrite<float[]>(total);
+    cand_capacity_ = total;
+  }
+  cand_cursor_.assign(cand_offsets_.begin(), cand_offsets_.end() - 1);
+}
+
+inline void RadioMedium::admit_candidate(std::size_t u, std::size_t v, double mean_dbm,
+                                         util::Dbm cutoff) {
+  const util::Dbm mean{mean_dbm};
+  if (mean < cutoff) return;
+  const float skip = skip_table_.bound((mean - channel_->params().detection_threshold).value);
+  const double mean_mw = mean.milliwatts();
+  // Rows ascend, so a slice gets its lower neighbours, then its own row's
+  // upper ones: ascending receivers, which pins the fading-draw order.
+  const std::size_t ku = cand_cursor_[u]++;
+  cand_rx_[ku] = static_cast<std::uint32_t>(v);
+  cand_mean_[ku] = mean_dbm;
+  cand_mean_mw_[ku] = mean_mw;
+  cand_skip_[ku] = skip;
+  const std::size_t kv = cand_cursor_[v]++;
+  cand_rx_[kv] = static_cast<std::uint32_t>(u);
+  cand_mean_[kv] = mean_dbm;
+  cand_mean_mw_[kv] = mean_mw;
+  cand_skip_[kv] = skip;
+}
+
+void RadioMedium::compact_candidates() {
+  // Slice u holds its admitted candidates up to its cursor; survivors that
+  // exact admission rejected leave a gap at its end.  Slices only move
+  // left, so ascending order never overwrites an unread slot.
+  const std::size_t n = devices_.size();
+  std::size_t w = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::size_t begin = cand_offsets_[u];
+    const std::size_t end = cand_cursor_[u];
+    cand_offsets_[u] = w;
+    if (w != begin) {
+      std::copy(cand_rx_.get() + begin, cand_rx_.get() + end, cand_rx_.get() + w);
+      std::copy(cand_mean_.get() + begin, cand_mean_.get() + end, cand_mean_.get() + w);
+      std::copy(cand_mean_mw_.get() + begin, cand_mean_mw_.get() + end, cand_mean_mw_.get() + w);
+      std::copy(cand_skip_.get() + begin, cand_skip_.get() + end, cand_skip_.get() + w);
+    }
+    w += end - begin;
+  }
+  cand_offsets_[n] = w;
+}
+
+void RadioMedium::rebuild_bounded(double fading_margin_db, util::Dbm cutoff) {
+  const std::size_t n = devices_.size();
   std::vector<std::uint32_t> ids(n);
   std::vector<std::uint32_t> index(n);
   std::vector<geo::Vec2> pos(n);
@@ -237,17 +258,18 @@ void RadioMedium::rebuild_bounded(double fading_margin_db, const Admission& admi
   // path-loss table, so their pairs always take the exact path.
   constexpr double kRejectGuardDb = 1e-6;
   loss_floor_.build(channel_->pathloss(), finite ? max_d2 : 0.0);
-  const double reject_above = (channel_->params().tx_power - admission.cutoff).value +
+  const double reject_above = (channel_->params().tx_power - cutoff).value +
                               kRejectGuardDb;
 
+  // Pass 1: each row's bound survivors, appended row-major to one list and
+  // counted on both sides of each pair.
   phy::ShadowingModel& shadowing = channel_->shadowing();
   std::vector<std::uint32_t> near;
   std::vector<std::uint32_t> near_ids;
   std::vector<double> shadow_lo(n);
   std::vector<std::uint32_t> surv(n);
-  std::vector<std::uint32_t> surv_ids(n);
-  std::vector<geo::Vec2> surv_pos(n);
-  std::vector<double> mean(n);
+  std::vector<std::uint32_t> survivors;
+  std::vector<std::size_t> row_end(n);  // row u's survivors end at row_end[u]
   for (std::size_t u = 0; u + 1 < n; ++u) {
     const std::uint32_t* row = index.data() + u + 1;
     const std::uint32_t* row_ids = ids.data() + u + 1;
@@ -272,20 +294,41 @@ void RadioMedium::rebuild_bounded(double fading_margin_db, const Admission& admi
       const double dx = pu.x - pos[v].x;
       const double dy = pu.y - pos[v].y;
       surv[s] = v;
-      surv_ids[s] = row_ids[k];
-      surv_pos[s] = pos[v];
       s += static_cast<std::size_t>(
           !(loss_floor_.lower_bound(dx * dx + dy * dy) + shadow_lo[k] > reject_above));
     }
-    channel_->mean_received_powers_uncached(ids[u], pu, surv_ids.data(), surv_pos.data(), s,
+    survivors.insert(survivors.end(), surv.begin(), surv.begin() + static_cast<std::ptrdiff_t>(s));
+    cand_offsets_[u + 1] += s;
+    for (std::size_t j = 0; j < s; ++j) ++cand_offsets_[surv[j] + std::size_t{1}];
+    row_end[u] = survivors.size();
+  }
+
+  // Pass 2: the survivors' exact means, one batched call per row, admitted
+  // in place.
+  allocate_candidates();
+  std::vector<std::uint32_t> surv_ids(n);
+  std::vector<geo::Vec2> surv_pos(n);
+  std::vector<double> mean(n);
+  std::size_t begin = 0;
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    const std::uint32_t* row = survivors.data() + begin;
+    const std::size_t s = row_end[u] - begin;
+    begin = row_end[u];
+    for (std::size_t j = 0; j < s; ++j) {
+      surv_ids[j] = ids[row[j]];
+      surv_pos[j] = pos[row[j]];
+    }
+    channel_->mean_received_powers_uncached(ids[u], pos[u], surv_ids.data(), surv_pos.data(), s,
                                             mean.data());
-    for (std::size_t j = 0; j < s; ++j) admit_candidate(u, surv[j], util::Dbm{mean[j]}, admission);
+    for (std::size_t j = 0; j < s; ++j) admit_candidate(u, row[j], mean[j], cutoff);
   }
 }
 
 RadioMedium::CandidateView RadioMedium::candidates() const {
   if (!cache_valid_) throw std::logic_error("RadioMedium::candidates: stale candidate cache");
-  return CandidateView{cand_offsets_, cand_rx_, cand_mean_, cand_mean_mw_, cand_skip_};
+  const std::size_t k = cand_offsets_.back();
+  return {cand_offsets_, {cand_rx_.get(), k}, {cand_mean_.get(), k}, {cand_mean_mw_.get(), k},
+          {cand_skip_.get(), k}};
 }
 
 void RadioMedium::broadcast(std::uint32_t sender, Preamble preamble, PsType type,
@@ -335,34 +378,6 @@ inline void RadioMedium::push_audible(std::size_t rx_index, std::size_t tx_index
   if (rx_end_[rx_index]++ == 0) touched_.push_back(static_cast<std::uint32_t>(rx_index));
 }
 
-void RadioMedium::add_audible(std::size_t rx_index, std::size_t tx_index) {
-  // Uncached per-pair form of deliver_cached's gates and draws.
-  const PendingTx& tx = flushing_[tx_index];
-  const DeviceEntry& rx = devices_[rx_index];
-  if (tx.sender == rx.id) return;  // half-duplex: no self-reception
-  if (!receiver_open(rx_index)) return;
-  const geo::Vec2 tx_pos = devices_[index_of(tx.sender)].position;
-  util::Dbm power = channel_->received_power(tx.sender, tx_pos, rx.id, rx.position);
-  if (faults_ != nullptr) {
-    std::uint8_t dropped = 0;
-    double attenuation_db = 0.0;
-    const auto rx32 = static_cast<std::uint32_t>(rx_index);
-    if (faults_->fill_drops(&dropped, 1) && dropped != 0) {
-      ++counters_.fault_drops;
-      return;
-    }
-    if (faults_->fill_attenuation(tx.sender, tx.type, &rx32, 1, &attenuation_db) &&
-        attenuation_db > 0.0) {
-      power = power - util::Db{attenuation_db};
-      if (!channel_->detectable(power)) {
-        ++counters_.fault_drops;  // faded below threshold
-        return;
-      }
-    }
-  }
-  if (channel_->detectable(power)) push_audible(rx_index, tx_index, power, power.milliwatts());
-}
-
 void RadioMedium::deliver_cached() {
   // The one batched sweep, for every gate.  Per sender: compact the
   // candidates through the receiver gate, then draw exactly one fade per
@@ -397,7 +412,7 @@ void RadioMedium::deliver_cached() {
       survivors_.resize(m);
     }
     const std::uint32_t* pos = iota_.data();
-    const std::uint32_t* rx = cand_rx_.data() + begin;
+    const std::uint32_t* rx = cand_rx_.get() + begin;
     std::size_t n = m;
     if (gated) {
       n = 0;
@@ -417,7 +432,7 @@ void RadioMedium::deliver_cached() {
     const bool drops = faults_ != nullptr && faults_->fill_drops(drop_.data(), n);
     const bool faded = faults_ != nullptr &&
                        faults_->fill_attenuation(tx.sender, tx.type, rx, n, atten_db_.data());
-    const float* skip = cand_skip_.data() + begin;
+    const float* skip = cand_skip_.get() + begin;
     std::size_t count = 0;
     if (!drops && !faded && uniform_skip_) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -545,6 +560,7 @@ void RadioMedium::flush_slot() {
   flushing_.clear();
   flushing_.swap(pending_);
   if (flushing_.empty()) return;
+  if (!cache_valid_) throw std::logic_error("RadioMedium::flush_slot: stale candidate cache");
   const obs::ScopedTimer span(telemetry_, obs::SpanId::kSlotDelivery,
                               telemetry_ != nullptr ? sim_->now().as_milliseconds() : -1.0);
   if (telemetry_ != nullptr) {
@@ -561,18 +577,7 @@ void RadioMedium::flush_slot() {
     tx_key_[t] = (static_cast<std::uint32_t>(p.codec) - 1) * kPreamblePoolSize + p.index;
   }
 
-  // Two sweeps: the batched one over the candidate cache (grid or dense),
-  // or a per-pair scan of every device while the cache is stale.
-  if (cache_valid_) {
-    deliver_cached();
-  } else {
-    for (std::size_t t = 0; t < flushing_.size(); ++t) {
-      for (std::size_t rx_index = 0; rx_index < devices_.size(); ++rx_index) {
-        add_audible(rx_index, t);
-      }
-    }
-  }
-
+  deliver_cached();
   group_by_receiver();
   resolve_receivers();
   // Hand the slot's whole decoded batch to the owner in one call.  Protocol

@@ -9,14 +9,13 @@
 // every transmission is counted here by codec class, so FST and ST message
 // counts are measured identically.
 //
-// A slot flush has exactly two delivery sweeps.  With a valid candidate
-// cache (grid or dense, see `rebuild`) one batched sweep serves every gate:
-// per sender it compacts the candidates through the receiver gate (crashed
-// devices, duty-cycled receivers asleep this slot), block-draws one fade per
-// gated candidate, block-draws the channel-fault drops over the same run,
-// and rejects provably sub-threshold fades on one compare before paying the
-// gain transform.  Without a valid cache, a per-pair scan over every device
-// evaluates the same gates and draws in the same order.
+// A slot flush has one delivery sweep, over the candidate cache (see
+// `rebuild`), serving every gate: per sender it compacts the candidates
+// through the receiver gate (crashed devices, duty-cycled receivers asleep
+// this slot), block-draws one fade and one channel-fault drop per gated
+// candidate, and rejects provably sub-threshold fades on one compare before
+// paying the gain transform.  A flush on a stale cache (a device added or
+// moved since the last `rebuild`) throws `std::logic_error`.
 //
 // Collision resolution decides capture in linear space.  The sweep stages
 // every audible reception in one flat array in sweep order (receiver,
@@ -49,8 +48,10 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -199,6 +200,38 @@ class PathLossFloor {
   double inv_width_ = 0.0;
 };
 
+/// A candidate's skip bound by fading headroom h (mean less threshold) over
+/// `kBuckets` buckets of h ∈ [−margin, kMaxLossDb], so admission pays no
+/// libm call.  Entry b is `exact` at the bucket's upper edge plus
+/// `kEdgeSlackDb`: the u-space bound rises with h and the gain-space one
+/// falls, so no entry is tighter than `exact` in its bucket (the slack
+/// dwarfs index rounding and libm ulps), and by `round_skip_u`'s argument
+/// no decision or fault-drop count changes.  h ≥ kMaxLossDb or NaN never skips.
+class SkipTable {
+ public:
+  static constexpr std::size_t kBuckets = 4096;
+  static constexpr double kEdgeSlackDb = 1e-9;
+  /// The fade-loss cap: a link with this much headroom is audible in any fade.
+  inline static const double kMaxLossDb = -10.0 * std::log10(phy::FadingModel::kGainFloor);
+
+  /// One link's bound, in the draw space `fading` tests (u-space when it
+  /// offers the uniform shortcut, else gain), as a float rounded loosely.
+  [[nodiscard]] static float exact(const phy::FadingModel& fading, double headroom_db);
+  /// Tabulate `exact` for a (finite) fading margin.
+  void build(const phy::FadingModel& fading, double margin_db);
+  [[nodiscard]] float bound(double headroom_db) const {
+    const double t = (headroom_db - lo_db_) * inv_width_;
+    return bound_[!(t < static_cast<double>(kBuckets)) ? kBuckets
+                  : t > 0.0                             ? static_cast<std::size_t>(t)
+                                                        : 0];
+  }
+
+ private:
+  std::vector<float> bound_;  // kBuckets entries, then one that never skips
+  double lo_db_ = 0.0;
+  double inv_width_ = 0.0;    // 0 if no headroom is below the cap: entry 0 never skips
+};
+
 /// Channel faults (fault-injection runs), answered in bulk: the delivery
 /// sweep asks once per transmission for the drop draws and link
 /// attenuations of its gated candidates — the receivers that are up and
@@ -280,22 +313,14 @@ class RadioMedium {
   /// Rebuild the candidate cache: for every device, the receivers whose
   /// slot-averaged power is within `fading_margin_db` of being detectable,
   /// with that mean memoised so delivery never recomputes path loss or
-  /// shadowing.  Enumeration is bounded (rows of pairs, grid-gathered when
-  /// the channel's max detectable range does not cover the world, each pair
-  /// first tested against a table-driven lower bound on its loss so only
-  /// survivors pay the exact libm path) or dense O(N²) per
-  /// `RadioParams::spatial_index`; both produce identical caches.  The cache
-  /// is stored structure-of-arrays (one flat receiver/mean dBm/mean mW/skip
-  /// array per field, prefix-offset indexed per sender) so a slot flush
-  /// sweeps contiguous memory.  Both indexes are served by the same batched
-  /// delivery sweep.  Call after registering devices and after
-  /// `invalidate`.
+  /// shadowing.  Pairs are enumerated in rows, bounded (grid-gathered when
+  /// the range disc does not cover the world; a table-driven loss bound
+  /// spares most pairs the libm path) or dense per `RadioParams::
+  /// spatial_index`; both build identical structure-of-arrays caches in
+  /// place (see DESIGN.md).  Call after registering or moving devices: a
+  /// flush on a stale cache throws `std::logic_error`.  Throws
+  /// `std::invalid_argument` on a non-finite margin.
   void rebuild(double fading_margin_db = phy::RadioParams::kCandidateFadingMarginDb);
-  /// Mark the candidate cache stale.  Delivery falls back to a dense
-  /// per-slot scan until the next `rebuild` (`add_device` and `move_device`
-  /// invalidate implicitly; mobility steps rebuild right after moving).
-  void invalidate() { cache_valid_ = false; }
-  [[nodiscard]] bool cache_valid() const { return cache_valid_; }
 
   /// Visit every cached candidate pair once as fn(id_u, id_v, mean_dbm)
   /// with index(id_u) < index(id_v), in deterministic index-lexicographic
@@ -336,8 +361,6 @@ class RadioMedium {
   /// histogram.  Not owned; null (the default) costs one pointer test per
   /// flush and nothing per delivery.
   void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
-  [[nodiscard]] phy::Channel& channel() { return *channel_; }
-  [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
 
   /// Slot index containing time t.
   [[nodiscard]] static std::int64_t slot_index(sim::SimTime t) {
@@ -395,30 +418,17 @@ class RadioMedium {
     double dbm;        ///< received power
     double mw;         ///< the same power in milliwatts (see deliver_cached)
   };
-  /// One admitted candidate pair, staged during rebuild before the scatter
-  /// into the flat per-sender arrays.
-  struct PairRec {
-    std::uint32_t u, v;
-    double mean_dbm;
-    float skip;  ///< cand_skip_ entry
-  };
-
   void ensure_flush_scheduled();
   void flush_slot();
   [[nodiscard]] std::size_t index_of(std::uint32_t id) const;
-  /// Admission constants, read once per rebuild.
-  struct Admission {
-    util::Dbm cutoff;     ///< detection threshold less the fading margin
-    util::Dbm threshold;  ///< detection threshold
-    double max_loss_db;   ///< the fade-loss cap, −10·log10(kGainFloor)
-  };
-  void rebuild_bounded(double fading_margin_db, const Admission& admission);
-  void admit_candidate(std::size_t u, std::size_t v, util::Dbm mean, const Admission& admission);
-  void scatter_candidates();
+  // `cutoff` is the detection threshold less the fading margin.
+  void rebuild_bounded(double fading_margin_db, util::Dbm cutoff);
+  void allocate_candidates();
+  void admit_candidate(std::size_t u, std::size_t v, double mean_dbm, util::Dbm cutoff);
+  void compact_candidates();
   [[nodiscard]] bool receiver_open(std::size_t rx_index);
   void push_audible(std::size_t rx_index, std::size_t tx_index, util::Dbm power, double mw);
   void deliver_cached();
-  void add_audible(std::size_t rx_index, std::size_t tx_index);
   void group_by_receiver();
   void resolve_receivers();
 
@@ -445,17 +455,17 @@ class RadioMedium {
   // slots [cand_offsets_[u], cand_offsets_[u+1]), ascending rx index —
   // identical order for grid and dense enumeration, which pins the fading
   // stream.  Parallel arrays so the delivery sweep reads each field
-  // contiguously.
-  std::vector<std::size_t> cand_offsets_;   // n+1 prefix offsets
-  std::vector<std::uint32_t> cand_rx_;      // receiver device index
-  std::vector<double> cand_mean_;           // memoised mean received power, dBm
-  std::vector<double> cand_mean_mw_;        // the same mean in mW
+  // contiguously; allocated uninitialised (rebuild writes every kept slot).
+  std::vector<std::size_t> cand_offsets_;       // n+1 prefix offsets
+  std::unique_ptr<std::uint32_t[]> cand_rx_;    // receiver device index
+  std::unique_ptr<double[]> cand_mean_;         // memoised mean received power, dBm
+  std::unique_ptr<double[]> cand_mean_mw_;      // the same mean in mW
   // Sub-threshold bound of the link, in the fading model's draw space:
   // uniforms at/above it (u-space skip) or gains below it are sub-threshold.
-  // Rounded to float, loosely (see round_skip_u).
-  std::vector<float> cand_skip_;
-  std::vector<PairRec> pair_scratch_;       // rebuild staging, released after the scatter
-  std::vector<std::size_t> cand_cursor_;    // rebuild scatter cursors (reused)
+  // Rounded to float, loosely (see round_skip_u and SkipTable).
+  std::unique_ptr<float[]> cand_skip_;
+  std::size_t cand_capacity_ = 0;               // slots allocated per cand_ array
+  std::vector<std::size_t> cand_cursor_;        // rebuild write cursors (reused)
   // Per-sender sweep scratch, indexed by gated-candidate position.
   std::vector<std::uint32_t> iota_;         // 0, 1, 2, ... (ungated positions)
   std::vector<std::uint32_t> gate_pos_;     // gated candidate -> slice position
@@ -488,6 +498,7 @@ class RadioMedium {
   bool cache_valid_ = false;
   bool uniform_skip_ = false;  // fading model offers the u-space skip test
   PathLossFloor loss_floor_;    // rebuild's per-world path-loss bound table
+  SkipTable skip_table_;        // rebuild's per-margin skip bound table
   geo::SpatialGrid grid_;
   bool grid_ready_ = false;     // cell membership current (maintained by move_device)
 };

@@ -17,13 +17,6 @@ Channel::Channel(RadioParams params, std::unique_ptr<PathLossModel> pathloss,
   assert(pathloss_ != nullptr && shadowing_ != nullptr && fading_ != nullptr);
 }
 
-util::Dbm Channel::received_power(std::uint32_t tx_id, geo::Vec2 tx_pos, std::uint32_t rx_id,
-                                  geo::Vec2 rx_pos) {
-  const double d = geo::distance(tx_pos, rx_pos);
-  return params_.tx_power - pathloss_->loss(d) - shadowing_->sample(tx_id, rx_id) -
-         fading_->sample(fading_rng_);
-}
-
 util::Dbm Channel::mean_received_power(std::uint32_t tx_id, geo::Vec2 tx_pos,
                                        std::uint32_t rx_id, geo::Vec2 rx_pos) {
   const double d = geo::distance(tx_pos, rx_pos);

@@ -65,11 +65,6 @@ class Channel {
           std::unique_ptr<ShadowingModel> shadowing, std::unique_ptr<FadingModel> fading,
           util::Rng fading_rng);
 
-  /// Received power at `rx_pos` for a transmission from device `tx_id` at
-  /// `tx_pos` to device `rx_id`.  Draws fresh fast fading.
-  [[nodiscard]] util::Dbm received_power(std::uint32_t tx_id, geo::Vec2 tx_pos,
-                                         std::uint32_t rx_id, geo::Vec2 rx_pos);
-
   /// Received power without fast fading (slot-averaged), used by neighbour
   /// weight estimation where the protocol averages several PSs.
   [[nodiscard]] util::Dbm mean_received_power(std::uint32_t tx_id, geo::Vec2 tx_pos,
@@ -87,23 +82,16 @@ class Channel {
                                      const std::uint32_t* rx_ids, const geo::Vec2* rx_pos,
                                      std::size_t n, double* out_dbm);
 
-  /// One fast-fading power gain from the shared per-delivery stream;
-  /// consumes exactly the randomness `received_power` would.  The radio's
-  /// spatial-index fast path draws the gain, compares it against a
-  /// precomputed linear threshold and only converts to dBm when audible.
+  /// One fast-fading power gain from the shared per-delivery stream.  The
+  /// radio draws the gain, compares it against a precomputed linear
+  /// threshold and only converts to dBm when audible.
   [[nodiscard]] double sample_fading_gain() { return fading_->sample_gain(fading_rng_); }
 
-  /// The raw uniform behind one fading draw, for models with
-  /// `supports_uniform_skip()`: consumes the same single generator step
-  /// `sample_fading_gain` would, letting the radio compare it against a
-  /// candidate's precomputed `skip_u` bound before paying the gain
-  /// transform.
-  [[nodiscard]] double sample_fading_uniform() { return fading_rng_.unit_open(); }
-
-  /// Batched form of `sample_fading_uniform`: fills `out[0..n)` with the
-  /// exact sequence n scalar calls would produce (same stream, same order),
-  /// so the radio's vectorised delivery sweep stays bit-identical to the
-  /// per-candidate path.
+  /// The raw uniforms behind n fading draws, for models with
+  /// `supports_uniform_skip()`: fills `out[0..n)` with the steps n
+  /// `sample_fading_gain` calls would consume (same stream, same order), so
+  /// the radio can compare each against a candidate's precomputed `skip_u`
+  /// bound before paying the gain transform.
   void fill_fading_uniforms(double* out, std::size_t n) {
     fading_rng_.fill_unit_open(out, n);
   }

@@ -26,8 +26,8 @@ TEST(Channel, DeterministicCompositionMatchesFormula) {
   const Vec2 a{0.0, 0.0};
   const Vec2 b{10.0, 0.0};
   // 23 dBm - (40 + 40·log10(10)) = 23 - 80 = -57 dBm.
-  EXPECT_NEAR(channel->received_power(0, a, 1, b).value, -57.0, 1e-9);
   EXPECT_NEAR(channel->mean_received_power(0, a, 1, b).value, -57.0, 1e-9);
+  EXPECT_EQ(channel->sample_fading_gain(), 1.0);  // and no fast fading on top
 }
 
 TEST(Channel, DetectableAgainstTableThreshold) {
@@ -67,8 +67,8 @@ TEST(Channel, FadingVariesPerReception) {
       std::make_unique<RayleighFading>(), Rng(3));
   const Vec2 a{0.0, 0.0};
   const Vec2 b{10.0, 0.0};
-  const double p1 = channel->received_power(0, a, 1, b).value;
-  const double p2 = channel->received_power(0, a, 1, b).value;
+  const double p1 = channel->sample_fading_gain();
+  const double p2 = channel->sample_fading_gain();
   EXPECT_NE(p1, p2);
   // Mean power is unaffected by fading.
   EXPECT_NEAR(channel->mean_received_power(0, a, 1, b).value, -57.0, 1e-9);
@@ -80,8 +80,9 @@ TEST(Channel, PaperFactoryIsReproducible) {
   const Vec2 a{0.0, 0.0};
   const Vec2 b{25.0, 10.0};
   for (int i = 0; i < 32; ++i) {
-    EXPECT_DOUBLE_EQ(c1->received_power(0, a, 1, b).value,
-                     c2->received_power(0, a, 1, b).value);
+    EXPECT_DOUBLE_EQ(c1->mean_received_power(0, a, 1, b).value,
+                     c2->mean_received_power(0, a, 1, b).value);
+    EXPECT_DOUBLE_EQ(c1->sample_fading_gain(), c2->sample_fading_gain());
   }
 }
 

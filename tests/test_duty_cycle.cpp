@@ -30,6 +30,7 @@ TEST(DutyCycleRadio, SleepingReceiverHearsNothing) {
   radio.add_device(0, {0.0, 0.0});
   radio.add_device(1, {10.0, 0.0}, [] { return true; });
   radio.add_device(2, {10.0, 1.0}, [] { return false; });
+  radio.rebuild();
   radio.set_delivery_sink([&](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
       if (batch.records[k].rx_index == 1) ++awake_heard;

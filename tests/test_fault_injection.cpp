@@ -163,6 +163,7 @@ TEST(RadioFaults, DownDeviceNeitherSendsNorReceives) {
   radio.add_device(0, {0.0, 0.0});
   radio.add_device(1, {10.0, 0.0});
   radio.add_device(2, {10.0, 1.0});
+  radio.rebuild();
   radio.set_delivery_sink([&](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
       if (batch.records[k].rx_index == 1) ++heard_by_1;
@@ -200,6 +201,7 @@ TEST(RadioFaults, HookVetoIsCountedAndAttenuationFlowsThrough) {
   std::vector<util::Dbm> heard;
   radio.add_device(0, {0.0, 0.0});
   radio.add_device(1, {10.0, 0.0});
+  radio.rebuild();
   radio.set_delivery_sink([&](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
       if (batch.records[k].rx_index == 1) heard.push_back(batch.records[k].rx_power);

@@ -56,6 +56,7 @@ TEST(Radio, DeliversAtNextSlotBoundary) {
   World w;
   w.add(0, {0.0, 0.0});
   w.add(1, {10.0, 0.0});
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::microseconds(3'500), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 1}, PsType::kDiscovery, 42);
   });
@@ -72,6 +73,7 @@ TEST(Radio, NoSelfReception) {
   World w;
   w.add(0, {0.0, 0.0});
   w.add(1, {5.0, 0.0});
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
@@ -85,6 +87,7 @@ TEST(Radio, SubThresholdReceiverHearsNothing) {
   w.add(0, {0.0, 0.0});
   w.add(1, {95.0, 0.0});   // beyond the ~89 m median range
   w.add(2, {50.0, 0.0});   // inside
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
@@ -99,6 +102,7 @@ TEST(Radio, SameResourceSameSlotCollides) {
   w.add(0, {0.0, 0.0});
   w.add(1, {20.0, 0.0});
   w.add(2, {10.0, 0.0});  // receiver in the middle
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
     w.radio->broadcast(1, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
@@ -113,6 +117,7 @@ TEST(Radio, DifferentPreamblesDoNotCollide) {
   w.add(0, {0.0, 0.0});
   w.add(1, {20.0, 0.0});
   w.add(2, {10.0, 0.0});
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
     w.radio->broadcast(1, {RachCodec::kRach1, 8}, PsType::kSyncPulse, 0);
@@ -127,6 +132,7 @@ TEST(Radio, DifferentCodecsAreOrthogonal) {
   w.add(0, {0.0, 0.0});
   w.add(1, {20.0, 0.0});
   w.add(2, {10.0, 0.0});
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
     w.radio->broadcast(1, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 0);
@@ -140,6 +146,7 @@ TEST(Radio, CaptureEffectDecodesTheStrongSignal) {
   w.add(0, {9.0, 0.0});    // 1 m from the receiver: strong
   w.add(1, {60.0, 10.0});  // far away: weak interferer
   w.add(2, {10.0, 0.0});
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 111);
     w.radio->broadcast(1, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 222);
@@ -155,6 +162,7 @@ TEST(Radio, CountersByCodec) {
   World w;
   w.add(0, {0.0, 0.0});
   w.add(1, {10.0, 0.0});
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
     w.radio->broadcast(0, {RachCodec::kRach2, 0}, PsType::kConnectRequest, 0);
@@ -171,29 +179,35 @@ TEST(Radio, CountersByCodec) {
 
 TEST(Radio, CandidateCacheMatchesFullScan) {
   // With deterministic propagation the cache must not change what is
-  // delivered.
-  for (const bool use_cache : {false, true}) {
-    World w;
-    w.add(0, {0.0, 0.0});
-    for (std::uint32_t i = 1; i <= 30; ++i) {
-      w.add(i, {static_cast<double>(i * 4), 0.0});
-    }
-    if (use_cache) w.radio->rebuild();
-    w.sim.schedule_at(sim::SimTime::zero(), [&] {
-      w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
-    });
-    w.sim.run();
-    std::size_t heard = 0;
-    for (std::uint32_t i = 1; i <= 30; ++i) heard += w.inbox[i].size();
-    // Devices at 4..88 m hear it (~89 m range): exactly 22 of them.
-    EXPECT_EQ(heard, 22U) << "cache=" << use_cache;
+  // delivered: every receiver hears the broadcast exactly when a full scan
+  // of the channel says it is detectable.
+  World w;
+  w.add(0, {0.0, 0.0});
+  for (std::uint32_t i = 1; i <= 30; ++i) {
+    w.add(i, {static_cast<double>(i * 4), 0.0});
   }
+  w.radio->rebuild();
+  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+    w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+  });
+  w.sim.run();
+  std::size_t heard = 0;
+  for (std::uint32_t i = 1; i <= 30; ++i) {
+    const geo::Vec2 at = w.radio->device_position(i);
+    const bool audible =
+        w.channel->detectable(w.channel->mean_received_power(0, {0.0, 0.0}, i, at));
+    EXPECT_EQ(w.inbox[i].size(), audible ? 1U : 0U) << i;
+    heard += w.inbox[i].size();
+  }
+  // Devices at 4..88 m hear it (~89 m range): exactly 22 of them.
+  EXPECT_EQ(heard, 22U);
 }
 
 TEST(Radio, MoveDeviceChangesConnectivity) {
   World w;
   w.add(0, {0.0, 0.0});
   w.add(1, {200.0, 0.0});
+  w.radio->rebuild();
   w.sim.schedule_at(sim::SimTime::zero(), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
@@ -201,6 +215,7 @@ TEST(Radio, MoveDeviceChangesConnectivity) {
   EXPECT_TRUE(w.inbox[1].empty());
   w.radio->move_device(1, {10.0, 0.0});
   EXPECT_EQ(w.radio->device_position(1).x, 10.0);
+  w.radio->rebuild();
   w.sim.schedule_in(sim::SimTime::microseconds(10), [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
@@ -292,38 +307,34 @@ TEST(Radio, BackToBackContendedFlushesDecideAsFreshMedia) {
     w.sim.run();
     return Outcome{decoded, w.radio->counters().collisions - before};
   };
-  for (const bool use_cache : {false, true}) {
-    const auto make = [&](World& w) {
-      for (std::uint32_t id = 0; id < pos.size(); ++id) w.add(id, pos[id]);
-      if (use_cache) w.radio->rebuild();
-    };
-    World fresh;
-    make(fresh);
-    const Outcome want = run(fresh, flush_b);
-    ASSERT_GT(want.collisions, 0U) << "flush B must contend";
-    ASSERT_FALSE(want.decoded.empty());
+  const auto make = [&](World& w) {
+    for (std::uint32_t id = 0; id < pos.size(); ++id) w.add(id, pos[id]);
+    w.radio->rebuild();
+  };
+  World fresh;
+  make(fresh);
+  const Outcome want = run(fresh, flush_b);
+  ASSERT_GT(want.collisions, 0U) << "flush B must contend";
+  ASSERT_FALSE(want.decoded.empty());
 
-    World back_to_back;
-    make(back_to_back);
-    ASSERT_GT(run(back_to_back, flush_a).collisions, 0U) << "flush A must contend";
-    const Outcome after_a = run(back_to_back, flush_b);
-    EXPECT_EQ(after_a.decoded, want.decoded) << "cache=" << use_cache;
-    EXPECT_EQ(after_a.collisions, want.collisions) << "cache=" << use_cache;
+  World back_to_back;
+  make(back_to_back);
+  ASSERT_GT(run(back_to_back, flush_a).collisions, 0U) << "flush A must contend";
+  const Outcome after_a = run(back_to_back, flush_b);
+  EXPECT_EQ(after_a.decoded, want.decoded);
+  EXPECT_EQ(after_a.collisions, want.collisions);
 
-    for (const bool snapshot_before_a : {true, false}) {
-      World restored;
-      make(restored);
-      RadioMedium::StateSnapshot snap;
-      if (snapshot_before_a) snap = restored.radio->save_state();
-      run(restored, flush_a);
-      if (!snapshot_before_a) snap = restored.radio->save_state();
-      restored.radio->restore_state(snap);
-      const Outcome got = run(restored, flush_b);
-      EXPECT_EQ(got.decoded, want.decoded)
-          << "cache=" << use_cache << " before_a=" << snapshot_before_a;
-      EXPECT_EQ(got.collisions, want.collisions)
-          << "cache=" << use_cache << " before_a=" << snapshot_before_a;
-    }
+  for (const bool snapshot_before_a : {true, false}) {
+    World restored;
+    make(restored);
+    RadioMedium::StateSnapshot snap;
+    if (snapshot_before_a) snap = restored.radio->save_state();
+    run(restored, flush_a);
+    if (!snapshot_before_a) snap = restored.radio->save_state();
+    restored.radio->restore_state(snap);
+    const Outcome got = run(restored, flush_b);
+    EXPECT_EQ(got.decoded, want.decoded) << "before_a=" << snapshot_before_a;
+    EXPECT_EQ(got.collisions, want.collisions) << "before_a=" << snapshot_before_a;
   }
 }
 
@@ -331,6 +342,7 @@ TEST(Radio, OutOfPoolPreambleIsRejected) {
   World w;
   w.add(0, {0.0, 0.0});
   w.add(1, {10.0, 0.0});
+  w.radio->rebuild();
   EXPECT_THROW(w.radio->broadcast(0, {RachCodec::kRach1, mac::kPreamblePoolSize},
                                   PsType::kSyncPulse, 0),
                std::invalid_argument);
@@ -367,67 +379,65 @@ TEST(Radio, BatchKeepsFirstTouchReceiverOrderAndSweepOrderWithinReceiver) {
                                   {5, {RachCodec::kRach1, 7}},
                                   {8, {RachCodec::kRach2, 7}}};
   constexpr double kMarginDb = 3.0;
-  for (const bool use_cache : {false, true}) {
-    World w(kMarginDb);
-    for (std::uint32_t id = 0; id < pos.size(); ++id) w.add(id, pos[id]);
-    if (use_cache) w.radio->rebuild();
+  World w(kMarginDb);
+  for (std::uint32_t id = 0; id < pos.size(); ++id) w.add(id, pos[id]);
+  w.radio->rebuild();
 
-    // Reference.
-    const double noise_mw = w.channel->params().noise_floor.milliwatts();
-    std::vector<std::uint32_t> touch;
-    std::vector<std::vector<std::pair<std::size_t, util::Dbm>>> bucket(pos.size());
-    for (std::size_t t = 0; t < sent.size(); ++t) {
-      const std::uint32_t s = sent[t].sender;
-      for (std::uint32_t rx = 0; rx < pos.size(); ++rx) {
-        if (rx == s) continue;
-        const util::Dbm p = w.channel->mean_received_power(s, pos[s], rx, pos[rx]);
-        if (!w.channel->detectable(p)) continue;
-        if (bucket[rx].empty()) touch.push_back(rx);
-        bucket[rx].emplace_back(t, p);
-      }
+  // Reference.
+  const double noise_mw = w.channel->params().noise_floor.milliwatts();
+  std::vector<std::uint32_t> touch;
+  std::vector<std::vector<std::pair<std::size_t, util::Dbm>>> bucket(pos.size());
+  for (std::size_t t = 0; t < sent.size(); ++t) {
+    const std::uint32_t s = sent[t].sender;
+    for (std::uint32_t rx = 0; rx < pos.size(); ++rx) {
+      if (rx == s) continue;
+      const util::Dbm p = w.channel->mean_received_power(s, pos[s], rx, pos[rx]);
+      if (!w.channel->detectable(p)) continue;
+      if (bucket[rx].empty()) touch.push_back(rx);
+      bucket[rx].emplace_back(t, p);
     }
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> expected;  // (rx, sender)
-    std::uint64_t expected_collisions = 0;
-    bool mixed_codecs = false;
-    for (const std::uint32_t rx : touch) {
-      const auto& b = bucket[rx];
-      bool rach1 = false, rach2 = false;
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        const mac::Preamble pi = sent[b[i].first].preamble;
-        (pi.codec == RachCodec::kRach1 ? rach1 : rach2) = true;
-        double interference = 0.0;
-        bool contended = false;
-        for (std::size_t j = 0; j < b.size(); ++j) {
-          if (j == i || !(sent[b[j].first].preamble == pi)) continue;
-          contended = true;
-          interference += b[j].second.milliwatts();
-        }
-        if (contended &&
-            (b[i].second - util::dbm_from_milliwatts(interference + noise_mw)).value < kMarginDb) {
-          ++expected_collisions;
-          continue;
-        }
-        expected.emplace_back(rx, sent[b[i].first].sender);
-      }
-      mixed_codecs = mixed_codecs || (rach1 && rach2);
-    }
-    ASSERT_FALSE(std::is_sorted(touch.begin(), touch.end())) << "receivers touched in index order";
-    ASSERT_TRUE(mixed_codecs) << "no receiver hears both codecs";
-    ASSERT_GT(expected_collisions, 0U);
-
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> actual;
-    w.radio->set_delivery_sink([&actual](const mac::RxBatch& batch) {
-      for (std::size_t k = 0; k < batch.count; ++k) {
-        actual.emplace_back(batch.records[k].rx_index, batch.records[k].sender);
-      }
-    });
-    w.sim.schedule_at(sim::SimTime::zero(), [&] {
-      for (const Sent& s : sent) w.radio->broadcast(s.sender, s.preamble, PsType::kSyncPulse, 0);
-    });
-    w.sim.run();
-    EXPECT_EQ(actual, expected) << "cache=" << use_cache;
-    EXPECT_EQ(w.radio->counters().collisions, expected_collisions) << "cache=" << use_cache;
   }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> expected;  // (rx, sender)
+  std::uint64_t expected_collisions = 0;
+  bool mixed_codecs = false;
+  for (const std::uint32_t rx : touch) {
+    const auto& b = bucket[rx];
+    bool rach1 = false, rach2 = false;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      const mac::Preamble pi = sent[b[i].first].preamble;
+      (pi.codec == RachCodec::kRach1 ? rach1 : rach2) = true;
+      double interference = 0.0;
+      bool contended = false;
+      for (std::size_t j = 0; j < b.size(); ++j) {
+        if (j == i || !(sent[b[j].first].preamble == pi)) continue;
+        contended = true;
+        interference += b[j].second.milliwatts();
+      }
+      if (contended &&
+          (b[i].second - util::dbm_from_milliwatts(interference + noise_mw)).value < kMarginDb) {
+        ++expected_collisions;
+        continue;
+      }
+      expected.emplace_back(rx, sent[b[i].first].sender);
+    }
+    mixed_codecs = mixed_codecs || (rach1 && rach2);
+  }
+  ASSERT_FALSE(std::is_sorted(touch.begin(), touch.end())) << "receivers touched in index order";
+  ASSERT_TRUE(mixed_codecs) << "no receiver hears both codecs";
+  ASSERT_GT(expected_collisions, 0U);
+
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> actual;
+  w.radio->set_delivery_sink([&actual](const mac::RxBatch& batch) {
+    for (std::size_t k = 0; k < batch.count; ++k) {
+      actual.emplace_back(batch.records[k].rx_index, batch.records[k].sender);
+    }
+  });
+  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+    for (const Sent& s : sent) w.radio->broadcast(s.sender, s.preamble, PsType::kSyncPulse, 0);
+  });
+  w.sim.run();
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(w.radio->counters().collisions, expected_collisions);
 }
 
 TEST(Radio, MisuseThrowsInEveryBuild) {
@@ -464,6 +474,28 @@ TEST(Radio, CandidatePairsOnAStaleCacheThrow) {
   w.radio->move_device(1, {20.0, 0.0});  // invalidates the cache
   EXPECT_THROW(w.radio->for_each_candidate_pair(count), std::logic_error) << "moved";
   EXPECT_EQ(pairs, 1U);
+}
+
+TEST(Radio, FlushOnAStaleCacheThrows) {
+  // There is no uncached delivery path: a flush needs a cache built after
+  // the last add or move.
+  World w;
+  w.add(0, {0.0, 0.0});
+  w.add(1, {10.0, 0.0});
+  w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+  EXPECT_THROW(w.sim.run(), std::logic_error) << "never built";
+  w.radio->rebuild();
+  w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+  w.sim.run();
+  EXPECT_EQ(w.inbox[1].size(), 1U);
+  w.radio->move_device(1, {20.0, 0.0});
+  w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+  EXPECT_THROW(w.sim.run(), std::logic_error) << "moved";
+  EXPECT_EQ(w.inbox[1].size(), 1U);
+  w.radio->rebuild();
+  w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+  w.sim.run();
+  EXPECT_EQ(w.inbox[1].size(), 2U);
 }
 
 TEST(Radio, FloatSkipBoundsAreNeverTighterThanTheDoubleBound) {

@@ -1,8 +1,9 @@
 // Tests for the long-lived service mode (core/service_mode): windowed soak
 // telemetry, the snapshot/restore rollback checkpoint (byte-identical
 // RunMetrics after a mid-soak restore), the misuse errors of snapshot and
-// restore, the recorder's backpressure accounting and the config-validation
-// paths.
+// restore, the recorder's backpressure accounting, the config-validation
+// paths, and the discovery check's resume point across crash, recover and
+// restore.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,6 +45,68 @@ class ServiceSt : public proto::StEngine {
   using proto::StEngine::run_service;
   using proto::StEngine::snapshot;
 };
+
+/// StEngine with the device lifecycle and the discovery check opened up.
+class DiscoverySt : public proto::StEngine {
+ public:
+  using proto::StEngine::StEngine;
+  using proto::StEngine::crash_device;
+  using proto::StEngine::discovery_complete;
+  using proto::StEngine::recover_device;
+  using proto::StEngine::reliable_links;
+  using proto::StEngine::start_run;
+  void run_to(std::int64_t slot) { sim_.run_until(sim::SimTime::milliseconds(slot)); }
+  /// The discovery check without a resume point: every link, every time.
+  [[nodiscard]] bool full_scan() const {
+    for (const auto& [u, v] : reliable_links()) {
+      if (down(u) || down(v)) continue;
+      if (!neighbors(u).contains(v) || !neighbors(v).contains(u)) return false;
+    }
+    return true;
+  }
+};
+
+TEST(ServiceMode, DiscoveryResumePointAgreesWithAFullScan) {
+  core::ScenarioConfig config;
+  config.n = 30;
+  config.seed = 21;
+  config.protocol.stop_on_convergence = false;
+  DiscoverySt engine(core::deploy(config), config.protocol, config.radio, config.seed);
+  ASSERT_GT(engine.reliable_links().size(), 10U);
+  const auto agree = [&](const char* when, std::int64_t slot) {
+    const bool full = engine.full_scan();
+    EXPECT_EQ(engine.discovery_complete(), full) << when << " at slot " << slot;
+    return full;
+  };
+  engine.start_run();
+  const std::unique_ptr<core::EngineSnapshot> start = engine.snapshot();
+  const std::uint32_t churned = engine.reliable_links().front().first;
+  const std::int64_t horizon = engine.params().max_slots();
+  std::int64_t slot = 0;
+  // Progress, with a crash and a recover while discovery is under way.
+  std::size_t undiscovered_checks = 0;
+  bool done = false;
+  for (; slot < horizon && !done; slot += 10) {
+    engine.run_to(slot);
+    if (slot == 20) engine.crash_device(churned);
+    if (slot == 40) engine.recover_device(churned);
+    done = agree("under way", slot);
+    undiscovered_checks += static_cast<std::size_t>(!done);
+  }
+  ASSERT_TRUE(done) << "discovery never completed";
+  EXPECT_GT(undiscovered_checks, 5U);
+  // After discovery: a crash waives the device's links, a recover clears
+  // its table and owes them again.
+  engine.crash_device(churned);
+  EXPECT_TRUE(agree("after a crash", slot));
+  engine.recover_device(churned);
+  EXPECT_FALSE(agree("after a recover", slot));
+  for (; slot < horizon && !agree("rediscovering", slot); slot += 10) engine.run_to(slot);
+  EXPECT_TRUE(engine.full_scan()) << "the recovered device was never rediscovered";
+  // A restore rewinds to empty tables.
+  engine.restore(*start);
+  EXPECT_FALSE(agree("after a restore", 0));
+}
 
 TEST(ServiceMode, EmitsOneWindowPerSlice) {
   sim::SoakRecorder recorder;
