@@ -1,5 +1,5 @@
 // bench_micro — engine-cost microbenchmarks: the slot calendar, union-find,
-// reference MSTs, PRC evaluation, oscillator updates, the fading-uniform
+// reference MSTs, PRC evaluation, the fading-uniform
 // block fill, a radio slot flush, the candidate-cache rebuild and one
 // end-to-end trial per registered protocol backend (the registry sweep is
 // assembled at startup, so a newly registered protocol shows up here
@@ -26,7 +26,6 @@
 #include "graph/mst.hpp"
 #include "graph/union_find.hpp"
 #include "mac/radio.hpp"
-#include "pco/oscillator.hpp"
 #include "pco/prc.hpp"
 #include "phy/channel.hpp"
 #include "proto/registry.hpp"
@@ -156,15 +155,6 @@ void BM_PrcEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrcEvaluation);
-
-void BM_SlotOscillatorCycle(benchmark::State& state) {
-  pco::SlotOscillator osc(100, pco::PrcParams{3.0, 0.05});
-  for (auto _ : state) {
-    if (osc.tick()) osc.on_fired();
-    benchmark::DoNotOptimize(osc.counter());
-  }
-}
-BENCHMARK(BM_SlotOscillatorCycle);
 
 void BM_RngFillUnitOpen(benchmark::State& state) {
   // The radio sweep's per-sender fading block: one uniform per candidate.

@@ -29,13 +29,16 @@
 namespace {
 
 /// One CLI flag: the single source of truth for `--help` and for rejecting
-/// unknown flags.  `arg` is the value placeholder (nullptr for booleans),
-/// `group` batches related flags under one heading in the help output.
+/// unknown flags and bad counts.  `arg` is the value placeholder (nullptr
+/// for booleans), `group` batches related flags under one heading in the
+/// help output, and `count` marks an integer count, which must not be
+/// negative.
 struct FlagSpec {
   const char* name;
   const char* arg;   // nullptr: bare boolean flag
   const char* help;  // one line, defaults in brackets
   int group;
+  bool count = false;
 };
 
 constexpr const char* kFlagGroups[] = {
@@ -48,13 +51,13 @@ constexpr const char* kFlagGroups[] = {
 
 constexpr FlagSpec kFlagSpecs[] = {
     {"protocol", "NAME|both|all", "registered protocol, or a shorthand [both]", 0},
-    {"n", "DEVICES", "population size [50]", 0},
+    {"n", "DEVICES", "population size [50]", 0, true},
     {"seed", "U64", "base RNG seed; trial t runs with seed+t [1]", 0},
-    {"trials", "COUNT", "independent trials per protocol [1]", 0},
+    {"trials", "COUNT", "independent trials per protocol [1]", 0, true},
     {"area", "scaled|fixed", "deployment area policy [scaled]", 0},
     {"epsilon", "E", "PRC coupling strength [0.05]", 0},
-    {"period", "SLOTS", "firing period in 1 ms slots [100]", 0},
-    {"periods", "MAX", "horizon in firing periods [400]", 0},
+    {"period", "SLOTS", "firing period in 1 ms slots [100]", 0, true},
+    {"periods", "MAX", "horizon in firing periods [400]", 0, true},
     {"mobility", "MPS", "random-waypoint speed, 0 = static [0]", 0},
     {"csv", "PATH", "append the result table as CSV rows", 0},
     {"churn", "PER_MIN", "crash rate [0]", 1},
@@ -67,17 +70,17 @@ constexpr FlagSpec kFlagSpecs[] = {
     {"fade-ms", "MS", "mean fade duration [500]", 1},
     {"fade-depth", "DB", "fade attenuation depth [60]", 1},
     {"service", nullptr, "one open-ended soak instead of the trial loop", 2},
-    {"duration-slots", "N", "soak horizon in 1 ms slots [1000000]", 2},
-    {"window-slots", "N", "telemetry window length [1000]", 2},
-    {"snapshot-every", "SLOTS", "rollback-snapshot cadence [0 = never]", 2},
-    {"dedup-clear-periods", "N", "ST dedup-set prune cadence in periods [8]", 2},
-    {"relabel-cap", "N", "headless re-elections per period, 0 = unlimited [8]", 2},
+    {"duration-slots", "N", "soak horizon in 1 ms slots [1000000]", 2, true},
+    {"window-slots", "N", "telemetry window length [1000]", 2, true},
+    {"snapshot-every", "SLOTS", "rollback-snapshot cadence [0 = never]", 2, true},
+    {"dedup-clear-periods", "N", "ST dedup-set prune cadence in periods [8]", 2, true},
+    {"relabel-cap", "N", "headless re-elections per period, 0 = unlimited [8]", 2, true},
     {"soak-out", "PATH", "stream firefly-soak-v1 JSONL windows", 2},
     {"telemetry", nullptr, "print a metric-registry summary after the runs", 3},
     {"trace-chrome", "PATH", "Chrome trace-event file (load in ui.perfetto.dev)", 3},
     {"metrics-out", "PATH", "JSONL: run-metrics per trial + registry snapshot", 3},
     {"trace-csv", "PATH", "protocol milestone trace (fires, merges, ...)", 3},
-    {"trace-capacity", "N", "ring-buffer the milestone trace [0 = unlimited]", 3},
+    {"trace-capacity", "N", "ring-buffer the milestone trace [0 = unlimited]", 3, true},
     {"help", nullptr, "print this flag table and the protocol registry", 4},
 };
 
@@ -117,6 +120,24 @@ bool reject_unknown_flags(const firefly::util::Flags& flags) {
   return ok;
 }
 
+/// Reject bad counts before anything runs: a negative count would wrap to
+/// a huge unsigned value (an endless run or an allocation failure), and a
+/// zero period has no slot to fire in.
+bool reject_bad_counts(const firefly::util::Flags& flags) {
+  bool ok = true;
+  for (const FlagSpec& spec : kFlagSpecs) {
+    if (spec.count && flags.has(spec.name) && flags.get(spec.name, std::int64_t{0}) < 0) {
+      std::cerr << "--" << spec.name << " must not be negative\n";
+      ok = false;
+    }
+  }
+  if (flags.has("period") && flags.get("period", std::int64_t{1}) == 0) {
+    std::cerr << "--period must be at least 1 slot\n";
+    ok = false;
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -127,7 +148,7 @@ int main(int argc, char** argv) {
     print_help(flags);
     return 0;
   }
-  if (!reject_unknown_flags(flags)) return 2;
+  if (!reject_unknown_flags(flags) || !reject_bad_counts(flags)) return 2;
 
   core::ScenarioConfig base;
   base.n = static_cast<std::size_t>(flags.get("n", std::int64_t{50}));

@@ -12,6 +12,17 @@
 
 namespace firefly::core {
 
+namespace {
+
+// Both counts are ranges of Rng::uniform_index, which requires n > 0.
+ProtocolParams validated(ProtocolParams params) {
+  if (params.period_slots == 0) throw std::invalid_argument("EngineBase: period_slots == 0");
+  if (params.service_count == 0) throw std::invalid_argument("EngineBase: service_count == 0");
+  return params;
+}
+
+}  // namespace
+
 // Out of line: engine.hpp holds unique_ptrs to types (EngineSnapshot, the
 // fault streams) that are incomplete there.
 EngineBase::~EngineBase() = default;
@@ -20,7 +31,7 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
                        phy::RadioParams radio_params, std::uint64_t seed)
     : channel_(phy::make_paper_channel(seed, radio_params)),
       radio_(&sim_, channel_.get(), radio_params.capture_margin_db),
-      params_(params),
+      params_(validated(params)),
       detector_(positions.size(), params.period_slots, params.tolerance_slots),
       local_detector_(positions.size(), params.period_slots, params.tolerance_slots),
       rng_factory_(seed),

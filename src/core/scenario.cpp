@@ -33,13 +33,12 @@ std::vector<geo::Vec2> deploy(const ScenarioConfig& config) {
   return geo::deploy_uniform(config.n, config.area(), rng);
 }
 
-graph::Graph proximity_graph(const std::vector<geo::Vec2>& positions, phy::Channel& channel) {
+graph::Graph proximity_graph(const std::vector<geo::Vec2>& positions,
+                             const phy::Channel& channel) {
   graph::Graph g(positions.size());
   const auto admit = [&](std::uint32_t u, std::uint32_t v) {
-    const util::Dbm forward =
-        channel.mean_received_power_uncached(u, positions[u], v, positions[v]);
-    const util::Dbm backward =
-        channel.mean_received_power_uncached(v, positions[v], u, positions[u]);
+    const util::Dbm forward = channel.mean_received_power(u, positions[u], v, positions[v]);
+    const util::Dbm backward = channel.mean_received_power(v, positions[v], u, positions[u]);
     const util::Dbm strongest = std::max(forward, backward);
     if (channel.detectable(strongest)) g.add_edge(u, v, strongest.value);
   };

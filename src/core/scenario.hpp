@@ -58,7 +58,7 @@ struct ScenarioConfig {
 /// PS-strength weight).  Used to validate protocol trees against reference
 /// MSTs and to drive the standalone PCO ablations.
 [[nodiscard]] graph::Graph proximity_graph(const std::vector<geo::Vec2>& positions,
-                                           phy::Channel& channel);
+                                           const phy::Channel& channel);
 
 /// The single home for every optional trial observer.  All are non-owning
 /// and may be null; attaching them changes nothing about the simulated

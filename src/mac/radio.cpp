@@ -109,8 +109,7 @@ float SkipTable::exact(const phy::FadingModel& fading, double headroom_db) {
   // fade: skip_gain 0 maps to skip_u > 1, never skipping.
   const double skip_gain =
       headroom_db < kMaxLossDb ? std::pow(10.0, -(headroom_db + 1e-9) / 10.0) : 0.0;
-  return fading.supports_uniform_skip() ? round_skip_u(fading.skip_u(skip_gain))
-                                        : round_skip_gain(skip_gain);
+  return round_skip_u(fading.skip_u(skip_gain));
 }
 
 void SkipTable::build(const phy::FadingModel& fading, double margin_db) {
@@ -131,15 +130,14 @@ void RadioMedium::rebuild(double fading_margin_db) {
   cache_valid_ = false;
   const phy::RadioParams& params = channel_->params();
   const util::Dbm cutoff = params.detection_threshold - util::Db{fading_margin_db};
-  uniform_skip_ = channel_->fading().supports_uniform_skip();
   skip_table_.build(channel_->fading(), fading_margin_db);
   const std::size_t n = devices_.size();
   cand_offsets_.assign(n + 1, 0);
   if (params.spatial_index == phy::SpatialIndex::kGrid && n >= 2) {
     rebuild_bounded(fading_margin_db, cutoff);
   } else {
-    // Dense reference (and any world without pairs): every v > u survives;
-    // the memo-backed query gives the same means, cached or not.
+    // Dense reference (and any world without pairs): every v > u survives
+    // and takes the scalar query, which equals the batched one bit for bit.
     for (std::size_t u = 0; u < n; ++u) cand_offsets_[u + 1] = n - 1;
     allocate_candidates();
     for (std::size_t u = 0; u < n; ++u) {
@@ -263,7 +261,7 @@ void RadioMedium::rebuild_bounded(double fading_margin_db, util::Dbm cutoff) {
 
   // Pass 1: each row's bound survivors, appended row-major to one list and
   // counted on both sides of each pair.
-  phy::ShadowingModel& shadowing = channel_->shadowing();
+  const phy::ShadowingModel& shadowing = channel_->shadowing();
   std::vector<std::uint32_t> near;
   std::vector<std::uint32_t> near_ids;
   std::vector<double> shadow_lo(n);
@@ -286,7 +284,7 @@ void RadioMedium::rebuild_bounded(double fading_margin_db, util::Dbm cutoff) {
       row_ids = near_ids.data();
     }
     const geo::Vec2 pu = pos[u];
-    shadowing.loss_lower_bounds_uncached(ids[u], row_ids, m, shadow_lo.data());
+    shadowing.loss_lower_bounds(ids[u], row_ids, m, shadow_lo.data());
     // Branch-free compaction: every pair is written, survivors advance.
     std::size_t s = 0;
     for (std::size_t k = 0; k < m; ++k) {
@@ -318,8 +316,8 @@ void RadioMedium::rebuild_bounded(double fading_margin_db, util::Dbm cutoff) {
       surv_ids[j] = ids[row[j]];
       surv_pos[j] = pos[row[j]];
     }
-    channel_->mean_received_powers_uncached(ids[u], pos[u], surv_ids.data(), surv_pos.data(), s,
-                                            mean.data());
+    channel_->mean_received_powers(ids[u], pos[u], surv_ids.data(), surv_pos.data(), s,
+                                   mean.data());
     for (std::size_t j = 0; j < s; ++j) admit_candidate(u, row[j], mean[j], cutoff);
   }
 }
@@ -384,16 +382,15 @@ void RadioMedium::deliver_cached() {
   // gated candidate in one block (and, with channel faults, one drop draw
   // per gated candidate from the fault stream) — the draws a per-candidate
   // loop would make, in the same order.  A fade that provably leaves the
-  // reception sub-threshold (u-space bound, or gain-domain for models
-  // without one) is rejected on one compare; only survivors pay the gain
-  // transform — one batched `gains_from_uniforms` call per sender — and
-  // the exact dBm compare.  A rejected fade cannot become audible under
-  // attenuation, but a fired drop or an attenuated link on it still counts
-  // as a fault drop.  The float bounds are loose, so a survivor may still
-  // be provably sub-threshold: the exact compare rejects it and counts it
-  // as the skip would have (see round_skip_u).  A survivor's milliwatts are
-  // the cached mean's times the floored gain; an attenuated one pays `pow`
-  // instead.
+  // reception sub-threshold is rejected on one compare of its uniform; only
+  // survivors pay the gain transform — one batched `gains_from_uniforms`
+  // call per sender — and the exact dBm compare.  A rejected fade cannot
+  // become audible under attenuation, but a fired drop or an attenuated
+  // link on it still counts as a fault drop.  The float bounds are loose,
+  // so a survivor may still be provably sub-threshold: the exact compare
+  // rejects it and counts it as the skip would have (see round_skip_u).  A
+  // survivor's milliwatts are the cached mean's times the floored gain; an
+  // attenuated one pays `pow` instead.
   const bool gated = down_count_ != 0 || any_listening_;
   for (std::size_t t = 0; t < flushing_.size(); ++t) {
     const PendingTx& tx = flushing_[t];
@@ -424,38 +421,31 @@ void RadioMedium::deliver_cached() {
       pos = gate_pos_.data();
       rx = gate_rx_.data();
     }
-    if (uniform_skip_) {
-      channel_->fill_fading_uniforms(draw_.data(), n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) draw_[i] = channel_->sample_fading_gain();
-    }
+    channel_->fill_fading_uniforms(draw_.data(), n);
     const bool drops = faults_ != nullptr && faults_->fill_drops(drop_.data(), n);
     const bool faded = faults_ != nullptr &&
                        faults_->fill_attenuation(tx.sender, tx.type, rx, n, atten_db_.data());
     const float* skip = cand_skip_.get() + begin;
     std::size_t count = 0;
-    if (!drops && !faded && uniform_skip_) {
+    if (!drops && !faded) {
       for (std::size_t i = 0; i < n; ++i) {
         survivors_[count] = static_cast<std::uint32_t>(i);
         count += static_cast<std::size_t>(draw_[i] < skip[pos[i]]);
       }
     } else {
       for (std::size_t i = 0; i < n; ++i) {
-        const bool sub = uniform_skip_ ? draw_[i] >= skip[pos[i]] : draw_[i] < skip[pos[i]];
+        const bool sub = draw_[i] >= skip[pos[i]];
         const bool lost = (drops && drop_[i] != 0) || (faded && sub && atten_db_[i] > 0.0);
         counters_.fault_drops += static_cast<std::uint64_t>(lost);
         survivors_[count] = static_cast<std::uint32_t>(i);
         count += static_cast<std::size_t>(!sub && !lost);
       }
     }
-    if (uniform_skip_) {
-      channel_->fading().gains_from_uniforms(draw_.data(), survivors_.data(), count,
-                                             gain_.data());
-    }
+    channel_->fading().gains_from_uniforms(draw_.data(), survivors_.data(), count, gain_.data());
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t i = survivors_[j];
       const std::size_t c = begin + pos[i];
-      const double gain = uniform_skip_ ? gain_[j] : draw_[i];
+      const double gain = gain_[j];
       util::Dbm power = util::Dbm{cand_mean_[c]} - phy::FadingModel::loss_from_gain(gain);
       if (faded && atten_db_[i] > 0.0) {
         power = power - util::Db{atten_db_[i]};

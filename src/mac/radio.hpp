@@ -146,27 +146,20 @@ class CaptureRule {
 };
 
 /// Skip bounds are stored as floats (4 B a candidate instead of 8), rounded
-/// so they are only ever looser than the double bound: `round_skip_u` rounds
-/// up (a uniform survives while u < skip), `round_skip_gain` rounds down (a
-/// gain is skipped while gain < skip).  A looser bound draws the same
-/// randomness and only lets more provably sub-threshold draws through to the
-/// exact dBm compare, which rejects them, so no decision changes.
-/// `fault_drops` stays exact too: a fired drop counts once either way; a
-/// let-through draw without attenuation fails the exact compare uncounted,
-/// as a skipped one is; with attenuation it ends below threshold and the
-/// attenuated-survivor branch counts it once, as the skip branch's
-/// `sub && atten` term counts a skipped one.  Bounds are finite and
-/// non-negative, so the next float up or down is the next or previous bit
-/// pattern (adding the compare keeps the rounding branch-free).
+/// up so they are only ever looser than the double bound (a uniform survives
+/// while u < skip).  A looser bound draws the same randomness and only lets
+/// more provably sub-threshold draws through to the exact dBm compare, which
+/// rejects them, so no decision changes.  `fault_drops` stays exact too: a
+/// fired drop counts once either way; a let-through draw without
+/// attenuation fails the exact compare uncounted, as a skipped one is; with
+/// attenuation it ends below threshold and the attenuated-survivor branch
+/// counts it once, as the skip branch's `sub && atten` term counts a skipped
+/// one.  Bounds are finite and non-negative, so the next float up is the
+/// next bit pattern (adding the compare keeps the rounding branch-free).
 [[nodiscard]] inline float round_skip_u(double skip_u) {
   const auto f = static_cast<float>(skip_u);
   return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) +
                               static_cast<std::uint32_t>(static_cast<double>(f) < skip_u));
-}
-[[nodiscard]] inline float round_skip_gain(double skip_gain) {
-  const auto f = static_cast<float>(skip_gain);
-  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) -
-                              static_cast<std::uint32_t>(static_cast<double>(f) > skip_gain));
 }
 
 /// A lower bound on a path-loss model's loss as a function of squared
@@ -203,10 +196,10 @@ class PathLossFloor {
 /// A candidate's skip bound by fading headroom h (mean less threshold) over
 /// `kBuckets` buckets of h ∈ [−margin, kMaxLossDb], so admission pays no
 /// libm call.  Entry b is `exact` at the bucket's upper edge plus
-/// `kEdgeSlackDb`: the u-space bound rises with h and the gain-space one
-/// falls, so no entry is tighter than `exact` in its bucket (the slack
-/// dwarfs index rounding and libm ulps), and by `round_skip_u`'s argument
-/// no decision or fault-drop count changes.  h ≥ kMaxLossDb or NaN never skips.
+/// `kEdgeSlackDb`: the bound rises with h, so no entry is tighter than
+/// `exact` in its bucket (the slack dwarfs index rounding and libm ulps),
+/// and by `round_skip_u`'s argument no decision or fault-drop count
+/// changes.  h ≥ kMaxLossDb or NaN never skips.
 class SkipTable {
  public:
   static constexpr std::size_t kBuckets = 4096;
@@ -214,8 +207,8 @@ class SkipTable {
   /// The fade-loss cap: a link with this much headroom is audible in any fade.
   inline static const double kMaxLossDb = -10.0 * std::log10(phy::FadingModel::kGainFloor);
 
-  /// One link's bound, in the draw space `fading` tests (u-space when it
-  /// offers the uniform shortcut, else gain), as a float rounded loosely.
+  /// One link's uniform bound (`FadingModel::skip_u`), as a float rounded
+  /// loosely.
   [[nodiscard]] static float exact(const phy::FadingModel& fading, double headroom_db);
   /// Tabulate `exact` for a (finite) fading margin.
   void build(const phy::FadingModel& fading, double margin_db);
@@ -460,9 +453,9 @@ class RadioMedium {
   std::unique_ptr<std::uint32_t[]> cand_rx_;    // receiver device index
   std::unique_ptr<double[]> cand_mean_;         // memoised mean received power, dBm
   std::unique_ptr<double[]> cand_mean_mw_;      // the same mean in mW
-  // Sub-threshold bound of the link, in the fading model's draw space:
-  // uniforms at/above it (u-space skip) or gains below it are sub-threshold.
-  // Rounded to float, loosely (see round_skip_u and SkipTable).
+  // Sub-threshold bound of the link: fading uniforms at/above it are
+  // sub-threshold.  Rounded to float, loosely (see round_skip_u and
+  // SkipTable).
   std::unique_ptr<float[]> cand_skip_;
   std::size_t cand_capacity_ = 0;               // slots allocated per cand_ array
   std::vector<std::size_t> cand_cursor_;        // rebuild write cursors (reused)
@@ -470,8 +463,8 @@ class RadioMedium {
   std::vector<std::uint32_t> iota_;         // 0, 1, 2, ... (ungated positions)
   std::vector<std::uint32_t> gate_pos_;     // gated candidate -> slice position
   std::vector<std::uint32_t> gate_rx_;      // gated candidate -> receiver index
-  std::vector<double> draw_;                // fading uniforms (or gains)
-  std::vector<double> gain_;                // survivor j's gain (u-space skip)
+  std::vector<double> draw_;                // fading uniforms
+  std::vector<double> gain_;                // survivor j's gain
   std::vector<std::uint8_t> drop_;          // fault drop draws
   std::vector<double> atten_db_;            // fault link attenuations
   std::vector<std::uint32_t> survivors_;    // skip-test survivors
@@ -496,7 +489,6 @@ class RadioMedium {
   std::uint32_t group_count_[kResourceSlots] = {};
   double group_mw_[kResourceSlots] = {};
   bool cache_valid_ = false;
-  bool uniform_skip_ = false;  // fading model offers the u-space skip test
   PathLossFloor loss_floor_;    // rebuild's per-world path-loss bound table
   SkipTable skip_table_;        // rebuild's per-margin skip bound table
   geo::SpatialGrid grid_;

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "pco/oscillator.hpp"
+#include "pco/prc.hpp"
 #include "util/rng.hpp"
 
 namespace firefly::pco {

@@ -18,23 +18,16 @@ Channel::Channel(RadioParams params, std::unique_ptr<PathLossModel> pathloss,
 }
 
 util::Dbm Channel::mean_received_power(std::uint32_t tx_id, geo::Vec2 tx_pos,
-                                       std::uint32_t rx_id, geo::Vec2 rx_pos) {
+                                       std::uint32_t rx_id, geo::Vec2 rx_pos) const {
   const double d = geo::distance(tx_pos, rx_pos);
   return params_.tx_power - pathloss_->loss(d) - shadowing_->sample(tx_id, rx_id);
 }
 
-util::Dbm Channel::mean_received_power_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
-                                                std::uint32_t rx_id, geo::Vec2 rx_pos) {
-  // Mirrors mean_received_power term-for-term so the two are bit-identical
-  // for order-independent shadowing models.
-  const double d = geo::distance(tx_pos, rx_pos);
-  return params_.tx_power - pathloss_->loss(d) - shadowing_->sample_uncached(tx_id, rx_id);
-}
-
-void Channel::mean_received_powers_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
-                                            const std::uint32_t* rx_ids, const geo::Vec2* rx_pos,
-                                            std::size_t n, double* out_dbm) {
-  shadowing_->samples_uncached(tx_id, rx_ids, n, out_dbm);
+void Channel::mean_received_powers(std::uint32_t tx_id, geo::Vec2 tx_pos,
+                                   const std::uint32_t* rx_ids, const geo::Vec2* rx_pos,
+                                   std::size_t n, double* out_dbm) const {
+  // Term for term the scalar query's expression, so the two agree bit for bit.
+  shadowing_->samples(tx_id, rx_ids, n, out_dbm);
   for (std::size_t k = 0; k < n; ++k) {
     const double d = geo::distance(tx_pos, rx_pos[k]);
     out_dbm[k] = (params_.tx_power - pathloss_->loss(d) - util::Db{out_dbm[k]}).value;

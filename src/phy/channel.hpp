@@ -68,30 +68,17 @@ class Channel {
   /// Received power without fast fading (slot-averaged), used by neighbour
   /// weight estimation where the protocol averages several PSs.
   [[nodiscard]] util::Dbm mean_received_power(std::uint32_t tx_id, geo::Vec2 tx_pos,
-                                              std::uint32_t rx_id, geo::Vec2 rx_pos);
+                                              std::uint32_t rx_id, geo::Vec2 rx_pos) const;
+  /// Batched `mean_received_power` for one transmitter: out_dbm[k] is its
+  /// value for receiver rx_ids[k] at rx_pos[k], bit for bit, with one
+  /// batched shadowing call for the whole row.
+  void mean_received_powers(std::uint32_t tx_id, geo::Vec2 tx_pos, const std::uint32_t* rx_ids,
+                            const geo::Vec2* rx_pos, std::size_t n, double* out_dbm) const;
 
-  /// Same value as `mean_received_power` for order-independent shadowing
-  /// models, via the model's cache-free path: bulk candidate rebuilds use
-  /// it so scanning millions of pairs does not grow the per-link memo.
-  [[nodiscard]] util::Dbm mean_received_power_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
-                                                       std::uint32_t rx_id, geo::Vec2 rx_pos);
-  /// Batched `mean_received_power_uncached` for one transmitter:
-  /// out_dbm[k] is its value for receiver rx_ids[k] at rx_pos[k], bit for
-  /// bit, with one batched shadowing call for the whole row.
-  void mean_received_powers_uncached(std::uint32_t tx_id, geo::Vec2 tx_pos,
-                                     const std::uint32_t* rx_ids, const geo::Vec2* rx_pos,
-                                     std::size_t n, double* out_dbm);
-
-  /// One fast-fading power gain from the shared per-delivery stream.  The
-  /// radio draws the gain, compares it against a precomputed linear
-  /// threshold and only converts to dBm when audible.
-  [[nodiscard]] double sample_fading_gain() { return fading_->sample_gain(fading_rng_); }
-
-  /// The raw uniforms behind n fading draws, for models with
-  /// `supports_uniform_skip()`: fills `out[0..n)` with the steps n
-  /// `sample_fading_gain` calls would consume (same stream, same order), so
-  /// the radio can compare each against a candidate's precomputed `skip_u`
-  /// bound before paying the gain transform.
+  /// The uniforms behind n fast fades, one generator step each from the
+  /// shared per-delivery stream: the radio compares each against a
+  /// candidate's precomputed `FadingModel::skip_u` bound before paying the
+  /// gain transform.
   void fill_fading_uniforms(double* out, std::size_t n) {
     fading_rng_.fill_unit_open(out, n);
   }
@@ -117,9 +104,8 @@ class Channel {
   [[nodiscard]] ShadowingModel& shadowing() { return *shadowing_; }
   [[nodiscard]] const FadingModel& fading() const { return *fading_; }
   /// The fast-fading stream — the channel's only mutable state in a static
-  /// scenario (shadowing memo entries are pure caches of hash-derived
-  /// draws).  Exposed so the engine's snapshot/restore checkpoint can save
-  /// and rewind it.
+  /// scenario (shadowing draws are pure functions of the link).  Exposed so
+  /// the engine's snapshot/restore checkpoint can save and rewind it.
   [[nodiscard]] util::Rng& fading_rng() { return fading_rng_; }
 
  private:

@@ -1,9 +1,7 @@
 #include "phy/pathloss.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace firefly::phy {
 
@@ -18,28 +16,6 @@ constexpr double kNearSlope = 25.0;
 constexpr double kFarIntercept = 40.0;
 constexpr double kFarSlope = 40.0;
 }  // namespace
-
-LogDistance::LogDistance(double exponent, double reference_distance_m,
-                         util::Db loss_at_reference)
-    : exponent_(exponent), d0_(reference_distance_m), pl0_(loss_at_reference) {
-  assert(exponent_ > 0.0);
-  assert(d0_ > 0.0);
-}
-
-util::Db LogDistance::loss(double distance_m) const {
-  const double d = std::max(distance_m, min_distance());
-  return util::Db{pl0_.value + 10.0 * exponent_ * std::log10(d / d0_)};
-}
-
-double LogDistance::distance_for_loss(util::Db pl) const {
-  return d0_ * std::pow(10.0, (pl.value - pl0_.value) / (10.0 * exponent_));
-}
-
-std::string LogDistance::name() const {
-  std::ostringstream os;
-  os << "log-distance(n=" << exponent_ << ")";
-  return os.str();
-}
 
 util::Db PaperDualSlope::loss(double distance_m) const {
   const double d = std::max(distance_m, min_distance());
@@ -61,24 +37,8 @@ double PaperDualSlope::distance_for_loss(util::Db pl) const {
                   std::pow(10.0, (pl.value - kNearIntercept) / kNearSlope));
 }
 
-util::Db FreeSpace::loss(double distance_m) const {
-  const double d = std::max(distance_m, min_distance());
-  return util::Db{20.0 * std::log10(d) + 20.0 * std::log10(frequency_hz_) - 147.55};
-}
-
-double FreeSpace::distance_for_loss(util::Db pl) const {
-  const double exponent = (pl.value - 20.0 * std::log10(frequency_hz_) + 147.55) / 20.0;
-  return std::pow(10.0, exponent);
-}
-
 std::unique_ptr<PathLossModel> make_paper_model() {
   return std::make_unique<PaperDualSlope>();
-}
-
-std::unique_ptr<PathLossModel> make_outdoor_log_distance() {
-  // Outdoor exponent n = 4 per Section III, anchored to the dual-slope
-  // model's far-field intercept at 1 m.
-  return std::make_unique<LogDistance>(4.0, 1.0, util::Db{40.0});
 }
 
 }  // namespace firefly::phy

@@ -1,18 +1,12 @@
-// pathloss.hpp — deterministic distance-dependent path loss models.
+// pathloss.hpp — deterministic distance-dependent path loss.
 //
-// All models return a positive loss in dB; received power is
-// rx = tx − PL(d) − X_shadow − X_fade.  Three models:
+// Models return a positive loss in dB; received power is
+// rx = tx − PL(d) − X_shadow − X_fade.  The simulator's model is Table I's
+// propagation model, the 3GPP D2D outdoor NLOS curve (`PaperDualSlope`):
+//     PL = 4.35 + 25·log10(d)   for d < 6 m
+//     PL = 40.0 + 40·log10(d)   otherwise.
 //
-//   * `LogDistance` — the paper's eq. (7): received power falls as
-//     10·n·log10(d/d0) past a reference distance d0, with path-loss
-//     exponent n (2 indoor, 4 outdoor per the paper).
-//   * `PaperDualSlope` — Table I's propagation model, the 3GPP D2D outdoor
-//     NLOS curve:  PL = 4.35 + 25·log10(d)   for d < 6 m
-//                  PL = 40.0 + 40·log10(d)   otherwise.
-//   * `FreeSpace` — Friis free-space loss at a given carrier frequency, as
-//     a sanity baseline.
-//
-// Each model exposes the inverse `distance_for_loss` used by RSSI ranging
+// A model also exposes the inverse `distance_for_loss` used by RSSI ranging
 // (the device inverts the measured loss to estimate range).
 #pragma once
 
@@ -40,25 +34,6 @@ class PathLossModel {
   [[nodiscard]] virtual double min_distance() const { return 0.1; }
 };
 
-/// Log-distance model (paper eq. 7).  `loss_at_reference` is the loss at
-/// d0; the paper leaves it implicit, so we default to the dual-slope
-/// model's value at 1 m for continuity.
-class LogDistance final : public PathLossModel {
- public:
-  LogDistance(double exponent, double reference_distance_m = 1.0,
-              util::Db loss_at_reference = util::Db{40.0});
-
-  [[nodiscard]] util::Db loss(double distance_m) const override;
-  [[nodiscard]] double distance_for_loss(util::Db loss) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double exponent() const { return exponent_; }
-
- private:
-  double exponent_;
-  double d0_;
-  util::Db pl0_;
-};
-
 /// Table I dual-slope outdoor NLOS model.
 class PaperDualSlope final : public PathLossModel {
  public:
@@ -69,21 +44,7 @@ class PaperDualSlope final : public PathLossModel {
   [[nodiscard]] std::string name() const override { return "paper-dual-slope"; }
 };
 
-/// Friis free-space loss: 20·log10(d) + 20·log10(f) − 147.55 (f in Hz).
-class FreeSpace final : public PathLossModel {
- public:
-  explicit FreeSpace(double frequency_hz = 2.0e9) : frequency_hz_(frequency_hz) {}
-
-  [[nodiscard]] util::Db loss(double distance_m) const override;
-  [[nodiscard]] double distance_for_loss(util::Db loss) const override;
-  [[nodiscard]] std::string name() const override { return "free-space"; }
-
- private:
-  double frequency_hz_;
-};
-
-/// Factory helpers for the scenarios.
+/// The Table I model, as the scenarios build it.
 [[nodiscard]] std::unique_ptr<PathLossModel> make_paper_model();
-[[nodiscard]] std::unique_ptr<PathLossModel> make_outdoor_log_distance();
 
 }  // namespace firefly::phy

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -80,24 +79,24 @@ PerLinkShadowing::Words PerLinkShadowing::words(std::uint32_t a, std::uint32_t b
   return Words{w1, mixer.next()};
 }
 
-double PerLinkShadowing::draw(std::uint32_t a, std::uint32_t b) const {
+util::Db PerLinkShadowing::sample(std::uint32_t a, std::uint32_t b) const {
   const Words w = words(a, b);
-  return sigma_ * std::clamp(unit_normal(w.w1, w.w2), -kClampSigmas, kClampSigmas);
+  return util::Db{sigma_ * std::clamp(unit_normal(w.w1, w.w2), -kClampSigmas, kClampSigmas)};
 }
 
-void PerLinkShadowing::samples_uncached(std::uint32_t a, const std::uint32_t* b, std::size_t n,
-                                        double* out_db) {
-  for (std::size_t k = 0; k < n; ++k) out_db[k] = draw(a, b[k]);
+void PerLinkShadowing::samples(std::uint32_t a, const std::uint32_t* b, std::size_t n,
+                               double* out_db) const {
+  for (std::size_t k = 0; k < n; ++k) out_db[k] = sample(a, b[k]).value;
 }
 
-double PerLinkShadowing::loss_lower_bound_uncached(std::uint32_t a, std::uint32_t b) const {
+double PerLinkShadowing::loss_lower_bound(std::uint32_t a, std::uint32_t b) const {
   double bound = 0.0;
-  loss_lower_bounds_uncached(a, &b, 1, &bound);
+  loss_lower_bounds(a, &b, 1, &bound);
   return bound;
 }
 
-void PerLinkShadowing::loss_lower_bounds_uncached(std::uint32_t a, const std::uint32_t* b,
-                                                  std::size_t n, double* out_db) const {
+void PerLinkShadowing::loss_lower_bounds(std::uint32_t a, const std::uint32_t* b, std::size_t n,
+                                         double* out_db) const {
   // Clamping and scaling by σ ≥ 0 are monotone, so they keep the bound.
   if (!(sigma_ >= 0.0)) {
     std::fill(out_db, out_db + n, -std::numeric_limits<double>::infinity());
@@ -109,64 +108,6 @@ void PerLinkShadowing::loss_lower_bounds_uncached(std::uint32_t a, const std::ui
     out_db[k] =
         sigma_ * std::clamp(normal_lower_bound(t, w.w1, w.w2), -kClampSigmas, kClampSigmas);
   }
-}
-
-util::Db PerLinkShadowing::sample(std::uint32_t a, std::uint32_t b) {
-  const std::uint32_t lo = std::min(a, b);
-  const std::uint32_t hi = std::max(a, b);
-  const std::uint64_t key = (static_cast<std::uint64_t>(lo) << 32) | hi;
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return util::Db{it->second};
-  const double value = draw(a, b);
-  cache_.emplace(key, value);
-  return util::Db{value};
-}
-
-CorrelatedShadowing::CorrelatedShadowing(double sigma_db, double decorrelation_m,
-                                         std::vector<geo::Vec2> positions, util::Rng rng)
-    : sigma_(sigma_db),
-      spacing_(decorrelation_m),
-      positions_(std::move(positions)),
-      rng_(rng),
-      field_seed_(rng_.bits()) {
-  assert(spacing_ > 0.0);
-}
-
-double CorrelatedShadowing::grid_value(std::int64_t ix, std::int64_t iy) const {
-  const std::uint64_t key = (static_cast<std::uint64_t>(ix) << 32) ^
-                            (static_cast<std::uint64_t>(iy) & 0xFFFFFFFFULL);
-  const auto it = grid_.find(key);
-  if (it != grid_.end()) return it->second;
-  // Hash-derived draw so the field is identical regardless of query order.
-  util::SplitMix64 mixer(field_seed_ ^ (key * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL));
-  const std::uint64_t w1 = mixer.next();
-  const double value = PerLinkShadowing::unit_normal(w1, mixer.next());
-  grid_.emplace(key, value);
-  return value;
-}
-
-double CorrelatedShadowing::field_at(geo::Vec2 p) const {
-  const double gx = p.x / spacing_;
-  const double gy = p.y / spacing_;
-  const auto ix = static_cast<std::int64_t>(std::floor(gx));
-  const auto iy = static_cast<std::int64_t>(std::floor(gy));
-  const double fx = gx - static_cast<double>(ix);
-  const double fy = gy - static_cast<double>(iy);
-  const double w00 = (1.0 - fx) * (1.0 - fy);
-  const double w10 = fx * (1.0 - fy);
-  const double w01 = (1.0 - fx) * fy;
-  const double w11 = fx * fy;
-  const double raw = w00 * grid_value(ix, iy) + w10 * grid_value(ix + 1, iy) +
-                     w01 * grid_value(ix, iy + 1) + w11 * grid_value(ix + 1, iy + 1);
-  // Bilinear mixing shrinks the variance to Σw²; renormalise to unit.
-  const double norm = std::sqrt(w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11);
-  return raw / norm;
-}
-
-util::Db CorrelatedShadowing::sample(std::uint32_t a, std::uint32_t b) {
-  assert(a < positions_.size() && b < positions_.size());
-  const geo::Vec2 mid = 0.5 * (positions_[a] + positions_[b]);
-  return util::Db{sigma_ * field_at(mid)};
 }
 
 }  // namespace firefly::phy

@@ -47,34 +47,6 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-double Rng::rayleigh(double sigma) {
-  const double u = unit_open();
-  return sigma * std::sqrt(-2.0 * std::log(u));
-}
-
-double Rng::gamma(double shape, double scale) {
-  assert(shape > 0.0 && scale > 0.0);
-  if (shape < 1.0) {
-    // Boost to shape+1 and correct with u^(1/shape) (Marsaglia–Tsang trick).
-    const double u = unit_open();
-    return gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = 0.0;
-    double v = 0.0;
-    do {
-      x = normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = unit_open();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v * scale;
-  }
-}
-
 std::uint64_t Rng::poisson(double lambda) {
   assert(lambda >= 0.0);
   if (lambda == 0.0) return 0;

@@ -125,10 +125,6 @@ class Rng {
       out[i] = static_cast<std::uint8_t>(uniform_from(bits) < p);
     });
   }
-  /// Rayleigh-distributed amplitude with scale σ.
-  double rayleigh(double sigma);
-  /// Gamma(shape k, scale θ) via Marsaglia–Tsang.  Used for Nakagami fading.
-  double gamma(double shape, double scale);
   /// Poisson with mean λ (Knuth for small λ, normal approximation above 64).
   std::uint64_t poisson(double lambda);
 

@@ -109,28 +109,34 @@ void expect_contiguous_slices(const RadioMedium& radio) {
   }
 }
 
-/// Per fading model, which side of the per-link bound is loose: u-space
-/// bounds (a uniform survives while u < skip) are loose upward, gain-space
-/// bounds (a gain is skipped while gain < skip) downward.
+/// A uniform survives while u < skip, so a cached bound may only be loose
+/// upward, and by at most one bucket of headroom.
 void expect_loose_by_at_most_one_bucket(const phy::FadingModel& fading, float cached,
                                         double headroom_db, double width_db) {
   const float exact = SkipTable::exact(fading, headroom_db);
   const float bucket_looser =
       SkipTable::exact(fading, headroom_db + width_db + 2.0 * SkipTable::kEdgeSlackDb);
-  if (fading.supports_uniform_skip()) {
-    EXPECT_GE(cached, exact) << "h = " << headroom_db;
-    EXPECT_LE(cached, bucket_looser) << "h = " << headroom_db;
-  } else {
-    EXPECT_LE(cached, exact) << "h = " << headroom_db;
-    EXPECT_GE(cached, bucket_looser) << "h = " << headroom_db;
-  }
+  EXPECT_GE(cached, exact) << "h = " << headroom_db;
+  EXPECT_LE(cached, bucket_looser) << "h = " << headroom_db;
 }
+
+/// A second non-trivial skip bound beside Rayleigh's, of another shape:
+/// gain = ½·(−ln u)² (unit mean), so gain < g exactly when u > e^{−√(2g)}.
+class SquaredLogFading final : public phy::FadingModel {
+ public:
+  [[nodiscard]] double gain_from_uniform(double u) const override {
+    const double e = -std::log(u);
+    return 0.5 * e * e;
+  }
+  [[nodiscard]] double skip_u(double min_gain) const override {
+    return std::exp(-std::sqrt(2.0 * min_gain)) * (1.0 + 1e-12);
+  }
+};
 
 std::vector<std::unique_ptr<phy::FadingModel>> fading_models() {
   std::vector<std::unique_ptr<phy::FadingModel>> models;
-  models.push_back(std::make_unique<phy::RayleighFading>());  // u-space
-  models.push_back(std::make_unique<phy::NoFading>());        // gain space
-  models.push_back(std::make_unique<phy::RicianFading>(4.0)); // gain space
+  models.push_back(std::make_unique<phy::RayleighFading>());
+  models.push_back(std::make_unique<SquaredLogFading>());
   return models;
 }
 
@@ -153,8 +159,7 @@ TEST(CandidateCache, CachedSkipsAreLooseByAtMostOneBucket) {
       expect_loose_by_at_most_one_bucket(fading, c.skip[k], h, bucket_width());
       const float exact = SkipTable::exact(fading, h);
       loosened += static_cast<std::size_t>(c.skip[k] != exact);
-      skipping += static_cast<std::size_t>(fading.supports_uniform_skip() ? exact <= 1.0F
-                                                                          : exact > 0.0F);
+      skipping += static_cast<std::size_t>(exact <= 1.0F);
     }
     // Not vacuous: most links can skip, and the table loosens some bounds.
     EXPECT_GT(skipping, c.rx.size() / 2);
@@ -185,11 +190,7 @@ TEST(CandidateCache, SkipTableAtTheEdgesOfItsRange) {
     const double width = bucket_width();
     const double cap = SkipTable::kMaxLossDb;
     const float never = SkipTable::exact(fading, cap);
-    if (fading.supports_uniform_skip()) {
-      EXPECT_GT(never, 1.0F);  // above every uniform
-    } else {
-      EXPECT_EQ(never, 0.0F);  // below every gain
-    }
+    EXPECT_GT(never, 1.0F);  // above every uniform
     // At the cap, beyond it and at NaN nothing is ever skipped.
     for (const double h : {cap, std::nextafter(cap, 1e9), cap + 1.0, 1e300,
                            std::numeric_limits<double>::infinity(),
@@ -205,11 +206,7 @@ TEST(CandidateCache, SkipTableAtTheEdgesOfItsRange) {
     for (const double h : {-kMargin, std::nextafter(-kMargin, -1e9), -kMargin - 1.0,
                            -kMargin + width, cap - width}) {
       expect_loose_by_at_most_one_bucket(fading, table.bound(h), std::max(h, -kMargin), width);
-      if (fading.supports_uniform_skip()) {
-        EXPECT_GE(table.bound(h), SkipTable::exact(fading, h)) << h;
-      } else {
-        EXPECT_LE(table.bound(h), SkipTable::exact(fading, h)) << h;
-      }
+      EXPECT_GE(table.bound(h), SkipTable::exact(fading, h)) << h;
     }
     util::Rng rng(35);
     for (int i = 0; i < 100000; ++i) {
@@ -268,11 +265,11 @@ TEST(CandidateCache, SlicesAreContiguousWhereAdmissionRejectsBoundSurvivors) {
   for (std::uint32_t u = 0; u < pos.size(); ++u) {
     for (std::uint32_t v = u + 1; v < pos.size(); ++v) {
       const double bound = floor.lower_bound(geo::distance_squared(pos[u], pos[v])) +
-                           grid_channel->shadowing().loss_lower_bound_uncached(u, v);
+                           grid_channel->shadowing().loss_lower_bound(u, v);
       if (bound > reject_above) continue;
       ++survivors;
       rejected += static_cast<std::size_t>(
-          grid_channel->mean_received_power_uncached(u, pos[u], v, pos[v]) < cutoff);
+          grid_channel->mean_received_power(u, pos[u], v, pos[v]) < cutoff);
     }
   }
   EXPECT_GT(rejected, 0U);

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -14,6 +18,13 @@ using namespace firefly::phy;
 using firefly::geo::Vec2;
 using firefly::util::Dbm;
 using firefly::util::Rng;
+
+/// The gain of the channel's next fast fade: one uniform through the model.
+double next_fading_gain(Channel& channel) {
+  double u = 0.0;
+  channel.fill_fading_uniforms(&u, 1);
+  return channel.fading().gain_from_uniform(u);
+}
 
 std::unique_ptr<Channel> deterministic_channel(RadioParams params = {}) {
   return std::make_unique<Channel>(params, std::make_unique<PaperDualSlope>(),
@@ -27,7 +38,7 @@ TEST(Channel, DeterministicCompositionMatchesFormula) {
   const Vec2 b{10.0, 0.0};
   // 23 dBm - (40 + 40·log10(10)) = 23 - 80 = -57 dBm.
   EXPECT_NEAR(channel->mean_received_power(0, a, 1, b).value, -57.0, 1e-9);
-  EXPECT_EQ(channel->sample_fading_gain(), 1.0);  // and no fast fading on top
+  EXPECT_EQ(next_fading_gain(*channel), 1.0);  // and no fast fading on top
 }
 
 TEST(Channel, DetectableAgainstTableThreshold) {
@@ -67,8 +78,8 @@ TEST(Channel, FadingVariesPerReception) {
       std::make_unique<RayleighFading>(), Rng(3));
   const Vec2 a{0.0, 0.0};
   const Vec2 b{10.0, 0.0};
-  const double p1 = channel->sample_fading_gain();
-  const double p2 = channel->sample_fading_gain();
+  const double p1 = next_fading_gain(*channel);
+  const double p2 = next_fading_gain(*channel);
   EXPECT_NE(p1, p2);
   // Mean power is unaffected by fading.
   EXPECT_NEAR(channel->mean_received_power(0, a, 1, b).value, -57.0, 1e-9);
@@ -82,7 +93,37 @@ TEST(Channel, PaperFactoryIsReproducible) {
   for (int i = 0; i < 32; ++i) {
     EXPECT_DOUBLE_EQ(c1->mean_received_power(0, a, 1, b).value,
                      c2->mean_received_power(0, a, 1, b).value);
-    EXPECT_DOUBLE_EQ(c1->sample_fading_gain(), c2->sample_fading_gain());
+    EXPECT_DOUBLE_EQ(next_fading_gain(*c1), next_fading_gain(*c2));
+  }
+}
+
+TEST(Channel, FadingUniformsAreOneStepEach) {
+  // For every model, a block of fading uniforms is one unit_open() step per
+  // reception of the channel's stream, and each gain is the model's
+  // transform of its step.
+  std::vector<std::unique_ptr<FadingModel>> models;
+  models.push_back(std::make_unique<RayleighFading>());
+  models.push_back(std::make_unique<NoFading>());
+  for (std::unique_ptr<FadingModel>& model : models) {
+    const FadingModel& fading = *model;
+    Channel channel(RadioParams{}, std::make_unique<PaperDualSlope>(),
+                    std::make_unique<NoShadowing>(), std::move(model), Rng(5));
+    Rng clone = channel.fading_rng();
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{300}}) {
+      std::vector<double> u(n);
+      channel.fill_fading_uniforms(u.data(), n);
+      std::vector<std::uint32_t> idx(n);
+      for (std::uint32_t i = 0; i < n; ++i) idx[i] = i;
+      std::vector<double> gains(n);
+      fading.gains_from_uniforms(u.data(), idx.data(), n, gains.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const double step = clone.unit_open();
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(u[i]), std::bit_cast<std::uint64_t>(step));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(gains[i]),
+                  std::bit_cast<std::uint64_t>(fading.gain_from_uniform(step)));
+      }
+    }
+    EXPECT_EQ(channel.fading_rng().bits(), clone.bits());
   }
 }
 

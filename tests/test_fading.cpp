@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -15,18 +16,38 @@ namespace {
 using namespace firefly::phy;
 using firefly::util::Rng;
 
+/// One reception's extra loss in dB: one uniform step through the model.
+double sample_loss_db(const FadingModel& model, Rng& rng) {
+  return FadingModel::loss_from_gain(model.gain_from_uniform(rng.unit_open())).value;
+}
+
 TEST(NoFading, Zero) {
   NoFading model;
   Rng rng(1);
-  EXPECT_DOUBLE_EQ(model.sample(rng).value, 0.0);
-  EXPECT_DOUBLE_EQ(model.mean_power_gain(), 1.0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(model.gain_from_uniform(rng.unit_open()), 1.0);
+  }
+  EXPECT_DOUBLE_EQ(sample_loss_db(model, rng), 0.0);
+}
+
+TEST(NoFading, SkipsEveryUniformExactlyWhenTheGainMustExceedOne) {
+  // The gain is 1 whatever the uniform: below a minimum gain g > 1 every
+  // draw is provably short (skip at u >= 0), at g <= 1 none is (skip_u > 1).
+  const NoFading model;
+  for (const double g : {0.0, 1e-6, 0.5, std::nextafter(1.0, 0.0), 1.0}) {
+    EXPECT_GT(model.skip_u(g), 1.0) << g;
+  }
+  for (const double g : {std::nextafter(1.0, 2.0), 1.5, 1e6,
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_LE(model.skip_u(g), 0.0) << g;
+  }
 }
 
 double empirical_mean_gain(const FadingModel& model, int n, std::uint64_t seed) {
   Rng rng(seed);
   double sum = 0.0;
   for (int i = 0; i < n; ++i) {
-    sum += std::pow(10.0, -model.sample(rng).value / 10.0);
+    sum += std::pow(10.0, -sample_loss_db(model, rng) / 10.0);
   }
   return sum / n;
 }
@@ -43,7 +64,7 @@ TEST(Rayleigh, MedianLossNearOnePointSixDb) {
   int deeper = 0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    if (model.sample(rng).value > 1.59) ++deeper;
+    if (sample_loss_db(model, rng) > 1.59) ++deeper;
   }
   EXPECT_NEAR(deeper / static_cast<double>(n), 0.5, 0.01);
 }
@@ -53,50 +74,10 @@ TEST(Rayleigh, DeepFadesAreBounded) {
   RayleighFading model;
   Rng rng(4);
   for (int i = 0; i < 200000; ++i) {
-    const double loss = model.sample(rng).value;
+    const double loss = sample_loss_db(model, rng);
     ASSERT_LE(loss, 60.0 + 1e-9);
     ASSERT_TRUE(std::isfinite(loss));
   }
-}
-
-class NakagamiParamTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(NakagamiParamTest, UnitMeanPowerGain) {
-  NakagamiFading model(GetParam());
-  EXPECT_NEAR(empirical_mean_gain(model, 150000, 5), 1.0, 0.025) << "m=" << GetParam();
-}
-
-TEST_P(NakagamiParamTest, VarianceShrinksWithM) {
-  // Power gain ~ Gamma(m, 1/m): variance = 1/m.
-  const double m = GetParam();
-  NakagamiFading model(m);
-  Rng rng(6);
-  const int n = 150000;
-  double sum = 0.0, sum2 = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double g = std::pow(10.0, -model.sample(rng).value / 10.0);
-    sum += g;
-    sum2 += g * g;
-  }
-  const double mean = sum / n;
-  const double var = sum2 / n - mean * mean;
-  EXPECT_NEAR(var, 1.0 / m, 0.1 / m + 0.01) << "m=" << m;
-}
-
-INSTANTIATE_TEST_SUITE_P(SweepM, NakagamiParamTest, ::testing::Values(0.5, 1.0, 2.0, 4.0));
-
-TEST(Nakagami, MEqualsOneMatchesRayleighDistribution) {
-  // Nakagami-1 is Rayleigh: compare empirical exceedance at a few points.
-  NakagamiFading nak(1.0);
-  RayleighFading ray;
-  Rng rng_n(7), rng_r(7);
-  const int n = 100000;
-  int nak_deep = 0, ray_deep = 0;
-  for (int i = 0; i < n; ++i) {
-    if (nak.sample(rng_n).value > 10.0) ++nak_deep;
-    if (ray.sample(rng_r).value > 10.0) ++ray_deep;
-  }
-  EXPECT_NEAR(nak_deep / static_cast<double>(n), ray_deep / static_cast<double>(n), 0.01);
 }
 
 // The radio's batched gain transform must be bit-equal to the scalar one.
@@ -133,14 +114,10 @@ TEST(FadingModel, DefaultBatchedGainsEqualScalarBitwise) {
   // Overrides only the scalar transform, so the batch takes the default loop.
   class ScalarOnly final : public FadingModel {
    public:
-    [[nodiscard]] double sample_gain(Rng& rng) const override {
-      return gain_from_uniform(rng.unit_open());
-    }
-    [[nodiscard]] double mean_power_gain() const override { return 1.0; }
-    [[nodiscard]] bool supports_uniform_skip() const override { return true; }
     [[nodiscard]] double gain_from_uniform(double u) const override {
       return std::sqrt(-std::log(u)) * 1.5;
     }
+    [[nodiscard]] double skip_u(double /*min_gain*/) const override { return 2.0; }
   };
   expect_batched_gains_bitwise_equal(ScalarOnly{});
 }

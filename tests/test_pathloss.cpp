@@ -65,48 +65,10 @@ TEST(PaperDualSlope, PaperLinkBudgetRange) {
   EXPECT_NEAR(model.distance_for_loss(Db{118.0}), std::pow(10.0, 78.0 / 40.0), 1e-9);
 }
 
-TEST(LogDistance, MatchesEquationSeven) {
-  // p** = p* + 10·n·log10(r/r0): loss grows by 10·n dB per decade.
-  LogDistance model(4.0, 1.0, Db{40.0});
-  EXPECT_NEAR(model.loss(1.0).value, 40.0, 1e-12);
-  EXPECT_NEAR(model.loss(10.0).value, 80.0, 1e-12);
-  EXPECT_NEAR(model.loss(100.0).value, 120.0, 1e-12);
-  EXPECT_DOUBLE_EQ(model.exponent(), 4.0);
-}
-
-TEST(LogDistance, IndoorOutdoorExponents) {
-  // Section III: n = 2 indoor, n = 4 outdoor.
-  LogDistance indoor(2.0);
-  LogDistance outdoor(4.0);
-  const double d = 50.0;
-  EXPECT_LT(indoor.loss(d).value, outdoor.loss(d).value);
-  EXPECT_NEAR(outdoor.loss(d).value - indoor.loss(d).value,
-              10.0 * 2.0 * std::log10(d), 1e-9);
-}
-
-TEST(LogDistance, InversionRoundTrip) {
-  LogDistance model(3.5, 2.0, Db{47.0});
-  for (const double d : {0.5, 2.0, 20.0, 200.0}) {
-    EXPECT_NEAR(model.distance_for_loss(model.loss(d)), d, 1e-9);
-  }
-}
-
-TEST(FreeSpace, FriisAtTwoGigahertz) {
-  FreeSpace model(2.0e9);
-  // Friis at 1 m, 2 GHz: 20·log10(2e9) - 147.55 ≈ 38.47 dB.
-  EXPECT_NEAR(model.loss(1.0).value, 20.0 * std::log10(2.0e9) - 147.55, 1e-9);
-  // +20 dB per decade of distance.
-  EXPECT_NEAR(model.loss(10.0).value - model.loss(1.0).value, 20.0, 1e-9);
-  EXPECT_NEAR(model.distance_for_loss(model.loss(25.0)), 25.0, 1e-9);
-}
-
 TEST(Factories, ProduceExpectedModels) {
   const auto paper = make_paper_model();
   EXPECT_EQ(paper->name(), "paper-dual-slope");
-  const auto outdoor = make_outdoor_log_distance();
-  EXPECT_NE(outdoor->name().find("log-distance"), std::string::npos);
-  // Anchored so the two agree at 10 m in the far field.
-  EXPECT_NEAR(paper->loss(10.0).value, outdoor->loss(10.0).value, 1e-9);
+  EXPECT_DOUBLE_EQ(paper->loss(10.0).value, PaperDualSlope{}.loss(10.0).value);
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 // registry name is the same engine `run_trial` builds by enum
 // (byte-identical serialized RunMetrics), and service snapshot/restore
 // round-trips through the DiscoveryProtocol interface for every registered
-// backend.
+// backend; a zero period or service count is refused at build.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,26 @@ TEST(ProtoRegistry, UnknownNameIsNullNotAFallback) {
   EXPECT_EQ(registry.make("nope", core::deploy(config), config.protocol, config.radio,
                           config.seed),
             nullptr);
+}
+
+TEST(ProtoRegistry, ZeroPeriodOrServiceCountIsRejected) {
+  // Both counts are ranges of a uniform index draw; zero has none.
+  const proto::Registry& registry = proto::Registry::instance();
+  for (const std::string& name : registry.names()) {
+    core::ScenarioConfig config;
+    config.n = 10;
+    config.protocol.period_slots = 0;
+    EXPECT_THROW(static_cast<void>(registry.make(name, core::deploy(config), config.protocol,
+                                                 config.radio, config.seed)),
+                 std::invalid_argument)
+        << name << " period_slots = 0";
+    config.protocol.period_slots = 100;
+    config.protocol.service_count = 0;
+    EXPECT_THROW(static_cast<void>(registry.make(name, core::deploy(config), config.protocol,
+                                                 config.radio, config.seed)),
+                 std::invalid_argument)
+        << name << " service_count = 0";
+  }
 }
 
 TEST(ProtoRegistry, DuplicateAndNullRegistrationsAreRejected) {

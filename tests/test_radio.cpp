@@ -499,10 +499,9 @@ TEST(Radio, FlushOnAStaleCacheThrows) {
 }
 
 TEST(Radio, FloatSkipBoundsAreNeverTighterThanTheDoubleBound) {
-  // The cache stores skip bounds as floats.  In u-space a uniform survives
-  // while u < skip, so the float must be >= the double; in gain space a
-  // gain is skipped while gain < skip, so the float must be <= the double.
-  // Either way the float is the nearest float on the loose side.
+  // The cache stores skip bounds as floats.  A uniform survives while
+  // u < skip, so the float must be >= the double: the nearest float on the
+  // loose side.
   std::vector<double> bounds = {0.0,
                                 2.0,
                                 1.0,
@@ -520,24 +519,15 @@ TEST(Radio, FloatSkipBoundsAreNeverTighterThanTheDoubleBound) {
   for (int i = 0; i < 20000; ++i) bounds.push_back(std::pow(10.0, rng.uniform(-40.0, 3.0)));
   for (const double b : bounds) {
     const float up = mac::round_skip_u(b);
-    const float down = mac::round_skip_gain(b);
     EXPECT_GE(static_cast<double>(up), b) << b;
-    EXPECT_LE(static_cast<double>(down), b) << b;
     if (up > 0.0F) {
       EXPECT_LT(static_cast<double>(std::nextafter(up, 0.0F)), b) << b;
     }
-    EXPECT_GT(static_cast<double>(
-                  std::nextafter(down, std::numeric_limits<float>::infinity())),
-              b)
-        << b;
   }
-  // Exactly representable bounds are kept as they are: 0 never skips a
-  // gain and 2.0 never skips a uniform.
-  EXPECT_EQ(mac::round_skip_gain(0.0), 0.0F);
+  // Exactly representable bounds are kept as they are: 0 skips every
+  // uniform and 2.0 none.
   EXPECT_EQ(mac::round_skip_u(0.0), 0.0F);
   EXPECT_EQ(mac::round_skip_u(2.0), 2.0F);
-  EXPECT_EQ(mac::round_skip_gain(2.0), 2.0F);
-  EXPECT_EQ(mac::round_skip_gain(std::numeric_limits<double>::denorm_min()), 0.0F);
   EXPECT_EQ(mac::round_skip_u(std::numeric_limits<double>::denorm_min()),
             std::numeric_limits<float>::denorm_min());
 }
@@ -655,31 +645,15 @@ std::uint64_t gated_run_digest(std::unique_ptr<phy::FadingModel> fading,
 }
 
 TEST(RadioGates, NonRayleighGatedRunsReproduceRecordedDigest) {
-  // Non-Rayleigh fading has no u-space skip, so delivery takes the
-  // gain-domain skip; only radio-level code reaches it.  Recorded before
-  // the scalar delivery sweep was folded into the batched one; grid and
-  // dense candidate caches must agree with it.
-  struct Case {
-    const char* name;
-    std::unique_ptr<phy::FadingModel> (*make)();
-    std::uint64_t digest;
-  };
-  const Case cases[] = {
-      {"nakagami", []() -> std::unique_ptr<phy::FadingModel> {
-         return std::make_unique<phy::NakagamiFading>(2.0);
-       },
-       0xe710114553df58d4ULL},
-      {"none", []() -> std::unique_ptr<phy::FadingModel> {
-         return std::make_unique<phy::NoFading>();
-       },
-       0x22699265ff91090fULL},
-  };
-  for (const Case& c : cases) {
-    for (const phy::SpatialIndex index : {phy::SpatialIndex::kGrid, phy::SpatialIndex::kDense}) {
-      const std::uint64_t digest = gated_run_digest(c.make(), index);
-      EXPECT_EQ(digest, c.digest) << c.name << " grid=" << (index == phy::SpatialIndex::kGrid)
-                                  << " digest=0x" << std::hex << digest;
-    }
+  // Without fading every uniform skips or none does (NoFading::skip_u is 0
+  // or 2); only radio-level code reaches it.  Recorded before the scalar
+  // delivery sweep was folded into the batched one, when NoFading still
+  // drew no uniforms and was skipped in gain space; grid and dense
+  // candidate caches must agree with it.
+  for (const phy::SpatialIndex index : {phy::SpatialIndex::kGrid, phy::SpatialIndex::kDense}) {
+    const std::uint64_t digest = gated_run_digest(std::make_unique<phy::NoFading>(), index);
+    EXPECT_EQ(digest, 0x22699265ff91090fULL)
+        << "grid=" << (index == phy::SpatialIndex::kGrid) << " digest=0x" << std::hex << digest;
   }
 }
 

@@ -1,9 +1,9 @@
 // Differential tests for the candidate rebuild's reject bound: the
 // path-loss models must be monotone in distance, the tabulated path-loss
 // floor (mac::PathLossFloor) must stay below the exact loss of every pair,
-// and each shadowing model's `loss_lower_bound_uncached` must stay below its
-// `sample_uncached` — on seeded random inputs and on inputs built to sit on
-// bucket edges and the dual-slope breakpoint.
+// and each shadowing model's `loss_lower_bound` must stay below its
+// `sample` — on seeded random inputs and on inputs built to sit on bucket
+// edges and the dual-slope breakpoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "geo/point.hpp"
@@ -25,14 +26,42 @@ namespace {
 using namespace firefly;
 using phy::PerLinkShadowing;
 
+/// Log-distance path loss (the paper's eq. 7): 40 dB at 1 m plus 10·n dB
+/// per decade.  A second monotone shape for the floor, beside Table I's.
+class LogDistance final : public phy::PathLossModel {
+ public:
+  explicit LogDistance(double exponent) : exponent_(exponent) {}
+  [[nodiscard]] util::Db loss(double distance_m) const override {
+    return util::Db{40.0 + 10.0 * exponent_ * std::log10(std::max(distance_m, min_distance()))};
+  }
+  [[nodiscard]] double distance_for_loss(util::Db loss) const override {
+    return std::pow(10.0, (loss.value - 40.0) / (10.0 * exponent_));
+  }
+  [[nodiscard]] std::string name() const override {
+    return "log-distance(n=" + std::to_string(exponent_) + ")";
+  }
+
+ private:
+  double exponent_;
+};
+
 std::vector<std::unique_ptr<phy::PathLossModel>> all_models() {
   std::vector<std::unique_ptr<phy::PathLossModel>> models;
   models.push_back(std::make_unique<phy::PaperDualSlope>());
-  models.push_back(phy::make_outdoor_log_distance());
-  models.push_back(std::make_unique<phy::LogDistance>(2.0));
-  models.push_back(std::make_unique<phy::FreeSpace>());
+  models.push_back(std::make_unique<LogDistance>(4.0));
+  models.push_back(std::make_unique<LogDistance>(2.0));
   return models;
 }
+
+/// An unbounded shadowing model (no `max_gain_db`), so it keeps the
+/// interface's default bounds; its draw depends on the receiver only.
+class Unbounded final : public phy::ShadowingModel {
+ public:
+  [[nodiscard]] util::Db sample(std::uint32_t /*a*/, std::uint32_t b) const override {
+    return util::Db{0.25 * static_cast<double>(b) - 40.0};
+  }
+  [[nodiscard]] double sigma_db() const override { return 10.0; }
+};
 
 /// Distances at which a model's regime or clamp changes, ± 1 ulp.
 std::vector<double> edge_distances(const phy::PathLossModel& model) {
@@ -125,8 +154,8 @@ TEST(RebuildBound, ShadowingBoundStaysBelowRandomDraws) {
     for (int i = 0; i < 1000000; ++i) {
       const auto a = static_cast<std::uint32_t>(rng.bits());
       const auto b = static_cast<std::uint32_t>(rng.bits());
-      const double sample = model.sample_uncached(a, b).value;
-      const double bound = model.loss_lower_bound_uncached(a, b);
+      const double sample = model.sample(a, b).value;
+      const double bound = model.loss_lower_bound(a, b);
       violations += static_cast<std::size_t>(!(bound <= sample));
       gap_sum += sample - bound;
       ++draws;
@@ -173,34 +202,34 @@ TEST(RebuildBound, ShadowingBoundHoldsOnForcedEdgeBuckets) {
 }
 
 TEST(RebuildBound, DefaultBoundsAreExactOrNeverReject) {
-  phy::NoShadowing none;
-  EXPECT_EQ(none.loss_lower_bound_uncached(1, 2), 0.0);
-  EXPECT_EQ(none.loss_lower_bound_uncached(1, 2), none.sample_uncached(1, 2).value);
-  phy::IidShadowing iid(10.0, util::Rng(15));
-  EXPECT_EQ(iid.loss_lower_bound_uncached(1, 2), -std::numeric_limits<double>::infinity());
-  phy::CorrelatedShadowing correlated(10.0, 50.0, {{0.0, 0.0}, {10.0, 0.0}}, util::Rng(16));
-  EXPECT_EQ(correlated.loss_lower_bound_uncached(0, 1), -std::numeric_limits<double>::infinity());
+  const phy::NoShadowing none;
+  EXPECT_EQ(none.loss_lower_bound(1, 2), 0.0);
+  EXPECT_EQ(none.loss_lower_bound(1, 2), none.sample(1, 2).value);
+  const Unbounded unbounded;
+  EXPECT_EQ(unbounded.loss_lower_bound(1, 2), -std::numeric_limits<double>::infinity());
   // A negative σ flips the draw; its bound must refuse to reject.
-  PerLinkShadowing flipped(-10.0, std::uint64_t{17});
-  EXPECT_EQ(flipped.loss_lower_bound_uncached(1, 2), -std::numeric_limits<double>::infinity());
+  const PerLinkShadowing flipped(-10.0, std::uint64_t{17});
+  EXPECT_EQ(flipped.loss_lower_bound(1, 2), -std::numeric_limits<double>::infinity());
 }
 
 TEST(RebuildBound, BatchedCallsMatchTheScalarOnes) {
-  PerLinkShadowing model(10.0, std::uint64_t{18});
-  phy::IidShadowing iid(10.0, util::Rng(19));
-  phy::IidShadowing iid_scalar(10.0, util::Rng(19));
+  const PerLinkShadowing model(10.0, std::uint64_t{18});
+  const Unbounded unbounded;  // the interface's default batched loops
   std::vector<std::uint32_t> rx(300);
   for (std::uint32_t k = 0; k < rx.size(); ++k) rx[k] = 3 * k + 1;
   std::vector<double> bounds(rx.size());
   std::vector<double> samples(rx.size());
-  std::vector<double> iid_samples(rx.size());
-  model.loss_lower_bounds_uncached(7, rx.data(), rx.size(), bounds.data());
-  model.samples_uncached(7, rx.data(), rx.size(), samples.data());
-  iid.samples_uncached(7, rx.data(), rx.size(), iid_samples.data());
+  std::vector<double> default_bounds(rx.size());
+  std::vector<double> default_samples(rx.size());
+  model.loss_lower_bounds(7, rx.data(), rx.size(), bounds.data());
+  model.samples(7, rx.data(), rx.size(), samples.data());
+  unbounded.loss_lower_bounds(7, rx.data(), rx.size(), default_bounds.data());
+  unbounded.samples(7, rx.data(), rx.size(), default_samples.data());
   for (std::size_t k = 0; k < rx.size(); ++k) {
-    EXPECT_EQ(bounds[k], model.loss_lower_bound_uncached(7, rx[k]));
-    EXPECT_EQ(samples[k], model.sample_uncached(7, rx[k]).value);
-    EXPECT_EQ(iid_samples[k], iid_scalar.sample_uncached(7, rx[k]).value);
+    EXPECT_EQ(bounds[k], model.loss_lower_bound(7, rx[k]));
+    EXPECT_EQ(samples[k], model.sample(7, rx[k]).value);
+    EXPECT_EQ(default_bounds[k], unbounded.loss_lower_bound(7, rx[k]));
+    EXPECT_EQ(default_samples[k], unbounded.sample(7, rx[k]).value);
   }
 
   // The channel's batched mean equals the scalar one bit for bit.
@@ -210,9 +239,9 @@ TEST(RebuildBound, BatchedCallsMatchTheScalarOnes) {
   for (geo::Vec2& p : pos) p = {rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)};
   const geo::Vec2 tx{300.0, 300.0};
   std::vector<double> means(rx.size());
-  channel->mean_received_powers_uncached(7, tx, rx.data(), pos.data(), rx.size(), means.data());
+  channel->mean_received_powers(7, tx, rx.data(), pos.data(), rx.size(), means.data());
   for (std::size_t k = 0; k < rx.size(); ++k) {
-    EXPECT_EQ(means[k], channel->mean_received_power_uncached(7, tx, rx[k], pos[k]).value);
+    EXPECT_EQ(means[k], channel->mean_received_power(7, tx, rx[k], pos[k]).value);
   }
 }
 

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace {
@@ -16,27 +22,8 @@ TEST(NoShadowing, AlwaysZero) {
   EXPECT_DOUBLE_EQ(model.sigma_db(), 0.0);
 }
 
-TEST(IidShadowing, MomentsMatchSigma) {
-  IidShadowing model(10.0, Rng(1));
-  const int n = 100000;
-  double sum = 0.0, sum2 = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = model.sample(0, 1).value;
-    sum += x;
-    sum2 += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.15);
-  EXPECT_NEAR(sum2 / n, 100.0, 2.0);
-  EXPECT_DOUBLE_EQ(model.sigma_db(), 10.0);
-}
-
-TEST(IidShadowing, FreshDrawEveryCall) {
-  IidShadowing model(10.0, Rng(2));
-  EXPECT_NE(model.sample(0, 1).value, model.sample(0, 1).value);
-}
-
-TEST(PerLinkShadowing, MemoisedPerLink) {
-  PerLinkShadowing model(10.0, Rng(3));
+TEST(PerLinkShadowing, RepeatedQueriesAgree) {
+  const PerLinkShadowing model(10.0, Rng(3));
   const double first = model.sample(4, 9).value;
   for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(model.sample(4, 9).value, first);
 }
@@ -82,9 +69,43 @@ TEST(PerLinkShadowing, StatisticsAcrossLinks) {
 TEST(PerLinkShadowing, ResetRedraws) {
   PerLinkShadowing model(10.0, Rng(7));
   const double before = model.sample(1, 2).value;
-  model.reset();
+  model.invalidate();
   const double after = model.sample(1, 2).value;
   EXPECT_NE(before, after);
+}
+
+TEST(PerLinkShadowing, QueryOrderDoesNotMatter) {
+  // Each link is a pure function of (seed, link, epoch): forward, reverse
+  // and shuffled query orders, and a second instance, all read the same
+  // values, and an epoch bump moves them.
+  constexpr std::uint32_t kDevices = 40;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> links;
+  for (std::uint32_t a = 0; a < kDevices; ++a) {
+    for (std::uint32_t b = a + 1; b < kDevices; ++b) links.emplace_back(a, b);
+  }
+  PerLinkShadowing model(10.0, std::uint64_t{8});
+  const PerLinkShadowing twin(10.0, std::uint64_t{8});
+  std::map<std::pair<std::uint32_t, std::uint32_t>, double> forward;
+  for (const auto& [a, b] : links) forward[{a, b}] = model.sample(a, b).value;
+  for (auto it = links.rbegin(); it != links.rend(); ++it) {
+    ASSERT_EQ(model.sample(it->second, it->first).value, forward[*it]);
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> shuffled = links;
+  Rng rng(9);
+  rng.shuffle(shuffled.begin(), shuffled.end());
+  for (const auto& link : shuffled) {
+    ASSERT_EQ(twin.sample(link.first, link.second).value, forward[link]);
+    ASSERT_EQ(model.sample(link.first, link.second).value, forward[link]);
+  }
+  model.invalidate();
+  std::size_t moved = 0;
+  for (const auto& link : links) {
+    moved += static_cast<std::size_t>(model.sample(link.first, link.second).value != forward[link]);
+  }
+  EXPECT_EQ(moved, links.size());
+  // The twin keeps its epoch.
+  const double first_link = forward[{0U, 1U}];
+  EXPECT_EQ(twin.sample(0, 1).value, first_link);
 }
 
 }  // namespace

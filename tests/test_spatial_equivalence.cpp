@@ -251,9 +251,9 @@ TEST(SpatialEquivalence, ProximityGraphMatchesDenseReference) {
   for (std::uint32_t u = 0; u < positions.size(); ++u) {
     for (std::uint32_t v = u + 1; v < positions.size(); ++v) {
       const util::Dbm forward =
-          reference_channel->mean_received_power_uncached(u, positions[u], v, positions[v]);
+          reference_channel->mean_received_power(u, positions[u], v, positions[v]);
       const util::Dbm backward =
-          reference_channel->mean_received_power_uncached(v, positions[v], u, positions[u]);
+          reference_channel->mean_received_power(v, positions[v], u, positions[u]);
       const util::Dbm strongest = std::max(forward, backward);
       if (reference_channel->detectable(strongest)) dense.add_edge(u, v, strongest.value);
     }
