@@ -120,10 +120,11 @@ bool reject_unknown_flags(const firefly::util::Flags& flags) {
   return ok;
 }
 
-/// Reject bad counts before anything runs: a negative count would wrap to
-/// a huge unsigned value (an endless run or an allocation failure), and a
-/// zero period has no slot to fire in.
-bool reject_bad_counts(const firefly::util::Flags& flags) {
+/// Reject bad values before anything runs: a negative count would wrap to
+/// a huge unsigned value (an endless run or an allocation failure), a zero
+/// period has no slot to fire in, a coupling ε ≤ 0 breaks the
+/// Mirollo–Strogatz condition, and an unknown area policy is a typo.
+bool reject_bad_values(const firefly::util::Flags& flags) {
   bool ok = true;
   for (const FlagSpec& spec : kFlagSpecs) {
     if (spec.count && flags.has(spec.name) && flags.get(spec.name, std::int64_t{0}) < 0) {
@@ -134,6 +135,17 @@ bool reject_bad_counts(const firefly::util::Flags& flags) {
   if (flags.has("period") && flags.get("period", std::int64_t{1}) == 0) {
     std::cerr << "--period must be at least 1 slot\n";
     ok = false;
+  }
+  if (flags.has("epsilon") && !(flags.get("epsilon", 0.0) > 0.0)) {
+    std::cerr << "--epsilon must be positive\n";
+    ok = false;
+  }
+  if (flags.has("area")) {
+    const std::string area = flags.get("area", std::string());
+    if (area != "scaled" && area != "fixed") {
+      std::cerr << "--area must be 'scaled' or 'fixed', not '" << area << "'\n";
+      ok = false;
+    }
   }
   return ok;
 }
@@ -148,7 +160,7 @@ int main(int argc, char** argv) {
     print_help(flags);
     return 0;
   }
-  if (!reject_unknown_flags(flags) || !reject_bad_counts(flags)) return 2;
+  if (!reject_unknown_flags(flags) || !reject_bad_values(flags)) return 2;
 
   core::ScenarioConfig base;
   base.n = static_cast<std::size_t>(flags.get("n", std::int64_t{50}));

@@ -14,10 +14,15 @@ namespace firefly::core {
 
 namespace {
 
-// Both counts are ranges of Rng::uniform_index, which requires n > 0.
+// Both counts are ranges of Rng::uniform_index, which requires n > 0.  The
+// coupling must meet the Mirollo–Strogatz condition (a > 0, ε > 0); at
+// a = 0 the PRC's β divides by zero.
 ProtocolParams validated(ProtocolParams params) {
   if (params.period_slots == 0) throw std::invalid_argument("EngineBase: period_slots == 0");
   if (params.service_count == 0) throw std::invalid_argument("EngineBase: service_count == 0");
+  if (!params.prc.valid_for_convergence()) {
+    throw std::invalid_argument("EngineBase: PRC coupling needs dissipation_a > 0 and epsilon > 0");
+  }
   return params;
 }
 
@@ -345,7 +350,7 @@ void EngineBase::start_run() {
         control_rng_.uniform_index(params_.period_slots)) + 1;
     schedule_fire(i);
   }
-  [[maybe_unused]] const auto checker = sim_.schedule_periodic(
+  sim_.schedule_periodic(
       sim::SimTime::milliseconds(params_.check_interval_slots),
       sim::SimTime::milliseconds(params_.check_interval_slots),
       [this] { check_convergence(); });

@@ -61,7 +61,7 @@ struct ServiceReport {
   /// a fault plan that ends before the horizon, mobility enabled).
   std::string error;
   std::uint64_t windows{0};
-  std::uint64_t windows_dropped{0};  ///< recorder ring overwrites (backpressure)
+  std::uint64_t windows_dropped{0};  ///< recorder pushes past its capacity (backpressure)
   std::uint64_t snapshots{0};
   std::uint64_t relabels{0};
   std::uint64_t relabels_suppressed{0};

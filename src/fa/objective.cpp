@@ -1,51 +1,12 @@
 #include "fa/objective.hpp"
 
-#include <cmath>
-
 namespace firefly::fa {
-
-namespace {
-constexpr double kTwoPi = 6.283185307179586476925286766559;
-}
 
 Objective sphere() {
   return [](std::span<const double> x) {
     double sum = 0.0;
     for (const double v : x) sum += v * v;
     return -sum;
-  };
-}
-
-Objective rastrigin() {
-  return [](std::span<const double> x) {
-    double sum = 10.0 * static_cast<double>(x.size());
-    for (const double v : x) sum += v * v - 10.0 * std::cos(kTwoPi * v);
-    return -sum;
-  };
-}
-
-Objective rosenbrock() {
-  return [](std::span<const double> x) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i + 1 < x.size(); ++i) {
-      const double a = x[i + 1] - x[i] * x[i];
-      const double b = 1.0 - x[i];
-      sum += 100.0 * a * a + b * b;
-    }
-    return -sum;
-  };
-}
-
-Objective beacon_field(std::vector<geo::Vec2> beacons) {
-  return [beacons = std::move(beacons)](std::span<const double> x) {
-    if (x.size() < 2 || beacons.empty()) return 0.0;
-    const geo::Vec2 p{x[0], x[1]};
-    double best = 0.0;
-    for (const geo::Vec2& b : beacons) {
-      const double d2 = geo::distance_squared(p, b);
-      best = std::max(best, 1.0 / (1.0 + d2));
-    }
-    return best;
   };
 }
 

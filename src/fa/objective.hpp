@@ -2,17 +2,12 @@
 //
 // Algorithm 3 of the paper "defines objective function f(x)" and evaluates
 // firefly light intensity from it.  In the D2D protocol the objective is
-// PS strength toward the proximity target; here we also ship the standard
-// benchmark objectives (sphere, Rastrigin, Rosenbrock and a multi-well
-// "beacon field") used by the FA tests and the complexity bench.
+// PS strength toward the proximity target; here we ship the sphere
+// benchmark objective used by the FA tests and the complexity bench.
 #pragma once
 
 #include <functional>
 #include <span>
-#include <string>
-#include <vector>
-
-#include "geo/point.hpp"
 
 namespace firefly::fa {
 
@@ -21,16 +16,5 @@ using Objective = std::function<double(std::span<const double>)>;
 
 /// -(Σ x_i²): maximum 0 at the origin.
 [[nodiscard]] Objective sphere();
-
-/// -Rastrigin: highly multimodal, maximum 0 at the origin.
-[[nodiscard]] Objective rastrigin();
-
-/// -Rosenbrock: curved valley, maximum 0 at (1, ..., 1).
-[[nodiscard]] Objective rosenbrock();
-
-/// 2-D field of radio beacons: the value at x is the strongest beacon's
-/// power at x under a 1/(1+d²) falloff.  Mimics the D2D use of FA, where a
-/// firefly's brightness is received PS strength.
-[[nodiscard]] Objective beacon_field(std::vector<geo::Vec2> beacons);
 
 }  // namespace firefly::fa

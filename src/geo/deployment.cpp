@@ -14,12 +14,6 @@ std::vector<Vec2> deploy_uniform(std::size_t n, Area area, util::Rng& rng) {
   return points;
 }
 
-std::vector<Vec2> deploy_poisson(double mean_n, Area area, util::Rng& rng) {
-  assert(mean_n >= 0.0);
-  const std::size_t n = static_cast<std::size_t>(rng.poisson(mean_n));
-  return deploy_uniform(n, area, rng);
-}
-
 std::vector<Vec2> deploy_clustered(std::size_t n, std::size_t clusters, double spread,
                                    Area area, util::Rng& rng) {
   assert(clusters > 0);
@@ -30,21 +24,6 @@ std::vector<Vec2> deploy_clustered(std::size_t n, std::size_t clusters, double s
     const Vec2 parent = parents[i % clusters];
     const Vec2 offset{rng.normal(0.0, spread), rng.normal(0.0, spread)};
     points.push_back(area.clamp(parent + offset));
-  }
-  return points;
-}
-
-std::vector<Vec2> deploy_grid(std::size_t n, Area area) {
-  std::vector<Vec2> points;
-  points.reserve(n);
-  if (n == 0) return points;
-  const auto side = static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n))));
-  const double dx = area.width / static_cast<double>(side + 1);
-  const double dy = area.height / static_cast<double>(side + 1);
-  for (std::size_t row = 0; row < side && points.size() < n; ++row) {
-    for (std::size_t col = 0; col < side && points.size() < n; ++col) {
-      points.push_back({dx * static_cast<double>(col + 1), dy * static_cast<double>(row + 1)});
-    }
   }
   return points;
 }

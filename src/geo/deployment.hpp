@@ -3,10 +3,7 @@
 // The paper's evaluation deploys 50 devices uniformly in 100 m × 100 m and
 // then scales node count for the figures.  We provide:
 //   * uniform i.i.d. placement (the paper's set-up),
-//   * a homogeneous Poisson point process (the standard stochastic-geometry
-//     model for D2D; mean intensity = n/area),
-//   * clustered (Matern-like) placement for the hotspot/stadium examples,
-//   * grid placement for deterministic unit tests.
+//   * clustered (Matern-like) placement for the hotspot/stadium examples.
 // Density-preserving scaling (`scaled_area_for`) grows the area with n so
 // that sweeps over n keep the paper's 50-per-hectare density, matching how
 // "different scales" are compared in Figs. 3-4.
@@ -23,16 +20,10 @@ namespace firefly::geo {
 /// n points i.i.d. uniform over the area.
 [[nodiscard]] std::vector<Vec2> deploy_uniform(std::size_t n, Area area, util::Rng& rng);
 
-/// Homogeneous PPP with mean n points (actual count is Poisson(n)).
-[[nodiscard]] std::vector<Vec2> deploy_poisson(double mean_n, Area area, util::Rng& rng);
-
 /// `clusters` parent points; each parent gets ~n/clusters daughters placed
 /// normally (stddev `spread`) around it, clamped to the area.
 [[nodiscard]] std::vector<Vec2> deploy_clustered(std::size_t n, std::size_t clusters,
                                                  double spread, Area area, util::Rng& rng);
-
-/// ceil(sqrt(n))² grid, truncated to n points.  Deterministic.
-[[nodiscard]] std::vector<Vec2> deploy_grid(std::size_t n, Area area);
 
 /// Area scaled so n devices keep the reference density of
 /// `reference_n` devices in `reference_area` (Table I: 50 per 100 m×100 m).

@@ -5,13 +5,6 @@
 
 namespace firefly::geo {
 
-Vec2 firefly_step(Vec2 xi, Vec2 xj, const FireflyStepParams& params, util::Rng& rng) {
-  const double r2 = distance_squared(xi, xj);
-  const double attraction = params.k * std::exp(-params.gamma * r2);
-  const Vec2 mu{rng.normal(), rng.normal()};
-  return xi + attraction * (xj - xi) + params.eta * mu;
-}
-
 RandomWaypoint::RandomWaypoint(Vec2 start, Area area, double speed_mps, double pause_s,
                                util::Rng* rng)
     : position_(start), area_(area), speed_(speed_mps), pause_(pause_s), rng_(rng) {

@@ -1,32 +1,15 @@
-// mobility.hpp — movement models.
+// mobility.hpp — random-waypoint movement.
 //
-// Two models:
-//   * `RandomWaypoint` — the classic ad-hoc mobility model, used by the
-//     extension examples to study discovery under movement;
-//   * `firefly_step` — the paper's eq. (13) location update,
-//         x_i <- x_i + k·exp(-γ·r_ij²)·(x_j - x_i) + η·μ,
-//     where device i is attracted toward a brighter device j with strength
-//     decaying in squared distance, plus a Gaussian exploration term η·μ.
-//     This is the positional half of Yang's firefly algorithm that
-//     Algorithm 3 of the paper runs per fragment.
+// `RandomWaypoint` is the classic ad-hoc mobility model, used by the
+// extension examples and the engines' mobility option to study discovery
+// under movement.  The paper's eq. (13) firefly location update lives in
+// `fa::FireflyOptimizer` (src/fa/firefly.hpp), which Algorithm 3 runs.
 #pragma once
 
 #include "geo/point.hpp"
 #include "util/rng.hpp"
 
 namespace firefly::geo {
-
-/// Parameters of the paper's eq. (13).
-struct FireflyStepParams {
-  double k{1.0};      ///< step size toward the better (brighter) solution
-  double gamma{1.0};  ///< attraction coefficient γ
-  double eta{0.1};    ///< exploration step-size control η
-};
-
-/// One eq.-(13) update of `xi` attracted toward `xj`.  `rng` supplies the
-/// Gaussian vector μ.  The caller clamps to the deployment area if needed.
-[[nodiscard]] Vec2 firefly_step(Vec2 xi, Vec2 xj, const FireflyStepParams& params,
-                                util::Rng& rng);
 
 /// Random-waypoint mobility: pick a waypoint uniformly in the area, move
 /// toward it at `speed` (m/s), pause `pause_s` seconds, repeat.

@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <cassert>
-#include <numeric>
 
 #include "graph/union_find.hpp"
 
@@ -37,11 +36,6 @@ std::span<const Neighbor> Graph::neighbors(VertexId v) const {
   assert(v < vertex_count_);
   if (!adjacency_valid_) build_adjacency();
   return {adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
-}
-
-double Graph::total_weight() const {
-  return std::accumulate(edges_.begin(), edges_.end(), 0.0,
-                         [](double acc, const Edge& e) { return acc + e.weight; });
 }
 
 bool Graph::connected() const { return component_count() <= 1; }

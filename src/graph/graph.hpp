@@ -50,9 +50,6 @@ class Graph {
   /// Neighbors of `v`.  Adjacency is (re)built lazily after mutation.
   [[nodiscard]] std::span<const Neighbor> neighbors(VertexId v) const;
 
-  /// Total weight of all edges.
-  [[nodiscard]] double total_weight() const;
-
   /// True if every vertex is reachable from vertex 0 (or graph is empty).
   [[nodiscard]] bool connected() const;
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace firefly::mac {
 
@@ -23,8 +22,6 @@ enum class RachCodec : std::uint8_t {
   kRach1 = 1,  ///< regular firefly operation (sync pulses, discovery)
   kRach2 = 2,  ///< inter-fragment synchronisation (H_Connect)
 };
-
-[[nodiscard]] const char* to_string(RachCodec codec);
 
 /// LTE-A RACH preamble pool size (36.211: 64 preambles per cell).
 inline constexpr std::uint32_t kPreamblePoolSize = 64;
@@ -60,7 +57,5 @@ enum class PsType : std::uint8_t {
   kHeadToken = 5,     ///< Change_head: headship handover inside a fragment
   kSyncFlood = 6,     ///< keep-alive phase flood from a fragment head
 };
-
-[[nodiscard]] const char* to_string(PsType type);
 
 }  // namespace firefly::mac

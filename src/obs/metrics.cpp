@@ -10,18 +10,6 @@ Histogram::Histogram(std::vector<double> upper_bounds) : bounds_(std::move(upper
   counts_.assign(bounds_.size() + 1, 0);
 }
 
-Histogram Histogram::exponential(double first, double factor, std::size_t count) {
-  assert(first > 0.0 && factor > 1.0 && count > 0);
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double bound = first;
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(bound);
-    bound *= factor;
-  }
-  return Histogram(std::move(bounds));
-}
-
 void Histogram::observe(double x) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
   ++counts_[static_cast<std::size_t>(it - bounds_.begin())];

@@ -55,9 +55,6 @@ class Gauge {
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
-  /// `count` log-spaced buckets: bounds first, first*factor, first*factor², …
-  [[nodiscard]] static Histogram exponential(double first, double factor,
-                                             std::size_t count);
 
   void observe(double x);
 

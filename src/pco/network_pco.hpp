@@ -33,8 +33,8 @@ struct PcoNetworkConfig {
   /// lags by the delay) — the effect the protocols' reachback compensation
   /// exists to cancel.
   double delay_s{0.0};
-  /// Stop when the order parameter exceeds this and the spread is below
-  /// one part in a thousand of the cycle.
+  /// Stop when the circular spread of the phases is at most this (by
+  /// default one part in a thousand of the cycle).
   double spread_tolerance{1e-3};
   /// Give up after this much simulated time.
   double max_time_s{1000.0};

@@ -24,15 +24,4 @@ double apply_prc(double theta, const PrcParams& params) {
   return std::min(params.alpha() * theta + params.beta(), 1.0);
 }
 
-double phase_response(double theta, const PrcParams& params) {
-  return apply_prc(theta, params) - theta;
-}
-
-double absorption_threshold(const PrcParams& params) {
-  const double a = params.alpha();
-  const double b = params.beta();
-  if (b >= 1.0) return 0.0;
-  return std::max(0.0, (1.0 - b) / a);
-}
-
 }  // namespace firefly::pco

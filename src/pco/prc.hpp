@@ -7,7 +7,8 @@
 // with dissipation factor a.  Mirollo & Strogatz prove that for a fully
 // meshed network with α > 1 and β > 0 (i.e. a > 0, ε > 0) all oscillators
 // converge to simultaneous firing.  `PrcParams::valid_for_convergence`
-// encodes exactly that condition and is asserted by the protocols.
+// encodes exactly that condition; every engine checks it at construction
+// and rejects a coupling that violates it (core/engine.cpp).
 #pragma once
 
 namespace firefly::pco {
@@ -26,12 +27,5 @@ struct PrcParams {
 
 /// The return map θ ← min(α·θ + β, 1).  θ is normalised to [0, 1].
 [[nodiscard]] double apply_prc(double theta, const PrcParams& params);
-
-/// Phase advance Δθ(θ) = apply_prc(θ) − θ (the PRC proper).
-[[nodiscard]] double phase_response(double theta, const PrcParams& params);
-
-/// Smallest θ from which a single pulse triggers immediate firing
-/// (α·θ + β >= 1), i.e. the absorption threshold θ* = (1 − β)/α.
-[[nodiscard]] double absorption_threshold(const PrcParams& params);
 
 }  // namespace firefly::pco

@@ -6,22 +6,6 @@
 
 namespace firefly::pco {
 
-namespace {
-constexpr double kTwoPi = 6.283185307179586476925286766559;
-}
-
-double order_parameter(std::span<const double> phases) {
-  if (phases.empty()) return 1.0;
-  double re = 0.0;
-  double im = 0.0;
-  for (const double theta : phases) {
-    re += std::cos(kTwoPi * theta);
-    im += std::sin(kTwoPi * theta);
-  }
-  const double n = static_cast<double>(phases.size());
-  return std::sqrt(re * re + im * im) / n;
-}
-
 double circular_spread(std::span<const double> phases) {
   if (phases.size() <= 1) return 0.0;
   std::vector<double> sorted(phases.begin(), phases.end());
@@ -65,10 +49,6 @@ void ConvergenceDetector::set_active(std::uint32_t id, bool active) {
     if (last_fire_[id] >= 0) --fired_count_;
     last_fire_[id] = -1;
   }
-}
-
-double ConvergenceDetector::current_spread() const {
-  return static_cast<double>(spread_slots()) / static_cast<double>(period_slots_);
 }
 
 std::int64_t ConvergenceDetector::spread_slots() const {
@@ -151,15 +131,6 @@ bool LocalSyncDetector::edge_aligned(std::uint32_t u, std::uint32_t v) const {
   if (diff < 0) diff += period;
   const std::int64_t circular = std::min(diff, period - diff);
   return circular <= static_cast<std::int64_t>(tolerance_slots_);
-}
-
-double LocalSyncDetector::aligned_fraction() const {
-  if (edges_.empty()) return 1.0;
-  std::size_t aligned = 0;
-  for (const auto& [u, v] : edges_) {
-    if (edge_aligned(u, v)) ++aligned;
-  }
-  return static_cast<double>(aligned) / static_cast<double>(edges_.size());
 }
 
 std::optional<std::int64_t> LocalSyncDetector::converged_at(std::int64_t current_slot) {

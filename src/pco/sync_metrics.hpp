@@ -1,11 +1,8 @@
 // sync_metrics.hpp — how synchronised is a population of oscillators?
 //
-// Two measures:
-//   * the Kuramoto order parameter R = |1/N · Σ e^{i·2π·θ_k}| ∈ [0, 1]
-//     (R = 1 means identical phases), robust and differentiable;
-//   * the circular spread: the smallest arc of the unit circle containing
-//     every phase — the paper's operational criterion "all devices fire at
-//     a time" corresponds to spread ≤ one slot.
+// The measure is the circular spread: the smallest arc of the unit circle
+// containing every phase — the paper's operational criterion "all devices
+// fire at a time" corresponds to spread ≤ one slot.
 // `ConvergenceDetector` tracks per-device firing times and reports the
 // first time the population stayed aligned for a full period (so a
 // transient coincidence does not count as convergence).
@@ -17,9 +14,6 @@
 #include <vector>
 
 namespace firefly::pco {
-
-/// Kuramoto order parameter of phases in [0, 1].
-[[nodiscard]] double order_parameter(std::span<const double> phases);
 
 /// Smallest arc (in phase units, [0, 1]) containing all phases.
 [[nodiscard]] double circular_spread(std::span<const double> phases);
@@ -51,10 +45,8 @@ class ConvergenceDetector {
   /// metrics sample this to track desync/resync episodes under faults.
   [[nodiscard]] bool aligned_now() const;
 
-  /// Wrapped spread of last firing slots (period units); 1.0 until all
-  /// devices have fired.
-  [[nodiscard]] double current_spread() const;
-  /// Same spread in whole slots (exact integer arithmetic).
+  /// Wrapped spread of last firing slots in whole slots (exact integer
+  /// arithmetic); `period_slots` until all devices have fired.
   [[nodiscard]] std::int64_t spread_slots() const;
 
  private:
@@ -83,7 +75,6 @@ class LocalSyncDetector {
 
   /// Declare a proximity edge that must be aligned.
   void add_edge(std::uint32_t u, std::uint32_t v);
-  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
 
   void record_fire(std::uint32_t id, std::int64_t slot);
 
@@ -95,9 +86,6 @@ class LocalSyncDetector {
   /// First slot of the currently sustained alignment, once it has held for
   /// a full period and every device has fired.
   [[nodiscard]] std::optional<std::int64_t> converged_at(std::int64_t current_slot);
-
-  /// Fraction of edges currently aligned (1.0 when none are violated).
-  [[nodiscard]] double aligned_fraction() const;
 
  private:
   [[nodiscard]] bool edge_aligned(std::uint32_t u, std::uint32_t v) const;

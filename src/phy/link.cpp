@@ -9,18 +9,6 @@ double snr_linear(util::Dbm received, util::Dbm noise) {
   return (received - noise).ratio();
 }
 
-double shannon_rate_mbps(util::Dbm received, util::Dbm noise, double bandwidth_hz) {
-  assert(bandwidth_hz > 0.0);
-  return bandwidth_hz * std::log2(1.0 + snr_linear(received, noise)) / 1e6;
-}
-
-double rayleigh_outage(util::Dbm mean_received, util::Dbm required, util::Dbm noise) {
-  const double snr_mean = snr_linear(mean_received, noise);
-  const double snr_required = snr_linear(required, noise);
-  if (snr_mean <= 0.0) return 1.0;
-  return 1.0 - std::exp(-snr_required / snr_mean);
-}
-
 double rayleigh_ergodic_rate_mbps(util::Dbm mean_received, util::Dbm noise,
                                   double bandwidth_hz) {
   assert(bandwidth_hz > 0.0);

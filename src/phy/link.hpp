@@ -1,10 +1,9 @@
 // link.hpp — link-quality estimates for established D2D pairs.
 //
 // Once discovery and slot synchronisation are done, the question becomes
-// what the direct links are worth: Shannon capacity at the measured SNR,
-// outage probability under the Rayleigh fast fading the Table I channel
-// uses, and ergodic (fading-averaged) throughput.  All closed-form or
-// deterministic quadrature — no RNG — so the examples can quote stable
+// what the direct links are worth: the ergodic (fading-averaged) Shannon
+// throughput under the Rayleigh fast fading the Table I channel uses.
+// Deterministic quadrature — no RNG — so the examples can quote stable
 // numbers.
 #pragma once
 
@@ -14,15 +13,6 @@ namespace firefly::phy {
 
 /// Linear SNR from received power and noise floor.
 [[nodiscard]] double snr_linear(util::Dbm received, util::Dbm noise);
-
-/// Instantaneous Shannon rate BW·log2(1 + SNR), in Mbit/s.
-[[nodiscard]] double shannon_rate_mbps(util::Dbm received, util::Dbm noise,
-                                       double bandwidth_hz);
-
-/// Outage probability under Rayleigh fading: the power gain is Exp(1), so
-/// P[SNR·g < snr_required] = 1 − exp(−snr_required / SNR_mean).
-[[nodiscard]] double rayleigh_outage(util::Dbm mean_received, util::Dbm required,
-                                     util::Dbm noise);
 
 /// Ergodic Shannon rate under Rayleigh fading:
 /// E_g[BW·log2(1 + SNR·g)], g ~ Exp(1), evaluated by fixed quadrature over

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/log.hpp"
-
 namespace firefly::proto {
 
 using core::Fields;

@@ -33,21 +33,8 @@ class Simulator {
   bool cancel(EventId id) { return calendar_.cancel(id); }
 
   /// Install a periodic timer with the given period, first firing at
-  /// now() + phase.  Returns the id of the *current* pending occurrence via
-  /// the handle; cancelling the handle stops the series.
-  class PeriodicHandle {
-   public:
-    PeriodicHandle() = default;
-    void cancel();
-    [[nodiscard]] bool active() const { return state_ != nullptr; }
-
-   private:
-    friend class Simulator;
-    struct State;
-    State* state_ = nullptr;
-    Simulator* sim_ = nullptr;
-  };
-  PeriodicHandle schedule_periodic(SimTime phase, SimTime period, EventFn fn);
+  /// now() + phase.  The series runs for the simulator's lifetime.
+  void schedule_periodic(SimTime phase, SimTime period, EventFn fn);
 
   /// Run until the queue drains or `deadline` passes.  Returns the time the
   /// loop stopped at.
@@ -58,21 +45,21 @@ class Simulator {
   void stop() { stop_requested_ = true; }
   [[nodiscard]] bool stopped() const { return stop_requested_; }
 
-  /// In-process rollback checkpoint of the scheduler: clock, counters, the
-  /// complete pending-event set (callbacks cloned) and the re-arm state of
-  /// every periodic timer.  restore() rewinds THIS simulator — scheduled
-  /// closures capture raw pointers (engine, devices, periodic states) that
-  /// are only meaningful inside the owning process, so a snapshot is a
-  /// rewind point, not a serialised file.
+  /// In-process rollback checkpoint of the scheduler: clock, counters and
+  /// the complete pending-event set (callbacks cloned).  A periodic timer
+  /// re-arms only from its own firing, so it is live exactly when the
+  /// pending set holds its next occurrence: restore() silences every timer
+  /// installed after the snapshot and revives every one the snapshot held.
+  /// That holds only when restore() is called from outside run_until(): a
+  /// periodic callback that restores would re-arm its own timer into the
+  /// restored set.  restore() rewinds THIS simulator — scheduled closures capture raw
+  /// pointers (engine, devices, periodic states) that are only meaningful
+  /// inside the owning process, so a snapshot is a rewind point, not a
+  /// serialised file.
   struct Snapshot {
     SlotCalendar calendar;
     SimTime now = SimTime::zero();
     std::uint64_t events_processed = 0;
-    // Per periodic timer, in installation order: (pending occurrence id,
-    // cancelled flag).  Timers installed after the snapshot are marked
-    // cancelled on restore (their State outlives the rollback, but their
-    // pending occurrence no longer exists in the restored queue).
-    std::vector<std::pair<EventId, bool>> periodic;
   };
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap);
@@ -88,11 +75,15 @@ class Simulator {
   ~Simulator();
 
  private:
+  struct Periodic;
+
   SlotCalendar calendar_;
   SimTime now_ = SimTime::zero();
   std::uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
-  std::vector<PeriodicHandle::State*> periodic_states_;
+  // Owned here and freed in the destructor: a rollback can drop a timer's
+  // pending occurrence, but a later restore may bring it back.
+  std::vector<Periodic*> periodic_states_;
 };
 
 }  // namespace firefly::sim

@@ -4,9 +4,7 @@
 
 namespace firefly::sim {
 
-SoakRecorder::SoakRecorder(std::size_t capacity) {
-  ring_.resize(std::max<std::size_t>(1, capacity));
-}
+SoakRecorder::SoakRecorder(std::size_t capacity) : capacity_(std::max<std::size_t>(1, capacity)) {}
 
 void SoakRecorder::push(const SoakWindow& window) {
   ++emitted_;
@@ -14,20 +12,11 @@ void SoakRecorder::push(const SoakWindow& window) {
     consumer_(window);
     return;
   }
-  if (count_ < ring_.size()) {
-    ring_[(head_ + count_) % ring_.size()] = window;
+  if (count_ < capacity_) {
     ++count_;
   } else {
-    ring_[head_] = window;
-    head_ = (head_ + 1) % ring_.size();
     ++dropped_;
   }
-}
-
-void SoakRecorder::drain(const Consumer& fn) {
-  for (std::size_t i = 0; i < count_; ++i) fn(ring_[(head_ + i) % ring_.size()]);
-  head_ = 0;
-  count_ = 0;
 }
 
 }  // namespace firefly::sim

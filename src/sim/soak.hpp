@@ -5,17 +5,17 @@
 // device count, churn and message-rate deltas, fraction-of-time-synced,
 // re-sync latency, and the scheduler-arena footprint that backs the
 // bounded-memory invariant.  `SoakRecorder` is the delivery channel: a
-// preallocated ring buffer with drop-oldest backpressure (a slow or absent
-// consumer can never make a soak's memory grow), or a streaming consumer
-// callback when the caller wants every window (the CLI's JSONL writer).
+// streaming consumer callback hands every window to the caller (the CLI's
+// JSONL writer); without one the recorder only counts what it was given, so
+// a soak's memory never grows with its length.
 //
-// This layer is deliberately engine-agnostic — plain structs and a ring —
+// This layer is deliberately engine-agnostic — plain structs and counters —
 // so it sits in src/sim below src/core in the layering.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace firefly::sim {
 
@@ -67,10 +67,10 @@ struct SoakWindow {
 /// Two modes:
 ///   * streaming — `set_consumer()` installed: every push is handed straight
 ///     to the consumer, nothing is buffered, nothing is dropped;
-///   * buffered — no consumer: pushes land in a ring preallocated at
-///     construction.  When the ring is full the OLDEST window is overwritten
-///     and `dropped()` counts it; the soak keeps running in constant memory
-///     and the loss is visible instead of silent.
+///   * counting — no consumer: no window is stored.  `buffered()` counts
+///     pushes up to `capacity()`, and each push beyond it counts as one
+///     `dropped()` window, the backpressure a slow or absent consumer
+///     would see; the loss is visible instead of silent.
 class SoakRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
@@ -79,23 +79,18 @@ class SoakRecorder {
 
   explicit SoakRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// Install a streaming consumer (replaces buffering for subsequent pushes;
-  /// anything already buffered stays until drain()).
+  /// Install a streaming consumer (replaces counting for subsequent pushes).
   void set_consumer(Consumer consumer) { consumer_ = std::move(consumer); }
 
   void push(const SoakWindow& window);
 
-  /// Hand every buffered window to `fn` in arrival order and empty the ring.
-  void drain(const Consumer& fn);
-
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::size_t buffered() const { return count_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
-  std::vector<SoakWindow> ring_;  // fixed size after construction
-  std::size_t head_ = 0;          // index of the oldest buffered window
+  std::size_t capacity_;
   std::size_t count_ = 0;
   std::uint64_t emitted_ = 0;
   std::uint64_t dropped_ = 0;

@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 
 namespace firefly::sim {
 
@@ -37,7 +36,5 @@ struct SimTime {
 
 /// The LTE-A slot length from Table I.
 inline constexpr SimTime kLteSlot = SimTime::milliseconds(1);
-
-[[nodiscard]] std::string to_string(SimTime t);
 
 }  // namespace firefly::sim

@@ -47,16 +47,6 @@ double Flags::get(const std::string& name, double fallback) const {
   return std::strtod(it->second.c_str(), nullptr);
 }
 
-bool Flags::get(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  if (it->second.empty() || it->second == "true" || it->second == "1" ||
-      it->second == "yes") {
-    return true;
-  }
-  return false;
-}
-
 std::vector<std::string> Flags::names() const {
   std::vector<std::string> out;
   out.reserve(values_.size());

@@ -1,6 +1,7 @@
 // flags.hpp — minimal command-line flag parsing for the tools/examples.
 //
-// Supports `--name value`, `--name=value` and bare boolean `--name`.
+// Supports `--name value`, `--name=value` and bare boolean `--name`
+// (read with `has`).
 // Unknown flags are collected so callers can reject typos instead of
 // silently ignoring them.  No global state; each parser owns its argv view.
 #pragma once
@@ -22,7 +23,6 @@ class Flags {
   [[nodiscard]] std::string get(const std::string& name, std::string fallback) const;
   [[nodiscard]] std::int64_t get(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get(const std::string& name, double fallback) const;
-  [[nodiscard]] bool get(const std::string& name, bool fallback) const;
 
   /// Non-flag positional arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }

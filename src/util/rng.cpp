@@ -47,25 +47,6 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
-std::uint64_t Rng::poisson(double lambda) {
-  assert(lambda >= 0.0);
-  if (lambda == 0.0) return 0;
-  if (lambda < 64.0) {
-    // Knuth's product-of-uniforms method.
-    const double limit = std::exp(-lambda);
-    double product = uniform();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double x = normal(lambda, std::sqrt(lambda));
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
-
 std::uint64_t derive_seed(std::uint64_t master, std::string_view stream, std::uint64_t index) {
   // FNV-1a over the stream name ...
   std::uint64_t h = 0xCBF29CE484222325ULL;

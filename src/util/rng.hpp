@@ -125,9 +125,6 @@ class Rng {
       out[i] = static_cast<std::uint8_t>(uniform_from(bits) < p);
     });
   }
-  /// Poisson with mean λ (Knuth for small λ, normal approximation above 64).
-  std::uint64_t poisson(double lambda);
-
   /// Raw 64 random bits.
   std::uint64_t bits() { return engine_.next(); }
 

@@ -15,38 +15,7 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::sem() const {
-  if (count_ == 0) return 0.0;
-  return stddev() / std::sqrt(static_cast<double>(count_));
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 void Sample::add(double x) {
@@ -141,29 +110,6 @@ double fit_loglog_slope(const std::vector<double>& x, const std::vector<double>&
   const double denom = un * sxx - sx * sx;
   if (std::fabs(denom) < std::numeric_limits<double>::epsilon()) return 0.0;
   return (un * sxy - sx * sy) / denom;
-}
-
-double pearson(const std::vector<double>& x, const std::vector<double>& y) {
-  assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  if (n < 2) return 0.0;
-  double mx = 0.0, my = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mx += x[i];
-    my += y[i];
-  }
-  mx /= static_cast<double>(n);
-  my /= static_cast<double>(n);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace firefly::util

@@ -1,7 +1,8 @@
 // stats.hpp — streaming and batch statistics for experiment results.
 //
-// `RunningStats` uses Welford's numerically stable online algorithm so that
-// millions of samples can be accumulated without storing them.  `Sample`
+// `RunningStats` keeps a streaming count, mean, min and max (the mean by
+// Welford's incremental update) so that millions of samples can be
+// accumulated without storing them.  `Sample`
 // stores values for percentile queries and confidence intervals, which the
 // experiment harness reports alongside every figure series.
 #pragma once
@@ -11,26 +12,19 @@
 
 namespace firefly::util {
 
-/// Welford online mean/variance accumulator.
+/// Streaming count/mean/min/max accumulator.
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const { return mean_; }
-  /// Unbiased sample variance (0 when fewer than two samples).
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
-  /// Standard error of the mean.
-  [[nodiscard]] double sem() const;
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -66,8 +60,5 @@ class Sample {
 /// Used by the complexity benches to estimate empirical scaling orders.
 [[nodiscard]] double fit_loglog_slope(const std::vector<double>& x,
                                       const std::vector<double>& y);
-
-/// Pearson correlation coefficient.
-[[nodiscard]] double pearson(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace firefly::util

@@ -10,24 +10,9 @@ Dbm dbm_from_milliwatts(double mw) {
   return Dbm{10.0 * std::log10(mw)};
 }
 
-Db db_from_ratio(double ratio) {
-  if (ratio <= 0.0) return Db{-std::numeric_limits<double>::infinity()};
-  return Db{10.0 * std::log10(ratio)};
-}
-
-Dbm power_sum(Dbm a, Dbm b) {
-  return dbm_from_milliwatts(a.milliwatts() + b.milliwatts());
-}
-
 std::string to_string(Dbm p) {
   std::ostringstream os;
   os << p.value << " dBm";
-  return os.str();
-}
-
-std::string to_string(Db g) {
-  std::ostringstream os;
-  os << g.value << " dB";
   return os.str();
 }
 

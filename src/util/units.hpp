@@ -54,16 +54,8 @@ struct Dbm {
 /// dBm from a power in milliwatts (paper eq. 8: p = 10·log10(p/p_ref)).
 [[nodiscard]] Dbm dbm_from_milliwatts(double mw);
 
-/// dB from a linear power ratio.
-[[nodiscard]] Db db_from_ratio(double ratio);
-
-/// Sum of two absolute powers (converts to mW, adds, converts back).
-/// Needed when accumulating interference from several transmitters.
-[[nodiscard]] Dbm power_sum(Dbm a, Dbm b);
-
 /// Human-readable rendering, e.g. "-95.0 dBm".
 [[nodiscard]] std::string to_string(Dbm p);
-[[nodiscard]] std::string to_string(Db g);
 
 namespace literals {
 constexpr Dbm operator""_dBm(long double v) { return Dbm{static_cast<double>(v)}; }

@@ -78,13 +78,12 @@ TEST(Desync, SoakWindowsCarryDesyncError) {
   service.duration_slots = 12'000;
   service.window_slots = 2'000;
 
+  std::vector<sim::SoakWindow> windows;
   sim::SoakRecorder recorder;
+  recorder.set_consumer([&](const sim::SoakWindow& w) { windows.push_back(w); });
   const core::ServiceReport report = core::run_service_trial(
       core::Protocol::kDesync, config, service, {}, &recorder);
   ASSERT_TRUE(report.ok()) << report.error;
-
-  std::vector<sim::SoakWindow> windows;
-  recorder.drain([&](const sim::SoakWindow& w) { windows.push_back(w); });
   ASSERT_EQ(windows.size(), 6u);
   bool any_measured = false;
   for (const sim::SoakWindow& w : windows) {
@@ -95,10 +94,10 @@ TEST(Desync, SoakWindowsCarryDesyncError) {
 
   // ST soak windows must keep the field at its idle zero.
   sim::SoakRecorder st_recorder;
+  st_recorder.set_consumer([](const sim::SoakWindow& w) { EXPECT_EQ(w.desync_error, 0.0); });
   const core::ServiceReport st_report = core::run_service_trial(
       core::Protocol::kSt, config, service, {}, &st_recorder);
   ASSERT_TRUE(st_report.ok()) << st_report.error;
-  st_recorder.drain([&](const sim::SoakWindow& w) { EXPECT_EQ(w.desync_error, 0.0); });
 }
 
 }  // namespace

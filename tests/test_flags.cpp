@@ -32,25 +32,16 @@ TEST(Flags, EqualsSeparatedValues) {
 
 TEST(Flags, BareBooleans) {
   const Flags f = parse({"--verbose", "--csv"});
-  EXPECT_TRUE(f.get("verbose", false));
-  EXPECT_TRUE(f.get("csv", false));
-  EXPECT_FALSE(f.get("quiet", false));
   EXPECT_TRUE(f.has("verbose"));
+  EXPECT_TRUE(f.has("csv"));
   EXPECT_FALSE(f.has("quiet"));
 }
 
 TEST(Flags, BooleanBeforeAnotherFlagStaysBoolean) {
   const Flags f = parse({"--verbose", "--n", "5"});
-  EXPECT_TRUE(f.get("verbose", false));
+  EXPECT_TRUE(f.has("verbose"));
+  EXPECT_EQ(f.get("verbose", std::string("unset")), "unset");
   EXPECT_EQ(f.get("n", std::int64_t{0}), 5);
-}
-
-TEST(Flags, ExplicitBooleanValues) {
-  const Flags f = parse({"--a=true", "--b=false", "--c=1", "--d=no"});
-  EXPECT_TRUE(f.get("a", false));
-  EXPECT_FALSE(f.get("b", true));
-  EXPECT_TRUE(f.get("c", false));
-  EXPECT_FALSE(f.get("d", true));
 }
 
 TEST(Flags, FallbacksWhenMissing) {

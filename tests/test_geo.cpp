@@ -60,15 +60,6 @@ TEST(Deployment, UniformCoversTheArea) {
   for (const int c : q) EXPECT_NEAR(c, 1000, 150);
 }
 
-TEST(Deployment, PoissonCountFluctuates) {
-  Rng rng(2);
-  double total = 0.0;
-  const int reps = 200;
-  for (int i = 0; i < reps; ++i) total += static_cast<double>(
-      deploy_poisson(50.0, kPaperArea, rng).size());
-  EXPECT_NEAR(total / reps, 50.0, 3.0);
-}
-
 TEST(Deployment, ClusteredPointsNearParents) {
   Rng rng(3);
   const auto points = deploy_clustered(300, 3, 2.0, kPaperArea, rng);
@@ -86,16 +77,6 @@ TEST(Deployment, ClusteredPointsNearParents) {
     nn_sum += best;
   }
   EXPECT_LT(nn_sum / 50.0, 2.0);
-}
-
-TEST(Deployment, GridIsDeterministicAndInBounds) {
-  const auto a = deploy_grid(10, kPaperArea);
-  const auto b = deploy_grid(10, kPaperArea);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.size(), 10U);
-  for (const Vec2& p : a) EXPECT_TRUE(kPaperArea.contains(p));
-  EXPECT_TRUE(deploy_grid(0, kPaperArea).empty());
-  EXPECT_EQ(deploy_grid(1, kPaperArea).size(), 1U);
 }
 
 TEST(Deployment, ScaledAreaPreservesDensity) {

@@ -1,5 +1,4 @@
-// Tests for mobility models (src/geo/mobility.hpp), including the paper's
-// eq. (13) firefly movement update.
+// Tests for the random-waypoint mobility model (src/geo/mobility.hpp).
 #include "geo/mobility.hpp"
 
 #include <gtest/gtest.h>
@@ -12,57 +11,6 @@ namespace {
 
 using namespace firefly::geo;
 using firefly::util::Rng;
-
-TEST(FireflyStep, MovesTowardBrighterNeighborWhenClose) {
-  Rng rng(1);
-  FireflyStepParams params;
-  params.k = 1.0;
-  params.gamma = 0.01;
-  params.eta = 0.0;  // no exploration: pure attraction
-  const Vec2 xi{0.0, 0.0};
-  const Vec2 xj{1.0, 1.0};
-  const Vec2 moved = firefly_step(xi, xj, params, rng);
-  // attraction = exp(-0.01·2) ≈ 0.98: nearly the full step toward xj.
-  EXPECT_NEAR(moved.x, std::exp(-0.02), 1e-12);
-  EXPECT_NEAR(moved.y, std::exp(-0.02), 1e-12);
-}
-
-TEST(FireflyStep, AttractionDecaysWithDistanceSquared) {
-  Rng rng(2);
-  FireflyStepParams params;
-  params.eta = 0.0;
-  params.gamma = 1.0;
-  const Vec2 near = firefly_step({0, 0}, {1.0, 0.0}, params, rng);
-  const Vec2 far = firefly_step({0, 0}, {10.0, 0.0}, params, rng);
-  // Displacement toward the near firefly is larger in *relative* step
-  // despite the absolute offset being bigger for the far one.
-  EXPECT_GT(near.x / 1.0, far.x / 10.0);
-  // exp(-100) ~ 0: essentially no movement toward the far firefly.
-  EXPECT_NEAR(far.x, 0.0, 1e-8);
-}
-
-TEST(FireflyStep, EtaAddsGaussianExploration) {
-  Rng rng(3);
-  FireflyStepParams params;
-  params.k = 0.0;  // no attraction: pure exploration
-  params.eta = 0.5;
-  double sum2 = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const Vec2 moved = firefly_step({0, 0}, {1, 1}, params, rng);
-    sum2 += moved.x * moved.x + moved.y * moved.y;
-  }
-  // Each coordinate is eta·N(0,1): E[x²+y²] = 2·eta².
-  EXPECT_NEAR(sum2 / n, 2.0 * 0.25, 0.02);
-}
-
-TEST(FireflyStep, IdenticalPositionsOnlyExplore) {
-  Rng rng(4);
-  FireflyStepParams params;
-  params.eta = 0.0;
-  const Vec2 moved = firefly_step({5, 5}, {5, 5}, params, rng);
-  EXPECT_EQ(moved, (Vec2{5, 5}));
-}
 
 TEST(RandomWaypoint, StaysInsideArea) {
   const Area area{50.0, 50.0};

@@ -120,15 +120,6 @@ TEST(Histogram, QuantilesInterpolateWithinBuckets) {
   EXPECT_LE(p25, p75);
 }
 
-TEST(Histogram, ExponentialBucketFactory) {
-  const obs::Histogram h = obs::Histogram::exponential(1.0, 2.0, 4);
-  ASSERT_EQ(h.bounds().size(), 4U);
-  EXPECT_DOUBLE_EQ(h.bounds()[0], 1.0);
-  EXPECT_DOUBLE_EQ(h.bounds()[1], 2.0);
-  EXPECT_DOUBLE_EQ(h.bounds()[2], 4.0);
-  EXPECT_DOUBLE_EQ(h.bounds()[3], 8.0);
-}
-
 // --- Registry ---
 
 TEST(Registry, FindOrCreateReturnsStableReferences) {

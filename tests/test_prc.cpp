@@ -1,13 +1,18 @@
-// Tests for the Mirollo–Strogatz PRC (src/pco/prc.hpp), eq. (5).
+// Tests for the Mirollo–Strogatz PRC (src/pco/prc.hpp), eq. (5), and the
+// engines' check of its convergence condition.
 #include "pco/prc.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+
+#include "core/scenario.hpp"
 
 namespace {
 
 using namespace firefly::pco;
+namespace core = firefly::core;
 
 TEST(Prc, EquationFiveValues) {
   const PrcParams p{3.0, 0.05};
@@ -29,6 +34,20 @@ TEST(Prc, ConvergenceConditionAlphaAboveOneBetaPositive) {
   EXPECT_FALSE((PrcParams{-1.0, 0.1}).valid_for_convergence());
 }
 
+TEST(Prc, EnginesRejectCouplingOutsideTheConvergenceCondition) {
+  // ε = 0 never couples; a = 0 makes β divide by zero.
+  for (const core::Protocol protocol : {core::Protocol::kSt, core::Protocol::kFst,
+                                        core::Protocol::kBirthday, core::Protocol::kDesync}) {
+    for (const PrcParams prc : {PrcParams{3.0, 0.0}, PrcParams{0.0, 0.05}}) {
+      core::ScenarioConfig config;
+      config.n = 10;
+      config.protocol.prc = prc;
+      EXPECT_THROW(static_cast<void>(core::run_trial(protocol, config)), std::invalid_argument)
+          << core::to_string(protocol) << " a=" << prc.dissipation_a << " eps=" << prc.epsilon;
+    }
+  }
+}
+
 TEST(Prc, ReturnMapSaturatesAtOne) {
   const PrcParams p{3.0, 0.5};
   EXPECT_DOUBLE_EQ(apply_prc(1.0, p), 1.0);
@@ -47,18 +66,22 @@ TEST(Prc, ReturnMapIsMonotone) {
   }
 }
 
+// Smallest θ from which one pulse fires at once: α·θ* + β = 1.
+double absorption_threshold(const PrcParams& p) { return (1.0 - p.beta()) / p.alpha(); }
+
 TEST(Prc, PhaseResponseAtZeroIsBeta) {
   const PrcParams p{3.0, 0.05};
-  EXPECT_NEAR(phase_response(0.0, p), p.beta(), 1e-12);
+  EXPECT_NEAR(apply_prc(0.0, p), p.beta(), 1e-12);
 }
 
 TEST(Prc, PhaseResponseGrowsWithPhaseBelowSaturation) {
-  // Δθ(θ) = (α−1)θ + β is increasing until the min() clamps it.
+  // Δθ(θ) = apply_prc(θ) − θ = (α−1)θ + β is increasing until the min()
+  // clamps it.
   const PrcParams p{3.0, 0.05};
   const double threshold = absorption_threshold(p);
   double prev = 0.0;
   for (double theta = 0.0; theta < threshold; theta += 0.02) {
-    const double response = phase_response(theta, p);
+    const double response = apply_prc(theta, p) - theta;
     EXPECT_GE(response, prev - 1e-12);
     prev = response;
   }
@@ -76,7 +99,7 @@ TEST(Prc, AbsorptionThresholdSeparatesFiring) {
 TEST(Prc, StrongCouplingAbsorbsEverything) {
   // β >= 1 means even phase 0 fires immediately.
   const PrcParams p{0.1, 30.0};
-  EXPECT_DOUBLE_EQ(absorption_threshold(p), 0.0);
+  EXPECT_GE(p.beta(), 1.0);
   EXPECT_DOUBLE_EQ(apply_prc(0.0, p), 1.0);
 }
 

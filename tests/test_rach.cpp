@@ -7,21 +7,6 @@ namespace {
 
 using namespace firefly::mac;
 
-TEST(Rach, CodecNames) {
-  EXPECT_STREQ(to_string(RachCodec::kRach1), "RACH1");
-  EXPECT_STREQ(to_string(RachCodec::kRach2), "RACH2");
-}
-
-TEST(Rach, PsTypeNames) {
-  EXPECT_STREQ(to_string(PsType::kSyncPulse), "sync-pulse");
-  EXPECT_STREQ(to_string(PsType::kDiscovery), "discovery");
-  EXPECT_STREQ(to_string(PsType::kConnectRequest), "connect-request");
-  EXPECT_STREQ(to_string(PsType::kConnectAccept), "connect-accept");
-  EXPECT_STREQ(to_string(PsType::kMergeAnnounce), "merge-announce");
-  EXPECT_STREQ(to_string(PsType::kHeadToken), "head-token");
-  EXPECT_STREQ(to_string(PsType::kSyncFlood), "sync-flood");
-}
-
 TEST(Rach, SameResourceRequiresCodecAndIndex) {
   const Preamble a{RachCodec::kRach1, 5};
   const Preamble b{RachCodec::kRach1, 5};

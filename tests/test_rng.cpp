@@ -102,21 +102,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 2.0, 0.05);
 }
 
-TEST(Rng, PoissonMeanSmallAndLarge) {
-  Rng rng(31);
-  for (const double lambda : {0.5, 5.0, 50.0, 200.0}) {
-    const int n = 50000;
-    double sum = 0.0;
-    for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(lambda));
-    EXPECT_NEAR(sum / n, lambda, 0.05 * lambda + 0.05) << "lambda " << lambda;
-  }
-}
-
-TEST(Rng, PoissonZeroLambda) {
-  Rng rng(37);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.poisson(0.0), 0U);
-}
-
 TEST(Rng, BernoulliProbability) {
   Rng rng(41);
   const int n = 100000;

@@ -78,24 +78,39 @@ TEST(Simulator, CancelPendingEvent) {
 TEST(Simulator, PeriodicFiresRepeatedly) {
   Simulator sim;
   std::vector<std::int64_t> times;
-  auto handle = sim.schedule_periodic(SimTime::milliseconds(2), SimTime::milliseconds(3),
-                                      [&] { times.push_back(sim.now().us); });
+  sim.schedule_periodic(SimTime::milliseconds(2), SimTime::milliseconds(3),
+                        [&] { times.push_back(sim.now().us); });
   sim.run_until(SimTime::milliseconds(12));
   EXPECT_EQ(times, (std::vector<std::int64_t>{2000, 5000, 8000, 11000}));
-  handle.cancel();
   sim.run_until(SimTime::milliseconds(30));
-  EXPECT_EQ(times.size(), 4U);  // no more firings after cancel
+  EXPECT_EQ(times.size(), 10U);  // the series runs on: 14, 17, ..., 29 ms
 }
 
-TEST(Simulator, PeriodicCancelFromInsideCallback) {
+TEST(Simulator, RestoreCancelsTimersInstalledAfterTheSnapshot) {
   Simulator sim;
-  int count = 0;
-  Simulator::PeriodicHandle handle;
-  handle = sim.schedule_periodic(SimTime::milliseconds(1), SimTime::milliseconds(1), [&] {
-    if (++count == 3) handle.cancel();
-  });
-  sim.run_until(SimTime::milliseconds(20));
-  EXPECT_EQ(count, 3);
+  int a = 0;
+  int b = 0;
+  sim.schedule_periodic(SimTime::milliseconds(1), SimTime::milliseconds(1), [&] { ++a; });
+  sim.run_until(SimTime::milliseconds(2));
+  const Simulator::Snapshot before_b = sim.snapshot();
+  sim.schedule_periodic(SimTime::milliseconds(1), SimTime::milliseconds(1), [&] { ++b; });
+  sim.run_until(SimTime::milliseconds(4));
+  EXPECT_EQ(a, 4);
+  EXPECT_EQ(b, 2);
+  const Simulator::Snapshot with_b = sim.snapshot();
+
+  // Rewound to before b existed: a re-runs slots 3 and 4, b stays silent.
+  sim.restore(before_b);
+  EXPECT_EQ(sim.now(), SimTime::milliseconds(2));
+  sim.run_until(SimTime::milliseconds(4));
+  EXPECT_EQ(a, 6);
+  EXPECT_EQ(b, 2);
+
+  // A snapshot that holds b brings it back.
+  sim.restore(with_b);
+  sim.run_until(SimTime::milliseconds(6));
+  EXPECT_EQ(a, 8);
+  EXPECT_EQ(b, 4);
 }
 
 TEST(Simulator, EventsAtSameTimeRunFifo) {

@@ -132,7 +132,7 @@ TEST(SoakMemory, MillionSlotChurnSoakHasZeroSteadyStateHeapGrowth) {
 }
 
 TEST(SoakMemory, RecorderRingStaysAllocationFreeWhenSaturated) {
-  sim::SoakRecorder recorder(8);  // deliberately tiny: forces overwrites
+  sim::SoakRecorder recorder(8);  // deliberately tiny: forces drops
   sim::SoakWindow w;
   const long long before = g_outstanding_bytes.load(std::memory_order_relaxed);
   for (std::uint64_t i = 0; i < 10'000; ++i) {
@@ -140,7 +140,7 @@ TEST(SoakMemory, RecorderRingStaysAllocationFreeWhenSaturated) {
     recorder.push(w);
   }
   const long long after = g_outstanding_bytes.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0) << "saturated ring allocated";
+  EXPECT_EQ(after - before, 0) << "saturated recorder allocated";
   EXPECT_EQ(recorder.dropped(), 10'000u - 8u);
 }
 

@@ -31,7 +31,6 @@ TEST(Units, RoundTripThroughMilliwatts) {
 
 TEST(Units, ZeroPowerMapsToNegativeInfinity) {
   EXPECT_EQ(dbm_from_milliwatts(0.0).value, -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(db_from_ratio(0.0).value, -std::numeric_limits<double>::infinity());
 }
 
 TEST(Units, GainArithmeticKeepsTypes) {
@@ -46,18 +45,6 @@ TEST(Units, GainArithmeticKeepsTypes) {
 TEST(Units, DbRatio) {
   EXPECT_DOUBLE_EQ(Db{3.0103}.ratio(), std::pow(10.0, 0.30103));
   EXPECT_NEAR(Db{10.0}.ratio(), 10.0, 1e-12);
-  EXPECT_NEAR(db_from_ratio(100.0).value, 20.0, 1e-12);
-}
-
-TEST(Units, PowerSumOfEqualPowersAddsThreeDb) {
-  const Dbm sum = power_sum(Dbm{-90.0}, Dbm{-90.0});
-  EXPECT_NEAR(sum.value, -90.0 + 10.0 * std::log10(2.0), 1e-9);
-}
-
-TEST(Units, PowerSumDominatedByStronger) {
-  const Dbm sum = power_sum(Dbm{-50.0}, Dbm{-100.0});
-  EXPECT_NEAR(sum.value, -50.0, 1e-4);  // 50 dB below adds ~0.00004 dB
-  EXPECT_GT(sum.value, -50.0);
 }
 
 TEST(Units, ComparisonOperators) {
@@ -68,7 +55,6 @@ TEST(Units, ComparisonOperators) {
 
 TEST(Units, ToStringIncludesUnit) {
   EXPECT_NE(to_string(Dbm{-95.0}).find("dBm"), std::string::npos);
-  EXPECT_NE(to_string(Db{10.0}).find("dB"), std::string::npos);
 }
 
 TEST(Units, ScalarDbScaling) {

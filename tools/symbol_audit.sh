@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# symbol_audit.sh — list the simulator functions that no program reaches.
+#
+#   tools/symbol_audit.sh [BUILD_DIR]        # default BUILD_DIR: build-audit
+#
+# Builds the libraries and every program (the examples, the benches,
+# tools/check_bench_json and perfbench's firefly_perfbench) at -O0 with one
+# section per function, linked with --gc-sections.  At -O0 no call is
+# inlined away, and the linker drops every function a program cannot reach.
+# A `firefly::` text symbol that a library defines but no program keeps is
+# reached only by tests, or by nothing: the script prints those, one
+# demangled name a line, and appends them to $GITHUB_STEP_SUMMARY when that
+# variable is set.  It is a report, not a gate: it exits 0 whatever the list
+# holds.  Run it from the repository root.
+#
+# Header-inline and template functions are outside what it can see: one
+# that nothing uses is never emitted into a library object, so it cannot
+# show up in the list however dead it is.
+set -euo pipefail
+
+build_dir=${1:-build-audit}
+jobs=$(nproc)
+cxx_flags="-O0 -ffunction-sections -fdata-sections"
+link_flags="-Wl,--gc-sections"
+
+programs=()
+program_files=("$build_dir/perfbench/firefly_perfbench")
+for src in examples/*.cpp bench/bench_*.cpp tools/*.cpp; do
+  programs+=("$(basename "$src" .cpp)")
+  program_files+=("$build_dir/${src%.cpp}")
+done
+
+cmake -S . -B "$build_dir" -DCMAKE_BUILD_TYPE=None -DCMAKE_CXX_FLAGS="$cxx_flags" \
+  -DCMAKE_EXE_LINKER_FLAGS="$link_flags" > /dev/null
+cmake --build "$build_dir" -j "$jobs" --target "${programs[@]}" > /dev/null
+cmake -S perfbench -B "$build_dir/perfbench" -DCMAKE_BUILD_TYPE=None \
+  -DCMAKE_CXX_FLAGS="$cxx_flags" -DCMAKE_EXE_LINKER_FLAGS="$link_flags" > /dev/null
+cmake --build "$build_dir/perfbench" -j "$jobs" --target firefly_perfbench > /dev/null
+
+# Demangled names of the functions (nm types T, t, W) in namespace firefly,
+# lambdas inside them included.  The filter runs on the mangled names, so
+# std:: templates instantiated on firefly types stay out; demangling merges
+# a constructor's or destructor's complete/base/deleting variants into one.
+firefly_functions() {
+  nm --defined-only "$@" 2> /dev/null | awk '$2 ~ /^[TtW]$/ { print $3 }' |
+    grep -E '^_ZZ?N[VKRO]*7firefly' | c++filt | sort -u
+}
+
+library_objects=$(find "$build_dir/src" -name '*.o')
+
+# shellcheck disable=SC2086  # one path per word
+residue=$(comm -23 <(firefly_functions $library_objects) \
+                   <(firefly_functions "${program_files[@]}"))
+count=$(printf '%s' "$residue" | grep -c . || true)
+
+echo "firefly:: functions no program reaches: $count"
+[ -n "$residue" ] && printf '%s\n' "$residue"
+if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+  {
+    echo "### Symbol audit: $count firefly:: functions no program reaches"
+    echo
+    echo '```'
+    [ -n "$residue" ] && printf '%s\n' "$residue"
+    echo '```'
+  } >> "$GITHUB_STEP_SUMMARY"
+fi
+exit 0
