@@ -214,7 +214,7 @@ void BM_RadioSlotFlushFaulted(benchmark::State& state) {
   radio.rebuild();
   fault::FaultPlan plan;
   plan.drop_probability = 0.02;
-  fault::FaultInjector injector(plan, n, 1, 8);
+  fault::FaultInjector injector(plan, n, 8);
   injector.fade_started(fault::FadeEpisode{0, 1, 0, 1});
   radio.set_channel_faults(&injector);
   radio.set_down(n - 1, true);

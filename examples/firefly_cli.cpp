@@ -9,6 +9,8 @@
 // no longer drift from what the binary actually accepts.  Run with --help
 // for the current table and the live protocol registry.
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -18,6 +20,7 @@
 #include "core/scenario.hpp"
 #include "core/service_mode.hpp"
 #include "core/trace.hpp"
+#include "core/wire.hpp"
 #include "obs/span.hpp"
 #include "proto/registry.hpp"
 #include "obs/telemetry.hpp"
@@ -28,17 +31,20 @@
 
 namespace {
 
+/// What a value flag's value must parse as, in full.  A count is an
+/// integer that must not be negative.
+enum class Kind { kText, kReal, kInteger, kCount };
+
 /// One CLI flag: the single source of truth for `--help` and for rejecting
-/// unknown flags and bad counts.  `arg` is the value placeholder (nullptr
+/// unknown flags and bad values.  `arg` is the value placeholder (nullptr
 /// for booleans), `group` batches related flags under one heading in the
-/// help output, and `count` marks an integer count, which must not be
-/// negative.
+/// help output, and `kind` says how the value must parse.
 struct FlagSpec {
   const char* name;
   const char* arg;   // nullptr: bare boolean flag
   const char* help;  // one line, defaults in brackets
   int group;
-  bool count = false;
+  Kind kind = Kind::kText;
 };
 
 constexpr const char* kFlagGroups[] = {
@@ -51,36 +57,36 @@ constexpr const char* kFlagGroups[] = {
 
 constexpr FlagSpec kFlagSpecs[] = {
     {"protocol", "NAME|both|all", "registered protocol, or a shorthand [both]", 0},
-    {"n", "DEVICES", "population size [50]", 0, true},
-    {"seed", "U64", "base RNG seed; trial t runs with seed+t [1]", 0},
-    {"trials", "COUNT", "independent trials per protocol [1]", 0, true},
+    {"n", "DEVICES", "population size [50]", 0, Kind::kCount},
+    {"seed", "U64", "base RNG seed; trial t runs with seed+t [1]", 0, Kind::kInteger},
+    {"trials", "COUNT", "independent trials per protocol [1]", 0, Kind::kCount},
     {"area", "scaled|fixed", "deployment area policy [scaled]", 0},
-    {"epsilon", "E", "PRC coupling strength [0.05]", 0},
-    {"period", "SLOTS", "firing period in 1 ms slots [100]", 0, true},
-    {"periods", "MAX", "horizon in firing periods [400]", 0, true},
-    {"mobility", "MPS", "random-waypoint speed, 0 = static [0]", 0},
+    {"epsilon", "E", "PRC coupling strength [0.05]", 0, Kind::kReal},
+    {"period", "SLOTS", "firing period in 1 ms slots [100]", 0, Kind::kCount},
+    {"periods", "MAX", "horizon in firing periods [400]", 0, Kind::kCount},
+    {"mobility", "MPS", "random-waypoint speed, 0 = static [0]", 0, Kind::kReal},
     {"csv", "PATH", "append the result table as CSV rows", 0},
-    {"churn", "PER_MIN", "crash rate [0]", 1},
-    {"churn-rate", "PER_MIN", "alias for --churn (service-mode docs)", 1},
-    {"downtime", "MS", "mean downtime before recovery [2000]", 1},
-    {"churn-stop", "MS", "stop churn after this instant [-1 = never]", 1},
-    {"drift", "PPM", "max oscillator drift [0]", 1},
-    {"drop", "P", "i.i.d. reception drop probability [0]", 1},
-    {"fade-rate", "PER_MIN", "deep-fade episode rate [0]", 1},
-    {"fade-ms", "MS", "mean fade duration [500]", 1},
-    {"fade-depth", "DB", "fade attenuation depth [60]", 1},
+    {"churn", "PER_MIN", "crash rate [0]", 1, Kind::kReal},
+    {"churn-rate", "PER_MIN", "alias for --churn (service-mode docs)", 1, Kind::kReal},
+    {"downtime", "MS", "mean downtime before recovery [2000]", 1, Kind::kReal},
+    {"churn-stop", "MS", "stop churn after this instant [-1 = never]", 1, Kind::kReal},
+    {"drift", "PPM", "max oscillator drift [0]", 1, Kind::kReal},
+    {"drop", "P", "i.i.d. reception drop probability [0]", 1, Kind::kReal},
+    {"fade-rate", "PER_MIN", "deep-fade episode rate [0]", 1, Kind::kReal},
+    {"fade-ms", "MS", "mean fade duration [500]", 1, Kind::kReal},
+    {"fade-depth", "DB", "fade attenuation depth [60]", 1, Kind::kReal},
     {"service", nullptr, "one open-ended soak instead of the trial loop", 2},
-    {"duration-slots", "N", "soak horizon in 1 ms slots [1000000]", 2, true},
-    {"window-slots", "N", "telemetry window length [1000]", 2, true},
-    {"snapshot-every", "SLOTS", "rollback-snapshot cadence [0 = never]", 2, true},
-    {"dedup-clear-periods", "N", "ST dedup-set prune cadence in periods [8]", 2, true},
-    {"relabel-cap", "N", "headless re-elections per period, 0 = unlimited [8]", 2, true},
+    {"duration-slots", "N", "soak horizon in 1 ms slots [1000000]", 2, Kind::kCount},
+    {"window-slots", "N", "telemetry window length [1000]", 2, Kind::kCount},
+    {"snapshot-every", "SLOTS", "rollback-snapshot cadence [0 = never]", 2, Kind::kCount},
+    {"dedup-clear-periods", "N", "ST dedup-set prune cadence in periods [8]", 2, Kind::kCount},
+    {"relabel-cap", "N", "headless re-elections per period, 0 = unlimited [8]", 2, Kind::kCount},
     {"soak-out", "PATH", "stream firefly-soak-v1 JSONL windows", 2},
     {"telemetry", nullptr, "print a metric-registry summary after the runs", 3},
     {"trace-chrome", "PATH", "Chrome trace-event file (load in ui.perfetto.dev)", 3},
     {"metrics-out", "PATH", "JSONL: run-metrics per trial + registry snapshot", 3},
     {"trace-csv", "PATH", "protocol milestone trace (fires, merges, ...)", 3},
-    {"trace-capacity", "N", "ring-buffer the milestone trace [0 = unlimited]", 3, true},
+    {"trace-capacity", "N", "ring-buffer the milestone trace [0 = unlimited]", 3, Kind::kCount},
     {"help", nullptr, "print this flag table and the protocol registry", 4},
 };
 
@@ -120,20 +126,54 @@ bool reject_unknown_flags(const firefly::util::Flags& flags) {
   return ok;
 }
 
-/// Reject bad values before anything runs: a negative count would wrap to
-/// a huge unsigned value (an endless run or an allocation failure), a zero
-/// period has no slot to fire in, a coupling ε ≤ 0 breaks the
-/// Mirollo–Strogatz condition, and an unknown area policy is a typo.
+/// Whether `value` parses in full as `kind` (`Flags::get` would silently
+/// read "12x" as 12 and "abc" as 0).
+bool parses_in_full(const std::string& value, Kind kind) {
+  if (kind == Kind::kText) return true;
+  char* end = nullptr;
+  errno = 0;
+  if (kind == Kind::kReal) {
+    (void)std::strtod(value.c_str(), &end);
+  } else {
+    (void)std::strtoll(value.c_str(), &end, 10);
+  }
+  return errno == 0 && end != value.c_str() && *end == '\0';
+}
+
+/// Reject bad values before anything runs: a value flag without a value
+/// or with one that does not parse would run its default, a negative count
+/// would wrap to a huge unsigned value (an endless run or an allocation
+/// failure), a zero period has no slot to fire in, ids and counters travel
+/// in 16-bit wire fields (0xFFFF is the invalid id), a coupling ε ≤ 0
+/// breaks the Mirollo–Strogatz condition, and an unknown area policy is a
+/// typo.
 bool reject_bad_values(const firefly::util::Flags& flags) {
   bool ok = true;
   for (const FlagSpec& spec : kFlagSpecs) {
-    if (spec.count && flags.has(spec.name) && flags.get(spec.name, std::int64_t{0}) < 0) {
+    if (spec.arg == nullptr || !flags.has(spec.name)) continue;
+    const std::string value = flags.get(spec.name, std::string());
+    if (value.empty()) {
+      std::cerr << "--" << spec.name << " needs a value <" << spec.arg << ">\n";
+      ok = false;
+    } else if (!parses_in_full(value, spec.kind)) {
+      std::cerr << "--" << spec.name << " value '" << value << "' is not a number\n";
+      ok = false;
+    } else if (spec.kind == Kind::kCount && flags.get(spec.name, std::int64_t{0}) < 0) {
       std::cerr << "--" << spec.name << " must not be negative\n";
       ok = false;
     }
   }
-  if (flags.has("period") && flags.get("period", std::int64_t{1}) == 0) {
+  if (!ok) return false;
+  if (flags.get("n", std::int64_t{0}) >= firefly::core::kInvalidId) {
+    std::cerr << "--n must be below 65535 (device ids are 16-bit)\n";
+    ok = false;
+  }
+  const std::int64_t period = flags.get("period", std::int64_t{1});
+  if (period == 0) {
     std::cerr << "--period must be at least 1 slot\n";
+    ok = false;
+  } else if (period > 65'536) {
+    std::cerr << "--period must be at most 65536 slots (counters are 16-bit)\n";
     ok = false;
   }
   if (flags.has("epsilon") && !(flags.get("epsilon", 0.0) > 0.0)) {

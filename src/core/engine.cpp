@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,14 +17,28 @@ namespace {
 
 // Both counts are ranges of Rng::uniform_index, which requires n > 0.  The
 // coupling must meet the Mirollo–Strogatz condition (a > 0, ε > 0); at
-// a = 0 the PRC's β divides by zero.
-ProtocolParams validated(ProtocolParams params) {
+// a = 0 the PRC's β divides by zero.  Device ids, fragment labels and
+// counters travel in 16-bit wire fields where 0xFFFF is kInvalidId, so the
+// population stays below it and a counter (< period) fits in 16 bits.
+// Checked before the radio rebuild, the first O(N²) step.
+ProtocolParams validated(ProtocolParams params, std::size_t device_count) {
+  if (device_count >= kInvalidId) {
+    throw std::invalid_argument("EngineBase: device count must be below 65535 (16-bit ids)");
+  }
   if (params.period_slots == 0) throw std::invalid_argument("EngineBase: period_slots == 0");
+  if (params.period_slots > 65'536) {
+    throw std::invalid_argument("EngineBase: period_slots above 65536 (16-bit counters)");
+  }
   if (params.service_count == 0) throw std::invalid_argument("EngineBase: service_count == 0");
   if (!params.prc.valid_for_convergence()) {
     throw std::invalid_argument("EngineBase: PRC coupling needs dissipation_a > 0 and epsilon > 0");
   }
   return params;
+}
+
+std::uint64_t next_engine_serial() {
+  static std::atomic<std::uint64_t> serial{0};
+  return ++serial;
 }
 
 }  // namespace
@@ -36,14 +51,15 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
                        phy::RadioParams radio_params, std::uint64_t seed)
     : channel_(phy::make_paper_channel(seed, radio_params)),
       radio_(&sim_, channel_.get(), radio_params.capture_margin_db),
-      params_(validated(params)),
+      params_(validated(params, positions.size())),
       detector_(positions.size(), params.period_slots, params.tolerance_slots),
       local_detector_(positions.size(), params.period_slots, params.tolerance_slots),
       rng_factory_(seed),
       control_rng_(rng_factory_.make("core.control")),
       ranging_(&channel_->pathloss(), radio_params.tx_power),
       energy_(positions.size()),
-      mobility_rng_(rng_factory_.make("core.mobility")) {
+      mobility_rng_(rng_factory_.make("core.mobility")),
+      serial_(next_engine_serial()) {
   // Reliable links are read from the radio's candidate cache (below), which
   // holds only links within the fading margin of the threshold; a looser
   // reliable margin would silently lose links.
@@ -84,12 +100,14 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
 
   if (params_.faults.enabled()) {
     injector_ = std::make_unique<fault::FaultInjector>(
-        params_.faults, static_cast<std::uint32_t>(devices_.size()),
-        params_.max_slots(), seed);
+        params_.faults, static_cast<std::uint32_t>(devices_.size()), seed);
     for (std::uint32_t i = 0; i < devices_.size(); ++i) {
       hot_.drift_ppm[i] = injector_->drift_ppm(i);
     }
-    install_channel_faults();
+    // The injector answers the radio's drop and fade queries directly; a
+    // faded-below-threshold reception is a fault drop, not an ordinary
+    // out-of-range miss.
+    if (params_.faults.channel_enabled()) radio_.set_channel_faults(injector_.get());
     // A faulted run observes behaviour *through* the faults, so it never
     // stops at the first convergence instant.
     params_.stop_on_convergence = false;
@@ -285,30 +303,30 @@ void EngineBase::mobility_step() {
 
 void EngineBase::check_convergence() {
   const std::int64_t slot = current_slot();
-  if (local_converged_slot_ < 0) {
+  if (state_.local_converged_slot < 0) {
     const auto local = local_detector_.converged_at(slot);
-    if (local.has_value()) local_converged_slot_ = *local;
+    if (local.has_value()) state_.local_converged_slot = *local;
   }
-  if (discovery_slot_ < 0 && discovery_complete()) {
-    discovery_slot_ = slot;
+  if (state_.discovery_slot < 0 && discovery_complete()) {
+    state_.discovery_slot = slot;
     trace(TraceKind::kDiscovery, 0, static_cast<std::uint32_t>(slot));
   }
-  if (protocol_slot_ < 0 && protocol_complete()) protocol_slot_ = slot;
-  if (sync_slot_ < 0) {
+  if (state_.protocol_slot < 0 && protocol_complete()) state_.protocol_slot = slot;
+  if (state_.sync_slot < 0) {
     const auto converged = detector_.converged_at(slot);
     if (converged.has_value()) {
-      sync_slot_ = *converged;
+      state_.sync_slot = *converged;
       trace(TraceKind::kSync, 0, static_cast<std::uint32_t>(*converged));
     }
   }
-  if (sync_slot_ >= 0) sample_resilience(slot);
-  const bool sync_ok = !requires_sync() || sync_slot_ >= 0;
-  if (sync_ok && discovery_slot_ >= 0 && protocol_slot_ >= 0) {
-    if (!repair_base_set_) {
+  if (state_.sync_slot >= 0) sample_resilience(slot);
+  const bool sync_ok = !requires_sync() || state_.sync_slot >= 0;
+  if (sync_ok && state_.discovery_slot >= 0 && state_.protocol_slot >= 0) {
+    if (!state_.repair_base_set) {
       // Everything RACH2 spends from here on is repair traffic, not
       // first-formation traffic.
-      repair_base_set_ = true;
-      repair_rach2_base_ = radio_.counters().rach2_tx;
+      state_.repair_base_set = true;
+      state_.repair_rach2_base = radio_.counters().rach2_tx;
     }
     if (params_.stop_on_convergence) sim_.stop();
   }
@@ -316,24 +334,24 @@ void EngineBase::check_convergence() {
 
 void EngineBase::sample_resilience(std::int64_t slot) {
   const bool aligned = detector_.aligned_now();
-  if (resilience_last_slot_ >= 0) {
-    const std::int64_t dt = slot - resilience_last_slot_;
+  if (state_.resilience_last_slot >= 0) {
+    const std::int64_t dt = slot - state_.resilience_last_slot;
     if (dt > 0) {
-      observed_slots_ += dt;
-      if (was_aligned_) in_sync_slots_ += dt;
+      state_.observed_slots += dt;
+      if (state_.was_aligned) state_.in_sync_slots += dt;
     }
-    if (was_aligned_ && !aligned) {
-      desync_start_ = slot;
-    } else if (!was_aligned_ && aligned && desync_start_ >= 0) {
-      const auto duration_ms = static_cast<double>(slot - desync_start_);
-      ++resyncs_;
-      resync_sum_ms_ += duration_ms;
-      resync_max_ms_ = std::max(resync_max_ms_, duration_ms);
-      desync_start_ = -1;
+    if (state_.was_aligned && !aligned) {
+      state_.desync_start = slot;
+    } else if (!state_.was_aligned && aligned && state_.desync_start >= 0) {
+      const auto duration_ms = static_cast<double>(slot - state_.desync_start);
+      ++state_.resyncs;
+      state_.resync_sum_ms += duration_ms;
+      state_.resync_max_ms = std::max(state_.resync_max_ms, duration_ms);
+      state_.desync_start = -1;
     }
   }
-  was_aligned_ = aligned;
-  resilience_last_slot_ = slot;
+  state_.was_aligned = aligned;
+  state_.resilience_last_slot = slot;
 }
 
 RunMetrics EngineBase::run() {
@@ -359,20 +377,21 @@ void EngineBase::start_run() {
   if (injector_ != nullptr) schedule_fault_events();
 }
 
-void EngineBase::install_channel_faults() {
-  // The injector answers the radio's drop and fade queries directly; a
-  // faded-below-threshold reception is a fault drop, not an ordinary
-  // out-of-range miss.
-  if (params_.faults.channel_enabled()) radio_.set_channel_faults(injector_.get());
-}
-
 void EngineBase::schedule_fault_events() {
   // A service run has no fixed horizon: churn and fades come from the
   // regenerating streams, one telemetry window at a time
   // (schedule_service_faults).  Drift and the radio's drop/fade queries were
   // installed in the constructor and stay live either way.
-  if (service_mode_) return;
-  for (const fault::ChurnEvent& e : injector_->churn_schedule()) {
+  if (service_) return;
+  const fault::FaultSchedule schedule =
+      fault::expand_schedule(params_.faults, static_cast<std::uint32_t>(devices_.size()),
+                             params_.max_slots(), rng_factory_.master_seed());
+  schedule_faults(schedule.churn, schedule.fades);
+}
+
+void EngineBase::schedule_faults(std::span<const fault::ChurnEvent> churn,
+                                 std::span<const fault::FadeEpisode> fades) {
+  for (const fault::ChurnEvent& e : churn) {
     sim_.schedule_at(sim::SimTime::milliseconds(e.slot), [this, e] {
       if (e.crash) {
         crash_device(e.device);
@@ -381,7 +400,8 @@ void EngineBase::schedule_fault_events() {
       }
     });
   }
-  for (const fault::FadeEpisode& f : injector_->fade_schedule()) {
+  for (const fault::FadeEpisode& f : fades) {
+    ++state_.fade_episodes;
     sim_.schedule_at(sim::SimTime::milliseconds(f.start_slot), [this, f] {
       injector_->fade_started(f);
       trace(TraceKind::kFadeStart, f.u, f.u, f.v);
@@ -404,7 +424,7 @@ void EngineBase::crash_device(std::uint32_t id) {
   detector_.set_active(id, false);
   local_detector_.set_active(id, false);
   discovery_resume_ = 0;
-  ++crashes_;
+  ++state_.crashes;
   trace(TraceKind::kCrash, id);
 }
 
@@ -426,42 +446,41 @@ void EngineBase::recover_device(std::uint32_t id) {
                                control_rng_.uniform_index(params_.period_slots));
   schedule_fire(id);
   on_recover(devices_[id]);
-  ++recoveries_;
+  ++state_.recoveries;
   trace(TraceKind::kRecover, id);
 }
 
 bool EngineBase::relabel_permitted() {
   const std::int64_t window = current_slot() / params_.period_slots;
-  if (window != relabel_window_) {
-    relabel_window_ = window;
-    relabels_in_window_ = 0;
+  if (window != state_.relabel_window) {
+    state_.relabel_window = window;
+    state_.relabels_in_window = 0;
   }
-  if (relabel_cap_per_period_ != 0 && relabels_in_window_ >= relabel_cap_per_period_) {
-    ++relabels_suppressed_;
+  if (relabel_cap_per_period_ != 0 && state_.relabels_in_window >= relabel_cap_per_period_) {
+    ++state_.relabels_suppressed;
     return false;
   }
-  ++relabels_in_window_;
-  ++relabels_total_;
+  ++state_.relabels_in_window;
+  ++state_.relabels_total;
   return true;
 }
 
 RunMetrics EngineBase::collect_metrics() {
   RunMetrics metrics;
-  const bool sync_ok = !requires_sync() || sync_slot_ >= 0;
-  metrics.converged = sync_ok && discovery_slot_ >= 0 && protocol_slot_ >= 0;
+  const RunState& s = state_;
+  const auto unset = static_cast<double>(params_.max_slots());
+  const bool sync_ok = !requires_sync() || s.sync_slot >= 0;
+  metrics.converged = sync_ok && s.discovery_slot >= 0 && s.protocol_slot >= 0;
   metrics.convergence_ms =
       metrics.converged
           ? static_cast<double>(std::max(
-                std::max(requires_sync() ? sync_slot_ : 0, discovery_slot_), protocol_slot_))
-          : static_cast<double>(params_.max_slots());
-  metrics.sync_ms = sync_slot_ >= 0 ? static_cast<double>(sync_slot_)
-                                    : static_cast<double>(params_.max_slots());
-  metrics.discovery_ms = discovery_slot_ >= 0 ? static_cast<double>(discovery_slot_)
-                                              : static_cast<double>(params_.max_slots());
-  metrics.locally_converged = local_converged_slot_ >= 0;
-  metrics.local_sync_ms = metrics.locally_converged
-                              ? static_cast<double>(local_converged_slot_)
-                              : static_cast<double>(params_.max_slots());
+                std::max(requires_sync() ? s.sync_slot : 0, s.discovery_slot), s.protocol_slot))
+          : unset;
+  metrics.sync_ms = s.sync_slot >= 0 ? static_cast<double>(s.sync_slot) : unset;
+  metrics.discovery_ms = s.discovery_slot >= 0 ? static_cast<double>(s.discovery_slot) : unset;
+  metrics.locally_converged = s.local_converged_slot >= 0;
+  metrics.local_sync_ms =
+      metrics.locally_converged ? static_cast<double>(s.local_converged_slot) : unset;
   finalize_metrics(metrics);
   fill_protocol_metrics(metrics);
   return metrics;
@@ -477,26 +496,20 @@ void EngineBase::finalize_metrics(RunMetrics& metrics) const {
   metrics.simulated_ms = sim_.now().as_milliseconds();
 
   // Resilience observables (all zero on fault-free runs).
-  metrics.crashes = crashes_;
-  metrics.recoveries = recoveries_;
-  // Service mode counts episodes as the stream emits them; the injector's
-  // pre-generated schedule is unused there.
-  metrics.fade_episodes =
-      service_mode_ ? service_fade_episodes_
-                    : (injector_ != nullptr
-                           ? static_cast<std::uint32_t>(injector_->fade_schedule().size())
-                           : 0);
+  metrics.crashes = state_.crashes;
+  metrics.recoveries = state_.recoveries;
+  metrics.fade_episodes = state_.fade_episodes;
   metrics.fault_drops = traffic.fault_drops;
-  metrics.resyncs = resyncs_;
-  metrics.mean_resync_ms = resyncs_ > 0 ? resync_sum_ms_ / resyncs_ : 0.0;
-  metrics.max_resync_ms = resync_max_ms_;
+  metrics.resyncs = state_.resyncs;
+  metrics.mean_resync_ms = state_.resyncs > 0 ? state_.resync_sum_ms / state_.resyncs : 0.0;
+  metrics.max_resync_ms = state_.resync_max_ms;
   metrics.sync_uptime =
-      observed_slots_ > 0
-          ? static_cast<double>(in_sync_slots_) / static_cast<double>(observed_slots_)
-          : (sync_slot_ >= 0 ? 1.0 : 0.0);
-  metrics.in_sync_at_end = sync_slot_ >= 0 && was_aligned_;
+      state_.observed_slots > 0
+          ? static_cast<double>(state_.in_sync_slots) / static_cast<double>(state_.observed_slots)
+          : (state_.sync_slot >= 0 ? 1.0 : 0.0);
+  metrics.in_sync_at_end = state_.sync_slot >= 0 && state_.was_aligned;
   metrics.repair_messages =
-      repair_base_set_ ? traffic.rach2_tx - repair_rach2_base_ : 0;
+      state_.repair_base_set ? traffic.rach2_tx - state_.repair_rach2_base : 0;
   std::uint32_t alive = 0;
   for (std::uint32_t i = 0; i < devices_.size(); ++i) {
     if (!hot_.down[i]) ++alive;

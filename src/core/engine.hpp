@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/device.hpp"
@@ -54,6 +55,37 @@ struct EngineSnapshot;
 
 class EngineBase : public proto::DiscoveryProtocol {
  public:
+  /// The engine's scalar run state, declared once: snapshot() and restore()
+  /// copy it whole, and run_service's windows report deltas between two
+  /// copies of it.
+  struct RunState {
+    // Convergence marks (-1: not yet).
+    std::int64_t sync_slot = -1;
+    std::int64_t discovery_slot = -1;
+    std::int64_t protocol_slot = -1;
+    std::int64_t local_converged_slot = -1;
+    // Fault lifecycle; fade_episodes counts the episodes scheduled so far.
+    std::uint32_t crashes = 0;
+    std::uint32_t recoveries = 0;
+    std::uint32_t fade_episodes = 0;
+    // Resilience observables, sampled in check_convergence.
+    bool was_aligned = false;
+    std::int64_t resilience_last_slot = -1;
+    std::int64_t desync_start = -1;
+    std::int64_t observed_slots = 0;
+    std::int64_t in_sync_slots = 0;
+    std::uint32_t resyncs = 0;
+    double resync_sum_ms = 0.0;
+    double resync_max_ms = 0.0;
+    bool repair_base_set = false;
+    std::uint64_t repair_rach2_base = 0;
+    // Relabel storm-cap bookkeeping (see relabel_permitted()).
+    std::int64_t relabel_window = -1;
+    std::uint32_t relabels_in_window = 0;
+    std::uint64_t relabels_total = 0;
+    std::uint64_t relabels_suppressed = 0;
+  };
+
   EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
              phy::RadioParams radio_params, std::uint64_t seed);
   virtual ~EngineBase();  // out of line: unique_ptr members of incomplete types
@@ -78,9 +110,10 @@ class EngineBase : public proto::DiscoveryProtocol {
   /// Static scenarios only: snapshot() throws std::invalid_argument on a
   /// mobile one (mobility rebuilds position-derived caches a checkpoint does
   /// not carry).  restore() rewinds THIS engine; it is not a serialised
-  /// file, and it throws std::invalid_argument on a snapshot whose device
-  /// count or hot-region size differs.  test_service_mode proves a restored
-  /// run reproduces byte-identical RunMetrics.
+  /// file, and it throws std::invalid_argument on a snapshot another engine
+  /// took or whose device count or hot-region size differs.
+  /// test_service_mode proves a restored run reproduces byte-identical
+  /// RunMetrics.
   [[nodiscard]] std::unique_ptr<EngineSnapshot> snapshot();
   void restore(const EngineSnapshot& snap);
   /// Latest snapshot taken by run_service's snapshot_every cadence (null
@@ -172,7 +205,6 @@ class EngineBase : public proto::DiscoveryProtocol {
   /// Recover a crashed device with full cold-boot state: empty neighbour
   /// table, fresh random phase, protocol state reset via `on_recover`.
   void recover_device(std::uint32_t id);
-  [[nodiscard]] fault::FaultInjector* injector() { return injector_.get(); }
 
   // --- run phases (split so tests can step the world manually) ---
   /// Schedule initial phases, the convergence checker, mobility and the
@@ -235,10 +267,13 @@ class EngineBase : public proto::DiscoveryProtocol {
  private:
   void check_convergence();
   void finalize_metrics(RunMetrics& metrics) const;
-  /// Adapt the fault plan into the radio (iid drops + fade attenuation) and
-  /// schedule every pre-generated churn and fade event.
-  void install_channel_faults();
+  /// One-shot trials: expand the whole fault schedule over max_slots() and
+  /// schedule it.  A service run returns at once (its streams feed it).
   void schedule_fault_events();
+  /// The one bridge from fault events to the simulator, for both run modes:
+  /// every churn transition, then each fade's start and end, in span order.
+  void schedule_faults(std::span<const fault::ChurnEvent> churn,
+                       std::span<const fault::FadeEpisode> fades);
   /// Accumulate sync-uptime and desync/resync episodes (sampled at the
   /// convergence-check cadence once the network has synchronised once).
   void sample_resilience(std::int64_t slot);
@@ -253,51 +288,30 @@ class EngineBase : public proto::DiscoveryProtocol {
   // global firing alignment AND complete neighbour discovery over every
   // reliable proximity link (both directions).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> reliable_links_;
-  std::int64_t sync_slot_ = -1;
-  std::int64_t discovery_slot_ = -1;
+  RunState state_;
   std::size_t discovery_resume_ = 0;  // first link not known discovered
-  std::int64_t protocol_slot_ = -1;
-  std::int64_t local_converged_slot_ = -1;
   geo::Area mobility_area_{};
   util::Rng mobility_rng_;
   std::vector<geo::RandomWaypoint> movers_;
   TraceSink* trace_ = nullptr;
+  /// Process-wide serial: a snapshot restores only into the engine whose
+  /// serial it carries (its cloned callbacks capture that engine).
+  const std::uint64_t serial_;
 
-  // --- fault injection ---
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::uint32_t crashes_ = 0;
-  std::uint32_t recoveries_ = 0;
-  // Resilience observables, sampled in check_convergence.
-  bool was_aligned_ = false;
-  std::int64_t resilience_last_slot_ = -1;
-  std::int64_t desync_start_ = -1;
-  std::int64_t observed_slots_ = 0;
-  std::int64_t in_sync_slots_ = 0;
-  std::uint32_t resyncs_ = 0;
-  double resync_sum_ms_ = 0.0;
-  double resync_max_ms_ = 0.0;
-  bool repair_base_set_ = false;
-  std::uint64_t repair_rach2_base_ = 0;
 
   // --- service mode (run_service; implemented in core/service_mode.cpp) ---
   /// Generate and schedule churn/fade events for slots up to `to_slot` from
   /// the regenerating streams (one telemetry window at a time).
   void schedule_service_faults(std::int64_t to_slot);
 
-  bool service_mode_ = false;     // schedule_fault_events() defers to streams
-  bool service_started_ = false;  // start_run() already executed
+  bool service_ = false;  // run_service started the run; faults come from streams
+  std::uint32_t relabel_cap_per_period_ = 0;  // see relabel_permitted()
   std::unique_ptr<fault::ChurnStream> churn_stream_;
   std::unique_ptr<fault::FadeStream> fade_stream_;
   std::vector<fault::ChurnEvent> churn_chunk_;  // reused per-window buffers
   std::vector<fault::FadeEpisode> fade_chunk_;
-  std::uint32_t service_fade_episodes_ = 0;
   std::unique_ptr<EngineSnapshot> service_snapshot_;
-  // Relabel storm-cap bookkeeping (see relabel_permitted()).
-  std::uint32_t relabel_cap_per_period_ = 0;
-  std::int64_t relabel_window_ = -1;
-  std::uint32_t relabels_in_window_ = 0;
-  std::uint64_t relabels_total_ = 0;
-  std::uint64_t relabels_suppressed_ = 0;
 };
 
 }  // namespace firefly::core

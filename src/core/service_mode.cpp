@@ -17,6 +17,13 @@ namespace firefly::core {
 // Snapshot / restore
 // ---------------------------------------------------------------------------
 
+namespace {
+template <typename T>
+std::optional<T> copy_of(const std::unique_ptr<T>& p) {
+  return p != nullptr ? std::optional<T>(*p) : std::nullopt;
+}
+}  // namespace
+
 std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
   // Mobility rebuilds position-derived caches (delivery lists, shadowing
   // memo) every step; a checkpoint does not carry them.  run_service
@@ -24,59 +31,44 @@ std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
   if (params_.mobility_speed_mps != 0.0) {
     throw std::invalid_argument("snapshot() supports static scenarios only");
   }
-
-  auto snap = std::make_unique<EngineSnapshot>();
-  snap->sim = sim_.snapshot();
-  snap->devices = devices_;
   // The whole hot scalar state is one contiguous region: snapshot it as a
   // flat byte copy.  Neighbour tables own heap storage, so they ride
   // separately (element-wise copies, capacity-reusing on restore).
-  snap->hot_block.assign(hot_.block(), hot_.block() + hot_.block_bytes());
-  snap->hot_neighbors = hot_.neighbors;
-  snap->detector = detector_;
-  snap->local_detector = local_detector_;
-  snap->control_rng = control_rng_;
-  snap->mobility_rng = mobility_rng_;
-  snap->fading_rng = channel_->fading_rng();
-  snap->radio = radio_.save_state();
-  snap->energy = energy_;
-  if (injector_ != nullptr) snap->injector = *injector_;
-  if (churn_stream_ != nullptr) snap->churn_stream = *churn_stream_;
-  if (fade_stream_ != nullptr) snap->fade_stream = *fade_stream_;
-  snap->protocol_word = protocol_snapshot_word();
-
-  snap->sync_slot = sync_slot_;
-  snap->discovery_slot = discovery_slot_;
-  snap->protocol_slot = protocol_slot_;
-  snap->local_converged_slot = local_converged_slot_;
-  snap->crashes = crashes_;
-  snap->recoveries = recoveries_;
-  snap->was_aligned = was_aligned_;
-  snap->resilience_last_slot = resilience_last_slot_;
-  snap->desync_start = desync_start_;
-  snap->observed_slots = observed_slots_;
-  snap->in_sync_slots = in_sync_slots_;
-  snap->resyncs = resyncs_;
-  snap->resync_sum_ms = resync_sum_ms_;
-  snap->resync_max_ms = resync_max_ms_;
-  snap->repair_base_set = repair_base_set_;
-  snap->repair_rach2_base = repair_rach2_base_;
-  snap->service_fade_episodes = service_fade_episodes_;
-  snap->relabel_window = relabel_window_;
-  snap->relabels_in_window = relabels_in_window_;
-  snap->relabels_total = relabels_total_;
-  snap->relabels_suppressed = relabels_suppressed_;
-  return snap;
+  return std::unique_ptr<EngineSnapshot>(new EngineSnapshot{
+      .engine_serial = serial_,
+      .sim = sim_.snapshot(),
+      .devices = devices_,
+      .hot_block = std::vector<std::byte>(hot_.block(), hot_.block() + hot_.block_bytes()),
+      .hot_neighbors = hot_.neighbors,
+      .detector = detector_,
+      .local_detector = local_detector_,
+      .control_rng = control_rng_,
+      .mobility_rng = mobility_rng_,
+      .fading_rng = channel_->fading_rng(),
+      .radio = radio_.save_state(),
+      .energy = energy_,
+      .injector = copy_of(injector_),
+      .churn_stream = copy_of(churn_stream_),
+      .fade_stream = copy_of(fade_stream_),
+      .protocol_word = protocol_snapshot_word(),
+      .state = state_,
+  });
 }
 
 void EngineBase::restore(const EngineSnapshot& snap) {
-  // Checked before anything is touched: a mismatched snapshot would
-  // overrun the hot-region memcpy below.
+  // Checked before anything is touched: a foreign snapshot's cloned
+  // callbacks capture the other engine, and a mismatched one would overrun
+  // the hot-region memcpy below.
+  if (snap.engine_serial != serial_) {
+    throw std::invalid_argument(
+        "restore(): the snapshot was taken by another engine; a snapshot only "
+        "restores into the engine that produced it");
+  }
   if (snap.devices.size() != devices_.size() ||
       snap.hot_block.size() != hot_.block_bytes()) {
     throw std::invalid_argument(
         "restore(): the snapshot's device count or hot-region size differs from "
-        "this engine's; a snapshot only restores into the engine that produced it");
+        "this engine's");
   }
 
   sim_.restore(snap.sim);
@@ -90,52 +82,21 @@ void EngineBase::restore(const EngineSnapshot& snap) {
   for (std::size_t i = 0; i < hot_.neighbors.size(); ++i) {
     hot_.neighbors[i] = snap.hot_neighbors[i];
   }
-  detector_ = *snap.detector;
-  local_detector_ = *snap.local_detector;
-  control_rng_ = *snap.control_rng;
-  mobility_rng_ = *snap.mobility_rng;
-  channel_->fading_rng() = *snap.fading_rng;
+  detector_ = snap.detector;
+  local_detector_ = snap.local_detector;
+  control_rng_ = snap.control_rng;
+  mobility_rng_ = snap.mobility_rng;
+  channel_->fading_rng() = snap.fading_rng;
   radio_.restore_state(snap.radio);
-  energy_ = *snap.energy;
-  if (injector_ != nullptr && snap.injector.has_value()) *injector_ = *snap.injector;
-  if (snap.churn_stream.has_value()) {
-    if (churn_stream_ != nullptr) {
-      *churn_stream_ = *snap.churn_stream;
-    } else {
-      churn_stream_ = std::make_unique<fault::ChurnStream>(*snap.churn_stream);
-    }
-  }
-  if (snap.fade_stream.has_value()) {
-    if (fade_stream_ != nullptr) {
-      *fade_stream_ = *snap.fade_stream;
-    } else {
-      fade_stream_ = std::make_unique<fault::FadeStream>(*snap.fade_stream);
-    }
-  }
+  energy_ = snap.energy;
+  // In place: the radio holds the injector's address.  A snapshot of this
+  // engine holds a stream only when the engine has it too.
+  if (injector_ != nullptr && snap.injector) *injector_ = *snap.injector;
+  if (churn_stream_ != nullptr && snap.churn_stream) *churn_stream_ = *snap.churn_stream;
+  if (fade_stream_ != nullptr && snap.fade_stream) *fade_stream_ = *snap.fade_stream;
   protocol_restore_word(snap.protocol_word);
-
-  sync_slot_ = snap.sync_slot;
-  discovery_slot_ = snap.discovery_slot;
+  state_ = snap.state;
   discovery_resume_ = 0;
-  protocol_slot_ = snap.protocol_slot;
-  local_converged_slot_ = snap.local_converged_slot;
-  crashes_ = snap.crashes;
-  recoveries_ = snap.recoveries;
-  was_aligned_ = snap.was_aligned;
-  resilience_last_slot_ = snap.resilience_last_slot;
-  desync_start_ = snap.desync_start;
-  observed_slots_ = snap.observed_slots;
-  in_sync_slots_ = snap.in_sync_slots;
-  resyncs_ = snap.resyncs;
-  resync_sum_ms_ = snap.resync_sum_ms;
-  resync_max_ms_ = snap.resync_max_ms;
-  repair_base_set_ = snap.repair_base_set;
-  repair_rach2_base_ = snap.repair_rach2_base;
-  service_fade_episodes_ = snap.service_fade_episodes;
-  relabel_window_ = snap.relabel_window;
-  relabels_in_window_ = snap.relabels_in_window;
-  relabels_total_ = snap.relabels_total;
-  relabels_suppressed_ = snap.relabels_suppressed;
 }
 
 // ---------------------------------------------------------------------------
@@ -143,57 +104,16 @@ void EngineBase::restore(const EngineSnapshot& snap) {
 // ---------------------------------------------------------------------------
 
 void EngineBase::schedule_service_faults(std::int64_t to_slot) {
-  if (churn_stream_ != nullptr) {
-    churn_chunk_.clear();
-    churn_stream_->generate_until(to_slot, churn_chunk_);
-    for (const fault::ChurnEvent& e : churn_chunk_) {
-      sim_.schedule_at(sim::SimTime::milliseconds(e.slot), [this, e] {
-        if (e.crash) {
-          crash_device(e.device);
-        } else {
-          recover_device(e.device);
-        }
-      });
-    }
-  }
-  if (fade_stream_ != nullptr) {
-    fade_chunk_.clear();
-    fade_stream_->generate_until(to_slot, fade_chunk_);
-    for (const fault::FadeEpisode& f : fade_chunk_) {
-      ++service_fade_episodes_;
-      sim_.schedule_at(sim::SimTime::milliseconds(f.start_slot), [this, f] {
-        injector_->fade_started(f);
-        trace(TraceKind::kFadeStart, f.u, f.u, f.v);
-      });
-      sim_.schedule_at(sim::SimTime::milliseconds(f.end_slot), [this, f] {
-        injector_->fade_ended(f);
-        trace(TraceKind::kFadeEnd, f.u, f.u, f.v);
-      });
-    }
-  }
+  churn_chunk_.clear();
+  fade_chunk_.clear();
+  if (churn_stream_ != nullptr) churn_stream_->generate_until(to_slot, churn_chunk_);
+  if (fade_stream_ != nullptr) fade_stream_->generate_until(to_slot, fade_chunk_);
+  schedule_faults(churn_chunk_, fade_chunk_);
 }
 
 // ---------------------------------------------------------------------------
 // The service loop
 // ---------------------------------------------------------------------------
-
-namespace {
-/// Counter values at a window boundary; windows report the deltas.
-struct Baseline {
-  std::uint64_t tx = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t fault_drops = 0;
-  std::uint32_t crashes = 0;
-  std::uint32_t recoveries = 0;
-  std::uint32_t resyncs = 0;
-  double resync_sum_ms = 0.0;
-  std::int64_t observed = 0;
-  std::int64_t in_sync = 0;
-  std::uint64_t relabels = 0;
-  std::uint64_t suppressed = 0;
-};
-}  // namespace
 
 ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
                                       sim::SoakRecorder* recorder) {
@@ -211,9 +131,8 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
   report.error = fault::validate_service_horizon(params_.faults, cfg.duration_slots);
   if (!report.error.empty()) return report;
 
-  if (!service_started_) {
-    service_mode_ = true;  // start_run() must not expand the batch schedule
-    service_started_ = true;
+  if (!service_) {
+    service_ = true;  // start_run() must not expand the batch schedule
     params_.stop_on_convergence = false;  // a service never "converges and exits"
     relabel_cap_per_period_ = cfg.relabel_cap_per_period;
     // collect_metrics() clamps "never happened" marks to max_slots(); stretch
@@ -246,24 +165,6 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
     start_run();
   }
 
-  const auto take_baseline = [this] {
-    Baseline b;
-    const mac::TrafficCounters& c = radio_.counters();
-    b.tx = c.total_tx();
-    b.deliveries = c.deliveries;
-    b.collisions = c.collisions;
-    b.fault_drops = c.fault_drops;
-    b.crashes = crashes_;
-    b.recoveries = recoveries_;
-    b.resyncs = resyncs_;
-    b.resync_sum_ms = resync_sum_ms_;
-    b.observed = observed_slots_;
-    b.in_sync = in_sync_slots_;
-    b.relabels = relabels_total_;
-    b.suppressed = relabels_suppressed_;
-    return b;
-  };
-
   // Dedup pruning and snapshots key off *absolute* slot multiples (not
   // "every k-th window of this call"), so a run resumed from a snapshot
   // replays the identical side-effect sequence.
@@ -272,13 +173,17 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
           ? static_cast<std::int64_t>(cfg.dedup_clear_periods) * params_.period_slots
           : 0;
 
+  // Windows report the change in the run state and the radio's counters
+  // since the previous boundary.
   std::int64_t slot = current_slot();
-  Baseline prev = take_baseline();
+  RunState prev = state_;
+  mac::TrafficCounters prev_traffic = radio_.counters();
   while (slot < cfg.duration_slots) {
     const std::int64_t window_end = std::min(slot + cfg.window_slots, cfg.duration_slots);
     schedule_service_faults(window_end);
     sim_.run_until(sim::SimTime::milliseconds(window_end));
-    const Baseline now = take_baseline();
+    const RunState now = state_;
+    const mac::TrafficCounters traffic = radio_.counters();
 
     sim::SoakWindow w;
     w.index = static_cast<std::uint64_t>(slot / cfg.window_slots);
@@ -291,27 +196,27 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
     w.live_devices = live;
     w.crashes = now.crashes - prev.crashes;
     w.recoveries = now.recoveries - prev.recoveries;
-    w.messages = now.tx - prev.tx;
-    w.deliveries = now.deliveries - prev.deliveries;
-    w.collisions = now.collisions - prev.collisions;
-    w.fault_drops = now.fault_drops - prev.fault_drops;
+    w.messages = traffic.total_tx() - prev_traffic.total_tx();
+    w.deliveries = traffic.deliveries - prev_traffic.deliveries;
+    w.collisions = traffic.collisions - prev_traffic.collisions;
+    w.fault_drops = traffic.fault_drops - prev_traffic.fault_drops;
     w.msg_rate_per_slot =
         static_cast<double>(w.messages) / static_cast<double>(window_end - slot);
-    w.synced_once = sync_slot_ >= 0;
-    const std::int64_t observed_delta = now.observed - prev.observed;
-    const std::int64_t in_sync_delta = now.in_sync - prev.in_sync;
+    w.synced_once = now.sync_slot >= 0;
+    const std::int64_t observed_delta = now.observed_slots - prev.observed_slots;
+    const std::int64_t in_sync_delta = now.in_sync_slots - prev.in_sync_slots;
     // Resilience sampling only starts after first sync; before that the
     // fraction is pinned by definition (never synced => 0).
     w.sync_fraction =
         observed_delta > 0
             ? static_cast<double>(in_sync_delta) / static_cast<double>(observed_delta)
-            : ((w.synced_once && was_aligned_) ? 1.0 : 0.0);
+            : ((w.synced_once && now.was_aligned) ? 1.0 : 0.0);
     w.resyncs = now.resyncs - prev.resyncs;
     w.mean_resync_ms = w.resyncs > 0
                            ? (now.resync_sum_ms - prev.resync_sum_ms) / w.resyncs
                            : 0.0;
-    w.relabels = now.relabels - prev.relabels;
-    w.relabels_suppressed = now.suppressed - prev.suppressed;
+    w.relabels = now.relabels_total - prev.relabels_total;
+    w.relabels_suppressed = now.relabels_suppressed - prev.relabels_suppressed;
     const sim::Simulator::SchedulerStats stats = sim_.scheduler_stats();
     w.events_live = stats.live_events;
     w.arena_capacity = stats.arena_capacity;
@@ -321,6 +226,7 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
     if (recorder != nullptr) recorder->push(w);
     ++report.windows;
     prev = now;
+    prev_traffic = traffic;
 
     // Bounded memory: drop the protocols' flood/announce dedup memory on a
     // deterministic cadence.  The sets' clear() keeps their slot arrays, so
@@ -346,8 +252,8 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
   const sim::Simulator::SchedulerStats stats = sim_.scheduler_stats();
   report.arena_capacity = stats.arena_capacity;
   report.arena_high_water = stats.arena_high_water;
-  report.relabels = relabels_total_;
-  report.relabels_suppressed = relabels_suppressed_;
+  report.relabels = state_.relabels_total;
+  report.relabels_suppressed = state_.relabels_suppressed;
   if (recorder != nullptr) report.windows_dropped = recorder->dropped();
   return report;
 }

@@ -1,18 +1,22 @@
 // service_mode.hpp — long-lived service runs: open-ended churn soaks with
 // windowed telemetry, rollback snapshots and bounded-memory guarantees.
 //
-// A one-shot trial (`EngineBase::run`) expands its fault schedule up front,
-// runs to convergence or a cap and exits.  A service run never "converges
-// and exits": `run_service` slices simulated time into fixed telemetry
-// windows and, per window, (1) pulls the next chunk of churn/fades from the
-// regenerating fault streams (src/fault/schedule_stream.hpp — infinite,
-// seed-replayable, constant memory), (2) drives the simulator to the window
-// boundary, (3) emits one sim::SoakWindow through the recorder, (4) prunes
-// the protocols' dedup sets on their deterministic cadence (the bounded-
-// memory invariant under churn) and (5) optionally takes a rollback
-// snapshot.  Every side effect is keyed to absolute slot boundaries, so a
-// run resumed from `EngineBase::restore()` replays bit-identically — the
-// property test_service_mode pins down to byte-identical RunMetrics.
+// A one-shot trial (`EngineBase::run`) expands its fault schedule up front
+// (fault::expand_schedule), runs to convergence or a cap and exits.  A
+// service run never "converges and exits": `run_service` slices simulated
+// time into fixed telemetry windows and, per window, (1) pulls the next
+// chunk of churn/fades from the regenerating fault streams
+// (src/fault/schedule_stream.hpp — infinite, seed-replayable, constant
+// memory) and hands it to the same scheduling bridge the one-shot trial
+// uses, (2) drives the simulator to the window boundary, (3) emits one
+// sim::SoakWindow — the change in the engine's RunState record and the
+// radio's counters since the last boundary — through the recorder, (4)
+// prunes the protocols' dedup sets on their deterministic cadence (the
+// bounded-memory invariant under churn) and (5) optionally takes a
+// rollback snapshot.  Every side effect is keyed to absolute slot
+// boundaries, so a run resumed from `EngineBase::restore()` replays
+// bit-identically — the property test_service_mode pins down to
+// byte-identical RunMetrics.
 #pragma once
 
 #include <cstddef>
@@ -72,11 +76,13 @@ struct ServiceReport {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Deep copy of an engine's complete mutable state.  Owned by the caller
-/// (or by the engine itself for run_service's periodic snapshots); only
-/// meaningful against the engine that produced it — the cloned event
-/// callbacks capture that engine's addresses.
+/// Deep copy of an engine's complete mutable state, built in one
+/// aggregate initialisation by EngineBase::snapshot().  Owned by the caller
+/// (or by the engine itself for run_service's periodic snapshots); it
+/// restores only into the engine that produced it, whose serial it carries
+/// — the cloned event callbacks capture that engine's addresses.
 struct EngineSnapshot {
+  std::uint64_t engine_serial;  ///< serial of the engine that took it
   sim::Simulator::Snapshot sim;
   std::vector<Device> devices;
   /// The hot region's bytes, verbatim (one memcpy each way), and the
@@ -84,41 +90,18 @@ struct EngineSnapshot {
   /// capacity is reused — a restore allocates nothing at steady state).
   std::vector<std::byte> hot_block;
   std::vector<NeighborTable> hot_neighbors;
-  std::optional<pco::ConvergenceDetector> detector;
-  std::optional<pco::LocalSyncDetector> local_detector;
-  std::optional<util::Rng> control_rng;
-  std::optional<util::Rng> mobility_rng;
-  std::optional<util::Rng> fading_rng;
+  pco::ConvergenceDetector detector;
+  pco::LocalSyncDetector local_detector;
+  util::Rng control_rng;
+  util::Rng mobility_rng;
+  util::Rng fading_rng;
   mac::RadioMedium::StateSnapshot radio;
-  std::optional<phy::EnergyMeter> energy;
+  phy::EnergyMeter energy;
   std::optional<fault::FaultInjector> injector;
   std::optional<fault::ChurnStream> churn_stream;
   std::optional<fault::FadeStream> fade_stream;
-  std::uint64_t protocol_word = 0;
-
-  // EngineBase scalar state (convergence marks, resilience accumulators,
-  // fault and relabel counters).
-  std::int64_t sync_slot = -1;
-  std::int64_t discovery_slot = -1;
-  std::int64_t protocol_slot = -1;
-  std::int64_t local_converged_slot = -1;
-  std::uint32_t crashes = 0;
-  std::uint32_t recoveries = 0;
-  bool was_aligned = false;
-  std::int64_t resilience_last_slot = -1;
-  std::int64_t desync_start = -1;
-  std::int64_t observed_slots = 0;
-  std::int64_t in_sync_slots = 0;
-  std::uint32_t resyncs = 0;
-  double resync_sum_ms = 0.0;
-  double resync_max_ms = 0.0;
-  bool repair_base_set = false;
-  std::uint64_t repair_rach2_base = 0;
-  std::uint32_t service_fade_episodes = 0;
-  std::int64_t relabel_window = -1;
-  std::uint32_t relabels_in_window = 0;
-  std::uint64_t relabels_total = 0;
-  std::uint64_t relabels_suppressed = 0;
+  std::uint64_t protocol_word;
+  EngineBase::RunState state;
 };
 
 /// Deploy the scenario and run one service soak of the chosen protocol,

@@ -27,65 +27,72 @@ std::vector<std::int64_t> poisson_arrivals(util::Rng& rng, double rate_per_min,
   return arrivals;
 }
 
-}  // namespace
-
-FaultInjector::FaultInjector(FaultPlan plan, std::uint32_t device_count,
-                             std::int64_t horizon_slots, std::uint64_t master_seed)
-    : plan_(std::move(plan)),
-      drop_rng_(util::derive_seed(master_seed, "fault.drop")) {
-  const util::RngFactory factory(master_seed);
-  drift_ppm_.assign(device_count, 0.0);
-  fades_at_.assign(device_count, 0);
-  if (plan_.drift_max_ppm > 0.0) {
-    util::Rng rng = factory.make("fault.drift");
-    for (double& ppm : drift_ppm_) {
-      ppm = rng.uniform(-plan_.drift_max_ppm, plan_.drift_max_ppm);
-    }
-  }
-  generate_churn(factory, device_count, horizon_slots);
-  generate_fades(factory, device_count, horizon_slots);
-}
-
-void FaultInjector::generate_churn(const util::RngFactory& factory,
-                                   std::uint32_t device_count, std::int64_t horizon_slots) {
-  churn_ = plan_.scheduled;
-  if (plan_.churn_rate_per_min > 0.0 && device_count > 0) {
-    util::Rng rng = factory.make("fault.churn");
+std::vector<ChurnEvent> expand_churn(const FaultPlan& plan, std::uint64_t master_seed,
+                                     std::uint32_t device_count, std::int64_t horizon_slots) {
+  std::vector<ChurnEvent> churn = plan.scheduled;
+  if (plan.churn_rate_per_min > 0.0 && device_count > 0) {
+    util::Rng rng(util::derive_seed(master_seed, "fault.churn"));
     // Track per-device downtime so the random process never crashes a
     // device that is already down (the scheduled events are the caller's
     // responsibility and replayed verbatim).
     std::vector<std::int64_t> down_until(device_count, -1);
     for (const std::int64_t slot :
-         poisson_arrivals(rng, plan_.churn_rate_per_min, horizon_slots, plan_.churn_stop_ms)) {
+         poisson_arrivals(rng, plan.churn_rate_per_min, horizon_slots, plan.churn_stop_ms)) {
       const auto device = static_cast<std::uint32_t>(rng.uniform_index(device_count));
       const auto downtime = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(rng.exponential(1.0 / std::max(1.0, plan_.mean_downtime_ms))));
+          1, static_cast<std::int64_t>(rng.exponential(1.0 / std::max(1.0, plan.mean_downtime_ms))));
       if (down_until[device] >= slot) continue;  // still down: skip this arrival
       down_until[device] = slot + downtime;
-      churn_.push_back(ChurnEvent{slot, device, true});
-      churn_.push_back(ChurnEvent{slot + downtime, device, false});
+      churn.push_back(ChurnEvent{slot, device, true});
+      churn.push_back(ChurnEvent{slot + downtime, device, false});
     }
   }
-  std::erase_if(churn_, [&](const ChurnEvent& e) {
+  std::erase_if(churn, [&](const ChurnEvent& e) {
     return e.slot >= horizon_slots || e.device >= device_count;
   });
-  std::stable_sort(churn_.begin(), churn_.end(),
+  std::stable_sort(churn.begin(), churn.end(),
                    [](const ChurnEvent& a, const ChurnEvent& b) { return a.slot < b.slot; });
+  return churn;
 }
 
-void FaultInjector::generate_fades(const util::RngFactory& factory,
-                                   std::uint32_t device_count, std::int64_t horizon_slots) {
-  if (plan_.fade_rate_per_min <= 0.0 || device_count < 2) return;
-  util::Rng rng = factory.make("fault.fade");
+std::vector<FadeEpisode> expand_fades(const FaultPlan& plan, std::uint64_t master_seed,
+                                      std::uint32_t device_count, std::int64_t horizon_slots) {
+  std::vector<FadeEpisode> fades;
+  if (plan.fade_rate_per_min <= 0.0 || device_count < 2) return fades;
+  util::Rng rng(util::derive_seed(master_seed, "fault.fade"));
   for (const std::int64_t slot :
-       poisson_arrivals(rng, plan_.fade_rate_per_min, horizon_slots)) {
+       poisson_arrivals(rng, plan.fade_rate_per_min, horizon_slots)) {
     const auto u = static_cast<std::uint32_t>(rng.uniform_index(device_count));
     auto v = static_cast<std::uint32_t>(rng.uniform_index(device_count - 1));
     if (v >= u) ++v;
     const auto duration = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(rng.exponential(1.0 / std::max(1.0, plan_.fade_mean_duration_ms))));
-    fades_.push_back(
+        1, static_cast<std::int64_t>(rng.exponential(1.0 / std::max(1.0, plan.fade_mean_duration_ms))));
+    fades.push_back(
         FadeEpisode{slot, std::min(slot + duration, horizon_slots), std::min(u, v), std::max(u, v)});
+  }
+  return fades;
+}
+
+}  // namespace
+
+FaultSchedule expand_schedule(const FaultPlan& plan, std::uint32_t device_count,
+                              std::int64_t horizon_slots, std::uint64_t master_seed) {
+  return FaultSchedule{expand_churn(plan, master_seed, device_count, horizon_slots),
+                       expand_fades(plan, master_seed, device_count, horizon_slots)};
+}
+
+FaultInjector::FaultInjector(const FaultPlan& plan, std::uint32_t device_count,
+                             std::uint64_t master_seed)
+    : drop_probability_(plan.drop_probability),
+      fade_depth_db_(plan.fade_depth_db),
+      drift_ppm_(device_count, 0.0),
+      fades_at_(device_count, 0),
+      drop_rng_(util::derive_seed(master_seed, "fault.drop")) {
+  if (plan.drift_max_ppm > 0.0) {
+    util::Rng rng(util::derive_seed(master_seed, "fault.drift"));
+    for (double& ppm : drift_ppm_) {
+      ppm = rng.uniform(-plan.drift_max_ppm, plan.drift_max_ppm);
+    }
   }
 }
 
@@ -116,12 +123,12 @@ void FaultInjector::fade_ended(const FadeEpisode& episode) {
 
 double FaultInjector::link_attenuation_db(std::uint32_t a, std::uint32_t b) const {
   if (active_fades_.empty()) return 0.0;
-  return active_fades_.contains(link_key(a, b)) ? plan_.fade_depth_db : 0.0;
+  return active_fades_.contains(link_key(a, b)) ? fade_depth_db_ : 0.0;
 }
 
 bool FaultInjector::fill_drops(std::uint8_t* dropped, std::size_t n) {
-  if (plan_.drop_probability <= 0.0) return false;
-  drop_rng_.fill_bernoulli(dropped, n, plan_.drop_probability);
+  if (drop_probability_ <= 0.0) return false;
+  drop_rng_.fill_bernoulli(dropped, n, drop_probability_);
   return true;
 }
 

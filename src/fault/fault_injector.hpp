@@ -1,21 +1,25 @@
 // fault_injector.hpp — expands a FaultPlan into a concrete, replayable
 // fault schedule and answers the delivery-time fault queries.
 //
-// All schedules (churn transitions, fade episodes, per-device drift) are
-// pre-generated at construction from named substreams of the master seed
-// ("fault.churn", "fault.fade", "fault.drift", "fault.drop"), so the whole
-// fault sequence of a run is fixed before the first event executes and can
-// be inspected, logged or asserted on.  The engine owns the simulator, so
-// it — not the injector — schedules the events; the injector only keeps the
-// *active-fade* set current (via `fade_started`/`fade_ended` callbacks the
-// engine invokes at episode boundaries) and answers the radio's batched
-// channel-fault queries (`mac::ChannelFaults`): the i.i.d. drop stream,
-// drawn in radio delivery order, which the single-threaded event loop makes
+// `expand_schedule` is the one-shot trial's schedule: every churn
+// transition and fade episode over a fixed horizon, drawn from named
+// substreams of the master seed ("fault.churn", "fault.fade"), so the whole
+// fault sequence of a run is a pure function of (plan, device count,
+// horizon, seed) and can be inspected, logged or asserted on.  A service
+// run pulls the same kinds of events from the regenerating streams in
+// schedule_stream.hpp instead.  Either way the engine owns the simulator,
+// so it — not the injector — schedules the events.
+//
+// `FaultInjector` holds what stays live during a run of either mode: the
+// per-device drift ("fault.drift"), the *active-fade* set (kept current by
+// the `fade_started`/`fade_ended` callbacks the engine invokes at episode
+// boundaries) and the i.i.d. drop stream ("fault.drop").  It answers the
+// radio's batched channel-fault queries (`mac::ChannelFaults`): drop draws
+// in radio delivery order, which the single-threaded event loop makes
 // deterministic, and the attenuation of currently faded links.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -25,18 +29,26 @@
 
 namespace firefly::fault {
 
-class FaultInjector final : public mac::ChannelFaults {
- public:
-  /// Expands `plan` for `device_count` devices over `horizon_slots` slots of
-  /// simulated time (1 slot = 1 ms).  Pure function of its arguments.
-  FaultInjector(FaultPlan plan, std::uint32_t device_count, std::int64_t horizon_slots,
-                std::uint64_t master_seed);
-
+/// A one-shot trial's fault events over [0, horizon).
+struct FaultSchedule {
   /// Churn transitions sorted by slot; crash/recover pairs interleaved.
   /// A device is never crashed while already down.
-  [[nodiscard]] const std::vector<ChurnEvent>& churn_schedule() const { return churn_; }
+  std::vector<ChurnEvent> churn;
   /// Fade episodes sorted by start slot.
-  [[nodiscard]] const std::vector<FadeEpisode>& fade_schedule() const { return fades_; }
+  std::vector<FadeEpisode> fades;
+};
+
+/// Expands `plan` for `device_count` devices over `horizon_slots` slots of
+/// simulated time (1 slot = 1 ms).  Pure function of its arguments.
+[[nodiscard]] FaultSchedule expand_schedule(const FaultPlan& plan, std::uint32_t device_count,
+                                            std::int64_t horizon_slots,
+                                            std::uint64_t master_seed);
+
+class FaultInjector final : public mac::ChannelFaults {
+ public:
+  /// Draws the drift of `device_count` devices and seeds the drop stream.
+  FaultInjector(const FaultPlan& plan, std::uint32_t device_count, std::uint64_t master_seed);
+
   /// This device's oscillator skew in ppm (0 when drift is disabled).
   [[nodiscard]] double drift_ppm(std::uint32_t device) const;
 
@@ -58,18 +70,11 @@ class FaultInjector final : public mac::ChannelFaults {
                         const std::uint32_t* rx_index, std::size_t n,
                         double* attenuation_db) override;
 
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-
  private:
   [[nodiscard]] static std::uint64_t link_key(std::uint32_t a, std::uint32_t b);
-  void generate_churn(const util::RngFactory& factory, std::uint32_t device_count,
-                      std::int64_t horizon_slots);
-  void generate_fades(const util::RngFactory& factory, std::uint32_t device_count,
-                      std::int64_t horizon_slots);
 
-  FaultPlan plan_;
-  std::vector<ChurnEvent> churn_;
-  std::vector<FadeEpisode> fades_;
+  double drop_probability_;
+  double fade_depth_db_;
   std::vector<double> drift_ppm_;
   // A link can be covered by overlapping episodes; count them so an episode
   // ending early does not clear a fade another episode still holds.

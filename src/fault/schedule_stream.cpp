@@ -64,7 +64,7 @@ void ChurnStream::generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& 
         pending_t_ += rng_.exponential(rate_per_slot_);
         have_pending_ = true;
         if (stop_ms_ >= 0.0 && pending_t_ >= stop_ms_) {
-          stopped_ = true;  // mirror the batch injector: the process ends here
+          stopped_ = true;  // mirror expand_schedule: the process ends here
           break;
         }
       }

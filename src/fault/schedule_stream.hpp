@@ -1,8 +1,8 @@
 // schedule_stream.hpp — infinite, seed-replayable regenerating fault
 // schedules for service-mode soaks.
 //
-// The batch `FaultInjector` expands a FaultPlan over a fixed horizon at
-// construction; an open-ended service run has no fixed horizon.  The streams
+// A one-shot trial expands a FaultPlan over a fixed horizon up front
+// (`expand_schedule`); an open-ended service run has no fixed horizon.  The streams
 // here keep the Poisson processes' continuation state as members — the RNG
 // engine, the one arrival that was drawn but landed beyond the last chunk,
 // per-device downtime — so the engine can pull the schedule chunk by chunk,
@@ -13,7 +13,7 @@
 // asserts this).  Both streams are copyable, so an engine snapshot captures
 // the stream position and a restored run replays the exact same tail.
 //
-// Draws come from the same named substreams as the batch injector
+// Draws come from the same named substreams as `expand_schedule`
 // ("fault.churn", "fault.fade"), but interleaved per arrival instead of
 // batched per phase, so a stream schedule is its own deterministic process,
 // not a replay of the batch one.
@@ -48,7 +48,7 @@ class ChurnStream {
   /// when its slot falls beyond `to_slot` (the caller schedules it wherever
   /// it lands — that is what makes the output chunk-invariant).  A device
   /// that is still down when a crash arrival hits it absorbs the arrival,
-  /// exactly like the batch injector.
+  /// exactly like `expand_schedule`.
   void generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& out);
 
   [[nodiscard]] std::int64_t generated_to() const { return generated_to_; }

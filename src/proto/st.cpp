@@ -120,7 +120,10 @@ void StEngine::prune_stale_tree_edges(Device& device) {
 }
 
 std::uint16_t StEngine::fresh_label() {
-  if (next_label_ < devices_.size()) {
+  // Labels live in 16-bit fields: past 0xFFFE the cursor wraps to the first
+  // label after the ids, never handing out kInvalidId (which best_outgoing
+  // reads as "unknown fragment").
+  if (next_label_ < devices_.size() || next_label_ == kInvalidId) {
     next_label_ = static_cast<std::uint16_t>(devices_.size());
   }
   return next_label_++;

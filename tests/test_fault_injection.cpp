@@ -1,6 +1,7 @@
-// Tests for the fault-injection subsystem: FaultInjector schedule
-// expansion (src/fault/), its batched channel-fault answers, the radio's
-// down/channel-fault plumbing and the engine's crash/recover lifecycle.
+// Tests for the fault-injection subsystem: fault::expand_schedule and the
+// FaultInjector's drift and batched channel-fault answers (src/fault/), the
+// radio's down/channel-fault plumbing and the engine's crash/recover
+// lifecycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +20,8 @@ using fault::ChurnEvent;
 using fault::FadeEpisode;
 using fault::FaultInjector;
 using fault::FaultPlan;
+using fault::FaultSchedule;
+using fault::expand_schedule;
 
 FaultPlan busy_plan() {
   FaultPlan plan;
@@ -47,24 +50,26 @@ TEST(FaultPlan, EnabledFlags) {
 }
 
 TEST(FaultInjector, SchedulesAreDeterministic) {
-  const FaultInjector a(busy_plan(), 20, 60'000, 42);
-  const FaultInjector b(busy_plan(), 20, 60'000, 42);
-  EXPECT_EQ(a.churn_schedule(), b.churn_schedule());
-  EXPECT_EQ(a.fade_schedule(), b.fade_schedule());
+  const FaultSchedule a = expand_schedule(busy_plan(), 20, 60'000, 42);
+  const FaultSchedule b = expand_schedule(busy_plan(), 20, 60'000, 42);
+  EXPECT_EQ(a.churn, b.churn);
+  EXPECT_EQ(a.fades, b.fades);
+  const FaultInjector da(busy_plan(), 20, 42);
+  const FaultInjector db(busy_plan(), 20, 42);
   for (std::uint32_t d = 0; d < 20; ++d) {
-    EXPECT_EQ(a.drift_ppm(d), b.drift_ppm(d));
+    EXPECT_EQ(da.drift_ppm(d), db.drift_ppm(d));
   }
   // A different master seed produces a different schedule.
-  const FaultInjector c(busy_plan(), 20, 60'000, 43);
-  EXPECT_NE(a.churn_schedule(), c.churn_schedule());
+  const FaultSchedule c = expand_schedule(busy_plan(), 20, 60'000, 43);
+  EXPECT_NE(a.churn, c.churn);
 }
 
 TEST(FaultInjector, NeverCrashesADownDevice) {
-  const FaultInjector inj(busy_plan(), 10, 120'000, 7);
-  ASSERT_FALSE(inj.churn_schedule().empty());
+  const FaultSchedule schedule = expand_schedule(busy_plan(), 10, 120'000, 7);
+  ASSERT_FALSE(schedule.churn.empty());
   std::vector<bool> down(10, false);
   std::int64_t last_slot = 0;
-  for (const ChurnEvent& e : inj.churn_schedule()) {
+  for (const ChurnEvent& e : schedule.churn) {
     EXPECT_GE(e.slot, last_slot) << "schedule must be sorted";
     last_slot = e.slot;
     EXPECT_LT(e.slot, 120'000);
@@ -84,10 +89,12 @@ TEST(FaultInjector, ChurnStopLeavesAQuietTail) {
   plan.churn_rate_per_min = 60.0;
   plan.mean_downtime_ms = 1000.0;
   plan.churn_stop_ms = 30'000.0;
-  const FaultInjector inj(plan, 10, 120'000, 11);
-  ASSERT_FALSE(inj.churn_schedule().empty());
-  for (const ChurnEvent& e : inj.churn_schedule()) {
-    if (e.crash) EXPECT_LT(e.slot, 30'000);
+  const FaultSchedule schedule = expand_schedule(plan, 10, 120'000, 11);
+  ASSERT_FALSE(schedule.churn.empty());
+  for (const ChurnEvent& e : schedule.churn) {
+    if (e.crash) {
+      EXPECT_LT(e.slot, 30'000);
+    }
   }
 }
 
@@ -95,21 +102,21 @@ TEST(FaultInjector, ScheduledChurnReplayedVerbatimAndHorizonFiltered) {
   FaultPlan plan;
   plan.scheduled = {ChurnEvent{500, 2, true}, ChurnEvent{2'500, 2, false},
                     ChurnEvent{99'999, 1, true}};
-  const FaultInjector inj(plan, 5, 10'000, 3);
-  ASSERT_EQ(inj.churn_schedule().size(), 2U);  // beyond-horizon event dropped
-  EXPECT_EQ(inj.churn_schedule()[0], (ChurnEvent{500, 2, true}));
-  EXPECT_EQ(inj.churn_schedule()[1], (ChurnEvent{2'500, 2, false}));
+  const FaultSchedule schedule = expand_schedule(plan, 5, 10'000, 3);
+  ASSERT_EQ(schedule.churn.size(), 2U);  // beyond-horizon event dropped
+  EXPECT_EQ(schedule.churn[0], (ChurnEvent{500, 2, true}));
+  EXPECT_EQ(schedule.churn[1], (ChurnEvent{2'500, 2, false}));
 }
 
 TEST(FaultInjector, DriftWithinBoundsAndZeroWhenDisabled) {
-  const FaultInjector inj(busy_plan(), 50, 10'000, 9);
+  const FaultInjector inj(busy_plan(), 50, 9);
   bool any_nonzero = false;
   for (std::uint32_t d = 0; d < 50; ++d) {
     EXPECT_LE(std::abs(inj.drift_ppm(d)), 200.0);
     if (inj.drift_ppm(d) != 0.0) any_nonzero = true;
   }
   EXPECT_TRUE(any_nonzero);
-  const FaultInjector off(FaultPlan{}, 50, 10'000, 9);
+  const FaultInjector off(FaultPlan{}, 50, 9);
   for (std::uint32_t d = 0; d < 50; ++d) EXPECT_EQ(off.drift_ppm(d), 0.0);
 }
 
@@ -117,8 +124,8 @@ TEST(FaultInjector, DropStreamMatchesProbabilityAndReplays) {
   // One block of draws equals the same draws taken one at a time.
   FaultPlan plan;
   plan.drop_probability = 0.3;
-  FaultInjector a(plan, 2, 1'000, 77);
-  FaultInjector b(plan, 2, 1'000, 77);
+  FaultInjector a(plan, 2, 77);
+  FaultInjector b(plan, 2, 77);
   std::vector<std::uint8_t> block(10'000);
   ASSERT_TRUE(a.fill_drops(block.data(), block.size()));
   int drops = 0;
@@ -129,7 +136,7 @@ TEST(FaultInjector, DropStreamMatchesProbabilityAndReplays) {
     if (d != 0) ++drops;
   }
   EXPECT_NEAR(drops / 10'000.0, 0.3, 0.03);
-  FaultInjector off(FaultPlan{}, 2, 1'000, 77);
+  FaultInjector off(FaultPlan{}, 2, 77);
   std::uint8_t untouched = 2;
   EXPECT_FALSE(off.fill_drops(&untouched, 1)) << "no drop knob: nothing drawn";
   EXPECT_EQ(untouched, 2);
@@ -139,7 +146,7 @@ TEST(FaultInjector, OverlappingFadesKeepTheLinkFaded) {
   FaultPlan plan;
   plan.fade_rate_per_min = 1.0;  // enables the channel path
   plan.fade_depth_db = 40.0;
-  FaultInjector inj(plan, 4, 10'000, 5);
+  FaultInjector inj(plan, 4, 5);
   const FadeEpisode first{100, 500, 1, 2};
   const FadeEpisode second{200, 800, 1, 2};
   EXPECT_EQ(inj.link_attenuation_db(1, 2), 0.0);
@@ -237,7 +244,7 @@ TEST(RadioFaults, HookVetoIsCountedAndAttenuationFlowsThrough) {
 TEST(FaultInjector, AttenuatesOnlyLinksUnderAnActiveFade) {
   FaultPlan plan;
   plan.fade_depth_db = 40.0;
-  FaultInjector inj(plan, 8, 10'000, 5);
+  FaultInjector inj(plan, 8, 5);
   const std::uint32_t rx[] = {0, 2, 3};
   double att[3] = {-1.0, -1.0, -1.0};
   EXPECT_FALSE(inj.fill_attenuation(2, mac::PsType::kSyncPulse, rx, 3, att))

@@ -89,6 +89,33 @@ TEST(ProtoRegistry, ZeroPeriodOrServiceCountIsRejected) {
   }
 }
 
+TEST(ProtoRegistry, PastTheSixteenBitWireBoundIsRejected) {
+  // Ids, fragment labels and counters travel in 16-bit fields where 0xFFFF
+  // is kInvalidId.  The device-count check comes before the radio rebuild,
+  // so a lattice of 65,535 devices 1 km apart costs O(N) to reject.
+  std::vector<geo::Vec2> lattice;
+  lattice.reserve(core::kInvalidId);
+  for (std::uint32_t i = 0; i < core::kInvalidId; ++i) {
+    lattice.push_back({1000.0 * (i % 256), 1000.0 * (i / 256)});
+  }
+  const std::vector<geo::Vec2> few(lattice.begin(), lattice.begin() + 10);
+  const proto::Registry& registry = proto::Registry::instance();
+  for (const std::string& name : registry.names()) {
+    core::ProtocolParams params;
+    const phy::RadioParams radio;
+    EXPECT_THROW(static_cast<void>(registry.make(name, lattice, params, radio, 1)),
+                 std::invalid_argument)
+        << name << " N = 65535";
+    params.period_slots = 65'537;
+    EXPECT_THROW(static_cast<void>(registry.make(name, few, params, radio, 1)),
+                 std::invalid_argument)
+        << name << " period_slots = 65537";
+    params.period_slots = 65'536;
+    EXPECT_NO_THROW(static_cast<void>(registry.make(name, few, params, radio, 1)))
+        << name << " period_slots = 65536";
+  }
+}
+
 TEST(ProtoRegistry, DuplicateAndNullRegistrationsAreRejected) {
   proto::Registry local;
   proto::ProtocolInfo info;

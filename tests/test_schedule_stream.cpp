@@ -110,7 +110,9 @@ TEST(ChurnStream, StopsAtChurnStop) {
       churn_in_one_call(plan, 32, 3, 200'000);
   ASSERT_FALSE(events.empty());
   for (const fault::ChurnEvent& e : events) {
-    if (e.crash) EXPECT_LT(e.slot, 5'000);
+    if (e.crash) {
+      EXPECT_LT(e.slot, 5'000);
+    }
   }
   // Chunk-invariance holds across the stop boundary too.
   EXPECT_EQ(events, churn_in_chunks(plan, 32, 3, 200'000, 2));

@@ -1,19 +1,22 @@
 // Tests for the long-lived service mode (core/service_mode): windowed soak
 // telemetry, the snapshot/restore rollback checkpoint (byte-identical
-// RunMetrics after a mid-soak restore), the misuse errors of snapshot and
-// restore, the recorder's backpressure accounting, the config-validation
-// paths, and the discovery check's resume point across crash, recover and
-// restore.
+// RunMetrics after a mid-soak restore, a mid-fade one included), the misuse
+// errors of snapshot and restore, the recorder's backpressure accounting,
+// the config-validation paths, and the discovery check's resume point
+// across crash, recover and restore.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/service_mode.hpp"
+#include "fault/schedule_stream.hpp"
+#include "obs/json.hpp"
 #include "proto/st.hpp"
 #include "sim/soak.hpp"
 
@@ -212,6 +215,72 @@ TEST(ServiceMode, RestoreRejectsSnapshotOfAnotherEngineSize) {
   ServiceSt target(core::deploy(small), small.protocol, small.radio, small.seed);
   const std::unique_ptr<core::EngineSnapshot> snap = source.snapshot();
   EXPECT_THROW(target.restore(*snap), std::invalid_argument);
+}
+
+TEST(ServiceMode, RestoreRejectsSnapshotOfAnotherEngine) {
+  // Same size, different engine: the snapshot's cloned callbacks capture
+  // the engine that took it, so restoring it anywhere else must throw.
+  const core::ScenarioConfig first = soak_scenario(5);
+  const core::ScenarioConfig second = soak_scenario(6);
+  ASSERT_EQ(first.n, 24u);
+  ServiceSt source(core::deploy(first), first.protocol, first.radio, first.seed);
+  ServiceSt target(core::deploy(second), second.protocol, second.radio, second.seed);
+  const std::unique_ptr<core::EngineSnapshot> snap = source.snapshot();
+  EXPECT_THROW(target.restore(*snap), std::invalid_argument);
+  EXPECT_NO_THROW(source.restore(*snap));
+}
+
+TEST(ServiceMode, SnapshotRestoreMidFadeIsByteIdentical) {
+  // Churn, i.i.d. drops and deep fades, checkpointed at a window boundary
+  // that falls inside a fade: the restored tail must reproduce the
+  // uninterrupted soak, active-fade set and drop stream included.
+  core::ScenarioConfig config = soak_scenario(13);
+  config.protocol.faults.drop_probability = 0.05;
+  config.protocol.faults.fade_rate_per_min = 60.0;
+  config.protocol.faults.fade_mean_duration_ms = 3'000.0;
+  const core::ServiceConfig service = short_soak();
+
+  // The fade stream is a pure function of (plan, N, seed): find the first
+  // window boundary strictly inside an episode.
+  fault::FadeStream fades(config.protocol.faults, static_cast<std::uint32_t>(config.n),
+                          config.seed);
+  std::vector<fault::FadeEpisode> episodes;
+  fades.generate_until(service.duration_slots, episodes);
+  std::int64_t checkpoint = -1;
+  for (std::int64_t b = service.window_slots; b < service.duration_slots && checkpoint < 0;
+       b += service.window_slots) {
+    for (const fault::FadeEpisode& f : episodes) {
+      if (f.start_slot < b && b < f.end_slot) checkpoint = b;
+    }
+  }
+  ASSERT_GT(checkpoint, 0) << "no window boundary falls inside a fade";
+
+  const auto json = [](const core::RunMetrics& metrics) {
+    std::ostringstream oss;
+    obs::JsonWriter w(oss);
+    core::write_run_metrics_json(w, metrics);
+    return oss.str();
+  };
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+  ServiceSt reference(positions, config.protocol, config.radio, config.seed);
+  const core::ServiceReport ref = reference.run_service(service);
+  ASSERT_TRUE(ref.ok()) << ref.error;
+  ASSERT_GT(ref.metrics.fade_episodes, 0u);
+  ASSERT_GT(ref.metrics.fault_drops, 0u);
+
+  ServiceSt resumed(positions, config.protocol, config.radio, config.seed);
+  core::ServiceConfig head = service;
+  head.duration_slots = checkpoint;
+  ASSERT_TRUE(resumed.run_service(head).ok());
+  const std::unique_ptr<core::EngineSnapshot> snap = resumed.snapshot();
+  const core::ServiceReport straight = resumed.run_service(service);
+  ASSERT_TRUE(straight.ok()) << straight.error;
+  EXPECT_EQ(json(straight.metrics), json(ref.metrics)) << "the checkpoint perturbed the run";
+  resumed.restore(*snap);
+  const core::ServiceReport tail = resumed.run_service(service);
+  ASSERT_TRUE(tail.ok()) << tail.error;
+  EXPECT_EQ(json(tail.metrics), json(ref.metrics))
+      << "restored at slot " << checkpoint << ", mid-fade";
 }
 
 TEST(ServiceMode, SnapshotRejectsMobileScenario) {

@@ -21,9 +21,12 @@ class SteppableSt : public proto::StEngine {
   using proto::StEngine::StEngine;
   using proto::StEngine::collect_metrics;
   using proto::StEngine::crash_device;
+  using proto::StEngine::recover_device;
   using proto::StEngine::start_run;
   sim::Simulator& sim() { return sim_; }
   mac::RadioMedium& radio() { return radio_; }
+  /// Move the fresh-label cursor (ST's snapshot word).
+  void set_label_cursor(std::uint16_t next) { protocol_restore_word(next); }
   std::int64_t slot() const { return current_slot(); }
   /// Inject one synthetic decoded PS as a batch of one.
   void inject(const mac::RxRecord& record) {
@@ -63,6 +66,22 @@ TEST(StFaults, AnnounceDedupByWinnerLoserPair) {
   engine.inject(make_announce(1, 0, 9, 7, 4));
   EXPECT_EQ(engine.fragment(0), 9U);
   EXPECT_EQ(engine.radio().counters().rach2_tx, rach2_before + 2);
+}
+
+TEST(StFaults, FreshLabelsSkipTheInvalidId) {
+  // Labels travel in 16-bit fields where 0xFFFF (kInvalidId) reads as
+  // "unknown fragment": the cursor wraps past it instead of handing it out.
+  const std::vector<geo::Vec2> positions{{0.0, 0.0}, {15.0, 0.0}};
+  SteppableSt engine(positions, core::ProtocolParams{}, phy::RadioParams{}, 3);
+  engine.start_run();
+  engine.set_label_cursor(0xFFFE);
+  engine.crash_device(1);
+  engine.recover_device(1);
+  EXPECT_EQ(engine.fragment(1), 0xFFFEU);
+  engine.crash_device(1);
+  engine.recover_device(1);
+  EXPECT_NE(engine.fragment(1), core::kInvalidId);
+  EXPECT_EQ(engine.fragment(1), 2U) << "wraps to the first label past the ids";
 }
 
 TEST(StFaults, ConnectRetriesAreCappedAndHeadshipMovesOn) {
