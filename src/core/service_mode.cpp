@@ -22,6 +22,17 @@ template <typename T>
 std::optional<T> copy_of(const std::unique_ptr<T>& p) {
   return p != nullptr ? std::optional<T>(*p) : std::nullopt;
 }
+
+template <typename T>
+void restore_stream(std::unique_ptr<T>& p, const std::optional<T>& saved) {
+  if (!saved) {
+    p.reset();
+  } else if (p != nullptr) {
+    *p = *saved;
+  } else {
+    p = std::make_unique<T>(*saved);
+  }
+}
 }  // namespace
 
 std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
@@ -52,6 +63,10 @@ std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
       .fade_stream = copy_of(fade_stream_),
       .protocol_word = protocol_snapshot_word(),
       .state = state_,
+      .service = service_,
+      .stop_on_convergence = params_.stop_on_convergence,
+      .max_periods = params_.max_periods,
+      .relabel_cap_per_period = relabel_cap_per_period_,
   });
 }
 
@@ -89,14 +104,26 @@ void EngineBase::restore(const EngineSnapshot& snap) {
   channel_->fading_rng() = snap.fading_rng;
   radio_.restore_state(snap.radio);
   energy_ = snap.energy;
-  // In place: the radio holds the injector's address.  A snapshot of this
-  // engine holds a stream only when the engine has it too.
+  // In place: the radio holds the injector's address.  The engine builds
+  // its injector at construction, so a snapshot holds one exactly when the
+  // engine does.
   if (injector_ != nullptr && snap.injector) *injector_ = *snap.injector;
-  if (churn_stream_ != nullptr && snap.churn_stream) *churn_stream_ = *snap.churn_stream;
-  if (fade_stream_ != nullptr && snap.fade_stream) *fade_stream_ = *snap.fade_stream;
+  // The fault streams follow the snapshot: run_service creates them, so a
+  // pre-service snapshot holds none and restoring it drops the advanced
+  // ones, while a mid-soak checkpoint brings them back whatever was
+  // restored in between.
+  restore_stream(churn_stream_, snap.churn_stream);
+  restore_stream(fade_stream_, snap.fade_stream);
   protocol_restore_word(snap.protocol_word);
   state_ = snap.state;
   discovery_resume_ = 0;
+  // The run mode and the settings run_service installs: a pre-service
+  // snapshot returns the engine to one-shot mode, so the next run_service
+  // restarts the run exactly as the first call did.
+  service_ = snap.service;
+  params_.stop_on_convergence = snap.stop_on_convergence;
+  params_.max_periods = snap.max_periods;
+  relabel_cap_per_period_ = snap.relabel_cap_per_period;
 }
 
 // ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ struct EngineSnapshot {
   std::optional<fault::FadeStream> fade_stream;
   std::uint64_t protocol_word;
   EngineBase::RunState state;
+  /// The run mode and the settings run_service installs when it starts the
+  /// run.  A snapshot taken before the first run_service restores one-shot
+  /// mode, so the next run_service starts the soak afresh.
+  bool service;
+  bool stop_on_convergence;
+  std::uint32_t max_periods;
+  std::uint32_t relabel_cap_per_period;
 };
 
 /// Deploy the scenario and run one service soak of the chosen protocol,

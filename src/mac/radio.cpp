@@ -28,8 +28,16 @@ bool CaptureRule::exact(util::Dbm power, double interference_mw) const {
   return (power - util::dbm_from_milliwatts(interference_mw + noise_mw_)).value >= margin_db_;
 }
 
+AudibilityRule::AudibilityRule(util::Dbm threshold)
+    : threshold_(threshold),
+      audible_above_mw_(threshold.milliwatts() * (1.0 + kGuardRel)),
+      inaudible_below_mw_(threshold.milliwatts() * (1.0 - kGuardRel)) {}
+
 RadioMedium::RadioMedium(sim::Simulator* sim, phy::Channel* channel, double capture_margin_db)
-    : sim_(sim), channel_(channel), capture_(capture_margin_db, noise_floor_mw(channel)) {
+    : sim_(sim),
+      channel_(channel),
+      capture_(capture_margin_db, noise_floor_mw(channel)),
+      audibility_(channel->params().detection_threshold) {
   if (sim_ == nullptr) throw std::invalid_argument("RadioMedium: null simulator");
 }
 
@@ -158,6 +166,9 @@ void RadioMedium::allocate_candidates() {
   const std::size_t n = devices_.size();
   for (std::size_t i = 0; i < n; ++i) cand_offsets_[i + 1] += cand_offsets_[i];
   const std::size_t total = cand_offsets_[n];
+  if (total > Reception::kSlotMask) {
+    throw std::length_error("RadioMedium::rebuild: 2^31 or more candidate pairs");
+  }
   if (total > cand_capacity_) {
     cand_rx_ = std::make_unique_for_overwrite<std::uint32_t[]>(total);
     cand_mean_ = std::make_unique_for_overwrite<double[]>(total);
@@ -369,11 +380,12 @@ bool RadioMedium::receiver_open(std::size_t rx_index) {
   return (tag & 1) != 0;
 }
 
-inline void RadioMedium::push_audible(std::size_t rx_index, std::size_t tx_index,
-                                      util::Dbm power, double mw) {
-  staged_.push_back(Reception{static_cast<std::uint32_t>(rx_index),
-                              static_cast<std::uint32_t>(tx_index), power.value, mw});
-  if (rx_end_[rx_index]++ == 0) touched_.push_back(static_cast<std::uint32_t>(rx_index));
+inline void RadioMedium::push_audible(std::size_t slot, std::size_t tx_index, double value,
+                                      double mw, std::uint32_t eager) {
+  const std::uint32_t rx_index = cand_rx_[slot];
+  staged_.push_back(Reception{static_cast<std::uint32_t>(slot) | eager,
+                              static_cast<std::uint32_t>(tx_index), value, mw});
+  if (rx_end_[rx_index]++ == 0) touched_.push_back(rx_index);
 }
 
 void RadioMedium::deliver_cached() {
@@ -382,15 +394,18 @@ void RadioMedium::deliver_cached() {
   // gated candidate in one block (and, with channel faults, one drop draw
   // per gated candidate from the fault stream) — the draws a per-candidate
   // loop would make, in the same order.  A fade that provably leaves the
-  // reception sub-threshold is rejected on one compare of its uniform; only
-  // survivors pay the gain transform — one batched `gains_from_uniforms`
-  // call per sender — and the exact dBm compare.  A rejected fade cannot
-  // become audible under attenuation, but a fired drop or an attenuated
-  // link on it still counts as a fault drop.  The float bounds are loose,
-  // so a survivor may still be provably sub-threshold: the exact compare
-  // rejects it and counts it as the skip would have (see round_skip_u).  A
-  // survivor's milliwatts are the cached mean's times the floored gain; an
-  // attenuated one pays `pow` instead.
+  // reception sub-threshold is rejected on one compare of its uniform;
+  // without channel faults that compare runs inside the draw loop, which
+  // keeps only the survivors' uniforms.  Only survivors pay the gain
+  // transform — one batched `gains_from_uniforms` call per sender.  A
+  // rejected fade cannot become audible under attenuation, but a fired drop
+  // or an attenuated link on it still counts as a fault drop.  The float
+  // bounds are loose, so a survivor may still be provably sub-threshold:
+  // the audibility rule rejects it and counts it as the skip would have
+  // (see round_skip_u).  A survivor's milliwatts are the cached mean's times
+  // the floored gain, and audibility is decided on them; only a survivor
+  // within the rule's guard band pays the dBm (`log10`).  An attenuated one
+  // pays its dBm and `pow` instead, as the exact reference.
   const bool gated = down_count_ != 0 || any_listening_;
   for (std::size_t t = 0; t < flushing_.size(); ++t) {
     const PendingTx& tx = flushing_[t];
@@ -399,7 +414,6 @@ void RadioMedium::deliver_cached() {
     const std::size_t m = cand_offsets_[s + 1] - begin;
     if (m == 0) continue;
     if (draw_.size() < m) {
-      for (std::size_t k = iota_.size(); k < m; ++k) iota_.push_back(static_cast<std::uint32_t>(k));
       gate_pos_.resize(m);
       gate_rx_.resize(m);
       draw_.resize(m);
@@ -408,7 +422,7 @@ void RadioMedium::deliver_cached() {
       atten_db_.resize(m);
       survivors_.resize(m);
     }
-    const std::uint32_t* pos = iota_.data();
+    const std::uint32_t* pos = nullptr;  // gated candidate -> slice position (null: identity)
     const std::uint32_t* rx = cand_rx_.get() + begin;
     std::size_t n = m;
     if (gated) {
@@ -421,44 +435,48 @@ void RadioMedium::deliver_cached() {
       pos = gate_pos_.data();
       rx = gate_rx_.data();
     }
-    channel_->fill_fading_uniforms(draw_.data(), n);
     const bool drops = faults_ != nullptr && faults_->fill_drops(drop_.data(), n);
     const bool faded = faults_ != nullptr &&
                        faults_->fill_attenuation(tx.sender, tx.type, rx, n, atten_db_.data());
     const float* skip = cand_skip_.get() + begin;
     std::size_t count = 0;
     if (!drops && !faded) {
-      for (std::size_t i = 0; i < n; ++i) {
-        survivors_[count] = static_cast<std::uint32_t>(i);
-        count += static_cast<std::size_t>(draw_[i] < skip[pos[i]]);
-      }
+      count = channel_->fill_fading_survivors(skip, pos, n, draw_.data(), survivors_.data());
     } else {
+      // Survivors are compacted in place (count <= i): their uniforms into
+      // draw_, their attenuations into atten_db_.
+      channel_->fill_fading_uniforms(draw_.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
-        const bool sub = draw_[i] >= skip[pos[i]];
+        const std::uint32_t k = pos != nullptr ? pos[i] : static_cast<std::uint32_t>(i);
+        const bool sub = draw_[i] >= skip[k];
         const bool lost = (drops && drop_[i] != 0) || (faded && sub && atten_db_[i] > 0.0);
         counters_.fault_drops += static_cast<std::uint64_t>(lost);
-        survivors_[count] = static_cast<std::uint32_t>(i);
+        draw_[count] = draw_[i];
+        if (faded) atten_db_[count] = atten_db_[i];
+        survivors_[count] = k;
         count += static_cast<std::size_t>(!sub && !lost);
       }
     }
-    channel_->fading().gains_from_uniforms(draw_.data(), survivors_.data(), count, gain_.data());
+    channel_->fading().gains_from_uniforms(draw_.data(), count, gain_.data());
     for (std::size_t j = 0; j < count; ++j) {
-      const std::size_t i = survivors_[j];
-      const std::size_t c = begin + pos[i];
+      const std::size_t c = begin + survivors_[j];
       const double gain = gain_[j];
-      util::Dbm power = util::Dbm{cand_mean_[c]} - phy::FadingModel::loss_from_gain(gain);
-      if (faded && atten_db_[i] > 0.0) {
-        power = power - util::Db{atten_db_[i]};
+      if (faded && atten_db_[j] > 0.0) {
+        const util::Dbm power = util::Dbm{cand_mean_[c]} -
+                                phy::FadingModel::loss_from_gain(gain) - util::Db{atten_db_[j]};
         if (!channel_->detectable(power)) {
           ++counters_.fault_drops;  // faded below threshold
           continue;
         }
-        push_audible(rx[i], t, power, power.milliwatts());
+        push_audible(c, t, power.value, power.milliwatts(), Reception::kEager);
         continue;
       }
-      if (!channel_->detectable(power)) continue;  // borderline fade: exact compare
-      push_audible(rx[i], t, power,
-                   cand_mean_mw_[c] * std::max(gain, phy::FadingModel::kGainFloor));
+      const double mw = cand_mean_mw_[c] * std::max(gain, phy::FadingModel::kGainFloor);
+      const auto power = [&] {
+        return util::Dbm{cand_mean_[c]} - phy::FadingModel::loss_from_gain(gain);
+      };
+      if (!audibility_.audible(mw, power)) continue;  // borderline fade
+      push_audible(c, t, gain, mw);
     }
   }
 }
@@ -475,7 +493,7 @@ void RadioMedium::group_by_receiver() {
   }
   if (order_.size() < staged_.size()) order_.resize(staged_.size());
   const auto staged = static_cast<std::uint32_t>(staged_.size());
-  for (std::uint32_t i = 0; i < staged; ++i) order_[rx_end_[staged_[i].rx]++] = i;
+  for (std::uint32_t i = 0; i < staged; ++i) order_[rx_end_[receiver_of(staged_[i])]++] = i;
 }
 
 void RadioMedium::resolve_receivers() {
@@ -487,6 +505,12 @@ void RadioMedium::resolve_receivers() {
   const Reception* staged = staged_.data();
   const std::uint32_t* order = order_.data();
   rx_records_.clear();
+  // A decoded reception reads its candidate's cached mean (power_of).  A
+  // receiver's entries come from every sender's slice, so in a storm slot
+  // that read misses the cache; prefetching it a few positions ahead lets
+  // the misses overlap.
+  constexpr std::uint32_t kMeanPrefetchAhead = 8;
+  const auto staged_count = static_cast<std::uint32_t>(staged_.size());
   std::uint32_t begin = 0;
   for (const std::uint32_t rx_index : touched_) {
     const std::uint32_t end = rx_end_[rx_index];
@@ -507,6 +531,10 @@ void RadioMedium::resolve_receivers() {
       }
     }
     for (std::uint32_t i = begin; i < end; ++i) {
+      if (i + kMeanPrefetchAhead < staged_count) {
+        const Reception& ahead = staged[order[i + kMeanPrefetchAhead]];
+        __builtin_prefetch(cand_mean_.get() + (ahead.slot & Reception::kSlotMask));
+      }
       const Reception& r = staged[order[i]];
       const std::uint32_t key = tx_key_[r.tx];
       if (group_count_[key] > 1) {
@@ -516,11 +544,12 @@ void RadioMedium::resolve_receivers() {
           double sum = 0.0;
           for (std::uint32_t j = begin; j < end; ++j) {
             const Reception& e = staged[order[j]];
-            if (j != i && tx_key_[e.tx] == key) sum += util::Dbm{e.dbm}.milliwatts();
+            if (j != i && tx_key_[e.tx] == key) sum += power_of(e).milliwatts();
           }
           return sum;
         };
-        if (!capture_.decodes(r.mw, util::Dbm{r.dbm}, group_mw_[key], interference_mw)) {
+        if (!capture_.decodes(r.mw, [&] { return power_of(r); }, group_mw_[key],
+                              interference_mw)) {
           ++counters_.collisions;
           continue;
         }
@@ -529,7 +558,7 @@ void RadioMedium::resolve_receivers() {
       if (energy_ != nullptr) energy_->record_rx(devices_[rx_index].id);
       const PendingTx& tx = flushing_[r.tx];
       rx_records_.push_back(RxRecord{tx.sender, rx_index, tx.preamble, tx.type, tx.payload,
-                                     util::Dbm{r.dbm}, tx.slot_start});
+                                     power_of(r), tx.slot_start});
     }
     if (shared) {
       // Restore the all-zero invariant for the next receiver.

@@ -14,16 +14,21 @@
 // through the receiver gate (crashed devices, duty-cycled receivers asleep
 // this slot), block-draws one fade and one channel-fault drop per gated
 // candidate, and rejects provably sub-threshold fades on one compare before
-// paying the gain transform.  A flush on a stale cache (a device added or
-// moved since the last `rebuild`) throws `std::logic_error`.
+// paying the gain transform (without channel faults the compare runs inside
+// the draw loop).  A survivor's audibility is decided in milliwatts — the
+// candidate's cached mean in mW times the floored fade gain — against the
+// threshold in mW (see `AudibilityRule`), so the common path calls neither
+// `pow` nor `log10`.  A flush on a stale cache (a device added or moved since
+// the last `rebuild`) throws `std::logic_error`.
 //
 // Collision resolution decides capture in linear space.  The sweep stages
-// every audible reception in one flat array in sweep order (receiver,
-// transmission, dBm, mW — the mW is the candidate's cached mean in mW times
-// the fade gain, so the common path never calls `pow`), and a stable
-// counting sort of their 4 B indices groups them by receiver in first-touch
-// order; resolution reads each 24 B entry in place through that index, so
-// the entries are never copied.  Per receiver, an O(k) prepass sums the
+// every audible reception in one flat array in sweep order (candidate slot,
+// transmission, fade gain, mW), and a stable counting sort of their 4 B
+// indices groups them by receiver in first-touch order; resolution reads
+// each 24 B entry in place through that index, so the entries are never
+// copied.  A reception's dBm is derived from the cached mean and the gain
+// only where something reads it: a decoded record's `rx_power` and the
+// guard-band capture reference.  Per receiver, an O(k) prepass sums the
 // milliwatts of each RACH resource (codec, preamble); a reception alone on
 // its resource decodes, and a contended one of power P in a group summing to
 // S decodes when P ≥ m·(S − P + N) (m the linear capture margin, N the noise
@@ -101,6 +106,42 @@ struct TrafficCounters {
   [[nodiscard]] std::uint64_t total_tx() const { return rach1_tx + rach2_tx; }
 };
 
+/// Audibility of a fade survivor: its power must reach the detection
+/// threshold.  The reference is the dBm compare (`exact`); `linear` decides
+/// the same compare on the survivor's milliwatts and returns `kGuard` within
+/// a relative `kGuardRel` of the threshold.  The two domains differ by a few
+/// ulps of rounding (≈1e-14 relative), so a decisive linear verdict always
+/// agrees with the reference and only guard-band survivors need their dBm.
+class AudibilityRule {
+ public:
+  enum class Verdict : std::uint8_t { kInaudible, kAudible, kGuard };
+  static constexpr double kGuardRel = 1e-9;
+
+  explicit AudibilityRule(util::Dbm threshold);
+
+  [[nodiscard]] Verdict linear(double p_mw) const {
+    if (p_mw > audible_above_mw_) return Verdict::kAudible;
+    if (p_mw < inaudible_below_mw_) return Verdict::kInaudible;
+    return Verdict::kGuard;
+  }
+  [[nodiscard]] bool exact(util::Dbm power) const { return power >= threshold_; }
+  /// The full decision: the linear verdict, or `exact(power())` in the band.
+  template <typename PowerFn>
+  [[nodiscard]] bool audible(double p_mw, PowerFn&& power) const {
+    switch (linear(p_mw)) {
+      case Verdict::kAudible: return true;
+      case Verdict::kInaudible: return false;
+      case Verdict::kGuard: break;
+    }
+    return exact(power());
+  }
+
+ private:
+  util::Dbm threshold_;
+  double audible_above_mw_;    // threshold in mW times (1 + kGuardRel)
+  double inaudible_below_mw_;  // threshold in mW times (1 − kGuardRel)
+};
+
 /// The capture rule for a contended reception: it decodes when its power
 /// exceeds the summed same-resource interference plus noise by the capture
 /// margin.  The reference is stated in dB (`exact`); `linear` decides the
@@ -126,17 +167,18 @@ class CaptureRule {
   }
   /// The dB reference: `power` − dBm(`interference_mw` + noise) ≥ margin.
   [[nodiscard]] bool exact(util::Dbm power, double interference_mw) const;
-  /// The full decision: the linear verdict, or `exact` on the interference
-  /// `exact_interference_mw()` returns when the verdict is `kGuard`.
-  template <typename InterferenceFn>
-  [[nodiscard]] bool decodes(double p_mw, util::Dbm power, double group_mw,
+  /// The full decision: the linear verdict, or `exact` on the power
+  /// `power()` and the interference `exact_interference_mw()` return when
+  /// the verdict is `kGuard` (neither is called otherwise).
+  template <typename PowerFn, typename InterferenceFn>
+  [[nodiscard]] bool decodes(double p_mw, PowerFn&& power, double group_mw,
                              InterferenceFn&& exact_interference_mw) const {
     switch (linear(p_mw, group_mw)) {
       case Verdict::kDecoded: return true;
       case Verdict::kCollided: return false;
       case Verdict::kGuard: break;
     }
-    return exact(power, exact_interference_mw());
+    return exact(power(), exact_interference_mw());
   }
 
  private:
@@ -404,13 +446,31 @@ class RadioMedium {
 
  private:
   /// A transmission audible at one receiver, pre-collision-resolution
-  /// (24 B: the flat reception array is the slot's largest scratch).
+  /// (24 B: the flat reception array is the slot's largest scratch).  It
+  /// names the candidate slot — receiver and mean — and keeps the fade gain
+  /// instead of the dBm: most staged receptions collide, and nothing reads
+  /// their power in dB (see `power`).
   struct Reception {
-    std::uint32_t rx;  ///< receiver device index
-    std::uint32_t tx;  ///< index into flushing_
-    double dbm;        ///< received power
-    double mw;         ///< the same power in milliwatts (see deliver_cached)
+    /// Set in `slot` when the power was computed eagerly (an attenuated
+    /// link): `value` is then the received dBm, not the gain.
+    static constexpr std::uint32_t kEager = 1U << 31;
+    static constexpr std::uint32_t kSlotMask = kEager - 1;
+
+    std::uint32_t slot;  ///< candidate-cache slot, possibly | kEager
+    std::uint32_t tx;    ///< index into flushing_
+    double value;        ///< the fade's linear power gain, or the dBm (kEager)
+    double mw;           ///< the received power in milliwatts (see deliver_cached)
   };
+  /// A staged reception's receiver device index.
+  [[nodiscard]] std::uint32_t receiver_of(const Reception& r) const {
+    return cand_rx_[r.slot & Reception::kSlotMask];
+  }
+  /// A staged reception's power, exactly as the sweep's dB expression gives
+  /// it: derived only where a result reads it.
+  [[nodiscard]] util::Dbm power_of(const Reception& r) const {
+    if ((r.slot & Reception::kEager) != 0) return util::Dbm{r.value};
+    return util::Dbm{cand_mean_[r.slot]} - phy::FadingModel::loss_from_gain(r.value);
+  }
   void ensure_flush_scheduled();
   void flush_slot();
   [[nodiscard]] std::size_t index_of(std::uint32_t id) const;
@@ -420,7 +480,8 @@ class RadioMedium {
   void admit_candidate(std::size_t u, std::size_t v, double mean_dbm, util::Dbm cutoff);
   void compact_candidates();
   [[nodiscard]] bool receiver_open(std::size_t rx_index);
-  void push_audible(std::size_t rx_index, std::size_t tx_index, util::Dbm power, double mw);
+  void push_audible(std::size_t slot, std::size_t tx_index, double value, double mw,
+                    std::uint32_t eager = 0);
   void deliver_cached();
   void group_by_receiver();
   void resolve_receivers();
@@ -428,6 +489,7 @@ class RadioMedium {
   sim::Simulator* sim_;
   phy::Channel* channel_;
   CaptureRule capture_;
+  AudibilityRule audibility_;
   std::vector<DeviceEntry> devices_;
   std::vector<std::size_t> id_to_index_;  // device id -> devices_ slot
   std::vector<std::uint8_t> down_;        // by device index; 1 = crashed
@@ -460,14 +522,13 @@ class RadioMedium {
   std::size_t cand_capacity_ = 0;               // slots allocated per cand_ array
   std::vector<std::size_t> cand_cursor_;        // rebuild write cursors (reused)
   // Per-sender sweep scratch, indexed by gated-candidate position.
-  std::vector<std::uint32_t> iota_;         // 0, 1, 2, ... (ungated positions)
   std::vector<std::uint32_t> gate_pos_;     // gated candidate -> slice position
   std::vector<std::uint32_t> gate_rx_;      // gated candidate -> receiver index
-  std::vector<double> draw_;                // fading uniforms
+  std::vector<double> draw_;                // fading uniforms; survivors' compacted
   std::vector<double> gain_;                // survivor j's gain
   std::vector<std::uint8_t> drop_;          // fault drop draws
-  std::vector<double> atten_db_;            // fault link attenuations
-  std::vector<std::uint32_t> survivors_;    // skip-test survivors
+  std::vector<double> atten_db_;            // fault link attenuations; survivors' compacted
+  std::vector<std::uint32_t> survivors_;    // survivor j's slice position
   // The slot's audible receptions: staged_ in sweep order; order_ holds
   // their staged_ indices grouped by receiver in first-touch order
   // (touched_), each receiver's range ending at rx_end_[receiver]

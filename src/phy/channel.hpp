@@ -82,6 +82,13 @@ class Channel {
   void fill_fading_uniforms(double* out, std::size_t n) {
     fading_rng_.fill_unit_open(out, n);
   }
+  /// The same n steps with the skip test applied in the draw loop: keeps
+  /// the uniforms below their bound, compacted (see
+  /// `util::Rng::fill_unit_open_below`).  Returns the survivor count.
+  std::size_t fill_fading_survivors(const float* skip_u, const std::uint32_t* pos,
+                                    std::size_t n, double* kept, std::uint32_t* kept_pos) {
+    return fading_rng_.fill_unit_open_below(skip_u, pos, n, kept, kept_pos);
+  }
 
   [[nodiscard]] bool detectable(util::Dbm rx) const {
     return rx >= params_.detection_threshold;

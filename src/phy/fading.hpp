@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "util/units.hpp"
 
@@ -30,13 +29,12 @@ class FadingModel {
   virtual ~FadingModel() = default;
   /// The linear power gain (unit mean) for one uniform step u ∈ (0, 1).
   [[nodiscard]] virtual double gain_from_uniform(double u) const = 0;
-  /// Batched `gain_from_uniform`: out[j] = gain_from_uniform(u[idx[j]]) for
-  /// j < n, bit for bit.  The radio calls it once per sender for that
-  /// sender's skip-test survivors, so a model overriding it pays one
-  /// virtual call per sender instead of one per survivor.
-  virtual void gains_from_uniforms(const double* u, const std::uint32_t* idx, std::size_t n,
-                                   double* out) const {
-    for (std::size_t j = 0; j < n; ++j) out[j] = gain_from_uniform(u[idx[j]]);
+  /// Batched `gain_from_uniform`: out[j] = gain_from_uniform(u[j]) for
+  /// j < n, bit for bit.  The radio calls it once per sender on that
+  /// sender's compacted skip-test survivors, so a model overriding it pays
+  /// one virtual call per sender instead of one per survivor.
+  virtual void gains_from_uniforms(const double* u, std::size_t n, double* out) const {
+    for (std::size_t j = 0; j < n; ++j) out[j] = gain_from_uniform(u[j]);
   }
   /// Conservative uniform bound: u ≥ skip_u(g) guarantees the gain is below
   /// g.  A value above 1 never skips.
@@ -69,9 +67,8 @@ class RayleighFading final : public FadingModel {
   [[nodiscard]] double gain_from_uniform(double u) const override { return -std::log(u); }
   // The default loop with the transform bound statically, so the survivor
   // loop runs without an indirect call per element.
-  void gains_from_uniforms(const double* u, const std::uint32_t* idx, std::size_t n,
-                           double* out) const override {
-    for (std::size_t j = 0; j < n; ++j) out[j] = RayleighFading::gain_from_uniform(u[idx[j]]);
+  void gains_from_uniforms(const double* u, std::size_t n, double* out) const override {
+    for (std::size_t j = 0; j < n; ++j) out[j] = RayleighFading::gain_from_uniform(u[j]);
   }
   [[nodiscard]] double skip_u(double min_gain) const override {
     return std::exp(-min_gain) * (1.0 + 1e-12);

@@ -63,7 +63,7 @@ std::size_t check_bucket(const CaptureRule& rule, const std::vector<Entry>& buck
       EXPECT_EQ(verdict == Verdict::kDecoded, reference)
           << "entry " << i << " of " << bucket.size() << " at " << e.dbm << " dBm";
     }
-    const bool decided = rule.decodes(e.mw, util::Dbm{e.dbm}, group_mw[e.key],
+    const bool decided = rule.decodes(e.mw, [&] { return util::Dbm{e.dbm}; }, group_mw[e.key],
                                       [&] { return reference_interference(bucket, i); });
     EXPECT_EQ(decided, reference) << "entry " << i;
   }
@@ -181,8 +181,12 @@ TEST(CaptureRule, DecisiveVerdictsNeverCallTheReference) {
     ++calls;
     return 0.0;
   };
-  EXPECT_TRUE(rule.decodes(strong, util::Dbm{-50.0}, strong + weak, count_call));
-  EXPECT_FALSE(rule.decodes(weak, util::Dbm{-90.0}, strong + weak, count_call));
+  const auto power_call = [&] {
+    ++calls;
+    return util::Dbm{0.0};
+  };
+  EXPECT_TRUE(rule.decodes(strong, power_call, strong + weak, count_call));
+  EXPECT_FALSE(rule.decodes(weak, power_call, strong + weak, count_call));
   EXPECT_EQ(calls, 0);
 }
 

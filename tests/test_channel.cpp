@@ -112,10 +112,8 @@ TEST(Channel, FadingUniformsAreOneStepEach) {
     for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{300}}) {
       std::vector<double> u(n);
       channel.fill_fading_uniforms(u.data(), n);
-      std::vector<std::uint32_t> idx(n);
-      for (std::uint32_t i = 0; i < n; ++i) idx[i] = i;
       std::vector<double> gains(n);
-      fading.gains_from_uniforms(u.data(), idx.data(), n, gains.data());
+      fading.gains_from_uniforms(u.data(), n, gains.data());
       for (std::size_t i = 0; i < n; ++i) {
         const double step = clone.unit_open();
         ASSERT_EQ(std::bit_cast<std::uint64_t>(u[i]), std::bit_cast<std::uint64_t>(step));

@@ -1,16 +1,20 @@
 // Tests for the broadcast radio medium (src/mac/radio.hpp): slot-boundary
 // delivery, threshold filtering, collisions, capture, counters, the
-// candidate cache, and the delivery gates (crashed and asleep receivers,
-// channel faults) with the exact random-draw accounting they rely on.
+// candidate cache, the delivery gates (crashed and asleep receivers,
+// channel faults) with the exact random-draw accounting they rely on, and
+// the milliwatt audibility guard.
 #include "mac/radio.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "phy/channel.hpp"
@@ -755,6 +759,132 @@ TEST(RadioGates, GatedReceiversConsumeNoDraws) {
     EXPECT_EQ(channel->fading_rng().bits(), fading_ref.bits());
     EXPECT_EQ(faults.drop_rng.bits(), drop_ref.bits());
   }
+}
+
+// Every link loses the same `loss_db` (non-decreasing in d, as the contract
+// asks), so with no shadowing a link's mean is exactly tx − loss_db.
+class FlatLoss final : public phy::PathLossModel {
+ public:
+  explicit FlatLoss(double loss_db) : loss_db_(loss_db) {}
+  [[nodiscard]] util::Db loss(double /*distance_m*/) const override { return util::Db{loss_db_}; }
+  [[nodiscard]] double distance_for_loss(util::Db /*loss*/) const override { return 1000.0; }
+  [[nodiscard]] std::string name() const override { return "flat"; }
+
+ private:
+  double loss_db_;
+};
+
+// Every fade has the same gain, so a survivor's dBm is a known expression.
+class FixedGain final : public phy::FadingModel {
+ public:
+  explicit FixedGain(double gain) : gain_(gain) {}
+  [[nodiscard]] double gain_from_uniform(double /*u*/) const override { return gain_; }
+  [[nodiscard]] double skip_u(double min_gain) const override {
+    return min_gain > gain_ ? 0.0 : 2.0;
+  }
+
+ private:
+  double gain_;
+};
+
+/// Two devices on a flat-loss link; device 0 broadcasts once and the
+/// records device 1 decodes are returned.
+struct FlatLink {
+  sim::Simulator sim;
+  std::unique_ptr<phy::Channel> channel;
+  std::unique_ptr<RadioMedium> radio;
+  std::vector<RxRecord> heard;
+
+  FlatLink(double loss_db, std::unique_ptr<phy::FadingModel> fading) {
+    channel = std::make_unique<phy::Channel>(phy::RadioParams{},
+                                             std::make_unique<FlatLoss>(loss_db),
+                                             std::make_unique<phy::NoShadowing>(),
+                                             std::move(fading), util::Rng(1));
+    radio = std::make_unique<RadioMedium>(&sim, channel.get());
+    radio->add_device(0, {0.0, 0.0});
+    radio->add_device(1, {10.0, 0.0});
+    radio->rebuild();
+    radio->set_delivery_sink([this](const mac::RxBatch& batch) {
+      heard.insert(heard.end(), batch.records, batch.records + batch.count);
+    });
+  }
+  [[nodiscard]] util::Dbm mean() const {
+    util::Dbm m{};
+    radio->for_each_candidate_pair([&m](std::uint32_t, std::uint32_t, util::Dbm mean) { m = mean; });
+    return m;
+  }
+  const std::vector<RxRecord>& send() {
+    heard.clear();
+    sim.schedule_at(sim.now(), [this] {
+      radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+    });
+    sim.run();
+    return heard;
+  }
+};
+
+TEST(RadioAudibility, MilliwattGuardDecidesAsTheDbmCompare) {
+  // In a no-fading world the survivor's milliwatts are the cached mean's.
+  // At the threshold, and 1e-12 dB below it, the mW verdict is the guard
+  // band and the exact dBm compare decides; 1e-6 dB either side the mW
+  // verdict alone decides, without the dBm.
+  const phy::RadioParams params;
+  const mac::AudibilityRule rule(params.detection_threshold);
+  const double at_threshold = (params.tx_power - params.detection_threshold).value;
+  struct Case {
+    double loss_db;
+    bool audible;
+    mac::AudibilityRule::Verdict verdict;
+  };
+  using V = mac::AudibilityRule::Verdict;
+  for (const Case& k : {Case{at_threshold, true, V::kGuard},
+                        Case{at_threshold + 1e-12, false, V::kGuard},
+                        Case{at_threshold - 1e-6, true, V::kAudible},
+                        Case{at_threshold + 1e-6, false, V::kInaudible}}) {
+    FlatLink link(k.loss_db, std::make_unique<phy::NoFading>());
+    const util::Dbm mean = link.mean();
+    if (k.loss_db == at_threshold) {
+      EXPECT_EQ(mean, params.detection_threshold);
+    }
+    if (k.loss_db > at_threshold) {
+      EXPECT_LT(mean, params.detection_threshold);
+    }
+    const double mw = mean.milliwatts() * std::max(1.0, phy::FadingModel::kGainFloor);
+    EXPECT_EQ(rule.linear(mw), k.verdict) << "loss " << k.loss_db;
+    int dbm_calls = 0;
+    EXPECT_EQ(rule.audible(mw,
+                           [&] {
+                             ++dbm_calls;
+                             return mean - phy::FadingModel::loss_from_gain(1.0);
+                           }),
+              k.audible);
+    EXPECT_EQ(dbm_calls, k.verdict == V::kGuard ? 1 : 0) << "loss " << k.loss_db;
+    EXPECT_EQ(link.send().size(), k.audible ? 1U : 0U) << "loss " << k.loss_db;
+  }
+}
+
+TEST(RadioAudibility, DecodedPowerIsTheDbmExpressionBitForBit) {
+  // The staged reception keeps the mean and the gain; the decoded record's
+  // rx_power is derived from them with the sweep's own expression.  An
+  // attenuated reception keeps the eager value, attenuation included.
+  constexpr double kGain = 0.37;
+  FlatLink link(100.0, std::make_unique<FixedGain>(kGain));
+  const util::Dbm mean = link.mean();
+  const util::Dbm decoded = mean - phy::FadingModel::loss_from_gain(kGain);
+  ASSERT_EQ(link.send().size(), 1U);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(link.heard[0].rx_power.value),
+            std::bit_cast<std::uint64_t>(decoded.value));
+
+  LinkFaults faults;
+  faults.a = 0;
+  faults.b = 1;
+  faults.depth_db = 3.0;
+  link.radio->set_channel_faults(&faults);
+  ASSERT_EQ(link.send().size(), 1U);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(link.heard[0].rx_power.value),
+            std::bit_cast<std::uint64_t>((decoded - util::Db{3.0}).value));
+  EXPECT_EQ(link.radio->counters().fault_drops, 0U);
+  EXPECT_EQ(link.radio->counters().deliveries, 2U);
 }
 
 TEST(Radio, SlotIndexHelper) {

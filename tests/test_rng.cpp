@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -129,6 +131,53 @@ TEST(Rng, BlockFillsEqualScalarSequences) {
         ASSERT_EQ(b[i], scalar.bernoulli(p) ? 1 : 0) << "n=" << n << " p=" << p;
       }
       ASSERT_EQ(block.uniform(), scalar.uniform()) << "n=" << n << " p=" << p;
+    }
+  }
+}
+
+TEST(Rng, FilteredBlockDrawEqualsFilteredFill) {
+  // fill_unit_open_below keeps exactly the draws of fill_unit_open that
+  // fall below their bound, in draw order with their positions, and leaves
+  // the stream where fill_unit_open does.
+  Rng bounds_rng(5);
+  for (const std::size_t n : {0, 1, 2, 7, 1000}) {
+    // Gated positions: draw i reads bound[pos[i]], a sparse ascending subset.
+    std::vector<std::uint32_t> pos(n);
+    for (std::size_t i = 0; i < n; ++i) pos[i] = static_cast<std::uint32_t>(3 * i + i % 2);
+    const std::size_t slots = 3 * n + 1;
+    std::vector<float> drawn(slots);
+    for (float& b : drawn) b = static_cast<float>(bounds_rng.uniform());
+    const std::vector<float> mixed = drawn;
+    const std::vector<float> all(slots, 2.0F);
+    const std::vector<float> none(slots, 0.0F);
+    for (const auto* bound : {&mixed, &all, &none}) {
+      for (const bool gated : {false, true}) {
+        Rng fused(91);
+        Rng plain(91);
+        std::vector<double> kept(n);
+        std::vector<std::uint32_t> kept_pos(n);
+        const std::size_t count = fused.fill_unit_open_below(
+            bound->data(), gated ? pos.data() : nullptr, n, kept.data(), kept_pos.data());
+        std::vector<double> u(n);
+        plain.fill_unit_open(u.data(), n);
+        std::size_t want = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint32_t p = gated ? pos[i] : static_cast<std::uint32_t>(i);
+          if (!(u[i] < static_cast<double>((*bound)[p]))) continue;
+          ASSERT_LT(want, count) << "n=" << n << " gated=" << gated;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(kept[want]), std::bit_cast<std::uint64_t>(u[i]));
+          EXPECT_EQ(kept_pos[want], p);
+          ++want;
+        }
+        EXPECT_EQ(count, want) << "n=" << n << " gated=" << gated;
+        if (bound == &all) {
+          EXPECT_EQ(count, n);
+        }
+        if (bound == &none) {
+          EXPECT_EQ(count, 0U);
+        }
+        EXPECT_EQ(fused.unit_open(), plain.unit_open()) << "n=" << n << " gated=" << gated;
+      }
     }
   }
 }

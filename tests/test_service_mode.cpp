@@ -1,6 +1,7 @@
 // Tests for the long-lived service mode (core/service_mode): windowed soak
 // telemetry, the snapshot/restore rollback checkpoint (byte-identical
-// RunMetrics after a mid-soak restore, a mid-fade one included), the misuse
+// RunMetrics after a mid-soak restore, a mid-fade one included, and a
+// replayed soak after restoring a pre-service snapshot), the misuse
 // errors of snapshot and restore, the recorder's backpressure accounting,
 // the config-validation paths, and the discovery check's resume point
 // across crash, recover and restore.
@@ -202,6 +203,77 @@ TEST(ServiceMode, RestoreRewindsAndReplaysWindows) {
     EXPECT_TRUE(tail[i] == all[8 + i])
         << "replayed window " << tail[i].index << " differs";
   }
+}
+
+TEST(ServiceMode, RestoreOfPreServiceSnapshotReplaysTheSoak) {
+  // A snapshot taken before the first run_service, restored after a soak,
+  // returns the engine to its pre-service state: the next run_service
+  // starts the run and the fault streams afresh and replays the first soak
+  // window for window.
+  const core::ScenarioConfig config = soak_scenario(5);
+  core::ServiceConfig service = short_soak();
+  service.duration_slots = 10'000;
+  ServiceSt engine(core::deploy(config), config.protocol, config.radio, config.seed);
+  const std::unique_ptr<core::EngineSnapshot> before = engine.snapshot();
+
+  std::vector<sim::SoakWindow> first_windows;
+  sim::SoakRecorder first_pass;
+  first_pass.set_consumer([&](const sim::SoakWindow& w) { first_windows.push_back(w); });
+  const core::ServiceReport first = engine.run_service(service, &first_pass);
+  ASSERT_TRUE(first.ok()) << first.error;
+  EXPECT_EQ(first.metrics.total_messages(), 7'754U);
+  EXPECT_EQ(first.metrics.crashes, 22U);
+
+  engine.restore(*before);
+  std::vector<sim::SoakWindow> replay_windows;
+  sim::SoakRecorder replay;
+  replay.set_consumer([&](const sim::SoakWindow& w) { replay_windows.push_back(w); });
+  const core::ServiceReport again = engine.run_service(service, &replay);
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_EQ(again.metrics.total_messages(), 7'754U);
+  EXPECT_EQ(again.metrics.crashes, 22U);
+  EXPECT_TRUE(first.metrics == again.metrics) << "the replayed soak diverged";
+  ASSERT_EQ(replay_windows.size(), first_windows.size());
+  for (std::size_t i = 0; i < replay_windows.size(); ++i) {
+    EXPECT_TRUE(replay_windows[i] == first_windows[i]) << "window " << i << " differs";
+  }
+}
+
+TEST(ServiceMode, CheckpointRestoredAfterAPreServiceRestoreKeepsItsFaults) {
+  // restore() of a pre-service snapshot drops the fault streams; a mid-soak
+  // checkpoint restored after it must bring them back, or the tail runs
+  // without churn and still reports ok().
+  const core::ScenarioConfig config = soak_scenario(5);
+  core::ServiceConfig service = short_soak();
+  service.duration_slots = 10'000;
+  service.snapshot_every_slots = 4'000;  // the last checkpoint lands at slot 8k
+  ServiceSt engine(core::deploy(config), config.protocol, config.radio, config.seed);
+  const std::unique_ptr<core::EngineSnapshot> before = engine.snapshot();
+
+  std::vector<sim::SoakWindow> all;
+  sim::SoakRecorder first_pass;
+  first_pass.set_consumer([&](const sim::SoakWindow& w) { all.push_back(w); });
+  const core::ServiceReport uninterrupted = engine.run_service(service, &first_pass);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.error;
+  ASSERT_EQ(all.size(), 10U);
+
+  engine.restore(*before);
+  ASSERT_NE(engine.service_snapshot(), nullptr);
+  engine.restore(*engine.service_snapshot());
+  std::vector<sim::SoakWindow> tail;
+  sim::SoakRecorder replay;
+  replay.set_consumer([&](const sim::SoakWindow& w) { tail.push_back(w); });
+  const core::ServiceReport resumed = engine.run_service(service, &replay);
+  ASSERT_TRUE(resumed.ok()) << resumed.error;
+  EXPECT_TRUE(uninterrupted.metrics == resumed.metrics)
+      << "the checkpoint's tail diverged from the uninterrupted soak";
+  ASSERT_EQ(tail.size(), 2U) << "the last checkpoint was at slot 8000";
+  std::uint64_t tail_crashes = 0;
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_TRUE(tail[i] == all[8 + i]) << "replayed window " << tail[i].index << " differs";
+    tail_crashes += tail[i].crashes;
+  }
+  EXPECT_GT(tail_crashes, 0U) << "the tail ran without churn";
 }
 
 TEST(ServiceMode, RestoreRejectsSnapshotOfAnotherEngineSize) {
