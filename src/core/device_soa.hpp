@@ -41,6 +41,15 @@ struct DeviceHot {
   std::uint16_t* fragment = nullptr;
   std::uint16_t* fragment_size = nullptr;
   bool* is_head = nullptr;
+  /// ST's bound on fresh outgoing edges: every neighbour-table entry whose
+  /// fragment differs from `outgoing_label` has last_heard_slot at most
+  /// `outgoing_heard_bound` (INT64_MAX when such an entry was never heard,
+  /// INT64_MIN when there is none).  ST's record path raises the bound and
+  /// each full scan of the table recomputes both exactly, so while the
+  /// device's label equals `outgoing_label` and the bound is older than
+  /// the freshness window no outgoing edge can be fresh.
+  std::uint16_t* outgoing_label = nullptr;
+  std::int64_t* outgoing_heard_bound = nullptr;
 
   // --- DESYNC phase memory ---
   std::int64_t* desync_last_heard_slot = nullptr;
@@ -59,7 +68,8 @@ struct DeviceHot {
   /// Allocate the region and carve every array for `n` devices, holding
   /// power-on values: no firing or refractory window yet (-1), unmeasured
   /// DESYNC memory (-1), every device a singleton fragment labelled with its
-  /// own index; everything else zero.  Drift is the engine's to set.
+  /// own index, no outgoing-edge scan yet (kInvalidId, INT64_MIN);
+  /// everything else zero.  Drift is the engine's to set.
   void build(std::size_t n);
 
  private:

@@ -232,7 +232,7 @@ void EngineBase::adopt_counter(std::uint32_t i, std::uint32_t counter) {
   schedule_fire(i);
 }
 
-void EngineBase::update_neighbor(const mac::RxRecord& record) {
+const NeighborInfo& EngineBase::update_neighbor(const mac::RxRecord& record) {
   NeighborInfo& info = hot_.neighbors[record.rx_index][record.sender];
   const double rx = record.rx_power.value;
   if (info.heard_count == 0) {
@@ -249,6 +249,7 @@ void EngineBase::update_neighbor(const mac::RxRecord& record) {
     info.fragment = f.a;
     info.service = f.b;
   }
+  return info;
 }
 
 mac::Preamble EngineBase::random_preamble(mac::RachCodec codec) {

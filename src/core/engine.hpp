@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/device.hpp"
@@ -171,8 +172,10 @@ class EngineBase : public proto::DiscoveryProtocol {
 
   /// One pass over a slot's decoded batch: per record, in radio dispatch
   /// order — skip crashed receivers, refresh the neighbour table, run the
-  /// protocol reaction `fn(record)`.  Walks the flat arrays directly and
-  /// prefetches the neighbour slot kAhead records ahead.
+  /// protocol reaction `fn(record)`, or `fn(record, entry)` with the
+  /// sender's just-refreshed table entry when `fn` takes it.  Walks the
+  /// flat arrays directly and prefetches the neighbour slot kAhead records
+  /// ahead.
   template <typename Fn>
   void sweep_batch(const mac::RxBatch& batch, Fn&& fn) {
     constexpr std::size_t kAhead = 8;
@@ -184,8 +187,12 @@ class EngineBase : public proto::DiscoveryProtocol {
       }
       const mac::RxRecord& r = rec[k];
       if (hot_.down[r.rx_index]) continue;
-      update_neighbor(r);
-      fn(r);
+      const NeighborInfo& entry = update_neighbor(r);
+      if constexpr (std::is_invocable_v<Fn&, const mac::RxRecord&, const NeighborInfo&>) {
+        fn(r, entry);
+      } else {
+        fn(r);
+      }
     }
   }
 
@@ -241,8 +248,9 @@ class EngineBase : public proto::DiscoveryProtocol {
   void adopt_counter(std::uint32_t i, std::uint32_t counter);
 
   // --- discovery (shared) ---
-  /// Update the receiver's neighbour table from a decoded PS (any type).
-  void update_neighbor(const mac::RxRecord& record);
+  /// Update the receiver's neighbour table from a decoded PS (any type);
+  /// returns the sender's entry.
+  const NeighborInfo& update_neighbor(const mac::RxRecord& record);
   /// Whether every reliable link with both endpoints up is known both ways.
   /// Resumes at the first link the last call found undiscovered (tables only
   /// grow between lifecycle events); a crash, recover or restore() resets it.

@@ -395,11 +395,12 @@ void RadioMedium::deliver_cached() {
   // per gated candidate from the fault stream) — the draws a per-candidate
   // loop would make, in the same order.  A fade that provably leaves the
   // reception sub-threshold is rejected on one compare of its uniform;
-  // without channel faults that compare runs inside the draw loop, which
-  // keeps only the survivors' uniforms.  Only survivors pay the gain
-  // transform — one batched `gains_from_uniforms` call per sender.  A
-  // rejected fade cannot become audible under attenuation, but a fired drop
-  // or an attenuated link on it still counts as a fault drop.  The float
+  // unless a fade is active on the sender, that compare (and the drop mask)
+  // runs inside the draw loop, which keeps only the survivors' uniforms.
+  // Only survivors pay the gain transform — one batched
+  // `gains_from_uniforms` call per sender.  A rejected fade cannot become
+  // audible under attenuation, but a fired drop or an attenuated link on it
+  // still counts as a fault drop.  The float
   // bounds are loose, so a survivor may still be provably sub-threshold:
   // the audibility rule rejects it and counts it as the skip would have
   // (see round_skip_u).  A survivor's milliwatts are the cached mean's times
@@ -440,19 +441,26 @@ void RadioMedium::deliver_cached() {
                        faults_->fill_attenuation(tx.sender, tx.type, rx, n, atten_db_.data());
     const float* skip = cand_skip_.get() + begin;
     std::size_t count = 0;
-    if (!drops && !faded) {
-      count = channel_->fill_fading_survivors(skip, pos, n, draw_.data(), survivors_.data());
+    if (!faded) {
+      if (drops) {
+        // Every fired drop is a fault drop, skipped fade or not.
+        std::uint32_t dropped = 0;
+        for (std::size_t i = 0; i < n; ++i) dropped += drop_[i] != 0 ? 1U : 0U;
+        counters_.fault_drops += dropped;
+      }
+      count = channel_->fill_fading_survivors(skip, pos, n, draw_.data(), survivors_.data(),
+                                              drops ? drop_.data() : nullptr);
     } else {
-      // Survivors are compacted in place (count <= i): their uniforms into
-      // draw_, their attenuations into atten_db_.
+      // An active fade: survivors are compacted in place (count <= i), their
+      // uniforms into draw_ and their attenuations into atten_db_.
       channel_->fill_fading_uniforms(draw_.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t k = pos != nullptr ? pos[i] : static_cast<std::uint32_t>(i);
         const bool sub = draw_[i] >= skip[k];
-        const bool lost = (drops && drop_[i] != 0) || (faded && sub && atten_db_[i] > 0.0);
+        const bool lost = (drops && drop_[i] != 0) || (sub && atten_db_[i] > 0.0);
         counters_.fault_drops += static_cast<std::uint64_t>(lost);
         draw_[count] = draw_[i];
-        if (faded) atten_db_[count] = atten_db_[i];
+        atten_db_[count] = atten_db_[i];
         survivors_[count] = k;
         count += static_cast<std::size_t>(!sub && !lost);
       }

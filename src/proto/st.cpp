@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace firefly::proto {
 
@@ -215,30 +216,55 @@ void StEngine::round_action(Device& device) {
   attempt_connect(device);
 }
 
-const std::uint32_t* StEngine::best_outgoing(const Device& device) const {
+namespace {
+
+/// An entry's contribution to the outgoing bound: a never-heard entry
+/// (last_heard_slot < 0) is fresh at any slot.
+std::int64_t heard_bound_of(const core::NeighborInfo& info) {
+  return info.last_heard_slot < 0 ? std::numeric_limits<std::int64_t>::max()
+                                  : info.last_heard_slot;
+}
+
+}  // namespace
+
+template <bool kFirst>
+const std::uint32_t* StEngine::scan_outgoing(const Device& device) {
   // Heaviest outgoing edge: strongest fresh neighbour in another fragment.
   // Entries not refreshed for three firing periods carry stale fragment
   // labels and are skipped.
   const std::uint32_t i = device.id;
   const std::int64_t slot = current_slot();
   const std::int64_t freshness = 3 * static_cast<std::int64_t>(params_.period_slots);
+  const std::uint16_t label = hot_.fragment[i];
+  if (label == hot_.outgoing_label[i] && hot_.outgoing_heard_bound[i] < slot - freshness) {
+    return nullptr;  // every outgoing entry is stale
+  }
   const std::uint32_t* best = nullptr;
   double best_weight = -1e300;
+  std::int64_t bound = std::numeric_limits<std::int64_t>::min();
   for (const auto& [other_id, info] : hot_.neighbors[i]) {
-    if (info.fragment == hot_.fragment[i]) continue;
+    if (info.fragment == label) continue;
+    bound = std::max(bound, heard_bound_of(info));
     if (info.last_heard_slot >= 0 && slot - info.last_heard_slot > freshness) continue;
     double weight = info.weight_dbm;
     if (info.service == device.service) weight += params_.service_bias_db;
     if (weight > best_weight) {
+      if constexpr (kFirst) return &other_id;  // the bound stays as it was
       best_weight = weight;
       best = &other_id;
     }
   }
+  hot_.outgoing_label[i] = label;
+  hot_.outgoing_heard_bound[i] = bound;
   return best;
 }
 
-bool StEngine::has_outgoing(const Device& device) const {
-  return best_outgoing(device) != nullptr;
+const std::uint32_t* StEngine::best_outgoing(const Device& device) {
+  return scan_outgoing<false>(device);
+}
+
+bool StEngine::has_outgoing(const Device& device) {
+  return scan_outgoing<true>(device) != nullptr;
 }
 
 void StEngine::attempt_connect(Device& device) {
@@ -351,7 +377,16 @@ void StEngine::handle_announce(Device& device, const mac::RxRecord& record) {
 }
 
 void StEngine::deliver_batched(const mac::RxBatch& batch) {
-  sweep_batch(batch, [this](const mac::RxRecord& r) { on_record(r); });
+  sweep_batch(batch, [this](const mac::RxRecord& r, const core::NeighborInfo& sender) {
+    // Keep the outgoing bound an upper bound: the sender's entry was just
+    // heard, and counts when its fragment is not the bound's label.
+    const std::uint32_t i = r.rx_index;
+    if (sender.fragment != hot_.outgoing_label[i]) {
+      hot_.outgoing_heard_bound[i] =
+          std::max(hot_.outgoing_heard_bound[i], heard_bound_of(sender));
+    }
+    on_record(r);
+  });
 }
 
 void StEngine::on_record(const mac::RxRecord& record) {

@@ -67,13 +67,20 @@ class StEngine : public EngineBase {
     next_label_ = static_cast<std::uint16_t>(word);
   }
 
+  /// Strongest fresh neighbour outside the device's fragment, or nullptr.
+  /// Answers from the device's outgoing bound (core::DeviceHot) without a
+  /// scan when no outgoing entry can be fresh; a scan refreshes the bound.
+  [[nodiscard]] const std::uint32_t* best_outgoing(const Device& device);
+  /// Whether best_outgoing would return an edge; stops at the first one.
+  [[nodiscard]] bool has_outgoing(const Device& device);
+
  private:
   /// One decoded PS (the per-record body of deliver_batched's sweep).
   void on_record(const mac::RxRecord& record);
   void round_action(Device& device);
-  /// Strongest fresh neighbour outside the device's fragment, or nullptr.
-  [[nodiscard]] const std::uint32_t* best_outgoing(const Device& device) const;
-  [[nodiscard]] bool has_outgoing(const Device& device) const;
+  /// The neighbour-table walk behind best_outgoing (kFirst: has_outgoing).
+  template <bool kFirst>
+  [[nodiscard]] const std::uint32_t* scan_outgoing(const Device& device);
   void attempt_connect(Device& device);
   /// Pass headship to a tree neighbour; false when there is nobody to pass
   /// it to (or the fragment has gone quiet and the head parks instead).

@@ -111,18 +111,24 @@ class Rng {
   }
   /// `fill_unit_open`'s n uniforms, filtered in the same pass: draw i sits
   /// at position p = pos[i] (p = i when `pos` is null) and is kept when it
-  /// is below bound[p].  Kept draws are compacted in draw order, the
-  /// uniform to `kept` and its position to `kept_pos`; returns their count.
-  /// Both outputs need room for n entries (slots past the count are
-  /// scratch), and the stream ends where `fill_unit_open` leaves it.
+  /// is below bound[p] and, when a loss mask is given, lost[i] is 0.  Kept
+  /// draws are compacted in draw order, the uniform to `kept` and its
+  /// position to `kept_pos`; returns their count.  Both outputs need room
+  /// for n entries (slots past the count are scratch), and the stream ends
+  /// where `fill_unit_open` leaves it.
   std::size_t fill_unit_open_below(const float* bound, const std::uint32_t* pos, std::size_t n,
-                                   double* kept, std::uint32_t* kept_pos) {
-    if (pos == nullptr) {
-      return keep_unit_open_below(bound, n, kept, kept_pos,
-                                  [](std::size_t i) { return static_cast<std::uint32_t>(i); });
+                                   double* kept, std::uint32_t* kept_pos,
+                                   const std::uint8_t* lost = nullptr) {
+    const auto identity = [](std::size_t i) { return static_cast<std::uint32_t>(i); };
+    const auto gated = [pos](std::size_t i) { return pos[i]; };
+    const auto none = [](std::size_t) { return false; };
+    const auto masked = [lost](std::size_t i) { return lost[i] != 0; };
+    if (lost == nullptr) {
+      return pos == nullptr ? keep_unit_open_below(bound, n, kept, kept_pos, identity, none)
+                            : keep_unit_open_below(bound, n, kept, kept_pos, gated, none);
     }
-    return keep_unit_open_below(bound, n, kept, kept_pos,
-                                [pos](std::size_t i) { return pos[i]; });
+    return pos == nullptr ? keep_unit_open_below(bound, n, kept, kept_pos, identity, masked)
+                          : keep_unit_open_below(bound, n, kept, kept_pos, gated, masked);
   }
   /// Exponential with the given rate λ (> 0).  Inline: it is the Rayleigh
   /// power-gain draw, which delivery evaluation performs once per
@@ -163,16 +169,17 @@ class Rng {
     return (static_cast<double>(bits >> 11) + 0.5) * 0x1.0p-53;
   }
   // Branch-free compaction: every draw is written, kept ones advance.
-  template <typename Position>
+  template <typename Position, typename Lost>
   std::size_t keep_unit_open_below(const float* bound, std::size_t n, double* kept,
-                                   std::uint32_t* kept_pos, Position position) {
+                                   std::uint32_t* kept_pos, Position position, Lost lost) {
     std::size_t count = 0;
     engine_.generate(n, [&](std::size_t i, std::uint64_t bits) {
       const double u = unit_open_from(bits);
       const std::uint32_t p = position(i);
       kept[count] = u;
       kept_pos[count] = p;
-      count += static_cast<std::size_t>(u < static_cast<double>(bound[p]));
+      count += static_cast<std::size_t>(u < static_cast<double>(bound[p])) &
+               static_cast<std::size_t>(!lost(i));
     });
     return count;
   }

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "core/experiment.hpp"
@@ -127,7 +128,11 @@ TEST(Registry, FindOrCreateReturnsStableReferences) {
   obs::Counter& a = registry.counter("alpha");
   a.inc(3);
   // Creating more metrics must not invalidate the first reference.
-  for (int i = 0; i < 100; ++i) registry.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    registry.counter(name);
+  }
   obs::Counter& a2 = registry.counter("alpha");
   EXPECT_EQ(&a, &a2);
   EXPECT_EQ(a2.value(), 3U);

@@ -761,6 +761,92 @@ TEST(RadioGates, GatedReceiversConsumeNoDraws) {
   }
 }
 
+struct DropRun {
+  std::vector<RxRecord> heard;
+  mac::TrafficCounters counters;
+  std::uint64_t fading_next = 0;  // the fading stream's next output
+};
+
+/// 20 slots of Rayleigh-faded RACH1/RACH2 traffic under 15 % drops, with
+/// receiver 3 crashed when `crashed`.  With `decoy_fade` a fade is active
+/// between two far-off devices that are nobody's delivery candidate: every
+/// attenuation a sender sees is 0, but the radio then takes its generic
+/// active-fade loop instead of the masked draw.
+DropRun drop_run(bool crashed, bool decoy_fade) {
+  sim::Simulator sim;
+  auto channel = gate_channel(std::make_unique<phy::RayleighFading>(), phy::SpatialIndex::kGrid,
+                              515);
+  RadioMedium radio(&sim, channel.get());
+  util::Rng place(17);
+  constexpr std::uint32_t n = 24;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    radio.add_device(id, {place.uniform(0.0, 150.0), place.uniform(0.0, 150.0)});
+  }
+  radio.add_device(n, {20'000.0, 0.0});
+  radio.add_device(n + 1, {0.0, 20'000.0});
+  radio.rebuild();
+  if (crashed) radio.set_down(3, true);
+  LinkFaults faults;
+  faults.drop_p = 0.15;
+  if (decoy_fade) {
+    faults.a = n;
+    faults.b = n + 1;
+    faults.depth_db = 60.0;
+  }
+  radio.set_channel_faults(&faults);
+  DropRun run;
+  radio.set_delivery_sink([&run](const mac::RxBatch& batch) {
+    run.heard.insert(run.heard.end(), batch.records, batch.records + batch.count);
+  });
+  for (std::int64_t slot = 0; slot < 20; ++slot) {
+    sim.schedule_at(sim::SimTime::milliseconds(slot), [&radio, slot] {
+      for (std::uint32_t id = 0; id < n; ++id) {
+        if ((id + static_cast<std::uint32_t>(slot)) % 4 != 0) continue;
+        const RachCodec codec = id % 5 == 0 ? RachCodec::kRach2 : RachCodec::kRach1;
+        radio.broadcast(id, {codec, (id * 3 + static_cast<std::uint32_t>(slot)) % 8},
+                        codec == RachCodec::kRach2 ? PsType::kConnectRequest
+                                                   : PsType::kSyncPulse,
+                        id);
+      }
+    });
+  }
+  sim.run();
+  run.counters = radio.counters();
+  run.fading_next = channel->fading_rng().bits();
+  return run;
+}
+
+TEST(RadioGates, MaskedDropDrawMatchesTheGenericLoop) {
+  // Drops without an active fade take the masked draw; the same world with
+  // a fade that attenuates no candidate takes the generic loop.  Records,
+  // counters and the fading stream must agree, gated or not.
+  for (const bool crashed : {false, true}) {
+    const DropRun masked = drop_run(crashed, false);
+    const DropRun generic = drop_run(crashed, true);
+    ASSERT_EQ(masked.heard.size(), generic.heard.size()) << "crashed=" << crashed;
+    for (std::size_t k = 0; k < masked.heard.size(); ++k) {
+      const RxRecord& a = masked.heard[k];
+      const RxRecord& b = generic.heard[k];
+      EXPECT_EQ(a.sender, b.sender) << k;
+      EXPECT_EQ(a.rx_index, b.rx_index) << k;
+      EXPECT_EQ(a.preamble.index, b.preamble.index) << k;
+      EXPECT_EQ(a.type, b.type) << k;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.rx_power.value),
+                std::bit_cast<std::uint64_t>(b.rx_power.value))
+          << k;
+      if (crashed) {
+        EXPECT_NE(a.rx_index, 3U) << "a crashed receiver hears nothing";
+      }
+    }
+    EXPECT_EQ(masked.counters.fault_drops, generic.counters.fault_drops) << "crashed=" << crashed;
+    EXPECT_EQ(masked.counters.deliveries, generic.counters.deliveries) << "crashed=" << crashed;
+    EXPECT_EQ(masked.counters.collisions, generic.counters.collisions) << "crashed=" << crashed;
+    EXPECT_EQ(masked.fading_next, generic.fading_next) << "crashed=" << crashed;
+    EXPECT_GT(masked.counters.fault_drops, 0U);
+    EXPECT_GT(masked.counters.deliveries, 0U);
+  }
+}
+
 // Every link loses the same `loss_db` (non-decreasing in d, as the contract
 // asks), so with no shadowing a link's mean is exactly tx − loss_db.
 class FlatLoss final : public phy::PathLossModel {
