@@ -61,7 +61,6 @@ struct DeviceHot {
   std::vector<NeighborTable> neighbors;
 
   /// One region snapshot = these bytes, verbatim.
-  [[nodiscard]] const std::byte* block() const { return arena_.data(); }
   [[nodiscard]] std::byte* block() { return arena_.data(); }
   [[nodiscard]] std::size_t block_bytes() const { return arena_.used(); }
 

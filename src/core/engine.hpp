@@ -133,12 +133,7 @@ class EngineBase : public proto::DiscoveryProtocol {
   [[nodiscard]] std::int64_t last_fire_slot(std::uint32_t i) const {
     return hot_.last_fire_slot[i];
   }
-  [[nodiscard]] bool down(std::uint32_t i) const { return hot_.down[i]; }
   [[nodiscard]] std::uint16_t fragment(std::uint32_t i) const { return hot_.fragment[i]; }
-  [[nodiscard]] std::uint16_t fragment_size(std::uint32_t i) const {
-    return hot_.fragment_size[i];
-  }
-  [[nodiscard]] bool is_head(std::uint32_t i) const { return hot_.is_head[i]; }
   [[nodiscard]] const ProtocolParams& params() const { return params_; }
   /// RSSI ranging against this run's path-loss model; distance estimates
   /// are derived from NeighborInfo::weight_dbm on demand.
@@ -255,7 +250,6 @@ class EngineBase : public proto::DiscoveryProtocol {
   /// Resumes at the first link the last call found undiscovered (tables only
   /// grow between lifecycle events); a crash, recover or restore() resets it.
   [[nodiscard]] bool discovery_complete();
-  [[nodiscard]] const auto& reliable_links() const { return reliable_links_; }
 
   sim::Simulator sim_;
   std::unique_ptr<phy::Channel> channel_;
@@ -271,6 +265,10 @@ class EngineBase : public proto::DiscoveryProtocol {
   phy::EnergyMeter energy_;
   obs::Telemetry* telemetry_ = nullptr;   ///< null = telemetry off (default)
   obs::Counter* fires_counter_ = nullptr; ///< pre-bound "engine.fires"
+  // Convergence requires BOTH of the paper's simultaneous goals: sustained
+  // global firing alignment AND complete neighbour discovery over every
+  // reliable proximity link (both directions).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> reliable_links_;
 
  private:
   void check_convergence();
@@ -292,10 +290,6 @@ class EngineBase : public proto::DiscoveryProtocol {
   void start_mobility();
   void mobility_step();
 
-  // Convergence requires BOTH of the paper's simultaneous goals: sustained
-  // global firing alignment AND complete neighbour discovery over every
-  // reliable proximity link (both directions).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> reliable_links_;
   RunState state_;
   std::size_t discovery_resume_ = 0;  // first link not known discovered
   geo::Area mobility_area_{};

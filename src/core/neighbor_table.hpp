@@ -106,16 +106,11 @@ class NeighborTable {
 #endif
   }
 
-  [[nodiscard]] iterator find(std::uint32_t id) {
-    const std::size_t slot = slot_of(id);
-    return slot == kNotFound ? end() : iterator(slots_.data() + slot, slots_end());
-  }
   [[nodiscard]] const_iterator find(std::uint32_t id) const {
     const std::size_t slot = slot_of(id);
     return slot == kNotFound ? end() : const_iterator(slots_.data() + slot, slots_end());
   }
   [[nodiscard]] bool contains(std::uint32_t id) const { return slot_of(id) != kNotFound; }
-  [[nodiscard]] std::size_t count(std::uint32_t id) const { return contains(id) ? 1 : 0; }
   [[nodiscard]] const NeighborInfo& at(std::uint32_t id) const {
     const std::size_t slot = slot_of(id);
     if (slot == kNotFound) throw std::out_of_range("NeighborTable::at");
@@ -138,7 +133,6 @@ class NeighborTable {
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
   /// Empties the table but keeps the slot array: a cleared table belongs to
   /// a recovering device and refills within a few periods, so retention
   /// makes crash/recover churn rehash- and allocation-free (the service

@@ -7,6 +7,12 @@
 // strength ε = 0.1 (α ≈ 1.35, β ≈ 0.018 — comfortably inside the α > 1,
 // β > 0 convergence region), and a short refractory window to suppress
 // pulse echo under the 1-slot delivery delay.
+//
+// The values no scenario varies are `static constexpr` members: the
+// neighbour-weight smoothing, ST's discovery beacons, connect timeout, tree
+// staleness and head lease, DESYNC's jump strength and sustain count, and
+// the mobility pause and update cadence.  Engines read them as `params_.x`
+// like any other field.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +38,7 @@ struct ProtocolParams {
   bool stop_on_convergence{true};
 
   // --- neighbour table ---
-  double weight_ewma{0.25};             ///< smoothing of PS-strength weights
+  static constexpr double weight_ewma = 0.25;  ///< smoothing of PS-strength weights
   std::uint16_t service_count{4};       ///< distinct service-interest codes
   /// Service-affinity bias: when ST picks its heaviest outgoing edge, a
   /// neighbour sharing the device's service interest gets this many dB of
@@ -43,10 +49,10 @@ struct ProtocolParams {
 
   // --- ST (proposed) only ---
   std::uint32_t discovery_slots{100};   ///< initial discovery window (one period)
-  std::uint32_t discovery_beacons{4};   ///< beacons per device in the window
+  static constexpr std::uint32_t discovery_beacons = 4;  ///< beacons per device in the window
   std::uint32_t round_slots{32};        ///< head H_Connect attempt cadence
-  std::uint32_t connect_timeout_slots{8};
-  std::uint32_t tree_stale_periods{4};  ///< drop tree edges silent this long
+  static constexpr std::uint32_t connect_timeout_slots = 8;
+  static constexpr std::uint32_t tree_stale_periods = 4;  ///< drop tree edges silent this long
 
   // --- ST robustness (fault hardening) ---
   /// Timed-out H_Connects a head tolerates before passing headship on
@@ -57,27 +63,27 @@ struct ProtocolParams {
   /// fragment (sync flood, head token, merge) for this many periods declares
   /// the fragment headless, re-labels the reachable remnant under its own id
   /// and takes headship, so orphaned partitions re-join via H_Connect.
-  std::uint32_t head_lease_periods{8};
+  static constexpr std::uint32_t head_lease_periods = 8;
 
   // --- DESYNC only (proto/desync.*; arXiv:1210.2122) ---
   /// Midpoint-jump strength α ∈ (0, 1]: each firing moves toward the
   /// midpoint of the two phase neighbours by this fraction.  The literature
   /// default 0.95 converges fast and stays stable under dithered rounding.
-  double desync_alpha{0.95};
+  static constexpr double desync_alpha = 0.95;
   /// A device counts as balanced when its post-jump midpoint residual is at
   /// most this many slots.
   std::uint32_t desync_tolerance_slots{2};
   /// Consecutive convergence checks every measured device must stay
   /// balanced for before the protocol goal latches.
-  std::uint32_t desync_sustain_checks{4};
+  static constexpr std::uint32_t desync_sustain_checks = 4;
 
   // --- fault injection (default-constructed plan = fault-free run) ---
   fault::FaultPlan faults{};
 
   // --- mobility extension (paper future work; 0 = static Table I) ---
   double mobility_speed_mps{0.0};       ///< random-waypoint speed
-  double mobility_pause_s{2.0};
-  std::uint32_t mobility_update_slots{50};
+  static constexpr double mobility_pause_s = 2.0;
+  static constexpr std::uint32_t mobility_update_slots = 50;
 
   // --- duty-cycling extension (refs [8],[9]; 0/0 = always awake) ---
   // A device listens for duty_awake_slots out of every duty_period_slots,

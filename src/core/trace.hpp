@@ -65,8 +65,7 @@ class TraceSink {
   /// set before recording starts; shrinking an already-full sink is not
   /// supported.
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Events overwritten by the ring since the last clear().
+  /// Events the ring has overwritten.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Mirror drops into an obs registry counter (not owned; may be null).
   void set_drop_counter(obs::Counter* counter) { drop_counter_ = counter; }
@@ -77,11 +76,6 @@ class TraceSink {
   /// Buffered events in chronological order, ring or not.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
   [[nodiscard]] std::size_t count(TraceKind kind) const;
-  void clear() {
-    events_.clear();
-    head_ = 0;
-    dropped_ = 0;
-  }
 
   /// Write "time_ms,device,kind,a,b" rows (chronological).
   void write_csv(const std::string& path) const;

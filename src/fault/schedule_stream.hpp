@@ -42,16 +42,14 @@ class ChurnStream {
   ChurnStream(const FaultPlan& plan, std::uint32_t device_count,
               std::uint64_t master_seed);
 
-  /// Append every event whose *generation point* lies in
-  /// [generated_to(), to_slot) to `out`: crash events land at their arrival
+  /// Append every event whose *generation point* lies in [the previous
+  /// call's `to_slot`, to_slot) to `out`: crash events land at their arrival
   /// slot; each crash's paired recover event is emitted immediately even
   /// when its slot falls beyond `to_slot` (the caller schedules it wherever
   /// it lands — that is what makes the output chunk-invariant).  A device
   /// that is still down when a crash arrival hits it absorbs the arrival,
   /// exactly like `expand_schedule`.
   void generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& out);
-
-  [[nodiscard]] std::int64_t generated_to() const { return generated_to_; }
 
  private:
   double rate_per_slot_ = 0.0;
@@ -68,7 +66,7 @@ class ChurnStream {
   std::vector<std::int64_t> down_until_;
   std::vector<ChurnEvent> scheduled_;  // plan.scheduled, sorted by slot
   std::size_t scheduled_cursor_ = 0;
-  std::int64_t generated_to_ = 0;
+  std::int64_t generated_to_ = 0;  // the previous call's to_slot (asserted)
 };
 
 /// Regenerating deep-fade process: Poisson episode arrivals on random links
@@ -80,10 +78,9 @@ class FadeStream {
   FadeStream(const FaultPlan& plan, std::uint32_t device_count,
              std::uint64_t master_seed);
 
-  /// Append every episode whose start slot lies in [generated_to(), to_slot).
+  /// Append every episode whose start slot lies in [the previous call's
+  /// `to_slot`, to_slot).
   void generate_until(std::int64_t to_slot, std::vector<FadeEpisode>& out);
-
-  [[nodiscard]] std::int64_t generated_to() const { return generated_to_; }
 
  private:
   double rate_per_slot_ = 0.0;

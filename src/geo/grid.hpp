@@ -36,16 +36,9 @@ class SpatialGrid {
   void move(std::size_t id, Vec2 to);
 
   [[nodiscard]] bool built() const { return cell_size_ > 0.0; }
-  [[nodiscard]] std::size_t device_count() const { return cell_of_.size(); }
-  [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
-  [[nodiscard]] double cell_size() const { return cell_size_; }
 
   /// Flat index of the cell containing `p` (clamped to the grid extent).
   [[nodiscard]] std::size_t cell_index(Vec2 p) const;
-  /// Ids currently stored in one cell (tests and visualisation).
-  [[nodiscard]] const std::vector<std::uint32_t>& cell_members(std::size_t cell) const {
-    return cells_[cell];
-  }
 
   /// Append to `out` every id whose cell overlaps the axis-aligned square
   /// circumscribing the disc (center, radius): a superset of the ids within

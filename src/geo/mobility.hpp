@@ -19,7 +19,6 @@ class RandomWaypoint {
 
   /// Advance the model by dt seconds and return the new position.
   Vec2 advance(double dt_s);
-  [[nodiscard]] Vec2 position() const { return position_; }
 
  private:
   void pick_waypoint();

@@ -2,8 +2,7 @@
 //
 // The paper deploys devices on a 100 m × 100 m plane (Table I) with
 // coordinates (x_i, y_i).  `Vec2` is a plain value type; `Area` is an
-// axis-aligned rectangle used for deployment, clamping and density
-// calculations.
+// axis-aligned rectangle used for deployment and clamping.
 #pragma once
 
 #include <cmath>
@@ -18,7 +17,6 @@ struct Vec2 {
   friend constexpr Vec2 operator+(Vec2 a, Vec2 b) { return {a.x + b.x, a.y + b.y}; }
   friend constexpr Vec2 operator-(Vec2 a, Vec2 b) { return {a.x - b.x, a.y - b.y}; }
   friend constexpr Vec2 operator*(double k, Vec2 v) { return {k * v.x, k * v.y}; }
-  friend constexpr Vec2 operator*(Vec2 v, double k) { return k * v; }
   constexpr Vec2& operator+=(Vec2 o) { x += o.x; y += o.y; return *this; }
   friend constexpr bool operator==(Vec2 a, Vec2 b) = default;
 
@@ -36,17 +34,9 @@ struct Area {
   double width{100.0};
   double height{100.0};
 
-  [[nodiscard]] constexpr double size() const { return width * height; }
-  [[nodiscard]] constexpr bool contains(Vec2 p) const {
-    return p.x >= 0.0 && p.x <= width && p.y >= 0.0 && p.y <= height;
-  }
   /// Clamp a point to the area (used by mobility models at the border).
   [[nodiscard]] Vec2 clamp(Vec2 p) const {
     return {std::fmin(std::fmax(p.x, 0.0), width), std::fmin(std::fmax(p.y, 0.0), height)};
-  }
-  /// Devices per square metre for n devices in this area.
-  [[nodiscard]] constexpr double density(std::size_t n) const {
-    return static_cast<double>(n) / size();
   }
 };
 

@@ -23,10 +23,8 @@ class UnionFind {
   /// paper's "head from the highest number of node's tree".
   bool unite(std::uint32_t a, std::uint32_t b);
 
-  [[nodiscard]] bool same(std::uint32_t a, std::uint32_t b) { return find(a) == find(b); }
   [[nodiscard]] std::size_t set_count() const { return set_count_; }
   [[nodiscard]] std::size_t size_of(std::uint32_t x) { return sizes_[find(x)]; }
-  [[nodiscard]] std::size_t element_count() const { return parents_.size(); }
 
  private:
   std::vector<std::uint32_t> parents_;

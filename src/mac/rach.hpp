@@ -34,18 +34,6 @@ struct Preamble {
   friend constexpr bool operator==(Preamble a, Preamble b) = default;
 };
 
-/// Whether two simultaneous transmissions occupy the same resource and can
-/// therefore collide at a common receiver.
-[[nodiscard]] constexpr bool same_resource(Preamble a, Preamble b) {
-  return a.codec == b.codec && a.index == b.index;
-}
-
-/// Deterministic preamble assignment used by the protocols: spreads device
-/// ids across the pool so intra-fragment PSs rarely share a preamble.
-[[nodiscard]] constexpr Preamble preamble_for_device(RachCodec codec, std::uint32_t device_id) {
-  return Preamble{codec, device_id % kPreamblePoolSize};
-}
-
 /// Message type tags carried in a PS payload.  The protocols agree on these
 /// instead of parsing bytes; the radio treats payloads as opaque.
 enum class PsType : std::uint8_t {

@@ -324,7 +324,6 @@ class RadioMedium {
   /// Update a device position (mobility support).
   void move_device(std::uint32_t id, geo::Vec2 position);
   [[nodiscard]] geo::Vec2 device_position(std::uint32_t id) const;
-  [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
 
   /// Crash/recover lifecycle: a down device neither transmits (broadcasts
   /// are silently discarded and not metered) nor receives anything.
@@ -388,7 +387,6 @@ class RadioMedium {
   [[nodiscard]] CandidateView candidates() const;
 
   [[nodiscard]] const TrafficCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = {}; }
   /// Optional energy meter: charged one tx slot per broadcast and one rx
   /// slot per successful delivery.  Not owned; may be null.
   void set_energy_meter(phy::EnergyMeter* meter) { energy_ = meter; }

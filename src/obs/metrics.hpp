@@ -30,7 +30,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -68,12 +67,6 @@ class Histogram {
   /// q in [0, 1].  Empty histogram -> 0.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Bucket counts; index bounds().size() is the overflow bucket.
-  [[nodiscard]] const std::vector<std::uint64_t>& bucket_counts() const {
-    return counts_;
-  }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-
   /// {count,sum,min,max,mean,p50,p90,p99} as one JSON object.
   void write_json(JsonWriter& w) const;
 
@@ -99,7 +92,6 @@ class Registry {
   [[nodiscard]] const std::map<std::string, Counter>& counters() const {
     return counters_;
   }
-  [[nodiscard]] const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }

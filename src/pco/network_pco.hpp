@@ -56,8 +56,6 @@ class PcoNetwork {
   /// Run to convergence or config.max_time_s.
   [[nodiscard]] PcoRunResult run();
 
-  [[nodiscard]] const std::vector<double>& phases() const { return phases_; }
-
  private:
   void fire_cascade(std::uint32_t origin, std::vector<std::uint32_t>& fired_now);
   void fire_with_delay(std::uint32_t origin);

@@ -49,14 +49,6 @@ class EnergyMeter {
   [[nodiscard]] double mean_energy_mj(std::int64_t elapsed_slots,
                                       double awake_fraction = 1.0) const;
 
-  [[nodiscard]] std::uint64_t tx_slots(std::uint32_t device) const {
-    return tx_slots_[device];
-  }
-  [[nodiscard]] std::uint64_t rx_slots(std::uint32_t device) const {
-    return rx_slots_[device];
-  }
-  [[nodiscard]] const EnergyParams& params() const { return params_; }
-
  private:
   EnergyParams params_;
   std::vector<std::uint64_t> tx_slots_;

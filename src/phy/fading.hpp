@@ -46,17 +46,6 @@ class FadingModel {
   }
 };
 
-/// No fast fading: deterministic tests and analytic validation.  The gain is
-/// 1 whatever the uniform, so every uniform skips when g > 1 and none does
-/// otherwise.
-class NoFading final : public FadingModel {
- public:
-  [[nodiscard]] double gain_from_uniform(double /*u*/) const override { return 1.0; }
-  [[nodiscard]] double skip_u(double min_gain) const override {
-    return min_gain > 1.0 ? 0.0 : 2.0;
-  }
-};
-
 /// Rayleigh fading: power gain ~ Exp(1).
 class RayleighFading final : public FadingModel {
  public:

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "util/units.hpp"
 
@@ -29,7 +28,6 @@ class PathLossModel {
   [[nodiscard]] virtual util::Db loss(double distance_m) const = 0;
   /// Inverse: the distance that would produce this loss.
   [[nodiscard]] virtual double distance_for_loss(util::Db loss) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
   /// Distances below this are clamped (models diverge at d -> 0).
   [[nodiscard]] virtual double min_distance() const { return 0.1; }
 };
@@ -41,7 +39,6 @@ class PaperDualSlope final : public PathLossModel {
 
   [[nodiscard]] util::Db loss(double distance_m) const override;
   [[nodiscard]] double distance_for_loss(util::Db loss) const override;
-  [[nodiscard]] std::string name() const override { return "paper-dual-slope"; }
 };
 
 /// The Table I model, as the scenarios build it.

@@ -26,11 +26,6 @@ class RssiRanging {
     return model_->distance_for_loss(tx_power_ - rx);
   }
 
-  /// Relative ranging error (eq. 6) given truth.
-  [[nodiscard]] static double relative_error(double estimated, double actual) {
-    return estimated / actual - 1.0;
-  }
-
  private:
   const PathLossModel* model_;
   util::Dbm tx_power_;

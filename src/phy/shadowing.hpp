@@ -31,7 +31,7 @@ class ShadowingModel {
   /// A lower bound in dB on `sample(a, b)`, cheap enough to reject a
   /// candidate pair before any transcendental call.  The default,
   /// −`max_gain_db()`, holds for every model: −inf for unbounded ones (the
-  /// bound never rejects) and exact for `NoShadowing`.
+  /// bound never rejects) and exact for a model with no shadowing.
   [[nodiscard]] virtual double loss_lower_bound(std::uint32_t /*a*/, std::uint32_t /*b*/) const {
     return -max_gain_db();
   }
@@ -40,7 +40,6 @@ class ShadowingModel {
                                  double* out_db) const {
     for (std::size_t k = 0; k < n; ++k) out_db[k] = loss_lower_bound(a, b[k]);
   }
-  [[nodiscard]] virtual double sigma_db() const = 0;
   /// Upper bound on the shadowing *gain* (−sample) in dB, used to bound
   /// the maximum detectable range for spatial pruning; +inf when the model
   /// is unbounded (pruning then degrades to a dense scan, never to a wrong
@@ -51,16 +50,6 @@ class ShadowingModel {
   /// Decorrelate every link after large-scale movement; models whose draws
   /// do not depend on the epoch ignore it.
   virtual void invalidate() {}
-};
-
-/// No shadowing (σ = 0): for deterministic unit tests.
-class NoShadowing final : public ShadowingModel {
- public:
-  [[nodiscard]] util::Db sample(std::uint32_t, std::uint32_t) const override {
-    return util::Db{0.0};
-  }
-  [[nodiscard]] double sigma_db() const override { return 0.0; }
-  [[nodiscard]] double max_gain_db() const override { return 0.0; }
 };
 
 /// One Gaussian draw per unordered link: the static-scenario model.
@@ -91,8 +80,6 @@ class PerLinkShadowing final : public ShadowingModel {
   static constexpr double kBoundSlack = 1e-9;
 
   PerLinkShadowing(double sigma_db, std::uint64_t seed) : sigma_(sigma_db), seed_(seed) {}
-  /// Compatibility constructor: derives the hash seed from the stream.
-  PerLinkShadowing(double sigma_db, util::Rng rng) : sigma_(sigma_db), seed_(rng.bits()) {}
 
   [[nodiscard]] util::Db sample(std::uint32_t a, std::uint32_t b) const override;
   void samples(std::uint32_t a, const std::uint32_t* b, std::size_t n,
@@ -100,7 +87,6 @@ class PerLinkShadowing final : public ShadowingModel {
   [[nodiscard]] double loss_lower_bound(std::uint32_t a, std::uint32_t b) const override;
   void loss_lower_bounds(std::uint32_t a, const std::uint32_t* b, std::size_t n,
                          double* out_db) const override;
-  [[nodiscard]] double sigma_db() const override { return sigma_; }
   [[nodiscard]] double max_gain_db() const override { return kClampSigmas * sigma_; }
   /// The unclamped unit normal of a draw, from its two hash words
   /// (Box–Muller).

@@ -43,7 +43,6 @@ class Simulator {
   SimTime run();
   /// Request an early stop from inside an event callback.
   void stop() { stop_requested_ = true; }
-  [[nodiscard]] bool stopped() const { return stop_requested_; }
 
   /// In-process rollback checkpoint of the scheduler: clock, counters and
   /// the complete pending-event set (callbacks cloned).  A periodic timer

@@ -94,8 +94,6 @@ class SlotCalendar {
 
   static std::int64_t slot_of(SimTime t) { return t.us / kLteSlot.us; }
 
-  Rec& rec(std::uint32_t idx) { return arena_[idx]; }
-
   void append(Bucket& b, std::uint32_t idx, Region region);
   std::uint32_t unlink_head(Bucket& b, Region region);
   /// Route a record to the bucket its slot belongs to, relative to cur_slot_.

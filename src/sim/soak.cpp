@@ -7,7 +7,6 @@ namespace firefly::sim {
 SoakRecorder::SoakRecorder(std::size_t capacity) : capacity_(std::max<std::size_t>(1, capacity)) {}
 
 void SoakRecorder::push(const SoakWindow& window) {
-  ++emitted_;
   if (consumer_) {
     consumer_(window);
     return;

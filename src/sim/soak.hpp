@@ -67,8 +67,8 @@ struct SoakWindow {
 /// Two modes:
 ///   * streaming — `set_consumer()` installed: every push is handed straight
 ///     to the consumer, nothing is buffered, nothing is dropped;
-///   * counting — no consumer: no window is stored.  `buffered()` counts
-///     pushes up to `capacity()`, and each push beyond it counts as one
+///   * counting — no consumer: no window is stored.  The first `capacity`
+///     pushes count as buffered, and each push beyond them counts as one
 ///     `dropped()` window, the backpressure a slow or absent consumer
 ///     would see; the loss is visible instead of silent.
 class SoakRecorder {
@@ -84,15 +84,11 @@ class SoakRecorder {
 
   void push(const SoakWindow& window);
 
-  [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  [[nodiscard]] std::size_t buffered() const { return count_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
   std::size_t capacity_;
   std::size_t count_ = 0;
-  std::uint64_t emitted_ = 0;
   std::uint64_t dropped_ = 0;
   Consumer consumer_;
 };

@@ -28,9 +28,6 @@ struct SimTime {
   [[nodiscard]] constexpr double as_milliseconds() const { return static_cast<double>(us) * 1e-3; }
 
   friend constexpr SimTime operator+(SimTime a, SimTime b) { return SimTime{a.us + b.us}; }
-  friend constexpr SimTime operator-(SimTime a, SimTime b) { return SimTime{a.us - b.us}; }
-  friend constexpr SimTime operator*(std::int64_t k, SimTime t) { return SimTime{k * t.us}; }
-  constexpr SimTime& operator+=(SimTime o) { us += o.us; return *this; }
   friend constexpr auto operator<=>(SimTime a, SimTime b) = default;
 };
 

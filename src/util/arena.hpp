@@ -55,10 +55,8 @@ class RegionArena {
   }
 
   [[nodiscard]] std::byte* data() { return block_.get(); }
-  [[nodiscard]] const std::byte* data() const { return block_.get(); }
   /// Bytes actually carved — the span a snapshot must copy.
   [[nodiscard]] std::size_t used() const { return used_; }
-  [[nodiscard]] std::size_t capacity() const { return size_; }
 
  private:
   std::unique_ptr<std::byte[]> block_;

@@ -8,10 +8,7 @@ Flags::Flags(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(arg);
-      continue;
-    }
+    if (arg.rfind("--", 0) != 0) continue;
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
     if (eq != std::string::npos) {

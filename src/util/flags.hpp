@@ -1,7 +1,7 @@
 // flags.hpp — minimal command-line flag parsing for the tools/examples.
 //
 // Supports `--name value`, `--name=value` and bare boolean `--name`
-// (read with `has`).
+// (read with `has`); a token that is not a flag is skipped.
 // Unknown flags are collected so callers can reject typos instead of
 // silently ignoring them.  No global state; each parser owns its argv view.
 #pragma once
@@ -24,8 +24,6 @@ class Flags {
   [[nodiscard]] std::int64_t get(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get(const std::string& name, double fallback) const;
 
-  /// Non-flag positional arguments in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   /// Flags that were parsed (for unknown-flag checks).
   [[nodiscard]] std::vector<std::string> names() const;
   /// Program name (argv[0]).
@@ -34,7 +32,6 @@ class Flags {
  private:
   std::string program_;
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace firefly::util

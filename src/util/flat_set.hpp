@@ -44,7 +44,6 @@ class FlatU32Set {
   }
 
   [[nodiscard]] std::size_t size() const { return size_ + std::size_t{has_empty_key_}; }
-  [[nodiscard]] bool empty() const { return size() == 0; }
 
   /// Empties the set but keeps the slot array (cleared sets refill soon).
   void clear() {

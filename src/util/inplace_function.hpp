@@ -24,7 +24,6 @@ template <typename R, typename... Args, std::size_t Capacity>
 class InplaceFunction<R(Args...), Capacity> {
  public:
   InplaceFunction() = default;
-  InplaceFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename D = std::decay_t<F>,
@@ -59,8 +58,6 @@ class InplaceFunction<R(Args...), Capacity> {
   InplaceFunction& operator=(const InplaceFunction&) = delete;
 
   ~InplaceFunction() { reset(); }
-
-  [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
   R operator()(Args... args) {
     return ops_->invoke(buffer_, std::forward<Args>(args)...);

@@ -39,8 +39,6 @@ class SplitMix64 {
 /// Seeded from SplitMix64 per its authors' recommendation.
 class Xoshiro256ss {
  public:
-  using result_type = std::uint64_t;
-
   explicit Xoshiro256ss(std::uint64_t seed);
 
   std::uint64_t next() { return step(s_[0], s_[1], s_[2], s_[3]); }
@@ -57,11 +55,6 @@ class Xoshiro256ss {
     s_[2] = s2;
     s_[3] = s3;
   }
-
-  // UniformRandomBitGenerator interface so <random> distributions also work.
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~0ULL; }
-  result_type operator()() { return next(); }
 
  private:
   static std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1, std::uint64_t& s2,
@@ -146,8 +139,6 @@ class Rng {
       out[i] = static_cast<std::uint8_t>(uniform_from(bits) < p);
     });
   }
-  /// Raw 64 random bits.
-  std::uint64_t bits() { return engine_.next(); }
 
   /// Fisher–Yates shuffle.
   template <typename RandomIt>

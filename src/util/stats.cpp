@@ -8,12 +8,7 @@
 namespace firefly::util {
 
 void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  min_ = count_ == 0 ? x : std::min(min_, x);
   ++count_;
   mean_ += (x - mean_) / static_cast<double>(count_);
 }

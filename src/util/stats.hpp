@@ -1,7 +1,7 @@
 // stats.hpp — streaming and batch statistics for experiment results.
 //
-// `RunningStats` keeps a streaming count, mean, min and max (the mean by
-// Welford's incremental update) so that millions of samples can be
+// `RunningStats` keeps a streaming mean and min (the mean by Welford's
+// incremental update) so that millions of samples can be
 // accumulated without storing them.  `Sample`
 // stores values for percentile queries and confidence intervals, which the
 // experiment harness reports alongside every figure series.
@@ -12,28 +12,24 @@
 
 namespace firefly::util {
 
-/// Streaming count/mean/min/max accumulator.
+/// Streaming mean/min accumulator.
 class RunningStats {
  public:
   void add(double x);
 
-  [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const { return mean_; }
   [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Value-retaining sample for order statistics.
 class Sample {
  public:
   void add(double x);
-  void reserve(std::size_t n) { values_.reserve(n); }
 
   [[nodiscard]] std::size_t count() const { return values_.size(); }
   [[nodiscard]] double mean() const;

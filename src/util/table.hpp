@@ -32,8 +32,6 @@ class Table {
   /// but commas in cells are escaped by quoting).
   void write_csv(const std::string& path) const;
 
-  [[nodiscard]] std::size_t rows() const { return rows_.size(); }
-  [[nodiscard]] const std::string& title() const { return title_; }
   [[nodiscard]] const std::vector<std::string>& headers() const { return headers_; }
   [[nodiscard]] const std::vector<std::vector<std::string>>& row_data() const {
     return rows_;

@@ -20,9 +20,6 @@ struct Db {
   constexpr explicit Db(double v) : value(v) {}
 
   friend constexpr Db operator+(Db a, Db b) { return Db{a.value + b.value}; }
-  friend constexpr Db operator-(Db a, Db b) { return Db{a.value - b.value}; }
-  friend constexpr Db operator-(Db a) { return Db{-a.value}; }
-  friend constexpr Db operator*(double k, Db a) { return Db{k * a.value}; }
   friend constexpr auto operator<=>(Db a, Db b) = default;
 
   /// Linear power ratio: 10^(dB/10).
@@ -41,14 +38,10 @@ struct Dbm {
   friend constexpr Dbm operator-(Dbm p, Db g) { return Dbm{p.value - g.value}; }
   // The difference of two absolute powers is a ratio.
   friend constexpr Db operator-(Dbm a, Dbm b) { return Db{a.value - b.value}; }
-  // Unary negation, so `-95.0_dBm` literals read naturally.
-  friend constexpr Dbm operator-(Dbm p) { return Dbm{-p.value}; }
   friend constexpr auto operator<=>(Dbm a, Dbm b) = default;
 
   /// Power in milliwatts: 10^(dBm/10).
   [[nodiscard]] double milliwatts() const { return std::pow(10.0, value / 10.0); }
-  /// Power in watts.
-  [[nodiscard]] double watts() const { return milliwatts() * 1e-3; }
 };
 
 /// dBm from a power in milliwatts (paper eq. 8: p = 10·log10(p/p_ref)).
@@ -59,9 +52,6 @@ struct Dbm {
 
 namespace literals {
 constexpr Dbm operator""_dBm(long double v) { return Dbm{static_cast<double>(v)}; }
-constexpr Dbm operator""_dBm(unsigned long long v) { return Dbm{static_cast<double>(v)}; }
-constexpr Db operator""_dB(long double v) { return Db{static_cast<double>(v)}; }
-constexpr Db operator""_dB(unsigned long long v) { return Db{static_cast<double>(v)}; }
 }  // namespace literals
 
 }  // namespace firefly::util

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "test_worlds.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -58,7 +59,7 @@ TEST(Channel, ShadowingShiftsMeanPower) {
   RadioParams params;
   auto channel = std::make_unique<Channel>(
       params, std::make_unique<PaperDualSlope>(),
-      std::make_unique<PerLinkShadowing>(10.0, Rng(7)), std::make_unique<NoFading>(),
+      std::make_unique<PerLinkShadowing>(10.0, firefly::util::Xoshiro256ss(7).next()), std::make_unique<NoFading>(),
       Rng(2));
   const Vec2 a{0.0, 0.0};
   const Vec2 b{10.0, 0.0};
@@ -121,7 +122,7 @@ TEST(Channel, FadingUniformsAreOneStepEach) {
                   std::bit_cast<std::uint64_t>(fading.gain_from_uniform(step)));
       }
     }
-    EXPECT_EQ(channel.fading_rng().bits(), clone.bits());
+    EXPECT_EQ(channel.fading_rng().uniform(), clone.uniform());
   }
 }
 

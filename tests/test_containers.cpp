@@ -29,7 +29,7 @@ static_assert(sizeof(FlatU32Set) == sizeof(std::vector<std::uint32_t>) + 8);
 
 TEST(FlatU32Set, StoresZeroAndTheSentinelKey) {
   FlatU32Set set;
-  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.size(), 0U);
   EXPECT_FALSE(set.contains(0U));
   EXPECT_FALSE(set.contains(0xFFFFFFFFU));
   EXPECT_TRUE(set.insert(0xFFFFFFFFU));
@@ -69,7 +69,7 @@ TEST(FlatU32Set, ClearEmptiesEveryKeyIncludingTheSentinel) {
   for (std::uint32_t k = 0; k < 100; ++k) set.insert(k * 7919U);
   set.insert(0xFFFFFFFFU);
   set.clear();
-  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.size(), 0U);
   EXPECT_EQ(set.size(), 0U);
   EXPECT_FALSE(set.contains(0xFFFFFFFFU));
   for (std::uint32_t k = 0; k < 100; ++k) EXPECT_FALSE(set.contains(k * 7919U)) << k;

@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "test_worlds.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -52,10 +52,10 @@ TEST(Flags, FallbacksWhenMissing) {
 }
 
 TEST(Flags, PositionalArguments) {
+  // Non-flag tokens are skipped and leave the flags around them intact.
   const Flags f = parse({"run", "--n", "5", "extra"});
-  ASSERT_EQ(f.positional().size(), 2U);
-  EXPECT_EQ(f.positional()[0], "run");
-  EXPECT_EQ(f.positional()[1], "extra");
+  EXPECT_EQ(f.get("n", std::int64_t{0}), 5);
+  EXPECT_EQ(f.names(), std::vector<std::string>{"n"});
 }
 
 TEST(Flags, NamesEnumeratesParsedFlags) {

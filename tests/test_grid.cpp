@@ -25,13 +25,24 @@ std::vector<Vec2> random_positions(std::size_t n, double side, Rng& rng) {
   return positions;
 }
 
-/// Every id, exactly once, across all cells.
+/// The ids stored in the cell containing `p`, sorted: a zero-radius
+/// gather scans exactly that one cell.
+std::vector<std::uint32_t> members_at(const SpatialGrid& grid, Vec2 p) {
+  std::vector<std::uint32_t> ids;
+  grid.gather(p, 0.0, ids);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+bool cell_holds(const SpatialGrid& grid, Vec2 p, std::uint32_t id) {
+  const auto ids = members_at(grid, p);
+  return std::binary_search(ids.begin(), ids.end(), id);
+}
+
+/// Every id across all cells (a gather whose square covers the grid), sorted.
 std::vector<std::uint32_t> all_members_sorted(const SpatialGrid& grid) {
   std::vector<std::uint32_t> ids;
-  for (std::size_t c = 0; c < grid.cell_count(); ++c) {
-    const auto& members = grid.cell_members(c);
-    ids.insert(ids.end(), members.begin(), members.end());
-  }
+  grid.gather({0.0, 0.0}, 1e12, ids);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -43,14 +54,12 @@ TEST(SpatialGrid, BuildAssignsEveryDeviceToItsCell) {
   grid.build(positions, 50.0);
 
   ASSERT_TRUE(grid.built());
-  EXPECT_EQ(grid.device_count(), positions.size());
   const auto ids = all_members_sorted(grid);
   ASSERT_EQ(ids.size(), positions.size());
   for (std::uint32_t id = 0; id < ids.size(); ++id) EXPECT_EQ(ids[id], id);
 
   for (std::uint32_t id = 0; id < positions.size(); ++id) {
-    const auto& members = grid.cell_members(grid.cell_index(positions[id]));
-    EXPECT_NE(std::find(members.begin(), members.end(), id), members.end())
+    EXPECT_TRUE(cell_holds(grid, positions[id], id))
         << "device " << id << " missing from its own cell";
   }
 }
@@ -91,20 +100,15 @@ TEST(SpatialGrid, MoveTransfersCellMembership) {
   SpatialGrid grid;
   grid.build(positions, 10.0);
 
-  const std::size_t old_cell = grid.cell_index({5.0, 5.0});
-  const std::size_t new_cell = grid.cell_index({55.0, 55.0});
-  ASSERT_NE(old_cell, new_cell);
+  ASSERT_NE(grid.cell_index({5.0, 5.0}), grid.cell_index({55.0, 55.0}));
 
   grid.move(0, {55.0, 55.0});
-  const auto& old_members = grid.cell_members(old_cell);
-  const auto& new_members = grid.cell_members(new_cell);
-  EXPECT_EQ(std::find(old_members.begin(), old_members.end(), 0U), old_members.end());
-  EXPECT_NE(std::find(new_members.begin(), new_members.end(), 0U), new_members.end());
+  EXPECT_FALSE(cell_holds(grid, {5.0, 5.0}, 0));
+  EXPECT_TRUE(cell_holds(grid, {55.0, 55.0}, 0));
 
   // After any move the device is findable via the cell of its new position.
   grid.move(1, {94.0, 94.0});
-  const auto& corner = grid.cell_members(grid.cell_index({94.0, 94.0}));
-  EXPECT_NE(std::find(corner.begin(), corner.end(), 1U), corner.end());
+  EXPECT_TRUE(cell_holds(grid, {94.0, 94.0}, 1));
 }
 
 TEST(SpatialGrid, IncrementalMovesMatchARebuiltGrid) {
@@ -127,13 +131,13 @@ TEST(SpatialGrid, IncrementalMovesMatchARebuiltGrid) {
 
   SpatialGrid rebuilt;
   rebuilt.build(positions, 40.0);
-  ASSERT_EQ(incremental.cell_count(), rebuilt.cell_count());
-  for (std::size_t c = 0; c < rebuilt.cell_count(); ++c) {
-    auto a = incremental.cell_members(c);
-    auto b = rebuilt.cell_members(c);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "cell " << c << " diverged after incremental moves";
+  // Each id is stored once, so comparing the cell of every device's
+  // position covers every non-empty cell of both grids.
+  EXPECT_EQ(all_members_sorted(incremental), all_members_sorted(rebuilt));
+  for (std::size_t id = 0; id < positions.size(); ++id) {
+    ASSERT_EQ(incremental.cell_index(positions[id]), rebuilt.cell_index(positions[id]));
+    EXPECT_EQ(members_at(incremental, positions[id]), members_at(rebuilt, positions[id]))
+        << "the cell of device " << id << " diverged after incremental moves";
   }
 }
 
@@ -162,9 +166,7 @@ TEST(SpatialGrid, CellMembershipTracksWaypointMobility) {
   const auto ids = all_members_sorted(grid);
   ASSERT_EQ(ids.size(), positions.size());
   for (std::size_t id = 0; id < positions.size(); ++id) {
-    const auto& members = grid.cell_members(grid.cell_index(positions[id]));
-    EXPECT_NE(std::find(members.begin(), members.end(), static_cast<std::uint32_t>(id)),
-              members.end())
+    EXPECT_TRUE(cell_holds(grid, positions[id], static_cast<std::uint32_t>(id)))
         << "device " << id << " not in the cell of its current position";
   }
 }

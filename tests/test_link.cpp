@@ -10,19 +10,20 @@
 namespace {
 
 using namespace firefly;
-using namespace firefly::util::literals;
 
 TEST(Link, SnrLinear) {
-  EXPECT_DOUBLE_EQ(phy::snr_linear(-94.0_dBm, -104.0_dBm), 10.0);
-  EXPECT_NEAR(phy::snr_linear(-104.0_dBm, -104.0_dBm), 1.0, 1e-12);
-  EXPECT_LT(phy::snr_linear(-110.0_dBm, -104.0_dBm), 1.0);
+  EXPECT_DOUBLE_EQ(phy::snr_linear(util::Dbm{-94.0}, util::Dbm{-104.0}), 10.0);
+  EXPECT_NEAR(phy::snr_linear(util::Dbm{-104.0}, util::Dbm{-104.0}), 1.0, 1e-12);
+  EXPECT_LT(phy::snr_linear(util::Dbm{-110.0}, util::Dbm{-104.0}), 1.0);
 }
 
 TEST(Link, ErgodicRateBelowAwgnRateAtHighSnr) {
   // Jensen: E[log(1+γg)] < log(1+γ) for unit-mean g at any γ.  The AWGN
   // reference is the Shannon rate at the mean SNR: 10 MHz × log2(1 + γ).
-  const double awgn = 10.0 * std::log2(1.0 + phy::snr_linear(-70.0_dBm, -104.0_dBm));
-  const double ergodic = phy::rayleigh_ergodic_rate_mbps(-70.0_dBm, -104.0_dBm, 10e6);
+  const util::Dbm signal{-70.0};
+  const util::Dbm noise{-104.0};
+  const double awgn = 10.0 * std::log2(1.0 + phy::snr_linear(signal, noise));
+  const double ergodic = phy::rayleigh_ergodic_rate_mbps(signal, noise, 10e6);
   EXPECT_LT(ergodic, awgn);
   EXPECT_GT(ergodic, 0.7 * awgn);  // but within the known ~−2.5 dB penalty
 }

@@ -67,7 +67,6 @@ TEST(PaperDualSlope, PaperLinkBudgetRange) {
 
 TEST(Factories, ProduceExpectedModels) {
   const auto paper = make_paper_model();
-  EXPECT_EQ(paper->name(), "paper-dual-slope");
   EXPECT_DOUBLE_EQ(paper->loss(10.0).value, PaperDualSlope{}.loss(10.0).value);
 }
 

@@ -71,16 +71,28 @@ TEST(PcoDelay, SkewGrowsWithDelay) {
   EXPECT_GT(large, small);
 }
 
-TEST(PcoDelay, DelayedModelStillCountsFirings) {
+TEST(PcoDelay, RefractoryPeriodStopsTheDelayEcho) {
+  // On a full mesh with a 1 ms delay, a group firing reaches every member
+  // one delay later and pushes it over threshold again: without a
+  // refractory period each oscillator fires about once per delay, not once
+  // per period.  A refractory window longer than the delay absorbs that
+  // echo and leaves about one firing per period.
   graph::Graph mesh = full_mesh(10);
-  PcoNetworkConfig config;
-  config.prc = pco::PrcParams{3.0, 0.2};
-  config.delay_s = 0.001;
-  config.spread_tolerance = 0.05;
-  util::Rng rng(4);
-  const auto result = PcoNetwork(mesh, config, rng).run();
-  EXPECT_GT(result.total_firings, 0U);
-  EXPECT_GT(result.cycles, 0U);
+  const auto firings_per_device_period = [&](double refractory_s) {
+    PcoNetworkConfig config;
+    config.prc = pco::PrcParams{3.0, 0.2};
+    config.delay_s = 0.001;
+    config.refractory_s = refractory_s;
+    config.spread_tolerance = -1.0;  // never met: run the whole horizon
+    config.max_time_s = 3.0;
+    util::Rng rng(4);
+    const auto result = PcoNetwork(mesh, config, rng).run();
+    const double periods = result.convergence_time_s / config.period_s;
+    EXPECT_GE(periods, 30.0);
+    return static_cast<double>(result.total_firings) / (10.0 * periods);
+  };
+  EXPECT_GT(firings_per_device_period(0.0), 10.0);
+  EXPECT_NEAR(firings_per_device_period(0.01), 1.0, 0.1);
 }
 
 TEST(PcoDelay, RefractorySuppressesEcho) {

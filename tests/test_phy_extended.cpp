@@ -7,6 +7,7 @@
 #include "phy/channel.hpp"
 #include "phy/fading.hpp"
 #include "phy/shadowing.hpp"
+#include "test_worlds.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -139,7 +139,7 @@ TEST(Protocols, EngineExposesDeviceStates) {
   std::set<std::uint16_t> labels;
   for (std::uint32_t i = 0; i < engine.devices().size(); ++i) {
     labels.insert(engine.fragment(i));
-    EXPECT_FALSE(engine.neighbors(i).empty());
+    EXPECT_GT(engine.neighbors(i).size(), 0U);
   }
   EXPECT_EQ(labels.size(), 1U);
 }

@@ -19,6 +19,7 @@
 #include "phy/channel.hpp"
 #include "phy/pathloss.hpp"
 #include "phy/shadowing.hpp"
+#include "test_worlds.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -36,9 +37,6 @@ class LogDistance final : public phy::PathLossModel {
   }
   [[nodiscard]] double distance_for_loss(util::Db loss) const override {
     return std::pow(10.0, (loss.value - 40.0) / (10.0 * exponent_));
-  }
-  [[nodiscard]] std::string name() const override {
-    return "log-distance(n=" + std::to_string(exponent_) + ")";
   }
 
  private:
@@ -60,7 +58,6 @@ class Unbounded final : public phy::ShadowingModel {
   [[nodiscard]] util::Db sample(std::uint32_t /*a*/, std::uint32_t b) const override {
     return util::Db{0.25 * static_cast<double>(b) - 40.0};
   }
-  [[nodiscard]] double sigma_db() const override { return 10.0; }
 };
 
 /// Distances at which a model's regime or clamp changes, ± 1 ulp.
@@ -76,14 +73,16 @@ std::vector<double> edge_distances(const phy::PathLossModel& model) {
 
 TEST(RebuildBound, PathLossModelsAreNonDecreasing) {
   util::Rng rng(11);
-  for (const auto& model : all_models()) {
+  const auto models = all_models();
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const auto& model = models[m];
     std::vector<double> d = edge_distances(*model);
     for (int i = 0; i < 20000; ++i) d.push_back(rng.uniform(0.0, 2000.0));
     for (int i = 0; i < 20000; ++i) d.push_back(std::pow(10.0, rng.uniform(-2.0, 1.5)));
     std::sort(d.begin(), d.end());
     for (std::size_t i = 1; i < d.size(); ++i) {
       ASSERT_LE(model->loss(d[i - 1]).value, model->loss(d[i]).value)
-          << model->name() << " between " << d[i - 1] << " and " << d[i] << " m";
+          << "model " << m << " between " << d[i - 1] << " and " << d[i] << " m";
     }
   }
 }
@@ -92,7 +91,9 @@ TEST(RebuildBound, PathLossFloorStaysBelowTheExactLoss) {
   util::Rng rng(12);
   const double side = 632.0;
   const double max_d2 = 2.0 * side * side;
-  for (const auto& model : all_models()) {
+  const auto models = all_models();
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const auto& model = models[m];
     mac::PathLossFloor floor;
     ASSERT_TRUE(floor.build(*model, max_d2));
     const auto check = [&](geo::Vec2 a, geo::Vec2 b) {
@@ -100,7 +101,7 @@ TEST(RebuildBound, PathLossFloorStaysBelowTheExactLoss) {
       const double dy = a.y - b.y;
       const double exact = model->loss(geo::distance(a, b)).value;
       EXPECT_LE(floor.lower_bound(dx * dx + dy * dy), exact)
-          << model->name() << " at " << geo::distance(a, b) << " m";
+          << "model " << m << " at " << geo::distance(a, b) << " m";
       return exact - floor.lower_bound(dx * dx + dy * dy);
     };
     double far_gap = 0.0;
@@ -124,7 +125,7 @@ TEST(RebuildBound, PathLossFloorStaysBelowTheExactLoss) {
     for (const double d : edge_distances(*model)) check({1.0, 1.0}, {1.0 + d, 1.0});
     check({0.0, 0.0}, {side, side});
     // Not vacuous: far from the first bucket the floor is tight.
-    EXPECT_LT(far_gap, 0.5) << model->name();
+    EXPECT_LT(far_gap, 0.5) << "model " << m;
   }
 }
 
@@ -146,14 +147,14 @@ TEST(RebuildBound, PathLossFloorRefusesDegenerateWorlds) {
 
 TEST(RebuildBound, ShadowingBoundStaysBelowRandomDraws) {
   PerLinkShadowing model(10.0, std::uint64_t{0x5eed});
-  util::Rng rng(13);
+  util::Xoshiro256ss rng(13);
   double gap_sum = 0.0;
   std::size_t draws = 0;
   for (int epoch = 0; epoch < 3; ++epoch) {
     std::size_t violations = 0;
     for (int i = 0; i < 1000000; ++i) {
-      const auto a = static_cast<std::uint32_t>(rng.bits());
-      const auto b = static_cast<std::uint32_t>(rng.bits());
+      const auto a = static_cast<std::uint32_t>(rng.next());
+      const auto b = static_cast<std::uint32_t>(rng.next());
       const double sample = model.sample(a, b).value;
       const double bound = model.loss_lower_bound(a, b);
       violations += static_cast<std::size_t>(!(bound <= sample));
@@ -173,13 +174,13 @@ TEST(RebuildBound, ShadowingBoundHoldsOnForcedEdgeBuckets) {
   // (u2 = 0.25, 0.5, 0.75), ± 1 bucket, with extreme and random low bits.
   constexpr int kShift = 64 - PerLinkShadowing::kBoundBits;
   constexpr std::uint64_t kLow = (std::uint64_t{1} << kShift) - 1;
-  util::Rng rng(14);
+  util::Xoshiro256ss rng(14);
   std::vector<std::uint64_t> w1s;
   std::vector<std::uint64_t> w2s;
   for (const std::uint64_t bucket : {0, 1, 511, 512, 1022, 1023}) {
     const std::uint64_t top = bucket << kShift;
     for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{1} << 11, kLow,
-                                    rng.bits() & kLow, rng.bits() & kLow}) {
+                                    rng.next() & kLow, rng.next() & kLow}) {
       w1s.push_back(top | low);
     }
   }
@@ -187,7 +188,7 @@ TEST(RebuildBound, ShadowingBoundHoldsOnForcedEdgeBuckets) {
     for (const std::uint64_t bucket : {centre - 1, centre, centre + 1}) {
       if (bucket >= (std::uint64_t{1} << PerLinkShadowing::kBoundBits)) continue;
       const std::uint64_t top = bucket << kShift;
-      for (const std::uint64_t low : {std::uint64_t{0}, kLow, rng.bits() & kLow}) {
+      for (const std::uint64_t low : {std::uint64_t{0}, kLow, rng.next() & kLow}) {
         w2s.push_back(top | low);
       }
     }

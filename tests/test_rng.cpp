@@ -122,7 +122,7 @@ TEST(Rng, BlockFillsEqualScalarSequences) {
     std::vector<double> u(n);
     block.fill_unit_open(u.data(), n);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(u[i], scalar.unit_open()) << "n=" << n;
-    ASSERT_EQ(block.bits(), scalar.bits()) << "n=" << n;
+    ASSERT_EQ(block.uniform(), scalar.uniform()) << "n=" << n;
 
     for (const double p : {0.0, 0.05, 0.5, 1.0}) {
       std::vector<std::uint8_t> b(n, 2);
@@ -270,7 +270,7 @@ TEST(RngFactory, MakesIndependentStreams) {
   // Streams should not be correlated: compare a few dozen draws.
   int equal = 0;
   for (int i = 0; i < 64; ++i) {
-    if (a.bits() == b.bits()) ++equal;
+    if (a.uniform() == b.uniform()) ++equal;
   }
   EXPECT_EQ(equal, 0);
   EXPECT_EQ(factory.master_seed(), 123U);

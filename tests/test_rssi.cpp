@@ -24,13 +24,6 @@ TEST(RssiRanging, ExactWithoutShadowing) {
   }
 }
 
-TEST(RssiRanging, RelativeErrorDefinition) {
-  // eq. (6): ε = r*/r − 1.
-  EXPECT_DOUBLE_EQ(RssiRanging::relative_error(12.0, 10.0), 0.2);
-  EXPECT_DOUBLE_EQ(RssiRanging::relative_error(8.0, 10.0), -0.2);
-  EXPECT_DOUBLE_EQ(RssiRanging::relative_error(10.0, 10.0), 0.0);
-}
-
 TEST(RangingDistortion, EquationElevenFactor) {
   // r* = r · 10^(x / 10n).
   EXPECT_DOUBLE_EQ(ranging_distortion(0.0, 4.0), 1.0);

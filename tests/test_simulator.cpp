@@ -14,7 +14,6 @@ TEST(SimTimeTest, ArithmeticAndConversions) {
   EXPECT_EQ(SimTime::milliseconds(1).us, 1000);
   EXPECT_EQ(SimTime::seconds(2).us, 2'000'000);
   EXPECT_EQ((SimTime::milliseconds(3) + SimTime::microseconds(5)).us, 3005);
-  EXPECT_EQ((3 * SimTime::milliseconds(2)).us, 6000);
   EXPECT_DOUBLE_EQ(SimTime::milliseconds(1500).as_seconds(), 1.5);
   EXPECT_DOUBLE_EQ(SimTime::microseconds(2500).as_milliseconds(), 2.5);
   EXPECT_EQ(firefly::sim::kLteSlot.us, 1000);  // Table I slot
@@ -63,7 +62,6 @@ TEST(Simulator, StopEndsLoopEarly) {
   }
   sim.run_until(SimTime::seconds(1));
   EXPECT_EQ(count, 3);
-  EXPECT_TRUE(sim.stopped());
 }
 
 TEST(Simulator, CancelPendingEvent) {

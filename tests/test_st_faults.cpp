@@ -23,6 +23,7 @@ class SteppableSt : public proto::StEngine {
   using proto::StEngine::crash_device;
   using proto::StEngine::recover_device;
   using proto::StEngine::start_run;
+  [[nodiscard]] bool is_head(std::uint32_t i) const { return hot_.is_head[i]; }
   sim::Simulator& sim() { return sim_; }
   mac::RadioMedium& radio() { return radio_; }
   /// Move the fresh-label cursor (ST's snapshot word).

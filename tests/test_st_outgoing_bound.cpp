@@ -61,7 +61,7 @@ class CheckedSt final : public proto::StEngine {
     for (std::int64_t slot = current_slot() + 1; slot <= to_slot; ++slot) {
       sim_.run_until(sim::SimTime::milliseconds(slot));
       for (std::uint32_t i = 0; i < devices_.size(); ++i) {
-        if (down(i)) continue;
+        if (hot_.down[i]) continue;
         const core::Device& device = devices_[i];
         if (fragment(i) == static_cast<std::uint16_t>(i) && last_label_[i] != fragment(i) &&
             last_label_[i] != core::kInvalidId) {

@@ -17,20 +17,16 @@ TEST(RunningStats, MatchesDirectComputation) {
   const std::vector<double> xs{1.0, 2.0, 4.0, 8.0, 16.0};
   RunningStats s;
   for (const double x : xs) s.add(x);
-  EXPECT_EQ(s.count(), xs.size());
   EXPECT_DOUBLE_EQ(s.mean(), 6.2);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 16.0);
 }
 
 TEST(RunningStats, EmptyAndSingle) {
   RunningStats s;
-  EXPECT_EQ(s.count(), 0U);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   s.add(42.0);
   EXPECT_DOUBLE_EQ(s.mean(), 42.0);
   EXPECT_DOUBLE_EQ(s.min(), 42.0);
-  EXPECT_DOUBLE_EQ(s.max(), 42.0);
 }
 
 TEST(Sample, PercentilesInterpolate) {

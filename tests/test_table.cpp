@@ -54,9 +54,9 @@ TEST(Table, CsvRoundTrip) {
 TEST(Table, RowCount) {
   Table t("count");
   t.set_headers({"x"});
-  EXPECT_EQ(t.rows(), 0U);
+  EXPECT_EQ(t.row_data().size(), 0U);
   t.add_row({"1"}).add_row({"2"});
-  EXPECT_EQ(t.rows(), 2U);
+  EXPECT_EQ(t.row_data().size(), 2U);
 }
 
 }  // namespace

@@ -19,10 +19,6 @@ TEST(Units, DbmToMilliwattsKnownValues) {
   EXPECT_NEAR(Dbm{-95.0}.milliwatts(), 3.1623e-10, 1e-13);
 }
 
-TEST(Units, WattsIsMilliwattsScaled) {
-  EXPECT_DOUBLE_EQ(Dbm{30.0}.watts(), 1.0);
-}
-
 TEST(Units, RoundTripThroughMilliwatts) {
   for (double v : {-120.0, -95.0, -40.0, 0.0, 23.0, 46.0}) {
     EXPECT_NEAR(dbm_from_milliwatts(Dbm{v}.milliwatts()).value, v, 1e-9);
@@ -35,7 +31,7 @@ TEST(Units, ZeroPowerMapsToNegativeInfinity) {
 
 TEST(Units, GainArithmeticKeepsTypes) {
   const Dbm power = 23.0_dBm;
-  const Db loss = 118.0_dB;
+  const Db loss{118.0};
   const Dbm received = power - loss;
   EXPECT_DOUBLE_EQ(received.value, -95.0);
   const Db difference = power - received;
@@ -55,11 +51,6 @@ TEST(Units, ComparisonOperators) {
 
 TEST(Units, ToStringIncludesUnit) {
   EXPECT_NE(to_string(Dbm{-95.0}).find("dBm"), std::string::npos);
-}
-
-TEST(Units, ScalarDbScaling) {
-  EXPECT_DOUBLE_EQ((2.0 * Db{10.0}).value, 20.0);
-  EXPECT_DOUBLE_EQ((-Db{10.0}).value, -10.0);
 }
 
 }  // namespace
