@@ -304,7 +304,7 @@ void BM_RadioRebuild(benchmark::State& state) {
   const std::vector<geo::Vec2> positions = core::deploy(config);
   sim::Simulator sim;
   auto channel = phy::make_paper_channel(config.seed);
-  mac::RadioMedium radio(&sim, channel.get(), channel->params().capture_margin_db);
+  mac::RadioMedium radio(&sim, channel.get());
   for (std::uint32_t id = 0; id < positions.size(); ++id) radio.add_device(id, positions[id]);
   for (auto _ : state) {
     radio.rebuild();
@@ -330,7 +330,7 @@ void BM_RadioRebuildAfterMove(benchmark::State& state) {
   for (geo::Vec2& p : away) p = p + geo::Vec2{rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)};
   sim::Simulator sim;
   auto channel = phy::make_paper_channel(config.seed);
-  mac::RadioMedium radio(&sim, channel.get(), channel->params().capture_margin_db);
+  mac::RadioMedium radio(&sim, channel.get());
   for (std::uint32_t id = 0; id < home.size(); ++id) radio.add_device(id, home[id]);
   radio.rebuild();
   bool at_home = true;

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   config.n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 80;
   config.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2015;
   config.area_policy = core::AreaPolicy::kDensityScaled;
-  config.protocol.service_count = 4;
 
   static const char* kServiceNames[] = {"gaming-lobby", "content-share",
                                         "push-advert", "public-safety"};

@@ -15,7 +15,7 @@ namespace firefly::core {
 
 namespace {
 
-// Both counts are ranges of Rng::uniform_index, which requires n > 0.  The
+// The period is a range of Rng::uniform_index, which requires n > 0.  The
 // coupling must meet the Mirollo–Strogatz condition (a > 0, ε > 0); at
 // a = 0 the PRC's β divides by zero.  Device ids, fragment labels and
 // counters travel in 16-bit wire fields where 0xFFFF is kInvalidId, so the
@@ -29,7 +29,6 @@ ProtocolParams validated(ProtocolParams params, std::size_t device_count) {
   if (params.period_slots > 65'536) {
     throw std::invalid_argument("EngineBase: period_slots above 65536 (16-bit counters)");
   }
-  if (params.service_count == 0) throw std::invalid_argument("EngineBase: service_count == 0");
   if (!params.prc.valid_for_convergence()) {
     throw std::invalid_argument("EngineBase: PRC coupling needs dissipation_a > 0 and epsilon > 0");
   }
@@ -50,7 +49,7 @@ EngineBase::~EngineBase() = default;
 EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
                        phy::RadioParams radio_params, std::uint64_t seed)
     : channel_(phy::make_paper_channel(seed, radio_params)),
-      radio_(&sim_, channel_.get(), radio_params.capture_margin_db),
+      radio_(&sim_, channel_.get()),
       params_(validated(params, positions.size())),
       detector_(positions.size(), params.period_slots, params.tolerance_slots),
       local_detector_(positions.size(), params.period_slots, params.tolerance_slots),

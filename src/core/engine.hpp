@@ -2,13 +2,15 @@
 //
 // `EngineBase` owns the whole simulated world of one trial: the event
 // scheduler, the Table I channel, the radio medium, the device array and
-// the convergence detector.  It derives from `proto::DiscoveryProtocol`
-// (proto/protocol.hpp), whose hooks — `on_start`, `deliver_batched`,
-// `emit_fire_broadcast`, convergence/metrics/snapshot participation — the
-// backends implement; the base supplies the event-driven oscillator
-// (schedule/reschedule/fire), neighbour-table maintenance with RSSI
-// ranging, periodic convergence checks and the final metrics sweep.
-// Backends are resolved by name or enum through `proto::Registry`.
+// the convergence detector.  A protocol backend (src/proto/: st, fst,
+// birthday, desync) is the strategy layered on top: it overrides the
+// protected hooks — `on_start`, `deliver_batched`, `emit_fire_broadcast`,
+// convergence/metrics/snapshot participation — while the base supplies the
+// event-driven oscillator (schedule/reschedule/fire), neighbour-table
+// maintenance with RSSI ranging, periodic convergence checks and the final
+// metrics sweep.  Backends are resolved by name or enum through
+// `proto::Registry`, so run_trial, run_service and the CLI never name a
+// concrete engine class.
 //
 // Per-device state is split in two: the hot fields the per-slot sweeps touch
 // live in `hot_` (core::DeviceHot — flat index-aligned arrays, one
@@ -35,7 +37,6 @@
 #include "phy/channel.hpp"
 #include "phy/energy.hpp"
 #include "phy/rssi.hpp"
-#include "proto/protocol.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -46,6 +47,7 @@ class FadeStream;
 
 namespace firefly::sim {
 class SoakRecorder;
+struct SoakWindow;
 }  // namespace firefly::sim
 
 namespace firefly::core {
@@ -54,7 +56,7 @@ struct ServiceConfig;
 struct ServiceReport;
 struct EngineSnapshot;
 
-class EngineBase : public proto::DiscoveryProtocol {
+class EngineBase {
  public:
   /// The engine's scalar run state, declared once: snapshot() and restore()
   /// copy it whole, and run_service's windows report deltas between two
@@ -148,10 +150,41 @@ class EngineBase : public proto::DiscoveryProtocol {
   void set_telemetry(obs::Telemetry* telemetry);
 
  protected:
-  // The protocol hooks (on_start, deliver_batched, emit_fire_broadcast,
-  // fill_protocol_metrics, fill_soak_window, protocol_complete,
-  // requires_sync, on_recover, protocol_snapshot_word/restore_word) are
-  // inherited from proto::DiscoveryProtocol; backends override them there.
+  // --- protocol hooks (the backends override these) ---
+  /// Called once before the event loop starts.
+  virtual void on_start() = 0;
+  /// Protocol reaction to one slot's decoded PSs.  The batch holds every
+  /// reception the radio resolved this slot, in deterministic receiver
+  /// order; engines sweep it once (see sweep_batch), fusing their PCO phase
+  /// update into the same pass.
+  virtual void deliver_batched(const mac::RxBatch& batch) = 0;
+  /// Broadcast emitted when `device` fires (protocols differ in payload).
+  virtual void emit_fire_broadcast(Device& device) = 0;
+  /// Hook for metrics specific to a protocol (tree stats, desync error…).
+  virtual void fill_protocol_metrics(RunMetrics& /*metrics*/) const {}
+  /// Protocol-specific observables for one service-mode telemetry window,
+  /// sampled at the window's end slot.
+  virtual void fill_soak_window(sim::SoakWindow& /*window*/) const {}
+  /// Protocol-specific termination condition folded into convergence.
+  /// The ST algorithm (paper Algorithm 1) runs `while |ST| != 1`, so its
+  /// convergence additionally requires the spanning structure to be
+  /// complete; DESYNC requires the anti-phase fixed point; the baseline has
+  /// no such requirement.
+  [[nodiscard]] virtual bool protocol_complete() const { return true; }
+  /// Whether convergence includes the global firing-alignment goal.
+  /// Discovery-only baselines (birthday protocols) and anti-sync schemes
+  /// (DESYNC) waive it by design.
+  [[nodiscard]] virtual bool requires_sync() const { return true; }
+  /// Protocol-state reset when a crashed device cold-boots (fault
+  /// injection).  The engine already clears the oscillator and the
+  /// neighbour table; ST additionally resets its fragment state here.
+  virtual void on_recover(Device& /*device*/) {}
+  /// Protocol-level scalar state for snapshot/restore, packed into one word
+  /// (ST: the fresh-label cursor; DESYNC: the sustained-check counter).
+  /// Per-device state rides along with the cold Device records and the hot
+  /// block, and needs nothing here.
+  [[nodiscard]] virtual std::uint64_t protocol_snapshot_word() const { return 0; }
+  virtual void protocol_restore_word(std::uint64_t /*word*/) {}
 
   /// Oscillator counter of device `i` at `slot`, derived from its scheduled
   /// natural firing (the event-driven counter formulation).

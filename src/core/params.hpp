@@ -9,10 +9,12 @@
 // pulse echo under the 1-slot delivery delay.
 //
 // The values no scenario varies are `static constexpr` members: the
-// neighbour-weight smoothing, ST's discovery beacons, connect timeout, tree
-// staleness and head lease, DESYNC's jump strength and sustain count, and
-// the mobility pause and update cadence.  Engines read them as `params_.x`
-// like any other field.
+// refractory window, the convergence tolerance and check cadence, the
+// service-interest count, the neighbour-weight smoothing, ST's discovery
+// window and beacons, H_Connect round, connect timeout, retry cap, tree
+// staleness and head lease, DESYNC's tolerance, jump strength and sustain
+// count, and the mobility pause and update cadence.  Engines read them as
+// `params_.x` like any other field.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +28,11 @@ struct ProtocolParams {
   // --- oscillator ---
   std::uint32_t period_slots{100};      ///< T: firing period (slots of 1 ms)
   pco::PrcParams prc{3.0, 0.05};        ///< eq. 5 coupling (a, ε): α≈1.16, β≈0.008
-  std::uint32_t refractory_slots{5};    ///< post-fire deafness (echo guard)
+  static constexpr std::uint32_t refractory_slots = 5;  ///< post-fire deafness (echo guard)
 
   // --- convergence detection ---
-  std::uint32_t tolerance_slots{2};     ///< max spread of aligned firing
-  std::uint32_t check_interval_slots{25};
+  static constexpr std::uint32_t tolerance_slots = 2;  ///< max spread of aligned firing
+  static constexpr std::uint32_t check_interval_slots = 25;
   std::uint32_t max_periods{400};       ///< give-up bound for a trial
   /// Stop the simulation at the convergence instant (the Fig. 3 measurement
   /// mode).  Long-running scenarios (mobility, observation) set this false
@@ -39,18 +41,12 @@ struct ProtocolParams {
 
   // --- neighbour table ---
   static constexpr double weight_ewma = 0.25;  ///< smoothing of PS-strength weights
-  std::uint16_t service_count{4};       ///< distinct service-interest codes
-  /// Service-affinity bias: when ST picks its heaviest outgoing edge, a
-  /// neighbour sharing the device's service interest gets this many dB of
-  /// bonus weight.  The paper's goal of reaching "same service interest
-  /// among devices" becomes a tunable preference for service-homophilous
-  /// trees; 0 (default) reproduces the pure strongest-PS rule.
-  double service_bias_db{0.0};
+  static constexpr std::uint16_t service_count = 4;  ///< distinct service-interest codes
 
   // --- ST (proposed) only ---
-  std::uint32_t discovery_slots{100};   ///< initial discovery window (one period)
+  static constexpr std::uint32_t discovery_slots = 100;  ///< discovery window (one default period)
   static constexpr std::uint32_t discovery_beacons = 4;  ///< beacons per device in the window
-  std::uint32_t round_slots{32};        ///< head H_Connect attempt cadence
+  static constexpr std::uint32_t round_slots = 32;  ///< head H_Connect attempt cadence
   static constexpr std::uint32_t connect_timeout_slots = 8;
   static constexpr std::uint32_t tree_stale_periods = 4;  ///< drop tree edges silent this long
 
@@ -58,7 +54,7 @@ struct ProtocolParams {
   /// Timed-out H_Connects a head tolerates before passing headship on
   /// (Change_head); each retry doubles the wait (bounded exponential
   /// backoff), so attempt k times out after connect_timeout_slots << k.
-  std::uint32_t connect_max_retries{4};
+  static constexpr std::uint32_t connect_max_retries = 4;
   /// Head lease: a member that has heard no proof of a live head for its
   /// fragment (sync flood, head token, merge) for this many periods declares
   /// the fragment headless, re-labels the reachable remnant under its own id
@@ -72,7 +68,7 @@ struct ProtocolParams {
   static constexpr double desync_alpha = 0.95;
   /// A device counts as balanced when its post-jump midpoint residual is at
   /// most this many slots.
-  std::uint32_t desync_tolerance_slots{2};
+  static constexpr std::uint32_t desync_tolerance_slots = 2;
   /// Consecutive convergence checks every measured device must stay
   /// balanced for before the protocol goal latches.
   static constexpr std::uint32_t desync_sustain_checks = 4;

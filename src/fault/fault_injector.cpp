@@ -29,12 +29,11 @@ std::vector<std::int64_t> poisson_arrivals(util::Rng& rng, double rate_per_min,
 
 std::vector<ChurnEvent> expand_churn(const FaultPlan& plan, std::uint64_t master_seed,
                                      std::uint32_t device_count, std::int64_t horizon_slots) {
-  std::vector<ChurnEvent> churn = plan.scheduled;
+  std::vector<ChurnEvent> churn;
   if (plan.churn_rate_per_min > 0.0 && device_count > 0) {
     util::Rng rng(util::derive_seed(master_seed, "fault.churn"));
-    // Track per-device downtime so the random process never crashes a
-    // device that is already down (the scheduled events are the caller's
-    // responsibility and replayed verbatim).
+    // Track per-device downtime so the process never crashes a device that
+    // is already down.
     std::vector<std::int64_t> down_until(device_count, -1);
     for (const std::int64_t slot :
          poisson_arrivals(rng, plan.churn_rate_per_min, horizon_slots, plan.churn_stop_ms)) {
@@ -47,9 +46,7 @@ std::vector<ChurnEvent> expand_churn(const FaultPlan& plan, std::uint64_t master
       churn.push_back(ChurnEvent{slot + downtime, device, false});
     }
   }
-  std::erase_if(churn, [&](const ChurnEvent& e) {
-    return e.slot >= horizon_slots || e.device >= device_count;
-  });
+  std::erase_if(churn, [&](const ChurnEvent& e) { return e.slot >= horizon_slots; });
   std::stable_sort(churn.begin(), churn.end(),
                    [](const ChurnEvent& a, const ChurnEvent& b) { return a.slot < b.slot; });
   return churn;

@@ -17,11 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace firefly::fault {
 
-/// One scheduled churn transition.  `crash == true` takes the device down
+/// One churn transition.  `crash == true` takes the device down
 /// (radio silent, timers parked, oscillator stopped); `false` brings it
 /// back with a full cold-boot state reset.
 struct ChurnEvent {
@@ -51,12 +50,9 @@ struct FaultPlan {
   double churn_rate_per_min{0.0};
   /// Mean downtime before the crashed device cold-boots (exponential).
   double mean_downtime_ms{2000.0};
-  /// Inject no *random* churn after this instant (< 0: churn for the whole
-  /// run).  A quiet tail lets resilience benches assert re-convergence.
+  /// Inject no churn after this instant (< 0: churn for the whole run).  A
+  /// quiet tail lets resilience benches assert re-convergence.
   double churn_stop_ms{-1.0};
-  /// Deterministic, caller-specified churn (replayed verbatim, merged with
-  /// the random schedule).  Slots beyond the run horizon never fire.
-  std::vector<ChurnEvent> scheduled;
 
   // --- clock drift ---
   /// Per-device oscillator skew drawn uniformly from [-max, +max] ppm of
@@ -76,7 +72,7 @@ struct FaultPlan {
   double fade_depth_db{60.0};
 
   [[nodiscard]] bool churn_enabled() const {
-    return churn_rate_per_min > 0.0 || !scheduled.empty();
+    return churn_rate_per_min > 0.0;
   }
   [[nodiscard]] bool channel_enabled() const {
     return drop_probability > 0.0 || fade_rate_per_min > 0.0;

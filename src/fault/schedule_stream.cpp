@@ -1,31 +1,16 @@
 #include "fault/schedule_stream.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
 
 namespace firefly::fault {
 
 std::string validate_service_horizon(const FaultPlan& plan, std::int64_t duration_slots) {
-  if (!plan.churn_enabled()) return {};
-  if (plan.churn_rate_per_min > 0.0) {
-    if (plan.churn_stop_ms >= 0.0 &&
-        plan.churn_stop_ms < static_cast<double>(duration_slots)) {
-      return "churn stops at " + std::to_string(static_cast<std::int64_t>(plan.churn_stop_ms)) +
-             " ms but the soak runs to slot " + std::to_string(duration_slots) +
-             "; the tail would be silently fault-free — raise churn_stop_ms past the "
-             "horizon or set it negative (churn for the whole run)";
-    }
-    return {};
-  }
-  // Scheduled-only churn: the scripted list must reach the horizon.
-  std::int64_t last = -1;
-  for (const ChurnEvent& e : plan.scheduled) last = std::max(last, e.slot);
-  if (last + 1 < duration_slots) {
-    return "scheduled churn ends at slot " + std::to_string(last) +
-           " but the soak runs to slot " + std::to_string(duration_slots) +
-           "; the tail would be silently fault-free — add churn_rate_per_min, extend "
-           "the scheduled events, or shorten the soak";
+  if (plan.churn_enabled() && plan.churn_stop_ms >= 0.0 &&
+      plan.churn_stop_ms < static_cast<double>(duration_slots)) {
+    return "churn stops at " + std::to_string(static_cast<std::int64_t>(plan.churn_stop_ms)) +
+           " ms but the soak runs to slot " + std::to_string(duration_slots) +
+           "; the tail would be silently fault-free — raise churn_stop_ms past the "
+           "horizon or set it negative (churn for the whole run)";
   }
   return {};
 }
@@ -37,26 +22,9 @@ ChurnStream::ChurnStream(const FaultPlan& plan, std::uint32_t device_count,
       mean_downtime_ms_(std::max(1.0, plan.mean_downtime_ms)),
       device_count_(device_count),
       rng_(util::derive_seed(master_seed, "fault.churn")),
-      down_until_(device_count, -1),
-      scheduled_(plan.scheduled) {
-  std::stable_sort(scheduled_.begin(), scheduled_.end(),
-                   [](const ChurnEvent& a, const ChurnEvent& b) { return a.slot < b.slot; });
-}
+      down_until_(device_count, -1) {}
 
 void ChurnStream::generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& out) {
-  assert(to_slot >= generated_to_);
-  // Scheduled events are merged at their slot, *between* random arrivals, so
-  // the interleaving (and hence the caller's schedule order for same-slot
-  // events) does not depend on where the chunk boundary falls.
-  const auto emit_scheduled_upto = [&](double t_limit) {
-    while (scheduled_cursor_ < scheduled_.size() &&
-           scheduled_[scheduled_cursor_].slot < to_slot &&
-           static_cast<double>(scheduled_[scheduled_cursor_].slot) <= t_limit) {
-      const ChurnEvent& e = scheduled_[scheduled_cursor_++];
-      if (e.device < device_count_) out.push_back(e);
-    }
-  };
-
   if (rate_per_slot_ > 0.0 && device_count_ > 0 && !stopped_) {
     const auto to = static_cast<double>(to_slot);
     while (true) {
@@ -69,7 +37,6 @@ void ChurnStream::generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& 
         }
       }
       if (pending_t_ >= to) break;  // beyond this chunk: keep it pending
-      emit_scheduled_upto(pending_t_);
       const auto slot = static_cast<std::int64_t>(pending_t_);
       // Per-arrival draw order (device, then downtime) matches the batch
       // injector so the two processes stay recognisably related; the draws
@@ -85,8 +52,6 @@ void ChurnStream::generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& 
       }
     }
   }
-  emit_scheduled_upto(std::numeric_limits<double>::infinity());
-  generated_to_ = to_slot;
 }
 
 FadeStream::FadeStream(const FaultPlan& plan, std::uint32_t device_count,
@@ -97,7 +62,6 @@ FadeStream::FadeStream(const FaultPlan& plan, std::uint32_t device_count,
       rng_(util::derive_seed(master_seed, "fault.fade")) {}
 
 void FadeStream::generate_until(std::int64_t to_slot, std::vector<FadeEpisode>& out) {
-  assert(to_slot >= generated_to_);
   if (rate_per_slot_ > 0.0 && device_count_ >= 2) {
     const auto to = static_cast<double>(to_slot);
     while (true) {
@@ -118,7 +82,6 @@ void FadeStream::generate_until(std::int64_t to_slot, std::vector<FadeEpisode>& 
       out.push_back(FadeEpisode{slot, slot + duration, std::min(u, v), std::max(u, v)});
     }
   }
-  generated_to_ = to_slot;
 }
 
 }  // namespace firefly::fault

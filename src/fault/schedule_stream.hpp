@@ -36,7 +36,7 @@ namespace firefly::fault {
                                                    std::int64_t duration_slots);
 
 /// Regenerating churn process: Poisson crash arrivals with exponential
-/// downtimes, plus the plan's caller-scheduled events merged in slot order.
+/// downtimes.
 class ChurnStream {
  public:
   ChurnStream(const FaultPlan& plan, std::uint32_t device_count,
@@ -48,7 +48,8 @@ class ChurnStream {
   /// when its slot falls beyond `to_slot` (the caller schedules it wherever
   /// it lands — that is what makes the output chunk-invariant).  A device
   /// that is still down when a crash arrival hits it absorbs the arrival,
-  /// exactly like `expand_schedule`.
+  /// exactly like `expand_schedule`.  A `to_slot` below the previous
+  /// call's emits nothing and loses no arrival.
   void generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& out);
 
  private:
@@ -64,9 +65,6 @@ class ChurnStream {
   double pending_t_ = 0.0;
   bool stopped_ = false;  // churn_stop_ms reached: no further draws, ever
   std::vector<std::int64_t> down_until_;
-  std::vector<ChurnEvent> scheduled_;  // plan.scheduled, sorted by slot
-  std::size_t scheduled_cursor_ = 0;
-  std::int64_t generated_to_ = 0;  // the previous call's to_slot (asserted)
 };
 
 /// Regenerating deep-fade process: Poisson episode arrivals on random links
@@ -79,7 +77,8 @@ class FadeStream {
              std::uint64_t master_seed);
 
   /// Append every episode whose start slot lies in [the previous call's
-  /// `to_slot`, to_slot).
+  /// `to_slot`, to_slot); like ChurnStream's, a smaller `to_slot` emits
+  /// nothing.
   void generate_until(std::int64_t to_slot, std::vector<FadeEpisode>& out);
 
  private:
@@ -89,7 +88,6 @@ class FadeStream {
   util::Rng rng_;
   bool have_pending_ = false;
   double pending_t_ = 0.0;
-  std::int64_t generated_to_ = 0;
 };
 
 }  // namespace firefly::fault

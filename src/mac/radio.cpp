@@ -14,9 +14,10 @@ namespace {
 
 constexpr std::size_t kUnregistered = std::numeric_limits<std::size_t>::max();
 
-double noise_floor_mw(const phy::Channel* channel) {
+CaptureRule capture_rule_of(const phy::Channel* channel) {
   if (channel == nullptr) throw std::invalid_argument("RadioMedium: null channel");
-  return channel->params().noise_floor.milliwatts();
+  const phy::RadioParams& params = channel->params();
+  return CaptureRule(params.capture_margin_db, params.noise_floor.milliwatts());
 }
 
 }  // namespace
@@ -33,10 +34,10 @@ AudibilityRule::AudibilityRule(util::Dbm threshold)
       audible_above_mw_(threshold.milliwatts() * (1.0 + kGuardRel)),
       inaudible_below_mw_(threshold.milliwatts() * (1.0 - kGuardRel)) {}
 
-RadioMedium::RadioMedium(sim::Simulator* sim, phy::Channel* channel, double capture_margin_db)
+RadioMedium::RadioMedium(sim::Simulator* sim, phy::Channel* channel)
     : sim_(sim),
       channel_(channel),
-      capture_(capture_margin_db, noise_floor_mw(channel)),
+      capture_(capture_rule_of(channel)),
       audibility_(channel->params().detection_threshold) {
   if (sim_ == nullptr) throw std::invalid_argument("RadioMedium: null simulator");
 }

@@ -310,9 +310,10 @@ class RadioMedium {
   /// most once per receiver per flush, so it must depend on the slot only.
   using ListenFn = std::function<bool()>;
 
-  /// `capture_margin_db`: a same-resource reception is decoded anyway when
-  /// its power exceeds the *sum* of the interferers by this margin.
-  RadioMedium(sim::Simulator* sim, phy::Channel* channel, double capture_margin_db = 6.0);
+  /// The capture rule reads the channel's `capture_margin_db` and
+  /// `noise_floor`: a same-resource reception is decoded anyway when its
+  /// power exceeds the *sum* of the interferers plus noise by the margin.
+  RadioMedium(sim::Simulator* sim, phy::Channel* channel);
 
   /// Register a device.  Devices must be registered before the first slot
   /// boundary they use, in the index order the owner's delivery sink

@@ -22,28 +22,18 @@ std::unique_ptr<core::EngineBase> make_engine(std::vector<geo::Vec2> positions,
 
 }  // namespace
 
-Registry& Registry::instance() {
-  static Registry registry = [] {
-    Registry r;
-    r.add({"fst", "FST", "full-mesh firefly baseline (Chao et al. 2013)",
-           core::Protocol::kFst, &make_engine<FstEngine>});
-    r.add({"st", "ST", "spanning-tree firefly (the paper's proposed algorithm)",
-           core::Protocol::kSt, &make_engine<StEngine>});
-    r.add({"birthday", "Birthday", "sync-free random-beacon discovery baseline",
-           core::Protocol::kBirthday, &make_engine<BirthdayEngine>});
-    r.add({"desync", "DESYNC",
-           "dithered desynchronisation to a round-robin schedule (arXiv:1210.2122)",
-           core::Protocol::kDesync, &make_engine<DesyncEngine>});
-    return r;
-  }();
+const Registry& Registry::instance() {
+  static const Registry registry({
+      {"fst", "full-mesh firefly baseline (Chao et al. 2013)", core::Protocol::kFst,
+       &make_engine<FstEngine>},
+      {"st", "spanning-tree firefly (the paper's proposed algorithm)", core::Protocol::kSt,
+       &make_engine<StEngine>},
+      {"birthday", "sync-free random-beacon discovery baseline", core::Protocol::kBirthday,
+       &make_engine<BirthdayEngine>},
+      {"desync", "dithered desynchronisation to a round-robin schedule (arXiv:1210.2122)",
+       core::Protocol::kDesync, &make_engine<DesyncEngine>},
+  });
   return registry;
-}
-
-bool Registry::add(ProtocolInfo info) {
-  if (info.factory == nullptr) return false;
-  if (find(info.name) != nullptr || find(info.id) != nullptr) return false;
-  infos_.push_back(std::move(info));
-  return true;
 }
 
 const ProtocolInfo* Registry::find(std::string_view name) const {

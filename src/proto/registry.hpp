@@ -1,23 +1,25 @@
 // registry.hpp — stable protocol ids → engine factories.
 //
-// One static registry maps CLI-facing lower-case names ("st", "fst",
+// One static table maps CLI-facing lower-case names ("st", "fst",
 // "birthday", "desync") and the `core::Protocol` enum to factories that
 // build a ready-to-run engine from deployed positions and the parameter
 // blocks.  `run_trial`, `run_service_trial`, `core::sweep` and
 // `firefly_cli --protocol` all resolve through here, so adding a backend is:
-// implement DiscoveryProtocol on top of EngineBase, register it in
-// `Registry::instance()`, and every trial driver, bench sweep and CLI flag
-// picks it up.
+// derive it from EngineBase and override its protocol hooks, add a row to
+// the table in `Registry::instance()`, and every trial driver, bench sweep
+// and CLI flag picks it up.
 //
-// Lookup is by linear scan over the registration-order vector: the registry
-// holds a handful of entries, is built once, and `names()` must enumerate
-// deterministically (CLI help, error messages, bench meta records).
+// Lookup is by linear scan over the table: it holds a handful of entries,
+// and `names()` must enumerate deterministically (CLI help, error messages,
+// bench meta records).  The JSON/metrics id of an entry is
+// `core::to_string(id)`.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -37,7 +39,6 @@ using EngineFactory = std::unique_ptr<core::EngineBase> (*)(
 
 struct ProtocolInfo {
   std::string name;     ///< registry id, lower-case (CLI-facing): "st"
-  std::string display;  ///< JSON/metrics id, matches core::to_string: "ST"
   std::string summary;  ///< one-liner for --help and error messages
   core::Protocol id{};  ///< enum for switch-free enum-keyed dispatch
   EngineFactory factory{nullptr};
@@ -45,17 +46,9 @@ struct ProtocolInfo {
 
 class Registry {
  public:
-  /// Empty registry (unit tests build private instances); the built-in
-  /// backends live in the process-wide `instance()`.
-  Registry() = default;
-
-  /// The global registry, populated with the built-in backends
-  /// (fst, st, birthday, desync) on first use, in that order.
-  [[nodiscard]] static Registry& instance();
-
-  /// Register a backend.  Returns false (and registers nothing) when the
-  /// name or the enum id is already taken.
-  bool add(ProtocolInfo info);
+  /// The process-wide table of the built-in backends (fst, st, birthday,
+  /// desync, in that order), built on first use.
+  [[nodiscard]] static const Registry& instance();
 
   /// Lookup by registry name; nullptr when unknown.
   [[nodiscard]] const ProtocolInfo* find(std::string_view name) const;
@@ -77,7 +70,9 @@ class Registry {
       std::uint64_t seed) const;
 
  private:
-  std::vector<ProtocolInfo> infos_;  ///< registration order
+  explicit Registry(std::vector<ProtocolInfo> infos) : infos_(std::move(infos)) {}
+
+  std::vector<ProtocolInfo> infos_;  ///< table order
 };
 
 }  // namespace firefly::proto

@@ -246,11 +246,9 @@ const std::uint32_t* StEngine::scan_outgoing(const Device& device) {
     if (info.fragment == label) continue;
     bound = std::max(bound, heard_bound_of(info));
     if (info.last_heard_slot >= 0 && slot - info.last_heard_slot > freshness) continue;
-    double weight = info.weight_dbm;
-    if (info.service == device.service) weight += params_.service_bias_db;
-    if (weight > best_weight) {
+    if (info.weight_dbm > best_weight) {
       if constexpr (kFirst) return &other_id;  // the bound stays as it was
-      best_weight = weight;
+      best_weight = info.weight_dbm;
       best = &other_id;
     }
   }

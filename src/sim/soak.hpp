@@ -49,7 +49,7 @@ struct SoakWindow {
   std::uint64_t relabels = 0;            // headless-fragment re-elections granted
   std::uint64_t relabels_suppressed = 0; // re-elections refused by the storm cap
 
-  // Protocol-specific gauges (filled by DiscoveryProtocol::fill_soak_window;
+  // Protocol-specific gauges (filled by EngineBase::fill_soak_window;
   // zero for protocols without the observable).
   double desync_error = 0.0;       // DESYNC: mean midpoint residual (slots)
 

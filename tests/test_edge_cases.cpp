@@ -97,11 +97,6 @@ TEST(EdgeCases, ShortPeriodStillWorks) {
   config.seed = 8;
   config.area_policy = core::AreaPolicy::kFixed;
   config.protocol.period_slots = 20;
-  config.protocol.refractory_slots = 2;
-  config.protocol.tolerance_slots = 1;
-  config.protocol.check_interval_slots = 5;
-  config.protocol.discovery_slots = 20;
-  config.protocol.round_slots = 8;
   const auto m = core::run_trial(core::Protocol::kSt, config);
   EXPECT_TRUE(m.converged);
 }

@@ -42,7 +42,7 @@ TEST(FaultPlan, EnabledFlags) {
   EXPECT_FALSE(plan.churn_enabled());
   EXPECT_FALSE(plan.channel_enabled());
   plan = {};
-  plan.scheduled.push_back(ChurnEvent{100, 0, true});
+  plan.churn_rate_per_min = 1.0;
   EXPECT_TRUE(plan.churn_enabled());
   plan = {};
   plan.drop_probability = 0.01;
@@ -96,16 +96,6 @@ TEST(FaultInjector, ChurnStopLeavesAQuietTail) {
       EXPECT_LT(e.slot, 30'000);
     }
   }
-}
-
-TEST(FaultInjector, ScheduledChurnReplayedVerbatimAndHorizonFiltered) {
-  FaultPlan plan;
-  plan.scheduled = {ChurnEvent{500, 2, true}, ChurnEvent{2'500, 2, false},
-                    ChurnEvent{99'999, 1, true}};
-  const FaultSchedule schedule = expand_schedule(plan, 5, 10'000, 3);
-  ASSERT_EQ(schedule.churn.size(), 2U);  // beyond-horizon event dropped
-  EXPECT_EQ(schedule.churn[0], (ChurnEvent{500, 2, true}));
-  EXPECT_EQ(schedule.churn[1], (ChurnEvent{2'500, 2, false}));
 }
 
 TEST(FaultInjector, DriftWithinBoundsAndZeroWhenDisabled) {

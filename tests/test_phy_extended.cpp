@@ -35,7 +35,7 @@ TEST(NoiseFloor, NoiseBreaksMarginalCapture) {
         params, std::make_unique<phy::PaperDualSlope>(),
         std::make_unique<phy::NoShadowing>(), std::make_unique<phy::NoFading>(),
         Rng(1));
-    mac::RadioMedium radio(&sim, channel.get(), 3.0);
+    mac::RadioMedium radio(&sim, channel.get());
     int heard = 0;
     // PL(d)=83 dB -> d=10^(43/40)≈11.885 m: rx = 23−83 = −60 dBm.
     radio.add_device(0, {10.0 + 11.885, 0.0});

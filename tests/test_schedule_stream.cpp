@@ -1,6 +1,5 @@
 // Tests for the regenerating fault-schedule streams (fault/schedule_stream):
-// chunk-invariance of the emitted sequences, merge order of scripted events,
-// churn-stop semantics, downtime absorption, and the service-horizon
+// chunk-invariance of the emitted sequences, churn-stop semantics, downtime absorption, and the service-horizon
 // validation that rejects fault plans ending before the soak does.
 #include <gtest/gtest.h>
 
@@ -87,21 +86,6 @@ TEST(ChurnStream, EmissionPairsCrashThenRecover) {
   }
 }
 
-TEST(ChurnStream, ScheduledEventsMergeChunkInvariantly) {
-  fault::FaultPlan plan = churn_plan(200.0);
-  plan.scheduled = {{40'000, 3, true}, {44'000, 3, false}, {100, 1, true},
-                    {900, 1, false}, {99'999, 0, true}};
-  const std::vector<fault::ChurnEvent> whole =
-      churn_in_one_call(plan, 8, 11, 100'000);
-  for (std::uint64_t chunk_seed = 1; chunk_seed <= 4; ++chunk_seed) {
-    EXPECT_EQ(whole, churn_in_chunks(plan, 8, 11, 100'000, chunk_seed));
-  }
-  // Every scripted event addressed to a real device is present.
-  for (const fault::ChurnEvent& scripted : plan.scheduled) {
-    EXPECT_NE(std::find(whole.begin(), whole.end(), scripted), whole.end());
-  }
-}
-
 TEST(ChurnStream, StopsAtChurnStop) {
   fault::FaultPlan plan = churn_plan(6'000.0);
   plan.churn_stop_ms = 5'000.0;
@@ -155,16 +139,6 @@ TEST(ValidateServiceHorizon, RejectsChurnStopBeforeHorizon) {
   // A stop at/past the horizon is fine.
   plan.churn_stop_ms = 1'000'000.0;
   EXPECT_EQ(fault::validate_service_horizon(plan, 1'000'000), "");
-}
-
-TEST(ValidateServiceHorizon, RejectsScheduledChurnEndingEarly) {
-  fault::FaultPlan plan;
-  plan.scheduled = {{100, 0, true}, {500, 0, false}};
-  const std::string error = fault::validate_service_horizon(plan, 50'000);
-  EXPECT_NE(error.find("scheduled churn ends at slot 500"), std::string::npos) << error;
-  // Scripted churn reaching the horizon passes.
-  plan.scheduled.push_back({49'999, 1, true});
-  EXPECT_EQ(fault::validate_service_horizon(plan, 50'000), "");
 }
 
 }  // namespace

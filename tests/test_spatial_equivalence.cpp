@@ -127,7 +127,7 @@ TEST(SpatialEquivalence, MemoisedCandidateMeansMatchDirectChannelQueries) {
   auto channel = phy::make_paper_channel(config.seed);
 
   sim::Simulator sim;
-  mac::RadioMedium radio(&sim, channel.get(), channel->params().capture_margin_db);
+  mac::RadioMedium radio(&sim, channel.get());
   for (std::uint32_t id = 0; id < positions.size(); ++id) {
     radio.add_device(id, positions[id]);
   }
@@ -193,8 +193,8 @@ void expect_grid_cache_matches_dense(const std::vector<geo::Vec2>& positions,
   auto grid_channel = phy::make_paper_channel(seed);
   auto dense_channel = phy::make_paper_channel(seed, dense_params);
   sim::Simulator sim;
-  mac::RadioMedium grid(&sim, grid_channel.get(), grid_channel->params().capture_margin_db);
-  mac::RadioMedium dense(&sim, dense_channel.get(), dense_channel->params().capture_margin_db);
+  mac::RadioMedium grid(&sim, grid_channel.get());
+  mac::RadioMedium dense(&sim, dense_channel.get());
   for (std::uint32_t id = 0; id < positions.size(); ++id) {
     grid.add_device(id, positions[id]);
     dense.add_device(id, positions[id]);

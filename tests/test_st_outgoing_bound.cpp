@@ -42,10 +42,8 @@ class CheckedSt final : public proto::StEngine {
     for (const auto& [other, info] : neighbors(i)) {
       if (info.fragment == fragment(i)) continue;
       if (info.last_heard_slot >= 0 && slot - info.last_heard_slot > freshness) continue;
-      double weight = info.weight_dbm;
-      if (info.service == devices_[i].service) weight += params_.service_bias_db;
-      if (weight > best_weight) {
-        best_weight = weight;
+      if (info.weight_dbm > best_weight) {
+        best_weight = info.weight_dbm;
         best = other;
       }
     }

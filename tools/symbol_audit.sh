@@ -3,6 +3,7 @@
 #
 #   tools/symbol_audit.sh [BUILD_DIR]            # default BUILD_DIR: build-audit
 #   tools/symbol_audit.sh --inline [BUILD_DIR]   # default: build-audit-inline
+#   tools/symbol_audit.sh --fields               # no build
 #
 # Builds the libraries and every program (the examples, the benches,
 # tools/check_bench_json and perfbench's firefly_perfbench) at -O0 with one
@@ -23,7 +24,67 @@
 # function has no out-of-line copy in any program, so this mode lists it
 # apart as a known false positive.  Templates stay outside both modes: one
 # that nothing instantiates is emitted nowhere.
+#
+# --fields builds nothing.  It greps the headers of the configuration
+# structs (ProtocolParams, FaultPlan, RadioParams, ServiceConfig,
+# ScenarioConfig) for their non-static data members and lists each one that
+# no program writes, i.e. with no `.name =` or `.name{` in src/, bench/,
+# examples/, tools/ or perfbench/ (a write to one of its own members,
+# `.name.x =`, counts); such a field is either a constant or a test-only
+# knob.  Each entry says whether tests/ writes it.  The grep sees
+# only those two spellings: a write through `->`, a compound assignment, a
+# positional aggregate initialiser or a whole-struct copy goes unseen, and a
+# write to another struct's member of the same name counts as a write.  A
+# member is a line at the struct's first indent that declares one name and
+# holds no parenthesis once its comment is stripped, so a member function
+# or a declaration spread over two lines is skipped.
 set -euo pipefail
+
+# Lists the non-static data members of struct $1 defined in header $2.
+struct_fields() {
+  STRUCT="$1" perl -ne '
+    if (/^struct \Q$ENV{STRUCT}\E\b.*\{\s*$/) { $in = 1; next }
+    next unless $in;
+    if (/^\};/) { $in = 0; next }
+    s{//.*}{};
+    next if /\(/ || !/^  \S/ || /^\s*static\b/;
+    print "$1\n" if /(\w+)\s*(?:\{[^}]*\}|=[^;]*)?;\s*$/;' "$2"
+}
+
+if [ "${1:-}" = --fields ]; then
+  title="config fields no program writes"
+  write_dirs=(src bench examples tools perfbench)
+  residue=""
+  for entry in ProtocolParams:src/core/params.hpp FaultPlan:src/fault/fault_plan.hpp \
+               RadioParams:src/phy/channel.hpp ServiceConfig:src/core/service_mode.hpp \
+               ScenarioConfig:src/core/scenario.hpp; do
+    struct=${entry%%:*}
+    for field in $(struct_fields "$struct" "${entry#*:}"); do
+      write="\\.$field(\\.[[:alnum:]_]+)*[[:space:]]*(=([^=]|$)|\\{)"
+      grep -rEq --include='*.cpp' --include='*.hpp' "$write" "${write_dirs[@]}" && continue
+      if grep -rEq --include='*.cpp' --include='*.hpp' "$write" tests; then
+        residue+="$struct::$field (tests write it)"$'\n'
+      else
+        residue+="$struct::$field (nothing writes it)"$'\n'
+      fi
+    done
+  done
+  residue=${residue%$'\n'}
+  count=$(printf '%s' "$residue" | grep -c . || true)
+  echo "$title: $count"
+  [ -n "$residue" ] && printf '%s\n' "$residue"
+  if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+    {
+      echo '### Config field audit'
+      echo
+      echo '```'
+      echo "$title: $count"
+      [ -n "$residue" ] && printf '%s\n' "$residue"
+      echo '```'
+    } >> "$GITHUB_STEP_SUMMARY"
+  fi
+  exit 0
+fi
 
 inline=0
 cxx_flags="-O0 -ffunction-sections -fdata-sections"
