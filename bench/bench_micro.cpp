@@ -41,10 +41,10 @@ void BM_SlotCalendarScheduleAndPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
   std::vector<std::int64_t> times(n);
-  for (auto& t : times) t = static_cast<std::int64_t>(rng.uniform_index(1'000'000));
+  for (auto& t : times) t = static_cast<std::int64_t>(rng.uniform_index(1000));
   for (auto _ : state) {
     sim::SlotCalendar q;
-    for (const auto t : times) q.schedule(sim::SimTime::microseconds(t), [] {});
+    for (const auto t : times) q.schedule(t, [] {});
     while (!q.empty()) benchmark::DoNotOptimize(q.pop());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
@@ -56,23 +56,21 @@ BENCHMARK(BM_SlotCalendarScheduleAndPop)->Arg(1024)->Arg(16384);
 // standing in for pulse-coupling absorption.
 void BM_SlotCalendarPeriodReschedule(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  constexpr std::int64_t kPeriodMs = 100;
+  constexpr std::int64_t kPeriodSlots = 100;
   for (auto _ : state) {
     sim::SlotCalendar q;
     std::vector<sim::EventId> ids(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ids[i] = q.schedule(sim::SimTime::milliseconds(static_cast<std::int64_t>(i % 100)),
-                          [] {});
+      ids[i] = q.schedule(static_cast<std::int64_t>(i % 100), [] {});
     }
     std::size_t victim = 0;
     for (int step = 0; step < 20000; ++step) {
       auto fired = q.pop();
-      q.schedule(fired.time + sim::SimTime::milliseconds(kPeriodMs), [] {});
+      q.schedule(fired.time + kPeriodSlots, [] {});
       if ((step & 3) == 0) {
         // Absorption: cancel a tracked event and re-arm it one period out.
         if (q.cancel(ids[victim])) {
-          ids[victim] =
-              q.schedule(fired.time + sim::SimTime::milliseconds(kPeriodMs), [] {});
+          ids[victim] = q.schedule(fired.time + kPeriodSlots, [] {});
         }
         victim = (victim + 1) % n;
       }
@@ -88,10 +86,9 @@ void BM_SimulatorPeriodicTimers(benchmark::State& state) {
     sim::Simulator sim;
     std::uint64_t fires = 0;
     for (std::size_t i = 0; i < timers; ++i) {
-      sim.schedule_periodic(sim::SimTime::milliseconds(static_cast<std::int64_t>(i % 7)),
-                            sim::SimTime::milliseconds(5), [&fires] { ++fires; });
+      sim.schedule_periodic(static_cast<std::int64_t>(i % 7), 5, [&fires] { ++fires; });
     }
-    sim.run_until(sim::SimTime::milliseconds(200));
+    sim.run_until(200);
     benchmark::DoNotOptimize(fires);
   }
 }
@@ -191,7 +188,7 @@ void BM_RadioSlotFlush(benchmark::State& state) {
                        static_cast<std::uint32_t>(rng.uniform_index(64))},
                       mac::PsType::kSyncPulse, 0);
     }
-    sim.run_until(sim::SimTime::milliseconds(static_cast<std::int64_t>(slot)));
+    sim.run_until(static_cast<std::int64_t>(slot));
     ++slot;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
@@ -228,7 +225,7 @@ void BM_RadioSlotFlushFaulted(benchmark::State& state) {
                                                       : mac::PsType::kSyncPulse,
                       0);
     }
-    sim.run_until(sim::SimTime::milliseconds(static_cast<std::int64_t>(slot)));
+    sim.run_until(static_cast<std::int64_t>(slot));
     ++slot;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
@@ -256,7 +253,7 @@ void BM_RadioSlotFlushContended(benchmark::State& state) {
                       {mac::RachCodec::kRach1, static_cast<std::uint32_t>(rng.uniform_index(4))},
                       mac::PsType::kSyncPulse, 0);
     }
-    sim.run_until(sim::SimTime::milliseconds(static_cast<std::int64_t>(slot)));
+    sim.run_until(static_cast<std::int64_t>(slot));
     ++slot;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));
@@ -286,7 +283,7 @@ void BM_RadioBatchedDeliverySweep(benchmark::State& state) {
                        static_cast<std::uint32_t>(rng.uniform_index(64))},
                       mac::PsType::kSyncPulse, 0);
     }
-    sim.run_until(sim::SimTime::milliseconds(static_cast<std::int64_t>(slot)));
+    sim.run_until(static_cast<std::int64_t>(slot));
     ++slot;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * txs));

@@ -38,7 +38,7 @@ class MobileObserver final : public proto::StEngine {
   };
 
   void install(util::Table* table) {
-    sim_.schedule_periodic(sim::SimTime::seconds(1), sim::SimTime::seconds(1), [this, table] {
+    sim_.schedule_periodic(1000, 1000, [this, table] {  // once a second (1,000 slots)
       const Snapshot s = snapshot();
       table->add_row({util::Table::num(s.t_s, 0), util::Table::num(s.fragments),
                       util::Table::num(s.firing_spread_slots, 1),
@@ -49,8 +49,8 @@ class MobileObserver final : public proto::StEngine {
 
   [[nodiscard]] Snapshot snapshot() const {
     Snapshot s{};
-    s.t_s = sim_.now().as_seconds();
-    const std::int64_t slot = sim_.now().us / sim::kLteSlot.us;
+    const std::int64_t slot = current_slot();
+    s.t_s = static_cast<double>(slot) * 1e-3;
     const std::int64_t fresh_horizon = 2 * params().period_slots;
     std::set<std::uint16_t> fragments;
     std::vector<std::int64_t> mods;

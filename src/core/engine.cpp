@@ -128,10 +128,6 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
   });
 }
 
-std::int64_t EngineBase::current_slot() const {
-  return mac::RadioMedium::slot_index(sim_.now());
-}
-
 void EngineBase::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   fires_counter_ = telemetry != nullptr ? &telemetry->counter("engine.fires") : nullptr;
@@ -141,8 +137,7 @@ void EngineBase::set_telemetry(obs::Telemetry* telemetry) {
 void EngineBase::schedule_fire(std::uint32_t i) {
   if (hot_.down[i]) return;
   if (hot_.fire_event[i] != 0) sim_.cancel(hot_.fire_event[i]);
-  const sim::SimTime at = sim::SimTime{hot_.next_fire_slot[i] * sim::kLteSlot.us};
-  hot_.fire_event[i] = sim_.schedule_at(std::max(at, sim_.now()), [this, i] {
+  hot_.fire_event[i] = sim_.schedule_at(std::max(hot_.next_fire_slot[i], sim_.now()), [this, i] {
     hot_.fire_event[i] = 0;
     fire(i);
   });
@@ -178,8 +173,7 @@ void EngineBase::fire(std::uint32_t i, std::uint32_t post_counter) {
 }
 
 std::uint32_t EngineBase::elapsed_slots(const mac::RxRecord& record) const {
-  const std::int64_t sent_slot = record.slot_start.us / sim::kLteSlot.us;
-  const std::int64_t elapsed = current_slot() - sent_slot;
+  const std::int64_t elapsed = current_slot() - record.sent_slot;
   return elapsed > 0 ? static_cast<std::uint32_t>(elapsed) : 0;
 }
 
@@ -189,7 +183,7 @@ std::uint16_t EngineBase::counter_field(std::uint32_t i) const {
 
 void EngineBase::apply_pulse_coupling(const mac::RxRecord& record) {
   const obs::ScopedTimer span(telemetry_, obs::SpanId::kPcoUpdate,
-                              telemetry_ != nullptr ? sim_.now().as_milliseconds() : -1.0);
+                              telemetry_ != nullptr ? static_cast<double>(sim_.now()) : -1.0);
   const std::uint32_t i = record.rx_index;
   const std::int64_t slot = current_slot();
   if (refractory_at(i, slot)) return;
@@ -282,8 +276,7 @@ void EngineBase::start_mobility() {
     movers_.emplace_back(d.position, mobility_area_, params_.mobility_speed_mps,
                          params_.mobility_pause_s, &mobility_rng_);
   }
-  sim_.schedule_periodic(sim::SimTime::milliseconds(params_.mobility_update_slots),
-                         sim::SimTime::milliseconds(params_.mobility_update_slots),
+  sim_.schedule_periodic(params_.mobility_update_slots, params_.mobility_update_slots,
                          [this] { mobility_step(); });
 }
 
@@ -356,8 +349,7 @@ void EngineBase::sample_resilience(std::int64_t slot) {
 
 RunMetrics EngineBase::run() {
   start_run();
-  const sim::SimTime deadline = sim::SimTime::milliseconds(params_.max_slots());
-  sim_.run_until(deadline);
+  sim_.run_until(params_.max_slots());
   return collect_metrics();
 }
 
@@ -368,10 +360,8 @@ void EngineBase::start_run() {
         control_rng_.uniform_index(params_.period_slots)) + 1;
     schedule_fire(i);
   }
-  sim_.schedule_periodic(
-      sim::SimTime::milliseconds(params_.check_interval_slots),
-      sim::SimTime::milliseconds(params_.check_interval_slots),
-      [this] { check_convergence(); });
+  sim_.schedule_periodic(params_.check_interval_slots, params_.check_interval_slots,
+                         [this] { check_convergence(); });
   if (params_.mobility_speed_mps > 0.0) start_mobility();
   on_start();
   if (injector_ != nullptr) schedule_fault_events();
@@ -392,7 +382,7 @@ void EngineBase::schedule_fault_events() {
 void EngineBase::schedule_faults(std::span<const fault::ChurnEvent> churn,
                                  std::span<const fault::FadeEpisode> fades) {
   for (const fault::ChurnEvent& e : churn) {
-    sim_.schedule_at(sim::SimTime::milliseconds(e.slot), [this, e] {
+    sim_.schedule_at(e.slot, [this, e] {
       if (e.crash) {
         crash_device(e.device);
       } else {
@@ -402,11 +392,11 @@ void EngineBase::schedule_faults(std::span<const fault::ChurnEvent> churn,
   }
   for (const fault::FadeEpisode& f : fades) {
     ++state_.fade_episodes;
-    sim_.schedule_at(sim::SimTime::milliseconds(f.start_slot), [this, f] {
+    sim_.schedule_at(f.start_slot, [this, f] {
       injector_->fade_started(f);
       trace(TraceKind::kFadeStart, f.u, f.u, f.v);
     });
-    sim_.schedule_at(sim::SimTime::milliseconds(f.end_slot), [this, f] {
+    sim_.schedule_at(f.end_slot, [this, f] {
       injector_->fade_ended(f);
       trace(TraceKind::kFadeEnd, f.u, f.u, f.v);
     });
@@ -493,7 +483,7 @@ void EngineBase::finalize_metrics(RunMetrics& metrics) const {
   metrics.collisions = traffic.collisions;
   metrics.deliveries = traffic.deliveries;
   metrics.events_processed = sim_.events_processed();
-  metrics.simulated_ms = sim_.now().as_milliseconds();
+  metrics.simulated_ms = static_cast<double>(sim_.now());
 
   // Resilience observables (all zero on fault-free runs).
   metrics.crashes = state_.crashes;
@@ -564,10 +554,9 @@ void EngineBase::finalize_metrics(RunMetrics& metrics) const {
   // Selection, not a sort: same value, after the insertion-order mean.
   metrics.ranging_p90_rel_error = rel_errors.percentile_select(90.0);
 
-  const std::int64_t elapsed_slots = mac::RadioMedium::slot_index(sim_.now());
   const double awake = params_.awake_fraction();
-  metrics.total_energy_mj = energy_.total_energy_mj(elapsed_slots, awake);
-  metrics.mean_device_energy_mj = energy_.mean_energy_mj(elapsed_slots, awake);
+  metrics.total_energy_mj = energy_.total_energy_mj(sim_.now(), awake);
+  metrics.mean_device_energy_mj = energy_.mean_energy_mj(sim_.now(), awake);
   metrics.energy_per_neighbor_mj =
       metrics.mean_neighbors_discovered > 0.0
           ? metrics.mean_device_energy_mj / metrics.mean_neighbors_discovered

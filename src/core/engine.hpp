@@ -250,7 +250,7 @@ class EngineBase {
 
   // --- oscillator driving (shared) ---
   /// Current absolute slot.
-  [[nodiscard]] std::int64_t current_slot() const;
+  [[nodiscard]] std::int64_t current_slot() const { return sim_.now(); }
   /// (Re)schedule device i's natural firing event at next_fire_slot(i).
   void schedule_fire(std::uint32_t i);
   /// Fire now: broadcast, reset the counter (to `post_counter` — nonzero
@@ -270,7 +270,7 @@ class EngineBase {
   /// Record a trace event when a sink is attached.
   void trace(TraceKind kind, std::uint32_t device, std::uint32_t a = 0,
              std::uint32_t b = 0) {
-    if (trace_ != nullptr) trace_->record(sim_.now().as_milliseconds(), device, kind, a, b);
+    if (trace_ != nullptr) trace_->record(static_cast<double>(sim_.now()), device, kind, a, b);
   }
   /// Adopt an absolute counter value (ST merge sync); reschedules or fires.
   void adopt_counter(std::uint32_t i, std::uint32_t counter);

@@ -208,7 +208,7 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
   while (slot < cfg.duration_slots) {
     const std::int64_t window_end = std::min(slot + cfg.window_slots, cfg.duration_slots);
     schedule_service_faults(window_end);
-    sim_.run_until(sim::SimTime::milliseconds(window_end));
+    sim_.run_until(window_end);
     const RunState now = state_;
     const mac::TrafficCounters traffic = radio_.counters();
 

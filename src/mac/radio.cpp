@@ -348,9 +348,7 @@ void RadioMedium::broadcast(std::uint32_t sender, Preamble preamble, PsType type
     throw std::invalid_argument("RadioMedium::broadcast: preamble outside the RACH pool");
   }
   if (down_[index_of(sender)] != 0) return;  // crashed: PA is off
-  const std::int64_t slot = slot_index(sim_->now());
-  const sim::SimTime slot_start = sim::SimTime{slot * sim::kLteSlot.us};
-  pending_.push_back(PendingTx{sender, preamble, type, payload, slot_start});
+  pending_.push_back(PendingTx{sender, preamble, type, payload, sim_->now()});
   if (energy_ != nullptr) energy_->record_tx(sender);
   switch (preamble.codec) {
     case RachCodec::kRach1: ++counters_.rach1_tx; break;
@@ -363,9 +361,7 @@ void RadioMedium::ensure_flush_scheduled() {
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
   // Deliver at the end of the current slot.
-  const std::int64_t slot = slot_index(sim_->now());
-  const sim::SimTime boundary = sim::SimTime{(slot + 1) * sim::kLteSlot.us};
-  sim_->schedule_at(boundary, [this] { flush_slot(); });
+  sim_->schedule_in(1, [this] { flush_slot(); });
 }
 
 bool RadioMedium::receiver_open(std::size_t rx_index) {
@@ -567,7 +563,7 @@ void RadioMedium::resolve_receivers() {
       if (energy_ != nullptr) energy_->record_rx(devices_[rx_index].id);
       const PendingTx& tx = flushing_[r.tx];
       rx_records_.push_back(RxRecord{tx.sender, rx_index, tx.preamble, tx.type, tx.payload,
-                                     power_of(r), tx.slot_start});
+                                     power_of(r), tx.sent_slot});
     }
     if (shared) {
       // Restore the all-zero invariant for the next receiver.
@@ -590,7 +586,7 @@ void RadioMedium::flush_slot() {
   if (flushing_.empty()) return;
   if (!cache_valid_) throw std::logic_error("RadioMedium::flush_slot: stale candidate cache");
   const obs::ScopedTimer span(telemetry_, obs::SpanId::kSlotDelivery,
-                              telemetry_ != nullptr ? sim_->now().as_milliseconds() : -1.0);
+                              telemetry_ != nullptr ? static_cast<double>(sim_->now()) : -1.0);
   if (telemetry_ != nullptr) {
     telemetry_->observe("radio.slot_batch", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024},
                         static_cast<double>(flushing_.size()));

@@ -81,7 +81,7 @@ struct RxRecord {
   PsType type;
   std::uint64_t payload;   ///< protocol-defined (fragment id, phase, etc.)
   util::Dbm rx_power;
-  sim::SimTime slot_start; ///< slot in which the PS was transmitted (records
+  std::int64_t sent_slot;  ///< slot in which the PS was transmitted (records
                            ///< in one batch can differ: a broadcast executing
                            ///< at the flush boundary joins the closing batch
                            ///< with the next slot's stamp)
@@ -396,11 +396,6 @@ class RadioMedium {
   /// flush and nothing per delivery.
   void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
 
-  /// Slot index containing time t.
-  [[nodiscard]] static std::int64_t slot_index(sim::SimTime t) {
-    return t.us / sim::kLteSlot.us;
-  }
-
  private:
   struct DeviceEntry {
     std::uint32_t id;
@@ -412,7 +407,7 @@ class RadioMedium {
     Preamble preamble;
     PsType type;
     std::uint64_t payload;
-    sim::SimTime slot_start;
+    std::int64_t sent_slot;
   };
 
  public:

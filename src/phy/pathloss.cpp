@@ -18,7 +18,7 @@ constexpr double kFarSlope = 40.0;
 }  // namespace
 
 util::Db PaperDualSlope::loss(double distance_m) const {
-  const double d = std::max(distance_m, min_distance());
+  const double d = std::max(distance_m, kMinDistance);
   if (d < kBreakpoint) return util::Db{kNearIntercept + kNearSlope * std::log10(d)};
   return util::Db{kFarIntercept + kFarSlope * std::log10(d)};
 }
@@ -33,7 +33,7 @@ double PaperDualSlope::distance_for_loss(util::Db pl) const {
     // Losses inside the regime gap have no preimage; snap to the breakpoint.
     return kBreakpoint;
   }
-  return std::max(min_distance(),
+  return std::max(kMinDistance,
                   std::pow(10.0, (pl.value - kNearIntercept) / kNearSlope));
 }
 

@@ -20,7 +20,10 @@ class PathLossModel {
  public:
   virtual ~PathLossModel() = default;
 
-  /// Loss at distance d metres (d clamped to >= min_distance()).
+  /// Distances below this are clamped (models diverge at d -> 0).
+  static constexpr double kMinDistance = 0.1;  // metres
+
+  /// Loss at distance d metres (d clamped to >= kMinDistance).
   /// Contract: non-decreasing in d (a regime jump may only go up, as
   /// `PaperDualSlope`'s breakpoint does).  The radio's candidate rebuild
   /// tabulates the loss at bucket edges of d² as a lower bound for every
@@ -28,8 +31,6 @@ class PathLossModel {
   [[nodiscard]] virtual util::Db loss(double distance_m) const = 0;
   /// Inverse: the distance that would produce this loss.
   [[nodiscard]] virtual double distance_for_loss(util::Db loss) const = 0;
-  /// Distances below this are clamped (models diverge at d -> 0).
-  [[nodiscard]] virtual double min_distance() const { return 0.1; }
 };
 
 /// Table I dual-slope outdoor NLOS model.

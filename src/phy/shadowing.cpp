@@ -89,12 +89,6 @@ void PerLinkShadowing::samples(std::uint32_t a, const std::uint32_t* b, std::siz
   for (std::size_t k = 0; k < n; ++k) out_db[k] = sample(a, b[k]).value;
 }
 
-double PerLinkShadowing::loss_lower_bound(std::uint32_t a, std::uint32_t b) const {
-  double bound = 0.0;
-  loss_lower_bounds(a, &b, 1, &bound);
-  return bound;
-}
-
 void PerLinkShadowing::loss_lower_bounds(std::uint32_t a, const std::uint32_t* b, std::size_t n,
                                          double* out_db) const {
   // Clamping and scaling by σ ≥ 0 are monotone, so they keep the bound.

@@ -8,6 +8,7 @@
 // function of the link: nothing is memoised, and query order never matters.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -28,17 +29,14 @@ class ShadowingModel {
                        double* out_db) const {
     for (std::size_t k = 0; k < n; ++k) out_db[k] = sample(a, b[k]).value;
   }
-  /// A lower bound in dB on `sample(a, b)`, cheap enough to reject a
-  /// candidate pair before any transcendental call.  The default,
-  /// −`max_gain_db()`, holds for every model: −inf for unbounded ones (the
-  /// bound never rejects) and exact for a model with no shadowing.
-  [[nodiscard]] virtual double loss_lower_bound(std::uint32_t /*a*/, std::uint32_t /*b*/) const {
-    return -max_gain_db();
-  }
-  /// Batched `loss_lower_bound`, one virtual call per row.
-  virtual void loss_lower_bounds(std::uint32_t a, const std::uint32_t* b, std::size_t n,
+  /// out_db[k] = a lower bound in dB on `sample(a, b[k])` for k < n, cheap
+  /// enough to reject a candidate pair before any transcendental call; one
+  /// virtual call per row.  The default, −`max_gain_db()`, holds for every
+  /// model: −inf for unbounded ones (the bound never rejects) and exact for
+  /// a model with no shadowing.
+  virtual void loss_lower_bounds(std::uint32_t /*a*/, const std::uint32_t* /*b*/, std::size_t n,
                                  double* out_db) const {
-    for (std::size_t k = 0; k < n; ++k) out_db[k] = loss_lower_bound(a, b[k]);
+    std::fill(out_db, out_db + n, -max_gain_db());
   }
   /// Upper bound on the shadowing *gain* (−sample) in dB, used to bound
   /// the maximum detectable range for spatial pruning; +inf when the model
@@ -64,7 +62,7 @@ class ShadowingModel {
 /// variance by < 0.5% (truncation probability ≈ 2.7e-3 per link).
 ///
 /// Because a draw is a pure function of its two hash words, it can also be
-/// *bounded* from those words alone (`loss_lower_bound`): the top
+/// *bounded* from those words alone (`loss_lower_bounds`): the top
 /// 10 bits of each word pick a bucket of u1 and of u2, and static 1,024-entry
 /// tables give r = √(−2 ln u1) ∈ [r_lo, r_hi] and cos(2πu2) ≥ c_lo over the
 /// bucket, rounded outward by `kBoundSlack`.  The normal is then at least
@@ -84,7 +82,6 @@ class PerLinkShadowing final : public ShadowingModel {
   [[nodiscard]] util::Db sample(std::uint32_t a, std::uint32_t b) const override;
   void samples(std::uint32_t a, const std::uint32_t* b, std::size_t n,
                double* out_db) const override;
-  [[nodiscard]] double loss_lower_bound(std::uint32_t a, std::uint32_t b) const override;
   void loss_lower_bounds(std::uint32_t a, const std::uint32_t* b, std::size_t n,
                          double* out_db) const override;
   [[nodiscard]] double max_gain_db() const override { return kClampSigmas * sigma_; }

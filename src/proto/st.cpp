@@ -25,7 +25,7 @@ void StEngine::on_start() {
     for (std::uint32_t b = 0; b < params_.discovery_beacons; ++b) {
       const std::int64_t slot =
           base + static_cast<std::int64_t>(control_rng_.uniform_index(params_.discovery_slots));
-      sim_.schedule_at(sim::SimTime::milliseconds(slot), [this, &d, i] {
+      sim_.schedule_at(slot, [this, &d, i] {
         if (hot_.down[i]) return;
         radio_.broadcast(d.id, random_preamble(mac::RachCodec::kRach1),
                          mac::PsType::kDiscovery,
@@ -35,29 +35,26 @@ void StEngine::on_start() {
     // Head round timer, staggered by id so RACH2 attempts de-collide.
     const std::int64_t first_round = base + params_.discovery_slots +
                                      static_cast<std::int64_t>(d.id % params_.round_slots);
-    sim_.schedule_periodic(sim::SimTime::milliseconds(first_round),
-                           sim::SimTime::milliseconds(params_.round_slots),
-                           [this, &d] { round_action(d); });
+    sim_.schedule_periodic(first_round, params_.round_slots, [this, &d] { round_action(d); });
     // Keep-alive sync flood: once per firing period each head floods its
     // phase down the fragment tree (the paper's RACH2 "keep-alive" codec;
     // Algorithm 1 re-runs F_F_A over RACH2 after every H_Connect round).
     const std::int64_t first_flood = base + params_.discovery_slots +
                                      static_cast<std::int64_t>(d.id % params_.period_slots);
-    sim_.schedule_periodic(sim::SimTime::milliseconds(first_flood),
-                           sim::SimTime::milliseconds(params_.period_slots), [this, &d, i] {
-                             if (!hot_.down[i] && hot_.is_head[i]) emit_sync_flood(d);
-                           });
+    sim_.schedule_periodic(first_flood, params_.period_slots, [this, &d, i] {
+      if (!hot_.down[i] && hot_.is_head[i]) emit_sync_flood(d);
+    });
     // Keep-alive discovery: one beacon per period at a *random* slot.  This
     // is ST's structural answer to the baseline's pathology — FST beacons
     // only when it fires, so once synchronised every beacon lands in the
     // same slot and collides; ST keeps discovery traffic spread out.
     sim_.schedule_periodic(
-        sim::SimTime::milliseconds(base + static_cast<std::int64_t>(d.id % params_.period_slots)),
-        sim::SimTime::milliseconds(params_.period_slots), [this, &d, i] {
+        base + static_cast<std::int64_t>(d.id % params_.period_slots), params_.period_slots,
+        [this, &d, i] {
           if (hot_.down[i]) return;
           const auto offset = static_cast<std::int64_t>(
               control_rng_.uniform_index(params_.period_slots - 1));
-          sim_.schedule_in(sim::SimTime::milliseconds(offset), [this, &d, i] {
+          sim_.schedule_in(offset, [this, &d, i] {
             if (hot_.down[i]) return;
             radio_.broadcast(d.id, random_preamble(mac::RachCodec::kRach1),
                              mac::PsType::kDiscovery,
@@ -267,7 +264,7 @@ bool StEngine::has_outgoing(const Device& device) {
 
 void StEngine::attempt_connect(Device& device) {
   const obs::ScopedTimer span(telemetry_, obs::SpanId::kHConnect,
-                              telemetry_ != nullptr ? sim_.now().as_milliseconds() : -1.0);
+                              telemetry_ != nullptr ? static_cast<double>(sim_.now()) : -1.0);
   const std::int64_t slot = current_slot();
   const std::uint32_t* best = best_outgoing(device);
   if (best == nullptr) {
@@ -311,7 +308,7 @@ bool StEngine::change_head(Device& device) {
 void StEngine::local_merge(Device& device, std::uint16_t peer_frag, std::uint16_t peer_size,
                            std::uint32_t peer_device, std::uint32_t adopted_counter) {
   const obs::ScopedTimer span(telemetry_, obs::SpanId::kMerge,
-                              telemetry_ != nullptr ? sim_.now().as_milliseconds() : -1.0);
+                              telemetry_ != nullptr ? static_cast<double>(sim_.now()) : -1.0);
   if (telemetry_ != nullptr) telemetry_->count("st.merges");
   const std::uint32_t i = device.id;
   const auto new_size = static_cast<std::uint16_t>(

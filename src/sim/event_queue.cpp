@@ -5,7 +5,7 @@
 
 namespace firefly::sim {
 
-EventId EventQueue::schedule(SimTime at, EventFn fn) {
+EventId EventQueue::schedule(std::int64_t at, EventFn fn) {
   const EventId id = next_id_++;
   heap_.push_back(Entry{at, next_seq_++, id, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -35,9 +35,9 @@ void EventQueue::skip_cancelled() const {
   }
 }
 
-SimTime EventQueue::next_time() const {
+std::int64_t EventQueue::next_time() const {
   skip_cancelled();
-  if (heap_.empty()) return SimTime::max();
+  if (heap_.empty()) return INT64_MAX;
   return heap_.front().time;
 }
 

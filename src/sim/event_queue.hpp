@@ -1,8 +1,10 @@
 // event_queue.hpp — event ids, callbacks, and the binary-heap test oracle.
 //
 // `EventId`, `EventFn` and `FiredEvent` are the scheduling vocabulary the
-// simulator's slot calendar (slot_calendar.hpp) is built on.  `EventQueue`
-// is a plain binary min-heap keyed on (time, sequence number): the monotone
+// simulator's slot calendar (slot_calendar.hpp) is built on.  Simulated time
+// is a plain int64 count of 1 ms LTE slots (Table I); every timer, firing and
+// fault in the simulator is a whole slot.  `EventQueue` is a plain binary
+// min-heap keyed on (slot, sequence number): the monotone
 // sequence number gives FIFO semantics for simultaneous events, and events
 // cancel in O(1) by id (lazy deletion at pop).  The simulator does not use
 // it — it is the obviously-correct reference that test_slot_calendar,
@@ -15,7 +17,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "sim/time.hpp"
 #include "util/inplace_function.hpp"
 
 namespace firefly::sim {
@@ -28,15 +29,15 @@ using EventFn = util::InplaceFunction<void(), 48>;
 
 /// A popped event.
 struct FiredEvent {
-  SimTime time;
+  std::int64_t time;  ///< slot
   EventId id;
   EventFn fn;
 };
 
 class EventQueue {
  public:
-  /// Schedule `fn` at absolute time `at`.  Returns an id usable for cancel().
-  EventId schedule(SimTime at, EventFn fn);
+  /// Schedule `fn` at absolute slot `at`.  Returns an id usable for cancel().
+  EventId schedule(std::int64_t at, EventFn fn);
 
   /// Cancel a pending event.  Returns false if already fired or cancelled.
   bool cancel(EventId id);
@@ -44,15 +45,15 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
-  /// Time of the earliest live event; SimTime::max() when empty.
-  [[nodiscard]] SimTime next_time() const;
+  /// Slot of the earliest live event; INT64_MAX when empty.
+  [[nodiscard]] std::int64_t next_time() const;
 
   /// Pop the earliest live event.  Precondition: !empty().
   FiredEvent pop();
 
  private:
   struct Entry {
-    SimTime time;
+    std::int64_t time;
     std::uint64_t seq;
     EventId id;
     EventFn fn;

@@ -1,12 +1,12 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace firefly::sim {
 
 struct Simulator::Periodic {
   Simulator* sim = nullptr;
-  SimTime period{};
+  std::int64_t period = 0;
   EventFn fn;
 
   // Fires one occurrence, then re-arms.  The state outlives every pending
@@ -19,24 +19,24 @@ struct Simulator::Periodic {
   }
 };
 
-EventId Simulator::schedule_at(SimTime at, EventFn fn) {
-  assert(at >= now_);
-  return calendar_.schedule(at, std::move(fn));
+EventId Simulator::schedule_at(std::int64_t slot, EventFn fn) {
+  if (slot < now_) throw std::invalid_argument("Simulator::schedule_at: slot before now()");
+  return calendar_.schedule(slot, std::move(fn));
 }
 
-EventId Simulator::schedule_in(SimTime delay, EventFn fn) {
-  assert(delay.us >= 0);
-  return schedule_at(now_ + delay, std::move(fn));
+EventId Simulator::schedule_in(std::int64_t delay, EventFn fn) {
+  if (delay < 0) throw std::invalid_argument("Simulator::schedule_in: negative delay");
+  return calendar_.schedule(now_ + delay, std::move(fn));
 }
 
-void Simulator::schedule_periodic(SimTime phase, SimTime period, EventFn fn) {
-  assert(period.us > 0);
+void Simulator::schedule_periodic(std::int64_t phase, std::int64_t period, EventFn fn) {
+  if (period < 1) throw std::invalid_argument("Simulator::schedule_periodic: period below one slot");
   auto* state = new Periodic{this, period, std::move(fn)};
   periodic_states_.push_back(state);
   schedule_in(phase, [state] { state->run(); });
 }
 
-SimTime Simulator::run_until(SimTime deadline) {
+std::int64_t Simulator::run_until(std::int64_t deadline) {
   stop_requested_ = false;
   while (!calendar_.empty() && !stop_requested_) {
     if (calendar_.next_time() > deadline) {
@@ -48,11 +48,11 @@ SimTime Simulator::run_until(SimTime deadline) {
     ++events_processed_;
     fired.fn();
   }
-  if (calendar_.empty() && now_ < deadline && deadline != SimTime::max()) now_ = deadline;
+  if (calendar_.empty() && now_ < deadline && deadline != INT64_MAX) now_ = deadline;
   return now_;
 }
 
-SimTime Simulator::run() { return run_until(SimTime::max()); }
+std::int64_t Simulator::run() { return run_until(INT64_MAX); }
 
 Simulator::Snapshot Simulator::snapshot() const {
   Snapshot snap;

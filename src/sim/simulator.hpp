@@ -2,13 +2,14 @@
 //
 // A single-threaded event loop over a pending-event set.  Protocol entities
 // schedule callbacks in the future (`schedule_in`/`schedule_at`), install
-// periodic timers, and the loop advances the clock from event to event.
+// periodic timers, and the loop advances the clock from event to event.  The
+// clock is an int64 count of 1 ms LTE slots.
 // `run_until` bounds a run; convergence detectors call `stop()` to end it
 // early.  One Simulator per Monte-Carlo trial; trials parallelise across a
 // thread pool with no shared state.
 //
 // The pending-event set is the slot calendar (sim/slot_calendar.hpp):
-// allocation-free after warm-up, events processed in (time, sequence)
+// allocation-free after warm-up, events processed in (slot, sequence)
 // total order.
 #pragma once
 
@@ -16,31 +17,34 @@
 #include <vector>
 
 #include "sim/slot_calendar.hpp"
-#include "sim/time.hpp"
 
 namespace firefly::sim {
 
 class Simulator {
  public:
-  [[nodiscard]] SimTime now() const { return now_; }
+  /// Current slot.
+  [[nodiscard]] std::int64_t now() const { return now_; }
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Schedule at an absolute simulated time (must be >= now()).
-  EventId schedule_at(SimTime at, EventFn fn);
-  /// Schedule `delay` after now().
-  EventId schedule_in(SimTime delay, EventFn fn);
+  /// Schedule at an absolute slot.  Throws std::invalid_argument for a slot
+  /// before now().
+  EventId schedule_at(std::int64_t slot, EventFn fn);
+  /// Schedule `delay` slots after now().  Throws std::invalid_argument for a
+  /// negative delay.
+  EventId schedule_in(std::int64_t delay, EventFn fn);
   /// Cancel a pending event; false if already fired/cancelled.
   bool cancel(EventId id) { return calendar_.cancel(id); }
 
-  /// Install a periodic timer with the given period, first firing at
-  /// now() + phase.  The series runs for the simulator's lifetime.
-  void schedule_periodic(SimTime phase, SimTime period, EventFn fn);
+  /// Install a periodic timer with the given period in slots, first firing
+  /// at now() + phase.  The series runs for the simulator's lifetime.
+  /// Throws std::invalid_argument for a period below one slot.
+  void schedule_periodic(std::int64_t phase, std::int64_t period, EventFn fn);
 
-  /// Run until the queue drains or `deadline` passes.  Returns the time the
+  /// Run until the queue drains or `deadline` passes.  Returns the slot the
   /// loop stopped at.
-  SimTime run_until(SimTime deadline);
+  std::int64_t run_until(std::int64_t deadline);
   /// Run until the queue drains (use with care: periodic timers never drain).
-  SimTime run();
+  std::int64_t run();
   /// Request an early stop from inside an event callback.
   void stop() { stop_requested_ = true; }
 
@@ -57,7 +61,7 @@ class Simulator {
   /// serialised file.
   struct Snapshot {
     SlotCalendar calendar;
-    SimTime now = SimTime::zero();
+    std::int64_t now = 0;
     std::uint64_t events_processed = 0;
   };
   [[nodiscard]] Snapshot snapshot() const;
@@ -77,7 +81,7 @@ class Simulator {
   struct Periodic;
 
   SlotCalendar calendar_;
-  SimTime now_ = SimTime::zero();
+  std::int64_t now_ = 0;
   std::uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
   // Owned here and freed in the destructor: a rollback can drop a timer's

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <vector>
 
 namespace firefly::sim {
 
@@ -9,8 +11,8 @@ namespace {
 constexpr std::uint64_t kGenMask = 0xFFFFFFFFull;
 }
 
-EventId SlotCalendar::schedule(SimTime at, EventFn fn) {
-  assert(at.us >= 0 && "events must not be scheduled before t=0");
+EventId SlotCalendar::schedule(std::int64_t at, EventFn fn) {
+  if (at < 0) throw std::invalid_argument("SlotCalendar::schedule: slot before 0");
   const auto idx = arena_.allocate();
   Rec& r = arena_[idx];
   r.time = at;
@@ -20,22 +22,14 @@ EventId SlotCalendar::schedule(SimTime at, EventFn fn) {
   r.fn = std::move(fn);
   ++live_count_;
 
-  const std::int64_t slot = slot_of(at);
-  if (slot < cur_slot_) {
+  if (at < cur_slot_) {
     // The cursor peeked past this slot: run_until() stopping short of the
     // next event advances next_time()'s cursor beyond now(), and a later
     // schedule can land in the gap.  Retreat and rebuild (rare).
-    cur_slot_ = slot;
+    cur_slot_ = at;
     rebuild();
-    place(idx);
-  } else if (slot == cur_slot_ && ready_active_) {
-    // The current slot is draining through the ready_ heap; divert new
-    // same-slot arrivals there so ordering stays exact.
-    ready_push(idx);
-    ++residents_[kL0];
-  } else {
-    place(idx);
   }
+  place(idx);
   return ((static_cast<std::uint64_t>(idx) + 1) << 32) | r.gen;
 }
 
@@ -52,12 +46,12 @@ bool SlotCalendar::cancel(EventId id) {
   return true;
 }
 
-SimTime SlotCalendar::next_time() const {
+std::int64_t SlotCalendar::next_time() const {
   // peek() prunes cancelled records and advances the cursor, which mutates
   // book-keeping but never the observable event order.
   auto* self = const_cast<SlotCalendar*>(this);
   const std::uint32_t idx = self->peek();
-  return idx == kNil ? SimTime::max() : self->arena_[idx].time;
+  return idx == kNil ? INT64_MAX : self->arena_[idx].time;
 }
 
 FiredEvent SlotCalendar::pop() {
@@ -66,16 +60,9 @@ FiredEvent SlotCalendar::pop() {
   Rec& r = arena_[idx];
   FiredEvent out{r.time, ((static_cast<std::uint64_t>(idx) + 1) << 32) | r.gen,
                  std::move(r.fn)};
-  if (ready_active_) {
-    [[maybe_unused]] const std::uint32_t popped = ready_pop();
-    assert(popped == idx);
-    assert(residents_[kL0] > 0);
-    --residents_[kL0];
-  } else {
-    Bucket& b = l0_[static_cast<std::size_t>(cur_slot_) & (kBuckets - 1)];
-    [[maybe_unused]] const std::uint32_t popped = unlink_head(b, kL0);
-    assert(popped == idx);
-  }
+  Bucket& b = l0_[static_cast<std::size_t>(cur_slot_) & (kBuckets - 1)];
+  [[maybe_unused]] const std::uint32_t popped = unlink_head(b, kL0);
+  assert(popped == idx);
   assert(live_count_ > 0);
   --live_count_;
   free_rec(idx);
@@ -87,9 +74,7 @@ void SlotCalendar::append(Bucket& b, std::uint32_t idx, Region region) {
   r.next = kNil;
   if (b.head == kNil) {
     b.head = b.tail = idx;
-    b.sorted = true;
   } else {
-    if (arena_[b.tail].time > r.time) b.sorted = false;
     arena_[b.tail].next = idx;
     b.tail = idx;
   }
@@ -100,17 +85,14 @@ std::uint32_t SlotCalendar::unlink_head(Bucket& b, Region region) {
   const std::uint32_t idx = b.head;
   assert(idx != kNil);
   b.head = arena_[idx].next;
-  if (b.head == kNil) {
-    b.tail = kNil;
-    b.sorted = true;
-  }
+  if (b.head == kNil) b.tail = kNil;
   assert(residents_[region] > 0);
   --residents_[region];
   return idx;
 }
 
 void SlotCalendar::place(std::uint32_t idx) {
-  const std::int64_t slot = slot_of(arena_[idx].time);
+  const std::int64_t slot = arena_[idx].time;
   assert(slot >= cur_slot_);
   if ((slot >> 8) == (cur_slot_ >> 8)) {
     append(l0_[static_cast<std::size_t>(slot) & (kBuckets - 1)], idx, kL0);
@@ -129,7 +111,6 @@ void SlotCalendar::cascade(Bucket& b, Region region) {
   // so per-bucket FIFO order remains sequence order.
   std::uint32_t idx = b.head;
   b.head = b.tail = kNil;
-  b.sorted = true;
   while (idx != kNil) {
     const std::uint32_t next = arena_[idx].next;
     assert(residents_[region] > 0);
@@ -161,7 +142,6 @@ void SlotCalendar::rebuild() {
   auto gather = [&](Bucket& b) {
     std::uint32_t idx = b.head;
     b.head = b.tail = kNil;
-    b.sorted = true;
     while (idx != kNil) {
       const std::uint32_t next = arena_[idx].next;
       if (arena_[idx].state == State::kCancelled) {
@@ -176,15 +156,6 @@ void SlotCalendar::rebuild() {
   for (auto& b : l1_) gather(b);
   for (auto& b : l2_) gather(b);
   gather(far_);
-  for (const std::uint32_t idx : ready_) {
-    if (arena_[idx].state == State::kCancelled) {
-      free_rec(idx);
-    } else {
-      live.push_back(idx);
-    }
-  }
-  ready_.clear();
-  ready_active_ = false;
   residents_[kL0] = residents_[kL1] = residents_[kL2] = residents_[kFar] = 0;
   std::sort(live.begin(), live.end(), [this](std::uint32_t a, std::uint32_t b) {
     return arena_[a].seq < arena_[b].seq;
@@ -220,85 +191,16 @@ void SlotCalendar::advance_cursor() {
   }
 }
 
-void SlotCalendar::spill_to_ready(Bucket& b) {
-  // Rare path: the bucket mixes intra-slot microsecond offsets out of append
-  // order, so FIFO drain would be wrong.  Move it into an explicit
-  // (time, seq) min-heap; later same-slot schedules push here too.
-  std::uint32_t idx = b.head;
-  b.head = b.tail = kNil;
-  b.sorted = true;
-  while (idx != kNil) {
-    const std::uint32_t next = arena_[idx].next;
-    if (arena_[idx].state == State::kCancelled) {
-      assert(residents_[kL0] > 0);
-      --residents_[kL0];
-      free_rec(idx);
-    } else {
-      ready_.push_back(idx);
-    }
-    idx = next;
-  }
-  std::make_heap(ready_.begin(), ready_.end(),
-                 [this](std::uint32_t a, std::uint32_t b2) {
-                   const Rec& ra = arena_[a];
-                   const Rec& rb = arena_[b2];
-                   if (ra.time != rb.time) return ra.time > rb.time;
-                   return ra.seq > rb.seq;
-                 });
-  ready_active_ = true;
-}
-
 std::uint32_t SlotCalendar::peek() {
   if (live_count_ == 0) return kNil;
   for (;;) {
-    if (ready_active_) {
-      while (!ready_.empty() &&
-             arena_[ready_.front()].state == State::kCancelled) {
-        const std::uint32_t idx = ready_pop();
-        assert(residents_[kL0] > 0);
-        --residents_[kL0];
-        free_rec(idx);
-      }
-      if (!ready_.empty()) return ready_.front();
-      ready_active_ = false;
-      advance_cursor();
-      continue;
-    }
     Bucket& b = l0_[static_cast<std::size_t>(cur_slot_) & (kBuckets - 1)];
     while (b.head != kNil && arena_[b.head].state == State::kCancelled) {
       free_rec(unlink_head(b, kL0));
     }
-    if (b.head != kNil) {
-      if (b.sorted) return b.head;
-      spill_to_ready(b);
-      continue;
-    }
+    if (b.head != kNil) return b.head;
     advance_cursor();
   }
-}
-
-void SlotCalendar::ready_push(std::uint32_t idx) {
-  ready_.push_back(idx);
-  std::push_heap(ready_.begin(), ready_.end(),
-                 [this](std::uint32_t a, std::uint32_t b) {
-                   const Rec& ra = arena_[a];
-                   const Rec& rb = arena_[b];
-                   if (ra.time != rb.time) return ra.time > rb.time;
-                   return ra.seq > rb.seq;
-                 });
-}
-
-std::uint32_t SlotCalendar::ready_pop() {
-  std::pop_heap(ready_.begin(), ready_.end(),
-                [this](std::uint32_t a, std::uint32_t b) {
-                  const Rec& ra = arena_[a];
-                  const Rec& rb = arena_[b];
-                  if (ra.time != rb.time) return ra.time > rb.time;
-                  return ra.seq > rb.seq;
-                });
-  const std::uint32_t idx = ready_.back();
-  ready_.pop_back();
-  return idx;
 }
 
 void SlotCalendar::clone_into(SlotCalendar& dst) const {
@@ -318,8 +220,6 @@ void SlotCalendar::clone_into(SlotCalendar& dst) const {
   std::copy(std::begin(l2_), std::end(l2_), std::begin(dst.l2_));
   dst.far_ = far_;
   dst.cur_slot_ = cur_slot_;
-  dst.ready_active_ = ready_active_;
-  dst.ready_ = ready_;
   std::copy(std::begin(residents_), std::end(residents_), std::begin(dst.residents_));
   dst.next_seq_ = next_seq_;
   dst.live_count_ = live_count_;

@@ -9,18 +9,13 @@
 //   * Event records are fixed-layout structs in a `util::SlabArena` —
 //     schedule() pops a freelist slot, cancel() flips a flag.  After warm-up
 //     a trial never touches the system heap for scheduling.
-//   * Time is bucketed by LTE slot (1 ms — see sim/time.hpp).  Three levels
-//     of 256 buckets cover the next 2^24 slots (~4.6 h of simulated time);
+//   * Event times are whole slots (sim/event_queue.hpp).  Three levels of
+//     256 buckets cover the next 2^24 slots (~4.6 h of simulated time);
 //     later events park in an overflow list.  Crossing a 256-slot page
 //     cascades the next level-1 bucket down into level 0, and so on.
-//   * Each bucket is an intrusive FIFO list.  Appends happen in sequence-
-//     number order, so a bucket whose times are non-decreasing in list order
-//     (the common case — engine events land exactly on slot boundaries, so
-//     all times in a level-0 bucket are equal) drains front-to-back in the
-//     exact (time, seq) order the heap would produce.  A bucket that mixes
-//     intra-slot microsecond offsets out of order is detected via a per-
-//     bucket flag and spilled into a small (time, seq) min-heap before
-//     draining, so the total order is ALWAYS identical to EventQueue's.
+//   * Each bucket is an intrusive FIFO list.  A level-0 bucket holds one
+//     slot, and appends happen in sequence-number order, so it drains
+//     front-to-back in the exact (slot, seq) order the heap would produce.
 //
 // Determinism is the hard requirement: test_slot_calendar and
 // test_arena_churn fuzz this calendar against the EventQueue oracle, and
@@ -28,18 +23,17 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/event_queue.hpp"  // EventId, EventFn, FiredEvent
-#include "sim/time.hpp"
 #include "util/arena.hpp"
 
 namespace firefly::sim {
 
 class SlotCalendar {
  public:
-  /// Schedule `fn` at absolute time `at`.  Returns an id usable for cancel().
-  EventId schedule(SimTime at, EventFn fn);
+  /// Schedule `fn` at absolute slot `at`.  Returns an id usable for cancel().
+  /// Throws std::invalid_argument for a slot before 0.
+  EventId schedule(std::int64_t at, EventFn fn);
 
   /// Cancel a pending event.  Returns false if already fired or cancelled.
   bool cancel(EventId id);
@@ -47,8 +41,8 @@ class SlotCalendar {
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_count_; }
 
-  /// Time of the earliest live event; SimTime::max() when empty.
-  [[nodiscard]] SimTime next_time() const;
+  /// Slot of the earliest live event; INT64_MAX when empty.
+  [[nodiscard]] std::int64_t next_time() const;
 
   /// Pop the earliest live event.  Precondition: !empty().
   FiredEvent pop();
@@ -56,8 +50,8 @@ class SlotCalendar {
   /// Deep-copy the calendar's complete state into `dst`: the record arena
   /// (slot-exact, callbacks cloned, generations preserved — so EventIds
   /// minted here stay valid against the copy), every bucket list, the
-  /// cursor, the ready heap and the counters.  The copy pops in exactly the
-  /// same (time, seq) order as the original; this is the scheduler half of
+  /// cursor and the counters.  The copy pops in exactly the
+  /// same (slot, seq) order as the original; this is the scheduler half of
   /// the simulator's snapshot/restore checkpoint.
   void clone_into(SlotCalendar& dst) const;
 
@@ -72,7 +66,7 @@ class SlotCalendar {
   enum class State : std::uint8_t { kFree, kLive, kCancelled };
 
   struct Rec {
-    SimTime time{};
+    std::int64_t time = 0;  // slot
     std::uint64_t seq = 0;
     std::uint32_t next = kNil;  // intrusive list link
     std::uint32_t gen = 0;      // bumped on release; stale ids fail cancel()
@@ -83,16 +77,11 @@ class SlotCalendar {
   struct Bucket {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
-    // True while the list's times are non-decreasing in append order, which
-    // makes head the (time, seq) minimum and FIFO drain exact.
-    bool sorted = true;
   };
 
   // Which region a record currently resides in, for the resident counters
   // that let the cursor skip empty pages.
   enum Region : std::uint8_t { kL0 = 0, kL1 = 1, kL2 = 2, kFar = 3 };
-
-  static std::int64_t slot_of(SimTime t) { return t.us / kLteSlot.us; }
 
   void append(Bucket& b, std::uint32_t idx, Region region);
   std::uint32_t unlink_head(Bucket& b, Region region);
@@ -108,14 +97,9 @@ class SlotCalendar {
   /// Advance the cursor one step (skipping empty pages), cascading on
   /// page crossings.
   void advance_cursor();
-  /// Spill the current level-0 bucket into the ready_ min-heap.
-  void spill_to_ready(Bucket& b);
   /// Index of the earliest live record, pruning cancelled ones; kNil iff
   /// the calendar is empty.  Advances the cursor as needed.
   std::uint32_t peek();
-
-  void ready_push(std::uint32_t idx);
-  std::uint32_t ready_pop();
 
   util::SlabArena<Rec> arena_;
   Bucket l0_[kBuckets];
@@ -124,8 +108,6 @@ class SlotCalendar {
   Bucket far_;  // beyond the 2^24-slot horizon
 
   std::int64_t cur_slot_ = 0;  // slot the drain cursor is at
-  bool ready_active_ = false;  // current slot drains via ready_ instead
-  std::vector<std::uint32_t> ready_;  // min-heap on (time, seq)
 
   // Records resident per region (live + cancelled-not-yet-freed).  A region
   // count of zero lets advance_cursor() jump whole pages.

@@ -71,24 +71,26 @@ TEST(SlabArena, CopyFromReplicatesFreelistAndHighWater) {
   for (int i = 0; i < 300; ++i) EXPECT_EQ(dst.allocate(), src.allocate());
 }
 
-/// One churn wave: schedule `per_wave` fires spread over the coming second,
-/// cancel a churn-like subset (mass departure), drain the survivors.  Runs
-/// the same sequence against the wheel and the reference heap.
+/// One churn wave: schedule 4,000 fires spread over the coming 250 slots
+/// (16 per slot), cancel a churn-like subset (mass departure), drain the
+/// survivors.  Runs the same sequence against the wheel and the reference
+/// heap.
 TEST(SlotCalendarChurn, MassCancellationMatchesHeapAndBoundsArena) {
   sim::SlotCalendar wheel;
   sim::EventQueue heap;
   util::Rng rng(99);
 
   std::size_t capacity_after_first_wave = 0;
-  sim::SimTime now = sim::SimTime::zero();
+  std::int64_t now = 0;
+  std::vector<int> wheel_log;
+  std::vector<int> heap_log;
   for (int wave = 0; wave < 6; ++wave) {
     std::vector<std::pair<sim::EventId, sim::EventId>> pending;
     pending.reserve(4'000);
     for (int i = 0; i < 4'000; ++i) {
-      const sim::SimTime at =
-          now + sim::SimTime::milliseconds(1 + static_cast<std::int64_t>(
-                                                   rng.uniform_index(1'000)));
-      pending.emplace_back(wheel.schedule(at, [] {}), heap.schedule(at, [] {}));
+      const std::int64_t at = now + 1 + static_cast<std::int64_t>(rng.uniform_index(250));
+      pending.emplace_back(wheel.schedule(at, [&wheel_log, i] { wheel_log.push_back(i); }),
+                           heap.schedule(at, [&heap_log, i] { heap_log.push_back(i); }));
     }
     // Mass departure: ~75% of this wave's fires are cancelled.
     std::uint32_t cancelled = 0;
@@ -103,13 +105,14 @@ TEST(SlotCalendarChurn, MassCancellationMatchesHeapAndBoundsArena) {
     }
     ASSERT_GT(cancelled, 2'000u);
 
-    // Survivors pop in the identical (time, seq) order on both backends.
+    // Survivors pop in the identical (slot, seq) order on both backends.
     while (!heap.empty()) {
       ASSERT_FALSE(wheel.empty());
-      const sim::SimTime wheel_time = wheel.next_time();
-      EXPECT_EQ(wheel_time.us, heap.next_time().us);
-      (void)wheel.pop();
-      (void)heap.pop();
+      const std::int64_t wheel_time = wheel.next_time();
+      EXPECT_EQ(wheel_time, heap.next_time());
+      wheel.pop().fn();
+      heap.pop().fn();
+      ASSERT_EQ(wheel_log.back(), heap_log.back());
       now = wheel_time;
     }
     EXPECT_TRUE(wheel.empty());
@@ -127,12 +130,12 @@ TEST(SlotCalendarChurn, MassCancellationMatchesHeapAndBoundsArena) {
 TEST(SlotCalendarChurn, CancelledIdsStayDeadAfterSlotReuse) {
   sim::SlotCalendar wheel;
   const sim::EventId first =
-      wheel.schedule(sim::SimTime::milliseconds(5), [] {});
+      wheel.schedule(5, [] {});
   ASSERT_TRUE(wheel.cancel(first));
   // The freed slot is recycled by the next schedule; the old id's generation
   // is stale and must not cancel the new occupant.
   const sim::EventId second =
-      wheel.schedule(sim::SimTime::milliseconds(7), [] {});
+      wheel.schedule(7, [] {});
   EXPECT_FALSE(wheel.cancel(first));
   EXPECT_EQ(wheel.size(), 1u);
   EXPECT_TRUE(wheel.cancel(second));

@@ -264,8 +264,9 @@ TEST(CandidateCache, SlicesAreContiguousWhereAdmissionRejectsBoundSurvivors) {
   std::size_t rejected = 0;
   for (std::uint32_t u = 0; u < pos.size(); ++u) {
     for (std::uint32_t v = u + 1; v < pos.size(); ++v) {
-      const double bound = floor.lower_bound(geo::distance_squared(pos[u], pos[v])) +
-                           grid_channel->shadowing().loss_lower_bound(u, v);
+      double shadow_lo = 0.0;
+      grid_channel->shadowing().loss_lower_bounds(u, &v, 1, &shadow_lo);
+      const double bound = floor.lower_bound(geo::distance_squared(pos[u], pos[v])) + shadow_lo;
       if (bound > reject_above) continue;
       ++survivors;
       rejected += static_cast<std::size_t>(

@@ -37,7 +37,7 @@ TEST(DutyCycleRadio, SleepingReceiverHearsNothing) {
       if (batch.records[k].rx_index == 2) ++asleep_heard;
     }
   });
-  sim.schedule_at(sim::SimTime::zero(), [&] {
+  sim.schedule_at(0, [&] {
     radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
   });
   sim.run();

@@ -169,7 +169,7 @@ TEST(RadioFaults, DownDeviceNeitherSendsNorReceives) {
   });
   radio.set_down(2, true);
   EXPECT_TRUE(radio.is_down(2));
-  sim.schedule_at(sim::SimTime::zero(), [&] {
+  sim.schedule_at(0, [&] {
     radio.broadcast(0, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, 0);
     radio.broadcast(2, {mac::RachCodec::kRach1, 1}, mac::PsType::kSyncPulse, 0);
   });
@@ -277,14 +277,14 @@ TEST(EngineFaults, CrashParksAndRecoverColdBoots) {
   params.stop_on_convergence = false;
   SteppableSt engine(positions, params, phy::RadioParams{}, 21);
   engine.start_run();
-  engine.sim().run_until(sim::SimTime::milliseconds(1'000));
+  engine.sim().run_until(1'000);
   ASSERT_GT(engine.neighbors(1).size(), 0U);
 
   engine.crash_device(1);
   EXPECT_TRUE(engine.down(1));
-  engine.sim().run_until(sim::SimTime::milliseconds(2'000));
+  engine.sim().run_until(2'000);
   const std::int64_t fire_while_down = engine.last_fire_slot(1);
-  engine.sim().run_until(sim::SimTime::milliseconds(3'000));
+  engine.sim().run_until(3'000);
   EXPECT_EQ(engine.last_fire_slot(1), fire_while_down)
       << "a crashed oscillator must not fire";
 
@@ -293,7 +293,7 @@ TEST(EngineFaults, CrashParksAndRecoverColdBoots) {
   EXPECT_EQ(engine.neighbors(1).size(), 0U) << "cold boot clears the table";
   EXPECT_TRUE(engine.is_head(1)) << "ST restarts as a singleton head";
   EXPECT_EQ(engine.fragment_size(1), 1U);
-  engine.sim().run_until(sim::SimTime::milliseconds(5'000));
+  engine.sim().run_until(5'000);
   EXPECT_GT(engine.last_fire_slot(1), fire_while_down) << "oscillator restarted";
   EXPECT_GT(engine.neighbors(1).size(), 0U) << "rediscovers the neighbourhood";
 

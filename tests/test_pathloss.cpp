@@ -39,8 +39,8 @@ TEST(PaperDualSlope, MonotoneNonDecreasing) {
 
 TEST(PaperDualSlope, ClampsBelowMinDistance) {
   PaperDualSlope model;
-  EXPECT_DOUBLE_EQ(model.loss(0.0).value, model.loss(model.min_distance()).value);
-  EXPECT_DOUBLE_EQ(model.loss(1e-9).value, model.loss(model.min_distance()).value);
+  EXPECT_DOUBLE_EQ(model.loss(0.0).value, model.loss(PathLossModel::kMinDistance).value);
+  EXPECT_DOUBLE_EQ(model.loss(1e-9).value, model.loss(PathLossModel::kMinDistance).value);
 }
 
 TEST(PaperDualSlope, InversionRoundTripsBothRegimes) {

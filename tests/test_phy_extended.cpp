@@ -48,7 +48,7 @@ TEST(NoiseFloor, NoiseBreaksMarginalCapture) {
     });
     radio.add_device(2, {10.0, 0.0});
     radio.rebuild();
-    sim.schedule_at(sim::SimTime::zero(), [&] {
+    sim.schedule_at(0, [&] {
       radio.broadcast(0, {mac::RachCodec::kRach1, 9}, mac::PsType::kSyncPulse, 0);
       radio.broadcast(1, {mac::RachCodec::kRach1, 9}, mac::PsType::kSyncPulse, 0);
     });

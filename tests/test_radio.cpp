@@ -57,21 +57,23 @@ struct World {
   }
 };
 
+static_assert(sizeof(RxRecord) == 48);
+
 TEST(Radio, DeliversAtNextSlotBoundary) {
   World w;
   w.add(0, {0.0, 0.0});
   w.add(1, {10.0, 0.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::microseconds(3'500), [&] {
+  w.sim.schedule_at(3, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 1}, PsType::kDiscovery, 42);
   });
   w.sim.run();
   ASSERT_EQ(w.inbox[1].size(), 1U);
   // Sent inside slot 3, delivered at the slot-4 boundary.
-  EXPECT_EQ(w.sim.now().us, 4000);
+  EXPECT_EQ(w.sim.now(), 4);
   EXPECT_EQ(w.inbox[1][0].sender, 0U);
   EXPECT_EQ(w.inbox[1][0].payload, 42U);
-  EXPECT_EQ(w.inbox[1][0].slot_start.us, 3000);
+  EXPECT_EQ(w.inbox[1][0].sent_slot, 3);
 }
 
 TEST(Radio, NoSelfReception) {
@@ -79,7 +81,7 @@ TEST(Radio, NoSelfReception) {
   w.add(0, {0.0, 0.0});
   w.add(1, {5.0, 0.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
   w.sim.run();
@@ -93,7 +95,7 @@ TEST(Radio, SubThresholdReceiverHearsNothing) {
   w.add(1, {95.0, 0.0});   // beyond the ~89 m median range
   w.add(2, {50.0, 0.0});   // inside
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
   w.sim.run();
@@ -108,7 +110,7 @@ TEST(Radio, SameResourceSameSlotCollides) {
   w.add(1, {20.0, 0.0});
   w.add(2, {10.0, 0.0});  // receiver in the middle
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
     w.radio->broadcast(1, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
   });
@@ -123,7 +125,7 @@ TEST(Radio, DifferentPreamblesDoNotCollide) {
   w.add(1, {20.0, 0.0});
   w.add(2, {10.0, 0.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
     w.radio->broadcast(1, {RachCodec::kRach1, 8}, PsType::kSyncPulse, 0);
   });
@@ -138,7 +140,7 @@ TEST(Radio, DifferentCodecsAreOrthogonal) {
   w.add(1, {20.0, 0.0});
   w.add(2, {10.0, 0.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 0);
     w.radio->broadcast(1, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 0);
   });
@@ -152,7 +154,7 @@ TEST(Radio, CaptureEffectDecodesTheStrongSignal) {
   w.add(1, {60.0, 10.0});  // far away: weak interferer
   w.add(2, {10.0, 0.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 111);
     w.radio->broadcast(1, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 222);
   });
@@ -182,7 +184,7 @@ TEST(Radio, DefaultChannelCapturesAtItsOwnMargin) {
   w.add(1, {-weak_m, 0.0});
   w.add(2, {0.0, 0.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 111);
     w.radio->broadcast(1, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 222);
   });
@@ -196,7 +198,7 @@ TEST(Radio, CountersByCodec) {
   w.add(0, {0.0, 0.0});
   w.add(1, {10.0, 0.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
     w.radio->broadcast(0, {RachCodec::kRach2, 0}, PsType::kConnectRequest, 0);
     w.radio->broadcast(0, {RachCodec::kRach2, 1}, PsType::kConnectAccept, 0);
@@ -218,7 +220,7 @@ TEST(Radio, CandidateCacheMatchesFullScan) {
     w.add(i, {static_cast<double>(i * 4), 0.0});
   }
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
   w.sim.run();
@@ -239,19 +241,22 @@ TEST(Radio, MoveDeviceChangesConnectivity) {
   w.add(0, {0.0, 0.0});
   w.add(1, {200.0, 0.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
-  w.sim.run_until(sim::SimTime::milliseconds(2));
+  w.sim.run_until(2);
   EXPECT_TRUE(w.inbox[1].empty());
   w.radio->move_device(1, {10.0, 0.0});
   EXPECT_EQ(w.radio->device_position(1).x, 10.0);
   w.radio->rebuild();
-  w.sim.schedule_in(sim::SimTime::microseconds(10), [&] {
+  w.sim.schedule_in(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
   });
   w.sim.run();
-  EXPECT_EQ(w.inbox[1].size(), 1U);
+  ASSERT_EQ(w.inbox[1].size(), 1U);
+  // Sent inside slot 2, delivered at the slot-3 boundary.
+  EXPECT_EQ(w.inbox[1][0].sent_slot, 2);
+  EXPECT_EQ(w.sim.now(), 3);
 }
 
 TEST(Radio, Rach2SameResourceCollidesBesideOrthogonalRach1) {
@@ -264,7 +269,7 @@ TEST(Radio, Rach2SameResourceCollidesBesideOrthogonalRach1) {
   w.add(2, {10.0, 0.0});  // equidistant from 0 and 1: no capture
   w.add(3, {10.0, 5.0});  // equidistant from 0 and 1 as well
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 100);
     w.radio->broadcast(1, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 101);
     w.radio->broadcast(3, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 103);
@@ -286,7 +291,7 @@ TEST(Radio, Rach2CaptureBesideOrthogonalRach1) {
   w.add(2, {10.0, 0.0});
   w.add(3, {10.0, 5.0});
   w.radio->rebuild();
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     w.radio->broadcast(0, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 100);
     w.radio->broadcast(1, {RachCodec::kRach2, 7}, PsType::kConnectRequest, 101);
     w.radio->broadcast(3, {RachCodec::kRach1, 7}, PsType::kSyncPulse, 103);
@@ -463,7 +468,7 @@ TEST(Radio, BatchKeepsFirstTouchReceiverOrderAndSweepOrderWithinReceiver) {
       actual.emplace_back(batch.records[k].rx_index, batch.records[k].sender);
     }
   });
-  w.sim.schedule_at(sim::SimTime::zero(), [&] {
+  w.sim.schedule_at(0, [&] {
     for (const Sent& s : sent) w.radio->broadcast(s.sender, s.preamble, PsType::kSyncPulse, 0);
   });
   w.sim.run();
@@ -630,7 +635,7 @@ std::uint64_t gated_run_digest(std::unique_ptr<phy::FadingModel> fading,
   for (std::uint32_t id = 0; id < n; ++id) {
     RadioMedium::ListenFn listening = nullptr;
     if (id == 5) listening = [] { return false; };
-    if (id == 7) listening = [&sim] { return RadioMedium::slot_index(sim.now()) % 2 == 0; };
+    if (id == 7) listening = [&sim] { return sim.now() % 2 == 0; };
     radio.add_device(id, {place.uniform(0.0, 120.0), place.uniform(0.0, 120.0)}, listening);
   }
   radio.rebuild();
@@ -652,11 +657,11 @@ std::uint64_t gated_run_digest(std::unique_ptr<phy::FadingModel> fading,
       h = mix(h, static_cast<std::uint32_t>(r.type));
       h = mix(h, r.payload);
       h = mix(h, r.rx_power.value);
-      h = mix(h, r.slot_start.us);
+      h = mix(h, r.sent_slot * 1000);  // recorded over the stamp in microseconds
     }
   });
   for (std::int64_t slot = 0; slot < 30; ++slot) {
-    sim.schedule_at(sim::SimTime::milliseconds(slot), [&radio, slot] {
+    sim.schedule_at(slot, [&radio, slot] {
       for (std::uint32_t id = 0; id < n; ++id) {
         if ((id + static_cast<std::uint32_t>(slot)) % 3 != 0) continue;
         const RachCodec codec = id % 5 == 0 ? RachCodec::kRach2 : RachCodec::kRach1;
@@ -776,7 +781,7 @@ TEST(RadioGates, GatedReceiversConsumeNoDraws) {
     LinkFaults faults;
     faults.drop_p = 0.3;
     radio.set_channel_faults(&faults);
-    sim.schedule_at(sim::SimTime::zero(), [&] {
+    sim.schedule_at(0, [&] {
       radio.broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
     });
     sim.run();
@@ -830,7 +835,7 @@ DropRun drop_run(bool crashed, bool decoy_fade) {
     run.heard.insert(run.heard.end(), batch.records, batch.records + batch.count);
   });
   for (std::int64_t slot = 0; slot < 20; ++slot) {
-    sim.schedule_at(sim::SimTime::milliseconds(slot), [&radio, slot] {
+    sim.schedule_at(slot, [&radio, slot] {
       for (std::uint32_t id = 0; id < n; ++id) {
         if ((id + static_cast<std::uint32_t>(slot)) % 4 != 0) continue;
         const RachCodec codec = id % 5 == 0 ? RachCodec::kRach2 : RachCodec::kRach1;
@@ -1001,13 +1006,6 @@ TEST(RadioAudibility, DecodedPowerIsTheDbmExpressionBitForBit) {
             std::bit_cast<std::uint64_t>((decoded - util::Db{3.0}).value));
   EXPECT_EQ(link.radio->counters().fault_drops, 0U);
   EXPECT_EQ(link.radio->counters().deliveries, 2U);
-}
-
-TEST(Radio, SlotIndexHelper) {
-  EXPECT_EQ(RadioMedium::slot_index(sim::SimTime::microseconds(0)), 0);
-  EXPECT_EQ(RadioMedium::slot_index(sim::SimTime::microseconds(999)), 0);
-  EXPECT_EQ(RadioMedium::slot_index(sim::SimTime::microseconds(1000)), 1);
-  EXPECT_EQ(RadioMedium::slot_index(sim::SimTime::milliseconds(42)), 42);
 }
 
 }  // namespace

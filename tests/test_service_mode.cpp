@@ -59,7 +59,7 @@ class DiscoverySt : public proto::StEngine {
   using proto::StEngine::recover_device;
   [[nodiscard]] const auto& reliable_links() const { return reliable_links_; }
   using proto::StEngine::start_run;
-  void run_to(std::int64_t slot) { sim_.run_until(sim::SimTime::milliseconds(slot)); }
+  void run_to(std::int64_t slot) { sim_.run_until(slot); }
   /// The discovery check without a resume point: every link, every time.
   [[nodiscard]] bool full_scan() const {
     for (const auto& [u, v] : reliable_links()) {

@@ -44,7 +44,7 @@ mac::RxRecord make_announce(std::uint32_t sender, std::uint32_t rx_index,
                        mac::PsType::kMergeAnnounce,
                        core::pack(core::Fields{winner, loser, 10, size}),
                        util::Dbm{-60.0},
-                       sim::SimTime::zero()};
+                       0};
 }
 
 TEST(StFaults, AnnounceDedupByWinnerLoserPair) {
@@ -120,12 +120,12 @@ TEST(StFaults, ConnectRetriesAreCappedAndHeadshipMovesOn) {
   engine.radio().set_channel_faults(&quarantine);
 
   engine.start_run();
-  engine.sim().run_until(sim::SimTime::milliseconds(600));
+  engine.sim().run_until(600);
   ASSERT_EQ(engine.fragment(0), engine.fragment(1))
       << "0 and 1 must have merged despite the quarantined third device";
 
   const std::size_t head_changes_before = sink.count(core::TraceKind::kHeadChange);
-  engine.sim().run_until(sim::SimTime::milliseconds(10'000));
+  engine.sim().run_until(10'000);
 
   // Headship bounced at least once after the unreachable-peer cap.
   EXPECT_GT(sink.count(core::TraceKind::kHeadChange), head_changes_before);
@@ -153,7 +153,7 @@ TEST(StFaults, HeadCrashTriggersLeaseReclaimAndReMerge) {
   engine.set_trace(&sink);
 
   engine.start_run();
-  engine.sim().run_until(sim::SimTime::milliseconds(3'000));
+  engine.sim().run_until(3'000);
   std::uint32_t head = 0;
   int heads = 0;
   for (std::uint32_t id = 0; id < 4; ++id) {
@@ -166,7 +166,7 @@ TEST(StFaults, HeadCrashTriggersLeaseReclaimAndReMerge) {
   ASSERT_EQ(heads, 1) << "one spanning fragment with exactly one head";
 
   engine.crash_device(head);
-  engine.sim().run_until(sim::SimTime::milliseconds(25'000));
+  engine.sim().run_until(25'000);
 
   EXPECT_GE(sink.count(core::TraceKind::kRelabel), 1U)
       << "lease expiry must re-label the orphaned remnant";
@@ -179,7 +179,7 @@ TEST(StFaults, HeadCrashTriggersLeaseReclaimAndReMerge) {
   // instant the token may be in flight (zero heads); scan a short window.
   bool saw_live_head = false;
   for (int step = 0; step < 300 && !saw_live_head; ++step) {
-    engine.sim().run_until(sim::SimTime::milliseconds(25'001 + step));
+    engine.sim().run_until(25'001 + step);
     for (std::uint32_t id = 0; id < 4; ++id) {
       if (id != head && engine.is_head(id)) saw_live_head = true;
     }

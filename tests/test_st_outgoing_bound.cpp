@@ -57,7 +57,7 @@ class CheckedSt final : public proto::StEngine {
   void run_checked(std::int64_t to_slot) {
     last_label_.resize(devices_.size(), core::kInvalidId);
     for (std::int64_t slot = current_slot() + 1; slot <= to_slot; ++slot) {
-      sim_.run_until(sim::SimTime::milliseconds(slot));
+      sim_.run_until(slot);
       for (std::uint32_t i = 0; i < devices_.size(); ++i) {
         if (hot_.down[i]) continue;
         const core::Device& device = devices_[i];
@@ -89,7 +89,7 @@ class CheckedSt final : public proto::StEngine {
   }
 
   /// Run to `to_slot` with no checks.
-  void run_to(std::int64_t to_slot) { sim_.run_until(sim::SimTime::milliseconds(to_slot)); }
+  void run_to(std::int64_t to_slot) { sim_.run_until(to_slot); }
 
   [[nodiscard]] std::uint64_t checks() const { return checks_; }
   [[nodiscard]] std::uint64_t bounded() const { return bounded_; }
