@@ -67,7 +67,6 @@ constexpr FlagSpec kFlagSpecs[] = {
     {"mobility", "MPS", "random-waypoint speed, 0 = static [0]", 0, Kind::kReal},
     {"csv", "PATH", "append the result table as CSV rows", 0},
     {"churn", "PER_MIN", "crash rate [0]", 1, Kind::kReal},
-    {"churn-rate", "PER_MIN", "alias for --churn (service-mode docs)", 1, Kind::kReal},
     {"downtime", "MS", "mean downtime before recovery [2000]", 1, Kind::kReal},
     {"churn-stop", "MS", "stop churn after this instant [-1 = never]", 1, Kind::kReal},
     {"drift", "PPM", "max oscillator drift [0]", 1, Kind::kReal},
@@ -215,7 +214,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get("periods", std::int64_t{400}));
   base.protocol.mobility_speed_mps = flags.get("mobility", 0.0);
   fault::FaultPlan& faults = base.protocol.faults;
-  faults.churn_rate_per_min = flags.get("churn", flags.get("churn-rate", 0.0));
+  faults.churn_rate_per_min = flags.get("churn", 0.0);
   faults.mean_downtime_ms = flags.get("downtime", faults.mean_downtime_ms);
   faults.churn_stop_ms = flags.get("churn-stop", faults.churn_stop_ms);
   faults.drift_max_ppm = flags.get("drift", 0.0);

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/service_mode.hpp"
-#include "fault/schedule_stream.hpp"
 #include "graph/union_find.hpp"
 #include "pco/prc.hpp"
 #include "util/stats.hpp"
@@ -42,8 +41,8 @@ std::uint64_t next_engine_serial() {
 
 }  // namespace
 
-// Out of line: engine.hpp holds unique_ptrs to types (EngineSnapshot, the
-// fault streams) that are incomplete there.
+// Out of line: engine.hpp holds a unique_ptr to EngineSnapshot, which is
+// incomplete there.
 EngineBase::~EngineBase() = default;
 
 EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
@@ -364,24 +363,17 @@ void EngineBase::start_run() {
                          [this] { check_convergence(); });
   if (params_.mobility_speed_mps > 0.0) start_mobility();
   on_start();
-  if (injector_ != nullptr) schedule_fault_events();
+  // A one-shot trial pulls its whole fault schedule now; a service run pulls
+  // it one telemetry window at a time (run_service).
+  if (!service_) schedule_faults_until(params_.max_slots());
 }
 
-void EngineBase::schedule_fault_events() {
-  // A service run has no fixed horizon: churn and fades come from the
-  // regenerating streams, one telemetry window at a time
-  // (schedule_service_faults).  Drift and the radio's drop/fade queries were
-  // installed in the constructor and stay live either way.
-  if (service_) return;
-  const fault::FaultSchedule schedule =
-      fault::expand_schedule(params_.faults, static_cast<std::uint32_t>(devices_.size()),
-                             params_.max_slots(), rng_factory_.master_seed());
-  schedule_faults(schedule.churn, schedule.fades);
-}
-
-void EngineBase::schedule_faults(std::span<const fault::ChurnEvent> churn,
-                                 std::span<const fault::FadeEpisode> fades) {
-  for (const fault::ChurnEvent& e : churn) {
+void EngineBase::schedule_faults_until(std::int64_t to_slot) {
+  if (injector_ == nullptr) return;
+  churn_chunk_.clear();
+  fade_chunk_.clear();
+  injector_->generate_until(to_slot, churn_chunk_, fade_chunk_);
+  for (const fault::ChurnEvent& e : churn_chunk_) {
     sim_.schedule_at(e.slot, [this, e] {
       if (e.crash) {
         crash_device(e.device);
@@ -390,7 +382,7 @@ void EngineBase::schedule_faults(std::span<const fault::ChurnEvent> churn,
       }
     });
   }
-  for (const fault::FadeEpisode& f : fades) {
+  for (const fault::FadeEpisode& f : fade_chunk_) {
     ++state_.fade_episodes;
     sim_.schedule_at(f.start_slot, [this, f] {
       injector_->fade_started(f);

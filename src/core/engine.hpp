@@ -19,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -39,11 +38,6 @@
 #include "phy/rssi.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
-
-namespace firefly::fault {
-class ChurnStream;
-class FadeStream;
-}  // namespace firefly::fault
 
 namespace firefly::sim {
 class SoakRecorder;
@@ -306,13 +300,12 @@ class EngineBase {
  private:
   void check_convergence();
   void finalize_metrics(RunMetrics& metrics) const;
-  /// One-shot trials: expand the whole fault schedule over max_slots() and
-  /// schedule it.  A service run returns at once (its streams feed it).
-  void schedule_fault_events();
-  /// The one bridge from fault events to the simulator, for both run modes:
-  /// every churn transition, then each fade's start and end, in span order.
-  void schedule_faults(std::span<const fault::ChurnEvent> churn,
-                       std::span<const fault::FadeEpisode> fades);
+  /// The one bridge from the fault process to the simulator, for both run
+  /// modes: pull the injector's streams up to `to_slot` and schedule every
+  /// churn transition, then each fade's start and end, wherever it lands.
+  /// One-shot trials call it once, with max_slots(); run_service once per
+  /// window.  No-op without an injector.
+  void schedule_faults_until(std::int64_t to_slot);
   /// Accumulate sync-uptime and desync/resync episodes (sampled at the
   /// convergence-check cadence once the network has synchronised once).
   void sample_resilience(std::int64_t slot);
@@ -336,15 +329,9 @@ class EngineBase {
   std::unique_ptr<fault::FaultInjector> injector_;
 
   // --- service mode (run_service; implemented in core/service_mode.cpp) ---
-  /// Generate and schedule churn/fade events for slots up to `to_slot` from
-  /// the regenerating streams (one telemetry window at a time).
-  void schedule_service_faults(std::int64_t to_slot);
-
-  bool service_ = false;  // run_service started the run; faults come from streams
+  bool service_ = false;  // run_service started the run; faults come per window
   std::uint32_t relabel_cap_per_period_ = 0;  // see relabel_permitted()
-  std::unique_ptr<fault::ChurnStream> churn_stream_;
-  std::unique_ptr<fault::FadeStream> fade_stream_;
-  std::vector<fault::ChurnEvent> churn_chunk_;  // reused per-window buffers
+  std::vector<fault::ChurnEvent> churn_chunk_;  // reused fault-pull buffers
   std::vector<fault::FadeEpisode> fade_chunk_;
   std::unique_ptr<EngineSnapshot> service_snapshot_;
 };

@@ -1,5 +1,5 @@
-// service_mode.cpp — run_service window loop, snapshot/restore and the
-// regenerating fault-schedule bridge.  See service_mode.hpp for the model.
+// service_mode.cpp — run_service window loop and snapshot/restore.  See
+// service_mode.hpp for the model.
 #include "core/service_mode.hpp"
 
 #include <algorithm>
@@ -16,24 +16,6 @@ namespace firefly::core {
 // ---------------------------------------------------------------------------
 // Snapshot / restore
 // ---------------------------------------------------------------------------
-
-namespace {
-template <typename T>
-std::optional<T> copy_of(const std::unique_ptr<T>& p) {
-  return p != nullptr ? std::optional<T>(*p) : std::nullopt;
-}
-
-template <typename T>
-void restore_stream(std::unique_ptr<T>& p, const std::optional<T>& saved) {
-  if (!saved) {
-    p.reset();
-  } else if (p != nullptr) {
-    *p = *saved;
-  } else {
-    p = std::make_unique<T>(*saved);
-  }
-}
-}  // namespace
 
 std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
   // Mobility rebuilds position-derived caches (delivery lists, shadowing
@@ -58,9 +40,7 @@ std::unique_ptr<EngineSnapshot> EngineBase::snapshot() {
       .fading_rng = channel_->fading_rng(),
       .radio = radio_.save_state(),
       .energy = energy_,
-      .injector = copy_of(injector_),
-      .churn_stream = copy_of(churn_stream_),
-      .fade_stream = copy_of(fade_stream_),
+      .injector = injector_ != nullptr ? std::optional(*injector_) : std::nullopt,
       .protocol_word = protocol_snapshot_word(),
       .state = state_,
       .service = service_,
@@ -106,14 +86,9 @@ void EngineBase::restore(const EngineSnapshot& snap) {
   energy_ = snap.energy;
   // In place: the radio holds the injector's address.  The engine builds
   // its injector at construction, so a snapshot holds one exactly when the
-  // engine does.
+  // engine does.  The fault streams ride inside it: a pre-service snapshot
+  // holds them at slot 0, so restoring it restarts the soak's faults too.
   if (injector_ != nullptr && snap.injector) *injector_ = *snap.injector;
-  // The fault streams follow the snapshot: run_service creates them, so a
-  // pre-service snapshot holds none and restoring it drops the advanced
-  // ones, while a mid-soak checkpoint brings them back whatever was
-  // restored in between.
-  restore_stream(churn_stream_, snap.churn_stream);
-  restore_stream(fade_stream_, snap.fade_stream);
   protocol_restore_word(snap.protocol_word);
   state_ = snap.state;
   discovery_resume_ = 0;
@@ -124,18 +99,6 @@ void EngineBase::restore(const EngineSnapshot& snap) {
   params_.stop_on_convergence = snap.stop_on_convergence;
   params_.max_periods = snap.max_periods;
   relabel_cap_per_period_ = snap.relabel_cap_per_period;
-}
-
-// ---------------------------------------------------------------------------
-// Fault-stream bridge
-// ---------------------------------------------------------------------------
-
-void EngineBase::schedule_service_faults(std::int64_t to_slot) {
-  churn_chunk_.clear();
-  fade_chunk_.clear();
-  if (churn_stream_ != nullptr) churn_stream_->generate_until(to_slot, churn_chunk_);
-  if (fade_stream_ != nullptr) fade_stream_->generate_until(to_slot, fade_chunk_);
-  schedule_faults(churn_chunk_, fade_chunk_);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +122,7 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
   if (!report.error.empty()) return report;
 
   if (!service_) {
-    service_ = true;  // start_run() must not expand the batch schedule
+    service_ = true;  // start_run() leaves the faults to the window loop
     params_.stop_on_convergence = false;  // a service never "converges and exits"
     relabel_cap_per_period_ = cfg.relabel_cap_per_period;
     // collect_metrics() clamps "never happened" marks to max_slots(); stretch
@@ -169,15 +132,8 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
     params_.max_periods =
         std::max<std::uint32_t>(params_.max_periods, static_cast<std::uint32_t>(periods));
     const auto n = static_cast<std::uint32_t>(devices_.size());
-    const std::uint64_t seed = rng_factory_.master_seed();
-    if (params_.faults.churn_enabled()) {
-      churn_stream_ = std::make_unique<fault::ChurnStream>(params_.faults, n, seed);
-      churn_chunk_.reserve(64);
-    }
-    if (params_.faults.fade_rate_per_min > 0.0 && n >= 2) {
-      fade_stream_ = std::make_unique<fault::FadeStream>(params_.faults, n, seed);
-      fade_chunk_.reserve(64);
-    }
+    churn_chunk_.reserve(64);
+    fade_chunk_.reserve(64);
     // Bounded-memory invariant: pre-size the containers whose growth is
     // "new lifetime record" shaped so the steady state never allocates.
     // Tree adjacency is bounded by the device count; the radio's per-slot
@@ -207,7 +163,7 @@ ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
   mac::TrafficCounters prev_traffic = radio_.counters();
   while (slot < cfg.duration_slots) {
     const std::int64_t window_end = std::min(slot + cfg.window_slots, cfg.duration_slots);
-    schedule_service_faults(window_end);
+    schedule_faults_until(window_end);
     sim_.run_until(window_end);
     const RunState now = state_;
     const mac::TrafficCounters traffic = radio_.counters();

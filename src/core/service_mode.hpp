@@ -1,22 +1,20 @@
 // service_mode.hpp — long-lived service runs: open-ended churn soaks with
 // windowed telemetry, rollback snapshots and bounded-memory guarantees.
 //
-// A one-shot trial (`EngineBase::run`) expands its fault schedule up front
-// (fault::expand_schedule), runs to convergence or a cap and exits.  A
-// service run never "converges and exits": `run_service` slices simulated
-// time into fixed telemetry windows and, per window, (1) pulls the next
-// chunk of churn/fades from the regenerating fault streams
-// (src/fault/schedule_stream.hpp — infinite, seed-replayable, constant
-// memory) and hands it to the same scheduling bridge the one-shot trial
-// uses, (2) drives the simulator to the window boundary, (3) emits one
-// sim::SoakWindow — the change in the engine's RunState record and the
-// radio's counters since the last boundary — through the recorder, (4)
-// prunes the protocols' dedup sets on their deterministic cadence (the
-// bounded-memory invariant under churn) and (5) optionally takes a
-// rollback snapshot.  Every side effect is keyed to absolute slot
-// boundaries, so a run resumed from `EngineBase::restore()` replays
-// bit-identically — the property test_service_mode pins down to
-// byte-identical RunMetrics.
+// A one-shot trial (`EngineBase::run`) pulls its whole fault schedule up
+// front, runs to convergence or a cap and exits.  A service run never
+// "converges and exits": `run_service` slices simulated time into fixed
+// telemetry windows and, per window, (1) pulls the next chunk of
+// churn/fades from the same fault streams (src/fault/schedule_stream.hpp —
+// chunk-invariant, so both modes see the same faults), (2) drives the
+// simulator to the window boundary, (3) emits one sim::SoakWindow — the
+// change in the engine's RunState record and the radio's counters since
+// the last boundary — through the recorder, (4) prunes the protocols'
+// dedup sets on their deterministic cadence (the bounded-memory invariant
+// under churn) and (5) optionally takes a rollback snapshot.  Every side
+// effect is keyed to absolute slot boundaries, so a run resumed from
+// `EngineBase::restore()` replays bit-identically — the property
+// test_service_mode pins down to byte-identical RunMetrics.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +28,6 @@
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
 #include "fault/fault_injector.hpp"
-#include "fault/schedule_stream.hpp"
 #include "mac/radio.hpp"
 #include "pco/sync_metrics.hpp"
 #include "phy/energy.hpp"
@@ -98,8 +95,6 @@ struct EngineSnapshot {
   mac::RadioMedium::StateSnapshot radio;
   phy::EnergyMeter energy;
   std::optional<fault::FaultInjector> injector;
-  std::optional<fault::ChurnStream> churn_stream;
-  std::optional<fault::FadeStream> fade_stream;
   std::uint64_t protocol_word;
   EngineBase::RunState state;
   /// The run mode and the settings run_service installs when it starts the

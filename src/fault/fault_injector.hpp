@@ -1,22 +1,23 @@
-// fault_injector.hpp — expands a FaultPlan into a concrete, replayable
-// fault schedule and answers the delivery-time fault queries.
+// fault_injector.hpp — the live fault process of one run: answers the
+// delivery-time fault queries and owns the churn and fade streams.
 //
-// `expand_schedule` is the one-shot trial's schedule: every churn
-// transition and fade episode over a fixed horizon, drawn from named
-// substreams of the master seed ("fault.churn", "fault.fade"), so the whole
-// fault sequence of a run is a pure function of (plan, device count,
-// horizon, seed) and can be inspected, logged or asserted on.  A service
-// run pulls the same kinds of events from the regenerating streams in
-// schedule_stream.hpp instead.  Either way the engine owns the simulator,
-// so it — not the injector — schedules the events.
+// `FaultInjector` holds everything a FaultPlan sets in motion, drawn from
+// named substreams of the master seed so a run's whole fault sequence is a
+// pure function of (plan, device count, seed): the per-device drift
+// ("fault.drift"), the i.i.d. drop stream ("fault.drop"), and the churn and
+// deep-fade streams of schedule_stream.hpp ("fault.churn", "fault.fade").
+// Both run modes pull the streams through `generate_until`: a one-shot
+// trial once, to its horizon; a service soak one telemetry window at a
+// time.  The streams are chunk-invariant, so the two modes see the same
+// events.  The engine owns the simulator, so it — not the injector —
+// schedules them, and it keeps the *active-fade* set current through the
+// `fade_started`/`fade_ended` callbacks at episode boundaries.
 //
-// `FaultInjector` holds what stays live during a run of either mode: the
-// per-device drift ("fault.drift"), the *active-fade* set (kept current by
-// the `fade_started`/`fade_ended` callbacks the engine invokes at episode
-// boundaries) and the i.i.d. drop stream ("fault.drop").  It answers the
-// radio's batched channel-fault queries (`mac::ChannelFaults`): drop draws
-// in radio delivery order, which the single-threaded event loop makes
-// deterministic, and the attenuation of currently faded links.
+// The injector answers the radio's batched channel-fault queries
+// (`mac::ChannelFaults`): drop draws in radio delivery order, which the
+// single-threaded event loop makes deterministic, and the attenuation of
+// currently faded links.  It is copyable, so an engine snapshot carries the
+// streams' positions with the rest of the fault state.
 #pragma once
 
 #include <cstdint>
@@ -24,30 +25,23 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "fault/schedule_stream.hpp"
 #include "mac/radio.hpp"
 #include "util/rng.hpp"
 
 namespace firefly::fault {
 
-/// A one-shot trial's fault events over [0, horizon).
-struct FaultSchedule {
-  /// Churn transitions sorted by slot; crash/recover pairs interleaved.
-  /// A device is never crashed while already down.
-  std::vector<ChurnEvent> churn;
-  /// Fade episodes sorted by start slot.
-  std::vector<FadeEpisode> fades;
-};
-
-/// Expands `plan` for `device_count` devices over `horizon_slots` slots of
-/// simulated time (1 slot = 1 ms).  Pure function of its arguments.
-[[nodiscard]] FaultSchedule expand_schedule(const FaultPlan& plan, std::uint32_t device_count,
-                                            std::int64_t horizon_slots,
-                                            std::uint64_t master_seed);
-
 class FaultInjector final : public mac::ChannelFaults {
  public:
-  /// Draws the drift of `device_count` devices and seeds the drop stream.
+  /// Draws the drift of `device_count` devices and seeds the drop, churn
+  /// and fade streams.
   FaultInjector(const FaultPlan& plan, std::uint32_t device_count, std::uint64_t master_seed);
+
+  /// Append the churn transitions and fade episodes generated in [the
+  /// previous call's `to_slot`, to_slot) — see ChurnStream and FadeStream.
+  /// A stream whose rate is 0 emits nothing.
+  void generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& churn_out,
+                      std::vector<FadeEpisode>& fade_out);
 
   /// This device's oscillator skew in ppm (0 when drift is disabled).
   [[nodiscard]] double drift_ppm(std::uint32_t device) const;
@@ -81,6 +75,8 @@ class FaultInjector final : public mac::ChannelFaults {
   std::unordered_multiset<std::uint64_t> active_fades_;
   std::vector<std::uint32_t> fades_at_;  // active fades per device (either end)
   util::Rng drop_rng_;
+  ChurnStream churn_;
+  FadeStream fades_;
 };
 
 }  // namespace firefly::fault

@@ -5,9 +5,9 @@
 // to preamble collisions.  A `FaultPlan` describes the three fault families
 // real D2D deployments add on top — node churn, oscillator drift and
 // channel faults — as *parameters of a deterministic process*: the concrete
-// schedule is expanded by `expand_schedule` (or, in service mode, the
-// streams of schedule_stream.hpp) from named RNG substreams of the run's
-// master seed, so two runs with the same seed and the same plan see
+// schedule is drawn by fault::FaultInjector and its streams
+// (schedule_stream.hpp), in both run modes, from named RNG substreams of the
+// run's master seed, so two runs with the same seed and the same plan see
 // bit-identical fault sequences regardless of thread placement.
 //
 // All rates are network-wide arrival rates of a Poisson process (events per

@@ -32,15 +32,14 @@ void ChurnStream::generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& 
         pending_t_ += rng_.exponential(rate_per_slot_);
         have_pending_ = true;
         if (stop_ms_ >= 0.0 && pending_t_ >= stop_ms_) {
-          stopped_ = true;  // mirror expand_schedule: the process ends here
+          stopped_ = true;  // the process ends here
           break;
         }
       }
       if (pending_t_ >= to) break;  // beyond this chunk: keep it pending
       const auto slot = static_cast<std::int64_t>(pending_t_);
-      // Per-arrival draw order (device, then downtime) matches the batch
-      // injector so the two processes stay recognisably related; the draws
-      // are consumed even for absorbed arrivals, exactly like the batch.
+      // Per-arrival draws (device, then downtime) are consumed even for
+      // absorbed arrivals, so an absorption never shifts later draws.
       const auto device = static_cast<std::uint32_t>(rng_.uniform_index(device_count_));
       const auto downtime = std::max<std::int64_t>(
           1, static_cast<std::int64_t>(rng_.exponential(1.0 / mean_downtime_ms_)));
@@ -77,8 +76,8 @@ void FadeStream::generate_until(std::int64_t to_slot, std::vector<FadeEpisode>& 
       const auto duration = std::max<std::int64_t>(
           1, static_cast<std::int64_t>(rng_.exponential(1.0 / mean_duration_ms_)));
       have_pending_ = false;
-      // No horizon clamp: the service loop has no horizon.  An end slot past
-      // the soak's duration simply schedules a fade_ended that never fires.
+      // No horizon clamp: an end slot past the run's horizon schedules a
+      // fade_ended that never fires.
       out.push_back(FadeEpisode{slot, slot + duration, std::min(u, v), std::max(u, v)});
     }
   }

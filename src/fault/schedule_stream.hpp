@@ -1,22 +1,24 @@
 // schedule_stream.hpp — infinite, seed-replayable regenerating fault
-// schedules for service-mode soaks.
+// schedules: the one churn and deep-fade process of both run modes.
 //
-// A one-shot trial expands a FaultPlan over a fixed horizon up front
-// (`expand_schedule`); an open-ended service run has no fixed horizon.  The streams
-// here keep the Poisson processes' continuation state as members — the RNG
-// engine, the one arrival that was drawn but landed beyond the last chunk,
-// per-device downtime — so the engine can pull the schedule chunk by chunk,
-// one telemetry window at a time, forever, in constant memory.  The emitted
-// sequence is a pure function of (plan, device_count, master_seed) and is
-// *chunk-invariant*: slicing the same horizon into different chunk sizes
-// yields the identical concatenated event list (test_schedule_stream
-// asserts this).  Both streams are copyable, so an engine snapshot captures
-// the stream position and a restored run replays the exact same tail.
+// The streams keep the Poisson processes' continuation state as members —
+// the RNG engine, the one arrival that was drawn but landed beyond the last
+// chunk, per-device downtime — so the engine can pull the schedule chunk by
+// chunk in constant memory: a one-shot trial in one chunk up to its
+// horizon, a service soak one telemetry window at a time, forever.  The
+// emitted sequence is a pure function of (plan, device_count, master_seed)
+// and is *chunk-invariant*: slicing the same horizon into different chunk
+// sizes yields the identical concatenated event list (test_schedule_stream
+// asserts this), so both modes see the same events.  fault::FaultInjector
+// owns one stream of each kind; both are copyable, so an engine snapshot
+// captures the stream position and a restored run replays the same tail.
 //
-// Draws come from the same named substreams as `expand_schedule`
-// ("fault.churn", "fault.fade"), but interleaved per arrival instead of
-// batched per phase, so a stream schedule is its own deterministic process,
-// not a replay of the batch one.
+// Horizon rule: an event is emitted when its *generation point* (a crash's
+// arrival, a fade's start) lies before the chunk's end, and the engine
+// schedules it wherever its slot lands.  The run then fires what lands at or
+// before its horizon; past the horizon nothing fires — a fade still open at
+// the end gets no end event, a device whose recovery lies past the end
+// stays down.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +49,9 @@ class ChurnStream {
   /// slot; each crash's paired recover event is emitted immediately even
   /// when its slot falls beyond `to_slot` (the caller schedules it wherever
   /// it lands — that is what makes the output chunk-invariant).  A device
-  /// that is still down when a crash arrival hits it absorbs the arrival,
-  /// exactly like `expand_schedule`.  A `to_slot` below the previous
-  /// call's emits nothing and loses no arrival.
+  /// that is still down when a crash arrival hits it absorbs the arrival.
+  /// A `to_slot` below the previous call's emits nothing and loses no
+  /// arrival.
   void generate_until(std::int64_t to_slot, std::vector<ChurnEvent>& out);
 
  private:

@@ -37,6 +37,7 @@ void Simulator::schedule_periodic(std::int64_t phase, std::int64_t period, Event
 }
 
 std::int64_t Simulator::run_until(std::int64_t deadline) {
+  if (deadline < now_) throw std::invalid_argument("Simulator::run_until: deadline before now()");
   stop_requested_ = false;
   while (!calendar_.empty() && !stop_requested_) {
     if (calendar_.next_time() > deadline) {

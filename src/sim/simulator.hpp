@@ -41,7 +41,8 @@ class Simulator {
   void schedule_periodic(std::int64_t phase, std::int64_t period, EventFn fn);
 
   /// Run until the queue drains or `deadline` passes.  Returns the slot the
-  /// loop stopped at.
+  /// loop stopped at.  Throws std::invalid_argument for a deadline before
+  /// now(): the clock never moves backwards.
   std::int64_t run_until(std::int64_t deadline);
   /// Run until the queue drains (use with care: periodic timers never drain).
   std::int64_t run();

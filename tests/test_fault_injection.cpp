@@ -1,14 +1,18 @@
-// Tests for the fault-injection subsystem: fault::expand_schedule and the
-// FaultInjector's drift and batched channel-fault answers (src/fault/), the
-// radio's down/channel-fault plumbing and the engine's crash/recover
-// lifecycle.
+// Tests for the fault-injection subsystem: the FaultInjector's drift and
+// batched channel-fault answers (src/fault/), the radio's down/channel-fault
+// plumbing, the engine's crash/recover lifecycle and the one fault process
+// both run modes share.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "core/service_mode.hpp"
+#include "core/trace.hpp"
 #include "proto/st.hpp"
 #include "fault/fault_injector.hpp"
 #include "mac/radio.hpp"
@@ -20,8 +24,6 @@ using fault::ChurnEvent;
 using fault::FadeEpisode;
 using fault::FaultInjector;
 using fault::FaultPlan;
-using fault::FaultSchedule;
-using fault::expand_schedule;
 
 FaultPlan busy_plan() {
   FaultPlan plan;
@@ -50,51 +52,10 @@ TEST(FaultPlan, EnabledFlags) {
 }
 
 TEST(FaultInjector, SchedulesAreDeterministic) {
-  const FaultSchedule a = expand_schedule(busy_plan(), 20, 60'000, 42);
-  const FaultSchedule b = expand_schedule(busy_plan(), 20, 60'000, 42);
-  EXPECT_EQ(a.churn, b.churn);
-  EXPECT_EQ(a.fades, b.fades);
   const FaultInjector da(busy_plan(), 20, 42);
   const FaultInjector db(busy_plan(), 20, 42);
   for (std::uint32_t d = 0; d < 20; ++d) {
     EXPECT_EQ(da.drift_ppm(d), db.drift_ppm(d));
-  }
-  // A different master seed produces a different schedule.
-  const FaultSchedule c = expand_schedule(busy_plan(), 20, 60'000, 43);
-  EXPECT_NE(a.churn, c.churn);
-}
-
-TEST(FaultInjector, NeverCrashesADownDevice) {
-  const FaultSchedule schedule = expand_schedule(busy_plan(), 10, 120'000, 7);
-  ASSERT_FALSE(schedule.churn.empty());
-  std::vector<bool> down(10, false);
-  std::int64_t last_slot = 0;
-  for (const ChurnEvent& e : schedule.churn) {
-    EXPECT_GE(e.slot, last_slot) << "schedule must be sorted";
-    last_slot = e.slot;
-    EXPECT_LT(e.slot, 120'000);
-    EXPECT_LT(e.device, 10U);
-    if (e.crash) {
-      EXPECT_FALSE(down[e.device]) << "crash of an already-down device";
-      down[e.device] = true;
-    } else {
-      EXPECT_TRUE(down[e.device]) << "recovery of a device that is up";
-      down[e.device] = false;
-    }
-  }
-}
-
-TEST(FaultInjector, ChurnStopLeavesAQuietTail) {
-  FaultPlan plan;
-  plan.churn_rate_per_min = 60.0;
-  plan.mean_downtime_ms = 1000.0;
-  plan.churn_stop_ms = 30'000.0;
-  const FaultSchedule schedule = expand_schedule(plan, 10, 120'000, 11);
-  ASSERT_FALSE(schedule.churn.empty());
-  for (const ChurnEvent& e : schedule.churn) {
-    if (e.crash) {
-      EXPECT_LT(e.slot, 30'000);
-    }
   }
 }
 
@@ -332,6 +293,54 @@ TEST(EngineFaults, DeepFadesAreMeteredAndSurvived) {
   const core::RunMetrics m = core::run_trial(core::Protocol::kSt, config);
   EXPECT_GT(m.fade_episodes, 0U);
   EXPECT_TRUE(m.converged);
+}
+
+TEST(EngineFaults, OneShotAndServiceRunsSeeTheSameFaults) {
+  // One fault process: a one-shot trial pulls the fault streams once, to its
+  // horizon, and a service soak to the same horizon pulls them window by
+  // window.  Both must crash, recover and fade the same devices and links
+  // at the same slots.  Events at one slot may be scheduled in a different
+  // order in the two modes, so the lists are compared sorted.
+  core::ScenarioConfig config;
+  config.n = 24;
+  config.seed = 17;
+  config.protocol.max_periods = 120;
+  config.protocol.faults.churn_rate_per_min = 120.0;
+  config.protocol.faults.mean_downtime_ms = 900.0;
+  config.protocol.faults.drop_probability = 0.05;
+  config.protocol.faults.fade_rate_per_min = 120.0;
+  config.protocol.faults.fade_mean_duration_ms = 800.0;
+  using Fault = std::tuple<double, core::TraceKind, std::uint32_t, std::uint32_t, std::uint32_t>;
+  const auto faults = [](const core::TraceSink& sink) {
+    std::vector<Fault> out;
+    for (const core::TraceEvent& e : sink.events()) {
+      if (e.kind == core::TraceKind::kCrash || e.kind == core::TraceKind::kRecover ||
+          e.kind == core::TraceKind::kFadeStart || e.kind == core::TraceKind::kFadeEnd) {
+        out.emplace_back(e.time_ms, e.kind, e.device, e.a, e.b);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  core::TraceSink one_shot_sink;
+  const core::RunMetrics one_shot =
+      core::run_trial(core::Protocol::kSt, config, {.trace = &one_shot_sink});
+  core::TraceSink service_sink;
+  core::ServiceConfig service;
+  service.duration_slots = config.protocol.max_slots();
+  service.window_slots = 1'000;
+  const core::ServiceReport soak =
+      core::run_service_trial(core::Protocol::kSt, config, service, {.trace = &service_sink});
+  ASSERT_TRUE(soak.ok()) << soak.error;
+
+  const std::vector<Fault> expected = faults(one_shot_sink);
+  ASSERT_GT(one_shot.crashes, 0U);
+  ASSERT_GT(one_shot.fade_episodes, 0U);
+  EXPECT_EQ(faults(service_sink), expected);
+  EXPECT_EQ(soak.metrics.crashes, one_shot.crashes);
+  EXPECT_EQ(soak.metrics.recoveries, one_shot.recoveries);
+  EXPECT_EQ(soak.metrics.fade_episodes, one_shot.fade_episodes);
 }
 
 }  // namespace

@@ -57,6 +57,8 @@ TEST(ChurnStream, ChunkInvariant) {
     EXPECT_EQ(whole, sliced) << "chunking changed the schedule (seed "
                              << chunk_seed << ")";
   }
+  // A different master seed produces a different schedule.
+  EXPECT_NE(whole, churn_in_one_call(plan, 32, 43, 100'000));
 }
 
 TEST(ChurnStream, AbsorbsArrivalsWhileDown) {

@@ -239,9 +239,9 @@ TEST(ServiceMode, RestoreOfPreServiceSnapshotReplaysTheSoak) {
 }
 
 TEST(ServiceMode, CheckpointRestoredAfterAPreServiceRestoreKeepsItsFaults) {
-  // restore() of a pre-service snapshot drops the fault streams; a mid-soak
-  // checkpoint restored after it must bring them back, or the tail runs
-  // without churn and still reports ok().
+  // restore() of a pre-service snapshot rewinds the fault streams to slot 0;
+  // a mid-soak checkpoint restored after it must bring back their mid-soak
+  // positions, or the tail does not replay the uninterrupted soak's churn.
   const core::ScenarioConfig config = soak_scenario(5);
   core::ServiceConfig service = short_soak();
   service.duration_slots = 10'000;

@@ -118,9 +118,10 @@ TEST(Simulator, RunOnEmptyQueueReturnsImmediately) {
   EXPECT_EQ(end, 0);
 }
 
-// Scheduling into the past, a negative delay or a period below one slot
-// would move the clock backwards or re-arm at one slot forever; each is
-// rejected in every build type, not only where asserts are compiled in.
+// Scheduling into the past, a negative delay, a period below one slot or a
+// run deadline before now() would move the clock backwards or re-arm at one
+// slot forever; each is rejected in every build type, not only where
+// asserts are compiled in.
 TEST(Simulator, MisuseThrowsInEveryBuild) {
   Simulator sim;
   sim.run_until(10);
@@ -131,6 +132,12 @@ TEST(Simulator, MisuseThrowsInEveryBuild) {
   EXPECT_EQ(sim.scheduler_stats().live_events, 0U);
   EXPECT_NO_THROW(sim.schedule_at(10, [] {}));
   EXPECT_EQ(sim.run_until(20), 20);
+  // A deadline before now() would move the clock backwards, with an event
+  // pending past both deadlines or not.
+  sim.schedule_at(200, [] {});
+  EXPECT_EQ(sim.run_until(100), 100);
+  EXPECT_THROW(sim.run_until(50), std::invalid_argument);
+  EXPECT_EQ(sim.now(), 100);
 
   firefly::sim::SlotCalendar calendar;
   EXPECT_THROW(calendar.schedule(-1, [] {}), std::invalid_argument);

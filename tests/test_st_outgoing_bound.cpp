@@ -111,13 +111,16 @@ std::string metrics_json(const core::RunMetrics& metrics) {
 
 /// Churn, drops and deep fades on a fixed area; the run does not stop at
 /// convergence, so crashes, recoveries and head-lease relabels keep coming.
+/// Relabels are rare: over 60 seeds about half of 6 s runs see one, so the
+/// run lasts 12 s, long enough that the test does not hang on one coin flip
+/// of the fault draws.
 core::ScenarioConfig churn_config() {
   core::ScenarioConfig config;
   config.n = 40;
   config.seed = 29;
   config.area_policy = core::AreaPolicy::kFixed;
   config.protocol.stop_on_convergence = false;
-  config.protocol.max_periods = 60;
+  config.protocol.max_periods = 120;
   config.protocol.faults.churn_rate_per_min = 120.0;
   config.protocol.faults.mean_downtime_ms = 900.0;
   config.protocol.faults.drop_probability = 0.05;
