@@ -3,7 +3,7 @@
 // FST baseline; override with FIREFLY_BENCH_PROTOCOLS) degrade under node
 // churn, oscillator drift and i.i.d. packet loss, each swept separately so
 // the degradation observables (re-convergence, sync uptime, resync time,
-// repair traffic) attribute to one fault class at a time.
+// post-convergence RACH2 traffic) attribute to one fault class at a time.
 //
 // Churn runs use a quiet tail (churn stops at 60% of the horizon) so the
 // bench answers the recovery question — does the protocol re-converge once
@@ -159,8 +159,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\nReading: ST re-converges after churn at every swept rate once the\n"
                "churn stops — the head lease re-elects around crashed heads and\n"
-               "recovered devices re-join as fresh singletons — at the cost of\n"
-               "repair RACH2 traffic that grows with the churn rate.  FST has no\n"
+               "recovered devices re-join as fresh singletons.  \"repair msgs\"\n"
+               "counts every RACH2 sent after the first convergence, ST's\n"
+               "per-period sync floods included; those floods dominate it, so it\n"
+               "shows no trend with the churn rate.  FST has no\n"
                "structure to repair (any neighbour's pulse re-entrains it) but\n"
                "also nothing to show for the faults but lower sync uptime.  Drift\n"
                "is absorbed up to hundreds of ppm by the periodic sync floods;\n"

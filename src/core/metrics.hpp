@@ -62,7 +62,9 @@ struct RunMetrics {
   double max_resync_ms{0.0};
   double sync_uptime{0.0};            ///< aligned fraction of post-first-sync time
   bool in_sync_at_end{false};
-  std::uint64_t repair_messages{0};   ///< RACH2 spent after first convergence
+  /// Every RACH2 sent after the first convergence: ST's per-period sync
+  /// floods as well as its repair traffic, so not a repair count on its own.
+  std::uint64_t repair_messages{0};
   std::uint32_t alive_at_end{0};
   /// True when the reliable-link graph over the devices alive at the end is
   /// disconnected — re-convergence to one synchronised fragment is then

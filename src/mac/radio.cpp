@@ -348,7 +348,7 @@ void RadioMedium::broadcast(std::uint32_t sender, Preamble preamble, PsType type
     throw std::invalid_argument("RadioMedium::broadcast: preamble outside the RACH pool");
   }
   if (down_[index_of(sender)] != 0) return;  // crashed: PA is off
-  pending_.push_back(PendingTx{sender, preamble, type, payload, sim_->now()});
+  pending_.push_back(Transmission{sender, preamble, type, payload, sim_->now()});
   if (energy_ != nullptr) energy_->record_tx(sender);
   switch (preamble.codec) {
     case RachCodec::kRach1: ++counters_.rach1_tx; break;
@@ -406,7 +406,7 @@ void RadioMedium::deliver_cached() {
   // pays its dBm and `pow` instead, as the exact reference.
   const bool gated = down_count_ != 0 || any_listening_;
   for (std::size_t t = 0; t < flushing_.size(); ++t) {
-    const PendingTx& tx = flushing_[t];
+    const Transmission& tx = flushing_[t];
     const std::size_t s = index_of(tx.sender);
     const std::size_t begin = cand_offsets_[s];
     const std::size_t m = cand_offsets_[s + 1] - begin;
@@ -503,13 +503,13 @@ void RadioMedium::group_by_receiver() {
 
 void RadioMedium::resolve_receivers() {
   // Resolve same-resource collisions per receiver with the capture rule.
-  // Decoded receptions are appended to the slot's flat RxRecord batch in
+  // Decoded receptions are appended to the slot's flat RxEntry batch in
   // grouped order — receivers in first-touch order, transmissions in sweep
   // order — and the owner's sink consumes the whole batch after this
   // returns.  Position i of a receiver's range is staged_[order_[i]].
   const Reception* staged = staged_.data();
   const std::uint32_t* order = order_.data();
-  rx_records_.clear();
+  rx_entries_.clear();
   // A decoded reception reads its candidate's cached mean (power_of).  A
   // receiver's entries come from every sender's slice, so in a storm slot
   // that read misses the cache; prefetching it a few positions ahead lets
@@ -561,9 +561,7 @@ void RadioMedium::resolve_receivers() {
       }
       ++counters_.deliveries;
       if (energy_ != nullptr) energy_->record_rx(devices_[rx_index].id);
-      const PendingTx& tx = flushing_[r.tx];
-      rx_records_.push_back(RxRecord{tx.sender, rx_index, tx.preamble, tx.type, tx.payload,
-                                     power_of(r), tx.sent_slot});
+      rx_entries_.push_back(RxEntry{r.tx, rx_index, power_of(r).value});
     }
     if (shared) {
       // Restore the all-zero invariant for the next receiver.
@@ -607,8 +605,11 @@ void RadioMedium::flush_slot() {
   // Hand the slot's whole decoded batch to the owner in one call.  Protocol
   // reactions run here, sequentially in record order; broadcasts they issue
   // land in pending_ for the next slot, exactly as under per-pair dispatch
-  // (now() already sits at the flush boundary either way).
-  if (sink_ && !rx_records_.empty()) sink_(RxBatch{rx_records_.data(), rx_records_.size()});
+  // (now() already sits at the flush boundary either way) — so flushing_,
+  // the batch's transmission table, stays put while the sink runs.
+  if (sink_ && !rx_entries_.empty()) {
+    sink_(RxBatch{rx_entries_.data(), rx_entries_.size(), flushing_.data()});
+  }
 }
 
 void RadioMedium::reserve_delivery(std::size_t max_tx_per_slot) {
@@ -624,7 +625,7 @@ void RadioMedium::reserve_delivery(std::size_t max_tx_per_slot) {
   const std::size_t storm = std::min<std::size_t>(max_tx_per_slot * devices_.size(), 1U << 20);
   staged_.reserve(storm);
   order_.reserve(storm);
-  rx_records_.reserve(storm);
+  rx_entries_.reserve(storm);
 }
 
 RadioMedium::StateSnapshot RadioMedium::save_state() const {

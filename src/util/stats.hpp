@@ -30,6 +30,8 @@ class RunningStats {
 class Sample {
  public:
   void add(double x);
+  /// Room for `n` values, so filling a sample of known size allocates once.
+  void reserve(std::size_t n) { values_.reserve(n); }
 
   [[nodiscard]] std::size_t count() const { return values_.size(); }
   [[nodiscard]] double mean() const;

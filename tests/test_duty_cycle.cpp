@@ -33,8 +33,8 @@ TEST(DutyCycleRadio, SleepingReceiverHearsNothing) {
   radio.rebuild();
   radio.set_delivery_sink([&](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
-      if (batch.records[k].rx_index == 1) ++awake_heard;
-      if (batch.records[k].rx_index == 2) ++asleep_heard;
+      if (batch[k].rx_index == 1) ++awake_heard;
+      if (batch[k].rx_index == 2) ++asleep_heard;
     }
   });
   sim.schedule_at(0, [&] {

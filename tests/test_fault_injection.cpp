@@ -124,8 +124,8 @@ TEST(RadioFaults, DownDeviceNeitherSendsNorReceives) {
   radio.rebuild();
   radio.set_delivery_sink([&](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
-      if (batch.records[k].rx_index == 1) ++heard_by_1;
-      if (batch.records[k].rx_index == 2) ++heard_by_2;
+      if (batch[k].rx_index == 1) ++heard_by_1;
+      if (batch[k].rx_index == 2) ++heard_by_2;
     }
   });
   radio.set_down(2, true);
@@ -162,7 +162,7 @@ TEST(RadioFaults, HookVetoIsCountedAndAttenuationFlowsThrough) {
   radio.rebuild();
   radio.set_delivery_sink([&](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
-      if (batch.records[k].rx_index == 1) heard.push_back(batch.records[k].rx_power);
+      if (batch[k].rx_index == 1) heard.push_back(batch[k].rx_power);
     }
   });
   Veto veto;

@@ -43,7 +43,7 @@ TEST(NoiseFloor, NoiseBreaksMarginalCapture) {
     radio.add_device(1, {10.0 - 14.962, 0.0});
     radio.set_delivery_sink([&](const mac::RxBatch& batch) {
       for (std::size_t k = 0; k < batch.count; ++k) {
-        if (batch.records[k].rx_index == 2 && batch.records[k].sender == 0) ++heard;
+        if (batch[k].rx_index == 2 && batch[k].sender == 0) ++heard;
       }
     });
     radio.add_device(2, {10.0, 0.0});

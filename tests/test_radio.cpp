@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -45,7 +46,7 @@ struct World {
     radio = std::make_unique<RadioMedium>(&sim, channel.get());
     radio->set_delivery_sink([this](const mac::RxBatch& batch) {
       for (std::size_t k = 0; k < batch.count; ++k) {
-        const RxRecord& r = batch.records[k];
+        const RxRecord r = batch[k];
         inbox[r.rx_index].push_back(r);
       }
     });
@@ -58,6 +59,7 @@ struct World {
 };
 
 static_assert(sizeof(RxRecord) == 48);
+static_assert(sizeof(mac::RxEntry) == 16);
 
 TEST(Radio, DeliversAtNextSlotBoundary) {
   World w;
@@ -74,6 +76,67 @@ TEST(Radio, DeliversAtNextSlotBoundary) {
   EXPECT_EQ(w.inbox[1][0].sender, 0U);
   EXPECT_EQ(w.inbox[1][0].payload, 42U);
   EXPECT_EQ(w.inbox[1][0].sent_slot, 3);
+}
+
+// The batch stores one 16 B entry per reception over the slot's
+// transmission table; each batch[k] must still read as the full record:
+// sender, receiver, preamble, type, payload, send slot and power.
+TEST(Radio, BatchEntriesNameTheirTransmission) {
+  World w;
+  w.add(0, {0.0, 0.0});
+  w.add(1, {20.0, 0.0});
+  w.add(2, {10.0, 0.0});
+  w.radio->rebuild();
+  std::map<std::pair<std::uint32_t, std::uint32_t>, double> mean_dbm;
+  w.radio->for_each_candidate_pair([&](std::uint32_t u, std::uint32_t v, util::Dbm mean) {
+    mean_dbm[{u, v}] = mean.value;
+    mean_dbm[{v, u}] = mean.value;
+  });
+  std::vector<std::vector<RxRecord>> batches;
+  w.radio->set_delivery_sink([&](const mac::RxBatch& batch) {
+    batches.emplace_back();
+    for (std::size_t k = 0; k < batch.count; ++k) batches.back().push_back(batch[k]);
+    // A broadcast from inside the sink joins the next batch.
+    if (batches.size() == 1) {
+      w.radio->broadcast(2, {RachCodec::kRach1, 5}, PsType::kSyncPulse, 33);
+    }
+  });
+  w.sim.schedule_at(5, [&] {
+    w.radio->broadcast(0, {RachCodec::kRach1, 3}, PsType::kDiscovery, 11);
+    w.radio->broadcast(1, {RachCodec::kRach2, 3}, PsType::kMergeAnnounce, 22);
+  });
+  w.sim.run();
+
+  const mac::Preamble r1{RachCodec::kRach1, 3};
+  const mac::Preamble r2{RachCodec::kRach2, 3};
+  const mac::Preamble sync{RachCodec::kRach1, 5};
+  // Receivers in first-touch order (the sweep visits 0's candidates, then
+  // 1's), transmissions in sweep order within a receiver.
+  const std::vector<std::vector<RxRecord>> expected{
+      {{0, 1, r1, PsType::kDiscovery, 11, {}, 5},
+       {0, 2, r1, PsType::kDiscovery, 11, {}, 5},
+       {1, 2, r2, PsType::kMergeAnnounce, 22, {}, 5},
+       {1, 0, r2, PsType::kMergeAnnounce, 22, {}, 5}},
+      {{2, 0, sync, PsType::kSyncPulse, 33, {}, 6},
+       {2, 1, sync, PsType::kSyncPulse, 33, {}, 6}},
+  };
+  ASSERT_EQ(batches.size(), expected.size());
+  for (std::size_t b = 0; b < expected.size(); ++b) {
+    ASSERT_EQ(batches[b].size(), expected[b].size()) << "batch " << b;
+    for (std::size_t k = 0; k < expected[b].size(); ++k) {
+      const RxRecord& got = batches[b][k];
+      const RxRecord& want = expected[b][k];
+      SCOPED_TRACE("batch " + std::to_string(b) + " entry " + std::to_string(k));
+      EXPECT_EQ(got.sender, want.sender);
+      EXPECT_EQ(got.rx_index, want.rx_index);
+      EXPECT_EQ(got.preamble, want.preamble);
+      EXPECT_EQ(got.type, want.type);
+      EXPECT_EQ(got.payload, want.payload);
+      EXPECT_EQ(got.sent_slot, want.sent_slot);
+      // No fading: the received power is the pair's cached mean, exactly.
+      EXPECT_EQ(got.rx_power.value, (mean_dbm.at({want.sender, want.rx_index})));
+    }
+  }
 }
 
 TEST(Radio, NoSelfReception) {
@@ -333,7 +396,7 @@ TEST(Radio, BackToBackContendedFlushesDecideAsFreshMedia) {
     Decoded decoded;
     w.radio->set_delivery_sink([&decoded](const mac::RxBatch& batch) {
       for (std::size_t k = 0; k < batch.count; ++k) {
-        decoded.emplace_back(batch.records[k].rx_index, batch.records[k].sender);
+        decoded.emplace_back(batch[k].rx_index, batch[k].sender);
       }
     });
     const std::uint64_t before = w.radio->counters().collisions;
@@ -465,7 +528,7 @@ TEST(Radio, BatchKeepsFirstTouchReceiverOrderAndSweepOrderWithinReceiver) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> actual;
   w.radio->set_delivery_sink([&actual](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
-      actual.emplace_back(batch.records[k].rx_index, batch.records[k].sender);
+      actual.emplace_back(batch[k].rx_index, batch[k].sender);
     }
   });
   w.sim.schedule_at(0, [&] {
@@ -649,7 +712,7 @@ std::uint64_t gated_run_digest(std::unique_ptr<phy::FadingModel> fading,
   std::uint64_t h = 0xcbf29ce484222325ULL;
   radio.set_delivery_sink([&h](const mac::RxBatch& batch) {
     for (std::size_t k = 0; k < batch.count; ++k) {
-      const RxRecord& r = batch.records[k];
+      const RxRecord r = batch[k];
       h = mix(h, r.sender);
       h = mix(h, r.rx_index);
       h = mix(h, static_cast<std::uint32_t>(r.preamble.codec));
@@ -724,7 +787,7 @@ TEST(RadioGates, FaultDropsCountSubThresholdCandidates) {
     ASSERT_TRUE(candidate) << "device 2 must be a delivery candidate of device 0";
     std::vector<RxRecord> heard;
     radio.set_delivery_sink([&](const mac::RxBatch& batch) {
-      heard.insert(heard.end(), batch.records, batch.records + batch.count);
+      for (std::size_t k = 0; k < batch.count; ++k) heard.push_back(batch[k]);
     });
     LinkFaults faults;
     radio.set_channel_faults(&faults);
@@ -832,7 +895,7 @@ DropRun drop_run(bool crashed, bool decoy_fade) {
   radio.set_channel_faults(&faults);
   DropRun run;
   radio.set_delivery_sink([&run](const mac::RxBatch& batch) {
-    run.heard.insert(run.heard.end(), batch.records, batch.records + batch.count);
+    for (std::size_t k = 0; k < batch.count; ++k) run.heard.push_back(batch[k]);
   });
   for (std::int64_t slot = 0; slot < 20; ++slot) {
     sim.schedule_at(slot, [&radio, slot] {
@@ -926,7 +989,7 @@ struct FlatLink {
     radio->add_device(1, {10.0, 0.0});
     radio->rebuild();
     radio->set_delivery_sink([this](const mac::RxBatch& batch) {
-      heard.insert(heard.end(), batch.records, batch.records + batch.count);
+      for (std::size_t k = 0; k < batch.count; ++k) heard.push_back(batch[k]);
     });
   }
   [[nodiscard]] util::Dbm mean() const {

@@ -6,7 +6,8 @@
 // soak warms up for 400k slots, and the remaining 600k slots must finish
 // with net heap growth of exactly zero and an unchanged arena high-water
 // mark.  Everything is seeded, so the assertion is deterministic, not a
-// statistical bound.
+// statistical bound.  The same counters keep the peak of the outstanding
+// bytes, which bounds what a one-shot trial's end-of-run metrics pass holds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,9 @@
 
 namespace {
 std::atomic<long long> g_outstanding_bytes{0};
+// The highest g_outstanding_bytes has reached; a test lowers it to the
+// current value before the call it measures.
+std::atomic<long long> g_peak_outstanding_bytes{0};
 constexpr std::size_t kHeader = 16;  // keeps malloc's 16-byte alignment
 }  // namespace
 
@@ -29,8 +33,13 @@ void* operator new(std::size_t size) {
   void* raw = std::malloc(size + kHeader);
   if (raw == nullptr) throw std::bad_alloc();
   *static_cast<std::size_t*>(raw) = size;
-  g_outstanding_bytes.fetch_add(static_cast<long long>(size),
-                                std::memory_order_relaxed);
+  const long long now = g_outstanding_bytes.fetch_add(static_cast<long long>(size),
+                                                      std::memory_order_relaxed) +
+                        static_cast<long long>(size);
+  long long peak = g_peak_outstanding_bytes.load(std::memory_order_relaxed);
+  while (now > peak && !g_peak_outstanding_bytes.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
+  }
   return static_cast<char*>(raw) + kHeader;
 }
 
@@ -66,6 +75,7 @@ using namespace firefly;
 class ServiceSt : public proto::StEngine {
  public:
   using proto::StEngine::StEngine;
+  using proto::StEngine::collect_metrics;
   using proto::StEngine::run_service;
 };
 
@@ -129,6 +139,33 @@ TEST(SoakMemory, MillionSlotChurnSoakHasZeroSteadyStateHeapGrowth) {
       << "scheduler arena peak moved after warm-up";
   EXPECT_EQ(end_arena_capacity, arena_capacity_after_warmup)
       << "scheduler arena grew a new chunk after warm-up";
+}
+
+// The end-of-run metrics pass keeps one ranging error per neighbour-table
+// entry.  Sized once, that sample is the pass's only large allocation; grown
+// by doubling, its last growth would hold the old and the new array at once
+// (and the new one up to twice too large), which is where an N = 2000
+// trial's resident set peaks.
+TEST(SoakMemory, MetricsPassHoldsOneExactRangingSample) {
+  core::ScenarioConfig config;
+  config.n = 200;
+  config.seed = 5;
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+  ServiceSt engine(positions, config.protocol, config.radio, config.seed);
+  ASSERT_TRUE(engine.run().converged);
+  std::size_t entries = 0;
+  for (std::uint32_t i = 0; i < positions.size(); ++i) entries += engine.neighbors(i).size();
+  // Large enough that a doubling growth overshoots the slack below.
+  ASSERT_GT(entries * sizeof(double), std::size_t{64} << 10);
+
+  const long long before = g_outstanding_bytes.load(std::memory_order_relaxed);
+  g_peak_outstanding_bytes.store(before, std::memory_order_relaxed);
+  const core::RunMetrics metrics = engine.collect_metrics();
+  const long long raised = g_peak_outstanding_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(metrics.converged);
+  const auto bound = static_cast<long long>(entries * sizeof(double) + (std::size_t{64} << 10));
+  EXPECT_LE(raised, bound) << "the metrics pass raised the heap by " << raised
+                           << " bytes over " << entries << " neighbour entries";
 }
 
 TEST(SoakMemory, RecorderRingStaysAllocationFreeWhenSaturated) {

@@ -29,9 +29,13 @@ class SteppableSt : public proto::StEngine {
   /// Move the fresh-label cursor (ST's snapshot word).
   void set_label_cursor(std::uint16_t next) { protocol_restore_word(next); }
   std::int64_t slot() const { return current_slot(); }
-  /// Inject one synthetic decoded PS as a batch of one.
+  /// Inject one synthetic decoded PS as a batch of one: one entry over a
+  /// one-transmission table.
   void inject(const mac::RxRecord& record) {
-    deliver_batched(mac::RxBatch{&record, 1});
+    const mac::Transmission tx{record.sender, record.preamble, record.type, record.payload,
+                               record.sent_slot};
+    const mac::RxEntry entry{0, record.rx_index, record.rx_power.value};
+    deliver_batched(mac::RxBatch{&entry, 1, &tx});
   }
 };
 
