@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/neighbor_table.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/slot_calendar.hpp"
 #include "util/arena.hpp"
 
 namespace firefly::core {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <memory>
 
 #include "core/engine.hpp"
-#include "geo/grid.hpp"
 #include "proto/registry.hpp"
 #include "util/rng.hpp"
 
@@ -36,30 +34,12 @@ std::vector<geo::Vec2> deploy(const ScenarioConfig& config) {
 graph::Graph proximity_graph(const std::vector<geo::Vec2>& positions,
                              const phy::Channel& channel) {
   graph::Graph g(positions.size());
-  const auto admit = [&](std::uint32_t u, std::uint32_t v) {
-    const util::Dbm forward = channel.mean_received_power(u, positions[u], v, positions[v]);
-    const util::Dbm backward = channel.mean_received_power(v, positions[v], u, positions[u]);
-    const util::Dbm strongest = std::max(forward, backward);
-    if (channel.detectable(strongest)) g.add_edge(u, v, strongest.value);
-  };
-  // Edges need mean power >= threshold, which the shadowing clamp bounds by
-  // a hard range — enumerate only grid-near pairs when that bound is finite.
-  const double range = channel.max_detectable_range();
-  if (std::isfinite(range) && range > 0.0 && positions.size() > 1) {
-    geo::SpatialGrid grid;
-    grid.build(positions, range);
-    std::vector<std::uint32_t> near;
-    for (std::uint32_t u = 0; u < positions.size(); ++u) {
-      near.clear();
-      grid.gather(positions[u], range, near);
-      std::sort(near.begin(), near.end());
-      for (const std::uint32_t v : near) {
-        if (v > u) admit(u, v);
-      }
-    }
-  } else {
-    for (std::uint32_t u = 0; u < positions.size(); ++u) {
-      for (std::uint32_t v = u + 1; v < positions.size(); ++v) admit(u, v);
+  for (std::uint32_t u = 0; u < positions.size(); ++u) {
+    for (std::uint32_t v = u + 1; v < positions.size(); ++v) {
+      const util::Dbm forward = channel.mean_received_power(u, positions[u], v, positions[v]);
+      const util::Dbm backward = channel.mean_received_power(v, positions[v], u, positions[u]);
+      const util::Dbm strongest = std::max(forward, backward);
+      if (channel.detectable(strongest)) g.add_edge(u, v, strongest.value);
     }
   }
   return g;

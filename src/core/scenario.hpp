@@ -55,8 +55,10 @@ struct ScenarioConfig {
 /// slot-averaged received power (path loss + per-link shadowing, as the
 /// given channel realises it) clears the detection threshold in at least
 /// one direction; the edge weight is that power in dBm (the paper's
-/// PS-strength weight).  Used to validate protocol trees against reference
-/// MSTs and to drive the standalone PCO ablations.
+/// PS-strength weight).  An exhaustive scan of the pairs u < v in index
+/// order: its callers' worlds are narrower than the detection range, where
+/// a spatial grid would prune nothing.  Used to validate protocol trees
+/// against reference MSTs and to drive the standalone PCO ablations.
 [[nodiscard]] graph::Graph proximity_graph(const std::vector<geo::Vec2>& positions,
                                            const phy::Channel& channel);
 

@@ -1,7 +1,7 @@
 #include "geo/deployment.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace firefly::geo {
 
@@ -16,7 +16,7 @@ std::vector<Vec2> deploy_uniform(std::size_t n, Area area, util::Rng& rng) {
 
 std::vector<Vec2> deploy_clustered(std::size_t n, std::size_t clusters, double spread,
                                    Area area, util::Rng& rng) {
-  assert(clusters > 0);
+  if (clusters == 0) throw std::invalid_argument("deploy_clustered: zero clusters");
   const std::vector<Vec2> parents = deploy_uniform(clusters, area, rng);
   std::vector<Vec2> points;
   points.reserve(n);
@@ -29,7 +29,7 @@ std::vector<Vec2> deploy_clustered(std::size_t n, std::size_t clusters, double s
 }
 
 Area scaled_area_for(std::size_t n, std::size_t reference_n, Area reference_area) {
-  assert(reference_n > 0);
+  if (reference_n == 0) throw std::invalid_argument("scaled_area_for: zero reference count");
   const double scale =
       std::sqrt(static_cast<double>(n) / static_cast<double>(reference_n));
   return Area{reference_area.width * scale, reference_area.height * scale};

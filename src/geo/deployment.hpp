@@ -21,12 +21,14 @@ namespace firefly::geo {
 [[nodiscard]] std::vector<Vec2> deploy_uniform(std::size_t n, Area area, util::Rng& rng);
 
 /// `clusters` parent points; each parent gets ~n/clusters daughters placed
-/// normally (stddev `spread`) around it, clamped to the area.
+/// normally (stddev `spread`) around it, clamped to the area.  Throws
+/// `std::invalid_argument` when `clusters` is 0.
 [[nodiscard]] std::vector<Vec2> deploy_clustered(std::size_t n, std::size_t clusters,
                                                  double spread, Area area, util::Rng& rng);
 
 /// Area scaled so n devices keep the reference density of
 /// `reference_n` devices in `reference_area` (Table I: 50 per 100 m×100 m).
+/// Throws `std::invalid_argument` when `reference_n` is 0.
 [[nodiscard]] Area scaled_area_for(std::size_t n, std::size_t reference_n = 50,
                                    Area reference_area = kPaperArea);
 

@@ -137,25 +137,14 @@ void RadioMedium::rebuild(double fading_margin_db) {
     throw std::invalid_argument("RadioMedium::rebuild: non-finite fading margin");
   }
   cache_valid_ = false;
-  const phy::RadioParams& params = channel_->params();
-  const util::Dbm cutoff = params.detection_threshold - util::Db{fading_margin_db};
+  const util::Dbm cutoff = channel_->params().detection_threshold - util::Db{fading_margin_db};
   skip_table_.build(channel_->fading(), fading_margin_db);
   const std::size_t n = devices_.size();
   cand_offsets_.assign(n + 1, 0);
-  if (params.spatial_index == phy::SpatialIndex::kGrid && n >= 2) {
+  if (n >= 2) {
     rebuild_bounded(fading_margin_db, cutoff);
   } else {
-    // Dense reference (and any world without pairs): every v > u survives
-    // and takes the scalar query, which equals the batched one bit for bit.
-    for (std::size_t u = 0; u < n; ++u) cand_offsets_[u + 1] = n - 1;
-    allocate_candidates();
-    for (std::size_t u = 0; u < n; ++u) {
-      for (std::size_t v = u + 1; v < n; ++v) {
-        const util::Dbm mean = channel_->mean_received_power(
-            devices_[u].id, devices_[u].position, devices_[v].id, devices_[v].position);
-        admit_candidate(u, v, mean.value, cutoff);
-      }
-    }
+    allocate_candidates();  // no pairs: every slice is empty
   }
   compact_candidates();
   cache_valid_ = true;

@@ -1,8 +1,8 @@
 #include "phy/channel.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace firefly::phy {
 
@@ -14,7 +14,9 @@ Channel::Channel(RadioParams params, std::unique_ptr<PathLossModel> pathloss,
       shadowing_(std::move(shadowing)),
       fading_(std::move(fading)),
       fading_rng_(fading_rng) {
-  assert(pathloss_ != nullptr && shadowing_ != nullptr && fading_ != nullptr);
+  if (pathloss_ == nullptr || shadowing_ == nullptr || fading_ == nullptr) {
+    throw std::invalid_argument("Channel: null propagation model");
+  }
 }
 
 util::Dbm Channel::mean_received_power(std::uint32_t tx_id, geo::Vec2 tx_pos,

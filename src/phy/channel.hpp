@@ -23,12 +23,6 @@
 
 namespace firefly::phy {
 
-/// How the radio medium enumerates candidate receiver pairs.
-enum class SpatialIndex {
-  kGrid,   ///< uniform grid keyed by the max detectable range (production)
-  kDense,  ///< exhaustive O(N²) scans (reference baseline for A/B tests)
-};
-
 /// Table I radio constants.
 struct RadioParams {
   util::Dbm tx_power{23.0};             ///< device power, 23 dBm
@@ -54,13 +48,11 @@ struct RadioParams {
   /// adds at most ~15 dB of constructive gain with probability ~2e-14, so
   /// this margin makes the pruned delivery loop exact in practice.
   static constexpr double kCandidateFadingMarginDb = 15.0;
-  /// Candidate enumeration strategy: grid (production) or the dense
-  /// reference the equivalence tests and scaling bench compare against.
-  SpatialIndex spatial_index{SpatialIndex::kGrid};
 };
 
 class Channel {
  public:
+  /// Throws `std::invalid_argument` when any model is null.
   Channel(RadioParams params, std::unique_ptr<PathLossModel> pathloss,
           std::unique_ptr<ShadowingModel> shadowing, std::unique_ptr<FadingModel> fading,
           util::Rng fading_rng);

@@ -2,14 +2,14 @@
 //
 // The simulator's pending-event set is dominated by one pattern: cancel the
 // previous fire event and schedule the next one exactly one period ahead.
-// A binary heap pays O(log n) moves (and, in the EventQueue reference, a
-// hash-set insert — a heap allocation) for every such reschedule.  The slot
-// calendar makes both O(1):
+// A binary heap pays O(log n) moves (and, in the heap reference the tests
+// keep, a hash-set insert — a heap allocation) for every such reschedule.
+// The slot calendar makes both O(1):
 //
 //   * Event records are fixed-layout structs in a `util::SlabArena` —
 //     schedule() pops a freelist slot, cancel() flips a flag.  After warm-up
 //     a trial never touches the system heap for scheduling.
-//   * Event times are whole slots (sim/event_queue.hpp).  Three levels of
+//   * Event times are whole slots (1 ms LTE slots, Table I).  Three levels of
 //     256 buckets cover the next 2^24 slots (~4.6 h of simulated time);
 //     later events park in an overflow list.  Crossing a 256-slot page
 //     cascades the next level-1 bucket down into level 0, and so on.
@@ -18,16 +18,30 @@
 //     front-to-back in the exact (slot, seq) order the heap would produce.
 //
 // Determinism is the hard requirement: test_slot_calendar and
-// test_arena_churn fuzz this calendar against the EventQueue oracle, and
-// test_golden_digests pins whole-trial results.
+// test_arena_churn fuzz this calendar against a binary-heap oracle
+// (tests/heap_event_queue.hpp), and test_golden_digests pins whole-trial
+// results.
 #pragma once
 
 #include <cstdint>
 
-#include "sim/event_queue.hpp"  // EventId, EventFn, FiredEvent
 #include "util/arena.hpp"
+#include "util/inplace_function.hpp"
 
 namespace firefly::sim {
+
+using EventId = std::uint64_t;
+/// Event callback with inline (small-buffer) capture storage.  48 bytes
+/// covers every closure the engines schedule; larger captures fail to
+/// compile rather than silently allocating.
+using EventFn = util::InplaceFunction<void(), 48>;
+
+/// A popped event.
+struct FiredEvent {
+  std::int64_t time;  ///< slot
+  EventId id;
+  EventFn fn;
+};
 
 class SlotCalendar {
  public:

@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "heap_event_queue.hpp"
 #include "sim/slot_calendar.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"

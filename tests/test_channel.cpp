@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "test_worlds.hpp"
@@ -141,6 +142,19 @@ TEST(Channel, ParamsExposed) {
   auto channel = deterministic_channel(params);
   EXPECT_DOUBLE_EQ(channel->params().tx_power.value, 20.0);
   EXPECT_DOUBLE_EQ(channel->params().detection_threshold.value, -95.0);
+}
+
+TEST(Channel, NullModelThrowsInEveryBuild) {
+  // A caller's argument, checked in Release too (not an assert).
+  const auto make = [](bool pathloss, bool shadowing, bool fading) {
+    return Channel(RadioParams{}, pathloss ? std::make_unique<PaperDualSlope>() : nullptr,
+                   shadowing ? std::make_unique<NoShadowing>() : nullptr,
+                   fading ? std::make_unique<NoFading>() : nullptr, Rng(1));
+  };
+  EXPECT_THROW(make(false, true, true), std::invalid_argument);
+  EXPECT_THROW(make(true, false, true), std::invalid_argument);
+  EXPECT_THROW(make(true, true, false), std::invalid_argument);
+  EXPECT_NO_THROW(make(true, true, true));
 }
 
 }  // namespace

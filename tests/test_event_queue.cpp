@@ -1,5 +1,5 @@
-// Tests for the deterministic pending-event set (src/sim/event_queue.hpp).
-#include "sim/event_queue.hpp"
+// Tests for the binary-heap test oracle (tests/heap_event_queue.hpp).
+#include "heap_event_queue.hpp"
 
 #include <gtest/gtest.h>
 

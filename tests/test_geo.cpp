@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "geo/deployment.hpp"
 #include "geo/point.hpp"
@@ -83,6 +84,14 @@ TEST(Deployment, ScaledAreaPreservesDensity) {
   const Area base = scaled_area_for(50);
   EXPECT_DOUBLE_EQ(base.width, 100.0);
   EXPECT_DOUBLE_EQ(base.height, 100.0);
+}
+
+TEST(Deployment, MisuseThrowsInEveryBuild) {
+  // Callers' arguments, checked in Release too (not asserts).
+  Rng rng(5);
+  EXPECT_THROW(static_cast<void>(deploy_clustered(10, 0, 5.0, kPaperArea, rng)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(scaled_area_for(10, 0)), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // shortest-round-trip doubles, so one ULP of drift changes the digest) with
 // FNV-1a-64.  The matrix is every backend × {static, mobility, faults,
 // service snapshot → restore → tail} × two seeds, plus ST rows for the
-// radio's delivery gates the matrix leaves out: duty cycling (static and
-// under the fault plan) and the dense spatial index under the fault plan.
+// radio's delivery gate the matrix leaves out: duty cycling (static and
+// under the fault plan).
 //
 // The table was recorded while the simulator still carried its reference
 // legs — a binary-heap scheduler next to the slot calendar and a fat-struct
@@ -14,30 +14,28 @@
 // spatial index too).  The digests are that agreement, kept as data: a
 // refactor that changes event order, RNG draw order or hot-state
 // initialisation fails here.  Never re-record a digest to make a change
-// pass; a deliberate change in results is named as one.  The twelve fault
-// rows (faults, duty_faults, dense_faults) were re-recorded once, on
-// purpose, when one-shot trials began drawing churn and fades from the
-// same chunk-invariant streams as service runs.
+// pass; a deliberate change in results is named as one.  The fault rows
+// (faults, duty_faults) were re-recorded once, on purpose, when one-shot
+// trials began drawing churn and fades from the same chunk-invariant
+// streams as service runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "core/engine.hpp"
-#include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/service_mode.hpp"
-#include "obs/json.hpp"
 #include "proto/registry.hpp"
+#include "test_worlds.hpp"
 
 namespace {
 
 using namespace firefly;
 
-enum class Kind { kStatic, kMobility, kFaults, kService, kDuty, kDutyFaults, kDenseFaults };
+enum class Kind { kStatic, kMobility, kFaults, kService, kDuty, kDutyFaults };
 
 const char* to_string(Kind kind) {
   switch (kind) {
@@ -47,7 +45,6 @@ const char* to_string(Kind kind) {
     case Kind::kService: return "service";
     case Kind::kDuty: return "duty";
     case Kind::kDutyFaults: return "duty_faults";
-    case Kind::kDenseFaults: return "dense_faults";
   }
   return "?";
 }
@@ -65,22 +62,6 @@ std::string row_name(const GoldenRow& row) {
 }
 
 void PrintTo(const GoldenRow& row, std::ostream* os) { *os << row_name(row); }
-
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string metrics_json(const core::RunMetrics& metrics) {
-  std::ostringstream oss;
-  obs::JsonWriter w(oss);
-  core::write_run_metrics_json(w, metrics);
-  return oss.str();
-}
 
 /// The kFaults plan: churn, i.i.d. drops, deep fades and clock drift.
 void add_fault_plan(core::ScenarioConfig& config) {
@@ -129,11 +110,6 @@ core::ScenarioConfig scenario(const GoldenRow& row) {
       // Every radio gate at once: crashed and asleep receivers, drops, fades.
       add_fault_plan(config);
       add_duty_cycle(config);
-      break;
-    case Kind::kDenseFaults:
-      // The dense candidate cache must gate exactly as the grid one does.
-      add_fault_plan(config);
-      config.radio.spatial_index = phy::SpatialIndex::kDense;
       break;
     case Kind::kService:
       config.n = 24;
@@ -210,14 +186,11 @@ constexpr GoldenRow kGolden[] = {
     {"desync", Kind::kService, 3, 0xc3c6d3ee7097480fULL},
     // Gate mixes, recorded while the radio still had a separate scalar
     // delivery sweep for gated slots, after checking that the grid and dense
-    // spatial indexes agreed on every row.  The dense fault rows equal the
-    // grid fault rows of the same seed above.
+    // spatial indexes agreed on every row.
     {"st", Kind::kDuty, 8101, 0xb99c5000f3d8f499ULL},
     {"st", Kind::kDuty, 31337, 0xfcc04e9fcee1382fULL},
     {"st", Kind::kDutyFaults, 8103, 0x4e770501bbf256bdULL},
     {"st", Kind::kDutyFaults, 7004, 0xcd44f42a030d7742ULL},
-    {"st", Kind::kDenseFaults, 8103, 0xa548900796f13103ULL},
-    {"st", Kind::kDenseFaults, 7004, 0x50e56800b1f2cdd4ULL},
 };
 
 class GoldenDigests : public ::testing::TestWithParam<GoldenRow> {};
@@ -227,7 +200,7 @@ TEST_P(GoldenDigests, ReproducesRecordedDigest) {
   ASSERT_NE(proto::Registry::instance().find(row.protocol), nullptr) << row.protocol;
   const core::ScenarioConfig config = scenario(row);
   const std::string json = run_json(row, config);
-  EXPECT_EQ(fnv1a64(json), row.digest) << row_name(row) << " diverged:\n" << json;
+  EXPECT_EQ(core::fnv1a64(json), row.digest) << row_name(row) << " diverged:\n" << json;
   if (row.kind == Kind::kService) {
     EXPECT_EQ(service_json(row, config, false), json)
         << row_name(row) << ": restored tail differs from the uninterrupted soak";

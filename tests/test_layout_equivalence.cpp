@@ -5,40 +5,20 @@
 // (core::write_run_metrics_json, shortest-round-trip doubles), recorded
 // while both device cores, both schedulers and both spatial indexes still
 // existed, after checking that all eight legs produced the same JSON.  The
-// grid/dense axis is still live and is re-checked here.  The wider
-// backend × scenario matrix is in test_golden_digests.cpp.
+// wider backend × scenario matrix is in test_golden_digests.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <string>
 
-#include "core/report.hpp"
 #include "core/scenario.hpp"
-#include "obs/json.hpp"
-#include "phy/channel.hpp"
 #include "proto/registry.hpp"
+#include "test_worlds.hpp"
 
 namespace {
 
 using namespace firefly;
-
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string metrics_json(const core::RunMetrics& metrics) {
-  std::ostringstream oss;
-  obs::JsonWriter w(oss);
-  core::write_run_metrics_json(w, metrics);
-  return oss.str();
-}
 
 TEST(LayoutEquivalence, EveryProtocolStaticRunIsByteIdentical) {
   // Recorded per registry name: N=50, fixed area, 120 periods, seed 8101.
@@ -60,15 +40,11 @@ TEST(LayoutEquivalence, EveryProtocolStaticRunIsByteIdentical) {
     config.area_policy = core::AreaPolicy::kFixed;
     config.protocol.max_periods = 120;
     const core::Protocol protocol = registry.find(name)->id;
-    config.radio.spatial_index = phy::SpatialIndex::kGrid;
-    const core::RunMetrics grid = core::run_trial(protocol, config);
-    config.radio.spatial_index = phy::SpatialIndex::kDense;
-    const core::RunMetrics dense = core::run_trial(protocol, config);
-    const std::string json = metrics_json(grid);
-    EXPECT_EQ(metrics_json(dense), json) << "grid and dense diverged";
-    EXPECT_EQ(fnv1a64(json), it->second) << "recorded digest not reproduced; got\n" << json;
+    const core::RunMetrics metrics = core::run_trial(protocol, config);
+    const std::string json = metrics_json(metrics);
+    EXPECT_EQ(core::fnv1a64(json), it->second) << "recorded digest not reproduced; got\n" << json;
     // Guard against a vacuous pass.
-    EXPECT_GT(grid.deliveries, 0U);
+    EXPECT_GT(metrics.deliveries, 0U);
   }
 }
 

@@ -9,28 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/service_mode.hpp"
-#include "obs/json.hpp"
 #include "proto/registry.hpp"
+#include "test_worlds.hpp"
 
 namespace {
 
 using namespace firefly;
-
-std::string metrics_json(const core::RunMetrics& metrics) {
-  std::ostringstream oss;
-  obs::JsonWriter w(oss);
-  core::write_run_metrics_json(w, metrics);
-  return oss.str();
-}
 
 TEST(ProtoRegistry, BuiltinNamesEnumerateInRegistrationOrder) {
   const std::vector<std::string> expected = {"fst", "st", "birthday", "desync"};

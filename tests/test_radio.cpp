@@ -659,9 +659,8 @@ struct LinkFaults final : mac::ChannelFaults {
 };
 
 std::unique_ptr<phy::Channel> gate_channel(std::unique_ptr<phy::FadingModel> fading,
-                                           phy::SpatialIndex index, std::uint64_t seed) {
+                                           std::uint64_t seed) {
   phy::RadioParams params;
-  params.spatial_index = index;
   // The gate tests, and the digest the recorded-digest test pins, date
   // from a 6 dB capture margin, not Table I's 3 dB.
   params.capture_margin_db = 6.0;
@@ -688,10 +687,9 @@ std::uint64_t mix(std::uint64_t h, T value) {
 /// a crashed receiver, an always-asleep one, one asleep on odd slots, i.i.d.
 /// drops and one deeply faded link.  Hashes every delivered record, then the
 /// counters.
-std::uint64_t gated_run_digest(std::unique_ptr<phy::FadingModel> fading,
-                               phy::SpatialIndex index) {
+std::uint64_t gated_run_digest(std::unique_ptr<phy::FadingModel> fading) {
   sim::Simulator sim;
-  auto channel = gate_channel(std::move(fading), index, 4242);
+  auto channel = gate_channel(std::move(fading), 4242);
   RadioMedium radio(&sim, channel.get());
   util::Rng place(9);
   constexpr std::uint32_t n = 24;
@@ -751,13 +749,10 @@ TEST(RadioGates, NonRayleighGatedRunsReproduceRecordedDigest) {
   // Without fading every uniform skips or none does (NoFading::skip_u is 0
   // or 2); only radio-level code reaches it.  Recorded before the scalar
   // delivery sweep was folded into the batched one, when NoFading still
-  // drew no uniforms and was skipped in gain space; grid and dense
-  // candidate caches must agree with it.
-  for (const phy::SpatialIndex index : {phy::SpatialIndex::kGrid, phy::SpatialIndex::kDense}) {
-    const std::uint64_t digest = gated_run_digest(std::make_unique<phy::NoFading>(), index);
-    EXPECT_EQ(digest, 0x22699265ff91090fULL)
-        << "grid=" << (index == phy::SpatialIndex::kGrid) << " digest=0x" << std::hex << digest;
-  }
+  // drew no uniforms and was skipped in gain space, after checking that the
+  // grid and dense candidate caches agreed on it.
+  const std::uint64_t digest = gated_run_digest(std::make_unique<phy::NoFading>());
+  EXPECT_EQ(digest, 0x22699265ff91090fULL) << "digest=0x" << std::hex << digest;
 }
 
 TEST(RadioGates, FaultDropsCountSubThresholdCandidates) {
@@ -825,39 +820,36 @@ TEST(RadioGates, GatedReceiversConsumeNoDraws) {
   // Receivers 2 (crashed) and 4 (asleep) are candidates of sender 0, but
   // neither may consume a fading or a drop draw: after one flush both
   // streams must sit exactly 4 draws (the un-gated candidates) ahead.
-  for (const phy::SpatialIndex index : {phy::SpatialIndex::kGrid, phy::SpatialIndex::kDense}) {
-    sim::Simulator sim;
-    phy::RadioParams params;
-    params.spatial_index = index;
-    auto channel = std::make_unique<phy::Channel>(
-        params, std::make_unique<phy::PaperDualSlope>(), std::make_unique<phy::NoShadowing>(),
-        std::make_unique<phy::RayleighFading>(), util::Rng(11));
-    RadioMedium radio(&sim, channel.get());
-    radio.add_device(0, {0.0, 0.0});
-    for (std::uint32_t id = 1; id <= 6; ++id) {
-      RadioMedium::ListenFn listening = nullptr;
-      if (id == 4) listening = [] { return false; };
-      radio.add_device(id, {5.0 * id, 3.0}, listening);
-    }
-    radio.rebuild();
-    radio.set_down(2, true);
-    LinkFaults faults;
-    faults.drop_p = 0.3;
-    radio.set_channel_faults(&faults);
-    sim.schedule_at(0, [&] {
-      radio.broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
-    });
-    sim.run();
-
-    util::Rng fading_ref(11);
-    util::Rng drop_ref(77);
-    for (int k = 0; k < 4; ++k) {
-      static_cast<void>(fading_ref.unit_open());
-      static_cast<void>(drop_ref.bernoulli(0.3));
-    }
-    EXPECT_EQ(channel->fading_rng().uniform(), fading_ref.uniform());
-    EXPECT_EQ(faults.drop_rng.uniform(), drop_ref.uniform());
+  sim::Simulator sim;
+  auto channel = std::make_unique<phy::Channel>(
+      phy::RadioParams{}, std::make_unique<phy::PaperDualSlope>(),
+      std::make_unique<phy::NoShadowing>(), std::make_unique<phy::RayleighFading>(),
+      util::Rng(11));
+  RadioMedium radio(&sim, channel.get());
+  radio.add_device(0, {0.0, 0.0});
+  for (std::uint32_t id = 1; id <= 6; ++id) {
+    RadioMedium::ListenFn listening = nullptr;
+    if (id == 4) listening = [] { return false; };
+    radio.add_device(id, {5.0 * id, 3.0}, listening);
   }
+  radio.rebuild();
+  radio.set_down(2, true);
+  LinkFaults faults;
+  faults.drop_p = 0.3;
+  radio.set_channel_faults(&faults);
+  sim.schedule_at(0, [&] {
+    radio.broadcast(0, {RachCodec::kRach1, 0}, PsType::kSyncPulse, 0);
+  });
+  sim.run();
+
+  util::Rng fading_ref(11);
+  util::Rng drop_ref(77);
+  for (int k = 0; k < 4; ++k) {
+    static_cast<void>(fading_ref.unit_open());
+    static_cast<void>(drop_ref.bernoulli(0.3));
+  }
+  EXPECT_EQ(channel->fading_rng().uniform(), fading_ref.uniform());
+  EXPECT_EQ(faults.drop_rng.uniform(), drop_ref.uniform());
 }
 
 struct DropRun {
@@ -873,8 +865,7 @@ struct DropRun {
 /// active-fade loop instead of the masked draw.
 DropRun drop_run(bool crashed, bool decoy_fade) {
   sim::Simulator sim;
-  auto channel = gate_channel(std::make_unique<phy::RayleighFading>(), phy::SpatialIndex::kGrid,
-                              515);
+  auto channel = gate_channel(std::make_unique<phy::RayleighFading>(), 515);
   RadioMedium radio(&sim, channel.get());
   util::Rng place(17);
   constexpr std::uint32_t n = 24;

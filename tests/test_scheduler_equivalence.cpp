@@ -5,54 +5,30 @@
 // (core::write_run_metrics_json, shortest-round-trip doubles) and was
 // recorded while both schedulers, both device cores and both spatial
 // indexes still existed, after checking that all eight legs produced the
-// same JSON.  The grid/dense axis is still live and is re-checked here.
-// The wider backend × scenario matrix is in test_golden_digests.cpp.
+// same JSON.  The wider backend × scenario matrix is in
+// test_golden_digests.cpp; the candidate cache the spatial index built is
+// checked against an exhaustive scan in test_candidate_cache.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
-#include "core/report.hpp"
 #include "core/scenario.hpp"
-#include "obs/json.hpp"
-#include "phy/channel.hpp"
+#include "test_worlds.hpp"
 
 namespace {
 
 using namespace firefly;
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string metrics_json(const core::RunMetrics& metrics) {
-  std::ostringstream oss;
-  obs::JsonWriter w(oss);
-  core::write_run_metrics_json(w, metrics);
-  return oss.str();
-}
-
-/// Run `config` with the grid and the dense spatial index, expect one
-/// identical record matching the recorded digest, and return it.
-core::RunMetrics expect_recorded(core::Protocol protocol, core::ScenarioConfig config,
-                                 std::uint64_t digest) {
-  config.radio.spatial_index = phy::SpatialIndex::kGrid;
-  const core::RunMetrics grid = core::run_trial(protocol, config);
-  config.radio.spatial_index = phy::SpatialIndex::kDense;
-  const core::RunMetrics dense = core::run_trial(protocol, config);
-  const std::string json = metrics_json(grid);
-  EXPECT_EQ(metrics_json(dense), json) << "grid and dense diverged";
-  EXPECT_EQ(fnv1a64(json), digest) << "recorded digest not reproduced; got\n" << json;
+/// Run `config` and expect its record to match the recorded digest.
+void expect_recorded(core::Protocol protocol, const core::ScenarioConfig& config,
+                     std::uint64_t digest) {
+  const core::RunMetrics metrics = core::run_trial(protocol, config);
+  const std::string json = metrics_json(metrics);
+  EXPECT_EQ(core::fnv1a64(json), digest) << "recorded digest not reproduced; got\n" << json;
   // Guard against a vacuous pass: the scenario must actually do something.
-  EXPECT_TRUE(grid.converged);
-  EXPECT_GT(grid.deliveries, 0U);
-  return grid;
+  EXPECT_TRUE(metrics.converged);
+  EXPECT_GT(metrics.deliveries, 0U);
 }
 
 TEST(SchedulerEquivalence, StStaticRunIsBitIdentical) {
@@ -71,7 +47,8 @@ TEST(SchedulerEquivalence, StSecondSeedIsBitIdentical) {
 
 TEST(SchedulerEquivalence, AllFourSchedulerSpatialCombinationsMatch) {
   // The former acceptance matrix: {wheel, heap} × {grid, dense} on one
-  // scenario produced one record.  The heap column survives as the digest.
+  // scenario produced one record.  The heap and dense columns survive as
+  // the digest.
   core::ScenarioConfig config;
   config.n = 100;
   config.seed = 31337;

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "heap_event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -9,14 +9,12 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/report.hpp"
 #include "core/scenario.hpp"
-#include "obs/json.hpp"
 #include "proto/st.hpp"
+#include "test_worlds.hpp"
 
 namespace {
 
@@ -101,13 +99,6 @@ class CheckedSt final : public proto::StEngine {
   std::uint64_t bounded_ = 0;
   std::uint64_t restarts_ = 0;
 };
-
-std::string metrics_json(const core::RunMetrics& metrics) {
-  std::ostringstream out;
-  obs::JsonWriter w(out);
-  core::write_run_metrics_json(w, metrics);
-  return out.str();
-}
 
 /// Churn, drops and deep fades on a fixed area; the run does not stop at
 /// convergence, so crashes, recoveries and head-lease relabels keep coming.

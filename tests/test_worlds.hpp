@@ -1,15 +1,43 @@
 // test_worlds.hpp — what tests build their worlds from and no program
 // uses: channel models with no fast fading and no shadowing (the paper's
 // channel is Rayleigh fading over per-link log-normal shadowing,
-// phy/channel.hpp), and the area-membership check the deployment and
-// mobility tests assert.
+// phy/channel.hpp), the area-membership check the deployment and mobility
+// tests assert, and the RunMetrics digest the recorded-result tests pin.
 #pragma once
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 
+#include "core/report.hpp"
 #include "geo/point.hpp"
+#include "obs/json.hpp"
 #include "phy/fading.hpp"
 #include "phy/shadowing.hpp"
+
+namespace firefly::core {
+
+/// A run's metrics as the deterministic JSON serializer writes them
+/// (shortest-round-trip doubles, so one ULP of drift changes the text).
+[[nodiscard]] inline std::string metrics_json(const RunMetrics& metrics) {
+  std::ostringstream oss;
+  obs::JsonWriter w(oss);
+  write_run_metrics_json(w, metrics);
+  return oss.str();
+}
+
+/// FNV-1a-64 of `text`: with `metrics_json`, the digest a recorded-result
+/// test compares against.
+[[nodiscard]] inline std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+}  // namespace firefly::core
 
 namespace firefly::geo {
 
