@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -173,6 +174,17 @@ bool reject_bad_values(const firefly::util::Flags& flags) {
     ok = false;
   } else if (period > 65'536) {
     std::cerr << "--period must be at most 65536 slots (counters are 16-bit)\n";
+    ok = false;
+  }
+  // Neighbour tables stamp slots in 32 bits.
+  constexpr std::int64_t kMaxSlots = std::numeric_limits<std::int32_t>::max();
+  const std::int64_t period_slots = flags.get("period", std::int64_t{100});
+  if (period_slots > 0 && flags.get("periods", std::int64_t{400}) > kMaxSlots / period_slots) {
+    std::cerr << "--periods times --period must be at most " << kMaxSlots << " slots\n";
+    ok = false;
+  }
+  if (flags.get("duration-slots", std::int64_t{0}) > kMaxSlots) {
+    std::cerr << "--duration-slots must be at most " << kMaxSlots << "\n";
     ok = false;
   }
   if (flags.has("epsilon") && !(flags.get("epsilon", 0.0) > 0.0)) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/service_mode.hpp"
@@ -18,8 +19,10 @@ namespace {
 // coupling must meet the Mirollo–Strogatz condition (a > 0, ε > 0); at
 // a = 0 the PRC's β divides by zero.  Device ids, fragment labels and
 // counters travel in 16-bit wire fields where 0xFFFF is kInvalidId, so the
-// population stays below it and a counter (< period) fits in 16 bits.
-// Checked before the radio rebuild, the first O(N²) step.
+// population stays below it and a counter (< period) fits in 16 bits.  A
+// neighbour-table entry keeps its last-heard slot in 32 bits, so the
+// horizon stays within INT32_MAX slots.  Checked before the radio rebuild,
+// the first O(N²) step.
 ProtocolParams validated(ProtocolParams params, std::size_t device_count) {
   if (device_count >= kInvalidId) {
     throw std::invalid_argument("EngineBase: device count must be below 65535 (16-bit ids)");
@@ -27,6 +30,10 @@ ProtocolParams validated(ProtocolParams params, std::size_t device_count) {
   if (params.period_slots == 0) throw std::invalid_argument("EngineBase: period_slots == 0");
   if (params.period_slots > 65'536) {
     throw std::invalid_argument("EngineBase: period_slots above 65536 (16-bit counters)");
+  }
+  if (params.max_slots() > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument(
+        "EngineBase: max_periods × period_slots above INT32_MAX slots (32-bit slot stamps)");
   }
   if (!params.prc.valid_for_convergence()) {
     throw std::invalid_argument("EngineBase: PRC coupling needs dissipation_a > 0 and epsilon > 0");
@@ -227,13 +234,13 @@ void EngineBase::adopt_counter(std::uint32_t i, std::uint32_t counter) {
 const NeighborInfo& EngineBase::update_neighbor(const mac::RxRecord& record) {
   NeighborInfo& info = hot_.neighbors[record.rx_index][record.sender];
   const double rx = record.rx_power.value;
-  if (info.heard_count == 0) {
+  if (info.last_heard_slot < 0) {  // first PS from this sender
     info.weight_dbm = rx;
   } else {
     info.weight_dbm += params_.weight_ewma * (rx - info.weight_dbm);
   }
-  ++info.heard_count;
-  info.last_heard_slot = current_slot();
+  // In range: validated() caps every horizon at INT32_MAX slots.
+  info.last_heard_slot = static_cast<std::int32_t>(current_slot());
   // Sync pulses and discovery beacons carry (fragment, service); control
   // messages carry other fields, so only refresh from beacons.
   if (record.type == mac::PsType::kSyncPulse || record.type == mac::PsType::kDiscovery) {

@@ -98,7 +98,9 @@ class EngineBase {
   /// streams, emitting one SoakWindow per window through `recorder` (may be
   /// null), taking periodic rollback snapshots when configured.  Callable
   /// again after restore() to resume the run to the same horizon; the
-  /// resumed run replays bit-identically.  See service_mode.hpp.
+  /// resumed run replays bit-identically.  Throws `std::invalid_argument`
+  /// on a horizon above INT32_MAX slots, as the constructor does on such a
+  /// max_slots().  See service_mode.hpp.
   ServiceReport run_service(const ServiceConfig& cfg, sim::SoakRecorder* recorder = nullptr);
 
   /// In-process rollback checkpoint of the complete mutable world: the

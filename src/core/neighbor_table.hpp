@@ -7,7 +7,8 @@
 // pointer-chasing bucket walks.  Key and value live together in one
 // power-of-two slot array, so a lookup is a single probe into a single
 // allocation — one cache line touched for the common hit-on-first-probe
-// case.  The protocols never erase individual neighbours — staleness is
+// case (a 24 B slot straddles two lines at two of every eight positions).
+// The protocols never erase individual neighbours — staleness is
 // expressed through last_heard_slot — so the table only needs
 // insert-or-find, lookup, clear and iteration, and probing never meets a
 // tombstone.  Iteration visits slots in index order, which is a pure
@@ -26,13 +27,13 @@
 namespace firefly::core {
 
 /// What a device knows about a neighbour, learnt entirely from PSs.  Fields
-/// run widest first so the struct packs into 24 B with no padding, and a
-/// table slot (4 B key, 4 B pad, this) is 32 B: two slots per cache line,
-/// never one straddling two.
+/// run widest first so the struct packs into 16 B with no padding, and a
+/// table slot (4 B key, 4 B pad, this) is 24 B: eight slots per three cache
+/// lines.  A slot is 32-bit: the engine rejects a run whose horizon passes
+/// INT32_MAX slots before it starts.  -1 marks an entry never heard.
 struct NeighborInfo {
   double weight_dbm{-200.0};        ///< EWMA of received PS power (the edge weight)
-  std::int64_t last_heard_slot{-1};
-  std::uint32_t heard_count{0};
+  std::int32_t last_heard_slot{-1};
   std::uint16_t fragment{kInvalidId};
   std::uint16_t service{0};
 };
@@ -89,9 +90,10 @@ class NeighborTable {
   /// loop issues these one receiver bucket ahead, which hides the random
   /// DRAM access update_neighbor's probe would otherwise stall on (the
   /// slot arrays of a large population far exceed the last-level cache).
-  /// Two lines are warmed: the head's and the next (two slots on, mod the
-  /// table), since at a load factor of up to 3/4 the probe often runs past
-  /// the head's 64 B line.  Always inlined: at -O2 GCC's inliner otherwise
+  /// Two lines are warmed: the head's and the next (three slots on, mod the
+  /// table: 72 B past the head, so always in the following 64 B line), since
+  /// at a load factor of up to 3/4 the probe often runs past the head's
+  /// line.  Always inlined: at -O2 GCC's inliner otherwise
   /// drops the call from the sweep, and with it both prefetches.
   [[gnu::always_inline]] void prefetch(std::uint32_t id) const {
 #if defined(__GNUC__) || defined(__clang__)
@@ -100,7 +102,7 @@ class NeighborTable {
     const std::size_t slot =
         static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
     __builtin_prefetch(&slots_[slot], 1);
-    __builtin_prefetch(&slots_[(slot + 2) & mask], 1);
+    __builtin_prefetch(&slots_[(slot + 3) & mask], 1);
 #else
     (void)id;
 #endif

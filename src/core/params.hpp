@@ -33,7 +33,9 @@ struct ProtocolParams {
   // --- convergence detection ---
   static constexpr std::uint32_t tolerance_slots = 2;  ///< max spread of aligned firing
   static constexpr std::uint32_t check_interval_slots = 25;
-  std::uint32_t max_periods{400};       ///< give-up bound for a trial
+  /// Give-up bound for a trial.  max_slots() above INT32_MAX is rejected
+  /// by the engine (`std::invalid_argument`).
+  std::uint32_t max_periods{400};
   /// Stop the simulation at the convergence instant (the Fig. 3 measurement
   /// mode).  Long-running scenarios (mobility, observation) set this false
   /// and run to max_periods; convergence is still recorded.

@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -107,6 +108,10 @@ void EngineBase::restore(const EngineSnapshot& snap) {
 
 ServiceReport EngineBase::run_service(const ServiceConfig& cfg,
                                       sim::SoakRecorder* recorder) {
+  if (cfg.duration_slots > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument(
+        "run_service: duration_slots above INT32_MAX (32-bit slot stamps)");
+  }
   ServiceReport report;
   if (cfg.duration_slots <= 0 || cfg.window_slots <= 0) {
     report.error = "service mode requires positive duration_slots and window_slots";

@@ -39,7 +39,8 @@ namespace firefly::core {
 
 struct ServiceConfig {
   /// Soak horizon in slots (1 slot = 1 ms).  run_service returns when the
-  /// clock reaches it; calling run_service again extends the run.
+  /// clock reaches it; calling run_service again extends the run.  At most
+  /// INT32_MAX (run_service throws `std::invalid_argument` above it).
   std::int64_t duration_slots{1'000'000};
   /// Telemetry window length; one SoakWindow per window.
   std::int64_t window_slots{1'000};

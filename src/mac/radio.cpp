@@ -366,11 +366,20 @@ bool RadioMedium::receiver_open(std::size_t rx_index) {
   return (tag & 1) != 0;
 }
 
+void RadioMedium::reserve_staged(std::size_t count) {
+  while (staged_.size() * kStagedChunk < count) {
+    staged_.push_back(std::make_unique_for_overwrite<Reception[]>(kStagedChunk));
+  }
+}
+
+// Capacity is the caller's: reserve_staged before a sender's survivors.
 inline void RadioMedium::push_audible(std::size_t slot, std::size_t tx_index, double value,
                                       double mw, std::uint32_t eager) {
   const std::uint32_t rx_index = cand_rx_[slot];
-  staged_.push_back(Reception{static_cast<std::uint32_t>(slot) | eager,
-                              static_cast<std::uint32_t>(tx_index), value, mw});
+  const std::size_t i = staged_count_++;
+  staged_[i >> kStagedChunkShift][i & (kStagedChunk - 1)] =
+      Reception{static_cast<std::uint32_t>(slot) | eager, static_cast<std::uint32_t>(tx_index),
+                value, mw};
   if (rx_end_[rx_index]++ == 0) touched_.push_back(rx_index);
 }
 
@@ -452,6 +461,7 @@ void RadioMedium::deliver_cached() {
       }
     }
     channel_->fading().gains_from_uniforms(draw_.data(), count, gain_.data());
+    reserve_staged(staged_count_ + count);
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t c = begin + survivors_[j];
       const double gain = gain_[j];
@@ -485,9 +495,9 @@ void RadioMedium::group_by_receiver() {
     rx_end_[rx] = start;
     start += count;
   }
-  if (order_.size() < staged_.size()) order_.resize(staged_.size());
-  const auto staged = static_cast<std::uint32_t>(staged_.size());
-  for (std::uint32_t i = 0; i < staged; ++i) order_[rx_end_[receiver_of(staged_[i])]++] = i;
+  if (order_.size() < staged_count_) order_.resize(staged_count_);
+  const auto staged = static_cast<std::uint32_t>(staged_count_);
+  for (std::uint32_t i = 0; i < staged; ++i) order_[rx_end_[receiver_of(staged_at(i))]++] = i;
 }
 
 void RadioMedium::resolve_receivers() {
@@ -495,8 +505,7 @@ void RadioMedium::resolve_receivers() {
   // Decoded receptions are appended to the slot's flat RxEntry batch in
   // grouped order — receivers in first-touch order, transmissions in sweep
   // order — and the owner's sink consumes the whole batch after this
-  // returns.  Position i of a receiver's range is staged_[order_[i]].
-  const Reception* staged = staged_.data();
+  // returns.  Position i of a receiver's range is staged_at(order_[i]).
   const std::uint32_t* order = order_.data();
   rx_entries_.clear();
   // A decoded reception reads its candidate's cached mean (power_of).  A
@@ -504,7 +513,7 @@ void RadioMedium::resolve_receivers() {
   // that read misses the cache; prefetching it a few positions ahead lets
   // the misses overlap.
   constexpr std::uint32_t kMeanPrefetchAhead = 8;
-  const auto staged_count = static_cast<std::uint32_t>(staged_.size());
+  const auto staged_count = static_cast<std::uint32_t>(staged_count_);
   std::uint32_t begin = 0;
   for (const std::uint32_t rx_index : touched_) {
     const std::uint32_t end = rx_end_[rx_index];
@@ -518,7 +527,7 @@ void RadioMedium::resolve_receivers() {
       // fits.  A receiver with one reception skips it: the reception's
       // slot stays at count 0 and it decodes.
       for (std::uint32_t i = begin; i < end; ++i) {
-        const Reception& r = staged[order[i]];
+        const Reception& r = staged_at(order[i]);
         const std::uint32_t key = tx_key_[r.tx];
         ++group_count_[key];
         group_mw_[key] += r.mw;
@@ -526,10 +535,10 @@ void RadioMedium::resolve_receivers() {
     }
     for (std::uint32_t i = begin; i < end; ++i) {
       if (i + kMeanPrefetchAhead < staged_count) {
-        const Reception& ahead = staged[order[i + kMeanPrefetchAhead]];
+        const Reception& ahead = staged_at(order[i + kMeanPrefetchAhead]);
         __builtin_prefetch(cand_mean_.get() + (ahead.slot & Reception::kSlotMask));
       }
-      const Reception& r = staged[order[i]];
+      const Reception& r = staged_at(order[i]);
       const std::uint32_t key = tx_key_[r.tx];
       if (group_count_[key] > 1) {
         // Guard band only: the dB reference's interference, pow per
@@ -537,7 +546,7 @@ void RadioMedium::resolve_receivers() {
         const auto interference_mw = [&] {
           double sum = 0.0;
           for (std::uint32_t j = begin; j < end; ++j) {
-            const Reception& e = staged[order[j]];
+            const Reception& e = staged_at(order[j]);
             if (j != i && tx_key_[e.tx] == key) sum += power_of(e).milliwatts();
           }
           return sum;
@@ -555,7 +564,7 @@ void RadioMedium::resolve_receivers() {
     if (shared) {
       // Restore the all-zero invariant for the next receiver.
       for (std::uint32_t i = begin; i < end; ++i) {
-        const std::uint32_t key = tx_key_[staged[order[i]].tx];
+        const std::uint32_t key = tx_key_[staged_at(order[i]).tx];
         group_count_[key] = 0;
         group_mw_[key] = 0.0;
       }
@@ -579,7 +588,7 @@ void RadioMedium::flush_slot() {
                         static_cast<double>(flushing_.size()));
   }
 
-  staged_.clear();
+  staged_count_ = 0;
   touched_.clear();
   ++flush_epoch_;  // expires last flush's awake memo
   tx_key_.resize(flushing_.size());
@@ -609,10 +618,11 @@ void RadioMedium::reserve_delivery(std::size_t max_tx_per_slot) {
   // Worst case one reception, and one decoded record, per (transmission,
   // receiver) pair; the soak heap gate needs these buffers to hit their
   // lifetime-record size during warm-up, so reserve for the storm, not the
-  // steady state.  Reserving maps no pages: only slots actually filled
-  // count against the resident set.
+  // steady state.  Reserving maps almost no pages: only entries actually
+  // filled count against the resident set (each staging chunk's allocator
+  // header touches a page).
   const std::size_t storm = std::min<std::size_t>(max_tx_per_slot * devices_.size(), 1U << 20);
-  staged_.reserve(storm);
+  reserve_staged(storm);
   order_.reserve(storm);
   rx_entries_.reserve(storm);
 }

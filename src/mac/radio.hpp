@@ -22,17 +22,18 @@
 // the last `rebuild`) throws `std::logic_error`.
 //
 // Collision resolution decides capture in linear space.  The sweep stages
-// every audible reception in one flat array in sweep order (candidate slot,
-// transmission, fade gain, mW), and a stable counting sort of their 4 B
-// indices groups them by receiver in first-touch order; resolution reads
-// each 24 B entry in place through that index, so the entries are never
-// copied.  A reception's dBm is derived from the cached mean and the gain
-// only where something reads it: a decoded record's `rx_power` and the
-// guard-band capture reference.  Per receiver, an O(k) prepass sums the
-// milliwatts of each RACH resource (codec, preamble); a reception alone on
-// its resource decodes, and a contended one of power P in a group summing to
-// S decodes when P ≥ m·(S − P + N) (m the linear capture margin, N the noise
-// floor).
+// every audible reception in sweep order (candidate slot, transmission, fade
+// gain, mW) in fixed 4096-entry chunks that only grow: a record slot adds
+// chunks instead of doubling one array, so no second copy is ever live.  A
+// stable counting sort of their 4 B indices groups them by receiver in
+// first-touch order; resolution reads each 24 B entry in place through that
+// index, so the entries are never copied.  A reception's dBm is derived from
+// the cached mean and the gain only where something reads it: a decoded
+// record's `rx_power` and the guard-band capture reference.  Per receiver,
+// an O(k) prepass sums the milliwatts of each RACH resource (codec,
+// preamble); a reception alone on its resource decodes, and a contended one
+// of power P in a group summing to S decodes when P ≥ m·(S − P + N) (m the
+// linear capture margin, N the noise floor).
 // Only a reception within a relative 1e-9 guard band of that equality takes
 // the dB reference — `pow` per same-resource entry summed in entry order,
 // then the dBm compare — so every decision is bit-identical to the dB rule
@@ -460,9 +461,9 @@ class RadioMedium {
   void restore_state(const StateSnapshot& snap);
 
   /// Pre-size the per-slot delivery scratch (the pending/flushing double
-  /// buffer, the flat reception arrays and the decoded batch) for a
-  /// worst case of `max_tx_per_slot` simultaneous transmissions.  These
-  /// vectors never shrink, so they only allocate when a slot sets a new
+  /// buffer, the staging chunks, the grouping index and the decoded batch)
+  /// for a worst case of `max_tx_per_slot` simultaneous transmissions.
+  /// These buffers never shrink, so they only allocate when a slot sets a new
   /// lifetime-record load; reserving past the workload's record up front
   /// makes a long soak's steady state allocation-free (the service-mode
   /// heap gate relies on this).  Purely a capacity hint — delivery
@@ -471,7 +472,7 @@ class RadioMedium {
 
  private:
   /// A transmission audible at one receiver, pre-collision-resolution
-  /// (24 B: the flat reception array is the slot's largest scratch).  It
+  /// (24 B: the staged receptions are the slot's largest scratch).  It
   /// names the candidate slot — receiver and mean — and keeps the fade gain
   /// instead of the dBm: most staged receptions collide, and nothing reads
   /// their power in dB (see `power`).
@@ -490,6 +491,10 @@ class RadioMedium {
   [[nodiscard]] std::uint32_t receiver_of(const Reception& r) const {
     return cand_rx_[r.slot & Reception::kSlotMask];
   }
+  /// Staged reception `i` (in sweep order).
+  [[nodiscard]] const Reception& staged_at(std::size_t i) const {
+    return staged_[i >> kStagedChunkShift][i & (kStagedChunk - 1)];
+  }
   /// A staged reception's power, exactly as the sweep's dB expression gives
   /// it: derived only where a result reads it.
   [[nodiscard]] util::Dbm power_of(const Reception& r) const {
@@ -505,6 +510,8 @@ class RadioMedium {
   void admit_candidate(std::size_t u, std::size_t v, double mean_dbm, util::Dbm cutoff);
   void compact_candidates();
   [[nodiscard]] bool receiver_open(std::size_t rx_index);
+  /// Grow the staging chunks to hold `count` receptions.
+  void reserve_staged(std::size_t count);
   void push_audible(std::size_t slot, std::size_t tx_index, double value, double mw,
                     std::uint32_t eager = 0);
   void deliver_cached();
@@ -554,11 +561,17 @@ class RadioMedium {
   std::vector<std::uint8_t> drop_;          // fault drop draws
   std::vector<double> atten_db_;            // fault link attenuations; survivors' compacted
   std::vector<std::uint32_t> survivors_;    // survivor j's slice position
-  // The slot's audible receptions: staged_ in sweep order; order_ holds
-  // their staged_ indices grouped by receiver in first-touch order
-  // (touched_), each receiver's range ending at rx_end_[receiver]
+  // The slot's audible receptions: staged_count_ of them in sweep order
+  // (staged_at), in chunks of kStagedChunk entries (96 KiB, under glibc's
+  // initial mmap threshold) that are kept for the medium's lifetime.  Growth
+  // adds chunks and never moves an entry, so there is no transient second
+  // copy.  order_ holds their indices grouped by receiver in first-touch
+  // order (touched_), each receiver's range ending at rx_end_[receiver]
   // (0 = untouched).
-  std::vector<Reception> staged_;
+  static constexpr std::size_t kStagedChunkShift = 12;
+  static constexpr std::size_t kStagedChunk = std::size_t{1} << kStagedChunkShift;
+  std::vector<std::unique_ptr<Reception[]>> staged_;
+  std::size_t staged_count_ = 0;
   std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> rx_end_;          // by device index
   std::vector<std::uint32_t> touched_;         // receivers with receptions

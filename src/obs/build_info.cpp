@@ -1,12 +1,11 @@
 #include "obs/build_info.hpp"
 
+#include "obs/git_sha.h"  // generated at build time: FIREFLY_GIT_SHA
+
 namespace firefly::obs {
 
 namespace {
 
-#ifndef FIREFLY_GIT_SHA
-#define FIREFLY_GIT_SHA "unknown"
-#endif
 #ifndef FIREFLY_BUILD_TYPE
 #define FIREFLY_BUILD_TYPE "unknown"
 #endif

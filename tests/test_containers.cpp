@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/neighbor_table.hpp"
+#include "core/scenario.hpp"
+#include "core/service_mode.hpp"
+#include "proto/st.hpp"
 #include "util/flat_set.hpp"
 #include "util/rng.hpp"
 
@@ -20,8 +25,10 @@ using util::FlatU32Set;
 
 constexpr std::uint32_t kEmptyId = 0xFFFFFFFFU;
 
-static_assert(sizeof(NeighborTable::value_type) == 32);
-static_assert(sizeof(core::NeighborInfo) == 24);
+// A 16 B NeighborInfo behind a 4 B key and its 4 B pad: a 24 B slot, eight
+// slots per three cache lines.
+static_assert(sizeof(core::NeighborInfo) == 16);
+static_assert(sizeof(NeighborTable::value_type) == 24);
 // The dedup set holds 32-bit slots plus a count and the sentinel-key flag in
 // the 8 B after its vector, so the two sets in core::Device cost no more
 // than they did with 64-bit slots.
@@ -97,7 +104,7 @@ TEST(NeighborTable, IterationOrderIsFixedAcrossRehashes) {
   util::SplitMix64 keys(2015);
   for (int i = 0; i < 300; ++i) {
     const auto key = static_cast<std::uint32_t>(keys.next() % 5000U);
-    table[key].heard_count += 1;
+    ++table[key].service;
     if (model[model_probe(key)] == key) continue;
     if ((model_size + 1) * 4 > model.size() * 3) {
       std::vector<std::uint32_t> old(model.size() * 2, kEmptyId);
@@ -118,7 +125,7 @@ TEST(NeighborTable, IterationOrderIsFixedAcrossRehashes) {
   std::uint64_t digest = 14695981039346656037ULL;  // FNV-1a over the keys
   for (const auto& [key, info] : table) {
     order.push_back(key);
-    heard += info.heard_count;
+    heard += info.service;
     digest = (digest ^ key) * 1099511628211ULL;
   }
   EXPECT_EQ(model.size(), 512U);
@@ -126,6 +133,37 @@ TEST(NeighborTable, IterationOrderIsFixedAcrossRehashes) {
   EXPECT_EQ(heard, 300U);
   EXPECT_EQ(order, expected);
   EXPECT_EQ(digest, 0xb2dca8a9804773abULL);
+}
+
+// A neighbour entry stamps its last-heard slot in 32 bits, so a horizon of
+// 2^31 slots or more is refused before any slot runs: a one-shot trial's
+// max_slots() by the constructor, a soak's duration by run_service.
+TEST(NeighborTable, HorizonsPast32BitSlotsAreRejectedUpFront) {
+  core::ScenarioConfig config;
+  config.n = 8;
+  config.seed = 3;
+  config.area_policy = core::AreaPolicy::kFixed;
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+  constexpr std::int64_t kLimit = std::numeric_limits<std::int32_t>::max();
+
+  core::ProtocolParams params = config.protocol;
+  params.period_slots = 65'536;
+  params.max_periods = 32'768;  // 2^31 slots
+  ASSERT_GT(params.max_slots(), kLimit);
+  EXPECT_THROW(proto::StEngine(positions, params, config.radio, config.seed),
+               std::invalid_argument);
+  params.max_periods = 32'767;  // 2^31 − 2^16 slots
+  ASSERT_LE(params.max_slots(), kLimit);
+  EXPECT_NO_THROW(proto::StEngine(positions, params, config.radio, config.seed));
+
+  proto::StEngine engine(positions, config.protocol, config.radio, config.seed);
+  core::ServiceConfig service;
+  service.duration_slots = kLimit + 1;
+  EXPECT_THROW((void)engine.run_service(service), std::invalid_argument);
+  for (std::uint32_t i = 0; i < positions.size(); ++i) {
+    EXPECT_EQ(engine.last_fire_slot(i), -1) << "device " << i << " fired";
+    EXPECT_EQ(engine.neighbors(i).size(), 0U) << "device " << i << " heard a PS";
+  }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // recorded while both schedulers, both device cores and both spatial
 // indexes still existed, after checking that all eight legs produced the
 // same JSON.  The wider backend × scenario matrix is in
-// test_golden_digests.cpp; the candidate cache the spatial index built is
+// test_golden_digests.cpp (its st_static_31337 row is the former
+// four-combination case: the same run, converging before either cap); the
+// candidate cache the spatial index built is
 // checked against an exhaustive scan in test_candidate_cache.cpp.
 #include <gtest/gtest.h>
 
@@ -43,16 +45,6 @@ TEST(SchedulerEquivalence, StSecondSeedIsBitIdentical) {
   config.n = 80;
   config.seed = 42;
   expect_recorded(core::Protocol::kSt, config, 0xa545ec34851bf300ULL);
-}
-
-TEST(SchedulerEquivalence, AllFourSchedulerSpatialCombinationsMatch) {
-  // The former acceptance matrix: {wheel, heap} × {grid, dense} on one
-  // scenario produced one record.  The heap and dense columns survive as
-  // the digest.
-  core::ScenarioConfig config;
-  config.n = 100;
-  config.seed = 31337;
-  expect_recorded(core::Protocol::kSt, config, 0xc126654015f5891cULL);
 }
 
 }  // namespace

@@ -11,14 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "core/service_mode.hpp"
+#include "mac/radio.hpp"
+#include "phy/channel.hpp"
 #include "proto/st.hpp"
+#include "sim/simulator.hpp"
 #include "sim/soak.hpp"
 
 namespace {
@@ -166,6 +171,50 @@ TEST(SoakMemory, MetricsPassHoldsOneExactRangingSample) {
   const auto bound = static_cast<long long>(entries * sizeof(double) + (std::size_t{64} << 10));
   EXPECT_LE(raised, bound) << "the metrics pass raised the heap by " << raised
                            << " bytes over " << entries << " neighbour entries";
+}
+
+// A storm slot's staged receptions grow in fixed chunks, never by doubling
+// one array: a doubling growth copies into a new array twice the size while
+// the old one is still live (6 and 12 MiB at once in an N = 2000 trial).
+// The flush may raise the heap by the staged receptions (24 B each, rounded
+// up to a whole 96 KiB chunk), the grouping index (4 B each), the decoded
+// batch with its growth and the per-device sweep scratch, and no more.
+TEST(SoakMemory, StormSlotStagesReceptionsWithoutATransientCopy) {
+  core::ScenarioConfig config;
+  config.n = 400;
+  config.seed = 9;
+  config.area_policy = core::AreaPolicy::kFixed;  // every pair in range
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+  sim::Simulator sim;
+  const std::unique_ptr<phy::Channel> channel = phy::make_paper_channel(config.seed);
+  mac::RadioMedium radio(&sim, channel.get());
+  for (std::uint32_t i = 0; i < positions.size(); ++i) radio.add_device(i, positions[i]);
+  radio.rebuild();
+  // A synchronised network's firing slot: everyone sends the same preamble.
+  for (std::uint32_t i = 0; i < positions.size(); ++i) {
+    radio.broadcast(i, {mac::RachCodec::kRach1, 0}, mac::PsType::kSyncPulse, i);
+  }
+
+  const long long before = g_outstanding_bytes.load(std::memory_order_relaxed);
+  g_peak_outstanding_bytes.store(before, std::memory_order_relaxed);
+  sim.run();
+  const long long raised = g_peak_outstanding_bytes.load(std::memory_order_relaxed) - before;
+
+  const mac::TrafficCounters& traffic = radio.counters();
+  const std::size_t staged = traffic.deliveries + traffic.collisions;  // each resolves once
+  // Large enough that a doubling growth overshoots the bound below.
+  ASSERT_GT(staged, std::size_t{100'000});
+  constexpr std::size_t kChunkBytes = std::size_t{4096} * 24;
+  const std::size_t chunks = (staged * 24 + kChunkBytes - 1) / kChunkBytes * kChunkBytes;
+  const std::size_t order = staged * sizeof(std::uint32_t);
+  const std::size_t batch =
+      2 * std::bit_ceil(static_cast<std::size_t>(traffic.deliveries)) * sizeof(mac::RxEntry);
+  // Tx keys, the touched list and the sweep's seven per-candidate arrays,
+  // each with its growth.
+  const std::size_t scratch = positions.size() * 256;
+  const auto bound = static_cast<long long>(chunks + order + batch + scratch);
+  EXPECT_LE(raised, bound) << "the storm slot raised the heap by " << raised << " bytes over "
+                           << staged << " staged receptions";
 }
 
 TEST(SoakMemory, RecorderRingStaysAllocationFreeWhenSaturated) {
