@@ -29,8 +29,8 @@ namespace firefly::core {
 /// What a device knows about a neighbour, learnt entirely from PSs.  Fields
 /// run widest first so the struct packs into 16 B with no padding, and a
 /// table slot (4 B key, 4 B pad, this) is 24 B: eight slots per three cache
-/// lines.  A slot is 32-bit: the engine rejects a run whose horizon passes
-/// INT32_MAX slots before it starts.  -1 marks an entry never heard.
+/// lines.  `last_heard_slot` is 32-bit (the engine rejects a horizon past
+/// INT32_MAX slots before it starts); −1 marks an entry never heard.
 struct NeighborInfo {
   double weight_dbm{-200.0};        ///< EWMA of received PS power (the edge weight)
   std::int32_t last_heard_slot{-1};
@@ -93,8 +93,8 @@ class NeighborTable {
   /// Two lines are warmed: the head's and the next (three slots on, mod the
   /// table: 72 B past the head, so always in the following 64 B line), since
   /// at a load factor of up to 3/4 the probe often runs past the head's
-  /// line.  Always inlined: at -O2 GCC's inliner otherwise
-  /// drops the call from the sweep, and with it both prefetches.
+  /// line.  Always inlined: at -O2 GCC's inliner otherwise drops the call
+  /// from the sweep, and with it both prefetches.
   [[gnu::always_inline]] void prefetch(std::uint32_t id) const {
 #if defined(__GNUC__) || defined(__clang__)
     if (slots_.empty()) return;

@@ -1,7 +1,8 @@
 // Tests for the flat hash containers on the delivery hot path: the ST dedup
 // set (util/flat_set.hpp) and the per-device neighbour table
 // (core/neighbor_table.hpp), including the slot sizes their memory budget
-// depends on and the iteration order the protocols' tie-breaks depend on.
+// depends on, the iteration order the protocols' tie-breaks depend on, and
+// the horizon bound the neighbour slot's 32-bit last-heard stamp needs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
