@@ -84,7 +84,7 @@ constexpr FlagSpec kFlagSpecs[] = {
     {"soak-out", "PATH", "stream firefly-soak-v1 JSONL windows", 2},
     {"telemetry", nullptr, "print a metric-registry summary after the runs", 3},
     {"trace-chrome", "PATH", "Chrome trace-event file (load in ui.perfetto.dev)", 3},
-    {"metrics-out", "PATH", "JSONL: run-metrics per trial + registry snapshot", 3},
+    {"metrics-out", "PATH", "JSONL: run-metrics + memory ledger per trial, registry", 3},
     {"trace-csv", "PATH", "protocol milestone trace (fires, merges, ...)", 3},
     {"trace-capacity", "N", "ring-buffer the milestone trace [0 = unlimited]", 3, Kind::kCount},
     {"help", nullptr, "print this flag table and the protocol registry", 4},
@@ -259,7 +259,9 @@ int main(int argc, char** argv) {
     hooks.trace = &trace;
   }
   std::ofstream metrics_ofs;
+  core::MemoryReport memory;
   if (!metrics_out.empty()) {
+    hooks.memory = &memory;
     metrics_ofs.open(metrics_out, std::ios::binary | std::ios::trunc);
     if (!metrics_ofs) {
       std::cerr << "cannot open --metrics-out '" << metrics_out << "'\n";
@@ -452,6 +454,8 @@ int main(int argc, char** argv) {
         w.field("seed", config.seed);
         w.key("run");
         core::write_run_metrics_json(w, m);
+        w.key("memory_bytes");
+        core::write_memory_report_json(w, memory);
         w.end_object();
         metrics_ofs << '\n';
       }

@@ -63,6 +63,8 @@ struct DeviceHot {
   /// One region snapshot = these bytes, verbatim.
   [[nodiscard]] std::byte* block() { return arena_.data(); }
   [[nodiscard]] std::size_t block_bytes() const { return arena_.used(); }
+  /// The region's allocation (≥ block_bytes).
+  [[nodiscard]] std::size_t block_capacity() const { return arena_.capacity(); }
 
   /// Allocate the region and carve every array for `n` devices, holding
   /// power-on values: no firing or refractory window yet (-1), unmeasured

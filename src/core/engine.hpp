@@ -137,6 +137,19 @@ class EngineBase {
   /// are derived from NeighborInfo::weight_dbm on demand.
   [[nodiscard]] const phy::RssiRanging& ranging() const { return ranging_; }
 
+  /// The memory ledger: capacity bytes per named structure, computed on
+  /// demand (no hot path keeps it).  Buffers never shrink, so after a run it
+  /// is each structure's peak.  Entries, in order: candidate_cache,
+  /// staging_chunks, order, rx_entries, radio_other (RadioMedium::MemoryUse);
+  /// neighbor_tables; dedup_sets and tree_lists (ST's per-device sets and
+  /// lists); calendar_arena (the scheduler's event records); hot_region
+  /// (DeviceHot's block); reliable_links (the engine's list and the local
+  /// detector's edges); device_records (the cold Device records).  Left
+  /// out: the detectors' and energy meter's per-device arrays, the fault
+  /// injector, mobility waypoints, the channel's models and closures, each
+  /// well under 1 % of a static N = 2000 trial.
+  [[nodiscard]] MemoryReport memory_report() const;
+
   /// Attach an optional trace sink (not owned; may be null).
   void set_trace(TraceSink* sink) { trace_ = sink; }
   /// Attach an optional telemetry context (not owned; may be null).  With

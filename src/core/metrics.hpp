@@ -6,7 +6,9 @@
 // and RSSI-ranging accuracy measured against ground-truth positions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace firefly::core {
 
@@ -78,6 +80,22 @@ struct RunMetrics {
   /// Field-wise equality — the telemetry-off invariance tests assert that
   /// attaching observers leaves every reported number bit-identical.
   [[nodiscard]] friend bool operator==(const RunMetrics&, const RunMetrics&) = default;
+};
+
+/// An engine's memory ledger: the heap bytes each named structure holds,
+/// by capacity (see `EngineBase::memory_report`).  Not part of RunMetrics:
+/// it describes the program, not the simulated network.
+struct MemoryReport {
+  struct Entry {
+    const char* name;  ///< snake_case, stable: JSON keys are these names
+    std::size_t bytes;
+  };
+  std::vector<Entry> entries;  ///< in a fixed order
+  [[nodiscard]] std::size_t total_bytes() const {
+    std::size_t total = 0;
+    for (const Entry& e : entries) total += e.bytes;
+    return total;
+  }
 };
 
 }  // namespace firefly::core

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/wire.hpp"
+#include "util/capacity.hpp"
 
 namespace firefly::core {
 
@@ -135,6 +136,8 @@ class NeighborTable {
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// Heap bytes of the slot array.
+  [[nodiscard]] std::size_t capacity_bytes() const { return util::capacity_bytes(slots_); }
   /// Empties the table but keeps the slot array: a cleared table belongs to
   /// a recovering device and refills within a few periods, so retention
   /// makes crash/recover churn rehash- and allocation-free (the service

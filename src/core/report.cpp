@@ -16,6 +16,15 @@ void write_sample_json(obs::JsonWriter& w, const util::Sample& sample) {
   w.end_object();
 }
 
+void write_memory_report_json(obs::JsonWriter& w, const MemoryReport& report) {
+  w.begin_object();
+  for (const MemoryReport::Entry& e : report.entries) {
+    w.field(e.name, static_cast<std::uint64_t>(e.bytes));
+  }
+  w.field("total", static_cast<std::uint64_t>(report.total_bytes()));
+  w.end_object();
+}
+
 void write_run_metrics_json(obs::JsonWriter& w, const RunMetrics& m) {
   w.begin_object();
   w.field("converged", m.converged);

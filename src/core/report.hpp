@@ -27,6 +27,10 @@ void write_sample_json(obs::JsonWriter& w, const util::Sample& sample);
 /// Every RunMetrics field as a JSON object, in declaration order.
 void write_run_metrics_json(obs::JsonWriter& w, const RunMetrics& metrics);
 
+/// A memory ledger as one JSON object, {"<entry name>": bytes, ...,
+/// "total": bytes}, entries in the ledger's order.
+void write_memory_report_json(obs::JsonWriter& w, const MemoryReport& report);
+
 /// One sweep point as a self-describing JSONL record:
 /// {"bench":..,"protocol":..,"n":..,"trials":..,"failure_rate":..,
 ///  "convergence_ms":{..},"total_messages":{..},...}.

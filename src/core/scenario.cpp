@@ -54,6 +54,7 @@ RunMetrics run_trial(Protocol protocol, const ScenarioConfig& config,
   engine->set_trace(hooks.trace);
   engine->set_telemetry(hooks.telemetry);
   RunMetrics metrics = engine->run();
+  if (hooks.memory != nullptr) *hooks.memory = engine->memory_report();
   if (hooks.progress != nullptr) hooks.progress->advance();
   return metrics;
 }

@@ -65,11 +65,14 @@ struct ScenarioConfig {
 /// The single home for every optional trial observer.  All are non-owning
 /// and may be null; attaching them changes nothing about the simulated
 /// behaviour (verified by the telemetry-off invariance tests).  `progress`
-/// is advanced once per completed trial.
+/// is advanced once per completed trial.  `memory` receives the engine's
+/// memory ledger at the end of each trial; `run_trial` callers only (a
+/// sweep shares its hooks across worker threads).
 struct RunHooks {
   TraceSink* trace = nullptr;
   obs::Telemetry* telemetry = nullptr;
   obs::ProgressReporter* progress = nullptr;
+  MemoryReport* memory = nullptr;
 };
 
 /// Run one trial of the chosen protocol on the scenario, with any

@@ -58,10 +58,9 @@ double FaultInjector::link_attenuation_db(std::uint32_t a, std::uint32_t b) cons
   return active_fades_.contains(link_key(a, b)) ? fade_depth_db_ : 0.0;
 }
 
-bool FaultInjector::fill_drops(std::uint8_t* dropped, std::size_t n) {
-  if (drop_probability_ <= 0.0) return false;
-  drop_rng_.fill_bernoulli(dropped, n, drop_probability_);
-  return true;
+mac::ChannelFaults::DropProcess FaultInjector::drop_process() {
+  if (drop_probability_ <= 0.0) return {};
+  return {&drop_rng_, drop_probability_};
 }
 
 bool FaultInjector::fill_attenuation(std::uint32_t sender, mac::PsType /*type*/,

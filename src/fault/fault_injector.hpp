@@ -55,9 +55,9 @@ class FaultInjector final : public mac::ChannelFaults {
   // --- mac::ChannelFaults: the radio's per-transmission queries.  Engine
   // device ids are their registration indices, so receivers index links
   // directly. ---
-  /// `n` i.i.d. drop draws (delivery order = draw order).  False when the
-  /// plan has no drop knob, without consuming randomness.
-  bool fill_drops(std::uint8_t* dropped, std::size_t n) override;
+  /// The "fault.drop" stream with the plan's drop probability (delivery
+  /// order = draw order); none when the plan has no drop knob.
+  [[nodiscard]] DropProcess drop_process() override;
   /// `link_attenuation_db(sender, rx_index[i])` for each receiver; false
   /// without looking when no active fade touches the sender.
   bool fill_attenuation(std::uint32_t sender, mac::PsType type,

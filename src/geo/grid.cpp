@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/capacity.hpp"
+
 namespace firefly::geo {
 
 void SpatialGrid::build(const std::vector<Vec2>& positions, double cell_size) {
@@ -86,6 +88,13 @@ void SpatialGrid::gather(Vec2 center, double radius, std::vector<std::uint32_t>&
       out.insert(out.end(), members.begin(), members.end());
     }
   }
+}
+
+std::size_t SpatialGrid::capacity_bytes() const {
+  std::size_t bytes = util::capacity_bytes(cells_) + util::capacity_bytes(cell_of_) +
+                      util::capacity_bytes(slot_in_cell_);
+  for (const std::vector<std::uint32_t>& cell : cells_) bytes += util::capacity_bytes(cell);
+  return bytes;
 }
 
 }  // namespace firefly::geo

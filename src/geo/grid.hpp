@@ -45,6 +45,9 @@ class SpatialGrid {
   /// `radius` of `center`.  `out` is neither cleared nor sorted.
   void gather(Vec2 center, double radius, std::vector<std::uint32_t>& out) const;
 
+  /// Heap bytes: the cell lists and the per-id cell index.
+  [[nodiscard]] std::size_t capacity_bytes() const;
+
  private:
   [[nodiscard]] std::size_t col_of(double x) const;
   [[nodiscard]] std::size_t row_of(double y) const;

@@ -330,6 +330,27 @@ RadioMedium::CandidateView RadioMedium::candidates() const {
           {cand_skip_.get(), k}};
 }
 
+RadioMedium::MemoryUse RadioMedium::memory_use() const {
+  using util::capacity_bytes;
+  MemoryUse use;
+  use.candidate_cache =
+      capacity_bytes(cand_offsets_) +
+      cand_capacity_ * (sizeof(std::uint32_t) + 2 * sizeof(double) + sizeof(float)) +
+      capacity_bytes(cand_cursor_) + grid_.capacity_bytes() + loss_floor_.capacity_bytes() +
+      skip_table_.capacity_bytes();
+  use.staging_chunks =
+      staged_.size() * kStagedChunk * sizeof(Reception) + capacity_bytes(staged_);
+  use.order = capacity_bytes(order_);
+  use.rx_entries = capacity_bytes(rx_entries_);
+  use.other = capacity_bytes(devices_) + capacity_bytes(id_to_index_) + capacity_bytes(down_) +
+              capacity_bytes(awake_tag_) + capacity_bytes(pending_) + capacity_bytes(flushing_) +
+              capacity_bytes(gate_pos_) + capacity_bytes(gate_rx_) + capacity_bytes(draw_) +
+              capacity_bytes(gain_) + capacity_bytes(drop_) + capacity_bytes(atten_db_) +
+              capacity_bytes(survivors_) + capacity_bytes(rx_end_) + capacity_bytes(touched_) +
+              capacity_bytes(tx_key_);
+  return use;
+}
+
 void RadioMedium::broadcast(std::uint32_t sender, Preamble preamble, PsType type,
                             std::uint64_t payload) {
   if (preamble.index >= kPreamblePoolSize ||
@@ -390,8 +411,8 @@ void RadioMedium::deliver_cached() {
   // per gated candidate from the fault stream) — the draws a per-candidate
   // loop would make, in the same order.  A fade that provably leaves the
   // reception sub-threshold is rejected on one compare of its uniform;
-  // unless a fade is active on the sender, that compare (and the drop mask)
-  // runs inside the draw loop, which keeps only the survivors' uniforms.
+  // unless a fade is active on the sender, that compare and the drop draw
+  // run inside the draw loop, which keeps only the survivors' uniforms.
   // Only survivors pay the gain transform — one batched
   // `gains_from_uniforms` call per sender.  A rejected fade cannot become
   // audible under attenuation, but a fired drop or an attenuated link on it
@@ -431,23 +452,27 @@ void RadioMedium::deliver_cached() {
       pos = gate_pos_.data();
       rx = gate_rx_.data();
     }
-    const bool drops = faults_ != nullptr && faults_->fill_drops(drop_.data(), n);
     const bool faded = faults_ != nullptr &&
                        faults_->fill_attenuation(tx.sender, tx.type, rx, n, atten_db_.data());
     const float* skip = cand_skip_.get() + begin;
     std::size_t count = 0;
     if (!faded) {
-      if (drops) {
-        // Every fired drop is a fault drop, skipped fade or not.
-        std::uint32_t dropped = 0;
-        for (std::size_t i = 0; i < n; ++i) dropped += drop_[i] != 0 ? 1U : 0U;
-        counters_.fault_drops += dropped;
+      const ChannelFaults::DropProcess drops =
+          faults_ != nullptr ? faults_->drop_process() : ChannelFaults::DropProcess{};
+      if (drops.rng != nullptr) {
+        // Both streams in one loop.  Every fired drop is a fault drop,
+        // skipped fade or not.
+        std::size_t fired = 0;
+        count = channel_->fill_fading_survivors(skip, pos, n, draw_.data(), survivors_.data(),
+                                                *drops.rng, drops.probability, fired);
+        counters_.fault_drops += fired;
+      } else {
+        count = channel_->fill_fading_survivors(skip, pos, n, draw_.data(), survivors_.data());
       }
-      count = channel_->fill_fading_survivors(skip, pos, n, draw_.data(), survivors_.data(),
-                                              drops ? drop_.data() : nullptr);
     } else {
       // An active fade: survivors are compacted in place (count <= i), their
       // uniforms into draw_ and their attenuations into atten_db_.
+      const bool drops = faults_->fill_drops(drop_.data(), n);
       channel_->fill_fading_uniforms(draw_.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t k = pos != nullptr ? pos[i] : static_cast<std::uint32_t>(i);

@@ -73,6 +73,7 @@
 #include "phy/channel.hpp"
 #include "phy/energy.hpp"
 #include "sim/simulator.hpp"
+#include "util/capacity.hpp"
 
 namespace firefly::mac {
 
@@ -269,6 +270,7 @@ class PathLossFloor {
     return floor_db_[t < static_cast<double>(kBuckets - 1) ? static_cast<std::size_t>(t)
                                                            : kBuckets - 1];
   }
+  [[nodiscard]] std::size_t capacity_bytes() const { return util::capacity_bytes(floor_db_); }
 
  private:
   std::vector<double> floor_db_;
@@ -300,6 +302,7 @@ class SkipTable {
                   : t > 0.0                             ? static_cast<std::size_t>(t)
                                                         : 0];
   }
+  [[nodiscard]] std::size_t capacity_bytes() const { return util::capacity_bytes(bound_); }
 
  private:
   std::vector<float> bound_;  // kBuckets entries, then one that never skips
@@ -319,10 +322,25 @@ class SkipTable {
 class ChannelFaults {
  public:
   virtual ~ChannelFaults() = default;
-  /// Writes one i.i.d. drop draw per gated candidate to `dropped[0..n)`
-  /// (1 = lost), in candidate order.  Returns false, consuming no
-  /// randomness and writing nothing, when there is no drop process.
-  virtual bool fill_drops(std::uint8_t* dropped, std::size_t n) = 0;
+  /// The i.i.d. drop process: gated candidate i of a transmission, in
+  /// candidate order, is lost when the i-th `rng->bernoulli(probability)`
+  /// call fires.  `rng` is null when there is no drop process.  The radio
+  /// steps the stream itself, in the fading draw loop unless a fade is
+  /// active on the sender.
+  struct DropProcess {
+    util::Rng* rng = nullptr;
+    double probability = 0.0;
+  };
+  [[nodiscard]] virtual DropProcess drop_process() = 0;
+  /// The drop process's next n draws as a mask in `dropped[0..n)` (1 =
+  /// lost).  Returns false, consuming no randomness and writing nothing,
+  /// when there is no drop process.
+  bool fill_drops(std::uint8_t* dropped, std::size_t n) {
+    const DropProcess drops = drop_process();
+    if (drops.rng == nullptr) return false;
+    drops.rng->fill_bernoulli(dropped, n, drops.probability);
+    return true;
+  }
   /// Writes the extra attenuation in dB (0 = clear) on `sender`'s
   /// transmission of `type` at each receiver `rx_index[0..n)` (registration
   /// indices, as `RxRecord::rx_index`) to `attenuation_db[0..n)`.  Returns
@@ -427,6 +445,21 @@ class RadioMedium {
   [[nodiscard]] CandidateView candidates() const;
 
   [[nodiscard]] const TrafficCounters& counters() const { return counters_; }
+
+  /// Heap bytes the medium holds, by capacity, per structure.  Computed on
+  /// demand; the buffers never shrink, so after a run this is their peak.
+  struct MemoryUse {
+    /// The cand_ arrays and offsets, with the grid and the bound tables
+    /// that build them.
+    std::size_t candidate_cache = 0;
+    std::size_t staging_chunks = 0;  ///< the staged receptions
+    std::size_t order = 0;           ///< the grouping index
+    std::size_t rx_entries = 0;      ///< the decoded batch
+    /// Everything else: the slot's transmissions, the per-sender sweep
+    /// scratch and the per-device arrays.
+    std::size_t other = 0;
+  };
+  [[nodiscard]] MemoryUse memory_use() const;
   /// Optional energy meter: charged one tx slot per broadcast and one rx
   /// slot per successful delivery.  Not owned; may be null.
   void set_energy_meter(phy::EnergyMeter* meter) { energy_ = meter; }
@@ -558,7 +591,7 @@ class RadioMedium {
   std::vector<std::uint32_t> gate_rx_;      // gated candidate -> receiver index
   std::vector<double> draw_;                // fading uniforms; survivors' compacted
   std::vector<double> gain_;                // survivor j's gain
-  std::vector<std::uint8_t> drop_;          // fault drop draws
+  std::vector<std::uint8_t> drop_;          // fault drop draws (a faded sender)
   std::vector<double> atten_db_;            // fault link attenuations; survivors' compacted
   std::vector<std::uint32_t> survivors_;    // survivor j's slice position
   // The slot's audible receptions: staged_count_ of them in sweep order

@@ -13,6 +13,8 @@
 #include <span>
 #include <vector>
 
+#include "util/capacity.hpp"
+
 namespace firefly::pco {
 
 /// Smallest arc (in phase units, [0, 1]) containing all phases.
@@ -86,6 +88,9 @@ class LocalSyncDetector {
   /// First slot of the currently sustained alignment, once it has held for
   /// a full period and every device has fired.
   [[nodiscard]] std::optional<std::int64_t> converged_at(std::int64_t current_slot);
+
+  /// Heap bytes of the edge list.
+  [[nodiscard]] std::size_t edge_bytes() const { return util::capacity_bytes(edges_); }
 
  private:
   [[nodiscard]] bool edge_aligned(std::uint32_t u, std::uint32_t v) const;

@@ -75,13 +75,19 @@ class Channel {
     fading_rng_.fill_unit_open(out, n);
   }
   /// The same n steps with the skip test applied in the draw loop: keeps
-  /// the uniforms below their bound whose `lost` flag (if given) is clear,
-  /// compacted (see `util::Rng::fill_unit_open_below`).  Returns the
-  /// survivor count.
+  /// the uniforms below their bound, compacted (see
+  /// `util::Rng::fill_unit_open_below`).  Returns the survivor count.
+  std::size_t fill_fading_survivors(const float* skip_u, const std::uint32_t* pos,
+                                    std::size_t n, double* kept, std::uint32_t* kept_pos) {
+    return fading_rng_.fill_unit_open_below(skip_u, pos, n, kept, kept_pos);
+  }
+  /// The same, with a drop process's n Bernoulli(drop_p) draws from `drops`
+  /// stepped in the same loop: a fired drop loses its candidate, and
+  /// `fired` counts them.
   std::size_t fill_fading_survivors(const float* skip_u, const std::uint32_t* pos,
                                     std::size_t n, double* kept, std::uint32_t* kept_pos,
-                                    const std::uint8_t* lost = nullptr) {
-    return fading_rng_.fill_unit_open_below(skip_u, pos, n, kept, kept_pos, lost);
+                                    util::Rng& drops, double drop_p, std::size_t& fired) {
+    return fading_rng_.fill_unit_open_below(skip_u, pos, n, kept, kept_pos, drops, drop_p, fired);
   }
 
   [[nodiscard]] bool detectable(util::Dbm rx) const {

@@ -72,7 +72,7 @@ void Simulator::restore(const Snapshot& snap) {
 
 Simulator::SchedulerStats Simulator::scheduler_stats() const {
   return SchedulerStats{calendar_.size(), calendar_.arena_capacity(),
-                        calendar_.arena_high_water()};
+                        calendar_.arena_high_water(), calendar_.arena_bytes()};
 }
 
 Simulator::~Simulator() {

@@ -73,6 +73,7 @@ class Simulator {
     std::size_t live_events = 0;
     std::size_t arena_capacity = 0;
     std::size_t arena_high_water = 0;
+    std::size_t arena_bytes = 0;  ///< heap bytes of the record arena
   };
   [[nodiscard]] SchedulerStats scheduler_stats() const;
 

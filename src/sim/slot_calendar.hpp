@@ -72,6 +72,7 @@ class SlotCalendar {
   /// Arena footprint probes for the bounded-memory soak gate.
   [[nodiscard]] std::size_t arena_capacity() const { return arena_.capacity(); }
   [[nodiscard]] std::size_t arena_high_water() const { return arena_.high_water(); }
+  [[nodiscard]] std::size_t arena_bytes() const { return arena_.capacity_bytes(); }
 
  private:
   static constexpr std::uint32_t kNil = util::SlabArena<int>::kNil;

@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/capacity.hpp"
+
 namespace firefly::util {
 
 /// A single contiguous byte region carved into typed arrays.  `reset`
@@ -55,6 +57,8 @@ class RegionArena {
   }
 
   [[nodiscard]] std::byte* data() { return block_.get(); }
+  /// Bytes allocated by `reset`.
+  [[nodiscard]] std::size_t capacity() const { return size_; }
   /// Bytes actually carved — the span a snapshot must copy.
   [[nodiscard]] std::size_t used() const { return used_; }
 
@@ -106,6 +110,11 @@ class SlabArena {
   /// so a flat high-water mark means the arena stopped allocating.
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
   [[nodiscard]] bool in_range(std::uint64_t idx) const { return idx < capacity(); }
+  /// Heap bytes: the chunks, their pointer table and the freelist links.
+  [[nodiscard]] std::size_t capacity_bytes() const {
+    return capacity() * sizeof(T) + util::capacity_bytes(chunks_) +
+           util::capacity_bytes(free_link_);
+  }
 
   /// Overwrite this arena with a slot-exact copy of `src`: same chunk count,
   /// same freelist chain, every slot copied through `copy_slot(dst, src)`.

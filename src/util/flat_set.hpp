@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/capacity.hpp"
+
 namespace firefly::util {
 
 class FlatU32Set {
@@ -44,6 +46,8 @@ class FlatU32Set {
   }
 
   [[nodiscard]] std::size_t size() const { return size_ + std::size_t{has_empty_key_}; }
+  /// Heap bytes of the slot array.
+  [[nodiscard]] std::size_t capacity_bytes() const { return util::capacity_bytes(slots_); }
 
   /// Empties the set but keeps the slot array (cleared sets refill soon).
   void clear() {

@@ -55,6 +55,27 @@ class Xoshiro256ss {
     s_[2] = s2;
     s_[3] = s3;
   }
+  /// `generate` over two engines in one loop: emit(i, bits, other_bits)
+  /// with the i-th outputs of this engine and of `other` (a distinct
+  /// engine), both states held in locals.
+  template <typename Emit>
+  void generate_with(Xoshiro256ss& other, std::size_t n, Emit&& emit) {
+    assert(&other != this);
+    std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+    std::uint64_t t0 = other.s_[0], t1 = other.s_[1], t2 = other.s_[2], t3 = other.s_[3];
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t bits = step(s0, s1, s2, s3);
+      emit(i, bits, step(t0, t1, t2, t3));
+    }
+    s_[0] = s0;
+    s_[1] = s1;
+    s_[2] = s2;
+    s_[3] = s3;
+    other.s_[0] = t0;
+    other.s_[1] = t1;
+    other.s_[2] = t2;
+    other.s_[3] = t3;
+  }
 
  private:
   static std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1, std::uint64_t& s2,
@@ -104,24 +125,29 @@ class Rng {
   }
   /// `fill_unit_open`'s n uniforms, filtered in the same pass: draw i sits
   /// at position p = pos[i] (p = i when `pos` is null) and is kept when it
-  /// is below bound[p] and, when a loss mask is given, lost[i] is 0.  Kept
-  /// draws are compacted in draw order, the uniform to `kept` and its
-  /// position to `kept_pos`; returns their count.  Both outputs need room
-  /// for n entries (slots past the count are scratch), and the stream ends
-  /// where `fill_unit_open` leaves it.
+  /// is below bound[p].  Kept draws are compacted in draw order, the uniform
+  /// to `kept` and its position to `kept_pos`; returns their count.  Both
+  /// outputs need room for n entries (slots past the count are scratch), and
+  /// the stream ends where `fill_unit_open` leaves it.
   std::size_t fill_unit_open_below(const float* bound, const std::uint32_t* pos, std::size_t n,
-                                   double* kept, std::uint32_t* kept_pos,
-                                   const std::uint8_t* lost = nullptr) {
+                                   double* kept, std::uint32_t* kept_pos) {
     const auto identity = [](std::size_t i) { return static_cast<std::uint32_t>(i); };
     const auto gated = [pos](std::size_t i) { return pos[i]; };
-    const auto none = [](std::size_t) { return false; };
-    const auto masked = [lost](std::size_t i) { return lost[i] != 0; };
-    if (lost == nullptr) {
-      return pos == nullptr ? keep_unit_open_below(bound, n, kept, kept_pos, identity, none)
-                            : keep_unit_open_below(bound, n, kept, kept_pos, gated, none);
-    }
-    return pos == nullptr ? keep_unit_open_below(bound, n, kept, kept_pos, identity, masked)
-                          : keep_unit_open_below(bound, n, kept, kept_pos, gated, masked);
+    return pos == nullptr ? keep_unit_open_below(bound, n, kept, kept_pos, identity)
+                          : keep_unit_open_below(bound, n, kept, kept_pos, gated);
+  }
+  /// The same pass with an i.i.d. drop process stepped in the same loop:
+  /// draw i is also lost when the i-th of n `drops.bernoulli(drop_p)` calls
+  /// fires.  Sets `fired` to the number that fired.  Both streams end where
+  /// those separate calls leave them; `drops` is another Rng than this one.
+  std::size_t fill_unit_open_below(const float* bound, const std::uint32_t* pos, std::size_t n,
+                                   double* kept, std::uint32_t* kept_pos, Rng& drops,
+                                   double drop_p, std::size_t& fired) {
+    const auto identity = [](std::size_t i) { return static_cast<std::uint32_t>(i); };
+    const auto gated = [pos](std::size_t i) { return pos[i]; };
+    return pos == nullptr
+               ? keep_unit_open_below(bound, n, kept, kept_pos, identity, drops, drop_p, fired)
+               : keep_unit_open_below(bound, n, kept, kept_pos, gated, drops, drop_p, fired);
   }
   /// Exponential with the given rate λ (> 0).  Inline: it is the Rayleigh
   /// power-gain draw, which delivery evaluation performs once per
@@ -160,18 +186,38 @@ class Rng {
     return (static_cast<double>(bits >> 11) + 0.5) * 0x1.0p-53;
   }
   // Branch-free compaction: every draw is written, kept ones advance.
-  template <typename Position, typename Lost>
+  template <typename Position>
   std::size_t keep_unit_open_below(const float* bound, std::size_t n, double* kept,
-                                   std::uint32_t* kept_pos, Position position, Lost lost) {
+                                   std::uint32_t* kept_pos, Position position) {
     std::size_t count = 0;
     engine_.generate(n, [&](std::size_t i, std::uint64_t bits) {
       const double u = unit_open_from(bits);
       const std::uint32_t p = position(i);
       kept[count] = u;
       kept_pos[count] = p;
-      count += static_cast<std::size_t>(u < static_cast<double>(bound[p])) &
-               static_cast<std::size_t>(!lost(i));
+      count += static_cast<std::size_t>(u < static_cast<double>(bound[p]));
     });
+    return count;
+  }
+  template <typename Position>
+  std::size_t keep_unit_open_below(const float* bound, std::size_t n, double* kept,
+                                   std::uint32_t* kept_pos, Position position, Rng& drops,
+                                   double drop_p, std::size_t& fired) {
+    std::size_t count = 0;
+    std::size_t lost = 0;
+    engine_.generate_with(drops.engine_, n,
+                          [&](std::size_t i, std::uint64_t bits, std::uint64_t drop_bits) {
+                            const double u = unit_open_from(bits);
+                            const std::uint32_t p = position(i);
+                            const auto dropped =
+                                static_cast<std::size_t>(uniform_from(drop_bits) < drop_p);
+                            lost += dropped;
+                            kept[count] = u;
+                            kept_pos[count] = p;
+                            count += static_cast<std::size_t>(u < static_cast<double>(bound[p])) &
+                                     (dropped ^ 1U);
+                          });
+    fired = lost;
     return count;
   }
 

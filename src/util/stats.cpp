@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <stdexcept>
 
 namespace firefly::util {
 
@@ -75,6 +77,41 @@ double Sample::percentile_select(double p) {
   // After the partition every value past lo is ≥ *lo, so the next order
   // statistic is their minimum.
   const double hi = lo + 1 != values_.end() ? *std::min_element(lo + 1, values_.end()) : *lo;
+  return *lo * (1.0 - r.frac) + hi * r.frac;
+}
+
+TopKPercentile::TopKPercentile(double p, std::size_t n_max)
+    : p_(p), n_max_(n_max), keep_(n_max < 2 ? n_max : n_max - rank_of(p, n_max).lo) {
+  assert(p >= 0.0 && p <= 100.0);
+  top_.reserve(2 * keep_);
+}
+
+void TopKPercentile::throw_full() const {
+  throw std::length_error("TopKPercentile: more values than n_max");
+}
+
+void TopKPercentile::cut() {
+  // The top keep_ values to the front, the keep_-th largest at keep_ − 1.
+  const auto last = top_.begin() + static_cast<std::ptrdiff_t>(keep_ - 1);
+  std::nth_element(top_.begin(), last, top_.end(), std::greater<>());
+  floor_ = *last;
+  cut_ = true;
+  top_.resize(keep_);
+}
+
+double TopKPercentile::percentile() {
+  if (count_ == 0) return 0.0;
+  if (count_ == 1) return top_[0];
+  const Rank r = rank_of(p_, count_);
+  // Ranks lo and lo + 1 ascending are the need-th and (need − 1)-th largest
+  // (1-based); need ≤ keep_ ≤ top_.size() because n − lo grows with n.
+  const std::size_t need = count_ - r.lo;
+  assert(need <= top_.size());
+  const auto lo = top_.begin() + static_cast<std::ptrdiff_t>(need - 1);
+  std::nth_element(top_.begin(), lo, top_.end(), std::greater<>());
+  // Every value before lo is ≥ *lo, so the next order statistic up is
+  // their minimum (rank lo + 1 clamps to lo when lo is the largest).
+  const double hi = lo != top_.begin() ? *std::min_element(top_.begin(), lo) : *lo;
   return *lo * (1.0 - r.frac) + hi * r.frac;
 }
 

@@ -127,6 +127,63 @@ TEST(Channel, FadingUniformsAreOneStepEach) {
   }
 }
 
+TEST(Channel, DropFusedSurvivorsEqualTheTwoPassPath) {
+  // The radio's unfaded sweep draws a sender's drops and fades in one
+  // loop.  Against the two passes it replaced — a drop mask from the fault
+  // stream, then the fading uniforms filtered by their skip bound and the
+  // mask — the survivors, their positions, the fired-drop count and the
+  // next draw of both streams must be the same.
+  Rng bounds_rng(8);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{1000}}) {
+    std::vector<std::uint32_t> pos(n);
+    for (std::size_t i = 0; i < n; ++i) pos[i] = static_cast<std::uint32_t>(2 * i + i % 3 / 2);
+    std::vector<float> skip(2 * n + 1);
+    for (float& b : skip) b = static_cast<float>(bounds_rng.uniform());
+    for (const bool gated : {false, true}) {
+      const auto make = [] {
+        return Channel(RadioParams{}, std::make_unique<PaperDualSlope>(),
+                       std::make_unique<NoShadowing>(), std::make_unique<RayleighFading>(), Rng(5));
+      };
+      Channel fused = make();
+      Channel two_pass = make();
+      Rng fused_drops(41);
+      Rng two_pass_drops(41);
+      const std::uint32_t* at = gated ? pos.data() : nullptr;
+
+      std::vector<double> kept(n);
+      std::vector<std::uint32_t> kept_pos(n);
+      std::size_t fired = 0;
+      const std::size_t count = fused.fill_fading_survivors(skip.data(), at, n, kept.data(),
+                                                            kept_pos.data(), fused_drops, 0.2,
+                                                            fired);
+
+      std::vector<std::uint8_t> lost(n);
+      two_pass_drops.fill_bernoulli(lost.data(), n, 0.2);
+      std::vector<double> u(n);
+      two_pass.fill_fading_uniforms(u.data(), n);
+      std::size_t want = 0;
+      std::size_t want_fired = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        want_fired += lost[i];
+        const std::uint32_t k = gated ? pos[i] : static_cast<std::uint32_t>(i);
+        if (!(u[i] < static_cast<double>(skip[k])) || lost[i] != 0) continue;
+        ASSERT_LT(want, count) << "n=" << n << " gated=" << gated;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(kept[want]), std::bit_cast<std::uint64_t>(u[i]));
+        EXPECT_EQ(kept_pos[want], k);
+        ++want;
+      }
+      EXPECT_EQ(count, want) << "n=" << n << " gated=" << gated;
+      EXPECT_EQ(fired, want_fired) << "n=" << n << " gated=" << gated;
+      if (n == 1000) {
+        EXPECT_GT(fired, 0U);
+        EXPECT_GT(count, 0U);
+      }
+      EXPECT_EQ(fused.fading_rng().uniform(), two_pass.fading_rng().uniform());
+      EXPECT_EQ(fused_drops.uniform(), two_pass_drops.uniform());
+    }
+  }
+}
+
 TEST(Channel, PaperFactorySeedsDiffer) {
   auto c1 = make_paper_channel(1);
   auto c2 = make_paper_channel(2);

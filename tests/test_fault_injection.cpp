@@ -146,7 +146,7 @@ TEST(RadioFaults, HookVetoIsCountedAndAttenuationFlowsThrough) {
   // power.
   struct Veto final : mac::ChannelFaults {
     double attenuation_db = std::numeric_limits<double>::infinity();
-    bool fill_drops(std::uint8_t*, std::size_t) override { return false; }
+    DropProcess drop_process() override { return {}; }
     bool fill_attenuation(std::uint32_t, mac::PsType, const std::uint32_t*, std::size_t n,
                           double* out) override {
       for (std::size_t i = 0; i < n; ++i) out[i] = attenuation_db;

@@ -642,10 +642,9 @@ struct LinkFaults final : mac::ChannelFaults {
   std::uint32_t a = 0, b = 0;  // the faded link (a == b: none)
   double depth_db = 0.0;
 
-  bool fill_drops(std::uint8_t* dropped, std::size_t n) override {
-    if (drop_p <= 0.0) return false;
-    for (std::size_t i = 0; i < n; ++i) dropped[i] = drop_rng.bernoulli(drop_p) ? 1 : 0;
-    return true;
+  DropProcess drop_process() override {
+    if (drop_p <= 0.0) return {};
+    return {&drop_rng, drop_p};
   }
   bool fill_attenuation(std::uint32_t sender, PsType, const std::uint32_t* rx, std::size_t n,
                         double* attenuation_db) override {
@@ -862,7 +861,7 @@ struct DropRun {
 /// receiver 3 crashed when `crashed`.  With `decoy_fade` a fade is active
 /// between two far-off devices that are nobody's delivery candidate: every
 /// attenuation a sender sees is 0, but the radio then takes its generic
-/// active-fade loop instead of the masked draw.
+/// active-fade loop instead of the fused drop-and-fade draw.
 DropRun drop_run(bool crashed, bool decoy_fade) {
   sim::Simulator sim;
   auto channel = gate_channel(std::make_unique<phy::RayleighFading>(), 515);
@@ -907,8 +906,9 @@ DropRun drop_run(bool crashed, bool decoy_fade) {
 }
 
 TEST(RadioGates, MaskedDropDrawMatchesTheGenericLoop) {
-  // Drops without an active fade take the masked draw; the same world with
-  // a fade that attenuates no candidate takes the generic loop.  Records,
+  // Drops without an active fade take the fused drop-and-fade draw; the
+  // same world with a fade that attenuates no candidate takes the generic
+  // loop (a drop mask, then the fades).  Records,
   // counters and the fading stream must agree, gated or not.
   for (const bool crashed : {false, true}) {
     const DropRun masked = drop_run(crashed, false);

@@ -182,55 +182,63 @@ TEST(Rng, FilteredBlockDrawEqualsFilteredFill) {
   }
 }
 
-TEST(Rng, MaskedBlockDrawEqualsMaskedFilteredFill) {
-  // fill_unit_open_below with a loss mask keeps exactly the draws of fill_unit_open
-  // that fall below their bound and whose loss flag is clear, in draw order
-  // with their positions, and leaves the stream where fill_unit_open does.
+TEST(Rng, DropFusedBlockDrawEqualsTwoPassDraw) {
+  // fill_unit_open_below with a drop stream equals the two passes it
+  // replaces: n fill_bernoulli drops as a mask, then the fading draws kept
+  // below their bound where the mask is clear.  Same survivors in draw
+  // order, same positions, same fired-drop count, and both streams left
+  // where the two passes leave them.
   Rng bounds_rng(6);
   for (const std::size_t n : {0, 1, 2, 7, 1000}) {
     std::vector<std::uint32_t> pos(n);
     for (std::size_t i = 0; i < n; ++i) pos[i] = static_cast<std::uint32_t>(3 * i + i % 2);
     std::vector<float> bound(3 * n + 1);
     for (float& b : bound) b = static_cast<float>(bounds_rng.uniform());
-    std::vector<std::uint8_t> some(n);
-    for (std::uint8_t& l : some) l = bounds_rng.bernoulli(0.3) ? 1 : 0;
-    const std::vector<std::uint8_t> all_lost(n, 1);
-    const std::vector<std::uint8_t> none_lost(n, 0);
-    const std::vector<std::uint8_t>* const masks[] = {&some, &all_lost, &none_lost};
-    for (const std::vector<std::uint8_t>* lost : masks) {
+    for (const double p : {0.0, 0.15, 1.0}) {
       for (const bool gated : {false, true}) {
         Rng fused(92);
-        Rng plain(92);
+        Rng fused_drops(93);
         std::vector<double> kept(n);
         std::vector<std::uint32_t> kept_pos(n);
+        std::size_t fired = 12345;
         const std::size_t count =
             fused.fill_unit_open_below(bound.data(), gated ? pos.data() : nullptr, n, kept.data(),
-                                       kept_pos.data(), lost->data());
+                                       kept_pos.data(), fused_drops, p, fired);
+
+        Rng plain(92);
+        Rng plain_drops(93);
+        std::vector<std::uint8_t> lost(n);
+        plain_drops.fill_bernoulli(lost.data(), n, p);
         std::vector<double> u(n);
         plain.fill_unit_open(u.data(), n);
         std::size_t want = 0;
+        std::size_t want_fired = 0;
         for (std::size_t i = 0; i < n; ++i) {
-          const std::uint32_t p = gated ? pos[i] : static_cast<std::uint32_t>(i);
-          if (!(u[i] < static_cast<double>(bound[p])) || (*lost)[i] != 0) continue;
-          ASSERT_LT(want, count) << "n=" << n << " gated=" << gated;
+          want_fired += lost[i];
+          const std::uint32_t at = gated ? pos[i] : static_cast<std::uint32_t>(i);
+          if (!(u[i] < static_cast<double>(bound[at])) || lost[i] != 0) continue;
+          ASSERT_LT(want, count) << "n=" << n << " p=" << p << " gated=" << gated;
           EXPECT_EQ(std::bit_cast<std::uint64_t>(kept[want]), std::bit_cast<std::uint64_t>(u[i]));
-          EXPECT_EQ(kept_pos[want], p);
+          EXPECT_EQ(kept_pos[want], at);
           ++want;
         }
-        EXPECT_EQ(count, want) << "n=" << n << " gated=" << gated;
-        if (lost == &all_lost) {
+        EXPECT_EQ(count, want) << "n=" << n << " p=" << p << " gated=" << gated;
+        EXPECT_EQ(fired, want_fired) << "n=" << n << " p=" << p << " gated=" << gated;
+        if (p == 1.0) {
           EXPECT_EQ(count, 0U);
+          EXPECT_EQ(fired, n);
         }
-        if (lost == &none_lost) {
-          // No loss: the unmasked draw's answer.
-          Rng unmasked(92);
+        if (p == 0.0) {
+          // No drop fires: the drop-free draw's survivors.
+          Rng undropped(92);
           std::vector<double> kept2(n);
           std::vector<std::uint32_t> kept_pos2(n);
-          EXPECT_EQ(unmasked.fill_unit_open_below(bound.data(), gated ? pos.data() : nullptr, n,
-                                                  kept2.data(), kept_pos2.data()),
+          EXPECT_EQ(undropped.fill_unit_open_below(bound.data(), gated ? pos.data() : nullptr, n,
+                                                   kept2.data(), kept_pos2.data()),
                     count);
         }
-        EXPECT_EQ(fused.unit_open(), plain.unit_open()) << "n=" << n << " gated=" << gated;
+        EXPECT_EQ(fused.unit_open(), plain.unit_open()) << "n=" << n << " p=" << p;
+        EXPECT_EQ(fused_drops.unit_open(), plain_drops.unit_open()) << "n=" << n << " p=" << p;
       }
     }
   }

@@ -7,7 +7,8 @@
 // with net heap growth of exactly zero and an unchanged arena high-water
 // mark.  Everything is seeded, so the assertion is deterministic, not a
 // statistical bound.  The same counters keep the peak of the outstanding
-// bytes, which bounds what a one-shot trial's end-of-run metrics pass holds.
+// bytes, which bounds what a one-shot trial's end-of-run metrics pass holds,
+// and the outstanding bytes check the engine's memory ledger.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -171,6 +173,57 @@ TEST(SoakMemory, MetricsPassHoldsOneExactRangingSample) {
   const auto bound = static_cast<long long>(entries * sizeof(double) + (std::size_t{64} << 10));
   EXPECT_LE(raised, bound) << "the metrics pass raised the heap by " << raised
                            << " bytes over " << entries << " neighbour entries";
+}
+
+// The same pass without the sample: the ranging p90 is selected from a
+// buffer of about a fifth of the entries (2·keep doubles, keep ≈ entries /
+// 10), so the pass may raise the heap by 2 B per entry plus a fixed 64 KiB
+// for everything else it holds.  A sample of every error (8 B per entry)
+// breaks the bound.
+TEST(SoakMemory, MetricsPassHoldsABoundedRangingBuffer) {
+  core::ScenarioConfig config;
+  config.n = 200;
+  config.seed = 5;
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+  ServiceSt engine(positions, config.protocol, config.radio, config.seed);
+  ASSERT_TRUE(engine.run().converged);
+  std::size_t entries = 0;
+  for (std::uint32_t i = 0; i < positions.size(); ++i) entries += engine.neighbors(i).size();
+  const auto bound = static_cast<long long>(2 * entries + (std::size_t{64} << 10));
+  // Large enough that a sample of every error overshoots the bound.
+  ASSERT_GT(static_cast<long long>(entries * sizeof(double)), bound);
+
+  const long long before = g_outstanding_bytes.load(std::memory_order_relaxed);
+  g_peak_outstanding_bytes.store(before, std::memory_order_relaxed);
+  const core::RunMetrics metrics = engine.collect_metrics();
+  const long long raised = g_peak_outstanding_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(metrics.converged);
+  EXPECT_LE(raised, bound) << "the metrics pass raised the heap by " << raised
+                           << " bytes over " << entries << " neighbour entries";
+}
+
+// The memory ledger names where an engine's heap is: after a run, its
+// total is within 5 % of the bytes the engine holds, counted by the
+// operator new above.
+TEST(SoakMemory, LedgerTotalMatchesTheEngineHeap) {
+  core::ScenarioConfig config;
+  config.n = 200;
+  config.seed = 5;
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+  const long long before = g_outstanding_bytes.load(std::memory_order_relaxed);
+  ServiceSt engine(positions, config.protocol, config.radio, config.seed);
+  ASSERT_TRUE(engine.run().converged);
+  const core::MemoryReport report = engine.memory_report();
+  const long long held = g_outstanding_bytes.load(std::memory_order_relaxed) - before -
+                         static_cast<long long>(report.entries.capacity() *
+                                                sizeof(core::MemoryReport::Entry));
+  const auto total = static_cast<long long>(report.total_bytes());
+  std::string ledger;
+  for (const core::MemoryReport::Entry& e : report.entries) {
+    ledger += std::string(" ") + e.name + "=" + std::to_string(e.bytes);
+  }
+  EXPECT_LE(std::abs(total - held) * 20, held)
+      << "ledger total " << total << " B against " << held << " B held;" << ledger;
 }
 
 // A storm slot's staged receptions grow in fixed chunks, never by doubling

@@ -107,7 +107,7 @@ TEST(StFaults, ConnectRetriesAreCappedAndHeadshipMovesOn) {
   // Fragment control to or from device 2 is vetoed: an infinite
   // attenuation, which the radio counts as a fault drop.
   struct Quarantine final : mac::ChannelFaults {
-    bool fill_drops(std::uint8_t*, std::size_t) override { return false; }
+    DropProcess drop_process() override { return {}; }
     bool fill_attenuation(std::uint32_t sender, mac::PsType type, const std::uint32_t* rx,
                           std::size_t n, double* attenuation_db) override {
       const bool fragment_control = type == mac::PsType::kConnectRequest ||
