@@ -79,7 +79,6 @@ class TopKPercentile {
     if (top_.size() == 2 * keep_) cut();
   }
 
-  [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }

@@ -107,7 +107,6 @@ void expect_selector_matches_sample(const std::vector<double>& values, double p,
     sample.add(v);
     top.add(v);
   }
-  ASSERT_EQ(top.count(), values.size()) << what;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(top.mean()), std::bit_cast<std::uint64_t>(sample.mean()))
       << what << " p=" << p;
   const double want = sample.percentile_select(p);
@@ -172,7 +171,7 @@ TEST(TopKPercentile, RejectsValuesPastItsBound) {
   TopKPercentile top(90.0, 10'000);
   for (int i = 0; i < 10'000; ++i) top.add(static_cast<double>(i));
   EXPECT_THROW(top.add(1.0), std::length_error);
-  EXPECT_EQ(top.count(), 10'000U);
+  EXPECT_EQ(top.mean(), 4'999.5) << "the rejected value is not counted";
   TopKPercentile none(90.0, 0);
   EXPECT_EQ(none.percentile(), 0.0);
   EXPECT_EQ(none.mean(), 0.0);
