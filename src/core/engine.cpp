@@ -128,10 +128,7 @@ EngineBase::EngineBase(std::vector<geo::Vec2> positions, ProtocolParams params,
   const util::Dbm reliable =
       radio_params.detection_threshold + util::Db{radio_params.reliable_link_margin_db};
   radio_.for_each_candidate_pair([&](std::uint32_t u, std::uint32_t v, util::Dbm mean) {
-    if (mean >= reliable) {
-      local_detector_.add_edge(u, v);
-      reliable_links_.emplace_back(u, v);
-    }
+    if (mean >= reliable) reliable_links_.emplace_back(u, v);
   });
 }
 
@@ -158,7 +155,7 @@ MemoryReport EngineBase::memory_report() const {
       {"tree_lists", tree},
       {"calendar_arena", sim_.scheduler_stats().arena_bytes},
       {"hot_region", hot_.block_capacity()},
-      {"reliable_links", capacity_bytes(reliable_links_) + local_detector_.edge_bytes()},
+      {"reliable_links", capacity_bytes(reliable_links_)},
       {"device_records", capacity_bytes(devices_)},
   };
   return report;
@@ -333,7 +330,7 @@ void EngineBase::mobility_step() {
 void EngineBase::check_convergence() {
   const std::int64_t slot = current_slot();
   if (state_.local_converged_slot < 0) {
-    const auto local = local_detector_.converged_at(slot);
+    const auto local = local_detector_.converged_at(slot, reliable_links_);
     if (local.has_value()) state_.local_converged_slot = *local;
   }
   if (state_.discovery_slot < 0 && discovery_complete()) {

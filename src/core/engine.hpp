@@ -308,8 +308,9 @@ class EngineBase {
   obs::Counter* fires_counter_ = nullptr; ///< pre-bound "engine.fires"
   // Convergence requires BOTH of the paper's simultaneous goals: sustained
   // global firing alignment AND complete neighbour discovery over every
-  // reliable proximity link (both directions).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> reliable_links_;
+  // reliable proximity link (both directions).  The local detector checks
+  // alignment over the same list.
+  std::vector<pco::LocalSyncDetector::Edge> reliable_links_;
 
  private:
   void check_convergence();

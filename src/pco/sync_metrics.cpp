@@ -98,11 +98,6 @@ LocalSyncDetector::LocalSyncDetector(std::size_t n, std::uint32_t period_slots,
   assert(period_slots_ > 0);
 }
 
-void LocalSyncDetector::add_edge(std::uint32_t u, std::uint32_t v) {
-  assert(u < last_fire_.size() && v < last_fire_.size() && u != v);
-  edges_.emplace_back(u, v);
-}
-
 void LocalSyncDetector::record_fire(std::uint32_t id, std::int64_t slot) {
   assert(id < last_fire_.size());
   if (active_[id] == 0) return;
@@ -133,10 +128,11 @@ bool LocalSyncDetector::edge_aligned(std::uint32_t u, std::uint32_t v) const {
   return circular <= static_cast<std::int64_t>(tolerance_slots_);
 }
 
-std::optional<std::int64_t> LocalSyncDetector::converged_at(std::int64_t current_slot) {
+std::optional<std::int64_t> LocalSyncDetector::converged_at(std::int64_t current_slot,
+                                                             std::span<const Edge> edges) {
   bool aligned = active_count_ > 0 && fired_count_ == active_count_;
   if (aligned) {
-    for (const auto& [u, v] : edges_) {
+    for (const auto& [u, v] : edges) {
       if (!edge_aligned(u, v)) {
         aligned = false;
         break;

@@ -11,9 +11,8 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
-
-#include "util/capacity.hpp"
 
 namespace firefly::pco {
 
@@ -70,13 +69,13 @@ class ConvergenceDetector {
 /// device is slot-aligned with the devices it can actually communicate
 /// with.  `LocalSyncDetector` therefore requires, for every proximity edge
 /// (u, v), that the two last firing slots agree modulo the period within a
-/// tolerance, sustained for one full period.
+/// tolerance, sustained for one full period.  The caller owns the edge list
+/// and passes it to every converged_at call (the engine's reliable links).
 class LocalSyncDetector {
  public:
-  LocalSyncDetector(std::size_t n, std::uint32_t period_slots, std::uint32_t tolerance_slots);
+  using Edge = std::pair<std::uint32_t, std::uint32_t>;
 
-  /// Declare a proximity edge that must be aligned.
-  void add_edge(std::uint32_t u, std::uint32_t v);
+  LocalSyncDetector(std::size_t n, std::uint32_t period_slots, std::uint32_t tolerance_slots);
 
   void record_fire(std::uint32_t id, std::int64_t slot);
 
@@ -85,19 +84,17 @@ class LocalSyncDetector {
   /// `ConvergenceDetector::set_active`).
   void set_active(std::uint32_t id, bool active);
 
-  /// First slot of the currently sustained alignment, once it has held for
-  /// a full period and every device has fired.
-  [[nodiscard]] std::optional<std::int64_t> converged_at(std::int64_t current_slot);
-
-  /// Heap bytes of the edge list.
-  [[nodiscard]] std::size_t edge_bytes() const { return util::capacity_bytes(edges_); }
+  /// First slot of the currently sustained alignment over `edges`, once it
+  /// has held for a full period and every device has fired.  Every call of
+  /// one detector must pass the same edges.
+  [[nodiscard]] std::optional<std::int64_t> converged_at(std::int64_t current_slot,
+                                                         std::span<const Edge> edges);
 
  private:
   [[nodiscard]] bool edge_aligned(std::uint32_t u, std::uint32_t v) const;
 
   std::uint32_t period_slots_;
   std::uint32_t tolerance_slots_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
   std::vector<std::int64_t> last_fire_;
   std::vector<std::uint8_t> active_;
   std::size_t fired_count_ = 0;

@@ -70,7 +70,7 @@ class StEngine : public EngineBase {
   /// Strongest fresh neighbour outside the device's fragment, or nullptr.
   /// Answers from the device's outgoing bound (core::DeviceHot) without a
   /// scan when no outgoing entry can be fresh; a scan refreshes the bound.
-  [[nodiscard]] const std::uint32_t* best_outgoing(const Device& device);
+  [[nodiscard]] const std::uint16_t* best_outgoing(const Device& device);
   /// Whether best_outgoing would return an edge; stops at the first one.
   [[nodiscard]] bool has_outgoing(const Device& device);
 
@@ -80,7 +80,7 @@ class StEngine : public EngineBase {
   void round_action(Device& device);
   /// The neighbour-table walk behind best_outgoing (kFirst: has_outgoing).
   template <bool kFirst>
-  [[nodiscard]] const std::uint32_t* scan_outgoing(const Device& device);
+  [[nodiscard]] const std::uint16_t* scan_outgoing(const Device& device);
   void attempt_connect(Device& device);
   /// Pass headship to a tree neighbour; false when there is nobody to pass
   /// it to (or the fragment has gone quiet and the head parks instead).

@@ -1,8 +1,9 @@
 // Tests for the flat hash containers on the delivery hot path: the ST dedup
 // set (util/flat_set.hpp) and the per-device neighbour table
 // (core/neighbor_table.hpp), including the slot sizes their memory budget
-// depends on, the iteration order the protocols' tie-breaks depend on, and
-// the horizon bound the neighbour slot's 32-bit last-heard stamp needs.
+// depends on, the iteration order the protocols' tie-breaks depend on, the
+// id range the neighbour slot's 16-bit key holds, and the horizon bound its
+// 32-bit last-heard stamp needs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,10 +27,10 @@ using util::FlatU32Set;
 
 constexpr std::uint32_t kEmptyId = 0xFFFFFFFFU;
 
-// A 16 B NeighborInfo behind a 4 B key and its 4 B pad: a 24 B slot, eight
-// slots per three cache lines.
+// A packed 16 B NeighborInfo behind a 2 B key and no pad: an 18 B slot,
+// 32 slots per nine cache lines (576 B = 32 × 18 = 9 × 64).
 static_assert(sizeof(core::NeighborInfo) == 16);
-static_assert(sizeof(NeighborTable::value_type) == 24);
+static_assert(sizeof(NeighborTable::value_type) == 18);
 // The dedup set holds 32-bit slots plus a count and the sentinel-key flag in
 // the 8 B after its vector, so the two sets in core::Device cost no more
 // than they did with 64-bit slots.
@@ -134,6 +135,30 @@ TEST(NeighborTable, IterationOrderIsFixedAcrossRehashes) {
   EXPECT_EQ(heard, 300U);
   EXPECT_EQ(order, expected);
   EXPECT_EQ(digest, 0xb2dca8a9804773abULL);
+}
+
+// The key is 16 bits and 0xFFFF (kInvalidId) marks an empty slot, so an id
+// of 0xFFFF or more is refused on insert and never found; the largest id it
+// holds, 0xFFFE, inserts, finds and iterates like any other.
+TEST(NeighborTable, RejectsIdsPastSixteenBits) {
+  NeighborTable table;
+  EXPECT_THROW((void)table[0xFFFFU], std::out_of_range);
+  EXPECT_THROW((void)table[0x10000U], std::out_of_range);
+  EXPECT_EQ(table.size(), 0U);
+  table[0xFFFEU].service = 3;
+  table[0x0000U].service = 1;
+  EXPECT_EQ(table.size(), 2U);
+  EXPECT_TRUE(table.contains(0xFFFEU));
+  EXPECT_EQ(table.at(0xFFFEU).service, 3U);
+  EXPECT_FALSE(table.contains(0xFFFFU));
+  EXPECT_FALSE(table.contains(0x10000U));
+  EXPECT_FALSE(table.contains(0x1FFFEU));  // 0xFFFE in its low 16 bits
+  const NeighborTable& view = table;
+  EXPECT_TRUE(view.find(0x10000U) == view.end());
+  EXPECT_THROW((void)view.at(0x10000U), std::out_of_range);
+  std::set<std::uint32_t> seen;
+  for (const auto& [id, info] : view) seen.insert(id);
+  EXPECT_EQ(seen, (std::set<std::uint32_t>{0x0000U, 0xFFFEU}));
 }
 
 // A neighbour entry stamps its last-heard slot in 32 bits, so a horizon of

@@ -226,6 +226,35 @@ TEST(SoakMemory, LedgerTotalMatchesTheEngineHeap) {
       << "ledger total " << total << " B against " << held << " B held;" << ledger;
 }
 
+// The ledger's neighbour-table entry is 18 B per table slot plus the vector
+// of table headers.  A fault-free trial only inserts, so each table holds
+// the slot count its size reaches under the 3/4 load rule: 16 slots at
+// least, doubled while size · 4 > slots · 3, and none for a table never
+// written.
+TEST(SoakMemory, LedgerCountsEighteenBytesPerNeighbourSlot) {
+  core::ScenarioConfig config;
+  config.n = 200;
+  config.seed = 5;
+  const std::vector<geo::Vec2> positions = core::deploy(config);
+  ServiceSt engine(positions, config.protocol, config.radio, config.seed);
+  ASSERT_TRUE(engine.run().converged);
+  std::size_t slots = 0;
+  for (std::uint32_t i = 0; i < positions.size(); ++i) {
+    const std::size_t size = engine.neighbors(i).size();
+    if (size == 0) continue;
+    std::size_t want = 16;
+    while (size * 4 > want * 3) want *= 2;
+    slots += want;
+  }
+  ASSERT_GT(slots, 0U);
+  const core::MemoryReport report = engine.memory_report();
+  std::size_t tables = 0;
+  for (const core::MemoryReport::Entry& e : report.entries) {
+    if (std::string(e.name) == "neighbor_tables") tables = e.bytes;
+  }
+  EXPECT_EQ(tables, 18 * slots + positions.size() * sizeof(core::NeighborTable));
+}
+
 // A storm slot's staged receptions grow in fixed chunks, never by doubling
 // one array: a doubling growth copies into a new array twice the size while
 // the old one is still live (6 and 12 MiB at once in an N = 2000 trial).

@@ -71,7 +71,7 @@ class CheckedSt final : public proto::StEngine {
           ++bounded_;  // this check answers without a scan
         }
         bool has = false;
-        const std::uint32_t* best = nullptr;
+        const std::uint16_t* best = nullptr;
         if (slot % 2 == 1) {
           has = has_outgoing(device);
           best = best_outgoing(device);

@@ -85,33 +85,32 @@ TEST(ConvergenceDetector, ToleranceBoundary) {
 
 TEST(LocalSyncDetector, OnlyEdgesConstrainAlignment) {
   LocalSyncDetector det(3, 100, 2);
-  det.add_edge(0, 1);
+  const std::vector<LocalSyncDetector::Edge> edges = {{0, 1}};
   // Device 2 has no edges: its phase is unconstrained (but it must fire).
   det.record_fire(0, 10);
   det.record_fire(1, 11);
   det.record_fire(2, 60);  // wildly different phase, no edge
-  (void)det.converged_at(70);
-  EXPECT_TRUE(det.converged_at(180).has_value());
+  (void)det.converged_at(70, edges);
+  EXPECT_TRUE(det.converged_at(180, edges).has_value());
 }
 
 TEST(LocalSyncDetector, ViolatedEdgeBlocksConvergence) {
   LocalSyncDetector det(3, 100, 2);
-  det.add_edge(0, 1);
-  det.add_edge(1, 2);
+  const std::vector<LocalSyncDetector::Edge> edges = {{0, 1}, {1, 2}};
   det.record_fire(0, 10);
   det.record_fire(1, 11);
   det.record_fire(2, 60);
-  (void)det.converged_at(70);
-  EXPECT_FALSE(det.converged_at(180).has_value());
+  (void)det.converged_at(70, edges);
+  EXPECT_FALSE(det.converged_at(180, edges).has_value());
 }
 
 TEST(LocalSyncDetector, WrapAroundAlignment) {
   LocalSyncDetector det(2, 100, 2);
-  det.add_edge(0, 1);
+  const std::vector<LocalSyncDetector::Edge> edges = {{0, 1}};
   det.record_fire(0, 99);
   det.record_fire(1, 101);  // 99 vs 1 mod 100: circular distance 2
-  (void)det.converged_at(110);
-  EXPECT_TRUE(det.converged_at(220).has_value());
+  (void)det.converged_at(110, edges);
+  EXPECT_TRUE(det.converged_at(220, edges).has_value());
 }
 
 }  // namespace
