@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
   view.set_headers({"peer", "PS strength (dBm)", "est. distance (m)", "true distance (m)"});
   std::vector<std::pair<double, std::uint32_t>> ranked;
   for (const auto& [id, info] : engine.neighbors(device.id)) {
-    if (info.service == device.service) ranked.emplace_back(info.weight_dbm, id);
+    const double weight = info.weight_dbm;  // by value: the field is packed
+    if (info.service == device.service) ranked.emplace_back(weight, id);
   }
   std::sort(ranked.rbegin(), ranked.rend());
   for (std::size_t i = 0; i < std::min<std::size_t>(ranked.size(), 8); ++i) {

@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
     for (const auto& [id, info] : engine.neighbors(device.id)) {
       if (!has_content[id]) continue;
       ++candidate_donors;
-      best_weight = std::max(best_weight, info.weight_dbm);
+      const double weight = info.weight_dbm;  // by value: the field is packed
+      best_weight = std::max(best_weight, weight);
     }
     donors.add(static_cast<double>(candidate_donors));
     if (candidate_donors > 0) {
